@@ -23,25 +23,56 @@ const outputHeader = "sage-exec-output v1"
 // everything written here must be identical between the in-process and the
 // compiled execution of the same program.
 func (r *Result) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s\napp %s\niterations %d\n", outputHeader, r.App, len(r.Iters))
+	// One chunk buffer for the whole rendering, handed to w each time it
+	// fills: 1.3 M sample lines cost a handful of allocations.
+	buf := make([]byte, 0, sampleLineLen*2048)
+	buf = fmt.Appendf(buf, "%s\napp %s\niterations %d\n", outputHeader, r.App, len(r.Iters))
+	var names []string
 	for i, outputs := range r.Iters {
-		fmt.Fprintf(bw, "iteration %d\n", i)
-		names := make([]string, 0, len(outputs))
+		buf = fmt.Appendf(buf, "iteration %d\n", i)
+		names = names[:0]
 		for name := range outputs {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
 			m := outputs[name]
-			fmt.Fprintf(bw, "sink %s %d %d\n", name, m.Rows, m.Cols)
+			buf = fmt.Appendf(buf, "sink %s %d %d\n", name, m.Rows, m.Cols)
 			for _, v := range m.Data {
-				fmt.Fprintf(bw, "%016x %016x\n", math.Float64bits(real(v)), math.Float64bits(imag(v)))
+				if len(buf)+sampleLineLen > cap(buf) {
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
+				}
+				buf = appendSampleLine(buf, v)
 			}
 		}
 	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	_, err := w.Write(append(buf, "end\n"...))
+	return err
+}
+
+// sampleLineLen is the length of one sample line: two 16-digit hex words, a
+// space between them and a newline.
+const sampleLineLen = 34
+
+// appendSampleLine appends "%016x %016x\n" of v's real and imaginary bit
+// patterns.
+func appendSampleLine(buf []byte, v complex128) []byte {
+	const digits = "0123456789abcdef"
+	n := len(buf)
+	buf = buf[:n+sampleLineLen]
+	line := buf[n:]
+	re, im := math.Float64bits(real(v)), math.Float64bits(imag(v))
+	for i := 15; i >= 0; i-- {
+		line[i] = digits[re&0xf]
+		line[17+i] = digits[im&0xf]
+		re >>= 4
+		im >>= 4
+	}
+	line[16], line[33] = ' ', '\n'
+	return buf
 }
 
 // lineReader is a scanner with one line of pushback, for the sink-list

@@ -187,12 +187,7 @@ type exec struct {
 	errOnce sync.Once
 	err     error
 
-	// sinkMu serialises sink assembly: replicated sink ports give several
-	// threads the same (whole-matrix) region, and without the lock those
-	// identical concurrent writes would be data races. Writes are identical
-	// or disjoint by striping construction, so serialisation order never
-	// changes the assembled bytes.
-	sinkMu sync.Mutex
+	sinkMu sync.Mutex // serialises sink assembly (funclib.StoreSink)
 	iters  []map[string]*isspl.Matrix
 }
 
@@ -286,47 +281,45 @@ func (e *exec) drainEOS(t *Thread) {
 	}
 }
 
-// storeSink assembles one sink thread's block into the iteration's output
-// matrix (same region arithmetic as the simulated runtime's sink path).
-func (e *exec) storeSink(target *isspl.Matrix, b *funclib.Block) {
-	e.sinkMu.Lock()
-	for i := 0; i < b.Region.Rows; i++ {
-		row := b.Region.R0 + i
-		copy(target.Data[row*target.Cols+b.Region.C0:], b.Data[i*b.Region.Cols:(i+1)*b.Region.Cols])
-	}
-	e.sinkMu.Unlock()
-}
-
 // threadMain is the per-goroutine iteration loop: receive and assemble
 // striped inputs, compute, pack and send striped outputs — then close lanes
 // (EOS) and verify the inbound lanes closed too.
 func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
+	in := make(map[string]*funclib.Block, len(t.Ins))
+	out := make(map[string]*funclib.Block, len(t.Outs))
+	ctx := &funclib.Context{
+		FuncName: t.Fn, Params: t.Params,
+		Thread: t.Thread, Threads: t.Threads,
+	}
 	for iter := 0; iter < e.p.Iterations; iter++ {
-		in := make(map[string]*funclib.Block, len(t.Ins))
 		for pi := range t.Ins {
 			pp := &t.Ins[pi]
-			blk := funclib.NewBlock(pp.Region)
+			// A port whose one transfer covers its whole partition adopts
+			// the payload; any other assembles into a block of its own.
+			var blk *funclib.Block
+			if len(pp.Xfers) != 1 || pp.Xfers[0].Region != pp.Region {
+				blk = funclib.NewBlock(pp.Region)
+			}
 			for _, x := range pp.Xfers {
 				got, ok := e.recv(x.Conn, iter)
 				if !ok {
 					return
 				}
-				copyRegion(blk, got, x.Region)
+				blk = funclib.Assemble(blk, got)
 			}
 			in[pp.Name] = blk
 		}
-		out := make(map[string]*funclib.Block, len(t.Outs))
+		// Output blocks are fresh every iteration: consumers may still hold
+		// views of the previous ones.
 		for pi := range t.Outs {
 			pp := &t.Outs[pi]
 			out[pp.Name] = funclib.NewBlock(pp.Region)
 		}
-		ctx := &funclib.Context{
-			FuncName: t.Fn, Params: t.Params,
-			Thread: t.Thread, Threads: t.Threads, Iteration: iter,
-		}
+		ctx.Iteration = iter
+		ctx.Sink = nil
 		if t.Kind == "sink_matrix" {
 			if target := e.iters[iter][t.Fn]; target != nil {
-				ctx.Sink = func(port string, b *funclib.Block) { e.storeSink(target, b) }
+				ctx.Sink = func(port string, b *funclib.Block) { funclib.StoreSink(&e.sinkMu, target, b) }
 			}
 		}
 		if err := impl.Compute(ctx, in, out); err != nil {
@@ -337,7 +330,7 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 			pp := &t.Outs[pi]
 			blk := out[pp.Name]
 			for _, x := range pp.Xfers {
-				if !e.send(x.Conn, extractRegion(blk, x.Region)) {
+				if !e.send(x.Conn, funclib.ExtractRegion(blk, x.Region)) {
 					return
 				}
 			}
@@ -378,23 +371,4 @@ func Execute(p *Program) (*Result, error) {
 		return nil, e.err
 	}
 	return &Result{App: p.App, Iters: e.iters, Wall: time.Since(start)}, nil
-}
-
-// copyRegion copies region reg from src into dst; both blocks must contain
-// reg. Identical arithmetic to the simulated runtime's assembly path, so the
-// two backends touch samples in the same way.
-func copyRegion(dst, src *funclib.Block, reg model.Region) {
-	for i := 0; i < reg.Rows; i++ {
-		row := reg.R0 + i
-		dstOff := (row-dst.Region.R0)*dst.Region.Cols + (reg.C0 - dst.Region.C0)
-		srcOff := (row-src.Region.R0)*src.Region.Cols + (reg.C0 - src.Region.C0)
-		copy(dst.Data[dstOff:dstOff+reg.Cols], src.Data[srcOff:srcOff+reg.Cols])
-	}
-}
-
-// extractRegion returns a dense copy of region reg from blk.
-func extractRegion(blk *funclib.Block, reg model.Region) *funclib.Block {
-	out := funclib.NewBlock(reg)
-	copyRegion(out, blk, reg)
-	return out
 }

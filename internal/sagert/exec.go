@@ -29,6 +29,12 @@ type portPlan struct {
 	// xfers are incoming (for inputs) or outgoing (for outputs) transfers
 	// touching this thread, in deterministic table order.
 	xfers []xferRef
+	// adopt marks an input port whose one transfer covers the whole
+	// partition: the payload becomes the block, nothing is assembled.
+	adopt bool
+	// charge is the port's block on charge-only iterations: the region the
+	// cost model prices, no samples (Data == nil).
+	charge *funclib.Block
 }
 
 // threadPlan is the static plan of one function thread.
@@ -110,7 +116,7 @@ func (r *runner) portPlan(pe *gluegen.PortEntry, fe *gluegen.FuncEntry, thread i
 	if err != nil {
 		panic(err) // tables verified
 	}
-	pp := &portPlan{entry: pe, region: region}
+	pp := &portPlan{entry: pe, region: region, charge: &funclib.Block{Region: region}}
 	for _, bufID := range pe.Buffers {
 		buf := &r.tables.Buffers[bufID]
 		for _, x := range buf.Transfers {
@@ -129,6 +135,7 @@ func (r *runner) portPlan(pe *gluegen.PortEntry, fe *gluegen.FuncEntry, thread i
 			}
 		}
 	}
+	pp.adopt = isInput && len(pp.xfers) == 1 && pp.xfers[0].x.Region == region
 	return pp
 }
 
@@ -260,9 +267,12 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 		recvStart := rank.Proc().Now()
 		clear(inBlocks)
 		for _, pp := range tp.ins {
-			blk := funclib.NewBlock(pp.region)
-			if !compute {
-				blk.Data = nil // charge-only iterations carry no samples
+			var blk *funclib.Block // stays nil to adopt the payload
+			switch {
+			case !compute:
+				blk = pp.charge
+			case !pp.adopt:
+				blk = funclib.NewBlock(pp.region)
 			}
 			for _, xr := range r.orderXfers(pp.xfers, rank.Proc().Now()) {
 				key := localKey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread}
@@ -273,7 +283,7 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 					got := r.localQueue(key).Recv(rank.Proc())
 					node.Memcpy(rank.Proc(), xr.x.Bytes)
 					if compute {
-						copyRegion(blk, got, xr.x.Region)
+						blk = funclib.Assemble(blk, got)
 					}
 				} else {
 					payload := r.recvData(rank, tp, track, xr)
@@ -283,12 +293,11 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 					// buffer width) is received in place, zero-copy; only
 					// strided regions (corner-turn tiles, column stripes)
 					// pay the copy.
-					if !contiguousIn(xr.x.Region, blk.Region) {
+					if !funclib.ContiguousIn(xr.x.Region, pp.region) {
 						node.Memcpy(rank.Proc(), xr.x.Bytes)
 					}
 					if compute {
-						src := &funclib.Block{Region: xr.x.Region, Data: payload.Complex()}
-						copyRegion(blk, src, xr.x.Region)
+						blk = funclib.Assemble(blk, payload.Data.(*funclib.Block))
 					}
 				}
 				if tr.Enabled() {
@@ -312,9 +321,9 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 
 		clear(outBlocks)
 		for _, pp := range tp.outs {
-			blk := funclib.NewBlock(pp.region)
-			if !compute {
-				blk.Data = nil
+			blk := pp.charge
+			if compute {
+				blk = funclib.NewBlock(pp.region)
 			}
 			outBlocks[pp.entry.Name] = blk
 		}
@@ -322,7 +331,7 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 		ctx.Sink = nil
 		if tp.isSink && compute && iter == r.opts.ComputeIterations-1 {
 			if target := r.outputs[tp.fn.Name]; target != nil {
-				ctx.Sink = func(port string, b *funclib.Block) { r.storeSink(target, b) }
+				ctx.Sink = func(port string, b *funclib.Block) { funclib.StoreSink(&r.sinkMu, target, b) }
 			}
 		}
 		cost := tp.impl.Cost(ctx, inBlocks, outBlocks)
@@ -373,25 +382,24 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 				}
 				xferStart := rank.Proc().Now()
 				if r.localOptimised(tp.node, xr.peerNode) {
-					var pass *funclib.Block
+					var pass *funclib.Block // nothing to hand over when charge-only
 					if compute {
-						pass = extractRegion(blk, xr.x.Region)
-					} else {
-						pass = &funclib.Block{Region: xr.x.Region}
+						pass = funclib.ExtractRegion(blk, xr.x.Region)
 					}
 					r.localQueue(key).Send(pass)
 					continue
 				}
 				// Pack the region out of the logical buffer; a region that
 				// is contiguous in the buffer is sent in place, zero-copy.
-				if !contiguousIn(xr.x.Region, blk.Region) {
+				if !funclib.ContiguousIn(xr.x.Region, pp.region) {
 					node.Memcpy(rank.Proc(), xr.x.Bytes)
 				}
-				var payload mpi.Payload
+				payload := mpi.Payload{Bytes: xr.x.Bytes}
 				if compute {
-					payload = mpi.ComplexPayload(extractRegion(blk, xr.x.Region).Data)
-				} else {
-					payload = mpi.Payload{Bytes: xr.x.Bytes}
+					// The message body is the block itself, priced like
+					// mpi.ComplexPayload prices its samples.
+					view := funclib.ExtractRegion(blk, xr.x.Region)
+					payload = mpi.Payload{Bytes: mpi.BytesPerComplex * len(view.Data), Data: view}
 				}
 				rank.Send(xr.peerNode, dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), payload)
 				if tr.Enabled() {
@@ -530,49 +538,6 @@ func (r *runner) trace(tp *threadPlan, iter int, phase string, start, end sim.Ti
 		Fn: tp.fn.ID, FnName: tp.fn.Name, Thread: tp.thread, Node: tp.node,
 		Iter: iter, Phase: phase, Start: start, End: end,
 	})
-}
-
-// storeSink writes a sink thread's block into the assembled output matrix.
-func (r *runner) storeSink(target *isspl.Matrix, b *funclib.Block) {
-	if b.Data == nil {
-		return
-	}
-	// Replicated sink threads cover overlapping regions with identical
-	// data; under the sharded kernel they can run concurrently, so the
-	// assembly copy must be serialized. Non-overlapping writes pay an
-	// uncontended lock a few times per iteration — off the hot path.
-	r.sinkMu.Lock()
-	defer r.sinkMu.Unlock()
-	for i := 0; i < b.Region.Rows; i++ {
-		row := b.Region.R0 + i
-		copy(target.Data[row*target.Cols+b.Region.C0:], b.Data[i*b.Region.Cols:(i+1)*b.Region.Cols])
-	}
-}
-
-// contiguousIn reports whether region reg occupies a contiguous byte range
-// of a block covering blockReg: it must span the block's full width. Such
-// regions can be sent from or received into the logical buffer without a
-// marshalling copy.
-func contiguousIn(reg, blockReg model.Region) bool {
-	return reg.C0 == blockReg.C0 && reg.Cols == blockReg.Cols
-}
-
-// copyRegion copies region reg from src into dst; both blocks must contain
-// reg.
-func copyRegion(dst, src *funclib.Block, reg model.Region) {
-	for i := 0; i < reg.Rows; i++ {
-		row := reg.R0 + i
-		dstOff := (row-dst.Region.R0)*dst.Region.Cols + (reg.C0 - dst.Region.C0)
-		srcOff := (row-src.Region.R0)*src.Region.Cols + (reg.C0 - src.Region.C0)
-		copy(dst.Data[dstOff:dstOff+reg.Cols], src.Data[srcOff:srcOff+reg.Cols])
-	}
-}
-
-// extractRegion returns a dense copy of region reg from blk.
-func extractRegion(blk *funclib.Block, reg model.Region) *funclib.Block {
-	out := funclib.NewBlock(reg)
-	copyRegion(out, blk, reg)
-	return out
 }
 
 // result assembles the Result after the kernel drains.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 )
@@ -145,6 +146,34 @@ func TestStreamRequestValidation(t *testing.T) {
 		w := do(s, http.MethodPost, "/v1/run", tc.body)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestStreamReportValidOnEveryArrivalSeed: the three latency percentiles come
+// from independent P² estimators, which on a 30+10-frame mix used to put p95
+// above p99 for more than half of all arrival seeds — the daemon then failed
+// its own report's validation with a 500. Every seed must answer 200 with
+// ordered percentiles.
+func TestStreamReportValidOnEveryArrivalSeed(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	const body = `{"app":"fft2d","n":32,"threads":2,"nodes":4,"seed":%d,"protocol":{"stream":{"classes":[` +
+		`{"name":"interactive","process":"poisson","rate":400,"frames":30,"slo_ms":50},` +
+		`{"name":"batch","process":"gamma","rate":100,"shape":4,"frames":10,"weight":2}]}}}`
+	for seed := 1; seed <= 200; seed++ {
+		w := do(s, http.MethodPost, "/v1/run", fmt.Sprintf(body, seed))
+		if w.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d, body %s", seed, w.Code, w.Body.String())
+		}
+		var resp Response
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range resp.Stream.Classes {
+			if c.P50Ns > c.P95Ns || c.P95Ns > c.P99Ns || c.P99Ns > c.MaxNs {
+				t.Fatalf("seed %d class %s: p50 %d, p95 %d, p99 %d, max %d not ordered",
+					seed, c.Name, c.P50Ns, c.P95Ns, c.P99Ns, c.MaxNs)
+			}
 		}
 	}
 }

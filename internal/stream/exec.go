@@ -410,7 +410,7 @@ func (r *runner) sendSlot(st *threadState, si int, w float64) {
 				st.credits[key]--
 			}
 			bytes := scaleBytes(xr.x.Bytes, w)
-			if !contiguousIn(xr.x.Region, pp.region) {
+			if !funclib.ContiguousIn(xr.x.Region, pp.region) {
 				st.node.Memcpy(st.p, bytes)
 			}
 			st.rank.Send(st.peerNode(xr), dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Payload{Bytes: bytes})
@@ -419,13 +419,6 @@ func (r *runner) sendSlot(st *threadState, si int, w float64) {
 	if len(st.tp.outs) > 0 {
 		tr.Phase(trace.LayerSage, st.my, st.track, "send", si, sendStart, st.p.Now())
 	}
-}
-
-// contiguousIn reports whether region reg occupies a contiguous byte range
-// of a logical buffer covering blockReg (same rule as the batch runtime:
-// full-width regions move zero-copy).
-func contiguousIn(reg, blockReg model.Region) bool {
-	return reg.C0 == blockReg.C0 && reg.Cols == blockReg.Cols
 }
 
 // --- consumers ---------------------------------------------------------------
@@ -501,7 +494,7 @@ func (r *runner) recvSlot(st *threadState, slot int) (slotRec, bool) {
 					st.tp.fn.Name, st.tp.thread, slot, payload.Bytes, bytes))
 				return rec, false
 			}
-			if !contiguousIn(xr.x.Region, pp.region) {
+			if !funclib.ContiguousIn(xr.x.Region, pp.region) {
 				st.node.Memcpy(st.p, bytes)
 			}
 			st.rank.Send(st.peerNode(xr), creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Empty())

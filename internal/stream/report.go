@@ -132,11 +132,14 @@ func BuildReport(classes []Class, seed int64, res *Result) *Report {
 	seconds := float64(res.LastDone) / 1e9
 	goodputs := make([]float64, len(classes))
 	for i, a := range accs {
-		a.cr.P50Ns = int64(a.p50.Value())
-		a.cr.P95Ns = int64(a.p95.Value())
-		a.cr.P99Ns = int64(a.p99.Value())
 		a.cr.MeanNs = int64(a.mean.Mean())
 		a.cr.MaxNs = int64(a.max)
+		// The three P² estimators run independently, so on a small
+		// population a lower quantile's estimate can pass a higher one's
+		// (or the observed maximum); the report states them monotone.
+		a.cr.P50Ns = min(int64(a.p50.Value()), a.cr.MaxNs)
+		a.cr.P95Ns = min(max(int64(a.p95.Value()), a.cr.P50Ns), a.cr.MaxNs)
+		a.cr.P99Ns = min(max(int64(a.p99.Value()), a.cr.P95Ns), a.cr.MaxNs)
 		if seconds > 0 {
 			a.cr.ThroughputFPS = float64(a.cr.Completed) / seconds
 		}

@@ -142,8 +142,8 @@ type Prediction struct {
 
 // threadInfo is the static per-thread cost profile derived from the tables.
 type threadInfo struct {
-	fn     int // function table index
-	thread int
+	fn        int // function table index
+	thread    int
 	flops     float64
 	copyBytes int // funclib buffer-management bytes, before optimisation
 	inBytes   int // total input-partition bytes (in-place optimisation credit)
@@ -232,8 +232,8 @@ func NewEvaluator(t *gluegen.Tables, pl machine.Platform) (*Evaluator, error) {
 				src:       firstThread[b.SrcFn] + x.SrcThread,
 				dst:       firstThread[b.DstFn] + x.DstThread,
 				bytes:     x.Bytes,
-				srcContig: contiguousIn(x.Region, sreg),
-				dstContig: contiguousIn(x.Region, dreg),
+				srcContig: funclib.ContiguousIn(x.Region, sreg),
+				dstContig: funclib.ContiguousIn(x.Region, dreg),
 			})
 		}
 		flowID[bi] = ids
@@ -353,13 +353,6 @@ func portEntry(ports []gluegen.PortEntry, name string) *gluegen.PortEntry {
 		}
 	}
 	return nil
-}
-
-// contiguousIn mirrors the runtime's zero-copy predicate: a region occupies a
-// contiguous byte range of its logical buffer iff it spans the buffer's full
-// width.
-func contiguousIn(reg, blockReg model.Region) bool {
-	return reg.C0 == blockReg.C0 && reg.Cols == blockReg.Cols
 }
 
 // LinkCost is the closed-form price of moving one message, split the way the
