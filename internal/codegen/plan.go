@@ -1,14 +1,13 @@
 // Package codegen closes the generation loop the paper only sketches: it
 // turns gluegen's verified runtime tables into an actually compilable,
-// runnable Go program. Plan lowers the tables into an rtl.Program — one
-// goroutine per SAGE thread, one buffered-channel lane per striped transfer,
-// funclib kinds on real []complex128 data — mirroring the simulated
-// runtime's plan construction order exactly, so the real execution and the
-// simulation are two backends of one plan. EmitSource renders the program as
-// a standalone gofmt'd main package (byte-deterministic: golden-testable),
-// and BuildAndRun compiles and executes it with the host toolchain, the
-// end-to-end proof that generated glue code is correct outside the
-// simulator.
+// runnable Go program. Plan copies the shared execution plan (internal/plan)
+// into an rtl.Program — one goroutine per SAGE thread, one buffered-channel
+// lane per striped transfer, funclib kinds on real []complex128 data — so the
+// real execution and the simulation are two backends of one plan. EmitSource
+// renders the program as a standalone gofmt'd main package
+// (byte-deterministic: golden-testable), and BuildAndRun compiles and
+// executes it with the host toolchain, the end-to-end proof that generated
+// glue code is correct outside the simulator.
 package codegen
 
 import (
@@ -16,85 +15,47 @@ import (
 
 	"repro/internal/codegen/rtl"
 	"repro/internal/gluegen"
-	"repro/internal/model"
+	"repro/internal/plan"
 )
 
-// connKey identifies one transfer lane: (logical buffer, src thread, dst
-// thread) — the same triple the simulated runtime keys credits and message
-// tags by.
-type connKey struct {
-	buf, src, dst int
-}
-
 // Plan lowers verified tables into an executable rtl.Program running the
-// given number of iterations. Lane indices are assigned by walking the
-// buffer table in ID order and each buffer's transfers in table order;
-// threads are laid out function-by-function in table order — the identical
-// deterministic walk sagert's buildPlan performs, so no map iteration can
-// leak into the plan (or into the source emitted from it).
+// given number of iterations: plan thread i becomes Threads[i], plan edge i
+// becomes lane Conns[i]. The Program is the emitter's self-contained serial
+// form — emitted binaries link rtl, never gluegen — so the plan is copied
+// into it field for field, not referenced.
 func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
-	if err := tables.Verify(); err != nil {
-		return nil, fmt.Errorf("codegen: refusing to plan unverified tables: %w", err)
+	xp, err := plan.Build(tables)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	if iterations < 1 {
 		iterations = 1
 	}
-	connIdx := make(map[connKey]int)
-	var conns []rtl.Conn
-	for bi := range tables.Buffers {
-		buf := &tables.Buffers[bi]
-		src, err := tables.Function(buf.SrcFn)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: buffer %d: %w", buf.ID, err)
-		}
-		dst, err := tables.Function(buf.DstFn)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: buffer %d: %w", buf.ID, err)
-		}
-		for _, x := range buf.Transfers {
-			key := connKey{buf.ID, x.SrcThread, x.DstThread}
-			if _, dup := connIdx[key]; dup {
-				return nil, fmt.Errorf("codegen: buffer %d: duplicate transfer %d->%d", buf.ID, x.SrcThread, x.DstThread)
-			}
-			connIdx[key] = len(conns)
-			conns = append(conns, rtl.Conn{
-				Buf: buf.ID, SrcFn: src.Name, SrcThread: x.SrcThread,
-				DstFn: dst.Name, DstThread: x.DstThread,
-			})
-		}
-	}
-
-	var threads []rtl.Thread
-	for fi := range tables.Functions {
-		fe := &tables.Functions[fi]
-		for th := 0; th < fe.Threads; th++ {
-			t := rtl.Thread{
-				Fn: fe.Name, Kind: fe.Kind, Node: fe.Nodes[th],
-				Thread: th, Threads: fe.Threads, Params: copyParams(fe.Params),
-			}
-			if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
-				t.SinkRows, t.SinkCols = fe.Ins[0].Rows, fe.Ins[0].Cols
-			}
-			for pi := range fe.Ins {
-				port, err := planPort(tables, connIdx, &fe.Ins[pi], fe, th, true)
-				if err != nil {
-					return nil, err
-				}
-				t.Ins = append(t.Ins, port)
-			}
-			for pi := range fe.Outs {
-				port, err := planPort(tables, connIdx, &fe.Outs[pi], fe, th, false)
-				if err != nil {
-					return nil, err
-				}
-				t.Outs = append(t.Outs, port)
-			}
-			threads = append(threads, t)
-		}
-	}
 	p := &rtl.Program{
 		App: tables.AppName, Platform: tables.Platform, Iterations: iterations,
-		Slots: rtl.DefaultSlots, Threads: threads, Conns: conns,
+		Slots:   rtl.DefaultSlots,
+		Threads: make([]rtl.Thread, len(xp.Threads)),
+		Conns:   make([]rtl.Conn, len(xp.Edges)),
+	}
+	for i := range xp.Edges {
+		e := &xp.Edges[i]
+		p.Conns[i] = rtl.Conn{
+			Buf: e.Buf, SrcFn: xp.Threads[e.Src].Fn.Name, SrcThread: e.X.SrcThread,
+			DstFn: xp.Threads[e.Dst].Fn.Name, DstThread: e.X.DstThread,
+		}
+	}
+	for i := range xp.Threads {
+		tp := &xp.Threads[i]
+		fe := tp.Fn
+		t := rtl.Thread{
+			Fn: fe.Name, Kind: fe.Kind, Node: tp.Node,
+			Thread: tp.Index, Threads: fe.Threads, Params: copyParams(fe.Params),
+			Ins: copyPorts(xp, tp.Ins), Outs: copyPorts(xp, tp.Outs),
+		}
+		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
+			t.SinkRows, t.SinkCols = fe.Ins[0].Rows, fe.Ins[0].Cols
+		}
+		p.Threads[i] = t
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: planned an invalid program: %w", err)
@@ -102,36 +63,16 @@ func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 	return p, nil
 }
 
-// planPort builds one thread's view of one port, walking the port's buffer
-// list and each buffer's transfer table in order — the same filter-by-side
-// walk as the simulated runtime's portPlan.
-func planPort(tables *gluegen.Tables, connIdx map[connKey]int, pe *gluegen.PortEntry, fe *gluegen.FuncEntry, thread int, isInput bool) (rtl.Port, error) {
-	region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
-	if err != nil {
-		return rtl.Port{}, fmt.Errorf("codegen: %s port %s: %w", fe.Name, pe.Name, err)
-	}
-	port := rtl.Port{Name: pe.Name, Region: region}
-	for _, bufID := range pe.Buffers {
-		buf := &tables.Buffers[bufID]
-		for _, x := range buf.Transfers {
-			if isInput {
-				if buf.DstFn != fe.ID || buf.DstPort != pe.Name || x.DstThread != thread {
-					continue
-				}
-			} else {
-				if buf.SrcFn != fe.ID || buf.SrcPort != pe.Name || x.SrcThread != thread {
-					continue
-				}
-			}
-			idx, ok := connIdx[connKey{buf.ID, x.SrcThread, x.DstThread}]
-			if !ok {
-				return rtl.Port{}, fmt.Errorf("codegen: %s port %s: unplanned transfer b%d %d->%d",
-					fe.Name, pe.Name, buf.ID, x.SrcThread, x.DstThread)
-			}
-			port.Xfers = append(port.Xfers, rtl.Xfer{Conn: idx, Region: x.Region})
+func copyPorts(xp *plan.Plan, ports []plan.Port) []rtl.Port {
+	var out []rtl.Port
+	for pi := range ports {
+		port := rtl.Port{Name: ports[pi].Entry.Name, Region: ports[pi].Region}
+		for _, ei := range ports[pi].Edges {
+			port.Xfers = append(port.Xfers, rtl.Xfer{Conn: int(ei), Region: xp.Edges[ei].X.Region})
 		}
+		out = append(out, port)
 	}
-	return port, nil
+	return out
 }
 
 // copyParams clones a parameter map so the program never aliases the tables.

@@ -1,0 +1,248 @@
+// Package plan is the execution-plan IR every consumer of the generated
+// runtime tables shares: Build verifies gluegen.Tables and lowers them once
+// into threads × ports × lanes. The DES runtime (sagert), the streaming
+// runtime (stream), the analytical twin and the Go emitter (codegen) all walk
+// this one Plan, so they cannot disagree about which thread receives what, in
+// which order, under which tag.
+//
+// The plan holds only what the tables determine. A thread's Node is the
+// tables' own mapping, nothing more: consumers that re-map (stream epochs,
+// twin.PredictAssign) resolve an edge's peer through Src/Dst themselves.
+// Costs, credit ledgers and queues are run state and live with the consumer.
+package plan
+
+import (
+	"fmt"
+
+	"repro/internal/funclib"
+	"repro/internal/gluegen"
+	"repro/internal/model"
+	"repro/internal/mpi"
+)
+
+// TagThreadLimit bounds a function's thread count so that (buffer, source
+// thread, destination thread) packs into one MPI user tag.
+const TagThreadLimit = 128
+
+// Edge is one lane: a striding entry of a logical buffer, moving one region
+// from a producer thread to a consumer thread each iteration.
+type Edge struct {
+	Buf int              // logical buffer ID
+	X   gluegen.Transfer // the table's striding entry
+	// Src and Dst index Plan.Threads.
+	Src, Dst int
+	// SrcContig and DstContig report whether X.Region is contiguous in the
+	// producer's and the consumer's logical buffer (funclib.ContiguousIn):
+	// the side where it is not pays a pack or assembly copy.
+	SrcContig, DstContig bool
+}
+
+// DataTag is the lane's MPI tag. The packing is visible in channel names and
+// therefore in traces.
+func (e *Edge) DataTag() int {
+	return (e.Buf*TagThreadLimit+e.X.SrcThread)*TagThreadLimit + e.X.DstThread
+}
+
+// CreditTag is the tag of the lane's pipelining-credit returns, in a disjoint
+// range above every data tag.
+func (e *Edge) CreditTag() int { return mpi.TagUserLimit/2 + e.DataTag() }
+
+// Port is one thread's view of one port of its function.
+type Port struct {
+	Entry *gluegen.PortEntry
+	// Region is the thread's partition of the port's data set.
+	Region model.Region
+	// Edges indexes Plan.Edges in the runtime's receive (input) or send
+	// (output) order: the port's buffers in table order, each buffer's
+	// transfers in table order.
+	Edges []int32
+	// Adopt marks an input port whose one edge covers the whole partition:
+	// the payload becomes the block, nothing is assembled.
+	Adopt bool
+	// Charge is the port's block when only costs are wanted: the region the
+	// cost model prices, no samples.
+	Charge funclib.Block
+}
+
+// Bytes is the size of the thread's partition.
+func (p *Port) Bytes() int { return p.Region.Elems() * p.Entry.ElemBytes }
+
+// Thread is one thread of one function-table entry.
+type Thread struct {
+	Fn    *gluegen.FuncEntry
+	Index int // thread index within Fn
+	Node  int // the tables' mapping: Fn.Nodes[Index]
+	Impl  *funclib.Impl
+	// Source and Sink mark functions without input or output ports.
+	Source, Sink bool
+	Ins, Outs    []Port
+}
+
+// Plan is the lowered form of one set of tables.
+type Plan struct {
+	Tables *gluegen.Tables
+	// Threads lists every thread, function by function in table order,
+	// threads ascending.
+	Threads []Thread
+	// First maps a function ID to the index of its thread 0 in Threads.
+	First []int
+	// Edges lists every lane, buffer by buffer in ID order, each buffer's
+	// transfers in table order.
+	Edges []Edge
+}
+
+// Build verifies the tables and lowers them. It refuses tables whose lanes
+// would alias in the tag space, lanes declared twice, and transfers that name
+// a missing thread or are listed more than once on a side (Verify has
+// already made sure both of a buffer's ports list it).
+func Build(t *gluegen.Tables) (*Plan, error) {
+	if err := t.Verify(); err != nil {
+		return nil, fmt.Errorf("plan: refusing unverified tables: %w", err)
+	}
+	if len(t.Buffers)*TagThreadLimit*TagThreadLimit >= mpi.TagUserLimit/2 {
+		return nil, fmt.Errorf("plan: %d buffers exceed the tag space", len(t.Buffers))
+	}
+	p := &Plan{Tables: t, First: make([]int, len(t.Functions))}
+	n := 0
+	for fi := range t.Functions {
+		fe := &t.Functions[fi]
+		if fe.Threads > TagThreadLimit {
+			return nil, fmt.Errorf("plan: function %q has %d threads, limit %d", fe.Name, fe.Threads, TagThreadLimit)
+		}
+		p.First[fi] = n
+		n += fe.Threads
+	}
+	p.Threads = make([]Thread, n)
+	for fi := range t.Functions {
+		fe := &t.Functions[fi]
+		impl, err := funclib.Lookup(fe.Kind)
+		if err != nil {
+			return nil, err
+		}
+		for th := 0; th < fe.Threads; th++ {
+			tp := &p.Threads[p.First[fi]+th]
+			*tp = Thread{
+				Fn: fe, Index: th, Node: fe.Nodes[th], Impl: impl,
+				Source: len(fe.Ins) == 0, Sink: len(fe.Outs) == 0,
+			}
+			if tp.Ins, err = newPorts(fe, fe.Ins, th); err != nil {
+				return nil, err
+			}
+			if tp.Outs, err = newPorts(fe, fe.Outs, th); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// base[b] is the ID of buffer b's first edge.
+	base := make([]int, len(t.Buffers)+1)
+	for bi := range t.Buffers {
+		base[bi+1] = base[bi] + len(t.Buffers[bi].Transfers)
+	}
+	p.Edges = make([]Edge, base[len(t.Buffers)])
+	wired := make([]uint8, len(p.Edges))
+	for fi := range t.Functions {
+		fe := &t.Functions[fi]
+		for pi := range fe.Ins {
+			if err := p.wire(fe, pi, true, base, wired); err != nil {
+				return nil, err
+			}
+		}
+		for pi := range fe.Outs {
+			if err := p.wire(fe, pi, false, base, wired); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	seen := make([]bool, TagThreadLimit*TagThreadLimit)
+	for bi := range t.Buffers {
+		clear(seen)
+		for ei := base[bi]; ei < base[bi+1]; ei++ {
+			e := &p.Edges[ei]
+			lane := e.X.SrcThread*TagThreadLimit + e.X.DstThread
+			if seen[lane] {
+				return nil, fmt.Errorf("plan: buffer %d: duplicate transfer %d->%d", bi, e.X.SrcThread, e.X.DstThread)
+			}
+			seen[lane] = true
+		}
+	}
+	for ti := range p.Threads {
+		for pi := range p.Threads[ti].Ins {
+			port := &p.Threads[ti].Ins[pi]
+			port.Adopt = len(port.Edges) == 1 && p.Edges[port.Edges[0]].X.Region == port.Region
+		}
+	}
+	return p, nil
+}
+
+func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int) ([]Port, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	ports := make([]Port, len(entries))
+	for pi := range entries {
+		pe := &entries[pi]
+		region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
+		if err != nil {
+			return nil, fmt.Errorf("plan: %s port %s: %w", fe.Name, pe.Name, err)
+		}
+		ports[pi] = Port{Entry: pe, Region: region, Charge: funclib.Block{Region: region}}
+	}
+	return ports, nil
+}
+
+const wiredIn, wiredOut = 1, 2
+
+// wire hands the transfers of one port's buffers to the function's threads:
+// walking the port's buffer list and each buffer's transfer table in order,
+// it appends every edge to the port of the thread that receives (input) or
+// sends (output) it, and fills in that side of the edge.
+func (p *Plan) wire(fe *gluegen.FuncEntry, pi int, input bool, base []int, wired []uint8) error {
+	entries := fe.Outs
+	if input {
+		entries = fe.Ins
+	}
+	pe := &entries[pi]
+	for _, bufID := range pe.Buffers {
+		if bufID < 0 || bufID >= len(p.Tables.Buffers) {
+			return fmt.Errorf("plan: %s port %s lists buffer %d of %d", fe.Name, pe.Name, bufID, len(p.Tables.Buffers))
+		}
+		b := &p.Tables.Buffers[bufID]
+		endFn, endPort := b.SrcFn, b.SrcPort
+		if input {
+			endFn, endPort = b.DstFn, b.DstPort
+		}
+		if endFn != fe.ID || endPort != pe.Name {
+			continue // the buffer's end on this side is some other port
+		}
+		for xi := range b.Transfers {
+			x := &b.Transfers[xi]
+			ei := base[bufID] + xi
+			e := &p.Edges[ei]
+			side, th := uint8(wiredOut), x.SrcThread
+			if input {
+				side, th = wiredIn, x.DstThread
+			}
+			if th < 0 || th >= fe.Threads {
+				return fmt.Errorf("plan: buffer %d: transfer names thread %d of %s's %d", bufID, th, fe.Name, fe.Threads)
+			}
+			if wired[ei]&side != 0 {
+				return fmt.Errorf("plan: buffer %d: transfer %d->%d is listed twice by %s's ports", bufID, x.SrcThread, x.DstThread, fe.Name)
+			}
+			wired[ei] |= side
+			ti := p.First[fe.ID] + th
+			var port *Port
+			if input {
+				port = &p.Threads[ti].Ins[pi]
+				e.Dst, e.DstContig = ti, funclib.ContiguousIn(x.Region, port.Region)
+			} else {
+				port = &p.Threads[ti].Outs[pi]
+				e.Buf, e.X = bufID, *x
+				e.Src, e.SrcContig = ti, funclib.ContiguousIn(x.Region, port.Region)
+			}
+			port.Edges = append(port.Edges, int32(ei))
+		}
+	}
+	return nil
+}

@@ -6,70 +6,35 @@ import (
 	"sync/atomic"
 
 	"repro/internal/funclib"
-	"repro/internal/gluegen"
 	"repro/internal/isspl"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// xferRef is one planned transfer seen from one side.
-type xferRef struct {
-	buf      *gluegen.BufferEntry
-	x        gluegen.Transfer
-	peerNode int
-}
-
-// portPlan is a port's per-thread execution plan.
-type portPlan struct {
-	entry  *gluegen.PortEntry
-	region model.Region
-	// xfers are incoming (for inputs) or outgoing (for outputs) transfers
-	// touching this thread, in deterministic table order.
-	xfers []xferRef
-	// adopt marks an input port whose one transfer covers the whole
-	// partition: the payload becomes the block, nothing is assembled.
-	adopt bool
-	// charge is the port's block on charge-only iterations: the region the
-	// cost model prices, no samples (Data == nil).
-	charge *funclib.Block
-}
-
-// threadPlan is the static plan of one function thread.
-type threadPlan struct {
-	fn       *gluegen.FuncEntry
-	thread   int
-	node     int
-	impl     *funclib.Impl
-	ins      []*portPlan
-	outs     []*portPlan
-	isSource bool
-	isSink   bool
-	probe    bool
-}
-
-// localKey routes optimised node-local handoffs.
-type localKey struct {
-	buf, srcThread, dstThread int
-}
-
 type runner struct {
-	tables *gluegen.Tables
-	opts   Options
-	mach   *machine.Machine
-	world  *mpi.World
-
-	plans []*threadPlan
+	plan  *plan.Plan
+	opts  Options
+	mach  *machine.Machine
+	world *mpi.World
 
 	sourceStart []sim.Time
 	sinkDone    []sim.Time
 
-	output      *isspl.Matrix
-	outputs     map[string]*isspl.Matrix // per sink-function name
-	localQueues map[localKey]*sim.Chan[*funclib.Block]
-	iterBarrier *sim.Barrier // non-nil in Sequential mode
+	output  *isspl.Matrix
+	outputs map[string]*isspl.Matrix // per sink-function name
+	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
+	// thread touches its credits and overcommit, only its two endpoints its
+	// queue, so sharded runs need no lock.
+	credits []int
+	// overcommit tracks emergency credit borrowing (resilient mode only): a
+	// bounded per-run budget, so the pipeline depth can never exceed
+	// BufferSlots + MaxCreditOvercommit.
+	overcommit  []int
+	localQueues []*sim.Chan[*funclib.Block] // optimised node-local handoffs; nil elsewhere
+	iterBarrier *sim.Barrier                // non-nil in Sequential mode
 	maxOverrun  sim.Duration
 
 	// On a sharded kernel function threads execute concurrently (one
@@ -85,66 +50,12 @@ type runner struct {
 	err error
 }
 
-// buildPlan expands the tables into per-thread plans.
-func (r *runner) buildPlan() {
-	t := r.tables
-	for fi := range t.Functions {
-		fe := &t.Functions[fi]
-		impl, err := funclib.Lookup(fe.Kind)
-		if err != nil {
-			panic(err) // tables verified
-		}
-		for th := 0; th < fe.Threads; th++ {
-			tp := &threadPlan{
-				fn: fe, thread: th, node: fe.Nodes[th], impl: impl,
-				isSource: len(fe.Ins) == 0, isSink: len(fe.Outs) == 0,
-				probe: fe.Probe || r.opts.ProbeAll,
-			}
-			for pi := range fe.Ins {
-				tp.ins = append(tp.ins, r.portPlan(&fe.Ins[pi], fe, th, true))
-			}
-			for pi := range fe.Outs {
-				tp.outs = append(tp.outs, r.portPlan(&fe.Outs[pi], fe, th, false))
-			}
-			r.plans = append(r.plans, tp)
-		}
-	}
-}
-
-func (r *runner) portPlan(pe *gluegen.PortEntry, fe *gluegen.FuncEntry, thread int, isInput bool) *portPlan {
-	region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
-	if err != nil {
-		panic(err) // tables verified
-	}
-	pp := &portPlan{entry: pe, region: region, charge: &funclib.Block{Region: region}}
-	for _, bufID := range pe.Buffers {
-		buf := &r.tables.Buffers[bufID]
-		for _, x := range buf.Transfers {
-			if isInput {
-				if buf.DstFn != fe.ID || buf.DstPort != pe.Name || x.DstThread != thread {
-					continue
-				}
-				src, _ := r.tables.Function(buf.SrcFn)
-				pp.xfers = append(pp.xfers, xferRef{buf: buf, x: x, peerNode: src.Nodes[x.SrcThread]})
-			} else {
-				if buf.SrcFn != fe.ID || buf.SrcPort != pe.Name || x.SrcThread != thread {
-					continue
-				}
-				dst, _ := r.tables.Function(buf.DstFn)
-				pp.xfers = append(pp.xfers, xferRef{buf: buf, x: x, peerNode: dst.Nodes[x.DstThread]})
-			}
-		}
-	}
-	pp.adopt = isInput && len(pp.xfers) == 1 && pp.xfers[0].x.Region == region
-	return pp
-}
-
 // collectOutput prepares the sink assembly target from the sink function's
 // input port shape.
 func (r *runner) collectOutput() {
 	r.outputs = map[string]*isspl.Matrix{}
-	for fi := range r.tables.Functions {
-		fe := &r.tables.Functions[fi]
+	for fi := range r.plan.Tables.Functions {
+		fe := &r.plan.Tables.Functions[fi]
 		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
 			m := isspl.NewMatrix(fe.Ins[0].Rows, fe.Ins[0].Cols)
 			r.outputs[fe.Name] = m
@@ -163,10 +74,10 @@ func (r *runner) localOptimised(srcNode, dstNode int) bool {
 
 // spawn launches every function thread on its mapped node's shard.
 func (r *runner) spawn(k *sim.Kernel) {
-	for _, tp := range r.plans {
-		tp := tp
-		k.SpawnOn(tp.node, fmt.Sprintf("%s.%s[%d]", r.tables.AppName, tp.fn.Name, tp.thread), func(p *sim.Proc) {
-			rank := r.world.Attach(tp.node, p)
+	for ti := range r.plan.Threads {
+		tp := &r.plan.Threads[ti]
+		k.SpawnOn(tp.Node, fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) {
+			rank := r.world.Attach(tp.Node, p)
 			r.threadMain(tp, rank)
 		})
 	}
@@ -183,42 +94,28 @@ func (r *runner) fail(err error) {
 }
 
 // buildLocalQueues pre-creates every optimised node-local handoff channel,
-// before the kernel runs. Creating them lazily mid-run would mutate the
-// shared map from concurrent shard goroutines; eager creation is free (a
-// channel is inert until used) and changes nothing observable.
+// before the kernel runs. Creating them lazily mid-run would mutate shared
+// state from concurrent shard goroutines; eager creation is free (a channel
+// is inert until used) and changes nothing observable.
 func (r *runner) buildLocalQueues(k *sim.Kernel) {
 	if !r.opts.OptimizedBuffers {
 		return
 	}
-	for bi := range r.tables.Buffers {
-		buf := &r.tables.Buffers[bi]
-		src, _ := r.tables.Function(buf.SrcFn)
-		dst, _ := r.tables.Function(buf.DstFn)
-		for _, x := range buf.Transfers {
-			if src.Nodes[x.SrcThread] != dst.Nodes[x.DstThread] {
-				continue
-			}
-			key := localKey{buf.ID, x.SrcThread, x.DstThread}
-			if _, ok := r.localQueues[key]; !ok {
-				r.localQueues[key] = sim.NewChanOn[*funclib.Block](k, src.Nodes[x.SrcThread],
-					fmt.Sprintf("local b%d %d->%d", key.buf, key.srcThread, key.dstThread))
-			}
+	r.localQueues = make([]*sim.Chan[*funclib.Block], len(r.plan.Edges))
+	for ei := range r.plan.Edges {
+		e := &r.plan.Edges[ei]
+		if node := r.plan.Threads[e.Src].Node; node == r.plan.Threads[e.Dst].Node {
+			r.localQueues[ei] = sim.NewChanOn[*funclib.Block](k, node,
+				fmt.Sprintf("local b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread))
 		}
 	}
 }
 
-func (r *runner) localQueue(key localKey) *sim.Chan[*funclib.Block] {
-	q := r.localQueues[key]
-	if q == nil {
-		panic(fmt.Sprintf("sagert: no local queue for b%d %d->%d", key.buf, key.srcThread, key.dstThread))
-	}
-	return q
-}
-
 // threadMain is the per-thread iteration loop: receive/assemble, dispatch,
 // compute, pack/send — with credit-based flow control.
-func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
-	node := r.mach.Node(tp.node)
+func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
+	node := r.mach.Node(tp.Node)
+	threads, edges := r.plan.Threads, r.plan.Edges
 	// Structured tracing: the collector is nil-safe, but the track name and
 	// per-transfer span labels are only built when tracing is on.
 	tr := r.mach.Trace()
@@ -226,29 +123,19 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 	if tr.Enabled() {
 		track = trace.ProcTrack(rank.Proc().Name(), rank.Proc().PID())
 	}
-	credits := map[localKey]int{}
-	for _, pp := range tp.outs {
-		for _, xr := range pp.xfers {
-			credits[localKey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread}] = r.opts.BufferSlots
-		}
-	}
 	inj := r.mach.Faults()
-	// overcommit tracks emergency credit borrowing per transfer (resilient
-	// mode only): a bounded per-run budget, so the pipeline depth can never
-	// exceed BufferSlots + MaxCreditOvercommit.
-	overcommit := map[localKey]int{}
 	// Per-iteration working state, hoisted out of the loop and cleared each
 	// pass so the steady-state iteration allocates no maps or contexts.
-	inBlocks := make(map[string]*funclib.Block, len(tp.ins))
-	outBlocks := make(map[string]*funclib.Block, len(tp.outs))
+	inBlocks := make(map[string]*funclib.Block, len(tp.Ins))
+	outBlocks := make(map[string]*funclib.Block, len(tp.Outs))
 	ctx := &funclib.Context{
-		FuncName: tp.fn.Name, Params: tp.fn.Params,
-		Thread: tp.thread, Threads: tp.fn.Threads,
+		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
+		Thread: tp.Index, Threads: tp.Fn.Threads,
 	}
 	for iter := 0; iter < r.opts.Iterations && !r.failed.Load(); iter++ {
 		compute := iter < r.opts.ComputeIterations
 
-		if tp.isSource {
+		if tp.Source {
 			if r.opts.InputPeriod > 0 {
 				// Real-time pacing: data set iter arrives on schedule; if
 				// the pipeline's backpressure held us past the arrival,
@@ -266,53 +153,55 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 		// --- receive phase: assemble input logical buffers -----------------
 		recvStart := rank.Proc().Now()
 		clear(inBlocks)
-		for _, pp := range tp.ins {
+		for pi := range tp.Ins {
+			pp := &tp.Ins[pi]
 			var blk *funclib.Block // stays nil to adopt the payload
 			switch {
 			case !compute:
-				blk = pp.charge
-			case !pp.adopt:
-				blk = funclib.NewBlock(pp.region)
+				blk = &pp.Charge
+			case !pp.Adopt:
+				blk = funclib.NewBlock(pp.Region)
 			}
-			for _, xr := range r.orderXfers(pp.xfers, rank.Proc().Now()) {
-				key := localKey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread}
+			for _, ei := range r.orderXfers(pp.Edges, true, rank.Proc().Now()) {
+				e := &edges[ei]
+				peer := threads[e.Src].Node
 				xferStart := rank.Proc().Now()
-				if r.localOptimised(xr.peerNode, tp.node) {
+				if r.localOptimised(peer, tp.Node) {
 					// Optimised local handoff: single copy, no messaging
 					// stack.
-					got := r.localQueue(key).Recv(rank.Proc())
-					node.Memcpy(rank.Proc(), xr.x.Bytes)
+					got := r.localQueues[ei].Recv(rank.Proc())
+					node.Memcpy(rank.Proc(), e.X.Bytes)
 					if compute {
 						blk = funclib.Assemble(blk, got)
 					}
 				} else {
-					payload := r.recvData(rank, tp, track, xr)
+					payload := r.recvData(rank, tp, track, e, peer)
 					// Assemble into the function's private logical buffer:
 					// the extra data access §3.4 attributes overhead to. A
 					// region that lands contiguously in the buffer (full
 					// buffer width) is received in place, zero-copy; only
 					// strided regions (corner-turn tiles, column stripes)
 					// pay the copy.
-					if !funclib.ContiguousIn(xr.x.Region, pp.region) {
-						node.Memcpy(rank.Proc(), xr.x.Bytes)
+					if !e.DstContig {
+						node.Memcpy(rank.Proc(), e.X.Bytes)
 					}
 					if compute {
 						blk = funclib.Assemble(blk, payload.Data.(*funclib.Block))
 					}
 				}
 				if tr.Enabled() {
-					tr.Xfer(trace.LayerSage, tp.node, track,
-						fmt.Sprintf("recv b%d t%d", xr.buf.ID, xr.x.SrcThread),
-						xr.x.Bytes, iter, xferStart, rank.Proc().Now())
+					tr.Xfer(trace.LayerSage, tp.Node, track,
+						fmt.Sprintf("recv b%d t%d", e.Buf, e.X.SrcThread),
+						e.X.Bytes, iter, xferStart, rank.Proc().Now())
 				}
 				// Return a pipelining credit to the producer.
-				rank.Send(xr.peerNode, creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Empty())
+				rank.Send(peer, e.CreditTag(), mpi.Empty())
 			}
-			inBlocks[pp.entry.Name] = blk
+			inBlocks[pp.Entry.Name] = blk
 		}
-		if len(tp.ins) > 0 {
+		if len(tp.Ins) > 0 {
 			r.trace(tp, iter, "recv", recvStart, rank.Proc().Now())
-			tr.Phase(trace.LayerSage, tp.node, track, "recv", iter, recvStart, rank.Proc().Now())
+			tr.Phase(trace.LayerSage, tp.Node, track, "recv", iter, recvStart, rank.Proc().Now())
 		}
 
 		// --- dispatch + compute --------------------------------------------
@@ -320,30 +209,29 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 		node.ComputeTime(rank.Proc(), r.opts.DispatchOverhead)
 
 		clear(outBlocks)
-		for _, pp := range tp.outs {
-			blk := pp.charge
+		for pi := range tp.Outs {
+			pp := &tp.Outs[pi]
+			blk := &pp.Charge
 			if compute {
-				blk = funclib.NewBlock(pp.region)
+				blk = funclib.NewBlock(pp.Region)
 			}
-			outBlocks[pp.entry.Name] = blk
+			outBlocks[pp.Entry.Name] = blk
 		}
 		ctx.Iteration = iter
 		ctx.Sink = nil
-		if tp.isSink && compute && iter == r.opts.ComputeIterations-1 {
-			if target := r.outputs[tp.fn.Name]; target != nil {
+		if tp.Sink && compute && iter == r.opts.ComputeIterations-1 {
+			if target := r.outputs[tp.Fn.Name]; target != nil {
 				ctx.Sink = func(port string, b *funclib.Block) { funclib.StoreSink(&r.sinkMu, target, b) }
 			}
 		}
-		cost := tp.impl.Cost(ctx, inBlocks, outBlocks)
+		cost := tp.Impl.Cost(ctx, inBlocks, outBlocks)
 		copyBytes := cost.CopyBytes
-		if r.opts.OptimizedBuffers && !tp.isSource && !tp.isSink {
+		if r.opts.OptimizedBuffers && !tp.Source && !tp.Sink {
 			// In-place computation where legal: the input-to-output copy
 			// disappears.
-			inBytes := 0
-			for _, pp := range tp.ins {
-				inBytes += pp.region.Elems() * pp.entry.ElemBytes
+			for pi := range tp.Ins {
+				copyBytes -= tp.Ins[pi].Bytes()
 			}
-			copyBytes -= inBytes
 			if copyBytes < 0 {
 				copyBytes = 0
 			}
@@ -351,70 +239,72 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 		node.ComputeFlops(rank.Proc(), cost.Flops)
 		node.Memcpy(rank.Proc(), copyBytes)
 		if compute {
-			if err := tp.impl.Compute(ctx, inBlocks, outBlocks); err != nil {
-				r.fail(fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.fn.Name, tp.thread, iter, err))
+			if err := tp.Impl.Compute(ctx, inBlocks, outBlocks); err != nil {
+				r.fail(fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, iter, err))
 				return
 			}
 		}
 		r.trace(tp, iter, "compute", compStart, rank.Proc().Now())
-		tr.Phase(trace.LayerSage, tp.node, track, "compute", iter, compStart, rank.Proc().Now())
+		tr.Phase(trace.LayerSage, tp.Node, track, "compute", iter, compStart, rank.Proc().Now())
 
 		// --- send phase ------------------------------------------------------
 		sendStart := rank.Proc().Now()
-		for _, pp := range tp.outs {
-			blk := outBlocks[pp.entry.Name]
-			for _, xr := range r.orderXfers(pp.xfers, rank.Proc().Now()) {
-				key := localKey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread}
-				if credits[key] == 0 {
+		for pi := range tp.Outs {
+			pp := &tp.Outs[pi]
+			blk := outBlocks[pp.Entry.Name]
+			for _, ei := range r.orderXfers(pp.Edges, false, rank.Proc().Now()) {
+				e := &edges[ei]
+				peer := threads[e.Dst].Node
+				if r.credits[ei] == 0 {
 					creditStart := rank.Proc().Now()
 					if inj.Enabled() {
-						r.awaitCredit(rank, tp, track, xr, overcommit)
+						r.awaitCredit(rank, tp, track, ei, peer)
 					} else {
-						rank.Recv(xr.peerNode, creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread))
+						rank.Recv(peer, e.CreditTag())
 					}
 					if tr.Enabled() && rank.Proc().Now() > creditStart {
-						tr.Phase(trace.LayerSage, tp.node, track,
-							fmt.Sprintf("credit b%d", xr.buf.ID),
+						tr.Phase(trace.LayerSage, tp.Node, track,
+							fmt.Sprintf("credit b%d", e.Buf),
 							iter, creditStart, rank.Proc().Now())
 					}
 				} else {
-					credits[key]--
+					r.credits[ei]--
 				}
 				xferStart := rank.Proc().Now()
-				if r.localOptimised(tp.node, xr.peerNode) {
+				if r.localOptimised(tp.Node, peer) {
 					var pass *funclib.Block // nothing to hand over when charge-only
 					if compute {
-						pass = funclib.ExtractRegion(blk, xr.x.Region)
+						pass = funclib.ExtractRegion(blk, e.X.Region)
 					}
-					r.localQueue(key).Send(pass)
+					r.localQueues[ei].Send(pass)
 					continue
 				}
 				// Pack the region out of the logical buffer; a region that
 				// is contiguous in the buffer is sent in place, zero-copy.
-				if !funclib.ContiguousIn(xr.x.Region, pp.region) {
-					node.Memcpy(rank.Proc(), xr.x.Bytes)
+				if !e.SrcContig {
+					node.Memcpy(rank.Proc(), e.X.Bytes)
 				}
-				payload := mpi.Payload{Bytes: xr.x.Bytes}
+				payload := mpi.Payload{Bytes: e.X.Bytes}
 				if compute {
 					// The message body is the block itself, priced like
 					// mpi.ComplexPayload prices its samples.
-					view := funclib.ExtractRegion(blk, xr.x.Region)
+					view := funclib.ExtractRegion(blk, e.X.Region)
 					payload = mpi.Payload{Bytes: mpi.BytesPerComplex * len(view.Data), Data: view}
 				}
-				rank.Send(xr.peerNode, dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), payload)
+				rank.Send(peer, e.DataTag(), payload)
 				if tr.Enabled() {
-					tr.Xfer(trace.LayerSage, tp.node, track,
-						fmt.Sprintf("send b%d t%d", xr.buf.ID, xr.x.DstThread),
-						xr.x.Bytes, iter, xferStart, rank.Proc().Now())
+					tr.Xfer(trace.LayerSage, tp.Node, track,
+						fmt.Sprintf("send b%d t%d", e.Buf, e.X.DstThread),
+						e.X.Bytes, iter, xferStart, rank.Proc().Now())
 				}
 			}
 		}
-		if len(tp.outs) > 0 {
+		if len(tp.Outs) > 0 {
 			r.trace(tp, iter, "send", sendStart, rank.Proc().Now())
-			tr.Phase(trace.LayerSage, tp.node, track, "send", iter, sendStart, rank.Proc().Now())
+			tr.Phase(trace.LayerSage, tp.Node, track, "send", iter, sendStart, rank.Proc().Now())
 		}
 
-		if tp.isSink {
+		if tp.Sink {
 			r.noteSinkDone(iter, rank.Proc().Now())
 		}
 		if r.iterBarrier != nil {
@@ -428,46 +318,45 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 // data arrives: the message is guaranteed to come eventually (the MPI retry
 // protocol forces delivery after its attempt budget), so the loop terminates;
 // each expiry is recorded as a recv-timeout fault span on the thread's track.
-func (r *runner) recvData(rank *mpi.Rank, tp *threadPlan, track string, xr xferRef) mpi.Payload {
-	tag := dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread)
+func (r *runner) recvData(rank *mpi.Rank, tp *plan.Thread, track string, e *plan.Edge, peer int) mpi.Payload {
+	tag := e.DataTag()
 	if !r.mach.Faults().Enabled() {
-		return rank.Recv(xr.peerNode, tag)
+		return rank.Recv(peer, tag)
 	}
 	tr := r.mach.Trace()
 	for {
 		start := rank.Proc().Now()
-		payload, ok := rank.RecvTimeout(xr.peerNode, tag, r.opts.Resilience.RecvTimeout)
+		payload, ok := rank.RecvTimeout(peer, tag, r.opts.Resilience.RecvTimeout)
 		if ok {
 			return payload
 		}
-		tr.FaultSpanOn(tp.node, track,
-			fmt.Sprintf("recv-timeout b%d t%d", xr.buf.ID, xr.x.SrcThread),
+		tr.FaultSpanOn(tp.Node, track,
+			fmt.Sprintf("recv-timeout b%d t%d", e.Buf, e.X.SrcThread),
 			start, rank.Proc().Now())
 	}
 }
 
-// awaitCredit blocks until a pipelining credit for xr arrives, in resilient
+// awaitCredit blocks until a pipelining credit for edge ei arrives, in resilient
 // mode. Each timed-out wait is recorded; while the per-transfer overcommit
 // budget lasts, a timeout is resolved by borrowing an emergency slot and
 // proceeding without the credit — the credit stays in flight and satisfies a
 // later wait instantly, so the pipeline depth overshoot is bounded by the
 // budget and drains by itself.
-func (r *runner) awaitCredit(rank *mpi.Rank, tp *threadPlan, track string, xr xferRef, overcommit map[localKey]int) {
-	ctag := creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread)
-	key := localKey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread}
+func (r *runner) awaitCredit(rank *mpi.Rank, tp *plan.Thread, track string, ei int32, peer int) {
+	e := &r.plan.Edges[ei]
 	res := r.opts.Resilience
 	tr := r.mach.Trace()
 	for {
 		start := rank.Proc().Now()
-		if _, ok := rank.RecvTimeout(xr.peerNode, ctag, res.CreditTimeout); ok {
+		if _, ok := rank.RecvTimeout(peer, e.CreditTag(), res.CreditTimeout); ok {
 			return
 		}
-		tr.FaultSpanOn(tp.node, track,
-			fmt.Sprintf("credit-timeout b%d", xr.buf.ID), start, rank.Proc().Now())
-		if overcommit[key] < res.MaxCreditOvercommit {
-			overcommit[key]++
-			tr.FaultPoint(tp.node,
-				fmt.Sprintf("overcommit b%d %d->%d", xr.buf.ID, xr.x.SrcThread, xr.x.DstThread),
+		tr.FaultSpanOn(tp.Node, track,
+			fmt.Sprintf("credit-timeout b%d", e.Buf), start, rank.Proc().Now())
+		if r.overcommit[ei] < res.MaxCreditOvercommit {
+			r.overcommit[ei]++
+			tr.FaultPoint(tp.Node,
+				fmt.Sprintf("overcommit b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread),
 				rank.Proc().Now())
 			return
 		}
@@ -478,29 +367,37 @@ func (r *runner) awaitCredit(rank *mpi.Rank, tp *threadPlan, track string, xr xf
 // mode: transfers whose peer node is currently inside a stall window move —
 // stably — to the back, so healthy peers are serviced first and the stalled
 // peer's transfer is attempted as late as possible (by which time it may have
-// restarted). Without Resilience.Degraded (or without faults) the table
+// restarted). Without Resilience.Degraded (or without faults) the plan's
 // order is returned untouched.
-func (r *runner) orderXfers(xfers []xferRef, now sim.Time) []xferRef {
+func (r *runner) orderXfers(edges []int32, input bool, now sim.Time) []int32 {
 	inj := r.mach.Faults()
 	if !r.opts.Resilience.Degraded || !inj.Enabled() {
-		return xfers
+		return edges
+	}
+	peerStalled := func(ei int32) bool {
+		e := &r.plan.Edges[ei]
+		peer := e.Dst
+		if input {
+			peer = e.Src
+		}
+		return inj.NodeStalled(r.plan.Threads[peer].Node, now)
 	}
 	stalled := 0
-	for i := range xfers {
-		if inj.NodeStalled(xfers[i].peerNode, now) {
+	for _, ei := range edges {
+		if peerStalled(ei) {
 			stalled++
 		}
 	}
-	if stalled == 0 || stalled == len(xfers) {
-		return xfers
+	if stalled == 0 || stalled == len(edges) {
+		return edges
 	}
-	out := make([]xferRef, 0, len(xfers))
-	tail := make([]xferRef, 0, stalled)
-	for _, xr := range xfers {
-		if inj.NodeStalled(xr.peerNode, now) {
-			tail = append(tail, xr)
+	out := make([]int32, 0, len(edges))
+	tail := make([]int32, 0, stalled)
+	for _, ei := range edges {
+		if peerStalled(ei) {
+			tail = append(tail, ei)
 		} else {
-			out = append(out, xr)
+			out = append(out, ei)
 		}
 	}
 	return append(out, tail...)
@@ -530,12 +427,12 @@ func (r *runner) noteOverrun(over sim.Duration) {
 	r.noteMu.Unlock()
 }
 
-func (r *runner) trace(tp *threadPlan, iter int, phase string, start, end sim.Time) {
-	if r.opts.Trace == nil || !tp.probe {
+func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.Time) {
+	if r.opts.Trace == nil || !(tp.Fn.Probe || r.opts.ProbeAll) {
 		return
 	}
 	r.opts.Trace(Event{
-		Fn: tp.fn.ID, FnName: tp.fn.Name, Thread: tp.thread, Node: tp.node,
+		Fn: tp.Fn.ID, FnName: tp.Fn.Name, Thread: tp.Index, Node: tp.Node,
 		Iter: iter, Phase: phase, Start: start, End: end,
 	})
 }

@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/conformance"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/gluegen"
+	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/sagert"
 )
@@ -50,6 +52,36 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 	// plus the assembled output: seven matrices' worth, so eight is the bar.
 	if matrix := uint64(512 * 512 * 16); one > 8*matrix {
 		t.Fatalf("1-iteration run allocates %d bytes, more than 8 matrices (%d)", one, 8*matrix)
+	}
+
+	// The bookkeeping-dominated shape (the repo benchmark's wide1024: 4224
+	// lanes over 1024 Mercury nodes, little payload). Building the execution
+	// plan and running three iterations took 13.7 MB when every lane was
+	// stored twice, as a per-side transfer copy, and credits lived in
+	// per-thread maps; one edge per lane and per-edge slices take 12.2 MB
+	// (13.5 under the race detector, hence the bar and the best of three).
+	wpl := platforms.Mercury()
+	app, err := apps.FFT2D(256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.StaggerParallel(app, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: wpl, NumNodes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWide := func() {
+		if _, err := sagert.Run(wide.Tables, wpl, sagert.Options{Iterations: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runWide()
+	got := min(allocBytes(runWide), allocBytes(runWide), allocBytes(runWide))
+	if got > 13_700_000 {
+		t.Fatalf("1024-node run allocates %d bytes, more than the 13.7 MB it took before the shared plan", got)
 	}
 }
 

@@ -27,11 +27,11 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/isspl"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -218,36 +218,16 @@ func (r *Result) AvgLatency() sim.Duration {
 	return sum / sim.Duration(len(r.Latencies))
 }
 
-// tag packing: (buffer, srcThread, dstThread) -> user tag. Limits checked at
-// runner construction.
-const tagThreadLimit = 128
-
-func dataTag(buf, srcThread, dstThread int) int {
-	return ((buf*tagThreadLimit)+srcThread)*tagThreadLimit + dstThread
-}
-
-// credit tags live in a disjoint range above data tags.
-func creditTag(buf, srcThread, dstThread int) int {
-	return mpi.TagUserLimit/2 + dataTag(buf, srcThread, dstThread)
-}
-
 // Run executes the tables on a fresh simulated machine of the given
 // platform.
 func Run(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Result, error) {
 	o := opts.withDefaults()
-	if err := tables.Verify(); err != nil {
-		return nil, fmt.Errorf("sagert: refusing to run unverified tables: %w", err)
+	xp, err := plan.Build(tables)
+	if err != nil {
+		return nil, fmt.Errorf("sagert: %w", err)
 	}
 	if pl.Name != tables.Platform {
 		return nil, fmt.Errorf("sagert: tables were generated for platform %q, running on %q (regenerate the glue code)", tables.Platform, pl.Name)
-	}
-	for _, f := range tables.Functions {
-		if f.Threads > tagThreadLimit {
-			return nil, fmt.Errorf("sagert: function %q has %d threads, limit %d", f.Name, f.Threads, tagThreadLimit)
-		}
-	}
-	if len(tables.Buffers)*tagThreadLimit*tagThreadLimit >= mpi.TagUserLimit/2 {
-		return nil, fmt.Errorf("sagert: %d buffers exceed the tag space", len(tables.Buffers))
 	}
 	if !o.Faults.Empty() {
 		if err := o.Faults.Validate(); err != nil {
@@ -275,16 +255,21 @@ func Run(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Result, er
 	mach.SetFaults(o.Faults.NewInjector())
 	world := mpi.NewWorld(mach)
 	r := &runner{
-		tables: tables, opts: o, mach: mach, world: world,
+		plan: xp, opts: o, mach: mach, world: world,
 		sourceStart: make([]sim.Time, o.Iterations),
 		sinkDone:    make([]sim.Time, o.Iterations),
-		localQueues: map[localKey]*sim.Chan[*funclib.Block]{},
+		credits:     make([]int, len(xp.Edges)),
 	}
-	r.buildPlan()
+	for i := range r.credits {
+		r.credits[i] = o.BufferSlots
+	}
+	if mach.Faults().Enabled() {
+		r.overcommit = make([]int, len(xp.Edges))
+	}
 	r.buildLocalQueues(k)
 	r.collectOutput()
 	if o.Sequential {
-		r.iterBarrier = sim.NewBarrier(k, "iteration", len(r.plans))
+		r.iterBarrier = sim.NewBarrier(k, "iteration", len(xp.Threads))
 	}
 	r.spawn(k)
 	if o.Cancel != nil {

@@ -56,9 +56,11 @@ func (r *runner) doRemap(st *threadState) {
 	}
 
 	migrated := 0
-	for _, tp := range r.plans {
-		if r.curAssign[tp.fnIdx][tp.thread] != next[tp.fnIdx][tp.thread] {
-			migrated++
+	for fi := range next {
+		for th := range next[fi] {
+			if r.curAssign[fi][th] != next[fi][th] {
+				migrated++
+			}
 		}
 	}
 
@@ -90,7 +92,7 @@ func (r *runner) doRemap(st *threadState) {
 func (r *runner) remapStep(st *threadState, idx int) {
 	next := r.remapAssigns[idx]
 	r.drainCredits(st)
-	newNode := next[st.tp.fnIdx][st.tp.thread]
+	newNode := next[st.tp.Fn.ID][st.tp.Index]
 	if newNode != st.my {
 		r.migrate(st, newNode)
 	}
@@ -102,13 +104,12 @@ func (r *runner) remapStep(st *threadState, idx int) {
 // so every consumer has already sent these; the receives block at most on
 // wire latency.
 func (r *runner) drainCredits(st *threadState) {
-	for _, pp := range st.tp.outs {
-		for i := range pp.xfers {
-			xr := &pp.xfers[i]
-			key := xr.key()
-			for st.credits[key] < r.cfg.BufferSlots {
-				st.rank.Recv(st.peerNode(xr), creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread))
-				st.credits[key]++
+	for pi := range st.tp.Outs {
+		for _, ei := range st.tp.Outs[pi].Edges {
+			e := &r.plan.Edges[ei]
+			for r.credits[ei] < r.cfg.BufferSlots {
+				st.rank.Recv(r.nodeOf(st, e.Dst), e.CreditTag())
+				r.credits[ei]++
 			}
 		}
 	}
@@ -121,16 +122,16 @@ func (r *runner) migrate(st *threadState, newNode int) {
 	tr := r.mach.Trace()
 	start := st.p.Now()
 	old := st.my
-	arrival := st.node.Transfer(st.p, newNode, st.tp.stateBytes)
+	arrival := st.node.Transfer(st.p, newNode, st.stateBytes)
 	if arrival > st.p.Now() {
 		st.p.SleepUntil(arrival)
 	}
 	st.my = newNode
 	st.rank = r.world.Attach(newNode, st.p)
 	st.node = r.mach.Node(newNode)
-	st.node.Memcpy(st.p, st.tp.stateBytes)
+	st.node.Memcpy(st.p, st.stateBytes)
 	if tr.Enabled() {
-		tr.StreamSpan(st.my, st.track, fmt.Sprintf("migrate %d->%d %dB", old, newNode, st.tp.stateBytes), start, st.p.Now())
+		tr.StreamSpan(st.my, st.track, fmt.Sprintf("migrate %d->%d %dB", old, newNode, st.stateBytes), start, st.p.Now())
 	}
 }
 

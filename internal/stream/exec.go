@@ -4,26 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/funclib"
-	"repro/internal/gluegen"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// The streaming runtime reuses sagert's tag packing so traces and debugging
-// read the same: (buffer, srcThread, dstThread) -> data tag, with credit
-// tags in the disjoint upper half of the user tag space.
-const tagThreadLimit = 128
-
-func dataTag(buf, srcThread, dstThread int) int {
-	return ((buf*tagThreadLimit)+srcThread)*tagThreadLimit + dstThread
-}
-
-func creditTag(buf, srcThread, dstThread int) int {
-	return mpi.TagUserLimit/2 + dataTag(buf, srcThread, dstThread)
-}
 
 // slotKind discriminates the slot stream. Every thread processes the same
 // global slot sequence: the source appends a slot record BEFORE sending any
@@ -54,50 +40,18 @@ type slotRec struct {
 	arg  int
 }
 
-// streamXfer is one planned transfer edge seen from one side. Unlike
-// sagert's static plan the peer NODE is not baked in: it is resolved against
-// the thread's current epoch at every use, which is what makes the
-// consistent-cut migration work.
-type streamXfer struct {
-	buf        *gluegen.BufferEntry
-	x          gluegen.Transfer
-	peerFn     int // peer's function-table index
-	peerThread int
-}
-
-type ckey struct{ buf, srcThread, dstThread int }
-
-func (xr *streamXfer) key() ckey { return ckey{xr.buf.ID, xr.x.SrcThread, xr.x.DstThread} }
-
-// portPlan is a port's per-thread plan.
-type portPlan struct {
-	entry  *gluegen.PortEntry
-	region model.Region
-	xfers  []streamXfer
-}
-
-// threadPlan is one function thread's static plan.
-type threadPlan struct {
-	fn       *gluegen.FuncEntry
-	fnIdx    int
-	thread   int
-	impl     *funclib.Impl
-	ins      []*portPlan
-	outs     []*portPlan
-	isSource bool
-	isSink   bool
-	// stateBytes is the thread's working-set size (all port regions): the
-	// payload a migration moves.
-	stateBytes int
-}
-
 type runner struct {
 	cfg   *Config
 	mach  *machine.Machine
 	world *mpi.World
 
-	plans    []*threadPlan
+	// plan is the shared lowering of the tables. Its thread nodes are only
+	// the initial epoch: an edge's peer node is resolved against the thread's
+	// current epoch at every use, which is what makes the consistent-cut
+	// migration work.
+	plan     *plan.Plan
 	assign0  [][]int // initial epoch: tables' per-function thread->node
+	credits  []int   // per plan edge, touched only by the edge's producer
 	schedule []Frame
 
 	// slots is the global slot log, appended only by the source (the sim
@@ -136,74 +90,31 @@ type runner struct {
 	err error
 }
 
-// buildPlan expands the tables into per-thread plans and the initial epoch.
-func (r *runner) buildPlan() {
-	t := r.cfg.Tables
+// initEpoch installs the tables' own mapping as the first epoch and fills
+// every edge's credit ledger.
+func (r *runner) initEpoch() {
 	r.drainTarget = -1
-	for fi := range t.Functions {
-		fe := &t.Functions[fi]
-		r.assign0 = append(r.assign0, append([]int(nil), fe.Nodes...))
-		impl, err := funclib.Lookup(fe.Kind)
-		if err != nil {
-			panic(err) // tables verified
-		}
-		for th := 0; th < fe.Threads; th++ {
-			tp := &threadPlan{
-				fn: fe, fnIdx: fi, thread: th, impl: impl,
-				isSource: len(fe.Ins) == 0, isSink: len(fe.Outs) == 0,
-			}
-			for pi := range fe.Ins {
-				tp.ins = append(tp.ins, r.portPlan(&fe.Ins[pi], fe, th, true))
-			}
-			for pi := range fe.Outs {
-				tp.outs = append(tp.outs, r.portPlan(&fe.Outs[pi], fe, th, false))
-			}
-			for _, pp := range tp.ins {
-				tp.stateBytes += pp.region.Elems() * pp.entry.ElemBytes
-			}
-			for _, pp := range tp.outs {
-				tp.stateBytes += pp.region.Elems() * pp.entry.ElemBytes
-			}
-			if tp.isSink {
-				r.sinkThreads++
-			}
-			r.plans = append(r.plans, tp)
-		}
+	for fi := range r.cfg.Tables.Functions {
+		r.assign0 = append(r.assign0, append([]int(nil), r.cfg.Tables.Functions[fi].Nodes...))
 	}
 	r.curAssign = r.assign0
-}
-
-func (r *runner) portPlan(pe *gluegen.PortEntry, fe *gluegen.FuncEntry, thread int, isInput bool) *portPlan {
-	region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
-	if err != nil {
-		panic(err) // tables verified
-	}
-	pp := &portPlan{entry: pe, region: region}
-	for _, bufID := range pe.Buffers {
-		buf := &r.cfg.Tables.Buffers[bufID]
-		for _, x := range buf.Transfers {
-			if isInput {
-				if buf.DstFn != fe.ID || buf.DstPort != pe.Name || x.DstThread != thread {
-					continue
-				}
-				pp.xfers = append(pp.xfers, streamXfer{buf: buf, x: x, peerFn: buf.SrcFn, peerThread: x.SrcThread})
-			} else {
-				if buf.SrcFn != fe.ID || buf.SrcPort != pe.Name || x.SrcThread != thread {
-					continue
-				}
-				pp.xfers = append(pp.xfers, streamXfer{buf: buf, x: x, peerFn: buf.DstFn, peerThread: x.DstThread})
-			}
+	for ti := range r.plan.Threads {
+		if r.plan.Threads[ti].Sink {
+			r.sinkThreads++
 		}
 	}
-	return pp
+	r.credits = make([]int, len(r.plan.Edges))
+	for i := range r.credits {
+		r.credits[i] = r.cfg.BufferSlots
+	}
 }
 
 func (r *runner) spawn(k *sim.Kernel) {
-	for _, tp := range r.plans {
-		tp := tp
-		k.Spawn(fmt.Sprintf("%s.%s[%d]", r.cfg.Tables.AppName, tp.fn.Name, tp.thread), func(p *sim.Proc) {
+	for ti := range r.plan.Threads {
+		tp := &r.plan.Threads[ti]
+		k.Spawn(fmt.Sprintf("%s.%s[%d]", r.cfg.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) {
 			st := r.newThreadState(tp, p)
-			if tp.isSource {
+			if tp.Source {
 				r.sourceMain(st)
 			} else {
 				r.consumerMain(st)
@@ -228,10 +139,10 @@ func scaleBytes(b int, w float64) int {
 	return int(float64(b)*w + 0.5)
 }
 
-// threadState is one thread's mutable execution state: its current epoch,
-// node attachment and credit ledger.
+// threadState is one thread's mutable execution state: its current epoch
+// and node attachment.
 type threadState struct {
-	tp    *threadPlan
+	tp    *plan.Thread
 	p     *sim.Proc
 	rank  *mpi.Rank
 	node  *machine.Node
@@ -239,44 +150,46 @@ type threadState struct {
 	cur   [][]int // current epoch (fn -> thread -> node)
 	track string  // trace track, "" when tracing is off
 
-	credits map[ckey]int
-	ins     map[string]*funclib.Block // charge-only blocks, reused per slot
-	outs    map[string]*funclib.Block
-	ctx     *funclib.Context
+	// stateBytes is the thread's working-set size (all port partitions): the
+	// payload a migration moves.
+	stateBytes int
+	ins        map[string]*funclib.Block // the ports' charge-only blocks
+	outs       map[string]*funclib.Block
+	ctx        *funclib.Context
 }
 
-func (r *runner) newThreadState(tp *threadPlan, p *sim.Proc) *threadState {
+func (r *runner) newThreadState(tp *plan.Thread, p *sim.Proc) *threadState {
 	st := &threadState{tp: tp, p: p, cur: r.assign0}
-	st.my = st.cur[tp.fnIdx][tp.thread]
+	st.my = st.cur[tp.Fn.ID][tp.Index]
 	st.rank = r.world.Attach(st.my, p)
 	st.node = r.mach.Node(st.my)
 	if r.mach.Trace().Enabled() {
 		st.track = trace.ProcTrack(p.Name(), p.PID())
 	}
-	st.credits = map[ckey]int{}
-	for _, pp := range tp.outs {
-		for i := range pp.xfers {
-			st.credits[pp.xfers[i].key()] = r.cfg.BufferSlots
-		}
+	st.ins = make(map[string]*funclib.Block, len(tp.Ins))
+	st.outs = make(map[string]*funclib.Block, len(tp.Outs))
+	for pi := range tp.Ins {
+		pp := &tp.Ins[pi]
+		st.ins[pp.Entry.Name] = &pp.Charge
+		st.stateBytes += pp.Bytes()
 	}
-	st.ins = make(map[string]*funclib.Block, len(tp.ins))
-	st.outs = make(map[string]*funclib.Block, len(tp.outs))
-	for _, pp := range tp.ins {
-		st.ins[pp.entry.Name] = &funclib.Block{Region: pp.region}
-	}
-	for _, pp := range tp.outs {
-		st.outs[pp.entry.Name] = &funclib.Block{Region: pp.region}
+	for pi := range tp.Outs {
+		pp := &tp.Outs[pi]
+		st.outs[pp.Entry.Name] = &pp.Charge
+		st.stateBytes += pp.Bytes()
 	}
 	st.ctx = &funclib.Context{
-		FuncName: tp.fn.Name, Params: tp.fn.Params,
-		Thread: tp.thread, Threads: tp.fn.Threads,
+		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
+		Thread: tp.Index, Threads: tp.Fn.Threads,
 	}
 	return st
 }
 
-// peerNode resolves a transfer's peer against the thread's current epoch.
-func (st *threadState) peerNode(xr *streamXfer) int {
-	return st.cur[xr.peerFn][xr.peerThread]
+// nodeOf resolves a plan thread (an edge's Src or Dst) against the thread's
+// current epoch.
+func (r *runner) nodeOf(st *threadState, thread int) int {
+	tp := &r.plan.Threads[thread]
+	return st.cur[tp.Fn.ID][tp.Index]
 }
 
 // --- source ------------------------------------------------------------------
@@ -362,10 +275,10 @@ func (r *runner) emitMarker(st *threadState, rec slotRec) {
 }
 
 func (r *runner) forwardMarker(st *threadState) {
-	for _, pp := range st.tp.outs {
-		for i := range pp.xfers {
-			xr := &pp.xfers[i]
-			st.rank.Send(st.peerNode(xr), dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Empty())
+	for pi := range st.tp.Outs {
+		for _, ei := range st.tp.Outs[pi].Edges {
+			e := &r.plan.Edges[ei]
+			st.rank.Send(r.nodeOf(st, e.Dst), e.DataTag(), mpi.Empty())
 		}
 	}
 }
@@ -381,7 +294,7 @@ func (r *runner) computeSlot(st *threadState, si int, w float64) {
 	start := st.p.Now()
 	st.node.ComputeTime(st.p, r.cfg.DispatchOverhead)
 	st.ctx.Iteration = si
-	cost := st.tp.impl.Cost(st.ctx, st.ins, st.outs)
+	cost := st.tp.Impl.Cost(st.ctx, st.ins, st.outs)
 	st.node.ComputeFlops(st.p, cost.Flops*w)
 	st.node.Memcpy(st.p, scaleBytes(cost.CopyBytes, w))
 	tr.Phase(trace.LayerSage, st.my, st.track, "compute", si, start, st.p.Now())
@@ -393,30 +306,30 @@ func (r *runner) computeSlot(st *threadState, si int, w float64) {
 func (r *runner) sendSlot(st *threadState, si int, w float64) {
 	tr := r.mach.Trace()
 	sendStart := st.p.Now()
-	for _, pp := range st.tp.outs {
-		for i := range pp.xfers {
-			xr := &pp.xfers[i]
-			key := xr.key()
-			if st.credits[key] == 0 {
+	for pi := range st.tp.Outs {
+		for _, ei := range st.tp.Outs[pi].Edges {
+			e := &r.plan.Edges[ei]
+			peer := r.nodeOf(st, e.Dst)
+			if r.credits[ei] == 0 {
 				start := st.p.Now()
-				st.rank.Recv(st.peerNode(xr), creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread))
+				st.rank.Recv(peer, e.CreditTag())
 				if stall := st.p.Now().Sub(start); stall > 0 {
 					r.creditStall += stall
 					if tr.Enabled() {
-						tr.StreamSpan(st.my, st.track, fmt.Sprintf("credit-stall b%d", xr.buf.ID), start, st.p.Now())
+						tr.StreamSpan(st.my, st.track, fmt.Sprintf("credit-stall b%d", e.Buf), start, st.p.Now())
 					}
 				}
 			} else {
-				st.credits[key]--
+				r.credits[ei]--
 			}
-			bytes := scaleBytes(xr.x.Bytes, w)
-			if !funclib.ContiguousIn(xr.x.Region, pp.region) {
+			bytes := scaleBytes(e.X.Bytes, w)
+			if !e.SrcContig {
 				st.node.Memcpy(st.p, bytes)
 			}
-			st.rank.Send(st.peerNode(xr), dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Payload{Bytes: bytes})
+			st.rank.Send(peer, e.DataTag(), mpi.Payload{Bytes: bytes})
 		}
 	}
-	if len(st.tp.outs) > 0 {
+	if len(st.tp.Outs) > 0 {
 		tr.Phase(trace.LayerSage, st.my, st.track, "send", si, sendStart, st.p.Now())
 	}
 }
@@ -439,7 +352,7 @@ func (r *runner) consumerMain(st *threadState) {
 			si := rec.arg
 			w := r.cfg.Classes[r.schedule[si].Class].weight()
 			r.computeSlot(st, si, w)
-			if !st.tp.isSink {
+			if !st.tp.Sink {
 				r.sendSlot(st, si, w)
 			} else {
 				r.noteSinkDone(st, si, tr)
@@ -454,7 +367,7 @@ func (r *runner) consumerMain(st *threadState) {
 			r.remapStep(st, rec.arg)
 		}
 		if tr.Enabled() {
-			tr.StreamGauge(st.my, st.track, fmt.Sprintf("qdepth %s#%d", st.tp.fn.Name, st.tp.thread),
+			tr.StreamGauge(st.my, st.track, fmt.Sprintf("qdepth %s#%d", st.tp.Fn.Name, st.tp.Index),
 				len(r.slots)-slot-1, st.p.Now())
 		}
 	}
@@ -469,15 +382,16 @@ func (r *runner) recvSlot(st *threadState, slot int) (slotRec, bool) {
 	first := true
 	var w float64
 	recvStart := st.p.Now()
-	for _, pp := range st.tp.ins {
-		for i := range pp.xfers {
-			xr := &pp.xfers[i]
-			payload := st.rank.Recv(st.peerNode(xr), dataTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread))
+	for pi := range st.tp.Ins {
+		for _, ei := range st.tp.Ins[pi].Edges {
+			e := &r.plan.Edges[ei]
+			peer := r.nodeOf(st, e.Src)
+			payload := st.rank.Recv(peer, e.DataTag())
 			if first {
 				first = false
 				if slot >= len(r.slots) {
 					r.fail(fmt.Errorf("stream: %s[%d] received slot %d before the source logged it (protocol bug)",
-						st.tp.fn.Name, st.tp.thread, slot))
+						st.tp.Fn.Name, st.tp.Index, slot))
 					return rec, false
 				}
 				rec = r.slots[slot]
@@ -488,16 +402,16 @@ func (r *runner) recvSlot(st *threadState, slot int) (slotRec, bool) {
 			if rec.kind != slotData {
 				continue
 			}
-			bytes := scaleBytes(xr.x.Bytes, w)
+			bytes := scaleBytes(e.X.Bytes, w)
 			if payload.Bytes != bytes {
 				r.fail(fmt.Errorf("stream: %s[%d] slot %d: payload %dB, want %dB (slot desync)",
-					st.tp.fn.Name, st.tp.thread, slot, payload.Bytes, bytes))
+					st.tp.Fn.Name, st.tp.Index, slot, payload.Bytes, bytes))
 				return rec, false
 			}
-			if !funclib.ContiguousIn(xr.x.Region, pp.region) {
+			if !e.DstContig {
 				st.node.Memcpy(st.p, bytes)
 			}
-			st.rank.Send(st.peerNode(xr), creditTag(xr.buf.ID, xr.x.SrcThread, xr.x.DstThread), mpi.Empty())
+			st.rank.Send(peer, e.CreditTag(), mpi.Empty())
 		}
 	}
 	if rec.kind == slotData {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -223,8 +224,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Tables == nil {
 		return nil, fmt.Errorf("stream: nil tables")
 	}
-	if err := cfg.Tables.Verify(); err != nil {
-		return nil, fmt.Errorf("stream: refusing to run unverified tables: %w", err)
+	xp, err := plan.Build(cfg.Tables)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.Platform.Name != cfg.Tables.Platform {
 		return nil, fmt.Errorf("stream: tables were generated for platform %q, running on %q", cfg.Tables.Platform, cfg.Platform.Name)
@@ -295,6 +297,7 @@ func Run(cfg Config) (*Result, error) {
 
 	r := &runner{
 		cfg:      &cfg,
+		plan:     xp,
 		mach:     mach,
 		world:    world,
 		schedule: schedule,
@@ -306,7 +309,7 @@ func Run(cfg Config) (*Result, error) {
 	for si, f := range schedule {
 		r.frames[si] = FrameStat{Class: f.Class, Index: f.Index, Arrival: f.Arrival}
 	}
-	r.buildPlan()
+	r.initEpoch()
 	r.spawn(k)
 	if ctl != nil {
 		ctl.r = r

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sagert"
 	"repro/internal/trace"
 )
 
@@ -261,5 +262,25 @@ func TestRunConfigErrors(t *testing.T) {
 	bad.Platform.Name = "other"
 	if _, err := Run(bad); err == nil {
 		t.Error("platform mismatch accepted")
+	}
+}
+
+// TestStreamRefusesTagSpaceOverflow: 256 threads per function overflow the
+// (buffer, src, dst) tag packing, so lanes would alias silently. The batch
+// runtime has always refused such tables; the streaming runtime must refuse
+// them too, and with the same words.
+func TestStreamRefusesTagSpaceOverflow(t *testing.T) {
+	sc := &Scenario{App: "fft2d", N: 256, Threads: 256, Nodes: 256, Platform: "Mercury",
+		Classes: []Class{{Name: "a", Process: "poisson", Rate: 100, Frames: 1}}}
+	cfg, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `function "fft_rows" has 256 threads, limit 128`
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("stream.Run: error %v, want one containing %q", err, want)
+	}
+	if _, err := sagert.Run(cfg.Tables, cfg.Platform, sagert.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sagert.Run: error %v, want one containing %q", err, want)
 	}
 }

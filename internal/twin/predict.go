@@ -16,11 +16,11 @@ type evalScratch struct {
 
 // iterAcc accumulates one iteration flavour's exact cost totals.
 type iterAcc struct {
-	compute []sim.Duration // per node, mirrors machine ComputeBusy
-	copy    []sim.Duration // per node, mirrors machine CopyBusy
-	comm    []sim.Duration // per node, mirrors machine CommBusy
-	cpu     []sim.Duration // per node, CPU-resource demand (busy() charges)
-	egress  []sim.Duration // per node, wire serialisation out of the node
+	compute     []sim.Duration // per node, mirrors machine ComputeBusy
+	copy        []sim.Duration // per node, mirrors machine CopyBusy
+	comm        []sim.Duration // per node, mirrors machine CommBusy
+	cpu         []sim.Duration // per node, CPU-resource demand (busy() charges)
+	egress      []sim.Duration // per node, wire serialisation out of the node
 	interSer    sim.Duration
 	phases      Phases
 	maxOccupied sim.Duration
@@ -47,12 +47,12 @@ func (a *iterAcc) reset() {
 
 func (e *Evaluator) newScratch() *evalScratch {
 	s := &evalScratch{
-		nodeFree: make([]sim.Duration, e.numNodes),
-		arrive:   make([]sim.Duration, len(e.flows)),
-		sendDone: make([]sim.Duration, len(e.flows)),
+		nodeFree: make([]sim.Duration, e.NumNodes()),
+		arrive:   make([]sim.Duration, len(e.plan.Edges)),
+		sendDone: make([]sim.Duration, len(e.plan.Edges)),
 	}
-	s.first.init(e.numNodes)
-	s.steady.init(e.numNodes)
+	s.first.init(e.NumNodes())
+	s.steady.init(e.NumNodes())
 	return s
 }
 
@@ -72,8 +72,9 @@ func (e *Evaluator) iterate(assign []int, o *Options, steady bool, s *evalScratc
 		nf[i] = 0
 	}
 	pl := &e.pl
+	edges := e.plan.Edges
 	for _, ti := range e.order {
-		info := &e.threads[ti]
+		tp, info := &e.plan.Threads[ti], &e.costs[ti]
 		node := assign[ti]
 		speed := 1.0
 		if node < len(o.NodeSpeeds) && o.NodeSpeeds[node] > 0 {
@@ -84,59 +85,61 @@ func (e *Evaluator) iterate(assign []int, o *Options, steady bool, s *evalScratc
 		var cpu, occ sim.Duration
 
 		// --- receive phase -----------------------------------------------
-		for _, fi := range info.ins {
-			f := &e.flows[fi]
-			srcNode := assign[f.src]
-			if o.OptimizedBuffers && srcNode == node {
-				// Optimised local handoff: one copy, no messaging stack.
-				if s.sendDone[fi] > t {
-					t = s.sendDone[fi]
+		for pi := range tp.Ins {
+			for _, fi := range tp.Ins[pi].Edges {
+				f := &edges[fi]
+				srcNode := assign[f.Src]
+				if o.OptimizedBuffers && srcNode == node {
+					// Optimised local handoff: one copy, no messaging stack.
+					if s.sendDone[fi] > t {
+						t = s.sendDone[fi]
+					}
+					d := pl.CopyTime(f.X.Bytes)
+					t += d
+					cpu += d
+					occ += d
+					a.copy[node] += d
+					a.phases.Recv += d
+				} else {
+					if s.arrive[fi] > t {
+						t = s.arrive[fi]
+					}
+					d := pl.RecvOverhead
+					t += d
+					cpu += d
+					occ += d
+					a.comm[node] += d
+					a.phases.Recv += d
+					if !f.DstContig {
+						c := pl.CopyTime(f.X.Bytes)
+						t += c
+						cpu += c
+						occ += c
+						a.copy[node] += c
+						a.phases.Recv += c
+					}
 				}
-				d := pl.CopyTime(f.bytes)
-				t += d
-				cpu += d
-				occ += d
-				a.copy[node] += d
-				a.phases.Recv += d
-			} else {
-				if s.arrive[fi] > t {
-					t = s.arrive[fi]
+				// Return a pipelining credit to the producer.
+				lc := CreditCost(pl, node, srcNode)
+				t += lc.CPU + lc.Ser
+				cpu += lc.CPU
+				occ += lc.CPU + lc.Ser
+				if lc.Local {
+					a.copy[node] += lc.CPU
+				} else {
+					a.comm[node] += lc.CPU + lc.Ser
+					a.egress[node] += lc.Ser
+					if lc.Inter {
+						a.interSer += lc.Ser
+					}
 				}
-				d := pl.RecvOverhead
-				t += d
-				cpu += d
-				occ += d
-				a.comm[node] += d
-				a.phases.Recv += d
-				if !f.dstContig {
-					c := pl.CopyTime(f.bytes)
-					t += c
-					cpu += c
-					occ += c
-					a.copy[node] += c
-					a.phases.Recv += c
-				}
+				a.phases.Recv += lc.CPU + lc.Ser
 			}
-			// Return a pipelining credit to the producer.
-			lc := CreditCost(pl, node, srcNode)
-			t += lc.CPU + lc.Ser
-			cpu += lc.CPU
-			occ += lc.CPU + lc.Ser
-			if lc.Local {
-				a.copy[node] += lc.CPU
-			} else {
-				a.comm[node] += lc.CPU + lc.Ser
-				a.egress[node] += lc.Ser
-				if lc.Inter {
-					a.interSer += lc.Ser
-				}
-			}
-			a.phases.Recv += lc.CPU + lc.Ser
 		}
 
 		// --- dispatch + compute ------------------------------------------
 		cb := info.copyBytes
-		if o.OptimizedBuffers && !info.isSource && !info.isSink {
+		if o.OptimizedBuffers && !tp.Source && !tp.Sink {
 			cb -= info.inBytes
 			if cb < 0 {
 				cb = 0
@@ -152,47 +155,49 @@ func (e *Evaluator) iterate(assign []int, o *Options, steady bool, s *evalScratc
 		a.phases.Compute += flopT + copyT
 
 		// --- send phase ---------------------------------------------------
-		for _, fi := range info.outs {
-			f := &e.flows[fi]
-			dstNode := assign[f.dst]
-			if steady {
-				// Credits exhausted: consume one banked by the consumer in a
-				// previous iteration — a receive overhead, no wait.
-				d := pl.RecvOverhead
-				t += d
-				cpu += d
-				occ += d
-				a.comm[node] += d
-				a.phases.Send += d
-			}
-			if o.OptimizedBuffers && dstNode == node {
-				s.sendDone[fi] = t
-				continue
-			}
-			if !f.srcContig {
-				c := pl.CopyTime(f.bytes)
-				t += c
-				cpu += c
-				occ += c
-				a.copy[node] += c
-				a.phases.Send += c
-			}
-			lc := PointToPoint(pl, node, dstNode, f.bytes)
-			t += lc.CPU + lc.Ser
-			cpu += lc.CPU
-			occ += lc.CPU + lc.Ser
-			if lc.Local {
-				a.copy[node] += lc.CPU
-			} else {
-				a.comm[node] += lc.CPU + lc.Ser
-				a.egress[node] += lc.Ser
-				if lc.Inter {
-					a.interSer += lc.Ser
+		for pi := range tp.Outs {
+			for _, fi := range tp.Outs[pi].Edges {
+				f := &edges[fi]
+				dstNode := assign[f.Dst]
+				if steady {
+					// Credits exhausted: consume one banked by the consumer in a
+					// previous iteration — a receive overhead, no wait.
+					d := pl.RecvOverhead
+					t += d
+					cpu += d
+					occ += d
+					a.comm[node] += d
+					a.phases.Send += d
 				}
+				if o.OptimizedBuffers && dstNode == node {
+					s.sendDone[fi] = t
+					continue
+				}
+				if !f.SrcContig {
+					c := pl.CopyTime(f.X.Bytes)
+					t += c
+					cpu += c
+					occ += c
+					a.copy[node] += c
+					a.phases.Send += c
+				}
+				lc := PointToPoint(pl, node, dstNode, f.X.Bytes)
+				t += lc.CPU + lc.Ser
+				cpu += lc.CPU
+				occ += lc.CPU + lc.Ser
+				if lc.Local {
+					a.copy[node] += lc.CPU
+				} else {
+					a.comm[node] += lc.CPU + lc.Ser
+					a.egress[node] += lc.Ser
+					if lc.Inter {
+						a.interSer += lc.Ser
+					}
+				}
+				a.phases.Send += lc.CPU + lc.Ser
+				s.sendDone[fi] = t
+				s.arrive[fi] = t + lc.Lat
 			}
-			a.phases.Send += lc.CPU + lc.Ser
-			s.sendDone[fi] = t
-			s.arrive[fi] = t + lc.Lat
 		}
 
 		nf[node] = start + cpu
@@ -203,7 +208,7 @@ func (e *Evaluator) iterate(assign []int, o *Options, steady bool, s *evalScratc
 		if t > a.makespan {
 			a.makespan = t
 		}
-		if info.isSink && t > a.sinkEnd {
+		if tp.Sink && t > a.sinkEnd {
 			a.sinkEnd = t
 		}
 	}
@@ -216,7 +221,7 @@ func (e *Evaluator) iterate(assign []int, o *Options, steady bool, s *evalScratc
 // per-iteration demand on any single serial resource.
 func (e *Evaluator) bottleneck(a *iterAcc) sim.Duration {
 	p := a.maxOccupied
-	for n := 0; n < e.numNodes; n++ {
+	for n := range a.cpu {
 		if a.cpu[n] > p {
 			p = a.cpu[n]
 		}
@@ -252,11 +257,11 @@ func (e *Evaluator) PredictAssign(assign []int, o Options) *Prediction {
 		FirstIteration:   fill.makespan,
 		SteadyIteration:  ss.makespan,
 		BottleneckPeriod: e.bottleneck(ss),
-		Nodes:            make([]NodeCost, e.numNodes),
+		Nodes:            make([]NodeCost, e.NumNodes()),
 	}
 	f, r := splitIterations(o.Iterations, o.BufferSlots)
 	fd, rd := sim.Duration(f), sim.Duration(r)
-	for n := 0; n < e.numNodes; n++ {
+	for n := range p.Nodes {
 		p.Nodes[n] = NodeCost{
 			Compute: fd*fill.compute[n] + rd*ss.compute[n],
 			Copy:    fd*fill.copy[n] + rd*ss.copy[n],
@@ -344,11 +349,11 @@ func splitIterations(iterations, slots int) (fill, steady int) {
 }
 
 func (e *Evaluator) acquire(assign []int) *evalScratch {
-	if len(assign) != len(e.threads) {
+	if len(assign) != len(e.plan.Threads) {
 		panic("twin: assignment length does not match the task count")
 	}
 	for _, n := range assign {
-		if n < 0 || n >= e.numNodes {
+		if n < 0 || n >= e.NumNodes() {
 			panic("twin: assignment maps a thread outside the machine")
 		}
 	}

@@ -35,6 +35,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/plan"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 )
@@ -140,25 +141,12 @@ type Prediction struct {
 	Phases Phases
 }
 
-// threadInfo is the static per-thread cost profile derived from the tables.
-type threadInfo struct {
-	fn        int // function table index
-	thread    int
+// threadCost is one thread's library cost, priced once from the plan's
+// charge-only blocks.
+type threadCost struct {
 	flops     float64
 	copyBytes int // funclib buffer-management bytes, before optimisation
 	inBytes   int // total input-partition bytes (in-place optimisation credit)
-	isSource  bool
-	isSink    bool
-	ins       []int // flow ids in the runtime's receive order
-	outs      []int // flow ids in the runtime's send order
-}
-
-// flowInfo is one striped transfer between two threads.
-type flowInfo struct {
-	src, dst  int // thread indices
-	bytes     int
-	srcContig bool // region is contiguous in the producer's logical buffer
-	dstContig bool // region is contiguous in the consumer's logical buffer
 }
 
 // Evaluator predicts runs of one set of runtime tables on one platform.
@@ -166,146 +154,52 @@ type flowInfo struct {
 // concurrently (scratch state is pooled), which is what lets the GA use the
 // twin as a fast fitness function.
 type Evaluator struct {
-	pl       machine.Platform
-	numNodes int
-	threads  []threadInfo
-	flows    []flowInfo
-	base     []int // the tables' own thread->node assignment, genome order
-	order    []int // thread indices in execution (topological) order
-	fns      []fnMeta
-	scratch  sync.Pool // *evalScratch
-}
-
-type fnMeta struct {
-	name    string
-	threads int
+	pl machine.Platform
+	// plan is the lowering the runtimes execute: its threads are the tasks,
+	// its edges the flows, each port's edge list the runtime's own receive or
+	// send order.
+	plan    *plan.Plan
+	costs   []threadCost // per plan thread
+	base    []int        // the tables' own thread->node assignment, genome order
+	order   []int        // thread indices in execution (topological) order
+	scratch sync.Pool    // *evalScratch
 }
 
 // NewEvaluator builds the twin's cost tables from verified runtime tables.
 // The striping transfers in the tables are mapping-independent, so one
 // evaluator prices any thread->node assignment via PredictAssign.
 func NewEvaluator(t *gluegen.Tables, pl machine.Platform) (*Evaluator, error) {
-	if err := t.Verify(); err != nil {
-		return nil, fmt.Errorf("twin: refusing unverified tables: %w", err)
+	xp, err := plan.Build(t)
+	if err != nil {
+		return nil, fmt.Errorf("twin: %w", err)
 	}
 	if pl.Name != t.Platform {
 		return nil, fmt.Errorf("twin: tables were generated for platform %q, predicting on %q", t.Platform, pl.Name)
 	}
-	e := &Evaluator{pl: pl, numNodes: t.NumNodes}
-
-	firstThread := make([]int, len(t.Functions))
-	n := 0
-	for fi := range t.Functions {
-		firstThread[fi] = n
-		n += t.Functions[fi].Threads
-		e.fns = append(e.fns, fnMeta{name: t.Functions[fi].Name, threads: t.Functions[fi].Threads})
+	e := &Evaluator{
+		pl: pl, plan: xp,
+		costs: make([]threadCost, len(xp.Threads)),
+		base:  make([]int, len(xp.Threads)),
 	}
-	e.threads = make([]threadInfo, n)
-	e.base = make([]int, n)
-
-	// Global flow table: one entry per (buffer, transfer), with the
-	// contiguity of the region in both endpoint logical buffers — the exact
-	// predicate the runtime uses to decide whether a pack or assembly copy
-	// is charged.
-	flowID := make([][]int, len(t.Buffers))
-	for bi := range t.Buffers {
-		b := &t.Buffers[bi]
-		src := &t.Functions[b.SrcFn]
-		dst := &t.Functions[b.DstFn]
-		srcPort := portEntry(src.Outs, b.SrcPort)
-		dstPort := portEntry(dst.Ins, b.DstPort)
-		if srcPort == nil || dstPort == nil {
-			return nil, fmt.Errorf("twin: buffer %d references missing ports", b.ID)
+	for ti := range xp.Threads {
+		tp := &xp.Threads[ti]
+		e.base[ti] = tp.Node
+		ins := make(map[string]*funclib.Block, len(tp.Ins))
+		for pi := range tp.Ins {
+			ins[tp.Ins[pi].Entry.Name] = &tp.Ins[pi].Charge
+			e.costs[ti].inBytes += tp.Ins[pi].Bytes()
 		}
-		ids := make([]int, len(b.Transfers))
-		for ti, x := range b.Transfers {
-			sreg, err := model.Partition(srcPort.Striping, srcPort.Rows, srcPort.Cols, src.Threads, x.SrcThread)
-			if err != nil {
-				return nil, err
-			}
-			dreg, err := model.Partition(dstPort.Striping, dstPort.Rows, dstPort.Cols, dst.Threads, x.DstThread)
-			if err != nil {
-				return nil, err
-			}
-			ids[ti] = len(e.flows)
-			e.flows = append(e.flows, flowInfo{
-				src:       firstThread[b.SrcFn] + x.SrcThread,
-				dst:       firstThread[b.DstFn] + x.DstThread,
-				bytes:     x.Bytes,
-				srcContig: funclib.ContiguousIn(x.Region, sreg),
-				dstContig: funclib.ContiguousIn(x.Region, dreg),
-			})
+		outs := make(map[string]*funclib.Block, len(tp.Outs))
+		for pi := range tp.Outs {
+			outs[tp.Outs[pi].Entry.Name] = &tp.Outs[pi].Charge
 		}
-		flowID[bi] = ids
+		ctx := &funclib.Context{FuncName: tp.Fn.Name, Params: tp.Fn.Params, Thread: tp.Index, Threads: tp.Fn.Threads}
+		c := tp.Impl.Cost(ctx, ins, outs)
+		e.costs[ti].flops, e.costs[ti].copyBytes = c.Flops, c.CopyBytes
 	}
-
-	// Per-thread cost profiles and flow schedules, in the runtime's own
-	// order: input ports in table order, each port's buffers in table order,
-	// each buffer's transfers in table order.
-	for fi := range t.Functions {
-		fe := &t.Functions[fi]
-		impl, err := funclib.Lookup(fe.Kind)
-		if err != nil {
-			return nil, err
-		}
-		for th := 0; th < fe.Threads; th++ {
-			ti := firstThread[fi] + th
-			info := &e.threads[ti]
-			info.fn, info.thread = fi, th
-			info.isSource = len(fe.Ins) == 0
-			info.isSink = len(fe.Outs) == 0
-			e.base[ti] = fe.Nodes[th]
-
-			ins := make(map[string]*funclib.Block, len(fe.Ins))
-			for pi := range fe.Ins {
-				pe := &fe.Ins[pi]
-				reg, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, th)
-				if err != nil {
-					return nil, err
-				}
-				ins[pe.Name] = &funclib.Block{Region: reg}
-				info.inBytes += reg.Elems() * pe.ElemBytes
-				for _, bufID := range pe.Buffers {
-					b := &t.Buffers[bufID]
-					if b.DstFn != fe.ID || b.DstPort != pe.Name {
-						continue
-					}
-					for xi := range b.Transfers {
-						if b.Transfers[xi].DstThread == th {
-							info.ins = append(info.ins, flowID[bufID][xi])
-						}
-					}
-				}
-			}
-			outs := make(map[string]*funclib.Block, len(fe.Outs))
-			for pi := range fe.Outs {
-				pe := &fe.Outs[pi]
-				reg, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, th)
-				if err != nil {
-					return nil, err
-				}
-				outs[pe.Name] = &funclib.Block{Region: reg}
-				for _, bufID := range pe.Buffers {
-					b := &t.Buffers[bufID]
-					if b.SrcFn != fe.ID || b.SrcPort != pe.Name {
-						continue
-					}
-					for xi := range b.Transfers {
-						if b.Transfers[xi].SrcThread == th {
-							info.outs = append(info.outs, flowID[bufID][xi])
-						}
-					}
-				}
-			}
-			ctx := &funclib.Context{FuncName: fe.Name, Params: fe.Params, Thread: th, Threads: fe.Threads}
-			c := impl.Cost(ctx, ins, outs)
-			info.flops, info.copyBytes = c.Flops, c.CopyBytes
-		}
-	}
-
 	for _, id := range t.Order {
 		for th := 0; th < t.Functions[id].Threads; th++ {
-			e.order = append(e.order, firstThread[id]+th)
+			e.order = append(e.order, xp.First[id]+th)
 		}
 	}
 	e.scratch.New = func() any { return e.newScratch() }
@@ -313,13 +207,13 @@ func NewEvaluator(t *gluegen.Tables, pl machine.Platform) (*Evaluator, error) {
 }
 
 // NumNodes reports the machine size the tables target.
-func (e *Evaluator) NumNodes() int { return e.numNodes }
+func (e *Evaluator) NumNodes() int { return e.plan.Tables.NumNodes }
 
 // Tasks reports the thread count — the genome length PredictAssign expects.
-func (e *Evaluator) Tasks() int { return len(e.threads) }
+func (e *Evaluator) Tasks() int { return len(e.plan.Threads) }
 
 // Flows reports the striped-transfer count.
-func (e *Evaluator) Flows() int { return len(e.flows) }
+func (e *Evaluator) Flows() int { return len(e.plan.Edges) }
 
 // BaseAssign returns a copy of the tables' own thread->node assignment, in
 // genome order (function table order, threads ascending).
@@ -334,25 +228,16 @@ func (e *Evaluator) BaseAssign() []int {
 func (e *Evaluator) MappingFromAssign(assign []int) *model.Mapping {
 	m := model.NewMapping()
 	i := 0
-	for _, f := range e.fns {
-		nodes := make([]int, f.threads)
+	for fi := range e.plan.Tables.Functions {
+		f := &e.plan.Tables.Functions[fi]
+		nodes := make([]int, f.Threads)
 		for th := range nodes {
 			nodes[th] = assign[i]
 			i++
 		}
-		m.Set(f.name, nodes...)
+		m.Set(f.Name, nodes...)
 	}
 	return m
-}
-
-// portEntry finds a port by name.
-func portEntry(ports []gluegen.PortEntry, name string) *gluegen.PortEntry {
-	for i := range ports {
-		if ports[i].Name == name {
-			return &ports[i]
-		}
-	}
-	return nil
 }
 
 // LinkCost is the closed-form price of moving one message, split the way the
