@@ -77,11 +77,21 @@ type message struct {
 // recycles so a timeout timer armed for an earlier wait recognises that its
 // waiter has moved on.
 type waiter struct {
-	src, tag int
-	ch       *sim.Chan[message]
-	matched  bool
-	gen      uint64
-	next     *waiter
+	rank, src, tag int
+	name           string // rendered by chanName on first use; "" after a re-key
+	ch             *sim.Chan[message]
+	matched        bool
+	gen            uint64
+	next           *waiter
+}
+
+// chanName is the waiter channel's name as deadlock reports and traces show
+// it. Nothing else reads it, so it is formatted only when one of them asks.
+func (w *waiter) chanName() string {
+	if w.name == "" {
+		w.name = fmt.Sprintf("mpi.rank%d.recv(src=%d,tag=%d)", w.rank, w.src, w.tag)
+	}
+	return w.name
 }
 
 // endpoint is the per-rank receive engine: an unordered pending set matched
@@ -96,23 +106,19 @@ type endpoint struct {
 
 // getWaiter takes a waiter off the free list (or allocates one) keyed for
 // (src, tag). The channel name is part of the observable trace/deadlock
-// output, so a recycled waiter is renamed unless the key is unchanged — the
-// common case for credit waits, which poll the same peer and tag every
-// iteration.
+// output, so re-keying a recycled waiter drops its rendered name.
 func (e *endpoint) getWaiter(src, tag int) *waiter {
 	w := e.free
 	if w == nil {
-		return &waiter{
-			src: src, tag: tag,
-			ch: sim.NewChanOn[message](e.k, e.rank, fmt.Sprintf("mpi.rank%d.recv(src=%d,tag=%d)", e.rank, src, tag)),
-		}
+		w = &waiter{rank: e.rank, src: src, tag: tag, ch: sim.NewChanOn[message](e.k, e.rank, "")}
+		w.ch.SetNamer(w.chanName)
+		return w
 	}
 	e.free = w.next
 	w.next = nil
 	w.matched = false
 	if w.src != src || w.tag != tag {
-		w.src, w.tag = src, tag
-		w.ch.SetName(fmt.Sprintf("mpi.rank%d.recv(src=%d,tag=%d)", e.rank, src, tag))
+		w.src, w.tag, w.name = src, tag, ""
 	}
 	return w
 }

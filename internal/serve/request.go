@@ -21,6 +21,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/sagert"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/twin"
@@ -478,7 +479,7 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 	}
 	res, err := stream.Run(cfg)
 	if err != nil {
-		if errors.Is(err, stream.ErrCanceled) {
+		if errors.Is(err, stream.ErrCanceled) || errors.As(err, new(*sim.PanicError)) {
 			return nil, err
 		}
 		return nil, badf("stream: %v", err)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/funclib"
 )
 
 // newTestServer builds a daemon and guarantees its fleet is torn down.
@@ -143,6 +145,41 @@ func TestErrorTaxonomy(t *testing.T) {
 				t.Errorf("%s %s: status %d, want %d (body %s)", tc.method, tc.path, w.Code, tc.want, w.Body.String())
 			}
 		})
+	}
+}
+
+// TestPanickingKernelAnswers500AndDaemonSurvives: a library function that
+// panics inside a simulated thread costs that request a 500 naming the
+// thread — batch (Compute) and streaming (charge-only, Cost) — and nothing
+// else; the same request succeeds once the function behaves.
+func TestPanickingKernelAnswers500AndDaemonSurvives(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	im, err := funclib.Lookup("fft_rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compute, cost := im.Compute, im.Cost
+	restore := func() { im.Compute, im.Cost = compute, cost }
+	defer restore()
+	im.Compute = func(*funclib.Context, map[string]*funclib.Block, map[string]*funclib.Block) error {
+		panic("kernel bug")
+	}
+	im.Cost = func(*funclib.Context, map[string]*funclib.Block, map[string]*funclib.Block) funclib.Cost {
+		panic("kernel bug")
+	}
+	const streamReq = `{"app":"fft2d","n":32,"threads":1,"nodes":2,"protocol":{"stream":{"classes":[{"name":"c","process":"poisson","rate":100,"frames":2}]}}}`
+	for _, body := range []string{smallReq, streamReq} {
+		w := do(s, http.MethodPost, "/v1/run", body)
+		if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "sim: process") ||
+			!strings.Contains(w.Body.String(), ".fft_rows[") || !strings.Contains(w.Body.String(), "panicked: kernel bug") {
+			t.Fatalf("panicking run: status %d, body %s", w.Code, w.Body.String())
+		}
+	}
+	restore() // no run is in flight: both replies are in
+	for _, body := range []string{smallReq, streamReq} {
+		if w := do(s, http.MethodPost, "/v1/run", body); w.Code != http.StatusOK {
+			t.Fatalf("run after the panicking runs: status %d, body %s", w.Code, w.Body.String())
+		}
 	}
 }
 

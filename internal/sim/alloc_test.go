@@ -8,8 +8,8 @@ import (
 // Allocation-regression ceilings for the event fast path. The pooled-event
 // scheduler is designed to be allocation-free in steady state: events come
 // from the kernel's free list, same-time wakes ride the FIFO lane, process
-// handoffs reuse each Proc's resume channel, and resource waits use the
-// Proc-embedded waiter. These tests pin that property with
+// handoffs are coroutine switches, and resource waits use the Proc-embedded
+// waiter. These tests pin that property with
 // testing.AllocsPerRun so a future change cannot quietly reintroduce
 // per-event garbage.
 
@@ -66,7 +66,7 @@ func TestSameTimeFIFOAllocFree(t *testing.T) {
 
 // marginalAllocs runs a whole scenario at two operation counts and returns
 // the extra allocations per additional operation. Fixed costs (kernel,
-// channels, process spawns, goroutine stacks) cancel out, leaving the
+// channels, process spawns, coroutine stacks) cancel out, leaving the
 // steady-state per-operation rate.
 func marginalAllocs(t *testing.T, scenario func(ops int)) float64 {
 	t.Helper()
@@ -126,5 +126,27 @@ func TestResourceUseAllocCeiling(t *testing.T) {
 	})
 	if perOp > 0.01 {
 		t.Fatalf("contended resource use allocates %.3f per op, want 0", perOp)
+	}
+}
+
+// TestProcSpawnAllocCeiling pins what one process costs from Spawn to its
+// end: the Proc plus the coroutine iter.Pull builds for it (its state and
+// closures, 14 objects on go1.24; the channel hand-off kernel paid 4 for a
+// Proc, a channel and a goroutine). Simulations spawn processes per thread,
+// not per event, so this is a fixed cost — the ceiling is here so it stays
+// one.
+func TestProcSpawnAllocCeiling(t *testing.T) {
+	body := func(p *Proc) { p.Sleep(0) }
+	perProc := marginalAllocs(t, func(procs int) {
+		k := NewKernel()
+		for i := 0; i < procs; i++ {
+			k.Spawn("w", body)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perProc > 16 {
+		t.Fatalf("a spawned and finished process allocates %.1f objects, want <= 16", perProc)
 	}
 }

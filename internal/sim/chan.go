@@ -19,8 +19,9 @@ import "fmt"
 type Chan[T any] struct {
 	sh      *shard
 	name    string
-	ready   []T     // values whose arrival time has passed
-	waiters []*Proc // receivers blocked on an empty mailbox, FIFO
+	namer   func() string // overrides name when set (SetNamer)
+	ready   []T           // values whose arrival time has passed
+	waiters []*Proc       // receivers blocked on an empty mailbox, FIFO
 }
 
 // NewChan creates a mailbox owned by kernel k (on shard 0 when sharded).
@@ -38,14 +39,21 @@ func NewChanOn[T any](k *Kernel, domain int, name string) *Chan[T] {
 // Len reports the number of values currently available to receivers.
 func (c *Chan[T]) Len() int { return len(c.ready) }
 
-// Name returns the mailbox name given at creation (used by deadlock reports
-// and trace collectors).
-func (c *Chan[T]) Name() string { return c.name }
+// Name returns the mailbox name (used by deadlock reports and trace
+// collectors): the one given at creation, or whatever SetNamer's function
+// returns.
+func (c *Chan[T]) Name() string {
+	if c.namer != nil {
+		return c.namer()
+	}
+	return c.name
+}
 
-// SetName renames the mailbox. Owners that pool channels across waits (e.g.
-// mpi's receive engine) rename the recycled channel so deadlock reports and
-// trace Wait spans carry the same per-wait name a fresh channel would.
-func (c *Chan[T]) SetName(name string) { c.name = name }
+// SetNamer makes the mailbox ask f for its name. Only the deadlock report
+// and an installed tracer ever read a name, so owners that pool channels
+// across waits (mpi's receive engine) format the per-wait name in f, when
+// asked, instead of on every wait.
+func (c *Chan[T]) SetNamer(f func() string) { c.namer = f }
 
 // Send delivers v at the current virtual time without blocking the sender.
 func (c *Chan[T]) Send(v T) { c.deliver(v) }
@@ -66,7 +74,7 @@ func (c *Chan[T]) SendAfter(d Duration, v T) { c.SendAt(c.sh.now.Add(d), v) }
 func (c *Chan[T]) deliver(v T) {
 	c.ready = append(c.ready, v)
 	if tr := c.sh.tracer; tr != nil {
-		tr.ChanOp("send", c.name, len(c.ready), c.sh.now)
+		tr.ChanOp("send", c.Name(), len(c.ready), c.sh.now)
 	}
 	if len(c.waiters) > 0 {
 		p := c.waiters[0]
@@ -86,10 +94,10 @@ func (c *Chan[T]) Recv(p *Proc) T {
 		start := c.sh.now
 		for len(c.ready) == 0 {
 			c.waiters = append(c.waiters, p)
-			p.yield("recv", c.name)
+			p.yield("recv", c)
 		}
 		if tr := c.sh.tracer; tr != nil && c.sh.now > start {
-			tr.Wait(p.pid, p.name, "recv", c.name, start, c.sh.now, 0)
+			tr.Wait(p.pid, p.name, "recv", c.Name(), start, c.sh.now, 0)
 		}
 	}
 	v := c.ready[0]
@@ -97,7 +105,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	copy(c.ready, c.ready[1:])
 	c.ready = c.ready[:len(c.ready)-1]
 	if tr := c.sh.tracer; tr != nil {
-		tr.ChanOp("recv", c.name, len(c.ready), c.sh.now)
+		tr.ChanOp("recv", c.Name(), len(c.ready), c.sh.now)
 	}
 	return v
 }
@@ -181,7 +189,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		w.p, w.n, w.woken = p, n, false
 		r.waiters = append(r.waiters, w)
 		for {
-			p.yield("acquire", r.name)
+			p.yield("acquire", r)
 			if len(r.waiters) > 0 && r.waiters[0] == w && r.inUse+n <= r.capacity {
 				copy(r.waiters, r.waiters[1:])
 				r.waiters = r.waiters[:len(r.waiters)-1]
@@ -251,6 +259,9 @@ func NewBarrier(k *Kernel, name string, n int) *Barrier {
 	return &Barrier{k: k, name: name, n: n}
 }
 
+// Name returns the barrier name given at creation.
+func (b *Barrier) Name() string { return b.name }
+
 // Wait blocks until all participants of the current generation have arrived.
 func (b *Barrier) Wait(p *Proc) {
 	sh := p.sh
@@ -272,7 +283,7 @@ func (b *Barrier) Wait(p *Proc) {
 	start := sh.now
 	b.waiting = append(b.waiting, p)
 	for b.gen == gen {
-		p.yield("barrier", b.name)
+		p.yield("barrier", b)
 	}
 	if tr := sh.tracer; tr != nil && sh.now > start {
 		tr.Wait(p.pid, p.name, "barrier", b.name, start, sh.now, depth)

@@ -1,0 +1,166 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// Coroutine lifecycle: however a run ends — a process body panics, a process
+// calls Stop, a cancel fires mid-window, the run deadlocks — Shutdown must
+// leave no process coroutine (a parked goroutine, to the runtime) behind, on
+// any shard count, whether or not the driver and its processes share a P.
+
+// shardedKernel returns a kernel over nDom domains dealt round-robin onto
+// the given number of shards (1 = the plain sequential kernel).
+func shardedKernel(shards, nDom int, lookahead Duration) *Kernel {
+	k := NewKernel()
+	domOf := make([]int, nDom)
+	for d := range domOf {
+		domOf[d] = d % shards
+	}
+	k.SetShards(shards, domOf, lookahead)
+	return k
+}
+
+// requireNoLeak shuts k down and checks every coroutine and window worker
+// is gone. base is runtime.NumGoroutine() from before the kernel existed; an
+// earlier test's goroutine may still have been exiting then, so the count
+// may end below it, never above.
+func requireNoLeak(t *testing.T, tc string, k *Kernel, base int) {
+	t.Helper()
+	k.Shutdown()
+	if n := k.LiveProcs(); n != 0 {
+		t.Fatalf("%s: LiveProcs = %d after Shutdown", tc, n)
+	}
+	if n := goroutinesSettleTo(t, base); n > base {
+		t.Fatalf("%s: goroutines: %d before the kernel, %d after Shutdown", tc, base, n)
+	}
+}
+
+func TestProcPanicBecomesRunError(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		tc := fmt.Sprintf("K=%d", shards)
+		base := runtime.NumGoroutine()
+		k := shardedKernel(shards, 2, time.Microsecond)
+		never := NewChanOn[int](k, 0, "never")
+		k.SpawnOn(0, "stuck", func(p *Proc) { never.Recv(p) })
+		k.SpawnOn(1, "spinner", func(p *Proc) {
+			for {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		k.SpawnOn(1, "fft_rows[3]", func(p *Proc) {
+			p.Sleep(10 * time.Microsecond)
+			var rows []int
+			_ = rows[3]
+		})
+		err := k.Run()
+		const want = `sim: process "fft_rows[3]" (pid 2) panicked: runtime error: index out of range [3] with length 0`
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: Run = %v, want %s", tc, err, want)
+		}
+		if k.LiveProcs() != 2 {
+			t.Fatalf("%s: LiveProcs = %d, want the two processes the panic left parked", tc, k.LiveProcs())
+		}
+		requireNoLeak(t, tc, k, base)
+	}
+}
+
+func TestShutdownReleasesAllCoroutines(t *testing.T) {
+	const nDom, lat = 8, 3 * time.Microsecond
+	// ring is a token ring that would run (practically) forever.
+	ring := func(k *Kernel) {
+		journal := new([]string)
+		ringWorkload(k, nDom, 1<<30, lat, nil, journal)
+	}
+	endings := []struct {
+		name  string
+		build func(k *Kernel)
+		check func(k *Kernel, err error) string // "" when the run ended as it should
+	}{
+		{"stop", func(k *Kernel) {
+			ring(k)
+			k.SpawnOn(3, "stopper", func(p *Proc) {
+				p.Sleep(200 * time.Microsecond)
+				k.Stop()
+			})
+		}, func(k *Kernel, err error) string {
+			if err != nil {
+				return err.Error()
+			}
+			return ""
+		}},
+		{"cancel", func(k *Kernel) {
+			ring(k)
+			cancel := make(chan struct{})
+			k.SetCancel(cancel, 16)
+			k.SpawnOn(5, "canceller", func(p *Proc) {
+				p.Sleep(200 * time.Microsecond)
+				close(cancel)
+			})
+		}, func(k *Kernel, err error) string {
+			if err != nil || !k.Canceled() {
+				return fmt.Sprintf("Run = %v, Canceled = %v", err, k.Canceled())
+			}
+			return ""
+		}},
+		{"deadlock", func(k *Kernel) {
+			for d := 0; d < nDom; d++ {
+				never := NewChanOn[int](k, d, fmt.Sprintf("never%d", d))
+				k.SpawnOn(d, fmt.Sprintf("stuck%d", d), func(p *Proc) { never.Recv(p) })
+			}
+		}, func(k *Kernel, err error) string {
+			if de, ok := err.(*DeadlockError); !ok || len(de.Blocked) != nDom {
+				return fmt.Sprintf("Run = %v, want a DeadlockError naming %d processes", err, nDom)
+			}
+			return ""
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			for _, end := range endings {
+				tc := fmt.Sprintf("GOMAXPROCS=%d K=%d %s", procs, shards, end.name)
+				base := runtime.NumGoroutine()
+				k := shardedKernel(shards, nDom, lat)
+				end.build(k)
+				if msg := end.check(k, k.Run()); msg != "" {
+					t.Fatalf("%s: %s", tc, msg)
+				}
+				if k.LiveProcs() != nDom {
+					t.Fatalf("%s: LiveProcs = %d before Shutdown, want the %d parked processes", tc, k.LiveProcs(), nDom)
+				}
+				requireNoLeak(t, tc, k, base)
+			}
+		}
+	}
+}
+
+func TestShutdownUnwindsThroughDeferredKernelCalls(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	never := NewChan[int](k, "never")
+	bus := NewResource(k, "bus", 1)
+	var unwound []string
+	k.Spawn("holder", func(p *Proc) {
+		bus.Acquire(p, 1)
+		defer func() {
+			bus.Release(1)
+			p.Sleep(time.Microsecond) // a yield during teardown must not park again
+			unwound = append(unwound, "unreachable")
+		}()
+		defer func() { unwound = append(unwound, p.Name()) }()
+		never.Recv(p)
+	})
+	if _, ok := k.Run().(*DeadlockError); !ok {
+		t.Fatal("expected DeadlockError")
+	}
+	requireNoLeak(t, "deferred", k, base)
+	if got := strings.Join(unwound, ","); got != "holder" {
+		t.Fatalf("deferred calls ran %q, want %q", got, "holder")
+	}
+}

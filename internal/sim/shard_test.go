@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -190,6 +191,13 @@ func TestShardedAccessors(t *testing.T) {
 			case <-stop:
 				return
 			default:
+			}
+			if k.phase.Load() == phaseSetup {
+				// Until Run begins the kernel belongs to the goroutine
+				// setting it up; the concurrent-read contract starts with
+				// the run.
+				runtime.Gosched()
+				continue
 			}
 			_ = k.Pending()
 			_ = k.Dispatched()

@@ -111,7 +111,7 @@ func (k *Kernel) SetShards(n int, domainOf []int, lookahead Duration) {
 	k.shards = make([]*shard, n)
 	k.shards[0] = k.s0
 	for i := 1; i < n; i++ {
-		k.shards[i] = &shard{k: k, park: make(chan struct{}), horizon: maxTime}
+		k.shards[i] = &shard{k: k, horizon: maxTime}
 	}
 	for i, s := range k.shards {
 		s.id = i
@@ -151,12 +151,7 @@ func (k *Kernel) stopWorkers() {
 // edge in each direction, so no shard field needs atomics).
 func (s *shard) windowWorker() {
 	for range s.windowGo {
-		if s.advance(nil) == advHanded {
-			// The token cascaded into process goroutines; it returns here
-			// when the shard drains to its horizon (or stops).
-			<-s.park
-		}
-		s.running = nil
+		s.drive()
 		s.k.windowDone <- struct{}{}
 	}
 }

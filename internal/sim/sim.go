@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and executes logical processes, each of
-// which runs as a goroutine but is cooperatively scheduled so that exactly one
-// process executes at a time. All timing reported by the SAGE reproduction
+// which runs as a coroutine (iter.Pull) so that exactly one process executes
+// at a time. All timing reported by the SAGE reproduction
 // (experiments, benchmarks, the visualizer timeline) is virtual time produced
 // by this kernel, which makes every experiment bit-reproducible on any host.
 //
@@ -20,12 +20,12 @@
 //     scheduling performs no heap allocation.
 //   - Events due at the current instant bypass the time heap through a FIFO
 //     fast lane; only future events pay the (4-ary) heap.
-//   - The scheduler token is handed directly from process to process: the
-//     goroutine that blocks runs the event loop itself and resumes the next
-//     process with a single channel send, instead of bouncing control
-//     through a central loop. A process woken at the instant it blocked
-//     continues without any channel operation at all. Dispatch order is
-//     identical to a central loop's because all holders pop the same queue.
+//   - A process switch is a coroutine switch, never a trip through the Go
+//     scheduler: the process that blocks runs the event loop itself, names
+//     the next process and yields to the shard's driver, which resumes it.
+//     A process woken at the instant it blocked continues without any switch
+//     at all. Dispatch order is identical to a central loop's because every
+//     caller of the loop pops the same queue.
 //
 // # Sharded execution
 //
@@ -47,12 +47,12 @@
 // perturbing it. The contract its implementations can rely on — and must
 // honour — is:
 //
-//   - Hooks are invoked synchronously while exactly one goroutine of the
-//     simulation is executing (the scheduler-token holder: the kernel loop
-//     or the currently dispatched process), so implementations need no
-//     locking as long as each Tracer serves a single kernel. On a sharded
-//     kernel this holds per shard: hooks fire on the per-shard child tracers
-//     a ShardTracer provides, one executing goroutine per shard.
+//   - Hooks are invoked synchronously from whatever is executing the
+//     simulation (the shard's driver or the process coroutine it resumed;
+//     never both at once), so implementations need no locking as long as
+//     each Tracer serves a single kernel. On a sharded kernel this holds per
+//     shard: hooks fire on the per-shard child tracers a ShardTracer
+//     provides, one driver per shard.
 //   - Virtual time is frozen for the duration of a hook; the timestamps
 //     passed in equal Kernel.Now() at the instant of the call, and hooks may
 //     call the kernel's read-only accessors (Now, Pending, LiveProcs,
@@ -71,6 +71,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -152,10 +153,10 @@ type dispatchRec struct {
 // shard is one scheduling domain partition of a kernel: a complete private
 // event scheduler (heap, same-time FIFO lane, pooled free list, clock).
 // An unsharded kernel is exactly one shard. All shard fields are owned by
-// the single goroutine executing the shard (the scheduler-token holder)
-// during a window, and by the coordinator (the Run goroutine) between
-// windows; the window barrier channels order the ownership transfer, so no
-// field needs a lock.
+// the shard's driver goroutine (and the process coroutines it resumes, one
+// at a time) during a window, and by the coordinator (the Run goroutine)
+// between windows; the window barrier channels order the ownership
+// transfer, so no field needs a lock.
 type shard struct {
 	k  *Kernel
 	id int
@@ -176,22 +177,21 @@ type shard struct {
 	// counts provisional sequence numbers from base; the barrier replay
 	// rewrites them to the exact sequential values.
 	seq        uint64
-	park       chan struct{} // scheduler token returned to the window driver
-	running    *Proc
+	handoff    *Proc // process advance chose to run next; drive resumes it
 	stopped    bool
 	dispatched uint64
 	cancelLeft uint64
 	tracer     Tracer // shard-routed trace hook (per-shard child when sharded)
 
 	// Sharded-window state; see DESIGN.md §12.
-	par     bool   // inside a parallel window
-	horizon Time   // events at >= horizon stay queued this window
-	base    uint64 // kernel seq at window start; seq > base ⇒ provisional
-	log     []dispatchRec
-	di      uint64     // index of the current dispatch in log (for tracers)
-	outbox  [][]*event // cross-shard events by destination shard, this window
-	outCnt  int
-	next    Time          // next-event snapshot taken by the coordinator
+	par      bool   // inside a parallel window
+	horizon  Time   // events at >= horizon stay queued this window
+	base     uint64 // kernel seq at window start; seq > base ⇒ provisional
+	log      []dispatchRec
+	di       uint64     // index of the current dispatch in log (for tracers)
+	outbox   [][]*event // cross-shard events by destination shard, this window
+	outCnt   int
+	next     Time          // next-event snapshot taken by the coordinator
 	windowGo chan struct{} // window start signal for the shard worker
 
 	// Barrier-published snapshots backing the kernel's concurrent-read
@@ -215,9 +215,9 @@ const (
 // state, so independent simulations may run concurrently, one kernel per
 // goroutine — this is what the parallel experiment engine does.
 //
-// Internally exactly one goroutine at a time holds a shard's scheduler token
-// and mutates that shard's state; every token transfer is a channel handoff,
-// so all accesses are ordered even under the race detector. An unsharded
+// Internally a shard's state is mutated only by its driver (shard.drive) or
+// by the one process coroutine the driver has resumed; control moves between
+// them by coroutine switch, so all accesses are ordered. An unsharded
 // kernel has exactly one shard; SetShards partitions scheduling across
 // several, with Run coordinating conservative lookahead windows (see the
 // package documentation).
@@ -233,9 +233,10 @@ type Kernel struct {
 	lookahead Time    // min cross-shard event latency (sharded kernels only)
 	phase     atomic.Int32
 
-	dead    chan struct{} // closed by Shutdown: kernel will never dispatch again
-	procs   []*Proc       // live processes in spawn (= PID) order
-	procsMu sync.Mutex    // guards procs (procs end concurrently across shards)
+	dead    bool       // set by Shutdown: kernel will never dispatch again
+	failure error      // first process-body panic, reported by Run
+	procs   []*Proc    // live processes in spawn (= PID) order
+	procsMu sync.Mutex // guards procs and failure (shards run concurrently)
 	nextPID int
 	tracef  func(format string, args ...any)
 	tracer  Tracer
@@ -258,8 +259,8 @@ type Kernel struct {
 
 // NewKernel returns an empty (single-shard) kernel with the clock at zero.
 func NewKernel() *Kernel {
-	k := &Kernel{dead: make(chan struct{})}
-	s := &shard{k: k, park: make(chan struct{}), horizon: maxTime}
+	k := &Kernel{}
+	s := &shard{k: k, horizon: maxTime}
 	k.s0 = s
 	k.shards = []*shard{s}
 	k.nsh = 1
@@ -450,29 +451,37 @@ func (k *Kernel) AfterOn(domain int, d Duration, fn func()) {
 // Proc is the handle through which a logical process interacts with the
 // kernel. A Proc is only valid inside the body function it was created with.
 type Proc struct {
-	k       *Kernel
-	sh      *shard // the shard this process is pinned to
-	pid     int
-	name    string
-	resume  chan struct{}
-	body    func(p *Proc)
-	started bool // the start event fired: a goroutine exists for this proc
-	killed  bool // Shutdown marked this proc for termination
-	done    bool
-	// blockedVerb/blockedObj describe what the process is waiting for
-	// ("recv" + channel name, "acquire" + resource name, ...); kept as two
-	// fields so blocking never formats a string. Only the deadlock report
-	// produced by Run renders them.
+	k    *Kernel
+	sh   *shard // the shard this process is pinned to
+	pid  int
+	name string
+	body func(p *Proc)
+	// next/stop are the process's coroutine handle, nil until its start
+	// event fires: next resumes it until it parks or ends, stop makes its
+	// park return false. coPark is the coroutine's way back to whoever
+	// resumed it.
+	next   func() (struct{}, bool)
+	stop   func()
+	coPark func(struct{}) bool
+	done   bool
+	// blockedVerb/blockedOn describe what the process is waiting for ("recv"
+	// + the channel, "acquire" + the resource, ...); blocking never formats
+	// or even fetches a name. Only the deadlock report produced by Run
+	// renders them.
 	blockedVerb string
-	blockedObj  string
+	blockedOn   named
 	// rw is the process's reusable resource-wait queue entry; a process
 	// waits on at most one Resource at a time, so one embedded node
 	// replaces a per-wait allocation.
 	rw resWaiter
 }
 
-// killSentinel is the panic value Shutdown uses to unwind a parked process
-// goroutine through its yield points; the spawn wrapper recovers it.
+// named is a blocking primitive (Chan, Resource, Barrier) as the deadlock
+// report sees it.
+type named interface{ Name() string }
+
+// killSentinel is the panic value that unwinds a process Shutdown stopped
+// from its yield point through the user body; Proc.main recovers it.
 type killSentinel struct{}
 
 // Name returns the process name given at Spawn time.
@@ -525,13 +534,12 @@ func (p *Proc) AfterOn(domain int, d Duration, fn func()) {
 // blockedReason renders the deadlock-report description of what the process
 // is waiting on.
 func (p *Proc) blockedReason() string {
-	if p.blockedVerb == "" {
-		return ""
+	if p.blockedOn != nil {
+		if name := p.blockedOn.Name(); name != "" {
+			return p.blockedVerb + " " + name
+		}
 	}
-	if p.blockedObj == "" {
-		return p.blockedVerb
-	}
-	return p.blockedVerb + " " + p.blockedObj
+	return p.blockedVerb
 }
 
 // Spawn creates a process executing body, scheduled to start at the current
@@ -558,7 +566,7 @@ func (k *Kernel) SpawnOn(domain int, name string, body func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawnOn(s *shard, name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, sh: s, pid: k.nextPID, name: name, resume: make(chan struct{}), body: body}
+	p := &Proc{k: k, sh: s, pid: k.nextPID, name: name, body: body}
 	k.nextPID++
 	k.procs = append(k.procs, p)
 	ev := s.alloc(s.now)
@@ -567,15 +575,17 @@ func (k *Kernel) spawnOn(s *shard, name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// main is the goroutine body of a spawned process. It waits for its first
-// dispatch, runs the user body, and on exit — normal return or Shutdown's
-// sentinel — keeps the event loop going with the scheduler token it holds.
-func (p *Proc) main() {
+// main is the coroutine body of a spawned process (the iter.Seq given to
+// iter.Pull): it runs the user body and returns to whoever resumed it — the
+// shard's driver on a normal end, Shutdown on its sentinel. Any other panic
+// stops the kernel and becomes Run's error instead of reaching the caller of
+// next, so one bad process body cannot take the host program down.
+func (p *Proc) main(park func(struct{}) bool) {
 	s := p.sh
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
-				panic(r)
+				p.k.fail(&PanicError{Proc: p.name, PID: p.pid, Value: r})
 			}
 		}
 		p.done = true
@@ -583,20 +593,32 @@ func (p *Proc) main() {
 		if s.tracer != nil {
 			s.tracer.ProcEnd(p.pid, p.name, s.now)
 		}
-		// The dying process still holds the scheduler token: either pass
-		// it on by advancing the event loop, or hand it back to the window
-		// driver (Run, the shard worker, or Shutdown).
-		if s.advance(nil) != advHanded {
-			s.parkOrDie()
-		}
 	}()
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
-	}
+	p.coPark = park
 	body := p.body
 	p.body = nil
 	body(p)
+}
+
+// PanicError is the error Run returns when a process body panicked.
+type PanicError struct {
+	Proc  string // process name
+	PID   int
+	Value any // what the body panicked with
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: process %q (pid %d) panicked: %v", e.Proc, e.PID, e.Value)
+}
+
+// fail records the first process failure and stops the kernel.
+func (k *Kernel) fail(err error) {
+	k.procsMu.Lock()
+	if k.failure == nil {
+		k.failure = err
+	}
+	k.procsMu.Unlock()
+	k.Stop()
 }
 
 // removeProc drops p from the live-process slice (spawn order preserved).
@@ -612,30 +634,26 @@ func (k *Kernel) removeProc(p *Proc) {
 	k.procsMu.Unlock()
 }
 
-// advResult reports how a call to advance relinquished (or kept) the
-// scheduler token.
+// advResult reports why a call to advance returned.
 type advResult int
 
 const (
 	// advDrained: the queue emptied (or reached the window horizon) or Stop
-	// was called; the caller still holds the token and must return it to
-	// the window driver if it is a process.
+	// was called; nothing is left for the driver to resume.
 	advDrained advResult = iota
-	// advHanded: the token was transferred to another process via its
-	// resume channel; the caller no longer owns shard state.
+	// advHanded: another process's wake or start event fired; it is in
+	// s.handoff for the driver to resume.
 	advHanded
-	// advSelf: the calling process's own wake event fired; it keeps the
-	// token and simply continues executing.
+	// advSelf: the calling process's own wake event fired; it simply
+	// continues executing.
 	advSelf
 )
 
-// advance runs the shard's event loop on behalf of the current
-// scheduler-token holder (self, or nil for the window driver). Callback
-// events execute inline; a wake or start event for another process hands the
-// token over with a single channel send — the direct switch that replaces
-// the classic park-then-dispatch round trip. Dispatch order is identical to
-// a central loop's because every holder pops the same (time, seq)-ordered
-// queue.
+// advance runs the shard's event loop on behalf of whoever is executing the
+// shard (self, or nil for the driver). Callback events execute inline; a
+// wake or start event for another process ends the loop with that process in
+// s.handoff. Dispatch order is identical to a central loop's because every
+// caller pops the same (time, seq)-ordered queue.
 func (s *shard) advance(self *Proc) advResult {
 	k := s.k
 	for !s.stopped {
@@ -674,69 +692,52 @@ func (s *shard) advance(self *Proc) advResult {
 			fn()
 			continue
 		}
-		if !p.started {
-			p.started = true
-			go p.main()
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.main)
 			if s.tracer != nil {
 				s.tracer.ProcStart(p.pid, p.name, s.now)
 			}
-			s.running = p
-			p.resume <- struct{}{}
-			return advHanded
-		}
-		// Dispatching a finished or killed process would block forever, so
-		// liveness is re-checked at fire time (a stale wake for a process
-		// that has since completed — or that Shutdown tore down — is
-		// dropped).
-		if p.done || p.killed {
+		} else if p.done {
+			// A stale wake for a process that has since completed (or that
+			// Shutdown tore down) is dropped: there is nothing to resume.
 			continue
 		}
-		p.blockedVerb, p.blockedObj = "", ""
-		s.running = p
+		p.blockedVerb, p.blockedOn = "", nil
 		if p == self {
 			return advSelf
 		}
-		p.resume <- struct{}{}
+		s.handoff = p
 		return advHanded
 	}
 	return advDrained
 }
 
-// parkOrDie returns the scheduler token to the goroutine driving the shard
-// (Run, the shard's window worker, or Shutdown). After Shutdown, nothing
-// will ever receive on park again, so a completion racing the teardown
-// becomes a no-op instead of a wedged goroutine.
-func (s *shard) parkOrDie() {
-	select {
-	case s.park <- struct{}{}:
-	case <-s.k.dead:
+// drive executes the shard from the driver's side (Run, or the shard's
+// window worker): it runs the event loop and resumes whichever process the
+// loop — its own or the one a blocking process ran — handed off, until the
+// queue drains, reaches the window horizon or the kernel stops. A process
+// that ends leaves no handoff, so the driver picks the loop up again.
+func (s *shard) drive() {
+	for s.advance(nil) == advHanded {
+		for p := s.handoff; p != nil; p = s.handoff {
+			s.handoff = nil
+			p.next()
+		}
 	}
 }
 
 // yield blocks the running process until some event wakes it, recording what
 // it waits on for the deadlock report. The process first runs the event loop
 // itself: if its own wake fires at the current instant it returns without
-// any goroutine switch; otherwise it hands the scheduler token on (to the
-// next process directly, or back to the window driver when the queue
-// drains) and parks. It terminates (by sentinel panic, recovered in the
-// spawn wrapper) when Shutdown tears the kernel down.
-func (p *Proc) yield(verb, obj string) {
-	p.blockedVerb, p.blockedObj = verb, obj
-	s := p.sh
-	switch s.advance(p) {
-	case advSelf:
-		return // woken at the same instant: zero channel operations
-	case advDrained:
-		s.parkOrDie()
-	case advHanded:
-		// token moved to another process; our wake will hand it back
+// any switch; otherwise it parks, and the driver resumes the process the
+// loop handed off (none when the queue drained). When Shutdown stops the
+// parked coroutine, the sentinel panic unwinds the body into main.
+func (p *Proc) yield(verb string, on named) {
+	p.blockedVerb, p.blockedOn = verb, on
+	if p.sh.advance(p) == advSelf {
+		return
 	}
-	select {
-	case <-p.resume:
-	case <-s.k.dead:
-		panic(killSentinel{})
-	}
-	if p.killed {
+	if !p.coPark(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
@@ -758,7 +759,7 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	p.sh.wake(p, p.sh.now.Add(d))
-	p.yield("sleep", "")
+	p.yield("sleep", nil)
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t is in the
@@ -768,7 +769,7 @@ func (p *Proc) SleepUntil(t Time) {
 		t = p.sh.now
 	}
 	p.sh.wake(p, t)
-	p.yield("sleep-until", "")
+	p.yield("sleep-until", nil)
 }
 
 // DeadlockError is returned by Run when processes remain blocked but no
@@ -798,24 +799,24 @@ func (k *Kernel) deadlockError(at Time) *DeadlockError {
 // On a sharded kernel Run coordinates the conservative window loop (see the
 // package documentation); results are byte-identical to the unsharded run.
 func (k *Kernel) Run() error {
-	if k.isDead() {
+	if k.dead {
 		return fmt.Errorf("sim: Run on a kernel that has been shut down")
 	}
+	var err error
 	if k.nsh > 1 {
-		return k.runSharded()
+		err = k.runSharded()
+	} else {
+		s := k.s0
+		s.stopped = false
+		s.drive()
+		if len(k.procs) > 0 && !s.stopped {
+			err = k.deadlockError(s.now)
+		}
 	}
-	s := k.s0
-	s.stopped = false
-	if s.advance(nil) == advHanded {
-		// The token is cascading from process to process; it comes back
-		// here when the queue drains or Stop fires.
-		<-s.park
+	if k.failure != nil {
+		return k.failure
 	}
-	s.running = nil
-	if len(k.procs) > 0 && !s.stopped {
-		return k.deadlockError(s.now)
-	}
-	return nil
+	return err
 }
 
 // Stop halts Run after the current event completes. Processes keep their
@@ -864,28 +865,16 @@ func (k *Kernel) SetCancel(ch <-chan struct{}, every int) {
 // Canceled reports whether a SetCancel poll halted the kernel.
 func (k *Kernel) Canceled() bool { return k.canceled.Load() }
 
-// isDead reports whether Shutdown has completed.
-func (k *Kernel) isDead() bool {
-	select {
-	case <-k.dead:
-		return true
-	default:
-		return false
-	}
-}
-
-// Shutdown releases every process goroutine still parked in the kernel and
+// Shutdown releases every process coroutine still parked in the kernel and
 // marks the kernel dead. Run leaves blocked processes parked when it returns
-// a DeadlockError or is halted by Stop; without Shutdown each of those
-// processes is a leaked goroutine, which matters when thousands of kernels
-// are created over a program's lifetime (the experiment engine runs one per
-// simulation). Shutdown wakes each live process with a terminal signal — a
-// sentinel panic raised at its current yield point and recovered in the
-// spawn wrapper — walking the live-process slice in spawn (= PID) order, so
-// teardown, including its trace events, is reproducible. On a sharded
-// kernel the walk is the same PID order; each process hands its token back
-// through its own shard's park channel, so parked processes are released on
-// every shard.
+// an error or is halted by Stop; without Shutdown each of those processes
+// is a leaked coroutine (a parked goroutine, to the Go runtime), which
+// matters when thousands of kernels are created over a program's lifetime
+// (the experiment engine runs one per simulation). Shutdown stops each live
+// process — its yield point raises a sentinel panic that unwinds the body
+// and is recovered in Proc.main — walking the live-process slice in spawn
+// (= PID) order, so teardown, including its trace events, is reproducible,
+// on a sharded kernel as well.
 //
 // Call Shutdown from the goroutine that called Run, after Run has returned.
 // It is idempotent, safe on a kernel that ran to completion (no live
@@ -893,7 +882,7 @@ func (k *Kernel) isDead() bool {
 // kernel is dead: Run returns an error and no process will ever be
 // dispatched again.
 func (k *Kernel) Shutdown() {
-	if k.isDead() {
+	if k.dead {
 		return
 	}
 	for _, s := range k.shards {
@@ -901,21 +890,19 @@ func (k *Kernel) Shutdown() {
 	}
 	live := make([]*Proc, 0, len(k.procs))
 	for _, p := range k.procs {
-		if p.started {
+		if p.next != nil {
 			live = append(live, p)
 		} else {
-			// The start event never fired, so no goroutine exists; the
+			// The start event never fired, so no coroutine exists; the
 			// process just vanishes from the books.
 			p.done = true
 		}
 	}
 	for _, p := range live {
-		p.killed = true
-		p.resume <- struct{}{} // proc panics with the sentinel and unwinds
-		<-p.sh.park            // its spawn wrapper confirms the exit
+		p.stop() // returns once the body has unwound and main has exited
 	}
 	k.procs = nil
-	close(k.dead)
+	k.dead = true
 }
 
 // Pending reports the number of queued events. On a sharded kernel mid-run

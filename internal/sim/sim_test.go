@@ -661,14 +661,14 @@ func TestStaleWakeAfterShutdownIsDropped(t *testing.T) {
 		t.Fatal("expected the sleeper's wake event to still be queued")
 	}
 	k.Shutdown()
-	// The queued wake references a killed proc; firing it must be dropped by
+	// The queued wake references a stopped proc; firing it must be dropped by
 	// advance's liveness re-check, not dispatch into a dead kernel. Run
 	// refuses to restart a dead kernel, so drive the event loop directly.
 	ev := k.s0.popEvent()
 	if ev == nil {
 		t.Fatal("no queued event")
 	}
-	if ev.proc == nil || !(ev.proc.killed || ev.proc.done) {
+	if ev.proc == nil || !ev.proc.done {
 		t.Fatal("queued event is not a stale wake for a torn-down proc")
 	}
 	k.s0.enqueue(ev) // put it back and let advance make the drop decision
