@@ -480,3 +480,93 @@ func TestDefineNamesAnonymousLambda(t *testing.T) {
 		t.Fatalf("lambda name = %q", lam.Name)
 	}
 }
+
+// TestNumericAtoms pins which atoms read as numbers: those that start like
+// one (an optional sign, an optional point, a digit) and parse, plus exactly
+// the three spellings Format prints for non-finite floats. The words
+// ParseFloat also takes — inf, infinity, nan in any case — are identifiers.
+func TestNumericAtoms(t *testing.T) {
+	cases := []struct{ src, typ, formatted string }{
+		{"inf", "symbol", "inf"},
+		{"Inf", "symbol", "Inf"},
+		{"nan", "symbol", "nan"},
+		{"NaN", "float", "NaN"},
+		{"infinity", "symbol", "infinity"},
+		{"+Inf", "float", "+Inf"},
+		{"-Inf", "float", "-Inf"},
+		{"-inf", "symbol", "-inf"},
+		{"-", "symbol", "-"},
+		{"+", "symbol", "+"},
+		{".", "symbol", "."},
+		{".5", "float", "0.5"},
+		{"-.5", "float", "-0.5"},
+		{"+.5", "float", "0.5"},
+		{"1e3", "float", "1000"},
+		{"1x", "symbol", "1x"},
+		{"-17", "integer", "-17"},
+		{"+4", "integer", "4"},
+		{"0x10", "symbol", "0x10"},
+		{"9223372036854775808", "float", "9.223372036854776e+18"},
+	}
+	for _, c := range cases {
+		v, err := ReadOne(c.src)
+		if err != nil {
+			t.Errorf("read %q: %v", c.src, err)
+			continue
+		}
+		if TypeName(v) != c.typ || Format(v) != c.formatted {
+			t.Errorf("read %q = %s %s, want %s %s", c.src, TypeName(v), Format(v), c.typ, c.formatted)
+		}
+		// Format -> ReadAll gives the same text again, and the same type
+		// unless an integral float printed without a point: symbols stay
+		// symbols and non-finite floats stay floats.
+		again, err := ReadOne(Format(v))
+		if err != nil || Format(again) != c.formatted || (TypeName(again) != c.typ && TypeName(again) != "integer") {
+			t.Errorf("%q formats as %s, which reads back as %s %s (%v)", c.src, Format(v), TypeName(again), Format(again), err)
+		}
+	}
+	if got := evalStr(t, "(define inf 3) (define (f nan) (+ nan inf)) (f 1)"); !Equal(got, int64(4)) {
+		t.Fatalf("inf and nan as identifiers: got %v", got)
+	}
+}
+
+// TestInvalidUTF8ReadsAsReplacement pins what bytes that are not UTF-8 read
+// as, in a symbol, in a string and on their own: U+FFFD each, as when the
+// reader worked on a []rune copy of the source.
+func TestInvalidUTF8ReadsAsReplacement(t *testing.T) {
+	v, err := ReadOne("(a\xffb \"s\xfe\xfdt\" \xe2\x82 ok)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := List{Symbol("a\ufffdb"), "s\ufffd\ufffdt", Symbol("\ufffd\ufffd"), Symbol("ok")}
+	if !Equal(v, want) {
+		t.Fatalf("got %s, want %s", Format(v), Format(want))
+	}
+	// Unicode spaces separate tokens; other non-ASCII text does not.
+	forms, err := ReadAll("x\u0085y\u00a0z\u2003é(λ)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Format(forms); got != "(x y z é (λ))" {
+		t.Fatalf("got %s", got)
+	}
+}
+
+// TestReaderLineNumbers: errors name the line the reader is on, counting the
+// newlines inside strings and comments.
+func TestReaderLineNumbers(t *testing.T) {
+	cases := map[string]string{
+		"(a\n b\n":               "line 3: unterminated list",
+		"\"two\nlines\" ; c\n )": "line 3: unexpected ')'",
+		"\n\n\"open":             "line 3: unterminated string",
+		"\"esc\\n\nmore\" \n\n)": "line 4: unexpected ')'",
+		"\n\"bad \\q\"":          "line 2: unknown escape \\q",
+		"\"bad \\xZ\"":           "line 1: bad hex digit in \\x escape",
+	}
+	for src, want := range cases {
+		_, err := ReadAll(src)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("read %q: error %v, want %s", src, err, want)
+		}
+	}
+}

@@ -400,7 +400,7 @@ func installStrings(env *Env) {
 	env.Register("string-append", func(args List) (Value, error) {
 		var b strings.Builder
 		for _, a := range args {
-			b.WriteString(Display(a))
+			writeValue(&b, a, false)
 		}
 		return b.String(), nil
 	})
@@ -415,6 +415,7 @@ func installStrings(env *Env) {
 			return nil, err
 		}
 		var b strings.Builder
+		b.Grow(len(tpl) + 8*len(args))
 		argi := 1
 		for i := 0; i < len(tpl); i++ {
 			c := tpl[i]
@@ -431,13 +432,13 @@ func installStrings(env *Env) {
 				if argi >= len(args) {
 					return nil, fmt.Errorf("not enough arguments for format template %q", tpl)
 				}
-				b.WriteString(Display(args[argi]))
+				writeValue(&b, args[argi], false)
 				argi++
 			case 's', 'S':
 				if argi >= len(args) {
 					return nil, fmt.Errorf("not enough arguments for format template %q", tpl)
 				}
-				b.WriteString(Format(args[argi]))
+				writeValue(&b, args[argi], true)
 				argi++
 			case '~':
 				b.WriteByte('~')
@@ -594,10 +595,10 @@ func installPredicates(env *Env) {
 }
 
 // installApplicative registers map/filter/for-each/apply/fold/sort-by, which
-// need the interpreter to apply procedures and are therefore installed per
-// Interp rather than per Env.
-func (in *Interp) installApplicative() {
-	env := in.Global
+// apply procedures and so are bound to one interpreter's Apply. Each call
+// reuses one argument list for every element it applies the procedure to:
+// Apply's callee may not keep it (see Builtin).
+func installApplicative(env *Env, apply func(callee Value, args List) (Value, error)) {
 	env.Register("apply", func(args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
@@ -606,7 +607,7 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
-		return in.Apply(args[0], l)
+		return apply(args[0], l)
 	})
 	env.Register("map", func(args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
@@ -616,9 +617,11 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
+		fn, arg := args[0], make(List, 1)
 		out := make(List, len(l))
 		for i, v := range l {
-			out[i], err = in.Apply(args[0], List{v})
+			arg[0] = v
+			out[i], err = apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
@@ -633,9 +636,11 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
+		fn, arg := args[0], make(List, 1)
 		var out List
 		for _, v := range l {
-			keep, err := in.Apply(args[0], List{v})
+			arg[0] = v
+			keep, err := apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
@@ -653,8 +658,10 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
+		fn, arg := args[0], make(List, 1)
 		for _, v := range l {
-			if _, err := in.Apply(args[0], List{v}); err != nil {
+			arg[0] = v
+			if _, err := apply(fn, arg); err != nil {
 				return nil, err
 			}
 		}
@@ -669,9 +676,11 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
+		fn, arg := args[0], make(List, 2)
 		acc := args[1]
 		for _, v := range l {
-			acc, err = in.Apply(args[0], List{acc, v})
+			arg[0], arg[1] = acc, v
+			acc, err = apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
@@ -687,9 +696,11 @@ func (in *Interp) installApplicative() {
 		if err != nil {
 			return nil, err
 		}
+		fn, arg := args[0], make(List, 1)
 		keys := make([]Value, len(l))
 		for i, v := range l {
-			keys[i], err = in.Apply(args[0], List{v})
+			arg[0] = v
+			keys[i], err = apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}

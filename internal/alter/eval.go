@@ -5,77 +5,99 @@ import (
 	"fmt"
 )
 
-// Env is a lexical environment frame.
+// Env is the global environment: one cell per name. Local variables never
+// live here — they are frame slots, resolved when a program is compiled —
+// so this is the only name-keyed table a run consults, and it does so once
+// per program (Interp.Run links every global the program mentions to its
+// cell) rather than once per reference.
 type Env struct {
-	vars   map[Symbol]Value
-	parent *Env
+	cells map[Symbol]*Value
 }
 
-// NewEnv creates a child of parent (parent may be nil for a root frame).
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: map[Symbol]Value{}, parent: parent}
+// cell returns the cell for s, creating it unbound.
+func (e *Env) cell(s Symbol) *Value {
+	c, ok := e.cells[s]
+	if !ok {
+		c = new(Value)
+		*c = unbound
+		e.cells[s] = c
+	}
+	return c
 }
 
-// Lookup resolves a symbol through the frame chain.
+// Lookup returns the value bound to s.
 func (e *Env) Lookup(s Symbol) (Value, bool) {
-	for f := e; f != nil; f = f.parent {
-		if v, ok := f.vars[s]; ok {
-			return v, true
-		}
+	if c, ok := e.cells[s]; ok && !isUnbound(*c) {
+		return *c, true
 	}
 	return nil, false
 }
 
-// Define binds a symbol in this frame.
-func (e *Env) Define(s Symbol, v Value) { e.vars[s] = v }
+// Define binds s.
+func (e *Env) Define(s Symbol, v Value) { *e.cell(s) = v }
 
-// Set assigns the nearest existing binding, failing if none exists.
-func (e *Env) Set(s Symbol, v Value) error {
-	for f := e; f != nil; f = f.parent {
-		if _, ok := f.vars[s]; ok {
-			f.vars[s] = v
-			return nil
-		}
-	}
-	return fmt.Errorf("alter: set! of undefined variable %s", s)
-}
-
-// Register installs a builtin procedure under its name.
+// Register installs a builtin procedure under its name. See Builtin for what
+// fn may do with its arguments.
 func (e *Env) Register(name string, fn func(args List) (Value, error)) {
 	e.Define(Symbol(name), &Builtin{Name: name, Fn: fn})
 }
 
-// Interp is an Alter interpreter instance: a global environment plus
-// execution limits.
+// Interp is an Alter interpreter instance: a global environment, execution
+// limits, and the state of the run in progress. A Program holds none of
+// that, so an Interp is what must not be shared between goroutines.
 type Interp struct {
 	Global *Env
 	// MaxDepth bounds recursion (the glue generators recurse over models,
 	// not unboundedly; a runaway script is a bug to report, not a hang).
 	MaxDepth int
-	// MaxSteps bounds total evaluation steps (0 = unlimited).
+	// MaxSteps bounds total evaluation steps (0 = unlimited). A step is one
+	// evaluation of one expression: a constant, a variable reference, a
+	// special form or a call each count one, plus their sub-expressions'.
 	MaxSteps int
 	depth    int
 	steps    int
+	// cells are the running code's globals: cells[i] is the cell of the
+	// i'th name of the Program it was compiled in. Run sets them for
+	// top-level forms; a Lambda carries its own and run swaps them in.
+	cells []*Value
+	// stack holds the arguments of every builtin call in progress, so a
+	// call does not allocate an argument list.
+	stack List
 }
 
 // New creates an interpreter with the standard library installed.
 func New() *Interp {
-	in := &Interp{Global: NewEnv(nil), MaxDepth: 4096, MaxSteps: 0}
+	in := &Interp{Global: &Env{cells: map[Symbol]*Value{}}, MaxDepth: 4096, MaxSteps: 0}
 	installStdlib(in.Global)
-	in.installApplicative()
+	installApplicative(in.Global, in.Apply)
 	return in
 }
 
 // RunString reads and evaluates every form in src, returning the last value.
 func (in *Interp) RunString(src string) (Value, error) {
-	forms, err := ReadAll(src)
+	p, err := Compile(src)
 	if err != nil {
 		return nil, err
 	}
+	return in.Run(p)
+}
+
+// Run evaluates every top-level form of p in order, returning the last
+// value. It first links p to this interpreter: each global name p mentions
+// is looked up (or created unbound) in Global once, here, and the compiled
+// code reaches it by index from then on.
+func (in *Interp) Run(p *Program) (Value, error) {
+	cells := make([]*Value, len(p.globals))
+	for i, s := range p.globals {
+		cells[i] = in.Global.cell(s)
+	}
+	saved := in.cells
+	in.cells = cells
+	defer func() { in.cells = saved }()
 	var last Value
-	for _, f := range forms {
-		last, err = in.Eval(f, in.Global)
-		if err != nil {
+	for _, form := range p.forms {
+		var err error
+		if last, err = form(in, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -85,49 +107,14 @@ func (in *Interp) RunString(src string) (Value, error) {
 // errTooDeep distinguishes resource exhaustion from script errors.
 var errTooDeep = errors.New("alter: recursion depth limit exceeded")
 
-// Eval evaluates one expression in env.
-func (in *Interp) Eval(expr Value, env *Env) (Value, error) {
+// tick charges one evaluation step and reports whether the budget is spent.
+func (in *Interp) tick() bool {
 	in.steps++
-	if in.MaxSteps > 0 && in.steps > in.MaxSteps {
-		return nil, fmt.Errorf("alter: step limit %d exceeded", in.MaxSteps)
-	}
-	switch x := expr.(type) {
-	case Symbol:
-		v, ok := env.Lookup(x)
-		if !ok {
-			return nil, fmt.Errorf("alter: undefined variable %s", x)
-		}
-		return v, nil
-	case List:
-		if len(x) == 0 {
-			return List{}, nil
-		}
-		if head, ok := x[0].(Symbol); ok {
-			if fn, special := specialForms[head]; special {
-				return fn(in, x, env)
-			}
-		}
-		return in.evalCall(x, env)
-	default:
-		// Self-evaluating: numbers, strings, booleans, nil, procedures,
-		// host objects.
-		return expr, nil
-	}
+	return in.MaxSteps > 0 && in.steps > in.MaxSteps
 }
 
-func (in *Interp) evalCall(form List, env *Env) (Value, error) {
-	callee, err := in.Eval(form[0], env)
-	if err != nil {
-		return nil, err
-	}
-	args := make(List, len(form)-1)
-	for i, a := range form[1:] {
-		args[i], err = in.Eval(a, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return in.Apply(callee, args)
+func (in *Interp) stepErr() error {
+	return fmt.Errorf("alter: step limit %d exceeded", in.MaxSteps)
 }
 
 // Apply invokes a procedure value on already-evaluated arguments.
@@ -145,33 +132,46 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 		}
 		return v, nil
 	case *Lambda:
-		if f.Rest == "" && len(args) != len(f.Params) {
-			return nil, fmt.Errorf("alter: %s wants %d arguments, got %d", lambdaName(f), len(f.Params), len(args))
+		c := f.code
+		if c.rest < 0 && len(args) != len(c.params) {
+			return nil, fmt.Errorf("alter: %s wants %d arguments, got %d", lambdaName(f), len(c.params), len(args))
 		}
-		if f.Rest != "" && len(args) < len(f.Params) {
-			return nil, fmt.Errorf("alter: %s wants at least %d arguments, got %d", lambdaName(f), len(f.Params), len(args))
+		if c.rest >= 0 && len(args) < len(c.params) {
+			return nil, fmt.Errorf("alter: %s wants at least %d arguments, got %d", lambdaName(f), len(c.params), len(args))
 		}
-		frame := NewEnv(f.Env)
-		for i, p := range f.Params {
-			frame.Define(p, args[i])
+		fr := newFrame(f.env, &c.shape)
+		for i, slot := range c.params {
+			fr.slots[slot] = args[i]
 		}
-		if f.Rest != "" {
-			rest := make(List, len(args)-len(f.Params))
-			copy(rest, args[len(f.Params):])
-			frame.Define(f.Rest, rest)
+		if c.rest >= 0 {
+			rest := make(List, len(args)-len(c.params))
+			copy(rest, args[len(c.params):])
+			fr.slots[c.rest] = rest
 		}
-		var out Value
-		for _, b := range f.Body {
-			var err error
-			out, err = in.Eval(b, frame)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		return in.run(f, fr)
 	default:
 		return nil, fmt.Errorf("alter: cannot call %s", TypeName(callee))
 	}
+}
+
+// run evaluates f's body in fr, f's frame with the arguments in place.
+func (in *Interp) run(f *Lambda, fr *frame) (Value, error) {
+	saved := in.cells
+	in.cells = f.cells
+	out, err := evalSeq(f.code.body, in, fr)
+	in.cells = saved
+	return out, err
+}
+
+func evalSeq(body []node, in *Interp, fr *frame) (Value, error) {
+	var out Value
+	for _, n := range body {
+		var err error
+		if out, err = n(in, fr); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func lambdaName(f *Lambda) string {
@@ -181,298 +181,44 @@ func lambdaName(f *Lambda) string {
 	return f.Name
 }
 
-// specialForms dispatches syntax that controls evaluation. It is populated
-// in init to break the initialisation cycle between the table and Eval.
-var specialForms map[Symbol]func(in *Interp, form List, env *Env) (Value, error)
-
-func init() {
-	specialForms = map[Symbol]func(in *Interp, form List, env *Env) (Value, error){
-		"quote":  sfQuote,
-		"if":     sfIf,
-		"cond":   sfCond,
-		"define": sfDefine,
-		"set!":   sfSet,
-		"lambda": sfLambda,
-		"let":    sfLet,
-		"let*":   sfLetStar,
-		"begin":  sfBegin,
-		"while":  sfWhile,
-		"and":    sfAnd,
-		"or":     sfOr,
-		"when":   sfWhen,
-		"unless": sfUnless,
-	}
+// frame holds the local variables of one procedure call or let: slot i is
+// the i'th name its scope declares. Frames that fit use the inline array,
+// so entering a scope is one allocation.
+type frame struct {
+	up    *frame
+	slots []Value
+	small [4]Value
 }
 
-func sfQuote(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) != 2 {
-		return nil, fmt.Errorf("alter: quote wants 1 argument")
-	}
-	return form[1], nil
+// shape is what the compiler knows about a scope's frame.
+type shape struct {
+	nslots int
+	// late lists the slots that are not bound on entry — internal defines,
+	// and let* names while their initialisers run. They start unbound, and
+	// a reference that finds one unbound looks further out, which is what
+	// a chain of name-keyed frames did for a name not defined yet.
+	late []int
 }
 
-func sfIf(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 3 || len(form) > 4 {
-		return nil, fmt.Errorf("alter: if wants (if test then [else])")
+func newFrame(up *frame, s *shape) *frame {
+	fr := &frame{up: up}
+	if s.nslots <= len(fr.small) {
+		fr.slots = fr.small[:s.nslots]
+	} else {
+		fr.slots = make([]Value, s.nslots)
 	}
-	test, err := in.Eval(form[1], env)
-	if err != nil {
-		return nil, err
+	for _, slot := range s.late {
+		fr.slots[slot] = unbound
 	}
-	if Truthy(test) {
-		return in.Eval(form[2], env)
-	}
-	if len(form) == 4 {
-		return in.Eval(form[3], env)
-	}
-	return nil, nil
+	return fr
 }
 
-func sfCond(in *Interp, form List, env *Env) (Value, error) {
-	for _, clause := range form[1:] {
-		cl, ok := clause.(List)
-		if !ok || len(cl) < 1 {
-			return nil, fmt.Errorf("alter: cond clause must be a non-empty list")
-		}
-		if sym, ok := cl[0].(Symbol); ok && sym == "else" {
-			return in.evalSeq(cl[1:], env)
-		}
-		test, err := in.Eval(cl[0], env)
-		if err != nil {
-			return nil, err
-		}
-		if Truthy(test) {
-			if len(cl) == 1 {
-				return test, nil
-			}
-			return in.evalSeq(cl[1:], env)
-		}
-	}
-	return nil, nil
-}
+// unbound marks a cell or slot that has no value yet.
+var unbound Value = &unboundMark{}
 
-func (in *Interp) evalSeq(forms List, env *Env) (Value, error) {
-	var out Value
-	for _, f := range forms {
-		var err error
-		out, err = in.Eval(f, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+type unboundMark struct{ _ byte }
 
-func sfDefine(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 3 {
-		return nil, fmt.Errorf("alter: define wants a name and a value")
-	}
-	switch target := form[1].(type) {
-	case Symbol:
-		if len(form) != 3 {
-			return nil, fmt.Errorf("alter: (define name value) wants exactly one value")
-		}
-		v, err := in.Eval(form[2], env)
-		if err != nil {
-			return nil, err
-		}
-		if lam, ok := v.(*Lambda); ok && lam.Name == "" {
-			lam.Name = string(target)
-		}
-		env.Define(target, v)
-		return nil, nil
-	case List:
-		// (define (name params...) body...) procedure shorthand.
-		if len(target) == 0 {
-			return nil, fmt.Errorf("alter: define procedure wants a name")
-		}
-		name, err := AsSymbol(target[0])
-		if err != nil {
-			return nil, err
-		}
-		lam, err := makeLambda(target[1:], form[2:], env)
-		if err != nil {
-			return nil, err
-		}
-		lam.Name = string(name)
-		env.Define(name, lam)
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("alter: cannot define %s", TypeName(form[1]))
-	}
-}
-
-func sfSet(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) != 3 {
-		return nil, fmt.Errorf("alter: set! wants a name and a value")
-	}
-	name, err := AsSymbol(form[1])
-	if err != nil {
-		return nil, err
-	}
-	v, err := in.Eval(form[2], env)
-	if err != nil {
-		return nil, err
-	}
-	return v, env.Set(name, v)
-}
-
-func makeLambda(params List, body List, env *Env) (*Lambda, error) {
-	lam := &Lambda{Env: env, Body: body}
-	rest := false
-	for _, p := range params {
-		s, err := AsSymbol(p)
-		if err != nil {
-			return nil, fmt.Errorf("alter: lambda parameter: %w", err)
-		}
-		if s == "&rest" {
-			rest = true
-			continue
-		}
-		if rest {
-			if lam.Rest != "" {
-				return nil, fmt.Errorf("alter: multiple &rest parameters")
-			}
-			lam.Rest = s
-			continue
-		}
-		lam.Params = append(lam.Params, s)
-	}
-	if rest && lam.Rest == "" {
-		return nil, fmt.Errorf("alter: &rest without a parameter name")
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("alter: lambda with empty body")
-	}
-	return lam, nil
-}
-
-func sfLambda(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 3 {
-		return nil, fmt.Errorf("alter: lambda wants parameters and a body")
-	}
-	params, err := AsList(form[1])
-	if err != nil {
-		return nil, err
-	}
-	return makeLambda(params, form[2:], env)
-}
-
-func sfLet(in *Interp, form List, env *Env) (Value, error) {
-	return letCommon(in, form, env, false)
-}
-
-func sfLetStar(in *Interp, form List, env *Env) (Value, error) {
-	return letCommon(in, form, env, true)
-}
-
-func letCommon(in *Interp, form List, env *Env, sequential bool) (Value, error) {
-	if len(form) < 3 {
-		return nil, fmt.Errorf("alter: let wants bindings and a body")
-	}
-	bindings, err := AsList(form[1])
-	if err != nil {
-		return nil, err
-	}
-	frame := NewEnv(env)
-	evalEnv := env
-	if sequential {
-		evalEnv = frame
-	}
-	for _, b := range bindings {
-		pair, ok := b.(List)
-		if !ok || len(pair) != 2 {
-			return nil, fmt.Errorf("alter: let binding must be (name value)")
-		}
-		name, err := AsSymbol(pair[0])
-		if err != nil {
-			return nil, err
-		}
-		v, err := in.Eval(pair[1], evalEnv)
-		if err != nil {
-			return nil, err
-		}
-		frame.Define(name, v)
-	}
-	return in.evalSeq(form[2:], frame)
-}
-
-func sfBegin(in *Interp, form List, env *Env) (Value, error) {
-	return in.evalSeq(form[1:], env)
-}
-
-func sfWhile(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 2 {
-		return nil, fmt.Errorf("alter: while wants a test")
-	}
-	var out Value
-	for {
-		test, err := in.Eval(form[1], env)
-		if err != nil {
-			return nil, err
-		}
-		if !Truthy(test) {
-			return out, nil
-		}
-		out, err = in.evalSeq(form[2:], env)
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func sfAnd(in *Interp, form List, env *Env) (Value, error) {
-	var out Value = true
-	for _, f := range form[1:] {
-		var err error
-		out, err = in.Eval(f, env)
-		if err != nil {
-			return nil, err
-		}
-		if !Truthy(out) {
-			return out, nil
-		}
-	}
-	return out, nil
-}
-
-func sfOr(in *Interp, form List, env *Env) (Value, error) {
-	for _, f := range form[1:] {
-		out, err := in.Eval(f, env)
-		if err != nil {
-			return nil, err
-		}
-		if Truthy(out) {
-			return out, nil
-		}
-	}
-	return nil, nil
-}
-
-func sfWhen(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 2 {
-		return nil, fmt.Errorf("alter: when wants a test")
-	}
-	test, err := in.Eval(form[1], env)
-	if err != nil {
-		return nil, err
-	}
-	if Truthy(test) {
-		return in.evalSeq(form[2:], env)
-	}
-	return nil, nil
-}
-
-func sfUnless(in *Interp, form List, env *Env) (Value, error) {
-	if len(form) < 2 {
-		return nil, fmt.Errorf("alter: unless wants a test")
-	}
-	test, err := in.Eval(form[1], env)
-	if err != nil {
-		return nil, err
-	}
-	if !Truthy(test) {
-		return in.evalSeq(form[2:], env)
-	}
-	return nil, nil
+func isUnbound(v Value) bool {
+	_, ok := v.(*unboundMark)
+	return ok
 }

@@ -5,17 +5,26 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // The reader turns source text into Values. Syntax: parenthesised lists,
 // 'x quote shorthand, "strings" with Go escapes, ; line comments, integers,
 // floats, #t/#f booleans, nil, and symbols.
+//
+// It works on the source string itself: every delimiter is ASCII or a
+// Unicode space, so it scans bytes and decodes a rune only at a byte >= 0x80;
+// symbols and escape-free strings are slices of the source (which they keep
+// alive), not copies.
 
 type reader struct {
-	src   []rune
+	src   string
 	pos   int
 	line  int
 	depth int
+	// stack holds the elements of every list still open, innermost last; a
+	// closing parenthesis copies its list out at exact capacity.
+	stack List
 }
 
 // maxReadDepth bounds list/quote nesting so hostile input (e.g. a few
@@ -23,20 +32,23 @@ type reader struct {
 // overflowing the goroutine stack through read's recursion.
 const maxReadDepth = 1000
 
-// ReadAll parses every top-level form in src.
+// ReadAll parses every top-level form in src. Each byte that is not part of
+// a valid UTF-8 sequence reads as U+FFFD.
 func ReadAll(src string) (List, error) {
-	r := &reader{src: []rune(src), line: 1}
-	var forms List
+	if !utf8.ValidString(src) {
+		src = string([]rune(src))
+	}
+	r := &reader{src: src, line: 1}
 	for {
 		r.skipSpace()
 		if r.eof() {
-			return forms, nil
+			return r.pop(0), nil
 		}
 		form, err := r.read()
 		if err != nil {
 			return nil, err
 		}
-		forms = append(forms, form)
+		r.stack = append(r.stack, form)
 	}
 }
 
@@ -52,41 +64,55 @@ func ReadOne(src string) (Value, error) {
 	return forms[0], nil
 }
 
-func (r *reader) eof() bool { return r.pos >= len(r.src) }
-
-func (r *reader) peek() rune { return r.src[r.pos] }
-
-func (r *reader) next() rune {
-	c := r.src[r.pos]
-	r.pos++
-	if c == '\n' {
-		r.line++
+// pop removes the elements above base from the stack and returns them as a
+// list of their own (the nil list when there are none).
+func (r *reader) pop(base int) List {
+	var items List
+	if n := len(r.stack) - base; n > 0 {
+		items = make(List, n)
+		copy(items, r.stack[base:])
+		r.stack = r.stack[:base]
 	}
-	return c
+	return items
 }
+
+func (r *reader) eof() bool { return r.pos >= len(r.src) }
 
 func (r *reader) errf(format string, args ...any) error {
 	return fmt.Errorf("alter: line %d: %s", r.line, fmt.Sprintf(format, args...))
 }
 
+// space and delim mark the ASCII characters that separate tokens and that
+// end an atom; beyond ASCII only the Unicode spaces do either.
+var (
+	space = [utf8.RuneSelf]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+	delim = [utf8.RuneSelf]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true,
+		'(': true, ')': true, '"': true, ';': true, '\'': true}
+)
+
 func (r *reader) skipSpace() {
 	for !r.eof() {
-		c := r.peek()
-		switch {
-		case unicode.IsSpace(c):
-			r.next()
+		switch c := r.src[r.pos]; {
+		case c == '\n':
+			r.line++
+			r.pos++
 		case c == ';':
-			for !r.eof() && r.peek() != '\n' {
-				r.next()
+			for !r.eof() && r.src[r.pos] != '\n' {
+				r.pos++
 			}
+		case c < utf8.RuneSelf:
+			if !space[c] {
+				return
+			}
+			r.pos++
 		default:
-			return
+			c, w := utf8.DecodeRuneInString(r.src[r.pos:])
+			if !unicode.IsSpace(c) {
+				return
+			}
+			r.pos += w
 		}
 	}
-}
-
-func isDelim(c rune) bool {
-	return unicode.IsSpace(c) || c == '(' || c == ')' || c == '"' || c == ';' || c == '\''
 }
 
 func (r *reader) read() (Value, error) {
@@ -99,58 +125,81 @@ func (r *reader) read() (Value, error) {
 	}
 	r.depth++
 	defer func() { r.depth-- }()
-	switch c := r.peek(); {
-	case c == '(':
-		r.next()
-		var items List
+	switch c := r.src[r.pos]; c {
+	case '(':
+		r.pos++
+		base := len(r.stack)
 		for {
 			r.skipSpace()
 			if r.eof() {
 				return nil, r.errf("unterminated list")
 			}
-			if r.peek() == ')' {
-				r.next()
-				return items, nil
+			if r.src[r.pos] == ')' {
+				r.pos++
+				return r.pop(base), nil
 			}
 			item, err := r.read()
 			if err != nil {
 				return nil, err
 			}
-			items = append(items, item)
+			r.stack = append(r.stack, item)
 		}
-	case c == ')':
+	case ')':
 		return nil, r.errf("unexpected ')'")
-	case c == '\'':
-		r.next()
+	case '\'':
+		r.pos++
 		quoted, err := r.read()
 		if err != nil {
 			return nil, err
 		}
 		return List{Symbol("quote"), quoted}, nil
-	case c == '"':
+	case '"':
 		return r.readString()
 	default:
-		return r.readAtom()
+		return r.readAtom(), nil
 	}
 }
 
 func (r *reader) readString() (Value, error) {
 	start := r.line
-	r.next() // opening quote
+	r.pos++ // opening quote
+	// Without an escape the value is the source text between the quotes.
+	for i := r.pos; i < len(r.src); i++ {
+		switch r.src[i] {
+		case '"':
+			s := r.src[r.pos:i]
+			r.line += strings.Count(s, "\n")
+			r.pos = i + 1
+			return s, nil
+		case '\\':
+			return r.readEscapedString(start)
+		}
+	}
+	return nil, fmt.Errorf("alter: line %d: unterminated string", start)
+}
+
+func (r *reader) readEscapedString(start int) (Value, error) {
 	var b strings.Builder
 	for {
 		if r.eof() {
 			return nil, fmt.Errorf("alter: line %d: unterminated string", start)
 		}
-		c := r.next()
-		if c == '"' {
+		c := r.src[r.pos]
+		r.pos++
+		switch c {
+		default:
+			b.WriteByte(c)
+		case '\n':
+			r.line++
+			b.WriteByte(c)
+		case '"':
 			return b.String(), nil
-		}
-		if c == '\\' {
+		case '\\':
 			if r.eof() {
 				return nil, fmt.Errorf("alter: line %d: unterminated escape", start)
 			}
-			e := r.next()
+			e, w := utf8.DecodeRuneInString(r.src[r.pos:])
+			r.pos += w
 			switch e {
 			case 'n':
 				b.WriteByte('\n')
@@ -186,10 +235,11 @@ func (r *reader) readString() (Value, error) {
 					if r.eof() {
 						return nil, fmt.Errorf("alter: line %d: unterminated escape", start)
 					}
-					d, ok := hexVal(r.next())
+					d, ok := hexVal(r.src[r.pos])
 					if !ok {
 						return nil, fmt.Errorf("alter: line %d: bad hex digit in \\%c escape", start, e)
 					}
+					r.pos++
 					code = code<<4 | d
 				}
 				if e == 'x' {
@@ -200,43 +250,71 @@ func (r *reader) readString() (Value, error) {
 			default:
 				return nil, fmt.Errorf("alter: line %d: unknown escape \\%c", start, e)
 			}
-			continue
 		}
-		b.WriteRune(c)
 	}
 }
 
-func hexVal(c rune) (rune, bool) {
+func hexVal(c byte) (rune, bool) {
 	switch {
 	case c >= '0' && c <= '9':
-		return c - '0', true
+		return rune(c - '0'), true
 	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
+		return rune(c-'a') + 10, true
 	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
+		return rune(c-'A') + 10, true
 	}
 	return 0, false
 }
 
-func (r *reader) readAtom() (Value, error) {
-	var b strings.Builder
-	for !r.eof() && !isDelim(r.peek()) {
-		b.WriteRune(r.next())
+func (r *reader) readAtom() Value {
+	start := r.pos
+	for !r.eof() {
+		if c := r.src[r.pos]; c < utf8.RuneSelf {
+			if delim[c] {
+				break
+			}
+			r.pos++
+		} else if c, w := utf8.DecodeRuneInString(r.src[r.pos:]); unicode.IsSpace(c) {
+			break
+		} else {
+			r.pos += w
+		}
 	}
-	tok := b.String()
+	tok := r.src[start:r.pos]
 	switch tok {
 	case "#t", "true":
-		return true, nil
+		return true
 	case "#f", "false":
-		return false, nil
+		return false
 	case "nil":
-		return nil, nil
+		return nil
+	case "NaN", "+Inf", "-Inf":
+		// The spellings Format prints for non-finite floats. Every other
+		// word ParseFloat would take — inf, Infinity, nan, in any case —
+		// is an identifier.
+		f, _ := strconv.ParseFloat(tok, 64)
+		return f
 	}
-	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return i, nil
+	if numberLike(tok) {
+		if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			return i
+		}
+		if f, err := strconv.ParseFloat(tok, 64); err == nil {
+			return f
+		}
 	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil {
-		return f, nil
+	return Symbol(tok)
+}
+
+// numberLike reports whether tok starts like a number — an optional sign, an
+// optional point, a digit — which is what makes it worth parsing as one.
+func numberLike(tok string) bool {
+	i := 0
+	if tok[0] == '+' || tok[0] == '-' {
+		i++
 	}
-	return Symbol(tok), nil
+	if i < len(tok) && tok[i] == '.' {
+		i++
+	}
+	return i < len(tok) && '0' <= tok[i] && tok[i] <= '9'
 }

@@ -11,7 +11,18 @@
 // Values are s-expressions: nil, booleans, integers, floats, strings,
 // symbols, proper lists, procedures (lambdas and builtins) and opaque host
 // objects (model functions, ports, arcs). Lists are Go slices, which keeps
-// traversal code simple and garbage-collector friendly.
+// traversal code simple and garbage-collector friendly. No builtin mutates a
+// list in place, so a value may be shared freely — between variables, and
+// between interpreters running one compiled Program.
+//
+// Execution is compile once, run on slots (DESIGN.md §16): Compile turns
+// the reader's forms into a tree of Go closures in which every special form
+// is already decided and every variable already resolved to a frame slot or
+// a global cell; an Interp holds everything a run changes (globals, frames,
+// step and depth counters), so one Program serves any number of Interps at
+// once. The tree-walking evaluator this replaced is kept in
+// eval_ref_test.go as the language's reference semantics; the two are held
+// equal on values, error texts and emitted bytes.
 package alter
 
 import (
@@ -30,16 +41,18 @@ type Value any
 // List is a proper list.
 type List []Value
 
-// Lambda is a user-defined procedure with lexical scope.
+// Lambda is a user-defined procedure with lexical scope: compiled code
+// closed over the frame it was created in.
 type Lambda struct {
-	Name   string // for error messages; "" for anonymous
-	Params []Symbol
-	Rest   Symbol // variadic tail parameter, "" if none
-	Body   List
-	Env    *Env
+	Name  string // for error messages; "" for anonymous
+	code  *lambdaCode
+	env   *frame
+	cells []*Value // the globals of the program that created it, linked
 }
 
-// Builtin is a host procedure. Args arrive already evaluated.
+// Builtin is a host procedure. Args arrive already evaluated and belong to
+// the interpreter: Fn may read them until it returns and may keep any
+// element, but must not keep or return the slice itself.
 type Builtin struct {
 	Name string
 	Fn   func(args List) (Value, error)
@@ -69,6 +82,10 @@ func Display(v Value) string {
 	return b.String()
 }
 
+// WriteDisplay appends v's display form to b, for output streams that would
+// otherwise build a string per value only to copy it.
+func WriteDisplay(b *strings.Builder, v Value) { writeValue(b, v, false) }
+
 func writeValue(b *strings.Builder, v Value, write bool) {
 	switch x := v.(type) {
 	case nil:
@@ -80,9 +97,11 @@ func writeValue(b *strings.Builder, v Value, write bool) {
 			b.WriteString("#f")
 		}
 	case int64:
-		b.WriteString(strconv.FormatInt(x, 10))
+		var buf [20]byte
+		b.Write(strconv.AppendInt(buf[:0], x, 10))
 	case float64:
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		var buf [32]byte
+		b.Write(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 	case string:
 		if write {
 			b.WriteString(strconv.Quote(x))

@@ -46,11 +46,17 @@ func (p *Program) Tables() *gluegen.Tables { return p.Artifacts.Tables }
 // Build calls may run concurrently as long as they don't share a mutable
 // *model.App.
 func Build(app *model.App, mapping *model.Mapping, pl machine.Platform, nodes int) (*Program, error) {
-	return BuildWithScript(app, mapping, pl, nodes, gluegen.StandardScript)
+	return build(app, mapping, pl, nodes, gluegen.Generate)
 }
 
 // BuildWithScript is Build with a custom Alter generator script.
 func BuildWithScript(app *model.App, mapping *model.Mapping, pl machine.Platform, nodes int, script string) (*Program, error) {
+	return build(app, mapping, pl, nodes, func(in gluegen.Input) (*gluegen.Output, error) {
+		return gluegen.GenerateWith(in, script)
+	})
+}
+
+func build(app *model.App, mapping *model.Mapping, pl machine.Platform, nodes int, generate func(gluegen.Input) (*gluegen.Output, error)) (*Program, error) {
 	if app == nil {
 		return nil, fmt.Errorf("core: nil application")
 	}
@@ -60,7 +66,7 @@ func BuildWithScript(app *model.App, mapping *model.Mapping, pl machine.Platform
 	if err := funclib.ValidateApp(app); err != nil {
 		return nil, err
 	}
-	out, err := gluegen.GenerateWith(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes}, script)
+	out, err := generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
 	if err != nil {
 		return nil, err
 	}

@@ -9,12 +9,12 @@ import (
 	"repro/internal/model"
 )
 
-// bindModel installs the SAGE model-access "standard calls" into an Alter
+// BindModel installs the SAGE model-access "standard calls" into an Alter
 // interpreter (§2: "The language also includes a set of standard calls to
 // access certain features in SAGE, such as setting or retrieving a property
 // value from an object"). Emitted table lines accumulate in tableOut;
 // emitted glue listing lines in glueOut.
-func bindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder) {
+func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder) {
 	env := in.Global
 	app := input.App
 
@@ -264,14 +264,14 @@ func bindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder
 
 	env.Register("emit", func(args alter.List) (alter.Value, error) {
 		for _, a := range args {
-			tableOut.WriteString(alter.Display(a))
+			alter.WriteDisplay(tableOut, a)
 		}
 		tableOut.WriteByte('\n')
 		return nil, nil
 	})
 	env.Register("emit-src", func(args alter.List) (alter.Value, error) {
 		for _, a := range args {
-			glueOut.WriteString(alter.Display(a))
+			alter.WriteDisplay(glueOut, a)
 		}
 		glueOut.WriteByte('\n')
 		return nil, nil

@@ -1,0 +1,190 @@
+package gluegen
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/model"
+	"repro/internal/platforms"
+)
+
+// wideInput is the bookkeeping-dominated shape the repo benchmark's wide1024
+// workload generates: fft2d 256, 64 threads a stage, 1024 Mercury nodes.
+func wideInput(t *testing.T) Input {
+	t.Helper()
+	app, err := apps.FFT2D(256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.StaggerParallel(app, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Input{App: app, Mapping: m, Platform: platforms.Mercury(), NumNodes: 1024}
+}
+
+// TestGenerateConcurrent: every Generate shares one compiled StandardScript.
+// Goroutines generating for two different applications at once must each get
+// what a serial run gets.
+func TestGenerateConcurrent(t *testing.T) {
+	var inputs [2]Input
+	var want [2]*Output
+	for i, build := range []func(n, threads int) (*model.App, error){apps.FFT2D, apps.CornerTurn} {
+		app, err := build(64, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := model.SpreadParallel(app, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[i] = Input{App: app, Mapping: m, Platform: platforms.CSPI(), NumNodes: 4}
+		if want[i], err = Generate(inputs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				which := (g + k) % 2
+				out, err := Generate(inputs[which])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if out.TableSource != want[which].TableSource || out.GlueSource != want[which].GlueSource ||
+					!reflect.DeepEqual(out.Tables, want[which].Tables) {
+					t.Errorf("goroutine %d call %d: output differs from the serial run's", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestAllocCeilingGenerate pins what a cold Generate of the 1024-node shape
+// costs the allocator: 263 074 objects and 13.1 MB when Alter was a tree
+// walker over map frames and the table source was re-read rune by rune;
+// 58 000 and 5.0 MB compiled, on slots, with the reader slicing its source.
+// The bars leave room for the race detector's bookkeeping; best of three.
+func TestAllocCeilingGenerate(t *testing.T) {
+	in := wideInput(t)
+	measure := func() (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Generate(in); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	measure() // warm one-time state outside the measurement
+	mallocs, bytes := measure()
+	for i := 0; i < 2; i++ {
+		m, b := measure()
+		mallocs, bytes = min(mallocs, m), min(bytes, b)
+	}
+	t.Logf("%d allocations, %d bytes", mallocs, bytes)
+	if mallocs > 100_000 {
+		t.Errorf("Generate on the 1024-node shape makes %d allocations, want <= 100000", mallocs)
+	}
+	if bytes > 6_000_000 {
+		t.Errorf("Generate on the 1024-node shape allocates %d bytes, want <= 6 MB", bytes)
+	}
+}
+
+// TestWithMappingMatchesColdGenerate: re-mapping generated tables gives what
+// generating from scratch with the new mapping gives, for the two benchmark
+// applications and three mappings each, and leaves the original untouched.
+func TestWithMappingMatchesColdGenerate(t *testing.T) {
+	const nodes = 6
+	pl := platforms.CSPI()
+	for _, build := range []func(n, threads int) (*model.App, error){apps.FFT2D, apps.CornerTurn} {
+		app, err := build(64, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Generate(Input{App: app, Mapping: model.RoundRobin(app, nodes), Platform: pl, NumNodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		untouched, err := Generate(Input{App: app, Mapping: model.RoundRobin(app, nodes), Platform: pl, NumNodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spread, err := model.SpreadParallel(app, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stagger, err := model.StaggerParallel(app, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed := model.NewMapping()
+		for _, f := range app.Functions {
+			packed.Set(f.Name, make([]int, f.Threads)...)
+		}
+		for name, m := range map[string]*model.Mapping{"spread": spread, "stagger": stagger, "all on node 0": packed} {
+			cold, err := Generate(Input{App: app, Mapping: m, Platform: pl, NumNodes: nodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := base.Tables.WithMapping(m)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app.Name, name, err)
+			}
+			if !reflect.DeepEqual(got, cold.Tables) {
+				t.Errorf("%s/%s: re-mapped tables differ from a cold Generate's", app.Name, name)
+			}
+			if err := got.Verify(); err != nil {
+				t.Errorf("%s/%s: %v", app.Name, name, err)
+			}
+			// The copy owns its node lists.
+			got.Functions[0].Nodes[0] = -1
+			if m.Assign[app.Functions[0].Name][0] == -1 {
+				t.Errorf("%s/%s: re-mapped tables alias the mapping", app.Name, name)
+			}
+		}
+		if !reflect.DeepEqual(base.Tables, untouched.Tables) {
+			t.Errorf("%s: WithMapping changed the tables it was called on", app.Name)
+		}
+	}
+}
+
+// TestWithMappingRefusesBadMappings: the mapping is checked against the
+// tables' own function names, thread counts and node count.
+func TestWithMappingRefusesBadMappings(t *testing.T) {
+	base := genFor(t, apps.FFT2D, 64, 4, 4).Tables
+	good := func() *model.Mapping {
+		m := model.NewMapping()
+		for _, f := range base.Functions {
+			m.Set(f.Name, f.Nodes...)
+		}
+		return m
+	}
+	if _, err := base.WithMapping(good()); err != nil {
+		t.Fatal(err)
+	}
+	parallel := base.Functions[1].Name
+	cases := map[string]func(m *model.Mapping){
+		"has no mapping":       func(m *model.Mapping) { delete(m.Assign, parallel) },
+		"4 threads but 3":      func(m *model.Mapping) { m.Set(parallel, 0, 1, 2) },
+		"mapped to node 4 of":  func(m *model.Mapping) { m.Set(parallel, 0, 1, 2, 4) },
+		"mapped to node -1 of": func(m *model.Mapping) { m.Set(parallel, 0, -1, 2, 3) },
+	}
+	for want, damage := range cases {
+		m := good()
+		damage(m)
+		if _, err := base.WithMapping(m); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want an error holding %q, got %v", want, err)
+		}
+	}
+}

@@ -278,10 +278,19 @@ func parseOrder(t *Tables, l alter.List) error {
 	return nil
 }
 
+// standardProgram is StandardScript compiled once per process. A compiled
+// program holds no run state (each generation's globals, frames and step
+// count live in its own interpreter), so every goroutine generating shares
+// this one.
+var standardProgram = alter.MustCompile(StandardScript)
+
 // Generate runs the standard Alter generator over the input and returns the
 // verified tables plus both source artifacts.
 func Generate(in Input) (*Output, error) {
-	return GenerateWith(in, StandardScript)
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	return generate(in, standardProgram)
 }
 
 // GenerateWith runs a custom Alter generator script. The script sees the
@@ -292,11 +301,20 @@ func GenerateWith(in Input, script string) (*Output, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
+	program, err := alter.Compile(script)
+	if err != nil {
+		return nil, fmt.Errorf("gluegen: generator script failed: %w", err)
+	}
+	return generate(in, program)
+}
+
+// generate runs a compiled generator over a validated input.
+func generate(in Input, program *alter.Program) (*Output, error) {
 	interp := alter.New()
 	interp.MaxSteps = 50_000_000 // generation over large models is bounded work
 	var tableSrc, glueSrc strings.Builder
-	bindModel(interp, in, &tableSrc, &glueSrc)
-	if _, err := interp.RunString(script); err != nil {
+	BindModel(interp, in, &tableSrc, &glueSrc)
+	if _, err := interp.Run(program); err != nil {
 		return nil, fmt.Errorf("gluegen: generator script failed: %w", err)
 	}
 	tables, err := ParseTableSource(tableSrc.String())

@@ -87,19 +87,25 @@ const StandardScript = `
            ;; For each destination thread, tile its partition with source
            ;; regions. A replicated source holds the whole data set on every
            ;; thread, so one source thread is chosen round-robin; a striped
-           ;; source contributes the (disjoint) intersections.
-           (for-each
-            (lambda (j)
-              (let ((dreg (partition ds rows cols dt j)))
-                (if (equal? ss "replicated")
-                    (emit-xfer bi (mod j st) j dreg)
-                    (for-each
-                     (lambda (i)
-                       (let ((x (intersect (partition ss rows cols st i) dreg)))
-                         (unless (null? x)
-                           (emit-xfer bi i j x))))
-                     (range st)))))
-            (range dt)))))))
+           ;; source contributes the (disjoint) intersections of its threads'
+           ;; partitions, which are computed once per arc, not once per pair.
+           (let ((sthreads (range st))
+                 (sregs (if (equal? ss "replicated")
+                            nil
+                            (map (lambda (i) (partition ss rows cols st i))
+                                 (range st)))))
+             (for-each
+              (lambda (j)
+                (let ((dreg (partition ds rows cols dt j)))
+                  (if (equal? ss "replicated")
+                      (emit-xfer bi (mod j st) j dreg)
+                      (for-each
+                       (lambda (i)
+                         (let ((x (intersect (nth sregs i) dreg)))
+                           (unless (null? x)
+                             (emit-xfer bi i j x))))
+                       sthreads))))
+              (range dt))))))))
  (range num-arcs))
 (emit-src "")
 

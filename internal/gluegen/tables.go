@@ -13,11 +13,19 @@
 // striping/partition math) and the parser; the generation logic itself is
 // written in Alter (see script.go) and user-supplied Alter scripts can
 // replace it.
+//
+// Generation sits inside the designer's edit → generate → run loop, so the
+// cold path is kept cheap rather than cached: the standard script is
+// compiled once per process and shared by every Generate (a custom script is
+// compiled per GenerateWith), the emitted table source is still parsed back
+// and verified on every call, and a caller that only changes the mapping
+// (Tables.WithMapping) does not generate at all. DESIGN.md §16.
 package gluegen
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/funclib"
 	"repro/internal/machine"
@@ -97,11 +105,43 @@ func (t *Tables) Function(id int) (*FuncEntry, error) {
 	return &t.Functions[id], nil
 }
 
+// WithMapping returns tables that differ from t only in the mapping baked
+// into them: the result is what a cold Generate of the same application with
+// mapping m yields. The mapping enters the tables in one place, each function
+// row's Nodes, so the function rows are copied and everything else — ports,
+// parameters, buffers with their striding schedules, order — is shared with t
+// and must be treated as read-only by both. m is checked against the tables
+// themselves: it must place every thread of every function on a node the
+// tables declare.
+func (t *Tables) WithMapping(m *model.Mapping) (*Tables, error) {
+	out := *t
+	out.Functions = make([]FuncEntry, len(t.Functions))
+	for i, f := range t.Functions {
+		nodes, ok := m.Assign[f.Name]
+		if !ok {
+			return nil, fmt.Errorf("gluegen: function %q has no mapping", f.Name)
+		}
+		if len(nodes) != f.Threads {
+			return nil, fmt.Errorf("gluegen: function %q has %d threads but %d mapped nodes", f.Name, f.Threads, len(nodes))
+		}
+		for th, n := range nodes {
+			if n < 0 || n >= t.NumNodes {
+				return nil, fmt.Errorf("gluegen: function %q thread %d mapped to node %d of %d", f.Name, th, n, t.NumNodes)
+			}
+		}
+		f.Nodes = append([]int(nil), nodes...)
+		out.Functions[i] = f
+	}
+	return &out, nil
+}
+
 // Verify checks the structural integrity of generated tables: IDs dense and
 // ordered, nodes in range, buffers wired to real ports, and — the heart of
 // the striping logic — that for every buffer each destination thread's
 // partition is exactly tiled by its incoming transfers (full coverage, no
-// overlap, no spill).
+// overlap, no spill). Both Generate and plan.Build call it, so it visits
+// each transfer once: a buffer's transfers are grouped by destination thread
+// up front instead of being searched again for every thread.
 func (t *Tables) Verify() error {
 	var errs []error
 	add := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -140,7 +180,9 @@ func (t *Tables) Verify() error {
 		seen[id] = true
 	}
 
-	for i, b := range t.Buffers {
+	var byDst []int // indices into the current buffer's Transfers
+	for i := range t.Buffers {
+		b := &t.Buffers[i]
 		if b.ID != i {
 			add("gluegen: buffer %d has ID %d", i, b.ID)
 			continue
@@ -168,19 +210,45 @@ func (t *Tables) Verify() error {
 		if !containsInt(srcPort.Buffers, b.ID) || !containsInt(dstPort.Buffers, b.ID) {
 			add("gluegen: buffer %d not referenced by both its ports", b.ID)
 		}
-		// Per-destination-thread coverage.
+		// Per-destination-thread coverage. byDst lists the transfers bound
+		// for a thread this function has, grouped by thread; plan.Build
+		// refuses the others.
+		byDst = byDst[:0]
+		ordered := true
+		for k, x := range b.Transfers {
+			if x.DstThread < 0 || x.DstThread >= dst.Threads {
+				continue
+			}
+			if n := len(byDst); n > 0 && b.Transfers[byDst[n-1]].DstThread > x.DstThread {
+				ordered = false
+			}
+			byDst = append(byDst, k)
+		}
+		if !ordered {
+			// The generator emits them thread by thread; anything else is
+			// put in that order, keeping table order within a thread.
+			sort.SliceStable(byDst, func(a, c int) bool {
+				return b.Transfers[byDst[a]].DstThread < b.Transfers[byDst[c]].DstThread
+			})
+		}
+		next := 0
 		for j := 0; j < dst.Threads; j++ {
+			mine := byDst[next:]
+			for n, k := range mine {
+				if b.Transfers[k].DstThread != j {
+					mine = mine[:n]
+					break
+				}
+			}
+			next += len(mine)
 			want, err := model.Partition(dstPort.Striping, b.Rows, b.Cols, dst.Threads, j)
 			if err != nil {
 				add("gluegen: buffer %d dst thread %d: %v", b.ID, j, err)
 				continue
 			}
 			covered := 0
-			var regions []model.Region
-			for _, x := range b.Transfers {
-				if x.DstThread != j {
-					continue
-				}
+			for _, k := range mine {
+				x := &b.Transfers[k]
 				if x.SrcThread < 0 || x.SrcThread >= src.Threads {
 					add("gluegen: buffer %d: transfer from thread %d of %d", b.ID, x.SrcThread, src.Threads)
 				}
@@ -191,12 +259,12 @@ func (t *Tables) Verify() error {
 					add("gluegen: buffer %d: transfer bytes %d != region %v x %d", b.ID, x.Bytes, x.Region, b.ElemBytes)
 				}
 				covered += x.Region.Elems()
-				regions = append(regions, x.Region)
 			}
-			for a := range regions {
-				for c := a + 1; c < len(regions); c++ {
-					if !regions[a].Intersect(regions[c]).Empty() {
-						add("gluegen: buffer %d dst thread %d: overlapping transfers %v and %v", b.ID, j, regions[a], regions[c])
+			for a, ka := range mine {
+				ra := b.Transfers[ka].Region
+				for _, kc := range mine[a+1:] {
+					if rc := b.Transfers[kc].Region; !ra.Intersect(rc).Empty() {
+						add("gluegen: buffer %d dst thread %d: overlapping transfers %v and %v", b.ID, j, ra, rc)
 					}
 				}
 			}

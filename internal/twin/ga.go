@@ -51,7 +51,8 @@ func MapGAPromote(app *model.App, pl machine.Platform, nodes, topK int, cfg atot
 	}
 	// Any valid mapping yields the same striping transfers: the runtime
 	// tables only bake the assignment into FuncEntry.Nodes, which
-	// PredictAssign overrides. Generate once, predict everywhere.
+	// PredictAssign overrides and Tables.WithMapping replaces. Generate
+	// once, predict everywhere, re-map for each promoted candidate.
 	base, err := gluegen.Generate(gluegen.Input{App: app, Mapping: model.RoundRobin(app, nodes), Platform: pl, NumNodes: nodes})
 	if err != nil {
 		return nil, err
@@ -80,12 +81,11 @@ func MapGAPromote(app *model.App, pl machine.Platform, nodes, topK int, cfg atot
 		NodeSpeeds:       opts.NodeSpeeds,
 	}
 	cands, err := pool.Run(cfg.Parallelism, len(assigns), func(i int) (Candidate, error) {
-		m := tev.MappingFromAssign(assigns[i])
-		out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: pl, NumNodes: nodes})
+		tables, err := base.Tables.WithMapping(tev.MappingFromAssign(assigns[i]))
 		if err != nil {
 			return Candidate{}, err
 		}
-		res, err := sagert.Run(out.Tables, pl, sopts)
+		res, err := sagert.Run(tables, pl, sopts)
 		if err != nil {
 			return Candidate{}, err
 		}

@@ -127,6 +127,22 @@ func TestTwinGADeterministicAtAnyParallelism(t *testing.T) {
 			t.Fatalf("parallelism %d: GA stats diverge", par)
 		}
 	}
+	// Promotions run on the base tables re-mapped, not regenerated: every
+	// candidate's DES score must be what a cold Generate of its mapping
+	// measures, which is how it was measured before.
+	aev, err := atot.NewEvaluator(app, pl, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range ref.Candidates {
+		m, err := aev.MappingFromAssign(c.Assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold := desElapsed(t, app, "Mercury", 4, m, sagert.Options{Iterations: 3}); float64(c.DESElapsed) != cold {
+			t.Fatalf("candidate %d: promoted on re-mapped tables at %v, a cold generation measures %v", i, c.DESElapsed, cold)
+		}
+	}
 }
 
 // MapGAK's archive must contain distinct genomes, best-first, with the
