@@ -58,16 +58,16 @@ type Evaluator struct {
 
 	// Memoized hot-path tables, built once (GA fitness calls evalGenome tens
 	// of thousands of times; nothing below may allocate or hash per call):
-	taskIdx  map[[2]int]int     // (fnID, thread) -> dense task index
-	fnSlot   map[int]int        // fnID -> dense function index
-	taskBase []int              // [fnSlot] first task index of the function
-	taskNode [][]sim.Duration   // [task][node] speed-scaled busy time
-	flowSrc  []int              // [flow] source task index
-	flowDst  []int              // [flow] destination task index
-	flowCost [][3]sim.Duration  // [flow] {same-node copy, intra-board, inter-board}
-	incoming [][]int            // [fnSlot] indices of flows into the function
-	board    []int              // [node] board id
-	scratch  sync.Pool          // *evalScratch, shared by parallel fitness workers
+	taskIdx  map[[2]int]int    // (fnID, thread) -> dense task index
+	fnSlot   map[int]int       // fnID -> dense function index
+	taskBase []int             // [fnSlot] first task index of the function
+	taskNode [][]sim.Duration  // [task][node] speed-scaled busy time
+	flowSrc  []int             // [flow] source task index
+	flowDst  []int             // [flow] destination task index
+	flowCost [][3]sim.Duration // [flow] {same-node copy, intra-board, inter-board}
+	incoming [][]int           // [fnSlot] indices of flows into the function
+	board    []int             // [node] board id
+	scratch  sync.Pool         // *evalScratch, shared by parallel fitness workers
 }
 
 // evalScratch holds one fitness evaluation's working arrays; pooled so

@@ -2,6 +2,7 @@ package rtl
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -38,14 +39,18 @@ func (r *Result) WriteText(w io.Writer) error {
 		for _, name := range names {
 			m := outputs[name]
 			buf = fmt.Appendf(buf, "sink %s %d %d\n", name, m.Rows, m.Cols)
-			for _, v := range m.Data {
-				if len(buf)+sampleLineLen > cap(buf) {
+			for data := m.Data; len(data) > 0; {
+				room := (cap(buf) - len(buf)) / sampleLineLen
+				if room == 0 {
 					if _, err := w.Write(buf); err != nil {
 						return err
 					}
 					buf = buf[:0]
+					continue
 				}
-				buf = appendSampleLine(buf, v)
+				n := min(room, len(data))
+				buf = appendSampleLines(buf, data[:n])
+				data = data[n:]
 			}
 		}
 	}
@@ -57,22 +62,35 @@ func (r *Result) WriteText(w io.Writer) error {
 // space between them and a newline.
 const sampleLineLen = 34
 
-// appendSampleLine appends "%016x %016x\n" of v's real and imaginary bit
-// patterns.
-func appendSampleLine(buf []byte, v complex128) []byte {
-	const digits = "0123456789abcdef"
+// appendSampleLines appends one "%016x %016x\n" line per sample: the real and
+// imaginary bit patterns. buf must have room for them.
+func appendSampleLines(buf []byte, data []complex128) []byte {
 	n := len(buf)
-	buf = buf[:n+sampleLineLen]
-	line := buf[n:]
-	re, im := math.Float64bits(real(v)), math.Float64bits(imag(v))
-	for i := 15; i >= 0; i-- {
-		line[i] = digits[re&0xf]
-		line[17+i] = digits[im&0xf]
-		re >>= 4
-		im >>= 4
+	buf = buf[:n+len(data)*sampleLineLen]
+	for _, v := range data {
+		line := buf[n : n+sampleLineLen : n+sampleLineLen]
+		re, im := math.Float64bits(real(v)), math.Float64bits(imag(v))
+		binary.BigEndian.PutUint64(line[0:8], hex8(uint32(re>>32)))
+		binary.BigEndian.PutUint64(line[8:16], hex8(uint32(re)))
+		binary.BigEndian.PutUint64(line[17:25], hex8(uint32(im>>32)))
+		binary.BigEndian.PutUint64(line[25:33], hex8(uint32(im)))
+		line[16], line[33] = ' ', '\n'
+		n += sampleLineLen
 	}
-	line[16], line[33] = ' ', '\n'
 	return buf
+}
+
+// hex8 returns the eight lower-case hex digits of x as ASCII bytes, the most
+// significant digit in the most significant byte. It works on all eight at
+// once: spread the nibbles one to a byte, then add '0' to each and a further
+// 'a'-'9'-1 to those above nine.
+func hex8(x uint32) uint64 {
+	v := uint64(x)
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	letters := (v + 0x0606060606060606) >> 4 & 0x0101010101010101
+	return v + 0x3030303030303030 + letters*('a'-'9'-1)
 }
 
 // lineReader is a scanner with one line of pushback, for the sink-list
@@ -144,7 +162,7 @@ func ParseText(r io.Reader) (*Result, error) {
 			if _, err := fmt.Sscanf(line, "sink %s %d %d", &name, &rows, &cols); err != nil {
 				return fail("bad sink line %q", line)
 			}
-			if rows < 1 || cols < 1 || rows*cols > 1<<24 {
+			if rows < 1 || cols < 1 || rows > (1<<24)/cols { // rows*cols can wrap
 				return fail("implausible sink shape %dx%d", rows, cols)
 			}
 			if _, dup := outputs[name]; dup {

@@ -38,15 +38,32 @@ func referenceText(w io.Writer, r *Result) error {
 	return bw.Flush()
 }
 
-// awkwardBits are the float64 patterns a decimal rendering would lose: signed
+// awkwardBits are the float64 patterns a decimal rendering would lose — signed
 // zeros, infinities, quiet and signalling NaNs with payload bits, the
-// smallest and largest subnormals, and the extremes.
+// smallest and largest subnormals, the extremes — and the ones an encoder
+// working on eight digits at once could get wrong: every digit in both
+// orders, and words that sit on the '9'/'a' boundary in every position.
 var awkwardBits = []uint64{
 	0x0000000000000000, 0x8000000000000000, // +0, -0
 	0x7ff0000000000000, 0xfff0000000000000, // +Inf, -Inf
 	0x7ff8000000000001, 0xfff8dead0000beef, 0x7ff0000000000001, // NaN payloads
-	0x0000000000000001, 0x800fffffffffffff, // subnormals
+	0x0000000000000001, 0x800fffffffffffff, 0x000123456789abcd, // subnormals
 	0x7fefffffffffffff, 0x0010000000000000, 0xffffffffffffffff,
+	0x0123456789abcdef, 0xfedcba9876543210, // every digit, ascending and descending
+	0x9999999999999999, 0xaaaaaaaaaaaaaaaa, 0x9a9a9a9aa9a9a9a9, 0x0f0f0f0ff0f0f0f0,
+}
+
+// awkwardResult pairs every awkward pattern with every other, once as the
+// real and once as the imaginary part.
+func awkwardResult() *Result {
+	n := len(awkwardBits)
+	m := isspl.NewMatrix(n, n)
+	for i, re := range awkwardBits {
+		for j, im := range awkwardBits {
+			m.Data[i*n+j] = complex(math.Float64frombits(re), math.Float64frombits(im))
+		}
+	}
+	return &Result{App: "awkward", Iters: []map[string]*isspl.Matrix{{"snk": m}}}
 }
 
 // randomResult builds a multi-sink, multi-iteration result whose samples mix
@@ -78,8 +95,11 @@ func randomResult(rng *rand.Rand, iters int) *Result {
 // trip through ParseText.
 func TestWriteTextFormatLock(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		res := randomResult(rng, rng.Intn(4))
+	for trial := 0; trial < 21; trial++ {
+		res := awkwardResult() // trial 0; the rest are random
+		if trial > 0 {
+			res = randomResult(rng, rng.Intn(4))
+		}
 		var want, got bytes.Buffer
 		if err := referenceText(&want, res); err != nil {
 			t.Fatal(err)

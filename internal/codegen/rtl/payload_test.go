@@ -58,10 +58,11 @@ func TestPayloadViewsAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestAllocCeilingExecute pins what one more iteration of an fft2d 256 on 8
-// threads costs the real-execution runtime: each stage's blocks once (source
-// out, fft_rows out, packed corner-turn tiles, fft_cols in and out, sink in)
-// and that iteration's assembled output — seven matrices' worth, so eight is
-// the bar. Contiguous sends and whole-partition receives add none.
+// threads costs the real-execution runtime: the blocks a kind writes or
+// indexes densely (source out, fft_rows out, fft_cols in and out) and that
+// iteration's result matrix — five matrices' worth, so six is the bar. Sends
+// (views, contiguous or pitched), whole-partition receives and the sink (its
+// payloads land in the result) add none.
 func TestAllocCeilingExecute(t *testing.T) {
 	const n = 256
 	gen, err := experiments.GenerateTables(experiments.AppFFT2D, platforms.CSPI(), 8, n)
@@ -83,7 +84,9 @@ func TestAllocCeilingExecute(t *testing.T) {
 	}
 	bytesFor(1) // warm one-time state outside the measurement
 	perIter := (bytesFor(5) - bytesFor(1)) / 4
-	if matrix := uint64(n * n * 16); perIter > 8*matrix {
-		t.Fatalf("one more iteration allocates %d bytes, more than 8 matrices (%d)", perIter, 8*matrix)
+	matrix := uint64(n * n * 16)
+	t.Logf("one more iteration allocates %.2f matrices", float64(perIter)/float64(matrix))
+	if perIter > 6*matrix {
+		t.Fatalf("one more iteration allocates %d bytes, more than 6 matrices (%d)", perIter, 6*matrix)
 	}
 }

@@ -25,6 +25,11 @@
 // sink assembly writes disjoint or identical regions — so two runs (or the
 // in-process and the compiled form of the same Program) produce bitwise
 // identical outputs regardless of GOMAXPROCS or scheduling.
+//
+// Samples move through the block lifecycle of internal/funclib (DESIGN.md
+// §14), shared with the simulated runtime: a send is a view of the producer's
+// output block, never a packed copy, and a sink's payloads are stored in the
+// iteration's result matrix as they arrive.
 package rtl
 
 import (
@@ -281,9 +286,10 @@ func (e *exec) drainEOS(t *Thread) {
 	}
 }
 
-// threadMain is the per-goroutine iteration loop: receive and assemble
-// striped inputs, compute, pack and send striped outputs — then close lanes
-// (EOS) and verify the inbound lanes closed too.
+// threadMain is the per-goroutine iteration loop: receive striped inputs into
+// their blocks (a sink's straight into the iteration's result), compute, send
+// striped outputs as views — then close lanes (EOS) and verify the inbound
+// lanes closed too.
 func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 	in := make(map[string]*funclib.Block, len(t.Ins))
 	out := make(map[string]*funclib.Block, len(t.Outs))
@@ -291,13 +297,23 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 		FuncName: t.Fn, Params: t.Params,
 		Thread: t.Thread, Threads: t.Threads,
 	}
+	sink := t.Kind == "sink_matrix"
 	for iter := 0; iter < e.p.Iterations; iter++ {
+		var target *isspl.Matrix // a sink's result matrix for this iteration
+		if sink {
+			target = e.iters[iter][t.Fn]
+		}
 		for pi := range t.Ins {
 			pp := &t.Ins[pi]
-			// A port whose one transfer covers its whole partition adopts
-			// the payload; any other assembles into a block of its own.
+			// A sink port keeps no samples: each payload lands in the result
+			// matrix as it arrives. A port whose one transfer covers its whole
+			// partition adopts the payload; any other assembles into a block
+			// of its own.
 			var blk *funclib.Block
-			if len(pp.Xfers) != 1 || pp.Xfers[0].Region != pp.Region {
+			switch {
+			case sink:
+				blk = &funclib.Block{Region: pp.Region}
+			case len(pp.Xfers) != 1 || pp.Xfers[0].Region != pp.Region:
 				blk = funclib.NewBlock(pp.Region)
 			}
 			for _, x := range pp.Xfers {
@@ -305,7 +321,11 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 				if !ok {
 					return
 				}
-				blk = funclib.Assemble(blk, got)
+				if !sink {
+					blk = funclib.Assemble(blk, got)
+				} else if target != nil {
+					funclib.StoreSink(&e.sinkMu, target, got)
+				}
 			}
 			in[pp.Name] = blk
 		}
@@ -316,12 +336,6 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 			out[pp.Name] = funclib.NewBlock(pp.Region)
 		}
 		ctx.Iteration = iter
-		ctx.Sink = nil
-		if t.Kind == "sink_matrix" {
-			if target := e.iters[iter][t.Fn]; target != nil {
-				ctx.Sink = func(port string, b *funclib.Block) { funclib.StoreSink(&e.sinkMu, target, b) }
-			}
-		}
 		if err := impl.Compute(ctx, in, out); err != nil {
 			e.fail(fmt.Errorf("rtl: %s thread %d iteration %d: %w", t.Fn, t.Thread, iter, err))
 			return

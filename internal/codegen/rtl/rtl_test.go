@@ -400,6 +400,11 @@ func TestParseTextRejectsCorrupt(t *testing.T) {
 		strings.Replace(good, "iteration 0", "iteration 1", 1),
 		strings.Replace(good, "sink snk 2 2", "sink snk 2 0", 1),
 	}
+	// Shapes whose product wraps: to zero samples, and to a negative count.
+	head, _, _ := strings.Cut(good, "sink snk 2 2\n")
+	for _, shape := range []string{"4294967296 4294967296", "3037000500 3037000500"} {
+		bad = append(bad, head+"sink snk "+shape+"\nend\n")
+	}
 	for i, text := range bad {
 		if _, err := ParseText(bytes.NewReader([]byte(text))); err == nil {
 			t.Fatalf("corrupt output %d parsed cleanly", i)

@@ -39,8 +39,8 @@ type Config struct {
 // SeedResult is the outcome of one seed.
 type SeedResult struct {
 	Seed    int64
-	GenErr  string   // generator rejected the seed (a bug in the generator)
-	Tasks   int      // generated graph size
+	GenErr  string // generator rejected the seed (a bug in the generator)
+	Tasks   int    // generated graph size
 	Arcs    int
 	Nodes   int
 	Failure *Failure // nil when every invariant held

@@ -324,7 +324,7 @@ func Generate(seed int64, cfg GenConfig) (*Case, error) {
 	}
 
 	plan := &fault.Plan{
-		Seed: int64(1 + rng.Intn(1 << 20)),
+		Seed: int64(1 + rng.Intn(1<<20)),
 		Drops: []fault.DropRule{{
 			Link: fault.LinkSel{Src: fault.AllLinks, Dst: fault.AllLinks},
 			Rate: []float64{0.1, 0.3}[rng.Intn(2)],

@@ -8,14 +8,16 @@ import (
 )
 
 // The block lifecycle sagert and codegen/rtl share (DESIGN.md §14): output
-// blocks are fresh per iteration and never written after a send, contiguous
-// regions travel as views, whole-partition receives adopt the payload, and
-// inputs are read-only — so storage shared by several consumers is safe.
+// blocks are fresh per iteration and never written after a send, every
+// region travels as a view of its producer's block (pitched when the region
+// is narrower than the block), a whole-partition receive adopts a dense
+// payload, a sink's payloads land in the result as they arrive, and inputs
+// are read-only — so storage shared by several consumers is safe.
 
 // ContiguousIn reports whether region reg occupies a contiguous range of a
-// dense block covering blockReg: it must span the block's full width. Such
-// regions are sent from or received into the logical buffer without a
-// marshalling copy; the cost models charge the copy only when this is false.
+// dense block covering blockReg: it must span the block's full width. The
+// cost models charge a marshalling copy on the side where this is false; the
+// host, sharing one address space, reads such a region through its pitch.
 func ContiguousIn(reg, blockReg model.Region) bool {
 	return reg.C0 == blockReg.C0 && reg.Cols == blockReg.Cols
 }
@@ -23,52 +25,60 @@ func ContiguousIn(reg, blockReg model.Region) bool {
 // CopyRegion copies region reg from src into dst; both blocks must contain
 // reg.
 func CopyRegion(dst, src *Block, reg model.Region) {
+	dstOff, dstPitch := dst.offset(reg.R0, reg.C0), dst.pitch()
+	srcOff, srcPitch := src.offset(reg.R0, reg.C0), src.pitch()
 	for i := 0; i < reg.Rows; i++ {
-		row := reg.R0 + i
-		dstOff := (row-dst.Region.R0)*dst.Region.Cols + (reg.C0 - dst.Region.C0)
-		srcOff := (row-src.Region.R0)*src.Region.Cols + (reg.C0 - src.Region.C0)
 		copy(dst.Data[dstOff:dstOff+reg.Cols], src.Data[srcOff:srcOff+reg.Cols])
+		dstOff += dstPitch
+		srcOff += srcPitch
 	}
 }
 
-// ExtractRegion returns region reg of blk as a dense block: a view of blk's
-// own storage when reg is contiguous in blk, a packed copy otherwise. The
+// ExtractRegion returns region reg of blk as a view of blk's own storage:
+// dense when reg is contiguous in blk, otherwise pitched like blk, its
+// capacity clipped to the region's last row. It allocates no samples. The
 // caller must not write blk afterwards.
 func ExtractRegion(blk *Block, reg model.Region) *Block {
-	if ContiguousIn(reg, blk.Region) {
-		off := (reg.R0 - blk.Region.R0) * blk.Region.Cols
-		return &Block{Region: reg, Data: blk.Data[off : off+reg.Elems() : off+reg.Elems()]}
+	if reg.Empty() {
+		return &Block{Region: reg, Data: blk.Data[:0:0]}
 	}
-	out := NewBlock(reg)
-	CopyRegion(out, blk, reg)
-	return out
+	pitch := blk.pitch()
+	off := blk.offset(reg.R0, reg.C0)
+	end := off + (reg.Rows-1)*pitch + reg.Cols
+	return &Block{Region: reg, Data: blk.Data[off:end:end], Pitch: pitch}
 }
 
 // Assemble lands payload src in the input block dst and returns the block. A
 // nil dst — the caller's choice for a port whose one transfer covers its whole
-// partition — adopts src itself.
+// partition — adopts a dense src itself and takes a dense copy of a pitched
+// one: kinds compute on dense blocks only.
 func Assemble(dst, src *Block) *Block {
 	if dst == nil {
-		return src
+		if src.dense() {
+			return src
+		}
+		dst = NewBlock(src.Region)
 	}
 	CopyRegion(dst, src, src.Region)
 	return dst
 }
 
-// StoreSink writes a sink thread's block into the assembled output matrix.
-// Replicated sink threads cover overlapping regions with identical data and
-// may run concurrently (shards, goroutines), so the copy is serialised on mu;
-// writes are identical or disjoint by striping construction, so the order
-// never changes the assembled bytes. A block without samples (a charge-only
-// iteration) stores nothing.
+// StoreSink writes a block — a sink thread's input, or one transfer of it —
+// into the assembled output matrix. Replicated sink threads cover overlapping
+// regions with identical data and may run concurrently (shards, goroutines),
+// so the copy is serialised on mu; writes are identical or disjoint by
+// striping construction, so the order never changes the assembled bytes. A
+// block without samples (a charge-only iteration) stores nothing.
 func StoreSink(mu *sync.Mutex, target *isspl.Matrix, b *Block) {
 	if b.Data == nil {
 		return
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	cols, pitch := b.Region.Cols, b.pitch()
+	dstOff := b.Region.R0*target.Cols + b.Region.C0
 	for i := 0; i < b.Region.Rows; i++ {
-		row := b.Region.R0 + i
-		copy(target.Data[row*target.Cols+b.Region.C0:], b.Data[i*b.Region.Cols:(i+1)*b.Region.Cols])
+		copy(target.Data[dstOff:dstOff+cols], b.Data[i*pitch:i*pitch+cols])
+		dstOff += target.Cols
 	}
 }

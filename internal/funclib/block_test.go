@@ -2,6 +2,8 @@ package funclib
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -84,35 +86,130 @@ func TestComputeLeavesInputsUntouched(t *testing.T) {
 	}
 }
 
-func TestExtractRegionViewsContiguousPacksStrided(t *testing.T) {
+// TestExtractRegionViewsContiguousAndStrided: a send is a view of the block in
+// both cases — tight when the region spans the block's width, pitched like
+// the block when it does not — and never a packed copy.
+func TestExtractRegionViewsContiguousAndStrided(t *testing.T) {
 	blk := NewBlock(model.Region{R0: 4, C0: 2, Rows: 4, Cols: 6})
 	FillSource(blk, 5, 0)
-	want := append([]complex128(nil), blk.Data...)
 
 	rows := model.Region{R0: 5, C0: 2, Rows: 2, Cols: 6}
 	if !ContiguousIn(rows, blk.Region) {
 		t.Fatal("full-width rows not contiguous")
 	}
 	view := ExtractRegion(blk, rows)
-	if &view.Data[0] != &blk.Data[6] || len(view.Data) != 12 || cap(view.Data) != 12 {
-		t.Fatalf("contiguous region is not a tight view of the block (len %d cap %d)", len(view.Data), cap(view.Data))
+	if &view.Data[0] != &blk.Data[6] || len(view.Data) != 12 || cap(view.Data) != 12 || !view.dense() {
+		t.Fatalf("contiguous region is not a tight dense view of the block (len %d cap %d pitch %d)",
+			len(view.Data), cap(view.Data), view.Pitch)
 	}
 
 	tile := model.Region{R0: 5, C0: 4, Rows: 2, Cols: 3}
 	if ContiguousIn(tile, blk.Region) {
 		t.Fatal("column tile reported contiguous")
 	}
-	packed := ExtractRegion(blk, tile)
+	pitched := ExtractRegion(blk, tile)
+	// Row 5 of the block starts at 6, column 4 is 2 in; the view ends with
+	// the tile's last row, one pitch further on.
+	if &pitched.Data[0] != &blk.Data[8] || pitched.Pitch != 6 || pitched.dense() {
+		t.Fatalf("strided region is not a pitched view of the block (pitch %d)", pitched.Pitch)
+	}
+	if want := 6 + 3; len(pitched.Data) != want || cap(pitched.Data) != want {
+		t.Fatalf("pitched view not clipped to its last row: len %d cap %d, want %d", len(pitched.Data), cap(pitched.Data), want)
+	}
 	for r := tile.R0; r < tile.R0+tile.Rows; r++ {
 		for c := tile.C0; c < tile.C0+tile.Cols; c++ {
-			if packed.At(r, c) != blk.At(r, c) {
-				t.Fatalf("packed tile wrong at (%d,%d)", r, c)
+			if pitched.At(r, c) != blk.At(r, c) {
+				t.Fatalf("pitched view wrong at (%d,%d)", r, c)
 			}
 		}
 	}
-	packed.Data[0] = 99
-	if !sameBits(blk.Data, want) {
-		t.Fatal("packed tile aliases the block")
+	blk.Set(6, 5, 99)
+	if pitched.At(6, 5) != 99 {
+		t.Fatal("pitched view does not alias the block")
+	}
+
+	if one := ExtractRegion(blk, model.Region{R0: 7, C0: 7, Rows: 1, Cols: 1}); one.At(7, 7) != blk.At(7, 7) || len(one.Data) != 1 {
+		t.Fatalf("last sample of the block: %d samples, value %v", len(one.Data), one.At(7, 7))
+	}
+	if empty := ExtractRegion(blk, model.Region{}); len(empty.Data) != 0 {
+		t.Fatalf("empty region carries %d samples", len(empty.Data))
+	}
+
+	// Neither case allocates sample storage: a view is its header.
+	big := NewBlock(model.Region{Rows: 256, Cols: 256})
+	for _, reg := range []model.Region{{R0: 64, Rows: 64, Cols: 256}, {C0: 64, Rows: 256, Cols: 64}} {
+		before := allocatedBytes()
+		sent := ExtractRegion(big, reg)
+		if got := allocatedBytes() - before; got > 256 {
+			t.Fatalf("ExtractRegion(%v) allocates %d bytes for a %d-byte region", reg, got, reg.Elems()*16)
+		}
+		runtime.KeepAlive(sent)
+	}
+}
+
+func allocatedBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// packRegion is ExtractRegion as it was before sends became views: a view when
+// the region is contiguous in the block, a packed dense copy otherwise. Kept
+// as the reference the pitched path is held to.
+func packRegion(blk *Block, reg model.Region) *Block {
+	if ContiguousIn(reg, blk.Region) {
+		off := (reg.R0 - blk.Region.R0) * blk.Region.Cols
+		return &Block{Region: reg, Data: blk.Data[off : off+reg.Elems() : off+reg.Elems()]}
+	}
+	out := NewBlock(reg)
+	for i := 0; i < reg.Rows; i++ {
+		off := (reg.R0+i-blk.Region.R0)*blk.Region.Cols + (reg.C0 - blk.Region.C0)
+		copy(out.Data[i*reg.Cols:(i+1)*reg.Cols], blk.Data[off:off+reg.Cols])
+	}
+	return out
+}
+
+// TestPitchedAssembleEqualsPackedAssemble: over random blocks and regions,
+// what a consumer holds after receiving a view — assembled into a larger
+// partition, adopted whole, or stored by a sink — is bit for bit what it held
+// when the producer packed a tile first.
+func TestPitchedAssembleEqualsPackedAssemble(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	within := func(outer model.Region) model.Region {
+		rows, cols := 1+rng.Intn(outer.Rows), 1+rng.Intn(outer.Cols)
+		return model.Region{
+			R0: outer.R0 + rng.Intn(outer.Rows-rows+1), C0: outer.C0 + rng.Intn(outer.Cols-cols+1),
+			Rows: rows, Cols: cols,
+		}
+	}
+	var mu sync.Mutex
+	for trial := 0; trial < 500; trial++ {
+		// A data set, the producer's partition of it, the consumer's partition
+		// inside that, and one transfer inside both.
+		set := model.Region{Rows: 1 + rng.Intn(24), Cols: 1 + rng.Intn(24)}
+		src := NewBlock(within(set))
+		FillSource(src, int64(trial), trial%3)
+		part := within(src.Region)
+		xfer := within(part)
+		view, packed := ExtractRegion(src, xfer), packRegion(src, xfer)
+		if view.dense() != ContiguousIn(xfer, src.Region) {
+			t.Fatalf("trial %d: %v of %v: dense %v", trial, xfer, src.Region, view.dense())
+		}
+
+		got, want := Assemble(NewBlock(part), view), Assemble(NewBlock(part), packed)
+		if !sameBits(got.Data, want.Data) {
+			t.Fatalf("trial %d: assembling %v of %v into %v differs from the packed path", trial, xfer, src.Region, part)
+		}
+		adopted := Assemble(nil, view)
+		if !adopted.dense() || adopted.Region != xfer || !sameBits(adopted.Data[:xfer.Elems()], packed.Data) {
+			t.Fatalf("trial %d: adopting %v of %v differs from the packed path", trial, xfer, src.Region)
+		}
+		gm, wm := isspl.NewMatrix(set.Rows, set.Cols), isspl.NewMatrix(set.Rows, set.Cols)
+		StoreSink(&mu, gm, view)
+		StoreSink(&mu, wm, packed)
+		if !sameBits(gm.Data, wm.Data) {
+			t.Fatalf("trial %d: storing %v of %v differs from the packed path", trial, xfer, src.Region)
+		}
 	}
 }
 
@@ -131,6 +228,28 @@ func TestAssembleAdoptsOrCopies(t *testing.T) {
 	if !sameBits(dst.Data[8:], src.Data[8:]) || dst.Data[0] != 0 {
 		t.Fatal("payload landed in the wrong rows")
 	}
+	if got := Assemble(nil, half); got != half {
+		t.Fatal("nil destination did not adopt a contiguous view")
+	}
+
+	// A whole-partition port handed a pitched payload (a column stripe of a
+	// wider producer) gets a dense copy: kinds index their inputs densely.
+	stripe := ExtractRegion(src, model.Region{C0: 1, Rows: 4, Cols: 2})
+	got := Assemble(nil, stripe)
+	if got == stripe || !got.dense() || got.Region != stripe.Region || len(got.Data) != 8 {
+		t.Fatalf("pitched payload adopted as is (pitch %d, %d samples)", got.Pitch, len(got.Data))
+	}
+	for r := 0; r < 4; r++ {
+		for c := 1; c < 3; c++ {
+			if got.Data[r*2+c-1] != src.At(r, c) {
+				t.Fatalf("dense copy wrong at (%d,%d)", r, c)
+			}
+		}
+	}
+	got.Data[0] = 99
+	if src.At(0, 1) == 99 {
+		t.Fatal("dense copy aliases the producer's block")
+	}
 }
 
 func TestStoreSinkSkipsChargeOnlyBlocks(t *testing.T) {
@@ -148,6 +267,99 @@ func TestStoreSinkSkipsChargeOnlyBlocks(t *testing.T) {
 			}
 			if m.Data[r*4+c] != want {
 				t.Fatalf("matrix (%d,%d) = %v, want %v", r, c, m.Data[r*4+c], want)
+			}
+		}
+	}
+}
+
+// TestStoreSinkPitchedAndReplicated: payloads land in the result as they
+// arrive — pitched views of a wider producer block included — and replicated
+// sink threads storing overlapping regions concurrently leave the same bytes
+// in any order.
+func TestStoreSinkPitchedAndReplicated(t *testing.T) {
+	const n = 8
+	whole := model.Region{Rows: n, Cols: n}
+	src := NewBlock(whole)
+	FillSource(src, 9, 2)
+	var mu sync.Mutex
+
+	m := isspl.NewMatrix(n, n)
+	for c0 := 0; c0 < n; c0 += 2 { // four column stripes, each a pitched view
+		stripe := ExtractRegion(src, model.Region{C0: c0, Rows: n, Cols: 2})
+		if stripe.dense() {
+			t.Fatal("column stripe of a wider block is dense")
+		}
+		StoreSink(&mu, m, stripe)
+	}
+	if !sameBits(m.Data, src.Data) {
+		t.Fatal("pitched stripes did not assemble the source")
+	}
+
+	// Two replicated threads each receive the whole matrix as row halves and
+	// quadrant tiles; every sample is stored at least twice.
+	m = isspl.NewMatrix(n, n)
+	var wg sync.WaitGroup
+	for _, regs := range [][]model.Region{
+		{{Rows: n / 2, Cols: n}, {R0: n / 2, Rows: n / 2, Cols: n}},
+		{{Rows: n / 2, Cols: n / 2}, {C0: n / 2, Rows: n / 2, Cols: n / 2},
+			{R0: n / 2, Rows: n / 2, Cols: n / 2}, {R0: n / 2, C0: n / 2, Rows: n / 2, Cols: n / 2}},
+		{whole},
+	} {
+		wg.Add(1)
+		go func(regs []model.Region) {
+			defer wg.Done()
+			for _, reg := range regs {
+				StoreSink(&mu, m, ExtractRegion(src, reg))
+			}
+		}(regs)
+	}
+	wg.Wait()
+	if !sameBits(m.Data, src.Data) {
+		t.Fatal("replicated overlapping stores did not assemble the source")
+	}
+}
+
+// sourceValueRef is SourceValue as first written, every hash chained per
+// element: the definition of the source data set.
+func sourceValueRef(seed int64, iteration, row, col int) complex128 {
+	mix := func(h uint64) uint64 {
+		// splitmix64 finalizer.
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+		return h
+	}
+	h := mix(uint64(seed)*0x9e3779b97f4a7c15 + uint64(iteration+1))
+	h = mix(h ^ uint64(row)*0xd6e8feb86659fd93)
+	h = mix(h ^ uint64(col)*0xa0761d6478bd642f)
+	toUnit := func(bits uint32) float64 { return float64(bits)/float64(1<<31) - 1 }
+	return complex(toUnit(uint32(h>>32)), toUnit(uint32(h)))
+}
+
+// TestFillSourceMatchesSourceValue holds the hoisted fill to the per-element
+// SourceValue, and both to the definition, bit for bit.
+func TestFillSourceMatchesSourceValue(t *testing.T) {
+	for _, reg := range []model.Region{
+		{Rows: 1, Cols: 1}, {R0: 3, C0: 5, Rows: 7, Cols: 11}, {R0: 1000, C0: 13, Rows: 3, Cols: 129},
+		{R0: 17, Rows: 5, Cols: 1}, {C0: 1 << 20, Rows: 2, Cols: 9},
+	} {
+		for _, seed := range []int64{1, 0, -1, -987654321, 1 << 62} {
+			for _, iter := range []int{0, 1, 1000} {
+				b := NewBlock(reg)
+				FillSource(b, seed, iter)
+				for r := reg.R0; r < reg.R0+reg.Rows; r++ {
+					for c := reg.C0; c < reg.C0+reg.Cols; c++ {
+						want := []complex128{sourceValueRef(seed, iter, r, c)}
+						if got := b.At(r, c); !sameBits([]complex128{got}, want) {
+							t.Fatalf("region %v seed %d iteration %d: FillSource (%d,%d) = %v, want %v", reg, seed, iter, r, c, got, want[0])
+						}
+						if got := SourceValue(seed, iter, r, c); !sameBits([]complex128{got}, want) {
+							t.Fatalf("seed %d iteration %d: SourceValue (%d,%d) = %v, want %v", seed, iter, r, c, got, want[0])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -8,6 +8,10 @@
 // single thread of a function holds for one port, as carved out by the port
 // striping conventions. The SAGE runtime calls Compute once per thread per
 // iteration; Cost prices the same work for the simulated machine.
+//
+// Between two functions a region travels as a pitched view of the producer's
+// block (block.go): same samples, rows Pitch apart, nothing packed. Kinds
+// never meet one — Assemble hands Compute dense blocks only.
 package funclib
 
 import (
@@ -18,27 +22,45 @@ import (
 )
 
 // Block is one thread's local view of one port's data set: the region it
-// covers and the dense row-major samples.
+// covers and its row-major samples.
 type Block struct {
 	Region model.Region
 	Data   []complex128
+	// Pitch is the distance in samples between the starts of consecutive
+	// rows in Data; zero means dense (Region.Cols). Only ExtractRegion makes
+	// a pitched block: a region of a wider block, still in that block's
+	// storage.
+	Pitch int
 }
 
-// NewBlock allocates a zeroed block covering region r.
+// NewBlock allocates a zeroed dense block covering region r.
 func NewBlock(r model.Region) *Block {
 	return &Block{Region: r, Data: make([]complex128, r.Elems())}
 }
 
-// At returns the sample at absolute coordinates (r, c), which must lie
-// inside the block's region.
-func (b *Block) At(r, c int) complex128 {
-	return b.Data[(r-b.Region.R0)*b.Region.Cols+(c-b.Region.C0)]
+// pitch returns the distance in samples between row starts in Data.
+func (b *Block) pitch() int {
+	if b.Pitch == 0 {
+		return b.Region.Cols
+	}
+	return b.Pitch
 }
 
-// Set writes the sample at absolute coordinates (r, c).
-func (b *Block) Set(r, c int, v complex128) {
-	b.Data[(r-b.Region.R0)*b.Region.Cols+(c-b.Region.C0)] = v
+// dense reports whether the block's rows lie back to back in Data.
+func (b *Block) dense() bool { return b.pitch() == b.Region.Cols }
+
+// offset returns the index in Data of the sample at absolute coordinates
+// (r, c).
+func (b *Block) offset(r, c int) int {
+	return (r-b.Region.R0)*b.pitch() + (c - b.Region.C0)
 }
+
+// At returns the sample at absolute coordinates (r, c), which must lie
+// inside the block's region.
+func (b *Block) At(r, c int) complex128 { return b.Data[b.offset(r, c)] }
+
+// Set writes the sample at absolute coordinates (r, c).
+func (b *Block) Set(r, c int, v complex128) { b.Data[b.offset(r, c)] = v }
 
 // Context carries per-invocation information into a library function.
 type Context struct {
@@ -51,7 +73,9 @@ type Context struct {
 	// Iteration is the data-set sequence number (0-based).
 	Iteration int
 	// Sink, when non-nil, receives the blocks a sink-kind function
-	// consumes; the runtime wires it to the experiment's collector.
+	// consumes: the sequential oracle collects its outputs through it. The
+	// runtimes leave it nil — a sink port there holds no samples, its
+	// payloads are stored as they arrive (StoreSink).
 	Sink func(port string, b *Block)
 }
 

@@ -6,9 +6,12 @@
 // It provides the kernels the two benchmark applications are built from —
 // complex 1D/2D FFTs and the corner turn (distributed matrix transpose) —
 // plus the usual supporting vector, window and FIR routines found in such
-// libraries. Every routine has an accompanying operation-count function
-// (cost.go) so the simulated machine can price it in virtual time, and each
-// is verified against a naive reference implementation in the tests.
+// libraries. Storage is row-major throughout; the column transform of a
+// block (FFTCols) re-orders FFTStrided's loop nest so its inner index runs
+// along a row too, changing no arithmetic. Every routine has an accompanying
+// operation-count function (cost.go) so the simulated machine can price it in
+// virtual time, and each is verified against a naive reference implementation
+// in the tests.
 package isspl
 
 import (
@@ -335,6 +338,55 @@ func FFTRows(data []complex128, rows, cols int) error {
 	for r := 0; r < rows; r++ {
 		if err := FFT(data[r*cols : (r+1)*cols]); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// FFTCols transforms every column of a rows x cols row-major matrix in place.
+// rows must be a power of two. It runs FFTStrided's schedule on all columns
+// at once: the bit-reversal swaps whole rows and every butterfly combines a
+// pair of rows under one twiddle, so the inner index is unit-stride while
+// each sample sees the operations FFTStrided would apply to it, in the same
+// order — the results are bitwise those of FFTStrided on each column.
+func FFTCols(data []complex128, rows, cols int) error {
+	if len(data) != rows*cols {
+		return fmt.Errorf("isspl: FFTCols data length %d != %d x %d", len(data), rows, cols)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	if !IsPow2(rows) {
+		return fmt.Errorf("isspl: FFTCols length %d is not a power of two", rows)
+	}
+	if rows == 1 {
+		return nil
+	}
+	row := func(i int) []complex128 { return data[i*cols : (i+1)*cols] }
+	shift := 64 - uint(bits.TrailingZeros(uint(rows)))
+	for i := 1; i < rows; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			ri, rj := row(i), row(j)
+			for c := range ri {
+				ri[c], rj[c] = rj[c], ri[c]
+			}
+		}
+	}
+	w := twiddles(rows)
+	for size := 2; size <= rows; size <<= 1 {
+		half := size / 2
+		step := rows / size
+		for start := 0; start < rows; start += size {
+			for k := 0; k < half; k++ {
+				tw := w[k*step]
+				lo, hi := row(start+k), row(start+k+half)
+				for c := range lo {
+					a := lo[c]
+					b := hi[c] * tw
+					lo[c] = a + b
+					hi[c] = a - b
+				}
+			}
 		}
 	}
 	return nil

@@ -269,6 +269,109 @@ func TestFFTStridedErrors(t *testing.T) {
 	}
 }
 
+// colsByStrided is the reference FFTCols is held to: the single-column
+// library routine, one column at a time.
+func colsByStrided(data []complex128, rows, cols int) error {
+	for c := 0; c < cols; c++ {
+		if err := FFTStrided(data, rows, c, cols); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFFTColsMatchesStrided holds the row-sweep column FFT to FFTStrided bit
+// for bit — not within a tolerance: the sweep re-orders the loop nest, never
+// the arithmetic on a sample, so signed zeros, infinities, NaNs and
+// subnormals must come out the same too.
+func TestFFTColsMatchesStrided(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8dead0000beef), // NaN with payload
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+	}
+	for rows := 1; rows <= 1024; rows <<= 1 {
+		for _, cols := range []int{1, 3, 64} {
+			for _, seeded := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(int64(rows*100 + cols)))
+				want := randComplex(rows*cols, int64(rows+cols))
+				if seeded {
+					// Every eleventh part is special, so they meet ordinary
+					// samples and each other in the butterflies.
+					for i := range want {
+						re, im := real(want[i]), imag(want[i])
+						if rng.Intn(11) == 0 {
+							re = special[rng.Intn(len(special))]
+						}
+						if rng.Intn(11) == 0 {
+							im = special[rng.Intn(len(special))]
+						}
+						want[i] = complex(re, im)
+					}
+				}
+				got := append([]complex128(nil), want...)
+				if err := colsByStrided(want, rows, cols); err != nil {
+					t.Fatal(err)
+				}
+				if err := FFTCols(got, rows, cols); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("%dx%d (special values %v): sample %d is %x, FFTStrided gives %x",
+							rows, cols, seeded, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFFTColsErrors(t *testing.T) {
+	data := make([]complex128, 24)
+	if err := FFTCols(data, 12, 2); err == nil {
+		t.Error("non-pow2 column length accepted")
+	}
+	if err := FFTCols(data, 8, 2); err == nil {
+		t.Error("rows*cols != len(data) accepted")
+	}
+	if err := FFTCols(data[:16], 4, -4); err == nil {
+		t.Error("negative shape accepted")
+	}
+	if err := FFTCols(nil, 0, 0); err != nil {
+		t.Errorf("empty matrix: %v", err)
+	}
+	if err := FFTCols(nil, 3, 0); err != nil { // no columns: nothing to transform, as with FFTStrided
+		t.Errorf("zero columns: %v", err)
+	}
+	one := []complex128{1, 2, 3}
+	if err := FFTCols(one, 1, 3); err != nil || one[0] != 1 || one[1] != 2 || one[2] != 3 {
+		t.Errorf("single row: %v %v", err, one)
+	}
+}
+
+func BenchmarkFFTCols(b *testing.B) {
+	// The fft_cols block of an fft2d 512 on 8 threads.
+	const rows, cols = 512, 64
+	src := randComplex(rows*cols, 1)
+	data := make([]complex128, len(src))
+	for _, bc := range []struct {
+		name string
+		fn   func([]complex128, int, int) error
+	}{{"strided", colsByStrided}, {"sweep", FFTCols}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(data, src)
+				if err := bc.fn(data, rows, cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestFFT2DMatchesDFT2D(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16} {
 		m := TestMatrix(n, int64(n))

@@ -57,7 +57,8 @@ type Port struct {
 	// transfers in table order.
 	Edges []int32
 	// Adopt marks an input port whose one edge covers the whole partition:
-	// the payload becomes the block, nothing is assembled.
+	// the payload becomes the block (funclib.Assemble with a nil destination;
+	// a pitched payload is copied dense first).
 	Adopt bool
 	// Charge is the port's block when only costs are wanted: the region the
 	// cost model prices, no samples.

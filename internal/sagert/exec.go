@@ -132,6 +132,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
 		Thread: tp.Index, Threads: tp.Fn.Threads,
 	}
+	sinkTarget := r.outputs[tp.Fn.Name] // non-nil on the threads of a collected sink
 	for iter := 0; iter < r.opts.Iterations && !r.failed.Load(); iter++ {
 		compute := iter < r.opts.ComputeIterations
 
@@ -157,7 +158,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			pp := &tp.Ins[pi]
 			var blk *funclib.Block // stays nil to adopt the payload
 			switch {
-			case !compute:
+			case !compute || sinkTarget != nil:
 				blk = &pp.Charge
 			case !pp.Adopt:
 				blk = funclib.NewBlock(pp.Region)
@@ -166,14 +167,12 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				e := &edges[ei]
 				peer := threads[e.Src].Node
 				xferStart := rank.Proc().Now()
+				var got *funclib.Block // stays nil on a charge-only iteration
 				if r.localOptimised(peer, tp.Node) {
 					// Optimised local handoff: single copy, no messaging
 					// stack.
-					got := r.localQueues[ei].Recv(rank.Proc())
+					got = r.localQueues[ei].Recv(rank.Proc())
 					node.Memcpy(rank.Proc(), e.X.Bytes)
-					if compute {
-						blk = funclib.Assemble(blk, got)
-					}
 				} else {
 					payload := r.recvData(rank, tp, track, e, peer)
 					// Assemble into the function's private logical buffer:
@@ -186,8 +185,16 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 						node.Memcpy(rank.Proc(), e.X.Bytes)
 					}
 					if compute {
-						blk = funclib.Assemble(blk, payload.Data.(*funclib.Block))
+						got = payload.Data.(*funclib.Block)
 					}
+				}
+				// A sink holds no samples of its own: the payloads of the last
+				// compute iteration land in the assembled output as they
+				// arrive, earlier ones are dropped.
+				if compute && sinkTarget == nil {
+					blk = funclib.Assemble(blk, got)
+				} else if compute && iter == r.opts.ComputeIterations-1 {
+					funclib.StoreSink(&r.sinkMu, sinkTarget, got)
 				}
 				if tr.Enabled() {
 					tr.Xfer(trace.LayerSage, tp.Node, track,
@@ -218,12 +225,6 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			outBlocks[pp.Entry.Name] = blk
 		}
 		ctx.Iteration = iter
-		ctx.Sink = nil
-		if tp.Sink && compute && iter == r.opts.ComputeIterations-1 {
-			if target := r.outputs[tp.Fn.Name]; target != nil {
-				ctx.Sink = func(port string, b *funclib.Block) { funclib.StoreSink(&r.sinkMu, target, b) }
-			}
-		}
 		cost := tp.Impl.Cost(ctx, inBlocks, outBlocks)
 		copyBytes := cost.CopyBytes
 		if r.opts.OptimizedBuffers && !tp.Source && !tp.Sink {
@@ -281,15 +282,19 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				}
 				// Pack the region out of the logical buffer; a region that
 				// is contiguous in the buffer is sent in place, zero-copy.
+				// (The charge is the model's; the host sends a view of the
+				// block either way.)
 				if !e.SrcContig {
 					node.Memcpy(rank.Proc(), e.X.Bytes)
 				}
 				payload := mpi.Payload{Bytes: e.X.Bytes}
 				if compute {
-					// The message body is the block itself, priced like
-					// mpi.ComplexPayload prices its samples.
-					view := funclib.ExtractRegion(blk, e.X.Region)
-					payload = mpi.Payload{Bytes: mpi.BytesPerComplex * len(view.Data), Data: view}
+					// The message body is a view of the block, priced like
+					// mpi.ComplexPayload prices the region's samples.
+					payload = mpi.Payload{
+						Bytes: mpi.BytesPerComplex * e.X.Region.Elems(),
+						Data:  funclib.ExtractRegion(blk, e.X.Region),
+					}
 				}
 				rank.Send(peer, e.DataTag(), payload)
 				if tr.Enabled() {

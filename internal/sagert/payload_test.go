@@ -47,11 +47,14 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 		t.Fatalf("5-iteration run allocates %d bytes, 1-iteration run %d: ratio %.2f, want < 1.25",
 			five, one, float64(five)/float64(one))
 	}
-	// One compute iteration holds each stage's blocks once (source out,
-	// fft_rows out, packed corner-turn tiles, fft_cols in and out, sink in)
-	// plus the assembled output: seven matrices' worth, so eight is the bar.
-	if matrix := uint64(512 * 512 * 16); one > 8*matrix {
-		t.Fatalf("1-iteration run allocates %d bytes, more than 8 matrices (%d)", one, 8*matrix)
+	// One compute iteration holds the blocks a kind writes or indexes densely
+	// (source out, fft_rows out, fft_cols in and out) plus the assembled
+	// output: five matrices' worth, so six is the bar. Corner-turn tiles
+	// travel as pitched views and the sink's payloads land in the output.
+	matrix := uint64(512 * 512 * 16)
+	t.Logf("1-iteration run allocates %.2f matrices, 5-iteration run %.2f", float64(one)/float64(matrix), float64(five)/float64(matrix))
+	if one > 6*matrix {
+		t.Fatalf("1-iteration run allocates %d bytes, more than 6 matrices (%d)", one, 6*matrix)
 	}
 
 	// The bookkeeping-dominated shape (the repo benchmark's wide1024: 4224

@@ -14,7 +14,9 @@
 // run-time buffer management scheme assigns unique logical buffers to the
 // data per function which can cause extra data access times"), packs each
 // outgoing region separately, and moves data with generic point-to-point
-// transfers instead of the platform's tuned collectives.
+// transfers instead of the platform's tuned collectives. All of that is charged
+// in virtual time; the host carrying the samples for verification shares one
+// address space and moves each sample once per transfer (DESIGN.md §14).
 //
 // Pipelining across iterations uses per-transfer credits (double buffering
 // by default), so a source cannot run unboundedly ahead of its consumers —

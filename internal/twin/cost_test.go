@@ -13,17 +13,17 @@ import (
 // 10 ns on-board and 100 ns across boards.
 func unitPlatform() *machine.Platform {
 	return &machine.Platform{
-		Name:          "unit",
-		NodesPerBoard: 2,
-		ClockHz:       1e9,
-		FlopsPerCycle: 1,   // 1 Gflop/s: 1 flop = 1 ns
-		MemCopyBW:     1e9, // 1 GB/s: 1 byte = 1 ns
-		SendOverhead:  100,
-		RecvOverhead:  200,
-		IntraLatency:  1000,
-		IntraBW:       1e8, // 1 byte = 10 ns
-		InterLatency:  5000,
-		InterBW:       1e7, // 1 byte = 100 ns
+		Name:              "unit",
+		NodesPerBoard:     2,
+		ClockHz:           1e9,
+		FlopsPerCycle:     1,   // 1 Gflop/s: 1 flop = 1 ns
+		MemCopyBW:         1e9, // 1 GB/s: 1 byte = 1 ns
+		SendOverhead:      100,
+		RecvOverhead:      200,
+		IntraLatency:      1000,
+		IntraBW:           1e8, // 1 byte = 10 ns
+		InterLatency:      5000,
+		InterBW:           1e7, // 1 byte = 100 ns
 		FabricConcurrency: 1,
 	}
 }
