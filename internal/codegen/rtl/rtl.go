@@ -63,6 +63,10 @@ type Port struct {
 	Xfers  []Xfer
 }
 
+// adopts reports whether an input port's one transfer covers its whole
+// partition: the payload becomes the port's block (funclib.Assemble).
+func (p *Port) adopts() bool { return len(p.Xfers) == 1 && p.Xfers[0].Region == p.Region }
+
 // Thread is one goroutine of the generated program: a single thread of a
 // function-table entry, bound to a funclib kind.
 type Thread struct {
@@ -222,6 +226,46 @@ func newExec(p *Program) *exec {
 	return e
 }
 
+// ownedInputs marks the threads of a validated program that compute into
+// their input block: an InPlace kind whose thread owns the block its one
+// input port ends up holding (it assembled it, or funclib.OwnsAdopted against
+// the other transfers of the port that produces it). impls holds each
+// thread's kind.
+func ownedInputs(p *Program, impls []*funclib.Impl) []bool {
+	// producer[c] is the output port that sends on lane c.
+	producer := make([]*Port, len(p.Conns))
+	for ti := range p.Threads {
+		outs := p.Threads[ti].Outs
+		for pi := range outs {
+			for _, x := range outs[pi].Xfers {
+				producer[x.Conn] = &outs[pi]
+			}
+		}
+	}
+	owned := make([]bool, len(p.Threads))
+	for ti := range p.Threads {
+		t := &p.Threads[ti]
+		if !impls[ti].InPlace || len(t.Ins) != 1 || len(t.Outs) != 1 || t.Ins[0].Region != t.Outs[0].Region {
+			continue
+		}
+		in := &t.Ins[0]
+		if !in.adopts() {
+			owned[ti] = true
+			continue
+		}
+		x, src := in.Xfers[0], producer[in.Xfers[0].Conn]
+		owned[ti] = funclib.OwnsAdopted(funclib.ContiguousIn(x.Region, src.Region), x.Region,
+			func(yield func(model.Region) bool) {
+				for _, o := range src.Xfers {
+					if o.Conn != x.Conn && !yield(o.Region) {
+						return
+					}
+				}
+			})
+	}
+	return owned
+}
+
 // fail records the first error and releases every blocked thread.
 func (e *exec) fail(err error) {
 	e.errOnce.Do(func() {
@@ -289,8 +333,9 @@ func (e *exec) drainEOS(t *Thread) {
 // threadMain is the per-goroutine iteration loop: receive striped inputs into
 // their blocks (a sink's straight into the iteration's result), compute, send
 // striped outputs as views — then close lanes (EOS) and verify the inbound
-// lanes closed too.
-func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
+// lanes closed too. With inPlace set (ownedInputs) the kind transforms the
+// input block where it lies and that block goes on as the output.
+func (e *exec) threadMain(t *Thread, impl *funclib.Impl, inPlace bool) {
 	in := make(map[string]*funclib.Block, len(t.Ins))
 	out := make(map[string]*funclib.Block, len(t.Outs))
 	ctx := &funclib.Context{
@@ -313,7 +358,7 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 			switch {
 			case sink:
 				blk = &funclib.Block{Region: pp.Region}
-			case len(pp.Xfers) != 1 || pp.Xfers[0].Region != pp.Region:
+			case !pp.adopts():
 				blk = funclib.NewBlock(pp.Region)
 			}
 			for _, x := range pp.Xfers {
@@ -330,10 +375,15 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 			in[pp.Name] = blk
 		}
 		// Output blocks are fresh every iteration: consumers may still hold
-		// views of the previous ones.
+		// views of the previous ones. An owned input block arrived fresh
+		// this iteration too.
 		for pi := range t.Outs {
 			pp := &t.Outs[pi]
-			out[pp.Name] = funclib.NewBlock(pp.Region)
+			if inPlace {
+				out[pp.Name] = in[t.Ins[0].Name]
+			} else {
+				out[pp.Name] = funclib.NewBlock(pp.Region)
+			}
 		}
 		ctx.Iteration = iter
 		if err := impl.Compute(ctx, in, out); err != nil {
@@ -354,6 +404,19 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl) {
 	e.drainEOS(t)
 }
 
+// lookupImpls resolves every thread's kind.
+func lookupImpls(p *Program) ([]*funclib.Impl, error) {
+	impls := make([]*funclib.Impl, len(p.Threads))
+	for i := range p.Threads {
+		impl, err := funclib.Lookup(p.Threads[i].Kind)
+		if err != nil {
+			return nil, err
+		}
+		impls[i] = impl
+	}
+	return impls, nil
+}
+
 // Execute runs the program: one goroutine per thread, channel lanes between
 // them, outputs assembled per iteration. It blocks until every thread
 // finishes (or the first error aborts the run) and returns the per-iteration
@@ -362,23 +425,20 @@ func Execute(p *Program) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	impls := make([]*funclib.Impl, len(p.Threads))
-	for i := range p.Threads {
-		impl, err := funclib.Lookup(p.Threads[i].Kind)
-		if err != nil {
-			return nil, err // unreachable: Validate looked every kind up
-		}
-		impls[i] = impl
+	impls, err := lookupImpls(p)
+	if err != nil {
+		return nil, err // unreachable: Validate looked every kind up
 	}
 	e := newExec(p)
+	inPlace := ownedInputs(p, impls)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range p.Threads {
 		wg.Add(1)
-		go func(t *Thread, impl *funclib.Impl) {
+		go func(t *Thread, impl *funclib.Impl, inPlace bool) {
 			defer wg.Done()
-			e.threadMain(t, impl)
-		}(&p.Threads[i], impls[i])
+			e.threadMain(t, impl, inPlace)
+		}(&p.Threads[i], impls[i], inPlace[i])
 	}
 	wg.Wait()
 	if e.err != nil {

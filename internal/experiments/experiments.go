@@ -196,6 +196,7 @@ func runSage(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol, op
 	for rep := 0; rep < proto.Repetitions; rep++ {
 		o := opts
 		o.Iterations = proto.Iterations
+		o.ComputeIterations = sagert.NoSamples // only AvgLatency and the trace are read
 		o.Sequential = true
 		o.Faults = proto.Faults
 		if proto.Faults.HasStalls() {

@@ -388,7 +388,7 @@ func RunPipeline(kind AppKind, pl machine.Platform, n, nodes, iterations int) (*
 			return err
 		},
 		func() error {
-			seq, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, Sequential: true})
+			seq, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, ComputeIterations: sagert.NoSamples, Sequential: true})
 			if err != nil {
 				return err
 			}
@@ -396,7 +396,7 @@ func RunPipeline(kind AppKind, pl machine.Platform, n, nodes, iterations int) (*
 			return nil
 		},
 		func() error {
-			pip, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations})
+			pip, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, ComputeIterations: sagert.NoSamples})
 			if err != nil {
 				return err
 			}
@@ -553,7 +553,7 @@ func RunEstimateAccuracy(app *model.App, pl machine.Platform, nodes int) (*Estim
 		if err != nil {
 			return nil, err
 		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 2, Sequential: true})
+		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 2, ComputeIterations: sagert.NoSamples, Sequential: true})
 		if err != nil {
 			return nil, err
 		}
@@ -641,7 +641,7 @@ func RunHeterogeneous(app *model.App, pl machine.Platform, speeds []float64, ga 
 		if err != nil {
 			return 0, err
 		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 3, Sequential: true, NodeSpeeds: speeds})
+		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 3, ComputeIterations: sagert.NoSamples, Sequential: true, NodeSpeeds: speeds})
 		if err != nil {
 			return 0, err
 		}
@@ -699,7 +699,7 @@ func RunRealTime(kind AppKind, pl machine.Platform, n, nodes, iterations int, fa
 	if err != nil {
 		return nil, err
 	}
-	free, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations})
+	free, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, ComputeIterations: sagert.NoSamples})
 	if err != nil {
 		return nil, err
 	}
@@ -708,7 +708,7 @@ func RunRealTime(kind AppKind, pl machine.Platform, n, nodes, iterations int, fa
 	// are independent of each other: one pooled job per input rate.
 	rows, err := runPool(0, len(factors), func(i int) (RealTimeRow, error) {
 		period := sim.Duration(float64(free.Period) * factors[i])
-		res, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, InputPeriod: period})
+		res, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, ComputeIterations: sagert.NoSamples, InputPeriod: period})
 		if err != nil {
 			return RealTimeRow{}, err
 		}
@@ -788,7 +788,7 @@ func RunMappingStudy(app *model.App, pl machine.Platform, nodes int, ga atot.GAC
 		if err != nil {
 			return 0, err
 		}
-		res, err := sagert.Run(out, pl, sagert.Options{Iterations: 3})
+		res, err := sagert.Run(out, pl, sagert.Options{Iterations: 3, ComputeIterations: sagert.NoSamples})
 		if err != nil {
 			return 0, err
 		}

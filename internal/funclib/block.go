@@ -1,6 +1,7 @@
 package funclib
 
 import (
+	"iter"
 	"sync"
 
 	"repro/internal/isspl"
@@ -12,7 +13,10 @@ import (
 // region travels as a view of its producer's block (pitched when the region
 // is narrower than the block), a whole-partition receive adopts a dense
 // payload, a sink's payloads land in the result as they arrive, and inputs
-// are read-only — so storage shared by several consumers is safe.
+// are read-only unless owned — so storage shared by several consumers is
+// safe, and a thread that is its input block's only reader (OwnsAdopted) lets
+// an InPlace kind transform it where it lies: the block goes on as the
+// thread's output, still never written after a send.
 
 // ContiguousIn reports whether region reg occupies a contiguous range of a
 // dense block covering blockReg: it must span the block's full width. The
@@ -61,6 +65,26 @@ func Assemble(dst, src *Block) *Block {
 	}
 	CopyRegion(dst, src, src.Region)
 	return dst
+}
+
+// OwnsAdopted reports whether the block an adopting input port ends up
+// holding is its thread's alone, so that an InPlace kind may write it. (A port
+// that does not adopt always owns its block: Assemble fills a fresh one.) The
+// port's one payload is region reg of the producer's block. Arriving pitched
+// (dense false) it is copied dense, and the copy is the port's own; arriving
+// dense it is adopted as it is, and is the port's own only if none of the
+// producer port's other sends overlaps it — a second arc out of the port or a
+// replicated consumer reads the same samples, and the view is shared.
+func OwnsAdopted(dense bool, reg model.Region, otherSends iter.Seq[model.Region]) bool {
+	if !dense {
+		return true
+	}
+	for other := range otherSends {
+		if !reg.Intersect(other).Empty() {
+			return false
+		}
+	}
+	return true
 }
 
 // StoreSink writes a block — a sink thread's input, or one transfer of it —

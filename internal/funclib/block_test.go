@@ -13,23 +13,28 @@ import (
 
 // readOnlyCases gives every registered kind a whole-matrix invocation on an
 // 8x8 input. The runtimes hand one payload to several consumers as views of
-// the producer's storage, which is only sound while no kind writes an input.
+// the producer's storage, which is only sound while no kind writes an input
+// it was not handed as its output too — and only the kinds marked inPlace
+// here may ever be handed that: a kind that reads samples it has already
+// overwritten (the FIRs' history, transpose_block's scatter) or takes two
+// inputs (add2) must not declare InPlace.
 var readOnlyCases = map[string]struct {
 	params  map[string]any
 	outCols int // 0: same shape as the input
+	inPlace bool
 }{
 	"add2":              {},
-	"fft_cols":          {},
-	"fft_rows":          {},
+	"fft_cols":          {inPlace: true},
+	"fft_rows":          {inPlace: true},
 	"fir_decimate_rows": {params: map[string]any{"ntaps": 5, "factor": 2}, outCols: 4},
 	"fir_rows":          {params: map[string]any{"ntaps": 5}},
-	"identity":          {},
-	"mag2":              {},
-	"scale":             {params: map[string]any{"factor": -2.5}},
+	"identity":          {inPlace: true},
+	"mag2":              {inPlace: true},
+	"scale":             {params: map[string]any{"factor": -2.5}, inPlace: true},
 	"sink_matrix":       {},
 	"source_matrix":     {params: map[string]any{"seed": 3}},
 	"transpose_block":   {},
-	"window_rows":       {params: map[string]any{"window": "hamming"}},
+	"window_rows":       {params: map[string]any{"window": "hamming"}, inPlace: true},
 }
 
 func sameBits(a, b []complex128) bool {
@@ -57,6 +62,12 @@ func TestComputeLeavesInputsUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if im.InPlace != tc.inPlace {
+			t.Errorf("kind %s declares InPlace %v, the table says %v", kind, im.InPlace, tc.inPlace)
+		}
+		if im.InPlace && (len(im.In) != 1 || im.In[0].Name != "in" || len(im.Out) != 1 || im.Out[0].Name != "out") {
+			t.Errorf("kind %s declares InPlace without being one \"in\" onto one \"out\"", kind)
+		}
 		in, before := map[string]*Block{}, map[string][]complex128{}
 		for i, req := range im.In {
 			b := NewBlock(model.Region{Rows: n, Cols: n})
@@ -81,6 +92,72 @@ func TestComputeLeavesInputsUntouched(t *testing.T) {
 		for name, b := range in {
 			if !sameBits(b.Data, before[name]) {
 				t.Errorf("kind %s wrote its input port %q", kind, name)
+			}
+		}
+	}
+}
+
+// specialSamples overwrites about every seventh part of data with a signed
+// zero, an infinity, a NaN (one with a payload) or a subnormal.
+func specialSamples(rng *rand.Rand, data []complex128) {
+	values := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8dead0000beef),
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+	}
+	for i := range data {
+		re, im := real(data[i]), imag(data[i])
+		if rng.Intn(7) == 0 {
+			re = values[rng.Intn(len(values))]
+		}
+		if rng.Intn(7) == 0 {
+			im = values[rng.Intn(len(values))]
+		}
+		data[i] = complex(re, im)
+	}
+}
+
+// TestInPlaceComputeEqualsFreshOutput: handed its input block as its output
+// block, an InPlace kind leaves in it exactly the bits it would have written
+// to a fresh output block — over random regions (anywhere in a larger matrix,
+// as a striped thread's partition is), parameters and special values. The two
+// calls run the same arithmetic on the same operands in the same order, so
+// the comparison is bit for bit, NaN payloads included.
+func TestInPlaceComputeEqualsFreshOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	windows := []string{"rect", "hann", "hamming", "blackman", "kaiser"}
+	for _, kind := range Kinds() {
+		im, err := Lookup(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !im.InPlace {
+			continue
+		}
+		for trial := 0; trial < 60; trial++ {
+			reg := model.Region{R0: rng.Intn(5), C0: rng.Intn(5), Rows: 1 << rng.Intn(5), Cols: 1 << rng.Intn(5)}
+			if trial%4 == 0 && kind != "fft_rows" && kind != "fft_cols" {
+				reg.Rows, reg.Cols = 1+rng.Intn(9), 1+rng.Intn(9) // no transform: any shape
+			}
+			ctx := &Context{FuncName: kind, Threads: 1, Iteration: trial, Params: map[string]any{
+				"factor": []float64{0.5, -2.5, 0, 1}[rng.Intn(4)],
+				"window": windows[rng.Intn(len(windows))],
+			}}
+			src := NewBlock(reg)
+			FillSource(src, int64(trial), 0)
+			if trial%2 == 1 {
+				specialSamples(rng, src.Data)
+			}
+			fresh := NewBlock(reg)
+			if err := im.Compute(ctx, map[string]*Block{"in": src}, map[string]*Block{"out": fresh}); err != nil {
+				t.Fatalf("%s %v: %v", kind, reg, err)
+			}
+			aliased := &Block{Region: reg, Data: append([]complex128(nil), src.Data...)}
+			if err := im.Compute(ctx, map[string]*Block{"in": aliased}, map[string]*Block{"out": aliased}); err != nil {
+				t.Fatalf("%s %v in place: %v", kind, reg, err)
+			}
+			if !sameBits(aliased.Data, fresh.Data) {
+				t.Fatalf("%s %v %v: in place and fresh-output results differ", kind, reg, ctx.Params)
 			}
 		}
 	}

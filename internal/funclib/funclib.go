@@ -141,8 +141,19 @@ type Impl struct {
 	// Check, when non-nil, performs kind-specific cross-port validation
 	// (e.g. shape relationships between input and output types).
 	Check func(f *model.Function) error
-	// Compute runs one thread for one iteration. Inputs are read-only.
+	// Compute runs one thread for one iteration. Inputs are read-only —
+	// except the one an InPlace kind is handed as its output too. On a
+	// function that passed ValidateFunction, with blocks covering its ports'
+	// partitions, Compute does not fail: what it would refuse (a transform
+	// length, a window name, a decimation factor) Check refuses first, which
+	// is what lets a caller that reads no samples skip the call.
 	Compute func(ctx *Context, in, out map[string]*Block) error
+	// InPlace marks a one-input, one-output kind of matching shapes whose
+	// Compute accepts out["out"] == in["in"] — the same *Block — and then
+	// transforms the samples where they lie instead of copying them across
+	// first. A runtime may pass such a pair only for an input block nobody
+	// else reads (block.go: the thread owns it).
+	InPlace bool
 	// Cost prices that Compute call on the abstract machine.
 	Cost func(ctx *Context, in, out map[string]*Block) Cost
 }

@@ -80,6 +80,44 @@ func checkMatchedPorts(in, out string) func(f *model.Function) error {
 	}
 }
 
+// checkFFT is the Check of the two FFT kinds: matched ports, and a transform
+// length — a row of the port's type for fft_rows, a column for fft_cols —
+// that is a power of two, the condition isspl.FFTRows/FFTCols would otherwise
+// report from inside the first data set.
+func checkFFT(alongRows bool) func(f *model.Function) error {
+	matched := checkMatchedPorts("in", "out")
+	return func(f *model.Function) error {
+		if err := matched(f); err != nil {
+			return err
+		}
+		n := f.Port("in").Type.Rows
+		if alongRows {
+			n = f.Port("in").Type.Cols
+		}
+		if !isspl.IsPow2(n) {
+			return fmt.Errorf("funclib: %s (kind %s): transform length %d is not a power of two", f.Name, f.Kind, n)
+		}
+		return nil
+	}
+}
+
+// checkWindowRows is window_rows' Check: matched ports, and a window name
+// isspl.Window knows — the one thing about the window Compute can refuse.
+func checkWindowRows(f *model.Function) error {
+	if err := checkMatchedPorts("in", "out")(f); err != nil {
+		return err
+	}
+	if _, err := isspl.Window(isspl.WindowKind(paramContext(f).StringParam("window", "hann")), 1); err != nil {
+		return fmt.Errorf("funclib: %s (kind %s): %w", f.Name, f.Kind, err)
+	}
+	return nil
+}
+
+// paramContext reads a model function's parameters the way Compute and Cost
+// will: a Check that goes through it cannot disagree with them about a
+// default or a numeric spelling.
+func paramContext(f *model.Function) *Context { return &Context{Params: f.Params} }
+
 func init() {
 	register(&Impl{
 		Kind: "source_matrix",
@@ -120,13 +158,16 @@ func init() {
 		Out:   []PortReq{{Name: "out", Stripes: anyStripe()}},
 		Check: checkMatchedPorts("in", "out"),
 		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			if in["in"].Region != out["out"].Region {
-				return fmt.Errorf("funclib: %s: identity regions differ: %v vs %v",
-					ctx.FuncName, in["in"].Region, out["out"].Region)
+			ib, ob := in["in"], out["out"]
+			if ib.Region != ob.Region {
+				return fmt.Errorf("funclib: %s: identity regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
-			copy(out["out"].Data, in["in"].Data)
+			if ob != ib {
+				copy(ob.Data, ib.Data)
+			}
 			return nil
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			return Cost{CopyBytes: blockBytes(in["in"])}
 		},
@@ -147,6 +188,7 @@ func init() {
 			isspl.VScale(out["out"].Data, in["in"].Data, f)
 			return nil
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			return Cost{Flops: isspl.VectorOpFlops(in["in"].Region.Elems())}
 		},
@@ -170,6 +212,7 @@ func init() {
 			}
 			return nil
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			return Cost{Flops: 3 * float64(in["in"].Region.Elems())}
 		},
@@ -180,16 +223,18 @@ func init() {
 		Doc:   "In-order FFT of every local row (row-striped matrix FFT stage).",
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
-		Check: checkMatchedPorts("in", "out"),
+		Check: checkFFT(true),
 		Compute: func(ctx *Context, in, out map[string]*Block) error {
 			ib, ob := in["in"], out["out"]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: fft_rows regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
-			cols := ib.Region.Cols
-			copy(ob.Data, ib.Data)
-			return isspl.FFTRows(ob.Data, ib.Region.Rows, cols)
+			if ob != ib {
+				copy(ob.Data, ib.Data)
+			}
+			return isspl.FFTRows(ob.Data, ob.Region.Rows, ob.Region.Cols)
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			r := in["in"].Region
 			return Cost{
@@ -204,15 +249,18 @@ func init() {
 		Doc:   "FFT of every local column of a column-striped block (all columns at once, as row sweeps on row-major storage).",
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByCols, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByCols, model.Replicated}}},
-		Check: checkMatchedPorts("in", "out"),
+		Check: checkFFT(false),
 		Compute: func(ctx *Context, in, out map[string]*Block) error {
 			ib, ob := in["in"], out["out"]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: fft_cols regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
-			copy(ob.Data, ib.Data)
-			return isspl.FFTCols(ob.Data, ib.Region.Rows, ib.Region.Cols)
+			if ob != ib {
+				copy(ob.Data, ib.Data)
+			}
+			return isspl.FFTCols(ob.Data, ob.Region.Rows, ob.Region.Cols)
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			r := in["in"].Region
 			return Cost{
@@ -253,7 +301,7 @@ func init() {
 		Doc:   "Applies a tapering window (param window: rect|hann|hamming|blackman|kaiser) across every local row.",
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
-		Check: checkMatchedPorts("in", "out"),
+		Check: checkWindowRows,
 		Compute: func(ctx *Context, in, out map[string]*Block) error {
 			ib, ob := in["in"], out["out"]
 			if ib.Region != ob.Region {
@@ -269,6 +317,7 @@ func init() {
 			}
 			return nil
 		},
+		InPlace: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			return Cost{Flops: isspl.WindowFlops(in["in"].Region.Elems())}
 		},
@@ -305,10 +354,7 @@ func init() {
 		In:   []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:  []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Check: func(f *model.Function) error {
-			factor := 2
-			if v, ok := f.Params["factor"].(int); ok {
-				factor = v
-			}
+			factor := paramContext(f).IntParam("factor", 2)
 			if factor < 1 {
 				return fmt.Errorf("funclib: %s: factor %d < 1", f.Name, factor)
 			}

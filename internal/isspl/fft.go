@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -36,83 +37,119 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // twiddleCacheMaxElems complex values, the least-recently-used sizes are
 // evicted. Eviction is invisible to callers: a table is a pure function of
 // its size, so a recomputed table is bitwise identical to the evicted one.
+//
+// A hit takes the read lock only: the LRU stamp and the hit counter are
+// atomics, so concurrent transforms (rtl goroutines, the daemon's workers)
+// never serialise on a table that is already there.
 var (
 	twiddleMu    sync.RWMutex
-	twiddleCache = map[int]*twiddleEntry{}
-	twiddleElems int    // total complex128 values across cached tables
-	twiddleTick  uint64 // logical clock for LRU ordering
-	twiddleStats CacheStats
+	twiddleCache = map[int]*fftPlan{}
+	twiddleElems int           // total base-table values across cached plans
+	twiddleTick  atomic.Uint64 // logical clock for LRU ordering
+	twiddleHits  atomic.Uint64
+	twiddleStats CacheStats // Misses and Evictions, under twiddleMu
 )
 
-// twiddleCacheMaxElems bounds the cache to 1<<20 complex128 values (16 MiB).
-// Large enough to hold every size the benchmark applications use
-// simultaneously; small enough that a daemon serving adversarial size mixes
-// stays flat. A variable so the bounded-soak test can shrink it.
+// twiddleCacheMaxElems bounds the cache to 1<<20 base-table values (16 MiB of
+// twiddles; a plan's stage-packed copy and swap list make it about three and
+// a half times its base table). Large enough to hold every size the
+// benchmark applications use simultaneously; small enough that a daemon
+// serving adversarial size mixes stays flat. A variable so the bounded-soak
+// test can shrink it.
 var twiddleCacheMaxElems = 1 << 20
 
-type twiddleEntry struct {
-	w    []complex128
-	used uint64 // twiddleTick at last access
+// fftPlan is everything a length-n transform looks up, derived once per
+// size: the twiddle table and, for the row transforms that run the same
+// length thousands of times per call, the same factors laid out per stage
+// and the bit-reversal as a list of swaps.
+type fftPlan struct {
+	// w holds the first n/2 forward twiddle factors e^{-2πik/n}. It is the
+	// tail of packed: the last stage reads the table at step 1.
+	w []complex128
+	// packed holds each stage's factors back to back, in butterfly order:
+	// the stage combining pairs half apart reads packed[half-1 : 2*half-1],
+	// whose k-th entry is w[k*(n/2/half)].
+	packed []complex128
+	// swaps lists the index pairs (i < j, j = bitrev(i)) in ascending i.
+	swaps [][2]int32
+	used  atomic.Uint64 // twiddleTick at last access
+}
+
+func newFFTPlan(n int) *fftPlan {
+	p := &fftPlan{packed: make([]complex128, n-1)}
+	p.w = p.packed[n/2-1:]
+	for k := range p.w {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		p.w[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	for half := 1; half < n/2; half <<= 1 {
+		step := n / 2 / half
+		stage := p.packed[half-1 : 2*half-1]
+		for k := range stage {
+			stage[k] = p.w[k*step]
+		}
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
+		}
+	}
+	return p
 }
 
 // CacheStats describes the twiddle cache; served by the daemon's /v1/stats.
 type CacheStats struct {
 	Entries   int    `json:"entries"`
-	Elems     int    `json:"elems"` // complex128 values held (16 bytes each)
+	Elems     int    `json:"elems"` // base-table complex128 values held (16 bytes each)
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 }
 
 // twiddles returns the first n/2 forward twiddle factors e^{-2πik/n}.
-func twiddles(n int) []complex128 {
+func twiddles(n int) []complex128 { return planFor(n).w }
+
+// planFor returns the cached plan of a power-of-two length n >= 2, building
+// it on a miss.
+func planFor(n int) *fftPlan {
 	twiddleMu.RLock()
-	e, ok := twiddleCache[n]
+	p, ok := twiddleCache[n]
 	twiddleMu.RUnlock()
 	if ok {
-		// The LRU stamp is refreshed under the write lock; the table slice
-		// itself is immutable and safe to return before that.
-		twiddleMu.Lock()
-		twiddleTick++
-		e.used = twiddleTick
-		twiddleStats.Hits++
-		twiddleMu.Unlock()
-		return e.w
+		p.used.Store(twiddleTick.Add(1))
+		twiddleHits.Add(1)
+		return p
 	}
-	w := make([]complex128, n/2)
-	for k := range w {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		w[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
+	p = newFFTPlan(n)
 	twiddleMu.Lock()
 	defer twiddleMu.Unlock()
 	twiddleStats.Misses++
-	if e, ok := twiddleCache[n]; ok {
+	if q, ok := twiddleCache[n]; ok {
 		// Another goroutine published the same size while we computed; both
-		// tables are bitwise identical, keep the published one.
-		twiddleTick++
-		e.used = twiddleTick
-		return e.w
+		// plans are bitwise identical, keep the published one.
+		q.used.Store(twiddleTick.Add(1))
+		return q
 	}
 	// Oversized tables bypass the cache entirely rather than flushing it.
-	if len(w) > twiddleCacheMaxElems {
-		return w
+	if len(p.w) > twiddleCacheMaxElems {
+		return p
 	}
-	for twiddleElems+len(w) > twiddleCacheMaxElems {
+	for twiddleElems+len(p.w) > twiddleCacheMaxElems {
 		evictOldestTwiddleLocked()
 	}
-	twiddleTick++
-	twiddleCache[n] = &twiddleEntry{w: w, used: twiddleTick}
-	twiddleElems += len(w)
-	return w
+	p.used.Store(twiddleTick.Add(1))
+	twiddleCache[n] = p
+	twiddleElems += len(p.w)
+	return p
 }
 
 // evictOldestTwiddleLocked removes the least-recently-used table. Caller
 // holds twiddleMu.
 func evictOldestTwiddleLocked() {
 	oldest, found := 0, false
-	for n, e := range twiddleCache {
-		if !found || e.used < twiddleCache[oldest].used {
+	for n, p := range twiddleCache {
+		if !found || p.used.Load() < twiddleCache[oldest].used.Load() {
 			oldest, found = n, true
 		}
 	}
@@ -127,9 +164,10 @@ func evictOldestTwiddleLocked() {
 // ResetTwiddleCache drops all cached twiddle tables and zeroes the stats.
 func ResetTwiddleCache() {
 	twiddleMu.Lock()
-	twiddleCache = map[int]*twiddleEntry{}
+	twiddleCache = map[int]*fftPlan{}
 	twiddleElems = 0
-	twiddleTick = 0
+	twiddleTick.Store(0)
+	twiddleHits.Store(0)
 	twiddleStats = CacheStats{}
 	twiddleMu.Unlock()
 }
@@ -141,6 +179,7 @@ func TwiddleCacheStats() CacheStats {
 	s := twiddleStats
 	s.Entries = len(twiddleCache)
 	s.Elems = twiddleElems
+	s.Hits = twiddleHits.Load()
 	return s
 }
 
@@ -330,17 +369,63 @@ func RFFT(x []float64) ([]complex128, error) {
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
 // FFTRows transforms every row of an r x c row-major matrix in place.
-// c must be a power of two.
+// c must be a power of two. The plan of length c is looked up once per call
+// and every row runs FFT's butterflies, in FFT's order, on FFT's operands —
+// the results are bitwise those of FFT on each row (a NaN where FFT gives a
+// NaN: which payload survives two NaNs meeting is not the arithmetic's to
+// say).
 func FFTRows(data []complex128, rows, cols int) error {
 	if len(data) != rows*cols {
 		return fmt.Errorf("isspl: FFTRows data length %d != %d x %d", len(data), rows, cols)
 	}
+	if len(data) == 0 {
+		return nil
+	}
+	if !IsPow2(cols) {
+		return fmt.Errorf("isspl: FFT length %d is not a power of two", cols)
+	}
+	if cols == 1 {
+		return nil
+	}
+	p := planFor(cols)
 	for r := 0; r < rows; r++ {
-		if err := FFT(data[r*cols : (r+1)*cols]); err != nil {
-			return err
-		}
+		p.forward(data[r*cols : (r+1)*cols])
 	}
 	return nil
+}
+
+// forward is fftInternal's forward transform of one row of the plan's
+// length, with the table lookups done: the permutation is the swap list and
+// each stage walks three equal-length slices, so the inner loop carries no
+// index arithmetic and no bounds checks. The first stage, whose blocks hold
+// one butterfly each, is a flat loop over neighbours — slicing per block
+// would cost more than the butterfly.
+func (p *fftPlan) forward(x []complex128) {
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
+	}
+	tw0 := p.packed[0]
+	for i := 1; i < len(x); i += 2 {
+		a := x[i-1]
+		b := x[i] * tw0
+		x[i-1] = a + b
+		x[i] = a - b
+	}
+	n := len(x)
+	for half := 2; half < n; half <<= 1 {
+		tw := p.packed[half-1 : 2*half-1]
+		for start := 0; start < n; start += 2 * half {
+			lo := x[start : start+half]
+			hi := x[start+half : start+2*half]
+			hi, tw := hi[:len(lo)], tw[:len(lo)]
+			for k := range lo {
+				a := lo[k]
+				b := hi[k] * tw[k]
+				lo[k] = a + b
+				hi[k] = a - b
+			}
+		}
+	}
 }
 
 // FFTCols transforms every column of a rows x cols row-major matrix in place.

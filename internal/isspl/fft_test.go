@@ -285,31 +285,10 @@ func colsByStrided(data []complex128, rows, cols int) error {
 // the arithmetic on a sample, so signed zeros, infinities, NaNs and
 // subnormals must come out the same too.
 func TestFFTColsMatchesStrided(t *testing.T) {
-	special := []float64{
-		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Float64frombits(0x7ff8dead0000beef), // NaN with payload
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.Float64frombits(0x000fffffffffffff), // largest subnormal
-	}
 	for rows := 1; rows <= 1024; rows <<= 1 {
 		for _, cols := range []int{1, 3, 64} {
-			for _, seeded := range []bool{false, true} {
-				rng := rand.New(rand.NewSource(int64(rows*100 + cols)))
-				want := randComplex(rows*cols, int64(rows+cols))
-				if seeded {
-					// Every eleventh part is special, so they meet ordinary
-					// samples and each other in the butterflies.
-					for i := range want {
-						re, im := real(want[i]), imag(want[i])
-						if rng.Intn(11) == 0 {
-							re = special[rng.Intn(len(special))]
-						}
-						if rng.Intn(11) == 0 {
-							im = special[rng.Intn(len(special))]
-						}
-						want[i] = complex(re, im)
-					}
-				}
+			for _, special := range []bool{false, true} {
+				want := bitPatternInput(rows*cols, int64(rows*100+cols), special)
 				got := append([]complex128(nil), want...)
 				if err := colsByStrided(want, rows, cols); err != nil {
 					t.Fatal(err)
@@ -317,15 +296,113 @@ func TestFFTColsMatchesStrided(t *testing.T) {
 				if err := FFTCols(got, rows, cols); err != nil {
 					t.Fatal(err)
 				}
-				for i := range want {
-					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-						t.Fatalf("%dx%d (special values %v): sample %d is %x, FFTStrided gives %x",
-							rows, cols, seeded, i, got[i], want[i])
-					}
+				if i := firstBitDiff(got, want, false); i >= 0 {
+					t.Fatalf("%dx%d (special values %v): sample %d is %x, FFTStrided gives %x",
+						rows, cols, special, i, got[i], want[i])
 				}
 			}
 		}
+	}
+}
+
+// bitPatternInput returns n random samples; with special set, every eleventh
+// part is a signed zero, an infinity, a NaN (one with a payload) or a
+// subnormal, so they meet ordinary samples and each other in the butterflies.
+func bitPatternInput(n int, seed int64, special bool) []complex128 {
+	x := randComplex(n, seed)
+	if !special {
+		return x
+	}
+	values := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8dead0000beef), // NaN with payload
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range x {
+		re, im := real(x[i]), imag(x[i])
+		if rng.Intn(11) == 0 {
+			re = values[rng.Intn(len(values))]
+		}
+		if rng.Intn(11) == 0 {
+			im = values[rng.Intn(len(values))]
+		}
+		x[i] = complex(re, im)
+	}
+	return x
+}
+
+// firstBitDiff returns the index of the first sample whose bits differ
+// between a and b, or -1. With anyNaN set a NaN part matches any NaN part:
+// where two NaNs meet in an add, the instruction's operand order — the
+// compiler's choice for a commutative operation — picks whose sign and
+// payload survive, so two spellings of one butterfly may disagree there and
+// nowhere else.
+func firstBitDiff(a, b []complex128, anyNaN bool) int {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || anyNaN && x != x && y != y
+	}
+	for i := range a {
+		if !same(real(a[i]), real(b[i])) || !same(imag(a[i]), imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFFTRowsMatchesFFT holds the planned row transform to FFT bit for bit:
+// it looks its tables up once and walks slices, but every sample sees FFT's
+// butterflies in FFT's order under FFT's twiddles — signed zeros, infinities
+// and subnormals come out the same, and a NaN comes out wherever FFT gives
+// one (firstBitDiff says why its payload is not compared).
+func TestFFTRowsMatchesFFT(t *testing.T) {
+	for cols := 1; cols <= 1024; cols <<= 1 {
+		for _, rows := range []int{1, 3, 8} {
+			for _, special := range []bool{false, true} {
+				want := bitPatternInput(rows*cols, int64(cols*100+rows), special)
+				got := append([]complex128(nil), want...)
+				for r := 0; r < rows; r++ {
+					if err := FFT(want[r*cols : (r+1)*cols]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := FFTRows(got, rows, cols); err != nil {
+					t.Fatal(err)
+				}
+				if i := firstBitDiff(got, want, true); i >= 0 {
+					t.Fatalf("%dx%d (special values %v): sample %d is %x, FFT gives %x",
+						rows, cols, special, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestFFTRowsErrors(t *testing.T) {
+	data := make([]complex128, 24)
+	err := FFTRows(data, 2, 12)
+	if err == nil || err.Error() != "isspl: FFT length 12 is not a power of two" {
+		t.Errorf("non-pow2 row length: %v", err)
+	}
+	if err := FFTRows(data, 2, 8); err == nil {
+		t.Error("rows*cols != len(data) accepted")
+	}
+	if err := FFTRows(data[:16], -4, -4); err == nil { // as FFTCols refuses it
+		t.Error("negative shape accepted")
+	}
+	if err := FFTRows(nil, 0, 0); err != nil {
+		t.Errorf("empty matrix: %v", err)
+	}
+	if err := FFTRows(nil, 0, 12); err != nil { // no rows: nothing to transform
+		t.Errorf("zero rows: %v", err)
+	}
+	if err := FFTRows(nil, 3, 0); err != nil {
+		t.Errorf("zero columns: %v", err)
+	}
+	one := []complex128{1, 2, 3}
+	if err := FFTRows(one, 3, 1); err != nil || one[0] != 1 || one[1] != 2 || one[2] != 3 {
+		t.Errorf("single column: %v %v", err, one)
 	}
 }
 

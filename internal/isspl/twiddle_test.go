@@ -3,6 +3,7 @@ package isspl
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -100,5 +101,51 @@ func TestTwiddleCacheOversizedBypass(t *testing.T) {
 	}
 	if after.Evictions != 0 {
 		t.Fatalf("oversized request evicted residents: %+v", after)
+	}
+}
+
+// TestTwiddleCacheConcurrentTransforms runs row transforms of a few sizes
+// from several goroutines through a bound small enough to evict — hits stamp
+// their plan without the write lock while misses publish and evict under it
+// (run with -race) — and every result equals the single-goroutine one.
+func TestTwiddleCacheConcurrentTransforms(t *testing.T) {
+	ResetTwiddleCache()
+	oldLimit := twiddleCacheMaxElems
+	twiddleCacheMaxElems = 96 // the tables of 32, 64 and 128 (16 + 32 + 64 values) do not fit together; 256's bypasses
+	defer func() {
+		twiddleCacheMaxElems = oldLimit
+		ResetTwiddleCache()
+	}()
+	sizes := []int{32, 64, 128, 256}
+	ref := map[int][]complex128{}
+	for _, n := range sizes {
+		x := fixedInput(4 * n)
+		if err := FFTRows(x, 4, n); err != nil {
+			t.Fatal(err)
+		}
+		ref[n] = x
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				n := sizes[(g+i)%len(sizes)]
+				x := fixedInput(4 * n)
+				if err := FFTRows(x, 4, n); err != nil {
+					t.Error(err)
+					return
+				}
+				if d := firstBitDiff(x, ref[n], false); d >= 0 {
+					t.Errorf("goroutine %d: FFTRows(4x%d) diverged at sample %d", g, n, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := TwiddleCacheStats(); s.Elems > twiddleCacheMaxElems || s.Hits == 0 || s.Evictions == 0 {
+		t.Fatalf("implausible stats: %+v", s)
 	}
 }

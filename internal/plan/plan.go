@@ -9,6 +9,9 @@
 // tables' own mapping, nothing more: consumers that re-map (stream epochs,
 // twin.PredictAssign) resolve an edge's peer through Src/Dst themselves.
 // Costs, credit ledgers and queues are run state and live with the consumer.
+// Which threads may compute in place (Thread.InPlace) is the tables': whether
+// anybody else reads a thread's input block follows from the lanes alone, so
+// it is decided here, once, and the runtime that carries samples reads it.
 package plan
 
 import (
@@ -76,7 +79,13 @@ type Thread struct {
 	Impl  *funclib.Impl
 	// Source and Sink mark functions without input or output ports.
 	Source, Sink bool
-	Ins, Outs    []Port
+	// InPlace marks a thread that computes into its input block: its kind is
+	// funclib InPlace and the thread owns the block its one input port ends
+	// up holding (it assembled it, or funclib.OwnsAdopted against the
+	// producer port's other edges), so out["out"] is in["in"] and no output
+	// block is allocated.
+	InPlace   bool
+	Ins, Outs []Port
 }
 
 // Plan is the lowered form of one set of tables.
@@ -173,8 +182,36 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 			port := &p.Threads[ti].Ins[pi]
 			port.Adopt = len(port.Edges) == 1 && p.Edges[port.Edges[0]].X.Region == port.Region
 		}
+		p.Threads[ti].InPlace = p.ownsInput(&p.Threads[ti])
 	}
 	return p, nil
+}
+
+// ownsInput decides Thread.InPlace: one scan of the producer port's edges per
+// adopting thread of an InPlace kind, nothing for any other thread.
+func (p *Plan) ownsInput(tp *Thread) bool {
+	if !tp.Impl.InPlace || len(tp.Ins) != 1 || len(tp.Outs) != 1 || tp.Ins[0].Region != tp.Outs[0].Region {
+		return false
+	}
+	in := &tp.Ins[0]
+	if !in.Adopt {
+		return true
+	}
+	ei := in.Edges[0]
+	e := &p.Edges[ei]
+	return funclib.OwnsAdopted(e.SrcContig, e.X.Region, func(yield func(model.Region) bool) {
+		outs := p.Threads[e.Src].Outs
+		for pi := range outs {
+			if outs[pi].Entry.Name != p.Tables.Buffers[e.Buf].SrcPort {
+				continue
+			}
+			for _, oi := range outs[pi].Edges {
+				if oi != ei && !yield(p.Edges[oi].X.Region) {
+					return
+				}
+			}
+		}
+	})
 }
 
 func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int) ([]Port, error) {

@@ -51,9 +51,12 @@ type runner struct {
 }
 
 // collectOutput prepares the sink assembly target from the sink function's
-// input port shape.
+// input port shape. A run without compute iterations assembles nothing.
 func (r *runner) collectOutput() {
 	r.outputs = map[string]*isspl.Matrix{}
+	if r.opts.ComputeIterations == 0 {
+		return
+	}
 	for fi := range r.plan.Tables.Functions {
 		fe := &r.plan.Tables.Functions[fi]
 		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
@@ -219,7 +222,12 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		for pi := range tp.Outs {
 			pp := &tp.Outs[pi]
 			blk := &pp.Charge
-			if compute {
+			switch {
+			case compute && tp.InPlace:
+				// The thread owns its input block: the kind transforms it
+				// where it lies (the cost model still charges the copy).
+				blk = inBlocks[tp.Ins[0].Entry.Name]
+			case compute:
 				blk = funclib.NewBlock(pp.Region)
 			}
 			outBlocks[pp.Entry.Name] = blk
@@ -287,14 +295,12 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				if !e.SrcContig {
 					node.Memcpy(rank.Proc(), e.X.Bytes)
 				}
+				// The message is priced by the table's wire size whether or
+				// not it has a body: a data set that carries samples costs
+				// what one that does not costs, for every element kind.
 				payload := mpi.Payload{Bytes: e.X.Bytes}
 				if compute {
-					// The message body is a view of the block, priced like
-					// mpi.ComplexPayload prices the region's samples.
-					payload = mpi.Payload{
-						Bytes: mpi.BytesPerComplex * e.X.Region.Elems(),
-						Data:  funclib.ExtractRegion(blk, e.X.Region),
-					}
+					payload.Data = funclib.ExtractRegion(blk, e.X.Region)
 				}
 				rank.Send(peer, e.DataTag(), payload)
 				if tr.Enabled() {

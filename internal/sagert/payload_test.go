@@ -1,9 +1,13 @@
 package sagert_test
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/conformance"
@@ -13,6 +17,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/sagert"
+	"repro/internal/trace"
 )
 
 // allocBytes reports the heap bytes f allocates.
@@ -47,14 +52,15 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 		t.Fatalf("5-iteration run allocates %d bytes, 1-iteration run %d: ratio %.2f, want < 1.25",
 			five, one, float64(five)/float64(one))
 	}
-	// One compute iteration holds the blocks a kind writes or indexes densely
-	// (source out, fft_rows out, fft_cols in and out) plus the assembled
-	// output: five matrices' worth, so six is the bar. Corner-turn tiles
-	// travel as pitched views and the sink's payloads land in the output.
+	// One compute iteration holds the source's block — fft_rows adopts its
+	// row stripes exclusively and transforms them where they lie — the blocks
+	// fft_cols assembles its tiles into, transformed in place too, and the
+	// assembled output: three matrices' worth, so four is the bar. Corner-turn
+	// tiles travel as pitched views and the sink's payloads land in the output.
 	matrix := uint64(512 * 512 * 16)
 	t.Logf("1-iteration run allocates %.2f matrices, 5-iteration run %.2f", float64(one)/float64(matrix), float64(five)/float64(matrix))
-	if one > 6*matrix {
-		t.Fatalf("1-iteration run allocates %d bytes, more than 6 matrices (%d)", one, 6*matrix)
+	if one > 4*matrix {
+		t.Fatalf("1-iteration run allocates %d bytes, more than 4 matrices (%d)", one, 4*matrix)
 	}
 
 	// The bookkeeping-dominated shape (the repo benchmark's wide1024: 4224
@@ -88,14 +94,17 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 	}
 }
 
-// fanTurnTables loads the corpus case built to stress payload aliasing — a
-// two-thread source fanned out to a replicated stage (every consumer thread
-// is handed views of the same source blocks) and to a column-striped stage
-// (strided tiles), then a corner turn and a replicated two-thread sink — and
-// generates its tables.
-func fanTurnTables(t *testing.T) (*conformance.Case, *gluegen.Tables) {
+// aliasingTables loads a corpus case built to stress payload aliasing and
+// generates its tables. fanout-cornerturn: a two-thread source fanned out to
+// a replicated stage (every consumer thread is handed views of the same
+// source blocks) and to a column-striped stage (strided tiles), then a corner
+// turn and a replicated two-thread sink. fanout-inplace: one source block
+// fanned out to two in-place kinds that adopt the same rows — shared, so
+// neither may write them — followed by in-place kinds that own their input,
+// by exclusive adoption and by assembly, and do.
+func aliasingTables(t *testing.T, name string) (*conformance.Case, *gluegen.Tables) {
 	t.Helper()
-	c, err := conformance.ReadCaseFile("../conformance/testdata/corpus/fanout-cornerturn.case")
+	c, err := conformance.ReadCaseFile("../conformance/testdata/corpus/" + name + ".case")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +119,22 @@ func fanTurnTables(t *testing.T) (*conformance.Case, *gluegen.Tables) {
 	return c, out.Tables
 }
 
-// TestPayloadViewsMatchOracle runs the aliasing case with three pipelined
-// compute iterations — so views of iteration i are still being read while
-// iteration i+1 is produced — on the sequential and the sharded kernel,
+// TestPayloadViewsMatchOracle runs the fan-out corner turn with three
+// pipelined compute iterations — so views of iteration i are still being read
+// while iteration i+1 is produced — on the sequential and the sharded kernel,
 // clean and faulted (a retried or force-delivered message resends the same
 // view). Every run must equal the sequential oracle bit for bit; under -race
 // the sharded runs also prove no thread writes what another still reads.
-func TestPayloadViewsMatchOracle(t *testing.T) {
-	c, tables := fanTurnTables(t)
+func TestPayloadViewsMatchOracle(t *testing.T) { viewsMatchOracle(t, "fanout-cornerturn") }
+
+// TestInPlaceViewsMatchOracle: the same runs of the in-place fan-out. The
+// oracle computes out of place, so it is the independent check that a kind
+// handed a shared view left it alone and one handed its own block lost
+// nothing by transforming it where it lay.
+func TestInPlaceViewsMatchOracle(t *testing.T) { viewsMatchOracle(t, "fanout-inplace") }
+
+func viewsMatchOracle(t *testing.T, name string) {
+	c, tables := aliasingTables(t, name)
 	pl, _ := platforms.ByName(c.Platform)
 	const computeIters = 3
 	want, err := conformance.Oracle(c.App, computeIters-1)
@@ -140,6 +157,106 @@ func TestPayloadViewsMatchOracle(t *testing.T) {
 					t.Fatal(d)
 				}
 			})
+		}
+	}
+}
+
+// TestNoSamplesChangesNothingElse: a run that carries no samples reports what
+// the default run — samples through the first data set — reports, down to the
+// trace bytes, and assembles no output. Over every corpus case and 64
+// generated ones, clean and faulted (degraded re-sequencing on), on one, two
+// and eight shards, untraced and traced; every other case paces its source,
+// so MaxOverrun has something to say.
+func TestNoSamplesChangesNothingElse(t *testing.T) {
+	files, err := filepath.Glob("../conformance/testdata/corpus/*.case")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus cases (%v)", err)
+	}
+	var cases []*conformance.Case
+	for _, f := range files {
+		c, err := conformance.ReadCaseFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, c)
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		c, err := conformance.Generate(seed, conformance.GenConfig{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, c)
+	}
+	type report struct {
+		res    *sagert.Result
+		chrome []byte
+	}
+	run := func(c *conformance.Case, tables *gluegen.Tables, opts sagert.Options, traced bool) report {
+		t.Helper()
+		pl, _ := platforms.ByName(c.Platform)
+		if traced {
+			opts.Collector = trace.New(c.App.Name)
+		}
+		res, err := sagert.Run(tables, pl, opts)
+		if err != nil {
+			t.Fatalf("%s seed %d, %+v: %v", c.App.Name, c.Seed, opts, err)
+		}
+		var chrome bytes.Buffer
+		if traced {
+			tr := trace.NewTrace()
+			tr.Add(opts.Collector)
+			if err := tr.WriteChrome(&chrome); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return report{res, chrome.Bytes()}
+	}
+	for ci, c := range cases {
+		pl, err := platforms.ByName(c.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: pl, NumNodes: c.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := len(conformance.SinkNames(c.App))
+		paced := ci%2 == 1
+		for _, faulted := range []bool{false, true} {
+			if faulted && c.Faults.Empty() {
+				continue
+			}
+			for _, shards := range []int{1, 2, 8} {
+				for _, traced := range []bool{false, true} {
+					opts := sagert.Options{Iterations: c.Iterations + 1, Shards: shards}
+					if faulted {
+						opts.Faults = c.Faults
+						opts.Resilience = fault.Resilience{Degraded: true}
+					}
+					if paced {
+						opts.InputPeriod = 40 * time.Microsecond
+					}
+					sampled := run(c, gen.Tables, opts, traced)
+					opts.ComputeIterations = sagert.NoSamples
+					bare := run(c, gen.Tables, opts, traced)
+
+					where := fmt.Sprintf("%s seed %d faulted=%v shards=%d paced=%v traced=%v", c.App.Name, c.Seed, faulted, shards, paced, traced)
+					if sampled.res.Output == nil || len(sampled.res.Outputs) != sinks {
+						t.Fatalf("%s: the default run assembled %d of %d sinks", where, len(sampled.res.Outputs), sinks)
+					}
+					if bare.res.Output != nil || len(bare.res.Outputs) != 0 {
+						t.Fatalf("%s: a run without samples assembled %d sink matrices", where, len(bare.res.Outputs))
+					}
+					want := *sampled.res
+					want.Output, want.Outputs = nil, bare.res.Outputs
+					if !reflect.DeepEqual(&want, bare.res) {
+						t.Fatalf("%s: results differ\nsampled %+v\nno samples %+v", where, want, *bare.res)
+					}
+					if !bytes.Equal(sampled.chrome, bare.chrome) {
+						t.Fatalf("%s: trace bytes differ (%d vs %d)", where, len(sampled.chrome), len(bare.chrome))
+					}
+				}
+			}
 		}
 	}
 }

@@ -16,7 +16,9 @@
 // outgoing region separately, and moves data with generic point-to-point
 // transfers instead of the platform's tuned collectives. All of that is charged
 // in virtual time; the host carrying the samples for verification shares one
-// address space and moves each sample once per transfer (DESIGN.md §14).
+// address space, moves each sample once per transfer and transforms it in
+// place where its thread owns it — and carries none at all for a caller that
+// reads only timings (Options.ComputeIterations, NoSamples; DESIGN.md §14).
 //
 // Pipelining across iterations uses per-transfer credits (double buffering
 // by default), so a source cannot run unboundedly ahead of its consumers —
@@ -44,7 +46,14 @@ type Options struct {
 	Iterations int
 	// ComputeIterations is how many initial iterations move and transform
 	// real samples (for verification); the rest charge identical costs
-	// without touching data. Default 1.
+	// without touching data. The zero value means 1; NoSamples (any negative
+	// value) means none: a caller that reads only timings — every Result
+	// field but Output(s) — gets exactly those timings, traces included, and
+	// the run moves no sample and allocates no sink matrix. Skipping the
+	// first data set also skips the kinds' Compute and whatever it would have
+	// refused, so NoSamples is for tables whose model passed
+	// funclib.ValidateApp (gluegen.Generate's output always has): there,
+	// Compute cannot fail.
 	ComputeIterations int
 	// DispatchOverhead is the per-invocation cost of the function-table
 	// dispatch and thread scheduling. Zero selects the default.
@@ -128,6 +137,9 @@ type Options struct {
 	CancelEvery int
 }
 
+// NoSamples is the Options.ComputeIterations of a timing-only run.
+const NoSamples = -1
+
 // ErrCanceled is returned (wrapped) by Run when Options.Cancel aborted the
 // run before completion. Test with errors.Is.
 var ErrCanceled = errors.New("sagert: run canceled")
@@ -141,8 +153,11 @@ func (o *Options) withDefaults() Options {
 	if out.Iterations < 1 {
 		out.Iterations = 1
 	}
-	if out.ComputeIterations < 1 {
+	switch {
+	case out.ComputeIterations == 0:
 		out.ComputeIterations = 1
+	case out.ComputeIterations < 0:
+		out.ComputeIterations = 0
 	}
 	if out.ComputeIterations > out.Iterations {
 		out.ComputeIterations = out.Iterations
@@ -181,10 +196,10 @@ type Result struct {
 	Period sim.Duration
 	// Output is the first sink function's final data set from the last
 	// compute iteration, assembled across sink threads (nil if the app has
-	// no sink_matrix).
+	// no sink_matrix, or the run carried no samples: Options.NoSamples).
 	Output *isspl.Matrix
 	// Outputs holds the same per sink function name (applications may fan
-	// out to several sinks).
+	// out to several sinks); empty on a run that carried no samples.
 	Outputs map[string]*isspl.Matrix
 	// Elapsed is the total virtual time of the run.
 	Elapsed sim.Time

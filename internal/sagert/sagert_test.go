@@ -178,20 +178,34 @@ func TestDeterministicTiming(t *testing.T) {
 
 func TestChargeOnlyIterationsSameTiming(t *testing.T) {
 	// Charge-only iterations must be timing-identical to computing ones:
-	// run the same schedule with all iterations computing and with only the
-	// first computing, and compare latencies elementwise.
-	tb := genTables(t, apps.FFT2D, 64, 4, 4)
-	full, err := Run(tb, platforms.CSPI(), Options{Iterations: 4, ComputeIterations: 4})
-	if err != nil {
-		t.Fatal(err)
+	// run the same schedule with all iterations computing, with only the
+	// first computing and with none, and compare latencies elementwise. The
+	// float-typed model has a wire size other than a complex sample's: its
+	// messages cost the table's bytes with or without a body.
+	floatApp := func(n, threads int) (*model.App, error) {
+		app, err := apps.FFT2D(n, threads)
+		if err == nil {
+			app.Types["matrix"].Elem = model.ElemFloat
+		}
+		return app, err
 	}
-	lazy, err := Run(tb, platforms.CSPI(), Options{Iterations: 4, ComputeIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.Latencies {
-		if full.Latencies[i] != lazy.Latencies[i] {
-			t.Fatalf("iteration %d: compute %v vs charge-only %v", i, full.Latencies[i], lazy.Latencies[i])
+	for name, build := range map[string]func(n, threads int) (*model.App, error){"complex": apps.FFT2D, "float": floatApp} {
+		tb := genTables(t, build, 64, 4, 4)
+		full, err := Run(tb, platforms.CSPI(), Options{Iterations: 4, ComputeIterations: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, computeIters := range []int{1, NoSamples} {
+			lazy, err := Run(tb, platforms.CSPI(), Options{Iterations: 4, ComputeIterations: computeIters})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range full.Latencies {
+				if full.Latencies[i] != lazy.Latencies[i] {
+					t.Fatalf("%s, %d compute iterations, iteration %d: compute %v vs charge-only %v",
+						name, computeIters, i, full.Latencies[i], lazy.Latencies[i])
+				}
+			}
 		}
 	}
 }
@@ -312,15 +326,16 @@ func TestPlatformMismatchRejected(t *testing.T) {
 }
 
 func TestComputeErrorPropagates(t *testing.T) {
-	// A library function failing at runtime (bad window parameter slips
-	// past static checks) must abort the run with a descriptive error, not
-	// hang or panic.
+	// A library function failing at runtime must abort the run with a
+	// descriptive error, not hang or panic. Validation refuses a model whose
+	// Compute can fail, so the bad window parameter goes into the generated
+	// tables — what sage-run accepts from a file, unvalidated.
 	app := model.NewApp("failing")
 	mt, _ := app.AddType(&model.DataType{Name: "m", Rows: 16, Cols: 16, Elem: model.ElemComplex})
 	src := app.AddFunction(&model.Function{Name: "src", Kind: "source_matrix", Threads: 1})
 	src.AddOutput("out", mt, model.ByRows)
 	w := app.AddFunction(&model.Function{Name: "w", Kind: "window_rows", Threads: 2,
-		Params: map[string]any{"window": "nonexistent"}})
+		Params: map[string]any{"window": "hann"}})
 	w.AddInput("in", mt, model.ByRows)
 	w.AddOutput("out", mt, model.ByRows)
 	snk := app.AddFunction(&model.Function{Name: "snk", Kind: "sink_matrix", Threads: 1})
@@ -336,6 +351,7 @@ func TestComputeErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out.Tables.Functions[w.ID].Params["window"] = "nonexistent"
 	_, err = Run(out.Tables, platforms.CSPI(), Options{Iterations: 2})
 	if err == nil {
 		t.Fatal("runtime error swallowed")

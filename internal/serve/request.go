@@ -573,13 +573,16 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 		if err := ctx.Err(); err != nil {
 			return repOut{}, err
 		}
+		// No Response field derives from a sample, and buildCase's tables
+		// come from a validated model: the run carries none.
 		opts := sagert.Options{
-			Iterations:       r.Protocol.Iterations,
-			Sequential:       r.Protocol.Sequential,
-			OptimizedBuffers: r.Protocol.OptimizedBuffers,
-			Faults:           plan,
-			Cancel:           ctx.Done(),
-			Shards:           r.Shards,
+			Iterations:        r.Protocol.Iterations,
+			ComputeIterations: sagert.NoSamples,
+			Sequential:        r.Protocol.Sequential,
+			OptimizedBuffers:  r.Protocol.OptimizedBuffers,
+			Faults:            plan,
+			Cancel:            ctx.Done(),
+			Shards:            r.Shards,
 		}
 		var col *trace.Collector
 		if r.TraceSummary && i == 0 {
@@ -596,7 +599,17 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 		return nil, err
 	}
 
-	res := outs[0].res
+	if err := resp.setRun(outs[0].res, outs[0].col, plan); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// setRun fills in what a batch run measured: the timings and per-node busy
+// times of res, the summary of the first repetition's trace when one was
+// collected, and the fault plan's one-line account. Nothing here reads a
+// sample, which is why execute's runs carry none.
+func (resp *Response) setRun(res *sagert.Result, col *trace.Collector, plan *fault.Plan) error {
 	period := time.Duration(res.Period)
 	avg := time.Duration(res.AvgLatency())
 	elapsed := time.Duration(res.Elapsed)
@@ -616,12 +629,12 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 			Utilization: ns.Utilization,
 		})
 	}
-	if outs[0].col != nil {
+	if col != nil {
 		t := trace.NewTrace()
-		t.Add(outs[0].col)
+		t.Add(col)
 		var b bytes.Buffer
 		if err := t.WriteSummary(&b); err != nil {
-			return nil, fmt.Errorf("trace summary: %w", err)
+			return fmt.Errorf("trace summary: %w", err)
 		}
 		resp.TraceSummary = b.String()
 	}
@@ -629,5 +642,5 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 		resp.FaultSummary = fmt.Sprintf("seed %d: %d drop / %d degrade / %d stall rules applied to every repetition",
 			plan.Seed, len(plan.Drops), len(plan.Degrades), len(plan.Stalls))
 	}
-	return resp, nil
+	return nil
 }

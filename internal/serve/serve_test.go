@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,13 +119,14 @@ func TestFaultPlanSummary(t *testing.T) {
 
 func TestErrorTaxonomy(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	tests := []struct {
+	type taxonomyCase struct {
 		name   string
 		method string
 		path   string
 		body   string
 		want   int
-	}{
+	}
+	tests := []taxonomyCase{
 		{"bad json", http.MethodPost, "/v1/run", "{", http.StatusBadRequest},
 		{"unknown field", http.MethodPost, "/v1/run", `{"app":"fft2d","bogus":1}`, http.StatusBadRequest},
 		{"no model", http.MethodPost, "/v1/run", `{}`, http.StatusBadRequest},
@@ -139,6 +141,32 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"stats is GET only", http.MethodPost, "/v1/stats", "", http.StatusMethodNotAllowed},
 		{"unknown path", http.MethodGet, "/v2/run", "", http.StatusNotFound},
 	}
+	// A model only a kind's Compute would refuse is the client's mistake
+	// whichever way it is asked about: run, estimate and stream answer 400,
+	// where the run used to fail inside its first data set (500) and the two
+	// that carry no samples used to answer 200.
+	for _, m := range []struct{ name, typ, fn string }{
+		{"fft_rows length 96", "8 96", "fft_rows threads 2\n  in in m rows\n  out out m rows"},
+		{"fft_cols length 96", "96 8", "fft_cols threads 2\n  in in m cols\n  out out m cols"},
+		{"unknown window", "8 8", "window_rows threads 2\n  param window bogus\n  in in m rows\n  out out m rows"},
+	} {
+		source, err := json.Marshal("app bad\ntype m " + m.typ + " complex\n" +
+			"function source source_matrix threads 1\n  out out m rows\n" +
+			"function f " + m.fn + "\n" +
+			"function sink sink_matrix threads 1\n  in in m rows\n" +
+			"arc source.out -> f.in\narc f.out -> sink.in\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []struct{ name, fields string }{
+			{"run", ""},
+			{"estimate", `,"estimate":true`},
+			{"stream", `,"protocol":{"stream":{"classes":[{"name":"c","process":"poisson","rate":100,"frames":2}]}}`},
+		} {
+			tests = append(tests, taxonomyCase{m.name + " " + kind.name, http.MethodPost, "/v1/run",
+				`{"source":` + string(source) + `,"nodes":2` + kind.fields + `}`, http.StatusBadRequest})
+		}
+	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			if w := do(s, tc.method, tc.path, tc.body); w.Code != tc.want {
@@ -150,8 +178,9 @@ func TestErrorTaxonomy(t *testing.T) {
 
 // TestPanickingKernelAnswers500AndDaemonSurvives: a library function that
 // panics inside a simulated thread costs that request a 500 naming the
-// thread — batch (Compute) and streaming (charge-only, Cost) — and nothing
-// else; the same request succeeds once the function behaves.
+// thread, and nothing else; the same request succeeds once the function
+// behaves. The daemon carries no samples, so batch and streaming requests
+// alike meet the panic in Cost — Compute is never called.
 func TestPanickingKernelAnswers500AndDaemonSurvives(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	im, err := funclib.Lookup("fft_rows")
@@ -161,8 +190,10 @@ func TestPanickingKernelAnswers500AndDaemonSurvives(t *testing.T) {
 	compute, cost := im.Compute, im.Cost
 	restore := func() { im.Compute, im.Cost = compute, cost }
 	defer restore()
-	im.Compute = func(*funclib.Context, map[string]*funclib.Block, map[string]*funclib.Block) error {
-		panic("kernel bug")
+	var computed atomic.Bool
+	im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+		computed.Store(true)
+		return compute(ctx, in, out)
 	}
 	im.Cost = func(*funclib.Context, map[string]*funclib.Block, map[string]*funclib.Block) funclib.Cost {
 		panic("kernel bug")
@@ -175,11 +206,14 @@ func TestPanickingKernelAnswers500AndDaemonSurvives(t *testing.T) {
 			t.Fatalf("panicking run: status %d, body %s", w.Code, w.Body.String())
 		}
 	}
-	restore() // no run is in flight: both replies are in
+	im.Cost = cost // no run is in flight: both replies are in
 	for _, body := range []string{smallReq, streamReq} {
 		if w := do(s, http.MethodPost, "/v1/run", body); w.Code != http.StatusOK {
 			t.Fatalf("run after the panicking runs: status %d, body %s", w.Code, w.Body.String())
 		}
+	}
+	if computed.Load() {
+		t.Error("a daemon request ran a kind's Compute: the run carried samples")
 	}
 }
 

@@ -73,12 +73,13 @@ func MapGAPromote(app *model.App, pl machine.Platform, nodes, topK int, cfg atot
 	}
 
 	sopts := sagert.Options{
-		Iterations:       opts.Iterations,
-		DispatchOverhead: opts.DispatchOverhead,
-		BufferSlots:      opts.BufferSlots,
-		Sequential:       opts.Sequential,
-		OptimizedBuffers: opts.OptimizedBuffers,
-		NodeSpeeds:       opts.NodeSpeeds,
+		Iterations:        opts.Iterations,
+		ComputeIterations: sagert.NoSamples, // candidates are ranked by Elapsed
+		DispatchOverhead:  opts.DispatchOverhead,
+		BufferSlots:       opts.BufferSlots,
+		Sequential:        opts.Sequential,
+		OptimizedBuffers:  opts.OptimizedBuffers,
+		NodeSpeeds:        opts.NodeSpeeds,
 	}
 	cands, err := pool.Run(cfg.Parallelism, len(assigns), func(i int) (Candidate, error) {
 		tables, err := base.Tables.WithMapping(tev.MappingFromAssign(assigns[i]))

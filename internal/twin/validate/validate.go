@@ -139,7 +139,8 @@ func Validate(cfg Config) (*Report, error) {
 		for _, seq := range []bool{true, false} {
 			for _, opt := range []bool{false, true} {
 				res, err := sagert.Run(out.Tables, pl, sagert.Options{
-					Iterations: iters, Sequential: seq, OptimizedBuffers: opt,
+					Iterations: iters, ComputeIterations: sagert.NoSamples,
+					Sequential: seq, OptimizedBuffers: opt,
 				})
 				if err != nil {
 					return caseRuns{}, fmt.Errorf("seed %d seq=%v opt=%v: %w", seed, seq, opt, err)
