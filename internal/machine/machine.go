@@ -104,19 +104,20 @@ const cpuQuantum = 250 * time.Microsecond
 // time-share the processor rather than overlapping for free. When the fault
 // injector has the node inside a stall window, the CPU is unavailable until
 // the restart time — crash-restart semantics at quantum granularity:
-// in-progress work pauses and resumes, it is not lost.
+// in-progress work pauses and resumes, it is not lost. The slicing, the
+// round-robin hand-over and the stall check (StalledUntil below) all run in
+// the kernel; the process parks once per burst.
 func (nd *Node) busy(p *sim.Proc, d sim.Duration) {
-	for d > 0 {
-		if end, ok := nd.mach.faults.StalledUntil(nd.ID, p.Now()); ok {
-			p.SleepUntil(end)
-		}
-		q := d
-		if q > cpuQuantum {
-			q = cpuQuantum
-		}
-		nd.cpu.Use(p, 1, q)
-		d -= q
-	}
+	nd.cpu.HoldSliced(p, d, cpuQuantum, nd)
+}
+
+// StalledUntil makes the node its CPU's sim.Staller: the fault injector's
+// stall windows for this node. Handing busy the node itself costs nothing —
+// a pointer in an interface — where a bound func would allocate per node or
+// per burst; the injector is looked up per call because SetFaults may
+// install it after New.
+func (nd *Node) StalledUntil(now sim.Time) (sim.Time, bool) {
+	return nd.mach.faults.StalledUntil(nd.ID, now)
 }
 
 // New creates a machine with n nodes of the given platform. It panics on an

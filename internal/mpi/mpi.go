@@ -102,6 +102,45 @@ type endpoint struct {
 	pending []message
 	waiters []*waiter
 	free    *waiter
+	flights *flight // recycled in-flight records
+}
+
+// flight is a message between Send and its arrival event: what the event's
+// callback needs, so a message in flight allocates nothing in steady state.
+// A record is taken from the sender's endpoint and returned to the
+// destination's on delivery; traffic that flows both ways (every data edge
+// has a credit edge back) keeps the lists balanced, and since each endpoint
+// is only ever touched from its own rank's shard, sharded runs need no lock.
+type flight struct {
+	dst  *endpoint
+	m    message
+	fire func() // arrive, bound once when the record is first allocated
+	next *flight
+}
+
+// getFlight takes an in-flight record off the free list (or allocates one)
+// for message m to dst.
+func (e *endpoint) getFlight(dst *endpoint, m message) *flight {
+	f := e.flights
+	if f == nil {
+		f = &flight{}
+		f.fire = f.arrive
+	} else {
+		e.flights = f.next
+		f.next = nil
+	}
+	f.dst, f.m = dst, m
+	return f
+}
+
+// arrive is the arrival event: it runs on the destination's shard, recycles
+// the record there — dropping its reference to the payload — and delivers.
+func (f *flight) arrive() {
+	dst, m := f.dst, f.m
+	f.dst, f.m = nil, message{}
+	f.next = dst.flights
+	dst.flights = f
+	dst.deliver(m)
 }
 
 // getWaiter takes a waiter off the free list (or allocates one) keyed for
@@ -320,7 +359,8 @@ func (r *Rank) Send(dst, tag int, body Payload) {
 	}
 	// Delivery executes on dst's shard; the fabric latency of a
 	// cross-shard link is what bounds the kernel's lookahead.
-	r.proc.AfterOn(dst, arrival.Sub(r.proc.Now()), func() { ep.deliver(m) })
+	f := r.w.endpoints[r.id].getFlight(ep, m)
+	r.proc.AfterOn(dst, arrival.Sub(r.proc.Now()), f.fire)
 }
 
 // sendResilient pushes bytes to dst through the fault injector, retrying

@@ -452,7 +452,7 @@ func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.T
 func (r *runner) result(k *sim.Kernel) *Result {
 	res := &Result{
 		Output: r.output, Outputs: r.outputs, Elapsed: k.Now(),
-		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(),
+		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(), Switches: k.Switches(),
 	}
 	for i := 0; i < r.opts.Iterations; i++ {
 		res.Latencies = append(res.Latencies, r.sinkDone[i].Sub(r.sourceStart[i]))

@@ -210,6 +210,12 @@ type Result struct {
 	// Dispatches is the number of kernel events the run executed — the
 	// denominator benchmark harnesses use for events/sec and allocs/event.
 	Dispatches uint64
+	// Switches is how many of those events resumed a process other than the
+	// one executing the event loop (sim.Kernel.Switches) — what the run paid
+	// in coroutine round trips. Unlike every other field it is a host-side
+	// diagnostic that depends on Options.Shards: no identity comparison
+	// across shard counts may read it, and the daemon does not emit it.
+	Switches uint64
 	// NodeStats reports per-node busy time.
 	NodeStats []NodeStat
 }

@@ -129,6 +129,31 @@ func TestResourceUseAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestSlicedHoldAllocFree pins the sliced hold — per-process state embedded
+// in Proc, step events that carry the Proc and one bit — at zero allocations
+// per burst, alone on the resource and round-robining with three others.
+func TestSlicedHoldAllocFree(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		perBurst := marginalAllocs(t, func(bursts int) {
+			k := NewKernel()
+			r := NewResource(k, "cpu", 1)
+			for i := 0; i < procs; i++ {
+				k.Spawn("u", func(p *Proc) {
+					for j := 0; j < bursts/procs; j++ {
+						r.HoldSliced(p, 3*time.Microsecond+1, time.Microsecond, nil)
+					}
+				})
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perBurst > 0.01 {
+			t.Fatalf("%d process(es): a sliced hold allocates %.3f per burst, want 0", procs, perBurst)
+		}
+	}
+}
+
 // TestProcSpawnAllocCeiling pins what one process costs from Spawn to its
 // end: the Proc plus the coroutine iter.Pull builds for it (its state and
 // closures, 14 objects on go1.24; the channel hand-off kernel paid 4 for a

@@ -107,3 +107,33 @@ func BenchmarkResourceUse(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// benchSlicedHold measures the sliced hold per slice: procs processes each
+// charge 40-quantum bursts to one capacity-1 resource, b.N slices in all.
+func benchSlicedHold(b *testing.B, procs int) {
+	b.ReportAllocs()
+	k := NewKernel()
+	r := NewResource(k, "cpu", 1)
+	const slices = 40
+	bursts := b.N/(slices*procs) + 1
+	for i := 0; i < procs; i++ {
+		k.Spawn("u", func(p *Proc) {
+			for j := 0; j < bursts; j++ {
+				r.HoldSliced(p, slices*time.Microsecond, time.Microsecond, nil)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSlicedHoldAlone: nobody else wants the resource, so every slice
+// boundary is a release, a re-acquire and one step event, all inline.
+func BenchmarkSlicedHoldAlone(b *testing.B) { benchSlicedHold(b, 1) }
+
+// BenchmarkSlicedHoldContended4: four holds round-robin, so every boundary
+// is also a queue hand-over and a grant event — still without a process
+// switch (BenchmarkResourceUse is the same traffic as process wakes).
+func BenchmarkSlicedHoldContended4(b *testing.B) { benchSlicedHold(b, 4) }

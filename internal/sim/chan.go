@@ -143,6 +143,9 @@ type resWaiter struct {
 	// must not schedule two resumes for the same head waiter (the second
 	// would yank the process out of a later, unrelated block).
 	woken bool
+	// step marks a sliced hold's entry (HoldSliced): its grant is a kernel
+	// step event, not a process wake. Both kinds share the one FIFO queue.
+	step bool
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1),
@@ -186,27 +189,41 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		depth := len(r.waiters)
 		start := r.sh.now
 		w := &p.rw
-		w.p, w.n, w.woken = p, n, false
+		w.p, w.n, w.woken, w.step = p, n, false, false
 		r.waiters = append(r.waiters, w)
 		for {
 			p.yield("acquire", r)
-			if len(r.waiters) > 0 && r.waiters[0] == w && r.inUse+n <= r.capacity {
-				copy(r.waiters, r.waiters[1:])
-				r.waiters = r.waiters[:len(r.waiters)-1]
+			if r.granted(w) {
 				break
 			}
-			// Spurious wake: allow a future release to wake us again.
-			w.woken = false
 		}
 		if tr := r.sh.tracer; tr != nil && r.sh.now > start {
 			tr.Wait(p.pid, p.name, "acquire", r.name, start, r.sh.now, depth)
 		}
 	}
+	r.take(n)
+}
+
+// granted is what queued waiter w asks when it is woken: may it take its
+// units now — it heads the queue and they are free? If so it leaves the
+// queue; if not the wake was spurious, and a future release may wake it
+// again.
+func (r *Resource) granted(w *resWaiter) bool {
+	if len(r.waiters) == 0 || r.waiters[0] != w || r.inUse+w.n > r.capacity {
+		w.woken = false
+		return false
+	}
+	copy(r.waiters, r.waiters[1:])
+	r.waiters = r.waiters[:len(r.waiters)-1]
+	return true
+}
+
+// take marks n units held and lets leftover capacity reach the next waiter.
+func (r *Resource) take(n int) {
 	r.inUse += n
 	if tr := r.sh.tracer; tr != nil {
 		tr.ResourceOp("acquire", r.name, r.inUse, r.capacity, len(r.waiters), r.sh.now)
 	}
-	// Leftover capacity may satisfy the next queued waiter.
 	r.wakeHead()
 }
 
@@ -223,9 +240,12 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) wakeHead() {
-	if len(r.waiters) > 0 && !r.waiters[0].woken && r.inUse+r.waiters[0].n <= r.capacity {
-		r.waiters[0].woken = true
-		r.sh.wake(r.waiters[0].p, r.sh.now)
+	if len(r.waiters) == 0 {
+		return
+	}
+	if w := r.waiters[0]; !w.woken && r.inUse+w.n <= r.capacity {
+		w.woken = true
+		r.sh.wakeAs(w.p, r.sh.now, w.step)
 	}
 }
 

@@ -69,6 +69,98 @@ func TestProcPanicBecomesRunError(t *testing.T) {
 	}
 }
 
+// panicOnSecond is a Staller whose second consultation — the first one a
+// sliced hold makes from a kernel step — panics.
+type panicOnSecond struct{ calls int }
+
+func (s *panicOnSecond) StalledUntil(Time) (Time, bool) {
+	if s.calls++; s.calls == 2 {
+		panic("stall hook boom")
+	}
+	return 0, false
+}
+
+// TestCallbackPanicBecomesRunError: a panic in callback context — an event
+// callback or a sliced-hold step — becomes Run's error wherever the callback
+// happens to execute: in the driver, in a process that was running the event
+// loop (which is not the one blamed), or on a shard's window worker, where an
+// unrecovered panic would take the whole program down.
+func TestCallbackPanicBecomesRunError(t *testing.T) {
+	cases := []struct {
+		name   string
+		shards int
+		build  func(k *Kernel)
+		want   string
+		live   int // processes the failure leaves parked
+	}{
+		{"driver", 1, func(k *Kernel) {
+			k.After(10, func() { panic("boom") })
+		}, "sim: event callback panicked: boom", 0},
+		{"borrowed process", 1, func(k *Kernel) {
+			// "other" is asleep, i.e. running the event loop, when the
+			// callback fires; its body is unwound by a panic that is not its
+			// own, and the error must say so.
+			k.Spawn("other", func(p *Proc) { p.Sleep(time.Millisecond) })
+			k.Spawn("parked", func(p *Proc) { p.Sleep(time.Hour) })
+			k.After(10, func() { panic("boom") })
+		}, "sim: event callback panicked: boom", 1},
+		{"hold step in a borrowed process", 1, func(k *Kernel) {
+			r := NewResource(k, "cpu", 1)
+			k.Spawn("burst", func(p *Proc) { r.HoldSliced(p, time.Millisecond, time.Microsecond, &panicOnSecond{}) })
+			// The last process to start runs the loop when the step fires.
+			k.Spawn("other", func(p *Proc) { p.Sleep(time.Hour) })
+		}, `sim: sliced-hold step of process "burst" (pid 0) panicked: stall hook boom`, 1},
+		{"hold step in the driver", 1, func(k *Kernel) {
+			r := NewResource(k, "cpu", 1)
+			k.Spawn("early", func(p *Proc) {})
+			k.Spawn("burst", func(p *Proc) {
+				p.SleepUntil(10)
+				r.HoldSliced(p, time.Millisecond, time.Microsecond, &panicOnSecond{})
+			})
+			// "late" starts after burst has parked in its hold and ends at
+			// once, which leaves the driver running the loop.
+			k.After(20, func() { k.Spawn("late", func(p *Proc) {}) })
+		}, `sim: sliced-hold step of process "burst" (pid 1) panicked: stall hook boom`, 1},
+		{"shard worker", 2, func(k *Kernel) {
+			k.SpawnOn(0, "spinner", func(p *Proc) {
+				for {
+					p.Sleep(time.Microsecond)
+				}
+			})
+			k.AfterOn(1, 10*time.Microsecond, func() { panic("boom") })
+		}, "sim: event callback panicked: boom", 1},
+		{"shard worker, borrowed process", 2, func(k *Kernel) {
+			k.SpawnOn(0, "spinner", func(p *Proc) {
+				for {
+					p.Sleep(time.Microsecond)
+				}
+			})
+			// "other" ticks ten times per window, so it — not the worker —
+			// is running shard 1's loop when the callback fires mid-window.
+			k.SpawnOn(1, "other", func(p *Proc) {
+				for {
+					p.Sleep(100 * time.Nanosecond)
+				}
+			})
+			k.AfterOn(1, 10*time.Microsecond+50*time.Nanosecond, func() { panic("boom") })
+		}, "sim: event callback panicked: boom", 1},
+	}
+	for _, c := range cases {
+		base := runtime.NumGoroutine()
+		k := shardedKernel(c.shards, 2, time.Microsecond)
+		c.build(k)
+		err := k.Run()
+		pe, ok := err.(*PanicError)
+		if !ok || !pe.Callback || err.Error() != c.want {
+			t.Fatalf("%s: Run = %v, want %s", c.name, err, c.want)
+		}
+		if k.LiveProcs() != c.live {
+			t.Fatalf("%s: LiveProcs = %d, want %d", c.name, k.LiveProcs(), c.live)
+		}
+		requireNoLeak(t, c.name, k, base)
+	}
+}
+
 func TestShutdownReleasesAllCoroutines(t *testing.T) {
 	const nDom, lat = 8, 3 * time.Microsecond
 	// ring is a token ring that would run (practically) forever.

@@ -325,9 +325,10 @@ func (k *Kernel) windowLoop() error {
 }
 
 // publish refreshes the barrier-published snapshots backing the concurrent
-// accessors (Pending, Dispatched, Now).
+// accessors (Pending, Dispatched, Switches, Now).
 func (s *shard) publish() {
 	s.pubDispatched.Store(s.dispatched)
+	s.pubSwitches.Store(s.switches)
 	s.pubPending.Store(int64(s.queue.len() + s.fifoLen + s.outCnt))
 	s.pubNow.Store(int64(s.now))
 }

@@ -26,6 +26,19 @@
 //     A process woken at the instant it blocked continues without any switch
 //     at all. Dispatch order is identical to a central loop's because every
 //     caller of the loop pops the same queue.
+//   - A CPU burst parks its process once. Resource.HoldSliced time-slices a
+//     hold in the kernel: every slice boundary, round-robin grant and stall
+//     end is a step event that runs inline in whoever executes the loop, as
+//     a callback does; only the end of the last slice wakes the process.
+//     Kernel.Switches counts the process switches a run still paid.
+//
+// Event callbacks and hold steps run in callback context: on the stack of
+// whatever is executing the loop, with the clock frozen. They may schedule
+// events, send on channels, release resources and call Stop; they may not
+// block (Sleep, Recv, Acquire, Use, HoldSliced, Barrier.Wait), having no
+// process to park. A panic in callback context stops the kernel and becomes
+// Run's *PanicError with Callback set — never the host program's crash, and
+// never blamed on the process whose stack it happened to unwind.
 //
 // # Sharded execution
 //
@@ -49,14 +62,15 @@
 //
 //   - Hooks are invoked synchronously from whatever is executing the
 //     simulation (the shard's driver or the process coroutine it resumed;
-//     never both at once), so implementations need no locking as long as
-//     each Tracer serves a single kernel. On a sharded kernel this holds per
-//     shard: hooks fire on the per-shard child tracers a ShardTracer
-//     provides, one driver per shard.
+//     never both at once — possibly on behalf of another process, when the
+//     event is a sliced-hold step), so implementations need no locking as
+//     long as each Tracer serves a single kernel. On a sharded kernel this
+//     holds per shard: hooks fire on the per-shard child tracers a
+//     ShardTracer provides, one driver per shard.
 //   - Virtual time is frozen for the duration of a hook; the timestamps
 //     passed in equal Kernel.Now() at the instant of the call, and hooks may
 //     call the kernel's read-only accessors (Now, Pending, LiveProcs,
-//     Dispatched) freely. Instrumentation must use these accessors rather
+//     Dispatched, Switches) freely. Instrumentation must use these accessors rather
 //     than reach into kernel internals. On a sharded kernel the accessors
 //     are exact between windows and at run end, and at-least-last-barrier
 //     fresh during a window.
@@ -64,9 +78,12 @@
 //     Stop, Shutdown, channel or resource operations. Tracing observes; it
 //     never advances the simulation, so enabling it cannot change any
 //     simulated result.
-//   - Waits are reported on completion (when the blocked process resumes),
-//     with both endpoints of the blocked interval. Sleeps are not reported:
-//     they are scheduled work, not contention.
+//   - Waits are reported when the wait ends, with both endpoints of the
+//     blocked interval: for a blocked process that is its resume; for a
+//     sliced hold it is the grant event, which resumes nobody — the hook
+//     then fires in callback context, at the same dispatch and with the
+//     same arguments as if the process had woken to take the unit. Sleeps
+//     are not reported: they are scheduled work, not contention.
 package sim
 
 import (
@@ -126,16 +143,18 @@ type Tracer interface {
 	ResourceOp(op, name string, inUse, capacity, queued int, at Time)
 }
 
-// event is a scheduled entry in a shard's queue: either a callback (fn)
-// or a process wake/start (proc). Nodes are recycled through the shard's
-// intrusive free list; next links both the free list and the same-time FIFO
-// lane.
+// event is a scheduled entry in a shard's queue: a callback (fn), a process
+// wake/start (proc), or — proc with step set — a kernel step of that
+// process's sliced hold, which runs inline like a callback (hold.go). Nodes
+// are recycled through the shard's intrusive free list; next links both the
+// free list and the same-time FIFO lane.
 type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
 	proc *Proc
 	next *event
+	step bool
 }
 
 // dispatchRec is one entry of a shard's window dispatch log: enough to
@@ -180,7 +199,16 @@ type shard struct {
 	handoff    *Proc // process advance chose to run next; drive resumes it
 	stopped    bool
 	dispatched uint64
+	switches   uint64 // dispatches that resumed a process other than the loop's runner
 	cancelLeft uint64
+	// inCallback and stepOf mark callback context for panic attribution:
+	// inCallback is set while an event callback runs, stepOf names the
+	// hold's owner while a sliced-hold step runs. A panic skips the clearing
+	// store, so whichever recover catches it (Proc.main's when a process
+	// runs the loop, drive's otherwise) can tell the callback from the
+	// bystander.
+	inCallback bool
+	stepOf     *Proc
 	tracer     Tracer // shard-routed trace hook (per-shard child when sharded)
 
 	// Sharded-window state; see DESIGN.md §12.
@@ -197,6 +225,7 @@ type shard struct {
 	// Barrier-published snapshots backing the kernel's concurrent-read
 	// accessors while shards are executing.
 	pubDispatched atomic.Uint64
+	pubSwitches   atomic.Uint64
 	pubPending    atomic.Int64
 	pubNow        atomic.Int64
 }
@@ -327,6 +356,30 @@ func (k *Kernel) Dispatched() uint64 {
 	return n
 }
 
+// Switches reports how many dispatched events resumed a process other than
+// the one executing the event loop — the coroutine round trips the run paid,
+// as opposed to the events it executed inline (callbacks, sliced-hold steps,
+// a process's own wake). It is a host-side diagnostic: unlike Dispatched it
+// depends on the shard count, because every window starts in the driver.
+// Exact after Run; mid-run on a sharded kernel it is the sum at the latest
+// window barrier.
+func (k *Kernel) Switches() uint64 {
+	if k.nsh == 1 {
+		return k.s0.switches
+	}
+	var n uint64
+	if k.phase.Load() == phaseRun {
+		for _, s := range k.shards {
+			n += s.pubSwitches.Load()
+		}
+		return n
+	}
+	for _, s := range k.shards {
+		n += s.switches
+	}
+	return n
+}
+
 func (k *Kernel) trace(format string, args ...any) {
 	if k.tracef != nil {
 		k.tracef(format, args...)
@@ -362,6 +415,7 @@ func (s *shard) alloc(at Time) *event {
 func (s *shard) release(ev *event) {
 	ev.fn = nil
 	ev.proc = nil
+	ev.step = false
 	ev.next = s.free
 	s.free = ev
 }
@@ -474,6 +528,9 @@ type Proc struct {
 	// waits on at most one Resource at a time, so one embedded node
 	// replaces a per-wait allocation.
 	rw resWaiter
+	// hold is the process's sliced-hold state (Resource.HoldSliced), embedded
+	// for the same reason: a process is inside at most one hold at a time.
+	hold slicedHold
 }
 
 // named is a blocking primitive (Chan, Resource, Barrier) as the deadlock
@@ -579,13 +636,15 @@ func (k *Kernel) spawnOn(s *shard, name string, body func(p *Proc)) *Proc {
 // iter.Pull): it runs the user body and returns to whoever resumed it — the
 // shard's driver on a normal end, Shutdown on its sentinel. Any other panic
 // stops the kernel and becomes Run's error instead of reaching the caller of
-// next, so one bad process body cannot take the host program down.
+// next, so one bad process body cannot take the host program down. The panic
+// may not be the body's own: a callback the process executed while running
+// the event loop unwinds through here too, and is reported as the callback's.
 func (p *Proc) main(park func(struct{}) bool) {
 	s := p.sh
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
-				p.k.fail(&PanicError{Proc: p.name, PID: p.pid, Value: r})
+				p.k.fail(s.panicError(p, r))
 			}
 		}
 		p.done = true
@@ -600,18 +659,48 @@ func (p *Proc) main(park func(struct{}) bool) {
 	body(p)
 }
 
-// PanicError is the error Run returns when a process body panicked.
+// PanicError is the error Run returns when a process body, an event callback
+// or a sliced-hold step panicked.
 type PanicError struct {
-	Proc  string // process name
-	PID   int
-	Value any // what the body panicked with
+	// Proc and PID name the process whose body panicked or, with Callback
+	// set, the owner of the sliced hold whose step panicked ("" and -1 for a
+	// plain event callback, which belongs to no process).
+	Proc string
+	PID  int
+	// Callback reports that the panic happened in callback context — an
+	// event callback or a kernel step — not in Proc's body. The process that
+	// happened to be executing the event loop is never the one named.
+	Callback bool
+	Value    any // what it panicked with
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("sim: process %q (pid %d) panicked: %v", e.Proc, e.PID, e.Value)
+	switch {
+	case !e.Callback:
+		return fmt.Sprintf("sim: process %q (pid %d) panicked: %v", e.Proc, e.PID, e.Value)
+	case e.PID < 0:
+		return fmt.Sprintf("sim: event callback panicked: %v", e.Value)
+	default:
+		return fmt.Sprintf("sim: sliced-hold step of process %q (pid %d) panicked: %v", e.Proc, e.PID, e.Value)
+	}
 }
 
-// fail records the first process failure and stops the kernel.
+// panicError attributes a recovered panic value: to the callback or hold
+// step that was executing if the shard is in callback context, otherwise to
+// running, the process whose body it unwound.
+func (s *shard) panicError(running *Proc, v any) *PanicError {
+	if o := s.stepOf; o != nil {
+		s.stepOf = nil
+		return &PanicError{Proc: o.name, PID: o.pid, Callback: true, Value: v}
+	}
+	if s.inCallback {
+		s.inCallback = false
+		return &PanicError{PID: -1, Callback: true, Value: v}
+	}
+	return &PanicError{Proc: running.name, PID: running.pid, Value: v}
+}
+
+// fail records the first failure and stops the kernel.
 func (k *Kernel) fail(err error) {
 	k.procsMu.Lock()
 	if k.failure == nil {
@@ -650,10 +739,10 @@ const (
 )
 
 // advance runs the shard's event loop on behalf of whoever is executing the
-// shard (self, or nil for the driver). Callback events execute inline; a
-// wake or start event for another process ends the loop with that process in
-// s.handoff. Dispatch order is identical to a central loop's because every
-// caller pops the same (time, seq)-ordered queue.
+// shard (self, or nil for the driver). Callback events and sliced-hold steps
+// execute inline; a wake or start event for another process ends the loop
+// with that process in s.handoff. Dispatch order is identical to a central
+// loop's because every caller pops the same (time, seq)-ordered queue.
 func (s *shard) advance(self *Proc) advResult {
 	k := s.k
 	for !s.stopped {
@@ -686,10 +775,22 @@ func (s *shard) advance(self *Proc) advResult {
 				}
 			}
 		}
-		p, fn := ev.proc, ev.fn
+		p, fn, step := ev.proc, ev.fn, ev.step
 		s.release(ev)
 		if p == nil {
+			s.inCallback = true
 			fn()
+			s.inCallback = false
+			continue
+		}
+		if step {
+			// Like a stale wake, a step of a process Shutdown tore down is
+			// dropped.
+			if !p.done {
+				s.stepOf = p
+				p.holdStep()
+				s.stepOf = nil
+			}
 			continue
 		}
 		if p.next == nil {
@@ -706,6 +807,7 @@ func (s *shard) advance(self *Proc) advResult {
 		if p == self {
 			return advSelf
 		}
+		s.switches++
 		s.handoff = p
 		return advHanded
 	}
@@ -717,7 +819,21 @@ func (s *shard) advance(self *Proc) advResult {
 // loop — its own or the one a blocking process ran — handed off, until the
 // queue drains, reaches the window horizon or the kernel stops. A process
 // that ends leaves no handoff, so the driver picks the loop up again.
+//
+// A callback or hold step that panics while the driver runs the loop becomes
+// Run's error here (once per drive, not per event), as Proc.main does for
+// the ones a process runs; drive then returns normally, so a shard's window
+// worker still reports to the barrier. Anything else that reaches this
+// recover is the kernel's own invariant failing, and stays a panic.
 func (s *shard) drive() {
+	defer func() {
+		if r := recover(); r != nil {
+			if !s.inCallback && s.stepOf == nil {
+				panic(r)
+			}
+			s.k.fail(s.panicError(nil, r))
+		}
+	}()
 	for s.advance(nil) == advHanded {
 		for p := s.handoff; p != nil; p = s.handoff {
 			s.handoff = nil
@@ -743,12 +859,16 @@ func (p *Proc) yield(verb string, on named) {
 }
 
 // wake schedules p to resume at time at.
-func (s *shard) wake(p *Proc, at Time) {
+func (s *shard) wake(p *Proc, at Time) { s.wakeAs(p, at, false) }
+
+// wakeAs schedules a process event for p at time at: a resume or, with step
+// set, a kernel step of p's sliced hold.
+func (s *shard) wakeAs(p *Proc, at Time, step bool) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	ev := s.alloc(at)
-	ev.proc = p
+	ev.proc, ev.step = p, step
 	s.enqueue(ev)
 }
 
