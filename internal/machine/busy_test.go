@@ -1,9 +1,6 @@
 package machine
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"testing"
 	"time"
 
@@ -72,33 +69,5 @@ func TestSwitchColocatedBursts(t *testing.T) {
 	}
 	if got := k.Switches(); got > 8 {
 		t.Fatalf("%d switches for %d dispatches, want <= 8", got, k.Dispatched())
-	}
-}
-
-// TestBusyHoldsNoLoop is the architecture gate for "replace, not fork": the
-// node's time-slicing lives in internal/sim, so Node.busy contains no loop
-// (and the quantum loop cannot quietly come back next to the sliced hold).
-func TestBusyHoldsNoLoop(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "machine.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "busy" || fn.Recv == nil {
-			continue
-		}
-		found = true
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				t.Errorf("machine.Node.busy contains a loop; the CPU is driven by sim.Proc.Hold only")
-			}
-			return true
-		})
-	}
-	if !found {
-		t.Fatal("machine.go declares no method named busy; update this gate with the rename")
 	}
 }

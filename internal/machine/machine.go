@@ -106,10 +106,24 @@ const cpuQuantum = 250 * time.Microsecond
 // the restart time — crash-restart semantics at quantum granularity:
 // in-progress work pauses and resumes, it is not lost. The slicing, the
 // round-robin hand-over and the stall check (StalledUntil below) all run in
-// the kernel; the process parks once per burst.
-func (nd *Node) busy(p *sim.Proc, d sim.Duration) {
+// the kernel; the process parks once per burst. busyBegin begins the burst
+// and reports whether p parked; if so, BusyEnd follows the wake.
+func (nd *Node) busyBegin(p *sim.Proc, d sim.Duration) bool {
 	c := nd.bursts(d, 0)
-	p.Hold(&c)
+	return p.HoldBegin(&c)
+}
+
+// BusyEnd is the half that follows the wake of a CPU burst begun by
+// ComputeFlopsBegin, ComputeTimeBegin or MemcpyBegin.
+func (nd *Node) BusyEnd(p *sim.Proc) { p.HoldResume() }
+
+// burst completes a CPU burst in process context: the blocking forms are
+// nd.burst(p, nd.XBegin(p, ...)).
+func (nd *Node) burst(p *sim.Proc, parked bool) {
+	if parked {
+		p.Suspend()
+		nd.BusyEnd(p)
+	}
 }
 
 // bursts is the chain of two CPU bursts on this node, one after the other
@@ -182,9 +196,15 @@ func (m *Machine) Nodes() []*Node { return m.nodes }
 // ComputeFlops blocks the calling process for the CPU time of nflops
 // floating-point operations on this node.
 func (nd *Node) ComputeFlops(p *sim.Proc, nflops float64) {
+	nd.burst(p, nd.ComputeFlopsBegin(p, nflops))
+}
+
+// ComputeFlopsBegin is ComputeFlops' first half; it reports whether p
+// parked, and BusyEnd follows the wake.
+func (nd *Node) ComputeFlopsBegin(p *sim.Proc, nflops float64) bool {
 	d := sim.Duration(float64(nd.mach.Plat.FlopTime(nflops)) / nd.speed)
 	nd.ComputeBusy += d
-	nd.busy(p, d)
+	return nd.busyBegin(p, d)
 }
 
 // Speed reports the node's CPU speed multiplier.
@@ -212,18 +232,30 @@ func (m *Machine) SetNodeSpeeds(speeds []float64) {
 // ComputeTime blocks the calling process for an explicit CPU duration
 // (used for fixed software overheads such as dispatch).
 func (nd *Node) ComputeTime(p *sim.Proc, d sim.Duration) {
+	nd.burst(p, nd.ComputeTimeBegin(p, d))
+}
+
+// ComputeTimeBegin is ComputeTime's first half, as ComputeFlopsBegin is
+// ComputeFlops'.
+func (nd *Node) ComputeTimeBegin(p *sim.Proc, d sim.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	nd.ComputeBusy += d
-	nd.busy(p, d)
+	return nd.busyBegin(p, d)
 }
 
 // Memcpy blocks the calling process for a local copy of n bytes.
 func (nd *Node) Memcpy(p *sim.Proc, n int) {
+	nd.burst(p, nd.MemcpyBegin(p, n))
+}
+
+// MemcpyBegin is Memcpy's first half, as ComputeFlopsBegin is
+// ComputeFlops'.
+func (nd *Node) MemcpyBegin(p *sim.Proc, n int) bool {
 	d := nd.mach.Plat.CopyTime(n)
 	nd.CopyBusy += d
-	nd.busy(p, d)
+	return nd.busyBegin(p, d)
 }
 
 // Transfer models sending n bytes from this node to node dst, of which pack
@@ -247,6 +279,23 @@ func (nd *Node) Transfer(p *sim.Proc, dst, n, pack int) sim.Time {
 	return at
 }
 
+// TransferBegin is Transfer's first half: it reports whether p parked, and
+// TransferEnd follows the wake. x carries the send between the two; once
+// the send is over, x.Arrival is what Transfer returns.
+func (nd *Node) TransferBegin(p *sim.Proc, dst, n, pack int, x *Xfer) bool {
+	return nd.transferBegin(p, dst, n, pack, fault.Outcome{BWFactor: 1}, x)
+}
+
+// Xfer is a message send between its two halves (TransferBegin or
+// TryTransferBegin, then TransferEnd): what the end of the hold decides.
+type Xfer struct {
+	Arrival sim.Time     // when the payload reaches dst; 0 if it never does
+	lat     sim.Duration // latency past the wire's end
+	comm    sim.Duration // the CommBusy the send accounts at its end
+	OK      bool         // whether the payload arrives: not over a downed link or after a drop
+	lost    bool
+}
+
 // TryTransfer is Transfer under the machine's fault injector, with nothing
 // to pack (a retrying sender packs once, before its first attempt): link
 // degradation scales bandwidth and adds latency, a downed (zero-bandwidth)
@@ -256,19 +305,38 @@ func (nd *Node) Transfer(p *sim.Proc, dst, n, pack int) sim.Time {
 // returned exactly as from Transfer. Without an installed injector
 // TryTransfer is identical to Transfer.
 func (nd *Node) TryTransfer(p *sim.Proc, dst int, n int) (arrival sim.Time, ok bool) {
-	var out fault.Outcome
-	if dst == nd.ID {
-		out = fault.Outcome{BWFactor: 1} // self-transfers never touch a link
-	} else {
-		out = nd.mach.faults.LinkAttempt(nd.ID, dst, p.Now())
-	}
-	return nd.transfer(p, dst, n, 0, out)
+	return nd.transfer(p, dst, n, 0, nd.linkAttempt(p, dst))
 }
 
-// transfer is the shared core of Transfer and TryTransfer: one chain of pack
-// copy, send overhead and (unless the link is down) the wire, fabric
-// included.
+// TryTransferBegin is TryTransfer's first half, as TransferBegin is
+// Transfer's; once the send is over, x.Arrival and x.OK are what
+// TryTransfer returns.
+func (nd *Node) TryTransferBegin(p *sim.Proc, dst, n int, x *Xfer) bool {
+	return nd.transferBegin(p, dst, n, 0, nd.linkAttempt(p, dst), x)
+}
+
+// linkAttempt asks the fault injector what an attempt to dst meets now.
+func (nd *Node) linkAttempt(p *sim.Proc, dst int) fault.Outcome {
+	if dst == nd.ID {
+		return fault.Outcome{BWFactor: 1} // self-transfers never touch a link
+	}
+	return nd.mach.faults.LinkAttempt(nd.ID, dst, p.Now())
+}
+
+// transfer is the blocking form Transfer and TryTransfer share.
 func (nd *Node) transfer(p *sim.Proc, dst, n, pack int, out fault.Outcome) (sim.Time, bool) {
+	var x Xfer
+	if nd.transferBegin(p, dst, n, pack, out, &x) {
+		p.Suspend()
+		nd.TransferEnd(p, &x)
+	}
+	return x.Arrival, x.OK
+}
+
+// transferBegin begins a send as one chain of pack copy, send overhead and
+// (unless the link is down) the wire, fabric included, and reports whether
+// p parked.
+func (nd *Node) transferBegin(p *sim.Proc, dst, n, pack int, out fault.Outcome, x *Xfer) bool {
 	m := nd.mach
 	pl := &m.Plat
 	nd.MsgsSent++
@@ -276,56 +344,71 @@ func (nd *Node) transfer(p *sim.Proc, dst, n, pack int, out fault.Outcome) (sim.
 	m.tr.LinkTransfer(nd.ID, dst, n)
 	packT := pl.CopyTime(pack)
 	nd.CopyBusy += packT
-	if dst == nd.ID {
+	*x = Xfer{}
+	var c sim.Chain
+	switch {
+	case dst == nd.ID:
 		d := pl.CopyTime(n)
 		nd.CopyBusy += d
-		c := nd.bursts(packT, d)
-		p.Hold(&c)
-		return p.Now(), true
-	}
-	// Pack copy and software overhead on the sending CPU.
-	c := nd.bursts(packT, pl.SendOverhead)
-	if out.Down {
+		c = nd.bursts(packT, d)
+	case out.Down:
 		// The link refused the attempt before anything serialised: the
-		// software overhead is the whole (wasted) cost. Guards the
-		// zero-bandwidth degradation case — nothing divides by the zero.
-		p.Hold(&c)
-		nd.CommBusy += pl.SendOverhead
-		return 0, false
+		// pack copy and software overhead are the whole (wasted) cost.
+		// Guards the zero-bandwidth degradation case — nothing divides by
+		// the zero.
+		c = nd.bursts(packT, pl.SendOverhead)
+		x.comm, x.lost = pl.SendOverhead, true
+	default:
+		// Pack copy and software overhead on the sending CPU, then the wire.
+		c = nd.bursts(packT, pl.SendOverhead)
+		intra := pl.SameBoard(nd.ID, dst)
+		if intra {
+			x.lat = pl.IntraLatency
+			c.Wire = serialTime(n, pl.IntraBW*out.BWFactor)
+		} else {
+			x.lat = pl.InterLatency
+			c.Wire = serialTime(n, pl.InterBW*out.BWFactor)
+			c.Fabric = m.fabric // nil on a crossbar
+		}
+		x.lat += out.ExtraLatency
+		c.Egress = &nd.egress
+		// Account occupancy only (overhead + wire serialisation), not time
+		// spent queueing for the fabric, so utilisation stays meaningful. A
+		// drop is lost on the wire: the full send cost paid for nothing.
+		x.comm, x.lost = pl.SendOverhead+c.Wire, out.Drop
 	}
-
-	intra := pl.SameBoard(nd.ID, dst)
-	var lat sim.Duration
-	if intra {
-		lat = pl.IntraLatency
-		c.Wire = serialTime(n, pl.IntraBW*out.BWFactor)
-	} else {
-		lat = pl.InterLatency
-		c.Wire = serialTime(n, pl.InterBW*out.BWFactor)
+	if p.HoldBegin(&c) {
+		return true
 	}
-	lat += out.ExtraLatency
-	if !intra {
-		c.Fabric = m.fabric // nil on a crossbar
-	}
-	c.Egress = &nd.egress
-	p.Hold(&c)
-	// Account occupancy only (overhead + wire serialisation), not time
-	// spent queueing for the fabric, so utilisation stays meaningful.
-	nd.CommBusy += pl.SendOverhead + c.Wire
-	if out.Drop {
-		// Lost on the wire: the full send cost was paid for nothing.
-		return 0, false
-	}
-	return p.Now().Add(lat), true
+	nd.transferDone(p, x)
+	return false
 }
 
-// A Gate is what the receive side of a message waits behind. Hold parks p
-// until the message is in, then holds then — the node's receive overhead
-// and unpack copy — in the same park (sim.Chan.RecvHold), and reports
-// whether the message came: false means the wait ended without it (a
-// receive that timed out) and nothing was held.
+// TransferEnd is the half that follows the wake of a send begun by
+// TransferBegin or TryTransferBegin.
+func (nd *Node) TransferEnd(p *sim.Proc, x *Xfer) {
+	p.HoldResume()
+	nd.transferDone(p, x)
+}
+
+// transferDone settles a send once its hold is over.
+func (nd *Node) transferDone(p *sim.Proc, x *Xfer) {
+	nd.CommBusy += x.comm
+	if !x.lost {
+		x.Arrival, x.OK = p.Now().Add(x.lat), true
+	}
+}
+
+// A Gate is what the receive side of a message waits behind, in two halves
+// (sim.Chan.RecvHoldBegin and RecvHoldResume). HoldBegin waits for the
+// message and holds then — the node's receive overhead and unpack copy —
+// behind it in the same park, and reports whether p parked; a gate that does
+// not park had the message and nothing to hold. HoldResume follows each
+// wake: done false means the wait goes on, came false that it ended without
+// the message (a receive that timed out) and nothing was held.
 type Gate interface {
-	Hold(p *sim.Proc, then sim.Chain) bool
+	HoldBegin(p *sim.Proc, then sim.Chain) bool
+	HoldResume(p *sim.Proc) (done, came bool)
 }
 
 // RecvOverhead charges this node's CPU for taking one message in: the
@@ -335,17 +418,52 @@ type Gate interface {
 // the gate opens without the message nothing is charged and RecvOverhead
 // reports false.
 func (nd *Node) RecvOverhead(p *sim.Proc, unpack int, gate Gate) bool {
-	pl := &nd.mach.Plat
-	ovh, cp := pl.RecvOverhead, pl.CopyTime(unpack)
-	c := nd.bursts(ovh, cp)
-	if gate == nil {
-		p.Hold(&c)
-	} else if !gate.Hold(p, c) {
-		return false
+	if !nd.RecvOverheadBegin(p, unpack, gate) {
+		return true
 	}
-	nd.CommBusy += ovh
-	nd.CopyBusy += cp
-	return true
+	for {
+		p.Suspend()
+		if done, came := nd.RecvOverheadEnd(p, unpack, gate); done {
+			return came
+		}
+	}
+}
+
+// RecvOverheadBegin is RecvOverhead's first half: it reports whether p
+// parked; RecvOverheadEnd, with the same unpack and gate, follows each wake.
+func (nd *Node) RecvOverheadBegin(p *sim.Proc, unpack int, gate Gate) bool {
+	c := nd.bursts(nd.mach.Plat.RecvOverhead, nd.mach.Plat.CopyTime(unpack))
+	var parked bool
+	if gate == nil {
+		parked = p.HoldBegin(&c)
+	} else {
+		parked = gate.HoldBegin(p, c)
+	}
+	if !parked {
+		nd.recvCharged(unpack)
+	}
+	return parked
+}
+
+// RecvOverheadEnd is RecvOverhead's half after a wake: done false means
+// the wait goes on; came is what RecvOverhead reports.
+func (nd *Node) RecvOverheadEnd(p *sim.Proc, unpack int, gate Gate) (done, came bool) {
+	if gate == nil {
+		p.HoldResume()
+		done, came = true, true
+	} else {
+		done, came = gate.HoldResume(p)
+	}
+	if came {
+		nd.recvCharged(unpack)
+	}
+	return done, came
+}
+
+// recvCharged accounts a message taken in.
+func (nd *Node) recvCharged(unpack int) {
+	nd.CommBusy += nd.mach.Plat.RecvOverhead
+	nd.CopyBusy += nd.mach.Plat.CopyTime(unpack)
 }
 
 // Utilization reports the fraction of the elapsed virtual time [0, now] this

@@ -23,6 +23,15 @@
 // it as kernel steps (machine.Node.RecvOverhead with the waiter as its Gate),
 // so the receiver wakes once, when all of it is done. A receive that times
 // out is woken plainly and charged nothing.
+//
+// Each point-to-point operation is also two halves, for a process that has
+// no stack to park (sim.Kernel.SpawnStepOn): SendBegin, RecvBegin and
+// RecvTimeoutBegin begin it and report whether the process parked; Resume
+// follows each wake until it reports the operation over, and Received hands
+// over what a receive got. The pending operation lives on the Rank — one per
+// process — including the resilient send's attempt, backoff and giveup
+// stages. SendPacked, RecvUnpacked, RecvTimeoutUnpacked and everything built
+// on them (the collectives) are the blocking wrappers over those halves.
 package mpi
 
 import (
@@ -108,12 +117,20 @@ func (w *waiter) chanName() string {
 	return w.name
 }
 
-// Hold makes the waiter the receive's gate: it parks p until the matching
-// message (or the timeout) is handed over, with then — the receive's CPU
-// phases — run behind a matched delivery in the same park.
-func (w *waiter) Hold(p *sim.Proc, then sim.Chain) bool {
-	w.ch.RecvHold(p, &w.got, &then)
-	return !w.timedOut
+// HoldBegin makes the waiter the receive's gate: it parks p until the
+// matching message (or the timeout) is handed over, with then — the
+// receive's CPU phases — run behind a matched delivery in the same park.
+func (w *waiter) HoldBegin(p *sim.Proc, then sim.Chain) bool {
+	return w.ch.RecvHoldBegin(p, &w.got, &then)
+}
+
+// HoldResume is the gate's side of a wake: the receive is over, and the
+// message came unless the timeout's hand-over ended it.
+func (w *waiter) HoldResume(p *sim.Proc) (done, came bool) {
+	if !w.ch.RecvHoldResume(p, &w.got) {
+		return false, false
+	}
+	return true, !w.timedOut
 }
 
 // endpoint is the per-rank receive engine: an unordered pending set matched
@@ -329,7 +346,41 @@ type Rank struct {
 	id   int
 	node *machine.Node
 	proc *sim.Proc
+	op   pending // the operation between its Begin half and its end
 }
+
+// pending is a send or receive between its Begin half and its end: where it
+// stands and what its end needs. A Rank is one process's handle, and a
+// process is inside one operation at a time.
+type pending struct {
+	// msg is a send's body, or what a receive got.
+	msg Payload
+	// A send: its destination and tag, its transfer, and the resilient
+	// protocol's attempt and when the first one began.
+	x        machine.Xfer
+	dst, tag int
+	attempt  int
+	start    sim.Time
+	// A receive: its gate (nil when the message was pending), its unpack
+	// copy, and whether the message came.
+	w      *waiter
+	unpack int
+	recv   bool
+	ok     bool
+	stage  sendStage
+}
+
+// sendStage is where a send stands: the stage it parked in, or that last
+// completed.
+type sendStage uint8
+
+const (
+	sendWire    sendStage = iota // the plain transfer
+	sendPack                     // the pack copy ahead of a resilient send's attempts
+	sendTry                      // an attempt under the fault injector
+	sendBackoff                  // the sleep before the next attempt
+	sendGiveup                   // the maintenance-path transfer after the last attempt
+)
 
 // Launch spawns body as the main thread of every rank and returns once all
 // processes are created (call w.Mach.K.Run() to execute). Rank i runs on
@@ -385,56 +436,129 @@ func (r *Rank) Send(dst, tag int, body Payload) { r.SendPacked(dst, tag, body, 0
 // buffer — pack bytes of it, a strided region — charged in the same park as
 // the send: the pack copy, the send overhead and the wire are one hold.
 func (r *Rank) SendPacked(dst, tag int, body Payload, pack int) {
+	if r.SendBegin(dst, tag, body, pack) {
+		r.wait()
+	}
+}
+
+// wait parks the process until the pending operation is over: the blocking
+// forms are wrappers over their halves.
+func (r *Rank) wait() {
+	for {
+		r.proc.Suspend()
+		if r.Resume() {
+			return
+		}
+	}
+}
+
+// SendBegin is SendPacked's first half: it reports whether the process
+// parked, and Resume follows each wake until it reports the send over.
+func (r *Rank) SendBegin(dst, tag int, body Payload, pack int) bool {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("mpi: send to rank %d of world size %d", dst, r.Size()))
 	}
-	bytes := body.Bytes + EnvelopeBytes
-	var arrival sim.Time
+	op := &r.op
+	op.recv, op.dst, op.tag, op.msg = false, dst, tag, body
 	if !r.w.Mach.Faults().Enabled() {
-		arrival = r.node.Transfer(r.proc, dst, bytes, pack)
-	} else {
-		if pack > 0 {
-			// Packed once, ahead of the attempts (and of the retry span).
-			r.node.Memcpy(r.proc, pack)
+		op.stage = sendWire
+		if r.node.TransferBegin(r.proc, dst, op.wire(), pack, &op.x) {
+			return true
 		}
-		arrival = r.sendResilient(dst, bytes)
+		return r.sendOn()
 	}
-	ep := &r.w.endpoints[dst]
-	m := message{src: r.id, tag: tag, body: body}
-	if arrival <= r.proc.Now() {
-		// Only self-transfers arrive instantly (cross-node latency is
-		// always positive), so delivering inline stays on dst's shard.
-		ep.deliver(m)
-		return
+	// Packed once, ahead of the attempts (and of the retry span).
+	op.stage = sendPack
+	if pack > 0 && r.node.MemcpyBegin(r.proc, pack) {
+		return true
 	}
-	// Delivery executes on dst's shard; the fabric latency of a
-	// cross-shard link is what bounds the kernel's lookahead.
-	f := r.w.endpoints[r.id].getFlight(ep, m)
-	r.proc.AfterOn(dst, arrival.Sub(r.proc.Now()), f.fire)
+	return r.sendOn()
 }
 
-// sendResilient pushes bytes to dst through the fault injector, retrying
-// failed attempts with backoff and escalating to the maintenance path after
-// the attempt budget. Returns the arrival time of the attempt that succeeded.
-func (r *Rank) sendResilient(dst, bytes int) sim.Time {
-	pol := r.w.retryPolicy()
-	start := r.proc.Now()
-	for attempt := 1; ; attempt++ {
-		arrival, ok := r.node.TryTransfer(r.proc, dst, bytes)
-		if ok {
-			if attempt > 1 {
-				r.Trace().FaultSpan(r.id, fmt.Sprintf("retry %d->%d x%d", r.id, dst, attempt-1),
-					start, r.proc.Now())
-			}
-			return arrival
-		}
-		if attempt >= pol.MaxAttempts {
-			arrival := r.node.Transfer(r.proc, dst, bytes, 0)
-			r.Trace().FaultSpan(r.id, fmt.Sprintf("giveup %d->%d", r.id, dst), start, r.proc.Now())
-			return arrival
-		}
-		r.proc.Sleep(pol.BackoffFor(attempt))
+// Resume is the half of a pending send or receive that follows a wake; it
+// reports whether the operation is over.
+func (r *Rank) Resume() bool {
+	op := &r.op
+	if op.recv {
+		return r.recvResume()
 	}
+	switch op.stage {
+	case sendPack:
+		r.node.BusyEnd(r.proc)
+	case sendWire, sendTry, sendGiveup:
+		r.node.TransferEnd(r.proc, &op.x)
+	}
+	return !r.sendOn()
+}
+
+// sendOn runs a send on from the stage that just completed until it parks
+// (true) or hands the message to its flight (false). Under the fault
+// injector that is the retry protocol: an attempt through the injector, a
+// backoff sleep after each failed one, and the fault-oblivious maintenance
+// path once the attempt budget is spent.
+func (r *Rank) sendOn() bool {
+	op := &r.op
+	pol := r.w.retryPolicy()
+	for {
+		switch op.stage {
+		case sendWire:
+			r.sent()
+			return false
+		case sendPack:
+			op.start, op.attempt = r.proc.Now(), 1
+		case sendTry:
+			if op.x.OK {
+				if op.attempt > 1 {
+					r.Trace().FaultSpan(r.id, fmt.Sprintf("retry %d->%d x%d", r.id, op.dst, op.attempt-1),
+						op.start, r.proc.Now())
+				}
+				r.sent()
+				return false
+			}
+			if op.attempt >= pol.MaxAttempts {
+				op.stage = sendGiveup
+				if r.node.TransferBegin(r.proc, op.dst, op.wire(), 0, &op.x) {
+					return true
+				}
+				continue
+			}
+			op.stage = sendBackoff
+			r.proc.SleepBegin(pol.BackoffFor(op.attempt))
+			return true
+		case sendBackoff:
+			op.attempt++
+		case sendGiveup:
+			r.Trace().FaultSpan(r.id, fmt.Sprintf("giveup %d->%d", r.id, op.dst), op.start, r.proc.Now())
+			r.sent()
+			return false
+		}
+		// The next attempt.
+		op.stage = sendTry
+		if r.node.TryTransferBegin(r.proc, op.dst, op.wire(), &op.x) {
+			return true
+		}
+	}
+}
+
+// wire is the send's size on the wire, envelope included.
+func (op *pending) wire() int { return op.msg.Bytes + EnvelopeBytes }
+
+// sent hands a sent message to its flight: delivered at x.Arrival.
+func (r *Rank) sent() {
+	op := &r.op
+	ep := &r.w.endpoints[op.dst]
+	m := message{src: r.id, tag: op.tag, body: op.msg}
+	op.msg = Payload{}
+	if arrival := op.x.Arrival; arrival > r.proc.Now() {
+		// Delivery executes on dst's shard; the fabric latency of a
+		// cross-shard link is what bounds the kernel's lookahead.
+		f := r.w.endpoints[r.id].getFlight(ep, m)
+		r.proc.AfterOn(op.dst, arrival.Sub(r.proc.Now()), f.fire)
+		return
+	}
+	// Only self-transfers arrive instantly (cross-node latency is always
+	// positive), so delivering inline stays on dst's shard.
+	ep.deliver(m)
 }
 
 // Recv blocks until a message from src with the given tag arrives, charges
@@ -448,6 +572,28 @@ func (r *Rank) Recv(src, tag int) Payload { return r.RecvUnpacked(src, tag, 0) }
 func (r *Rank) RecvUnpacked(src, tag, unpack int) Payload {
 	body, _ := r.recv(src, tag, unpack, false, 0)
 	return body
+}
+
+// RecvBegin is RecvUnpacked's first half: it reports whether the process
+// parked, and Resume follows each wake until it reports the receive over;
+// Received then hands over the payload.
+func (r *Rank) RecvBegin(src, tag, unpack int) bool {
+	return r.recvBegin(src, tag, unpack, false, 0)
+}
+
+// RecvTimeoutBegin is RecvTimeoutUnpacked's first half, as RecvBegin is
+// RecvUnpacked's; Received reports whether the message came.
+func (r *Rank) RecvTimeoutBegin(src, tag int, d sim.Duration, unpack int) bool {
+	return r.recvBegin(src, tag, unpack, true, d)
+}
+
+// Received hands over what the receive that just ended got — its payload,
+// and false if it timed out — once: the rank keeps no reference to it.
+func (r *Rank) Received() (Payload, bool) {
+	op := &r.op
+	body, ok := op.msg, op.ok
+	op.msg = Payload{}
+	return body, ok
 }
 
 // RecvTimeout is Recv with a deadline: it blocks until a message from src
@@ -466,27 +612,65 @@ func (r *Rank) RecvTimeoutUnpacked(src, tag int, d sim.Duration, unpack int) (bo
 	return r.recv(src, tag, unpack, true, d)
 }
 
-// recv is every receive: match or queue a waiter, then let the node charge
-// the receive with the waiter as its gate. A message and a timeout firing at
-// the same virtual instant are ordered by the kernel's event queue;
-// whichever fires first wins, deterministically.
+// recv is every receive's blocking form.
 func (r *Rank) recv(src, tag, unpack int, timed bool, d sim.Duration) (Payload, bool) {
+	if r.recvBegin(src, tag, unpack, timed, d) {
+		r.wait()
+	}
+	return r.Received()
+}
+
+// recvBegin begins every receive: match or queue a waiter, then let the
+// node charge the receive with the waiter as its gate. A message and a
+// timeout firing at the same virtual instant are ordered by the kernel's
+// event queue; whichever fires first wins, deterministically.
+func (r *Rank) recvBegin(src, tag, unpack int, timed bool, d sim.Duration) bool {
 	if src < 0 || src >= r.Size() {
 		panic(fmt.Sprintf("mpi: recv from rank %d of world size %d", src, r.Size()))
 	}
-	e := &r.w.endpoints[r.id]
-	m, w := e.match(r.proc, src, tag, timed, d)
+	m, w := r.w.endpoints[r.id].match(r.proc, src, tag, timed, d)
+	op := &r.op
+	op.recv, op.w, op.unpack, op.msg, op.ok = true, w, unpack, m.body, true
+	var parked bool
 	if w == nil {
-		r.node.RecvOverhead(r.proc, unpack, nil)
-		return m.body, true
+		parked = r.node.RecvOverheadBegin(r.proc, unpack, nil)
+	} else {
+		parked = r.node.RecvOverheadBegin(r.proc, unpack, w)
 	}
-	ok := r.node.RecvOverhead(r.proc, unpack, w)
-	m = w.got
-	e.putWaiter(w)
-	if !ok {
-		return Payload{}, false
+	if !parked {
+		r.recvDone(true)
 	}
-	return m.body, true
+	return parked
+}
+
+// recvResume is Resume for a receive.
+func (r *Rank) recvResume() bool {
+	op := &r.op
+	var gate machine.Gate // nil, not a nil *waiter, when the message was pending
+	if op.w != nil {
+		gate = op.w
+	}
+	done, came := r.node.RecvOverheadEnd(r.proc, op.unpack, gate)
+	if done {
+		r.recvDone(came)
+	}
+	return done
+}
+
+// recvDone settles a receive: a gated one takes the message its waiter got
+// (none if it timed out) and recycles the waiter.
+func (r *Rank) recvDone(came bool) {
+	op := &r.op
+	w := op.w
+	if w == nil {
+		return
+	}
+	op.w = nil
+	op.msg, op.ok = w.got.body, came
+	if !came {
+		op.msg = Payload{}
+	}
+	r.w.endpoints[r.id].putWaiter(w)
 }
 
 // Sendrecv sends to dst and then receives from src (safe because Send does

@@ -23,6 +23,14 @@
 // Pipelining across iterations uses per-transfer credits (double buffering
 // by default), so a source cannot run unboundedly ahead of its consumers —
 // the runtime's buffer management in action.
+//
+// Like the paper's table-driven kernel, a function thread is not a program
+// with a stack but a step over its table entry: a stackless simulated
+// process (sim.Kernel.SpawnStepOn) whose walk over its plan.Thread is an
+// explicit state machine (step.go). The kernel runs it inline at every wake,
+// and it blocks only through the Begin/Resume halves of the sim, machine and
+// mpi operations, so no event of a run is a process switch — under faults,
+// optimised buffers, the Sequential barrier, pacing and tracing alike.
 package sagert
 
 import (
@@ -212,10 +220,17 @@ type Result struct {
 	Dispatches uint64
 	// Switches is how many of those events resumed a process other than the
 	// one executing the event loop (sim.Kernel.Switches) — what the run paid
-	// in coroutine round trips. Unlike every other field it is a host-side
-	// diagnostic that depends on Options.Shards: no identity comparison
-	// across shard counts may read it, and the daemon does not emit it.
+	// in coroutine round trips. Every function thread is a stackless process
+	// (a step machine, not a coroutine), so a run pays none: Switches is 0
+	// at any Options, shard count included. It stays as the gate that keeps
+	// it so; the daemon does not emit it.
 	Switches uint64
+	// Windows is the sharded kernel's window census (sim.Kernel.WindowStats):
+	// how many lookahead windows ran, in how many of them two or more shards
+	// had work, and how many events crossed shards. A host-side diagnostic
+	// like Switches, it depends on Options.Shards — no identity comparison
+	// across shard counts may read it — and the daemon does not emit it.
+	Windows sim.WindowStats
 	// NodeStats reports per-node busy time.
 	NodeStats []NodeStat
 }
@@ -244,6 +259,17 @@ func (r *Result) AvgLatency() sim.Duration {
 // Run executes the tables on a fresh simulated machine of the given
 // platform.
 func Run(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Result, error) {
+	return run(tables, pl, opts, runHooks{})
+}
+
+// runHooks let a test drive the function threads another way — the
+// coroutine oracle — and observe the kernel. Run passes none.
+type runHooks struct {
+	spawn func(r *runner, k *sim.Kernel) // replaces (*runner).spawn
+	setup func(r *runner, k *sim.Kernel) // once the run is built, before its threads spawn
+}
+
+func run(tables *gluegen.Tables, pl machine.Platform, opts Options, hooks runHooks) (*Result, error) {
 	o := opts.withDefaults()
 	xp, err := plan.Build(tables)
 	if err != nil {
@@ -294,7 +320,14 @@ func Run(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Result, er
 	if o.Sequential {
 		r.iterBarrier = sim.NewBarrier(k, "iteration", len(xp.Threads))
 	}
-	r.spawn(k)
+	if hooks.setup != nil {
+		hooks.setup(r, k)
+	}
+	if hooks.spawn != nil {
+		hooks.spawn(r, k)
+	} else {
+		r.spawn(k)
+	}
 	if o.Cancel != nil {
 		k.SetCancel(o.Cancel, o.CancelEvery)
 	}

@@ -1,0 +1,464 @@
+package sagert
+
+import (
+	"fmt"
+
+	"repro/internal/funclib"
+	"repro/internal/isspl"
+	"repro/internal/mpi"
+	"repro/internal/plan"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// A thread is one function thread of the plan, run as a stackless process
+// (sim.Kernel.SpawnStepOn): its walk over the plan.Thread — await credits,
+// receive in port order, assemble, charge and compute, extract and send,
+// return credits — is an explicit state machine instead of a coroutine.
+// step runs the walk from t.pc until the thread would block. There it calls
+// the blocking operation's Begin half and, if that parked, records in
+// t.wait which Resume half the wake owes and returns. The wake calls step
+// again, which calls that half first and goes on. Every event is therefore
+// scheduled at the dispatch, and in the order, the coroutine would have
+// scheduled it, and no event is a process switch. DESIGN.md §7 has the
+// state table.
+type thread struct {
+	r     *runner
+	tp    *plan.Thread
+	rank  *mpi.Rank
+	track string // the thread's trace track ("" untraced)
+	// Per-iteration working state, cleared each pass so the steady-state
+	// iteration allocates no maps or contexts.
+	inBlocks, outBlocks map[string]*funclib.Block
+	ctx                 funclib.Context
+	sinkTarget          *isspl.Matrix // non-nil on the threads of a collected sink
+
+	pc      pc
+	wait    waitOn
+	iter    int
+	compute bool // iteration iter carries samples
+	pi, xi  int  // the port, and the transfer in its order
+	order   []int32
+	ei      int32          // the transfer's edge,
+	peer    int            // and the node at its other end
+	blk     *funclib.Block // the input block being assembled, or the output block being sent
+	got     *funclib.Block // the payload just received
+	// Span starts: the phase (receive, compute or send), the transfer, the
+	// credit wait and the current timed receive (one attempt of a re-armed
+	// wait).
+	phaseStart, xferStart, creditStart, tryStart sim.Time
+	copyBytes                                    int
+}
+
+// pc is where a thread's walk goes on.
+type pc uint8
+
+const (
+	stIter      pc = iota // the iteration's head: the end test, a source's pacing
+	stStart               // a source's start stamp; the receive phase begins
+	stInPort              // the next input port: its block and transfer order
+	stInXfer              // the port's next transfer: receive it
+	stLocalGot            // an optimised local handoff arrived: its copy
+	stInGot               // a data receive ended: a timeout re-arms it
+	stAssemble            // assemble or land in the sink, then return the credit
+	stDispatch            // the receive phase is over: the dispatch overhead
+	stCost                // the kind's cost: its flops,
+	stCopy                // and its copy
+	stCompute             // the kind's Compute; the send phase begins
+	stOutPort             // the next output port: its block and transfer order
+	stOutXfer             // the port's next transfer: take or await its credit
+	stCreditGot           // a credit wait ended: a timeout overcommits or re-arms
+	stSend                // send the region
+	stSent                // the send is over
+	stIterEnd             // a sink's done stamp, the iteration barrier
+)
+
+// waitOn is what a parked thread waits in: the Resume half its wake owes.
+type waitOn uint8
+
+const (
+	waitNone    waitOn = iota
+	waitCPU            // a CPU burst (machine.Node.BusyEnd)
+	waitRank           // an mpi send or receive (mpi.Rank.Resume)
+	waitLocal          // an optimised local handoff (sim.Chan.RecvResume)
+	waitBarrier        // the Sequential iteration barrier (sim.Barrier.WaitResume)
+	waitSleep          // a source's pacing sleep, which has no Resume half
+)
+
+// init readies t to run tp as rank.
+func (t *thread) init(r *runner, tp *plan.Thread, rank *mpi.Rank) {
+	t.r, t.tp, t.rank = r, tp, rank
+	if r.mach.Trace().Enabled() {
+		t.track = trace.ProcTrack(rank.Proc().Name(), rank.Proc().PID())
+	}
+	t.inBlocks = make(map[string]*funclib.Block, len(tp.Ins))
+	t.outBlocks = make(map[string]*funclib.Block, len(tp.Outs))
+	t.ctx = funclib.Context{FuncName: tp.Fn.Name, Params: tp.Fn.Params, Thread: tp.Index, Threads: tp.Fn.Threads}
+	t.sinkTarget = r.outputs[tp.Fn.Name]
+}
+
+// park records what t waits in if a Begin half reported that it parked.
+func (t *thread) park(parked bool, on waitOn) bool {
+	if parked {
+		t.wait = on
+	}
+	return parked
+}
+
+// resume runs the Resume half t's wake owes, and reports whether the wait
+// is over.
+func (t *thread) resume(p *sim.Proc) bool {
+	switch t.wait {
+	case waitCPU:
+		t.r.mach.Node(t.tp.Node).BusyEnd(p)
+	case waitRank:
+		if !t.rank.Resume() {
+			return false
+		}
+	case waitLocal:
+		v, ok := t.r.localQueues[t.ei].RecvResume(p)
+		if !ok {
+			return false
+		}
+		t.got = v
+	case waitBarrier:
+		if !t.r.iterBarrier.WaitResume(p) {
+			return false
+		}
+	}
+	t.wait = waitNone
+	return true
+}
+
+// step is the thread's body: called at its start and at every wake, it
+// walks on until the thread parks (true) or ends (false).
+func (t *thread) step(p *sim.Proc) bool {
+	if t.wait != waitNone && !t.resume(p) {
+		return true
+	}
+	r, tp := t.r, t.tp
+	node, tr := r.mach.Node(tp.Node), r.mach.Trace()
+	threads, edges := r.plan.Threads, r.plan.Edges
+	for {
+		switch t.pc {
+		case stIter:
+			if t.iter >= r.opts.Iterations || r.failed.Load() {
+				return false
+			}
+			t.compute = t.iter < r.opts.ComputeIterations
+			t.pc = stStart
+			if tp.Source && r.opts.InputPeriod > 0 {
+				// Real-time pacing: data set iter arrives on schedule; if the
+				// pipeline's backpressure held the source past the arrival,
+				// record the overrun.
+				scheduled := sim.Time(0).Add(sim.Duration(t.iter) * r.opts.InputPeriod)
+				if p.Now() < scheduled {
+					p.SleepUntilBegin(scheduled)
+					t.wait = waitSleep
+					return true
+				}
+				r.noteOverrun(p.Now().Sub(scheduled))
+			}
+
+		case stStart:
+			if tp.Source {
+				r.noteSourceStart(t.iter, p.Now())
+			}
+			t.phaseStart = p.Now()
+			clear(t.inBlocks)
+			t.pi, t.pc = 0, stInPort
+
+		// --- receive phase: assemble input logical buffers -----------------
+		case stInPort:
+			if t.pi == len(tp.Ins) {
+				if len(tp.Ins) > 0 {
+					r.trace(tp, t.iter, "recv", t.phaseStart, p.Now())
+					tr.Phase(trace.LayerSage, tp.Node, t.track, "recv", t.iter, t.phaseStart, p.Now())
+				}
+				t.pc = stDispatch
+				continue
+			}
+			pp := &tp.Ins[t.pi]
+			t.blk = nil // stays nil to adopt the payload
+			switch {
+			case !t.compute || t.sinkTarget != nil:
+				t.blk = &pp.Charge
+			case !pp.Adopt:
+				t.blk = funclib.NewBlock(pp.Region)
+			}
+			t.order, t.xi, t.pc = r.orderXfers(pp.Edges, true, p.Now()), 0, stInXfer
+
+		case stInXfer:
+			if t.xi == len(t.order) {
+				t.inBlocks[tp.Ins[t.pi].Entry.Name] = t.blk
+				t.pi, t.pc = t.pi+1, stInPort
+				continue
+			}
+			t.ei = t.order[t.xi]
+			e := &edges[t.ei]
+			t.peer, t.xferStart, t.got = threads[e.Src].Node, p.Now(), nil
+			if r.localOptimised(t.peer, tp.Node) {
+				// Optimised local handoff: single copy, no messaging stack.
+				t.pc = stLocalGot
+				v, parked := r.localQueues[t.ei].RecvBegin(p)
+				if t.park(parked, waitLocal) {
+					return true
+				}
+				t.got = v
+				continue
+			}
+			t.pc = stInGot
+			if t.park(t.recvBegin(p, e), waitRank) {
+				return true
+			}
+
+		case stLocalGot:
+			t.pc = stAssemble
+			if t.park(node.MemcpyBegin(p, edges[t.ei].X.Bytes), waitCPU) {
+				return true
+			}
+
+		case stInGot:
+			e := &edges[t.ei]
+			payload, ok := t.rank.Received()
+			if !ok {
+				// A resilient receive timed out: record it and re-arm. The
+				// message is guaranteed to come eventually (the MPI retry
+				// protocol forces delivery after its attempt budget).
+				tr.FaultSpanOn(tp.Node, t.track,
+					fmt.Sprintf("recv-timeout b%d t%d", e.Buf, e.X.SrcThread),
+					t.tryStart, p.Now())
+				if t.park(t.recvBegin(p, e), waitRank) {
+					return true
+				}
+				continue
+			}
+			if t.compute {
+				t.got = payload.Data.(*funclib.Block)
+			}
+			t.pc = stAssemble
+
+		case stAssemble:
+			e := &edges[t.ei]
+			// A sink holds no samples of its own: the payloads of the last
+			// compute iteration land in the assembled output as they arrive,
+			// earlier ones are dropped.
+			if t.compute && t.sinkTarget == nil {
+				t.blk = funclib.Assemble(t.blk, t.got)
+			} else if t.compute && t.iter == r.opts.ComputeIterations-1 {
+				funclib.StoreSink(&r.sinkMu, t.sinkTarget, t.got)
+			}
+			t.got = nil
+			if tr.Enabled() {
+				tr.Xfer(trace.LayerSage, tp.Node, t.track,
+					fmt.Sprintf("recv b%d t%d", e.Buf, e.X.SrcThread),
+					e.X.Bytes, t.iter, t.xferStart, p.Now())
+			}
+			// Return a pipelining credit to the producer; then the next
+			// transfer.
+			t.xi, t.pc = t.xi+1, stInXfer
+			if t.park(t.rank.SendBegin(t.peer, e.CreditTag(), mpi.Empty(), 0), waitRank) {
+				return true
+			}
+
+		// --- dispatch + compute --------------------------------------------
+		case stDispatch:
+			t.phaseStart = p.Now()
+			t.pc = stCost
+			if t.park(node.ComputeTimeBegin(p, r.opts.DispatchOverhead), waitCPU) {
+				return true
+			}
+
+		case stCost:
+			clear(t.outBlocks)
+			for pi := range tp.Outs {
+				pp := &tp.Outs[pi]
+				blk := &pp.Charge
+				switch {
+				case t.compute && tp.InPlace:
+					// The thread owns its input block: the kind transforms it
+					// where it lies (the cost model still charges the copy).
+					blk = t.inBlocks[tp.Ins[0].Entry.Name]
+				case t.compute:
+					blk = funclib.NewBlock(pp.Region)
+				}
+				t.outBlocks[pp.Entry.Name] = blk
+			}
+			t.ctx.Iteration = t.iter
+			cost := tp.Impl.Cost(&t.ctx, t.inBlocks, t.outBlocks)
+			t.copyBytes = cost.CopyBytes
+			if r.opts.OptimizedBuffers && !tp.Source && !tp.Sink {
+				// In-place computation where legal: the input-to-output copy
+				// disappears.
+				for pi := range tp.Ins {
+					t.copyBytes -= tp.Ins[pi].Bytes()
+				}
+				t.copyBytes = max(t.copyBytes, 0)
+			}
+			t.pc = stCopy
+			if t.park(node.ComputeFlopsBegin(p, cost.Flops), waitCPU) {
+				return true
+			}
+
+		case stCopy:
+			t.pc = stCompute
+			if t.park(node.MemcpyBegin(p, t.copyBytes), waitCPU) {
+				return true
+			}
+
+		case stCompute:
+			if t.compute {
+				if err := tp.Impl.Compute(&t.ctx, t.inBlocks, t.outBlocks); err != nil {
+					r.fail(fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, t.iter, err))
+					return false
+				}
+			}
+			r.trace(tp, t.iter, "compute", t.phaseStart, p.Now())
+			tr.Phase(trace.LayerSage, tp.Node, t.track, "compute", t.iter, t.phaseStart, p.Now())
+			t.phaseStart = p.Now()
+			t.pi, t.pc = 0, stOutPort
+
+		// --- send phase ------------------------------------------------------
+		case stOutPort:
+			if t.pi == len(tp.Outs) {
+				if len(tp.Outs) > 0 {
+					r.trace(tp, t.iter, "send", t.phaseStart, p.Now())
+					tr.Phase(trace.LayerSage, tp.Node, t.track, "send", t.iter, t.phaseStart, p.Now())
+				}
+				t.pc = stIterEnd
+				continue
+			}
+			pp := &tp.Outs[t.pi]
+			t.blk = t.outBlocks[pp.Entry.Name]
+			t.order, t.xi, t.pc = r.orderXfers(pp.Edges, false, p.Now()), 0, stOutXfer
+
+		case stOutXfer:
+			if t.xi == len(t.order) {
+				t.pi, t.pc = t.pi+1, stOutPort
+				continue
+			}
+			t.ei = t.order[t.xi]
+			e := &edges[t.ei]
+			t.peer = threads[e.Dst].Node
+			if r.credits[t.ei] > 0 {
+				r.credits[t.ei]--
+				t.pc = stSend
+				continue
+			}
+			t.creditStart = p.Now()
+			t.pc = stCreditGot
+			if t.park(t.creditBegin(p, e), waitRank) {
+				return true
+			}
+
+		case stCreditGot:
+			e := &edges[t.ei]
+			if _, ok := t.rank.Received(); !ok {
+				// Resilient mode: each timed-out wait is recorded. While the
+				// per-transfer overcommit budget lasts, a timeout is resolved
+				// by borrowing an emergency slot and proceeding without the
+				// credit — the credit stays in flight and satisfies a later
+				// wait instantly, so the pipeline depth overshoot is bounded
+				// by the budget and drains by itself. Otherwise re-arm.
+				tr.FaultSpanOn(tp.Node, t.track,
+					fmt.Sprintf("credit-timeout b%d", e.Buf), t.tryStart, p.Now())
+				if r.overcommit[t.ei] >= r.opts.Resilience.MaxCreditOvercommit {
+					if t.park(t.creditBegin(p, e), waitRank) {
+						return true
+					}
+					continue
+				}
+				r.overcommit[t.ei]++
+				tr.FaultPoint(tp.Node,
+					fmt.Sprintf("overcommit b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread),
+					p.Now())
+			}
+			if tr.Enabled() && p.Now() > t.creditStart {
+				tr.Phase(trace.LayerSage, tp.Node, t.track,
+					fmt.Sprintf("credit b%d", e.Buf),
+					t.iter, t.creditStart, p.Now())
+			}
+			t.pc = stSend
+
+		case stSend:
+			e := &edges[t.ei]
+			t.xferStart = p.Now()
+			if r.localOptimised(tp.Node, t.peer) {
+				var pass *funclib.Block // nothing to hand over when charge-only
+				if t.compute {
+					pass = funclib.ExtractRegion(t.blk, e.X.Region)
+				}
+				r.localQueues[t.ei].Send(pass)
+				t.xi, t.pc = t.xi+1, stOutXfer
+				continue
+			}
+			// Pack the region out of the logical buffer, charged with the
+			// send; a region that is contiguous in the buffer is sent in
+			// place, zero-copy. (The charge is the model's; the host sends a
+			// view of the block either way.)
+			pack := 0
+			if !e.SrcContig {
+				pack = e.X.Bytes
+			}
+			// The message is priced by the table's wire size whether or not
+			// it has a body: a data set that carries samples costs what one
+			// that does not costs, for every element kind.
+			payload := mpi.Payload{Bytes: e.X.Bytes}
+			if t.compute {
+				payload.Data = funclib.ExtractRegion(t.blk, e.X.Region)
+			}
+			t.pc = stSent
+			if t.park(t.rank.SendBegin(t.peer, e.DataTag(), payload, pack), waitRank) {
+				return true
+			}
+
+		case stSent:
+			if tr.Enabled() {
+				e := &edges[t.ei]
+				tr.Xfer(trace.LayerSage, tp.Node, t.track,
+					fmt.Sprintf("send b%d t%d", e.Buf, e.X.DstThread),
+					e.X.Bytes, t.iter, t.xferStart, p.Now())
+			}
+			t.xi, t.pc = t.xi+1, stOutXfer
+
+		case stIterEnd:
+			if tp.Sink {
+				r.noteSinkDone(t.iter, p.Now())
+			}
+			t.iter, t.pc = t.iter+1, stIter
+			if r.iterBarrier != nil && t.park(r.iterBarrier.WaitBegin(p), waitBarrier) {
+				return true
+			}
+		}
+	}
+}
+
+// recvBegin begins edge e's data receive into the function's private
+// logical buffer: the extra data access §3.4 attributes overhead to. A
+// region that lands contiguously in the buffer (full buffer width) is
+// received in place, zero-copy; only strided regions (corner-turn tiles,
+// column stripes) pay the unpack copy, charged with the receive. Without a
+// fault injector it is a plain receive; in resilient mode it is a timed one
+// that stInGot re-arms until the data arrives, each expiry a recv-timeout
+// fault span.
+func (t *thread) recvBegin(p *sim.Proc, e *plan.Edge) bool {
+	unpack := 0
+	if !e.DstContig {
+		unpack = e.X.Bytes
+	}
+	if !t.r.mach.Faults().Enabled() {
+		return t.rank.RecvBegin(t.peer, e.DataTag(), unpack)
+	}
+	t.tryStart = p.Now()
+	return t.rank.RecvTimeoutBegin(t.peer, e.DataTag(), t.r.opts.Resilience.RecvTimeout, unpack)
+}
+
+// creditBegin begins the wait for edge e's pipelining credit: plain, or in
+// resilient mode timed, as recvBegin.
+func (t *thread) creditBegin(p *sim.Proc, e *plan.Edge) bool {
+	if !t.r.mach.Faults().Enabled() {
+		return t.rank.RecvBegin(t.peer, e.CreditTag(), 0)
+	}
+	t.tryStart = p.Now()
+	return t.rank.RecvTimeoutBegin(t.peer, e.CreditTag(), t.r.opts.Resilience.CreditTimeout, 0)
+}

@@ -1,41 +1,54 @@
 package sagert
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/fault"
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
 )
 
-// TestSwitchCeilings pins what the kernel-side holds removed — the node's
-// time-slicing (PR 22) and a message side as one park (PR 25) — as counts
-// that repeat exactly on any host: of the events a run dispatches, how many
-// resumed a process other than the one executing the event loop
-// (Result.Switches). Dispatches are pinned beside them so a ceiling cannot be
-// met by simulating something else.
+// TestSwitchCeilings pins what the kernel-side holds and the stackless
+// thread removed — the node's time-slicing, a message side as one park, and
+// the thread's coroutine itself — as counts that repeat exactly on any
+// host: of the events a run dispatches, how many resumed a process other
+// than the one executing the event loop (Result.Switches).
+// Every SAGE thread is a step machine, so that is none, on every path.
+// Dispatches are pinned beside them so the zero cannot be met by simulating
+// something else.
 func TestSwitchCeilings(t *testing.T) {
+	faults, err := fault.ParsePlan("seed 9\ndrop link=* rate=0.1\nstall node=1 at=200us for=500us\n")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name           string
 		threads, nodes int
 		wide           bool // staggered across a Mercury crossbar instead of spread over CSPI
-		iters          int
+		opts           Options
 		dispatches     uint64
-		maxSwitches    uint64
-		why            string
+		was            string // what the shape paid as coroutines
 	}{
 		// The daemon's sim request (benchmark serve_mix, class sim): 2 647 of
 		// its 4 761 events are quantum ends and 64 % of acquires are contended.
-		// As process wakes that was 4 060 switches; as kernel steps, 532; with
-		// a message side one park, 375.
-		{"serve_mix sim shape", 4, 8, false, 5, 4761, 400, "532 with each message phase its own park"},
-		// benchmark wide1024, class seq: bursts there are shorter than one
-		// quantum, so time-slicing barely mattered (91 958 -> 91 133); a
-		// message cost 3.6 process wakes — pack, send overhead, wire, the
-		// arrival's hand-over, receive overhead, unpack — and as one park per
-		// side it costs 1.7 (43 343).
-		{"wide1024 seq shape", 64, 1024, true, 3, 119980, 45000, "91 133 with each message phase its own park"},
+		{"serve_mix sim shape", 4, 8, false, Options{Iterations: 5}, 4761,
+			"4 060 as process wakes, 532 with the quanta as kernel steps, 375 with a message side one park"},
+		// benchmark wide1024, class seq: 1.7 switches per message as one park
+		// per side — the few lines of Go between two parks.
+		{"wide1024 seq shape", 64, 1024, true, Options{Iterations: 3}, 119980,
+			"91 958 as process wakes, 91 133 with the quanta as kernel steps, 43 343 with a message side one park"},
+		// The same request under drops and a stall: retries, backoff sleeps,
+		// timed receives re-armed, credits overcommitted, transfers
+		// re-sequenced around the stalled node.
+		{"serve_mix faulted shape", 4, 8, false, Options{Iterations: 5, Faults: faults, Resilience: fault.Resilience{Degraded: true}}, 5130,
+			"648 as coroutines"},
+		// Like for like with the hand-coded loop: one data set at a time,
+		// every thread at the iteration barrier.
+		{"serve_mix sequential shape", 4, 8, false, Options{Iterations: 5, Sequential: true}, 3388,
+			"417 as coroutines"},
 	}
 	for _, c := range cases {
 		app, err := apps.FFT2D(256, c.threads)
@@ -54,7 +67,9 @@ func TestSwitchCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(gen.Tables, pl, Options{Iterations: c.iters, ComputeIterations: NoSamples})
+		o := c.opts
+		o.ComputeIterations = NoSamples
+		res, err := Run(gen.Tables, pl, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +77,44 @@ func TestSwitchCeilings(t *testing.T) {
 		if res.Dispatches != c.dispatches {
 			t.Fatalf("%s: %d dispatches, want %d", c.name, res.Dispatches, c.dispatches)
 		}
-		if res.Switches > c.maxSwitches {
-			t.Fatalf("%s: %d process switches, ceiling %d (%s)", c.name, res.Switches, c.maxSwitches, c.why)
+		if res.Switches != 0 {
+			t.Fatalf("%s: %d process switches, want 0 (%s)", c.name, res.Switches, c.was)
 		}
+	}
+}
+
+// TestAllocCeilingWide1024Seq pins what one sagert.Run of the benchmark's
+// wide1024 seq class allocates: Mercury, 1 024 nodes, fft2d 256 on 64
+// threads, three data sets of which the first carries samples. With a
+// coroutine per thread (iter.Pull's objects, a body closure and a context
+// each) it was 10 791 objects; as step machines, ~9 230 — under 0.08 per
+// event of its 119 980.
+func TestAllocCeilingWide1024Seq(t *testing.T) {
+	app, err := apps.FFT2D(256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := platforms.Mercury()
+	mapping, err := model.StaggerParallel(app, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := Run(gen.Tables, pl, Options{Iterations: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(3, run)
+	runtime.ReadMemStats(&after)
+	t.Logf("wide1024 seq: %.0f allocations, %d bytes per run", allocs, (after.TotalAlloc-before.TotalAlloc)/4)
+	if allocs > 9500 {
+		t.Fatalf("a wide1024 seq run allocates %.0f objects, ceiling 9 500", allocs)
 	}
 }

@@ -38,6 +38,7 @@ type chainImpl struct {
 	hold      func(p *Proc, c *Chain)
 	recvHold  func(c *Chan[int], p *Proc, v *int, then *Chain)
 	interrupt func(c *Chan[int], v int)
+	stackless bool // the chained forms' halves, in a stackless process
 }
 
 var (
@@ -208,6 +209,128 @@ func newChainScenario(seed int64) *chainScenario {
 	return sc
 }
 
+// chainProc is one scenario process: its operations and what it works with
+// on its domain. body runs them as a coroutine, with impl's blocking forms;
+// step (stackless_test.go) runs them as a stackless process, with halves.
+type chainProc struct {
+	k            *Kernel
+	shards, d    int
+	li           int // index of the process's log
+	ops          []chainOp
+	q            Duration
+	cpu, fab, eg *Resource
+	stall        Staller
+	box          [2]*Chan[int]
+	log          *[]string
+	// The stackless process's position: the next operation, and what its
+	// wake must finish.
+	j    int
+	then func(p *Proc) bool
+}
+
+// note logs the clock on return from an operation, with its result (and,
+// unsharded, the dispatch count and sequence number).
+func (cp *chainProc) note(p *Proc, v ...any) {
+	line := fmt.Sprint(p.Now(), v)
+	if cp.shards == 1 {
+		line = fmt.Sprint(p.Now(), cp.k.s0.dispatched, cp.k.seqG, v)
+	}
+	*cp.log = append(*cp.log, line)
+}
+
+// chain is op's chain on the process's domain.
+func (cp *chainProc) chain(op chainOp) Chain {
+	return op.c.chain(cp.q, cp.cpu, cp.fab, cp.eg, cp.stall)
+}
+
+// sliced is an opSliced's one-burst chain.
+func (cp *chainProc) sliced(op chainOp) Chain {
+	return Chain{CPU: cp.cpu, Quantum: cp.q, Stall: cp.stall, Burst: [2]Duration{op.d}}
+}
+
+// res is an opAcquire's resource.
+func (cp *chainProc) res(op chainOp) *Resource { return [...]*Resource{cp.cpu, cp.fab, cp.eg}[op.res] }
+
+// send is opSend, operation j: a value into a box, now, later or across
+// domains.
+func (cp *chainProc) send(p *Proc, op chainOp, j int) {
+	b, v := cp.box[op.dom], 100*cp.li+j
+	switch {
+	case op.dom != cp.d:
+		p.AfterOn(op.dom, holdLookahead+op.d, func() { b.Send(v) })
+	case op.d == 0:
+		b.Send(v)
+	default:
+		p.AfterOn(cp.d, op.d, func() { b.Send(v) })
+	}
+}
+
+// timed arms opTimed, operation j: a private box that a delivery and a
+// timeout race for.
+func (cp *chainProc) timed(p *Proc, op chainOp, j int, impl chainImpl) *Chan[int] {
+	ch := NewChanOn[int](cp.k, cp.d, fmt.Sprintf("timed%d.%d", cp.li, j))
+	done := false
+	deliver := func() {
+		if !done {
+			done = true
+			ch.Send(7)
+		}
+	}
+	timeout := func() {
+		if !done {
+			done = true
+			impl.interrupt(ch, -1)
+		}
+	}
+	if op.timerFirst {
+		p.AfterOn(cp.d, op.d2, timeout)
+		p.AfterOn(cp.d, op.d, deliver)
+	} else {
+		p.AfterOn(cp.d, op.d, deliver)
+		p.AfterOn(cp.d, op.d2, timeout)
+	}
+	return ch
+}
+
+// body runs the operations with impl's blocking forms.
+func (cp *chainProc) body(p *Proc, impl chainImpl) {
+	for j, op := range cp.ops {
+		c := cp.chain(op)
+		switch op.kind {
+		case opChain:
+			impl.hold(p, &c)
+			cp.note(p)
+		case opAcquire:
+			r := cp.res(op)
+			r.Acquire(p, op.units)
+			cp.note(p)
+			p.Sleep(op.d)
+			r.Release(op.units)
+			cp.note(p)
+		case opSliced:
+			c = cp.sliced(op)
+			impl.hold(p, &c)
+			cp.note(p)
+		case opRecvHold:
+			var v int
+			impl.recvHold(cp.box[cp.d], p, &v, &c)
+			cp.note(p, v)
+		case opRecv:
+			cp.note(p, cp.box[cp.d].Recv(p))
+		case opSend:
+			cp.send(p, op, j)
+			cp.note(p)
+		case opTimed:
+			var v int
+			impl.recvHold(cp.timed(p, op, j, impl), p, &v, &c)
+			cp.note(p, v)
+		case opSleep:
+			p.Sleep(op.d)
+			cp.note(p)
+		}
+	}
+}
+
 // run executes the scenario with impl and returns everything observable.
 func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun {
 	t.Helper()
@@ -229,87 +352,30 @@ func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun 
 			k.AfterOn(d, Duration(at), func() { b.Send(v) })
 		}
 	}
+	var logs [][]string
+	for d := 0; d < 2; d++ {
+		logs = append(logs, make([][]string, len(sc.procs[d]))...)
+	}
+	li := 0
 	for d := 0; d < 2; d++ {
 		for i, ops := range sc.procs[d] {
-			li := len(out.ProcLogs)
-			out.ProcLogs = append(out.ProcLogs, nil)
-			k.SpawnOn(d, fmt.Sprintf("d%dp%d", d, i), func(p *Proc) {
-				note := func(v ...any) {
-					line := fmt.Sprint(p.Now(), v)
-					if shards == 1 {
-						line = fmt.Sprint(p.Now(), k.s0.dispatched, k.seqG, v)
-					}
-					out.ProcLogs[li] = append(out.ProcLogs[li], line)
-				}
-				for j, op := range ops {
-					c := op.c.chain(sc.quantum, cpu[d], fab[d], eg[d], stalls[d])
-					switch op.kind {
-					case opChain:
-						impl.hold(p, &c)
-						note()
-					case opAcquire:
-						r := [...]*Resource{cpu[d], fab[d], eg[d]}[op.res]
-						r.Acquire(p, op.units)
-						note()
-						p.Sleep(op.d)
-						r.Release(op.units)
-						note()
-					case opSliced:
-						impl.hold(p, &Chain{CPU: cpu[d], Quantum: sc.quantum, Stall: stalls[d], Burst: [2]Duration{op.d}})
-						note()
-					case opRecvHold:
-						var v int
-						impl.recvHold(box[d], p, &v, &c)
-						note(v)
-					case opRecv:
-						note(box[d].Recv(p))
-					case opSend:
-						b, v := box[op.dom], 100*li+j
-						switch {
-						case op.dom != d:
-							p.AfterOn(op.dom, holdLookahead+op.d, func() { b.Send(v) })
-						case op.d == 0:
-							b.Send(v)
-						default:
-							p.AfterOn(d, op.d, func() { b.Send(v) })
-						}
-						note()
-					case opTimed:
-						ch := NewChanOn[int](k, d, fmt.Sprintf("timed%d.%d", li, j))
-						done := false
-						deliver := func() {
-							if !done {
-								done = true
-								ch.Send(7)
-							}
-						}
-						timeout := func() {
-							if !done {
-								done = true
-								impl.interrupt(ch, -1)
-							}
-						}
-						if op.timerFirst {
-							p.AfterOn(d, op.d2, timeout)
-							p.AfterOn(d, op.d, deliver)
-						} else {
-							p.AfterOn(d, op.d, deliver)
-							p.AfterOn(d, op.d2, timeout)
-						}
-						var v int
-						impl.recvHold(ch, p, &v, &c)
-						note(v)
-					case opSleep:
-						p.Sleep(op.d)
-						note()
-					}
-				}
-			})
+			cp := &chainProc{
+				k: k, shards: shards, d: d, li: li, ops: ops, q: sc.quantum,
+				cpu: cpu[d], fab: fab[d], eg: eg[d], stall: stalls[d], box: box, log: &logs[li],
+			}
+			li++
+			name := fmt.Sprintf("d%dp%d", d, i)
+			if impl.stackless {
+				k.SpawnStepOn(d, name, func(p *Proc) bool { return cp.step(p, impl) })
+			} else {
+				k.SpawnOn(d, name, func(p *Proc) { cp.body(p, impl) })
+			}
 		}
 	}
 	out.Err = fmt.Sprint(k.Run())
 	out.Dispatched, out.End, out.Switches, out.Seq = k.Dispatched(), k.Now(), k.Switches(), k.seqG
 	k.Shutdown()
+	out.ProcLogs = logs
 	out.Hooks = [][]string{tr.lines}
 	for _, c := range tr.children {
 		out.Hooks = append(out.Hooks, c.lines)

@@ -91,19 +91,52 @@ func (c *Chan[T]) deliver(v T, open bool) {
 		copy(c.waiters, c.waiters[1:])
 		c.waiters = c.waiters[:len(c.waiters)-1]
 		// Wake at the current instant; the receiver will take the value
-		// when dispatched.
-		c.sh.wakeAs(p, c.sh.now, open && p.hold.state == holdGated)
+		// when dispatched. A gated receiver with a chain to hold takes it in
+		// its hold's step instead.
+		h := &p.hold
+		c.sh.wakeAs(p, c.sh.now, open && h.state == holdGated && h.busy())
 	}
 }
 
 // Recv blocks the calling process until a value is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
-	start := c.sh.now
-	for len(c.ready) == 0 {
-		c.waiters = append(c.waiters, p)
-		p.yield("recv", c)
+	if v, parked := c.RecvBegin(p); !parked {
+		return v
 	}
-	return c.receive(p, start)
+	for {
+		p.Suspend()
+		if v, ok := c.RecvResume(p); ok {
+			return v
+		}
+	}
+}
+
+// RecvBegin is Recv's first half: it takes a value if one is available,
+// and otherwise queues p as a receiver and reports that it parked.
+func (c *Chan[T]) RecvBegin(p *Proc) (v T, parked bool) {
+	p.since = c.sh.now
+	if len(c.ready) > 0 {
+		return c.receive(p, p.since), false
+	}
+	c.wait(p)
+	return v, true
+}
+
+// RecvResume is Recv's half after a wake: it takes the value, or — the
+// wake was spurious, another receiver took it first — queues p again and
+// reports false.
+func (c *Chan[T]) RecvResume(p *Proc) (v T, ok bool) {
+	if len(c.ready) == 0 {
+		c.wait(p)
+		return v, false
+	}
+	return c.receive(p, p.since), true
+}
+
+// wait queues p as a receiver, which is where a deadlock report finds it.
+func (c *Chan[T]) wait(p *Proc) {
+	c.waiters = append(c.waiters, p)
+	p.blockedVerb, p.blockedOn = "recv", c
 }
 
 // receive hands the head value to p, which has waited for it since start,
@@ -134,32 +167,55 @@ type gate interface{ gateStep(p *Proc) }
 // When p has to wait, the delivery (Send) posts a kernel step instead of
 // waking it, and that step runs the receive's tail — the Wait and ChanOp
 // hooks, the value into *dst — and the chain's first phase inline; only the
-// chain's last event wakes p. A value delivered by Interrupt wakes p plainly
-// instead: it takes the value and returns without holding anything. dst
-// must stay valid until RecvHold returns.
+// chain's last event wakes p. A value delivered by Interrupt, or any value
+// when then has nothing to hold, wakes p plainly instead: it takes the value
+// and returns without holding anything. dst must stay valid until RecvHold
+// returns.
 func (c *Chan[T]) RecvHold(p *Proc, dst *T, then *Chain) {
-	if len(c.ready) > 0 || !then.busy() {
-		*dst = c.Recv(p)
-		p.Hold(then)
+	if !c.RecvHoldBegin(p, dst, then) {
 		return
+	}
+	for {
+		p.Suspend()
+		if c.RecvHoldResume(p, dst) {
+			return
+		}
+	}
+}
+
+// RecvHoldBegin is RecvHold's first half. With a value ready it takes it
+// and begins the hold (Proc.HoldBegin); otherwise p waits at the gate. It
+// reports whether p parked.
+func (c *Chan[T]) RecvHoldBegin(p *Proc, dst *T, then *Chain) bool {
+	if len(c.ready) > 0 {
+		*dst = c.receive(p, c.sh.now)
+		return p.HoldBegin(then)
 	}
 	p.holdInit(then)
 	h := &p.hold
-	h.state, h.gate, h.stash, h.start = holdGated, c, dst, c.sh.now
-	for {
-		c.waiters = append(c.waiters, p)
-		p.yield("recv", c)
-		if h.state != holdGated {
-			// The delivery's step ran the chain; this is its last event.
-			p.holdDone()
-			return
-		}
-		if len(c.ready) > 0 {
-			break
-		}
+	h.state, h.gate, h.stash, p.since = holdGated, c, dst, c.sh.now
+	c.wait(p)
+	return true
+}
+
+// RecvHoldResume is RecvHold's half after a wake, and reports whether the
+// receive is over. The wake is the chain's last event if the delivery's step
+// ran it (or the value was there at once): release what the last phase
+// held. Otherwise the wake was plain — take the value, holding nothing — or
+// spurious, and p waits on at the gate.
+func (c *Chan[T]) RecvHoldResume(p *Proc, dst *T) bool {
+	h := &p.hold
+	if h.state != holdGated {
+		p.HoldResume()
+		return true
+	}
+	if len(c.ready) == 0 {
+		c.wait(p)
+		return false
 	}
 	h.state = holdIdle
-	*dst = c.receive(p, h.start)
+	*dst = c.receive(p, p.since)
+	return true
 }
 
 // gateStep is a gated receiver's delivery step: the receive's tail, then
@@ -167,12 +223,12 @@ func (c *Chan[T]) RecvHold(p *Proc, dst *T, then *Chain) {
 // wake was spurious and p waits on.
 func (c *Chan[T]) gateStep(p *Proc) {
 	if len(c.ready) == 0 {
-		c.waiters = append(c.waiters, p)
+		c.wait(p)
 		return
 	}
 	h := &p.hold
 	h.state = holdIdle
-	*h.stash.(*T) = c.receive(p, h.start)
+	*h.stash.(*T) = c.receive(p, p.since)
 	p.holdPhase()
 }
 
@@ -264,28 +320,50 @@ func (r *Resource) QueueDepth() int { return len(r.waiters) }
 
 // Acquire blocks the process until n units are available, then takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
+	if !r.AcquireBegin(p, n) {
+		return
+	}
+	for {
+		p.Suspend()
+		if r.AcquireResume(p) {
+			return
+		}
+	}
+}
+
+// AcquireBegin is Acquire's first half: it takes the units if they are
+// free and nobody is queued, and otherwise queues p and reports that it
+// parked.
+func (r *Resource) AcquireBegin(p *Proc, n int) bool {
 	if n < 1 || n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d of resource %q with capacity %d", n, r.Name(), r.capacity))
 	}
 	// FIFO fairness: if others are already queued, go behind them even if
 	// capacity is momentarily available.
 	if r.inUse+n > r.capacity || len(r.waiters) > 0 {
-		depth := len(r.waiters)
-		start := r.sh.now
+		p.depth, p.since = len(r.waiters), r.sh.now
 		w := &p.rw
 		w.p, w.n, w.woken, w.step = p, n, false, false
 		r.waiters = append(r.waiters, w)
-		for {
-			p.yield("acquire", r)
-			if r.granted(w) {
-				break
-			}
-		}
-		if tr := r.sh.tracer; tr != nil && r.sh.now > start {
-			tr.Wait(p.pid, p.name, "acquire", r.Name(), start, r.sh.now, depth)
-		}
+		p.blockedVerb, p.blockedOn = "acquire", r
+		return true
 	}
 	r.take(n)
+	return false
+}
+
+// AcquireResume is Acquire's half after a wake: it takes the units if the
+// wake was the grant, and otherwise — a spurious wake — p waits on.
+func (r *Resource) AcquireResume(p *Proc) bool {
+	if !r.granted(&p.rw) {
+		p.blockedVerb, p.blockedOn = "acquire", r
+		return false
+	}
+	if tr := r.sh.tracer; tr != nil && r.sh.now > p.since {
+		tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.sh.now, p.depth)
+	}
+	r.take(p.rw.n)
+	return true
 }
 
 // granted is what queued waiter w asks when it is woken: may it take its
@@ -368,6 +446,20 @@ func (b *Barrier) Name() string { return b.name }
 
 // Wait blocks until all participants of the current generation have arrived.
 func (b *Barrier) Wait(p *Proc) {
+	if !b.WaitBegin(p) {
+		return
+	}
+	for {
+		p.Suspend()
+		if b.WaitResume(p) {
+			return
+		}
+	}
+}
+
+// WaitBegin is Wait's first half: p arrives, and the last arrival releases
+// everyone and goes on; any other parks and WaitBegin reports true.
+func (b *Barrier) WaitBegin(p *Proc) bool {
 	sh := p.sh
 	b.arrived++
 	if b.arrived == b.n {
@@ -380,16 +472,24 @@ func (b *Barrier) Wait(p *Proc) {
 			sh.wake(w, sh.now)
 		}
 		b.waiting = b.waiting[:0]
-		return
+		return false
 	}
-	gen := b.gen
-	depth := len(b.waiting)
-	start := sh.now
+	p.gen, p.depth, p.since = b.gen, len(b.waiting), sh.now
 	b.waiting = append(b.waiting, p)
-	for b.gen == gen {
-		p.yield("barrier", b)
+	p.blockedVerb, p.blockedOn = "barrier", b
+	return true
+}
+
+// WaitResume is Wait's half after a wake: it reports whether the generation
+// p waited out is over, and otherwise p waits on.
+func (b *Barrier) WaitResume(p *Proc) bool {
+	sh := p.sh
+	if b.gen == p.gen {
+		p.blockedVerb, p.blockedOn = "barrier", b
+		return false
 	}
-	if tr := sh.tracer; tr != nil && sh.now > start {
-		tr.Wait(p.pid, p.name, "barrier", b.name, start, sh.now, depth)
+	if tr := sh.tracer; tr != nil && sh.now > p.since {
+		tr.Wait(p.pid, p.name, "barrier", b.name, p.since, sh.now, p.depth)
 	}
+	return true
 }

@@ -86,8 +86,6 @@ type holding struct {
 	stage uint8
 	state holdState
 	left  Duration // still to charge of the current burst once the running slice has ended
-	start Time     // when the current wait (gate or queue) began,
-	depth int      // and how many were queued ahead (for the Wait hook)
 	gate  gate     // the mailbox a gated hold waits on,
 	stash any      // and where its value goes: a *T for that mailbox's T
 }
@@ -110,12 +108,17 @@ func (r *Resource) HoldSliced(p *Proc, d, quantum Duration, stall Staller) {
 // those releases hand to waiters, as it would be after the calls c replaces.
 // A chain with nothing to do returns at once without an event.
 func (p *Proc) Hold(c *Chain) {
-	p.holdInit(c)
-	if !p.holdPhase() {
-		return
+	if p.HoldBegin(c) {
+		p.Suspend()
+		p.HoldResume()
 	}
-	p.suspend()
-	p.holdDone()
+}
+
+// HoldBegin is Hold's first half: it begins c's first phase with work and
+// reports whether p parked (false: the chain had nothing to do).
+func (p *Proc) HoldBegin(c *Chain) bool {
+	p.holdInit(c)
+	return p.holdPhase()
 }
 
 // holdInit loads c into p's hold state.
@@ -183,7 +186,7 @@ func (h *holding) res() *Resource {
 func (p *Proc) holdAcquire(r *Resource) {
 	h := &p.hold
 	if r.inUse+1 > r.capacity || len(r.waiters) > 0 {
-		h.start, h.depth = r.sh.now, len(r.waiters)
+		p.since, p.depth = r.sh.now, len(r.waiters)
 		w := &p.rw
 		w.p, w.n, w.woken, w.step = p, 1, false, true
 		r.waiters = append(r.waiters, w)
@@ -245,8 +248,8 @@ func (p *Proc) holdStep() {
 		if !r.granted(&p.rw) {
 			return
 		}
-		if tr := r.sh.tracer; tr != nil && r.sh.now > h.start {
-			tr.Wait(p.pid, p.name, "acquire", r.Name(), h.start, r.sh.now, h.depth)
+		if tr := r.sh.tracer; tr != nil && r.sh.now > p.since {
+			tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.sh.now, p.depth)
 		}
 		p.holdTake(r)
 	default:
@@ -254,10 +257,10 @@ func (p *Proc) holdStep() {
 	}
 }
 
-// holdDone is the process's side of the hold's last event: it releases what
-// the last phase held — egress then fabric after the wire, the CPU after a
-// burst.
-func (p *Proc) holdDone() {
+// HoldResume is Hold's half after its wake, which is always the chain's
+// last event — the process's side of it: it releases what the last phase
+// held, egress then fabric after the wire, the CPU after a burst.
+func (p *Proc) HoldResume() {
 	h := &p.hold
 	if h.stage == stageWire {
 		h.Egress.Release(1)

@@ -47,6 +47,25 @@ type ShardTracer interface {
 	RunEnd()
 }
 
+// WindowStats is a sharded run's window census (Kernel.WindowStats): how
+// much of the run the shards could have executed concurrently. It observes
+// the run and changes nothing in it.
+type WindowStats struct {
+	Windows    uint64 // lookahead windows run
+	Concurrent uint64 // windows in which two or more shards dispatched an event
+	Events     uint64 // events dispatched (Dispatched)
+	Mailbox    uint64 // events that crossed shards through a window mailbox
+}
+
+// WindowStats reports the window census. Like Switches it is counted at the
+// window barrier: exact after Run, as of the latest barrier during a window.
+// An unsharded kernel runs no windows and reports only its events.
+func (k *Kernel) WindowStats() WindowStats {
+	st := k.census
+	st.Events = k.Dispatched()
+	return st
+}
+
 // NumShards reports the kernel's shard count (1 unless SetShards was used).
 func (k *Kernel) NumShards() int { return k.nsh }
 
@@ -275,9 +294,17 @@ func (k *Kernel) windowLoop() error {
 			<-k.windowDone
 		}
 		stopped := k.globalStop.Load()
+		active := 0
 		for _, s := range k.shards {
 			s.par = false
 			s.horizon = maxTime
+			if len(s.log) > 0 {
+				active++
+			}
+		}
+		k.census.Windows++
+		if active >= 2 {
+			k.census.Concurrent++
 		}
 		if stopped {
 			// Stop or cancel fired mid-window: the run's outputs are
@@ -309,6 +336,7 @@ func (k *Kernel) windowLoop() error {
 					continue
 				}
 				dst := k.shards[d]
+				k.census.Mailbox += uint64(len(box))
 				for _, ev := range box {
 					if ev.at < dst.now {
 						panic("sim: cross-shard event arrived in the destination's past (lookahead violated)")

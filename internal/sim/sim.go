@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and executes logical processes, each of
-// which runs as a coroutine (iter.Pull) so that exactly one process executes
-// at a time. All timing reported by the SAGE reproduction
+// which runs as a coroutine (iter.Pull, Spawn) or as a stackless state
+// machine (SpawnStepOn), so that exactly one process executes at a time. All
+// timing reported by the SAGE reproduction
 // (experiments, benchmarks, the visualizer timeline) is virtual time produced
 // by this kernel, which makes every experiment bit-reproducible on any host.
 //
@@ -37,6 +38,15 @@
 //     only the chain's last event wakes the process (HoldSliced is the
 //     one-burst chain). Kernel.Switches counts the process switches a run
 //     still paid.
+//   - A process need not be a coroutine at all. Every blocking operation is
+//     two halves — Begin schedules what the call schedules before it parks
+//     and reports whether it parked, Resume does what the call does after
+//     its wake and reports whether it is done — and its blocking form is
+//     the wrapper "if Begin { for { Suspend; if Resume { break } } }". A
+//     stackless process (SpawnStepOn) is a step function over those halves:
+//     its start and wakes run the step inline, like a hold step, so its
+//     events are never switches, and it owns no goroutine. The SAGE runtime
+//     runs every function thread so.
 //
 // Event callbacks and hold steps run in callback context: on the stack of
 // whatever is executing the loop, with the clock frozen. They may schedule
@@ -69,8 +79,9 @@
 //   - Hooks are invoked synchronously from whatever is executing the
 //     simulation (the shard's driver or the process coroutine it resumed;
 //     never both at once — possibly on behalf of another process, when the
-//     event is a sliced-hold step), so implementations need no locking as
-//     long as each Tracer serves a single kernel. On a sharded kernel this
+//     event is a sliced-hold step or a stackless process's step), so
+//     implementations need no locking as long as each Tracer serves a
+//     single kernel. On a sharded kernel this
 //     holds per shard: hooks fire on the per-shard child tracers a
 //     ShardTracer provides, one driver per shard.
 //   - Virtual time is frozen for the duration of a hook; the timestamps
@@ -209,12 +220,15 @@ type shard struct {
 	cancelLeft uint64
 	// inCallback and stepOf mark callback context for panic attribution:
 	// inCallback is set while an event callback runs, stepOf names the
-	// hold's owner while a sliced-hold step runs. A panic skips the clearing
-	// store, so whichever recover catches it (Proc.main's when a process
-	// runs the loop, drive's otherwise) can tell the callback from the
+	// hold's owner while a sliced-hold step runs. inBody names the stackless
+	// process whose body — its step function — is running, which is process
+	// context, not callback context. A panic skips the clearing store, so
+	// whichever recover catches it (Proc.main's when a process runs the loop,
+	// drive's otherwise) can tell the callback or the stackless body from the
 	// bystander.
 	inCallback bool
 	stepOf     *Proc
+	inBody     *Proc
 	tracer     Tracer // shard-routed trace hook (per-shard child when sharded)
 
 	// Sharded-window state; see DESIGN.md §12.
@@ -286,6 +300,7 @@ type Kernel struct {
 	// Window coordination (sharded kernels only).
 	windowDone chan struct{}
 	workersUp  bool
+	census     WindowStats // counted by the coordinator at every barrier
 	replay     refHeap
 	order      []ShardDispatch
 	trueOf     [][]uint64
@@ -362,11 +377,18 @@ func (k *Kernel) Dispatched() uint64 {
 	return n
 }
 
+// Scheduled reports how many events the kernel has scheduled: the last
+// sequence number it assigned. Two runs that schedule the same events in the
+// same order end at the same number. Exact between windows and after Run.
+func (k *Kernel) Scheduled() uint64 { return k.seqG }
+
 // Switches reports how many dispatched events resumed a process other than
 // the one executing the event loop — the coroutine round trips the run paid,
 // as opposed to the events it executed inline (callbacks, sliced-hold steps,
-// a process's own wake). It is a host-side diagnostic: unlike Dispatched it
-// depends on the shard count, because every window starts in the driver.
+// a process's own wake, every start and wake of a stackless process). It is
+// a host-side diagnostic: unlike Dispatched it depends on the shard count,
+// because every window starts in the driver — except that a run of
+// stackless processes alone pays none, at any shard count.
 // Exact after Run; mid-run on a sharded kernel it is the sum at the latest
 // window barrier.
 func (k *Kernel) Switches() uint64 {
@@ -523,13 +545,25 @@ type Proc struct {
 	next   func() (struct{}, bool)
 	stop   func()
 	coPark func(struct{}) bool
-	done   bool
+	// run is a stackless process's body (SpawnStepOn), nil for a coroutine:
+	// called inline at the process's start event and at every wake; false
+	// ends the process. started records that the start event fired.
+	run     func(p *Proc) bool
+	started bool
+	done    bool
 	// blockedVerb/blockedOn describe what the process is waiting for ("recv"
 	// + the channel, "acquire" + the resource, ...); blocking never formats
 	// or even fetches a name. Only the deadlock report produced by Run
 	// renders them.
 	blockedVerb string
 	blockedOn   Namer
+	// since, depth and gen carry a wait from its Begin to its Resume: when it
+	// began, how many were queued ahead (for the Wait hook) and, at a
+	// barrier, the generation it waits out. A process waits on one thing at
+	// a time, holds included.
+	since Time
+	depth int
+	gen   int
 	// rw is the process's reusable resource-wait queue entry; a process
 	// waits on at most one Resource at a time, so one embedded node
 	// replaces a per-wait allocation.
@@ -629,6 +663,27 @@ func (k *Kernel) SpawnOn(domain int, name string, body func(p *Proc)) *Proc {
 	return k.spawnOn(k.shardFor(domain), name, body)
 }
 
+// SpawnStepOn creates a stackless process pinned to the shard owning the
+// given scheduling domain, scheduled to start at that shard's current
+// virtual time, like SpawnOn. Its body is step, a state machine rather than
+// a coroutine: the start event and every wake call step inline, in whoever
+// executes the event loop, and step runs until the process would block.
+// There it calls the blocking operation's Begin half and returns true if
+// that parked; the wake calls step again, which calls the Resume half and
+// goes on. False ends the process at that dispatch, as a body's return
+// does. No event of a stackless process is a switch, and it owns no
+// goroutine. step may call only halves (and non-blocking operations): a
+// blocking form would have to park a stack it does not have, and panics. A
+// panic in step is the process's body panic, not a callback's.
+func (k *Kernel) SpawnStepOn(domain int, name string, step func(p *Proc) bool) *Proc {
+	if k.nsh > 1 && k.phase.Load() == phaseRun {
+		panic("sim: SpawnStepOn during a sharded run; spawn processes before Run")
+	}
+	p := k.spawnOn(k.shardFor(domain), name, nil)
+	p.run = step
+	return p
+}
+
 func (k *Kernel) spawnOn(s *shard, name string, body func(p *Proc)) *Proc {
 	p := &Proc{k: k, sh: s, pid: k.nextPID, name: name, body: body}
 	k.nextPID++
@@ -654,16 +709,21 @@ func (p *Proc) main(park func(struct{}) bool) {
 				p.k.fail(s.panicError(p, r))
 			}
 		}
-		p.done = true
-		p.k.removeProc(p)
-		if s.tracer != nil {
-			s.tracer.ProcEnd(p.pid, p.name, s.now)
-		}
+		p.end()
 	}()
 	p.coPark = park
 	body := p.body
 	p.body = nil
 	body(p)
+}
+
+// end retires a finished process: off the books, then the ProcEnd hook.
+func (p *Proc) end() {
+	p.done = true
+	p.k.removeProc(p)
+	if s := p.sh; s.tracer != nil {
+		s.tracer.ProcEnd(p.pid, p.name, s.now)
+	}
 }
 
 // PanicError is the error Run returns when a process body, an event callback
@@ -693,8 +753,10 @@ func (e *PanicError) Error() string {
 }
 
 // panicError attributes a recovered panic value: to the callback or hold
-// step that was executing if the shard is in callback context, otherwise to
-// running, the process whose body it unwound.
+// step that was executing if the shard is in callback context, to the
+// stackless process whose step was running — which ends there, as a
+// coroutine's body ends in main — otherwise to running, the process whose
+// body it unwound.
 func (s *shard) panicError(running *Proc, v any) *PanicError {
 	if o := s.stepOf; o != nil {
 		s.stepOf = nil
@@ -703,6 +765,11 @@ func (s *shard) panicError(running *Proc, v any) *PanicError {
 	if s.inCallback {
 		s.inCallback = false
 		return &PanicError{PID: -1, Callback: true, Value: v}
+	}
+	if b := s.inBody; b != nil {
+		s.inBody = nil
+		b.end()
+		running = b
 	}
 	return &PanicError{Proc: running.name, PID: running.pid, Value: v}
 }
@@ -800,6 +867,25 @@ func (s *shard) advance(self *Proc) advResult {
 			}
 			continue
 		}
+		if p.run != nil {
+			// A stackless process: its start or wake runs its body inline.
+			if !p.started {
+				p.started = true
+				if s.tracer != nil {
+					s.tracer.ProcStart(p.pid, p.name, s.now)
+				}
+			} else if p.done {
+				continue
+			}
+			p.blockedVerb, p.blockedOn = "", nil
+			s.inBody = p
+			more := p.run(p)
+			s.inBody = nil
+			if !more {
+				p.end()
+			}
+			continue
+		}
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.main)
 			if s.tracer != nil {
@@ -827,15 +913,16 @@ func (s *shard) advance(self *Proc) advResult {
 // queue drains, reaches the window horizon or the kernel stops. A process
 // that ends leaves no handoff, so the driver picks the loop up again.
 //
-// A callback or hold step that panics while the driver runs the loop becomes
-// Run's error here (once per drive, not per event), as Proc.main does for
-// the ones a process runs; drive then returns normally, so a shard's window
-// worker still reports to the barrier. Anything else that reaches this
-// recover is the kernel's own invariant failing, and stays a panic.
+// A callback, hold step or stackless body that panics while the driver runs
+// the loop becomes Run's error here (once per drive, not per event), as
+// Proc.main does for the ones a process runs; drive then returns normally,
+// so a shard's window worker still reports to the barrier. Anything else
+// that reaches this recover is the kernel's own invariant failing, and stays
+// a panic.
 func (s *shard) drive() {
 	defer func() {
 		if r := recover(); r != nil {
-			if !s.inCallback && s.stepOf == nil {
+			if !s.inCallback && s.stepOf == nil && s.inBody == nil {
 				panic(r)
 			}
 			s.k.fail(s.panicError(nil, r))
@@ -849,21 +936,25 @@ func (s *shard) drive() {
 	}
 }
 
-// yield blocks the running process until some event wakes it, recording what
-// it waits on for the deadlock report. The process first runs the event loop
-// itself: if its own wake fires at the current instant it returns without
-// any switch; otherwise it parks, and the driver resumes the process the
-// loop handed off (none when the queue drained). When Shutdown stops the
-// parked coroutine, the sentinel panic unwinds the body into main.
-func (p *Proc) yield(verb string, on Namer) {
-	p.blockedVerb, p.blockedOn = verb, on
-	p.suspend()
-}
-
-// suspend is yield for a process that has already recorded what it waits on —
-// a hold records it phase by phase, as the wait moves from the channel to a
-// queue.
-func (p *Proc) suspend() {
+// Suspend parks a coroutine process between a Begin half that reported it
+// parked and the Resume half its wake calls. Every blocking form is that
+// wrapper over its halves:
+//
+//	if x.Begin(p) { for { p.Suspend(); if x.Resume(p) { break } } }
+//
+// The Begin half has recorded what the process waits on for the deadlock
+// report (a hold records it phase by phase, as the wait moves from a channel
+// to a queue). The process first runs the event loop itself: if its own
+// wake fires at the current instant it returns without any switch;
+// otherwise it parks, and the driver resumes the process the loop handed off
+// (none when the queue drained). When Shutdown stops the parked coroutine,
+// the sentinel panic unwinds the body into main. A stackless process has no
+// stack to park — its step returns instead — so a blocking form called from
+// a step panics here.
+func (p *Proc) Suspend() {
+	if p.run != nil {
+		panic(fmt.Sprintf("sim: stackless process %q called a blocking operation; a step may call only Begin/Resume halves", p.name))
+	}
 	if p.sh.advance(p) == advSelf {
 		return
 	}
@@ -889,21 +980,34 @@ func (s *shard) wakeAs(p *Proc, at Time, step bool) {
 // Sleep suspends the process for virtual duration d. Negative durations are
 // treated as zero (the process still yields, preserving scheduling order).
 func (p *Proc) Sleep(d Duration) {
+	p.SleepBegin(d)
+	p.Suspend()
+}
+
+// SleepBegin is Sleep's first half: it schedules p's wake d from now. A
+// sleep always parks, and its wake is its end: it has no Resume half.
+func (p *Proc) SleepBegin(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	p.sh.wake(p, p.sh.now.Add(d))
-	p.yield("sleep", nil)
+	p.blockedVerb, p.blockedOn = "sleep", nil
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t is in the
 // past, though the process still yields).
 func (p *Proc) SleepUntil(t Time) {
+	p.SleepUntilBegin(t)
+	p.Suspend()
+}
+
+// SleepUntilBegin is SleepUntil's first half, as SleepBegin is Sleep's.
+func (p *Proc) SleepUntilBegin(t Time) {
 	if t < p.sh.now {
 		t = p.sh.now
 	}
 	p.sh.wake(p, t)
-	p.yield("sleep-until", nil)
+	p.blockedVerb, p.blockedOn = "sleep-until", nil
 }
 
 // DeadlockError is returned by Run when processes remain blocked but no
@@ -1010,6 +1114,10 @@ func (k *Kernel) Canceled() bool { return k.canceled.Load() }
 // (= PID) order, so teardown, including its trace events, is reproducible,
 // on a sharded kernel as well.
 //
+// A started stackless process has no coroutine to stop: Shutdown ends it in
+// the same walk, with its ProcEnd hook; an unstarted one vanishes silently,
+// as an unstarted coroutine process does.
+//
 // Call Shutdown from the goroutine that called Run, after Run has returned.
 // It is idempotent, safe on a kernel that ran to completion (no live
 // processes), and safe on a kernel that never ran. After Shutdown the
@@ -1024,7 +1132,7 @@ func (k *Kernel) Shutdown() {
 	}
 	live := make([]*Proc, 0, len(k.procs))
 	for _, p := range k.procs {
-		if p.next != nil {
+		if p.next != nil || p.started {
 			live = append(live, p)
 		} else {
 			// The start event never fired, so no coroutine exists; the
@@ -1033,6 +1141,10 @@ func (k *Kernel) Shutdown() {
 		}
 	}
 	for _, p := range live {
+		if p.run != nil {
+			p.end() // a stackless process has nothing to unwind
+			continue
+		}
 		p.stop() // returns once the body has unwound and main has exited
 	}
 	k.procs = nil
