@@ -179,7 +179,12 @@ func (l *loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pkg{files: files, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	p := &pkg{files: files, info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
 	conf := types.Config{Importer: l}
 	if p.types, err = conf.Check(path, l.fset, files, p.info); err != nil {
 		return nil, err

@@ -1,0 +1,467 @@
+package archtest
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// mustLoad type-checks the module package at import path path.
+func mustLoad(t *testing.T, l *loader, path string) *pkg {
+	t.Helper()
+	p, err := l.load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// lookup returns the package-level object name of p, failing the gate —
+// which no longer guards anything — when it is gone.
+func lookup(t *testing.T, p *pkg, name string) types.Object {
+	t.Helper()
+	obj := p.types.Scope().Lookup(name)
+	if obj == nil {
+		t.Fatalf("%s declares no %s; update this gate with the rename", p.types.Path(), name)
+	}
+	return obj
+}
+
+// member returns the field or method name of p's type typeName.
+func member(t *testing.T, p *pkg, typeName, name string) types.Object {
+	t.Helper()
+	typ := lookup(t, p, typeName).Type()
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(typ), false, p.types, name)
+	if obj == nil {
+		t.Fatalf("%s.%s has no %s; update this gate with the rename", p.types.Path(), typeName, name)
+	}
+	return obj
+}
+
+// objOf is what an identifier declares or refers to.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// isBuiltin reports whether call calls the builtin name.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
+// packagesBelow lists the import paths of the packages with non-test Go
+// files at or below the given directories (testdata excluded).
+func packagesBelow(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var out []string
+	for _, dir := range dirs {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+			for _, m := range matches {
+				if !strings.HasSuffix(m, "_test.go") {
+					rel, _ := filepath.Rel(root, path)
+					out = append(out, "repro/"+filepath.ToSlash(rel))
+					break
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSingleLowering: the tables are lowered once, in internal/plan. No
+// non-test file of a table consumer — sagert, stream, twin, codegen and the
+// packages below them — refers to model.Partition or declares a data or
+// credit tag function of its own; the tags are plan.Edge's.
+func TestSingleLowering(t *testing.T) {
+	l := newLoader()
+	partition := lookup(t, mustLoad(t, l, "repro/internal/model"), "Partition")
+	plan := mustLoad(t, l, "repro/internal/plan")
+	member(t, plan, "Edge", "DataTag")
+	member(t, plan, "Edge", "CreditTag")
+	isTag := regexp.MustCompile(`(?i)(data|credit)_?tag`)
+	paths := packagesBelow(t, "internal/sagert", "internal/stream", "internal/twin", "internal/codegen")
+	for _, path := range paths {
+		p := mustLoad(t, l, path)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if p.info.Uses[n] == partition {
+						t.Errorf("%s: %s lowers tables itself (model.Partition); use internal/plan", l.fset.Position(n.Pos()), path)
+					}
+				case *ast.FuncDecl:
+					if isTag.MatchString(n.Name.Name) {
+						t.Errorf("%s: %s declares %s; the tags are plan.Edge's DataTag and CreditTag", l.fset.Position(n.Pos()), path, n.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d table consumers checked: %s", len(paths), strings.Join(paths, ", "))
+}
+
+// TestSendNeverPacks: a send is a view of the producer's block and an owned
+// input is not copied (DESIGN.md §14). funclib.ExtractRegion allocates no
+// sample storage (no NewBlock, no make); fft_cols transforms its block with
+// isspl.FFTCols, the row sweep; and every copy of one block's Data into
+// another's in a non-test funclib file sits in the body of an if that the
+// two blocks differ — an in-place kind handed its input as its output
+// copies nothing.
+func TestSendNeverPacks(t *testing.T) {
+	l := newLoader()
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	newBlock := lookup(t, fl, "NewBlock")
+	block := lookup(t, fl, "Block").Type()
+	impl := lookup(t, fl, "Impl").Type()
+	fftCols := lookup(t, mustLoad(t, l, "repro/internal/isspl"), "FFTCols")
+
+	var extract *ast.FuncDecl
+	for _, f := range fl.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "ExtractRegion" {
+				extract = fd
+			}
+		}
+	}
+	if extract == nil {
+		t.Fatal("internal/funclib declares no ExtractRegion; update this gate with the rename")
+	}
+	ast.Inspect(extract.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && (callee(fl.info, c) == newBlock || isBuiltin(fl.info, c, "make")) {
+			t.Errorf("%s: funclib.ExtractRegion allocates sample storage; a send is a view of the block", l.fset.Position(c.Pos()))
+		}
+		return true
+	})
+
+	// blockVar is the *Block variable e names, if it is one.
+	blockVar := func(e ast.Expr) types.Object {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		if obj := objOf(fl.info, id); obj != nil && types.Identical(obj.Type(), types.NewPointer(block)) {
+			return obj
+		}
+		return nil
+	}
+	// dataOf is the *Block variable whose Data e selects, if it does.
+	dataOf := func(e ast.Expr) types.Object {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && sel.Sel.Name == "Data" {
+			return blockVar(sel.X)
+		}
+		return nil
+	}
+	// differ reports whether cond is a != b or b != a.
+	differ := func(cond ast.Expr, a, b types.Object) bool {
+		be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+		if !ok || be.Op != token.NEQ {
+			return false
+		}
+		x, y := blockVar(be.X), blockVar(be.Y)
+		return x == a && y == b || x == b && y == a
+	}
+	fftColsCalled, guarded := false, 0
+	for _, f := range fl.files {
+		var stack []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if tv, ok := fl.info.Types[n]; !ok || !types.Identical(tv.Type, impl) || !hasKind(n, "fft_cols") {
+					break
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok && isKey(kv, "Compute") {
+						ast.Inspect(kv.Value, func(m ast.Node) bool {
+							if c, ok := m.(*ast.CallExpr); ok && callee(fl.info, c) == fftCols {
+								fftColsCalled = true
+							}
+							return true
+						})
+					}
+				}
+			case *ast.CallExpr:
+				if !isBuiltin(fl.info, n, "copy") || len(n.Args) != 2 {
+					break
+				}
+				dst, src := dataOf(n.Args[0]), dataOf(n.Args[1])
+				if dst == nil || src == nil {
+					break
+				}
+				ok := false
+				for i := len(stack) - 2; i > 0 && !ok; i-- {
+					if ifs, isIf := stack[i-1].(*ast.IfStmt); isIf && stack[i] == ifs.Body && differ(ifs.Cond, dst, src) {
+						ok = true
+					}
+				}
+				if !ok {
+					t.Errorf("%s: copies %s.Data into %s.Data unconditionally; copy only when out is not in (DESIGN.md §14)",
+						l.fset.Position(n.Pos()), src.Name(), dst.Name())
+				}
+				guarded++
+			}
+			return true
+		})
+	}
+	if !fftColsCalled {
+		t.Error("fft_cols does not call isspl.FFTCols; columns are transformed as row sweeps, never one at a time")
+	}
+	t.Logf("%d block-to-block copies checked", guarded)
+	if guarded == 0 {
+		t.Fatal("internal/funclib copies no block's Data into another's; update this gate with the rename")
+	}
+}
+
+// innermost returns the body of the innermost function of f around pos.
+func innermost(f *ast.File, pos token.Pos) (body *ast.BlockStmt) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		var b *ast.BlockStmt
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			b = n.Body
+		case *ast.FuncLit:
+			b = n.Body
+		}
+		if b != nil && b.Pos() <= pos && pos < b.End() {
+			body = b // pre-order: the last match is the innermost
+		}
+		return true
+	})
+	return body
+}
+
+// isKey reports whether kv's key is the field name.
+func isKey(kv *ast.KeyValueExpr, name string) bool {
+	id, ok := kv.Key.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// hasKind reports whether an Impl literal registers the kind name.
+func hasKind(lit *ast.CompositeLit, name string) bool {
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok && isKey(kv, "Kind") {
+			if bl, ok := kv.Value.(*ast.BasicLit); ok && bl.Value == `"`+name+`"` {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDaemonMovesNoSamples: sage-serve carries no samples (DESIGN.md §9). No
+// non-test file of internal/serve selects an Output or Outputs, it refers to
+// sagert.Run exactly once, and that call's options set ComputeIterations to
+// sagert.NoSamples — wherever the options are built, nothing else sets it.
+func TestDaemonMovesNoSamples(t *testing.T) {
+	l := newLoader()
+	sagert := mustLoad(t, l, "repro/internal/sagert")
+	serve := mustLoad(t, l, "repro/internal/serve")
+	run := lookup(t, sagert, "Run")
+	noSamples := lookup(t, sagert, "NoSamples")
+	member(t, sagert, "Result", "Output")
+	member(t, sagert, "Result", "Outputs")
+	member(t, sagert, "Options", "ComputeIterations")
+
+	var calls []*ast.CallExpr
+	var bodies []*ast.BlockStmt // the innermost function around each call
+	uses := 0
+	for _, f := range serve.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if sel := serve.info.Selections[n]; sel != nil {
+					if name := sel.Obj().Name(); name == "Output" || name == "Outputs" {
+						t.Errorf("%s: internal/serve reads samples (.%s); no response field derives from one", l.fset.Position(n.Pos()), name)
+					}
+				}
+			case *ast.Ident:
+				if serve.info.Uses[n] == run {
+					uses++
+				}
+			case *ast.CallExpr:
+				if callee(serve.info, n) == run {
+					calls = append(calls, n)
+					bodies = append(bodies, innermost(f, n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if len(calls) != 1 || uses != 1 {
+		t.Fatalf("internal/serve refers to sagert.Run %d times and calls it %d times, want one call", uses, len(calls))
+	}
+	call, body := calls[0], bodies[0]
+	if len(call.Args) != 3 {
+		t.Fatalf("%s: sagert.Run with %d arguments; update this gate", l.fset.Position(call.Pos()), len(call.Args))
+	}
+	// The options literals that reach the call, and no other write.
+	var lits []*ast.CompositeLit
+	switch arg := ast.Unparen(call.Args[2]).(type) {
+	case *ast.CompositeLit:
+		lits = append(lits, arg)
+	case *ast.Ident:
+		opts := objOf(serve.info, arg)
+		assign := func(lhs ast.Expr, rhs ast.Expr) {
+			switch lhs := ast.Unparen(lhs).(type) {
+			case *ast.Ident:
+				if objOf(serve.info, lhs) != opts {
+					return
+				}
+				if lit, ok := ast.Unparen(rhs).(*ast.CompositeLit); ok {
+					lits = append(lits, lit)
+				} else {
+					t.Errorf("%s: the options sagert.Run gets are not a literal here", l.fset.Position(lhs.Pos()))
+				}
+			case *ast.SelectorExpr:
+				if id, ok := ast.Unparen(lhs.X).(*ast.Ident); ok && objOf(serve.info, id) == opts && lhs.Sel.Name == "ComputeIterations" {
+					t.Errorf("%s: the options' ComputeIterations is set apart from their literal", l.fset.Position(lhs.Pos()))
+				}
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if len(n.Rhs) == len(n.Lhs) {
+						assign(lhs, n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i < len(n.Values) {
+						assign(name, n.Values[i])
+					}
+				}
+			case *ast.UnaryExpr:
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && n.Op == token.AND && objOf(serve.info, id) == opts {
+					t.Errorf("%s: the options' address is taken; they are built in one literal", l.fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	default:
+		t.Fatalf("%s: sagert.Run's options are neither a literal nor a local; update this gate", l.fset.Position(call.Pos()))
+	}
+	if len(lits) == 0 {
+		t.Fatalf("%s: no options literal reaches sagert.Run", l.fset.Position(call.Pos()))
+	}
+	for _, lit := range lits {
+		ok := false
+		for _, el := range lit.Elts {
+			kv, isKV := el.(*ast.KeyValueExpr)
+			if !isKV || !isKey(kv, "ComputeIterations") {
+				continue
+			}
+			switch v := ast.Unparen(kv.Value).(type) {
+			case *ast.SelectorExpr:
+				ok = serve.info.Uses[v.Sel] == noSamples
+			case *ast.Ident:
+				ok = serve.info.Uses[v] == noSamples
+			}
+		}
+		if !ok {
+			t.Errorf("%s: the daemon's sagert.Run options do not say ComputeIterations: sagert.NoSamples", l.fset.Position(lit.Pos()))
+		}
+	}
+}
+
+// TestAlterRunsOnSlots: Alter's locals are frame slots (DESIGN.md §16). The
+// global table, Env.cells, is the only storage of internal/alter whose type
+// holds a name-keyed value map — map[Symbol]Value or map[Symbol]*Value — in
+// any variable, field, parameter, result or named type.
+func TestAlterRunsOnSlots(t *testing.T) {
+	l := newLoader()
+	alter := mustLoad(t, l, "repro/internal/alter")
+	symbol := lookup(t, alter, "Symbol").Type()
+	value := lookup(t, alter, "Value").Type()
+	cells := member(t, alter, "Env", "cells")
+	nameKeyed := func(m *types.Map) bool {
+		if !types.Identical(m.Key(), symbol) {
+			return false
+		}
+		e := m.Elem()
+		if p, ok := e.(*types.Pointer); ok {
+			e = p.Elem()
+		}
+		return types.Identical(e, value)
+	}
+	// holds reports whether typ contains a name-keyed value map, without
+	// entering named types or struct fields (each is checked where it is
+	// declared).
+	var holds func(typ types.Type) bool
+	holds = func(typ types.Type) bool {
+		switch t := typ.(type) {
+		case *types.Map:
+			return nameKeyed(t) || holds(t.Key()) || holds(t.Elem())
+		case *types.Pointer:
+			return holds(t.Elem())
+		case *types.Slice:
+			return holds(t.Elem())
+		case *types.Array:
+			return holds(t.Elem())
+		case *types.Chan:
+			return holds(t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					if holds(tup.At(i).Type()) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	if !holds(cells.Type()) {
+		t.Fatal("Env.cells is not a map[Symbol]*Value; update this gate with the change")
+	}
+	for _, f := range alter.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := alter.info.Defs[id]
+			if obj == nil || obj == cells {
+				return true
+			}
+			typ := obj.Type()
+			if tn, ok := obj.(*types.TypeName); ok {
+				typ = tn.Type().Underlying()
+			}
+			if holds(typ) {
+				t.Errorf("%s: %s holds a name-keyed value map; locals are frame slots, and Env.cells is the one global table",
+					l.fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+	}
+}

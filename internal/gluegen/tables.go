@@ -25,6 +25,7 @@ package gluegen
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/funclib"
@@ -181,6 +182,7 @@ func (t *Tables) Verify() error {
 	}
 
 	var byDst []int // indices into the current buffer's Transfers
+	var grid regionGrid
 	for i := range t.Buffers {
 		b := &t.Buffers[i]
 		if b.ID != i {
@@ -260,11 +262,13 @@ func (t *Tables) Verify() error {
 				}
 				covered += x.Region.Elems()
 			}
-			for a, ka := range mine {
-				ra := b.Transfers[ka].Region
-				for _, kc := range mine[a+1:] {
-					if rc := b.Transfers[kc].Region; !ra.Intersect(rc).Empty() {
-						add("gluegen: buffer %d dst thread %d: overlapping transfers %v and %v", b.ID, j, ra, rc)
+			if grid.mayOverlap(b.Transfers, mine) {
+				for a, ka := range mine {
+					ra := b.Transfers[ka].Region
+					for _, kc := range mine[a+1:] {
+						if rc := b.Transfers[kc].Region; !ra.Intersect(rc).Empty() {
+							add("gluegen: buffer %d dst thread %d: overlapping transfers %v and %v", b.ID, j, ra, rc)
+						}
 					}
 				}
 			}
@@ -274,6 +278,60 @@ func (t *Tables) Verify() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// regionGrid holds mayOverlap's buffers, reused across one Verify's threads.
+type regionGrid struct {
+	rows, cols []int
+	cells      []bool
+}
+
+// mayOverlap reports whether two of the regions xs[k], k in mine, might
+// intersect. It paints each non-empty region on the grid the regions' own
+// row and column bounds cut the plane into — a region is a block of whole
+// cells, so two regions intersect iff they share one — and answers false if
+// no cell is painted twice. It answers true when it finds a shared cell, and
+// without painting when the grid has more cells than there are pairs.
+func (g *regionGrid) mayOverlap(xs []Transfer, mine []int) bool {
+	g.rows, g.cols = slices.Grow(g.rows[:0], 2*len(mine)), slices.Grow(g.cols[:0], 2*len(mine))
+	for _, k := range mine {
+		if r := xs[k].Region; !r.Empty() {
+			g.rows = append(g.rows, r.R0, r.R0+r.Rows)
+			g.cols = append(g.cols, r.C0, r.C0+r.Cols)
+		}
+	}
+	n := len(g.rows) / 2
+	if n < 2 {
+		return false
+	}
+	slices.Sort(g.rows)
+	slices.Sort(g.cols)
+	g.rows, g.cols = slices.Compact(g.rows), slices.Compact(g.cols)
+	w := len(g.cols) - 1
+	cells := (len(g.rows) - 1) * w
+	if cells > n*(n-1)/2 {
+		return true
+	}
+	g.cells = append(g.cells[:0], make([]bool, cells)...)
+	for _, k := range mine {
+		r := xs[k].Region
+		if r.Empty() {
+			continue
+		}
+		r0, _ := slices.BinarySearch(g.rows, r.R0)
+		r1, _ := slices.BinarySearch(g.rows, r.R0+r.Rows)
+		c0, _ := slices.BinarySearch(g.cols, r.C0)
+		c1, _ := slices.BinarySearch(g.cols, r.C0+r.Cols)
+		for i := r0; i < r1; i++ {
+			for c := i*w + c0; c < i*w+c1; c++ {
+				if g.cells[c] {
+					return true
+				}
+				g.cells[c] = true
+			}
+		}
+	}
+	return false
 }
 
 func findPort(ports []PortEntry, name string) *PortEntry {

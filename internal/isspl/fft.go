@@ -7,8 +7,8 @@
 // complex 1D/2D FFTs and the corner turn (distributed matrix transpose) —
 // plus the usual supporting vector, window and FIR routines found in such
 // libraries. Storage is row-major throughout; the column transform of a
-// block (FFTCols) re-orders FFTStrided's loop nest so its inner index runs
-// along a row too, changing no arithmetic. Every routine has an accompanying
+// block (FFTCols) runs the radix-2 schedule of one column on whole rows, so
+// its inner index runs along a row too. Every routine has an accompanying
 // operation-count function (cost.go) so the simulated machine can price it in
 // virtual time, and each is verified against a naive reference implementation
 // in the tests.
@@ -247,71 +247,6 @@ func bitReverse(x []complex128) {
 	}
 }
 
-// FFTStrided computes the in-place forward DFT of the n logical elements
-// data[offset], data[offset+stride], ..., data[offset+(n-1)*stride]. It lets
-// column transforms run directly on row-major storage without gather/scatter
-// buffers. n must be a power of two and stride >= 1.
-func FFTStrided(data []complex128, n, offset, stride int) error {
-	return fftStridedInternal(data, n, offset, stride, false)
-}
-
-// IFFTStrided is the inverse of FFTStrided, including the 1/n scaling.
-func IFFTStrided(data []complex128, n, offset, stride int) error {
-	if err := fftStridedInternal(data, n, offset, stride, true); err != nil {
-		return err
-	}
-	scale := complex(1/float64(n), 0)
-	for i := 0; i < n; i++ {
-		data[offset+i*stride] *= scale
-	}
-	return nil
-}
-
-func fftStridedInternal(data []complex128, n, offset, stride int, inverse bool) error {
-	if n == 0 {
-		return nil
-	}
-	if !IsPow2(n) {
-		return fmt.Errorf("isspl: strided FFT length %d is not a power of two", n)
-	}
-	if stride < 1 || offset < 0 {
-		return fmt.Errorf("isspl: strided FFT offset %d stride %d", offset, stride)
-	}
-	if last := offset + (n-1)*stride; last >= len(data) {
-		return fmt.Errorf("isspl: strided FFT overruns buffer: last index %d, length %d", last, len(data))
-	}
-	if n == 1 {
-		return nil
-	}
-	idx := func(i int) int { return offset + i*stride }
-	// Bit-reversal permutation over logical indices.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			data[idx(i)], data[idx(j)] = data[idx(j)], data[idx(i)]
-		}
-	}
-	w := twiddles(n)
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				tw := w[k*step]
-				if inverse {
-					tw = complex(real(tw), -imag(tw))
-				}
-				a := data[idx(start+k)]
-				b := data[idx(start+k+half)] * tw
-				data[idx(start+k)] = a + b
-				data[idx(start+k+half)] = a - b
-			}
-		}
-	}
-	return nil
-}
-
 // DFT computes the forward transform by direct O(n^2) evaluation. It exists
 // as the verification reference for FFT and for non-power-of-two lengths.
 func DFT(x []complex128) []complex128 {
@@ -429,11 +364,12 @@ func (p *fftPlan) forward(x []complex128) {
 }
 
 // FFTCols transforms every column of a rows x cols row-major matrix in place.
-// rows must be a power of two. It runs FFTStrided's schedule on all columns
-// at once: the bit-reversal swaps whole rows and every butterfly combines a
-// pair of rows under one twiddle, so the inner index is unit-stride while
-// each sample sees the operations FFTStrided would apply to it, in the same
-// order — the results are bitwise those of FFTStrided on each column.
+// rows must be a power of two. It runs one column's radix-2 schedule on all
+// columns at once: the bit-reversal swaps whole rows and every butterfly
+// combines a pair of rows under one twiddle, so the inner index is
+// unit-stride while each sample sees the operations a transform of its
+// column alone would apply to it, in the same order — the results are
+// bitwise those of the strided single-column transform the tests keep.
 func FFTCols(data []complex128, rows, cols int) error {
 	if len(data) != rows*cols {
 		return fmt.Errorf("isspl: FFTCols data length %d != %d x %d", len(data), rows, cols)

@@ -1,6 +1,7 @@
 package sagert
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/sim"
 )
 
 // TestSwitchCeilings pins what the kernel-side holds and the stackless
@@ -80,6 +82,45 @@ func TestSwitchCeilings(t *testing.T) {
 		if res.Switches != 0 {
 			t.Fatalf("%s: %d process switches, want 0 (%s)", c.name, res.Switches, c.was)
 		}
+	}
+}
+
+// TestQueueCensusWide1024Seq pins what the kernel's event queue does on the
+// benchmark's wide1024 seq class, as counts that repeat exactly on any host:
+// of the events a run dispatches, how many are filed in the radix queue's
+// buckets rather than the same-time lane, and how often each is moved to a
+// lower bucket on its way to the lane (the 4-ary heap it replaced sifted
+// ~3 levels, with up to 4 comparisons a level, per pop). The counts are the
+// queue's own, unexported and observe-only, read here by reflection.
+func TestQueueCensusWide1024Seq(t *testing.T) {
+	app, err := apps.FFT2D(256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := platforms.Mercury()
+	mapping, err := model.StaggerParallel(app, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k *sim.Kernel
+	res, err := run(gen.Tables, pl, Options{Iterations: 3, ComputeIterations: NoSamples},
+		runHooks{setup: func(_ *runner, kk *sim.Kernel) { k = kk }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := reflect.ValueOf(k).Elem().FieldByName("s0").Elem().FieldByName("queue")
+	pushes, moves := q.FieldByName("pushes").Uint(), q.FieldByName("moves").Uint()
+	perPush := float64(moves) / float64(pushes)
+	t.Logf("wide1024 seq: %d dispatches, %d queued pushes, %d bucket moves (%.2f per push)", res.Dispatches, pushes, moves, perPush)
+	if res.Dispatches != 119980 || pushes != 107367 {
+		t.Fatalf("wide1024 seq: %d dispatches and %d queued pushes, want 119 980 and 107 367", res.Dispatches, pushes)
+	}
+	if perPush > 3 {
+		t.Fatalf("wide1024 seq: %.2f bucket moves per queued push, ceiling 3", perPush)
 	}
 }
 

@@ -593,7 +593,7 @@ func TestChainLifecycle(t *testing.T) {
 			box.Send(1)
 			inUse, depth, fired := fab.InUse(), fab.QueueDepth(), hooks()
 			for _, s := range k.shards {
-				for s.queue.len()+s.fifoLen > 0 { // an armed cancel poll stops the loop after each event
+				for s.queue.len() > 0 { // an armed cancel poll stops the loop after each event
 					s.stopped = false
 					if got := s.advance(nil); got != advDrained {
 						t.Fatalf("%s: advance on the dead kernel = %v, want advDrained", tc, got)

@@ -175,22 +175,6 @@ func (s *shard) windowWorker() {
 	}
 }
 
-// nextAt reports the timestamp of the shard's earliest queued event
-// (maxTime if none). Between windows the FIFO lane is empty — every event
-// due at the clock's instant was dispatched before the window's horizon cut
-// in, and outbox deliveries land strictly in the future — so only the heap
-// matters; the lane is checked anyway to keep the invariant explicit.
-func (s *shard) nextAt() Time {
-	t := maxTime
-	if top := s.queue.top(); top != nil {
-		t = top.at
-	}
-	if s.fifoHead != nil && s.fifoHead.at < t {
-		t = s.fifoHead.at
-	}
-	return t
-}
-
 // runSharded is Run for K>1: the conservative window loop.
 //
 // Each iteration: snapshot every shard's next-event time; give each shard
@@ -239,12 +223,15 @@ func (k *Kernel) windowLoop() error {
 		}
 		// Snapshot next-event times and find the two smallest (min2 gives
 		// the horizon of the unique min holder, which no other shard
-		// constrains at min1).
+		// constrains at min1). Between windows every lane is empty — each
+		// event due at a clock's instant was dispatched before the horizon
+		// cut in, and mailbox deliveries land strictly in the future — so a
+		// shard's next time is the earliest in its queue's buckets.
 		min1, min2 := maxTime, maxTime
 		minCount := 0
 		work := false
 		for _, s := range k.shards {
-			s.next = s.nextAt()
+			s.next = s.queue.next()
 			if s.next != maxTime {
 				work = true
 			}
@@ -329,7 +316,7 @@ func (k *Kernel) windowLoop() error {
 		// Deliver mailboxes in fixed (src, dst) order. Every cross-shard
 		// event is strictly in the destination's future (its delay was >=
 		// lookahead and the destination never passed its horizon), so it
-		// goes to the heap, never the FIFO lane.
+		// is filed in a bucket, never on the lane.
 		for _, s := range k.shards {
 			for d, box := range s.outbox {
 				if len(box) == 0 {
@@ -357,7 +344,7 @@ func (k *Kernel) windowLoop() error {
 func (s *shard) publish() {
 	s.pubDispatched.Store(s.dispatched)
 	s.pubSwitches.Store(s.switches)
-	s.pubPending.Store(int64(s.queue.len() + s.fifoLen + s.outCnt))
+	s.pubPending.Store(int64(s.queue.len() + s.outCnt))
 	s.pubNow.Store(int64(s.now))
 }
 
@@ -468,28 +455,27 @@ func (k *Kernel) mergeWindow() {
 	if st, ok := k.tracer.(ShardTracer); ok {
 		st.WindowEnd(k.order)
 	}
-	// Renumber the window's surviving (still queued / outbound) events.
-	// trueOf is strictly increasing in allocation order and all true
-	// numbers exceed every pre-window number, so renumbering preserves the
-	// relative order of any two events — the heap invariant survives
-	// without re-heapifying.
 	for _, s := range k.shards {
-		for _, ev := range s.queue.items {
-			if ev.seq > s.base {
-				ev.seq = k.trueOf[s.id][ev.seq-s.base-1]
-			}
+		s.renumber(k.trueOf[s.id])
+	}
+}
+
+// renumber gives the window's surviving (still queued or outbound) events
+// their true sequence numbers: provisional allocation j becomes trueOf[j].
+// trueOf is strictly increasing in allocation order and every true number
+// exceeds every pre-window number, so renumbering preserves the relative
+// order of any two of the shard's events. The queue's buckets do not depend
+// on seq at all; a tie with a mailbox event is sorted as it reaches the lane.
+func (s *shard) renumber(trueOf []uint64) {
+	fix := func(ev *event) {
+		if ev.seq > s.base {
+			ev.seq = trueOf[ev.seq-s.base-1]
 		}
-		for f := s.fifoHead; f != nil; f = f.next {
-			if f.seq > s.base {
-				f.seq = k.trueOf[s.id][f.seq-s.base-1]
-			}
-		}
-		for d := range s.outbox {
-			for _, ev := range s.outbox[d] {
-				if ev.seq > s.base {
-					ev.seq = k.trueOf[s.id][ev.seq-s.base-1]
-				}
-			}
+	}
+	s.queue.each(fix)
+	for _, box := range s.outbox {
+		for _, ev := range box {
+			fix(ev)
 		}
 	}
 }

@@ -19,8 +19,10 @@
 //
 //   - Event nodes are pooled on an intrusive free list; steady-state
 //     scheduling performs no heap allocation.
-//   - Events due at the current instant bypass the time heap through a FIFO
-//     fast lane; only future events pay the (4-ary) heap.
+//   - Events due at the current instant ride a FIFO lane; future events sit
+//     in a monotone radix queue, filed by the highest bit in which their
+//     time differs from the clock — no comparison on a push, and the queue
+//     hands the lane a whole instant, in seq order, when the lane empties.
 //   - A process switch is a coroutine switch, never a trip through the Go
 //     scheduler: the process that blocks runs the event loop itself, names
 //     the next process and yields to the shard's driver, which resumes it.
@@ -60,7 +62,7 @@
 //
 // A kernel can be partitioned into K shards with SetShards: every scheduling
 // domain (a machine-model node) is pinned to one shard, each shard owns a
-// private event heap, FIFO lane and free list, and Run advances the shards
+// private event queue and free list, and Run advances the shards
 // concurrently inside conservative lookahead windows, exchanging cross-shard
 // events through per-(src,dst) mailboxes at window barriers. A barrier-time
 // sequencer replay re-assigns every event scheduled during the window the
@@ -164,7 +166,7 @@ type Tracer interface {
 // wake/start (proc), or — proc with step set — a kernel step of that
 // process's sliced hold, which runs inline like a callback (hold.go). Nodes
 // are recycled through the shard's intrusive free list; next links both the
-// free list and the same-time FIFO lane.
+// free list and the queue's lane and buckets.
 type event struct {
 	at   Time
 	seq  uint64
@@ -187,7 +189,7 @@ type dispatchRec struct {
 }
 
 // shard is one scheduling domain partition of a kernel: a complete private
-// event scheduler (heap, same-time FIFO lane, pooled free list, clock).
+// event scheduler (event queue, pooled free list, clock).
 // An unsharded kernel is exactly one shard. All shard fields are owned by
 // the shard's driver goroutine (and the process coroutines it resumes, one
 // at a time) during a window, and by the coordinator (the Run goroutine)
@@ -198,15 +200,8 @@ type shard struct {
 	id int
 
 	now   Time
-	queue eventHeap
-	// fifoHead/fifoTail hold events due at the current instant, in seq
-	// order. Invariant: every queued FIFO event has at == now (the clock
-	// cannot advance while the lane is non-empty, because its head always
-	// sorts before any strictly-future heap entry).
-	fifoHead *event
-	fifoTail *event
-	fifoLen  int
-	free     *event // recycled event nodes, linked through next
+	queue eventQueue // its last is now: it advances only as events pop
+	free  *event     // recycled event nodes, linked through next
 	// seq is the shard's sequence counter. Unsharded (and during the setup
 	// and teardown phases of a sharded kernel) it is unused — allocations
 	// draw from the kernel-global counter. During a parallel window it
@@ -448,47 +443,6 @@ func (s *shard) release(ev *event) {
 	s.free = ev
 }
 
-// enqueue routes an event to the same-time FIFO lane (due now) or the time
-// heap (due later).
-func (s *shard) enqueue(ev *event) {
-	if ev.at == s.now {
-		if s.fifoTail == nil {
-			s.fifoHead = ev
-		} else {
-			s.fifoTail.next = ev
-		}
-		s.fifoTail = ev
-		s.fifoLen++
-		return
-	}
-	s.queue.push(ev)
-}
-
-// popEvent removes the shard's earliest event by (time, seq), merging the
-// FIFO lane with the heap, and refusing events at or beyond the window
-// horizon (maxTime when unsharded, so the check never fires). A heap entry
-// can tie the FIFO head's time only with a smaller sequence number (it was
-// scheduled before the clock reached now), so the comparison preserves
-// exact scheduling order. FIFO events are always dispatchable: their time
-// equals the shard clock, which is strictly below the horizon.
-func (s *shard) popEvent() *event {
-	if f := s.fifoHead; f != nil {
-		if t := s.queue.top(); t == nil || eventLess(f, t) {
-			s.fifoHead = f.next
-			if s.fifoHead == nil {
-				s.fifoTail = nil
-			}
-			f.next = nil
-			s.fifoLen--
-			return f
-		}
-	}
-	if t := s.queue.top(); t == nil || t.at >= s.horizon {
-		return nil
-	}
-	return s.queue.pop()
-}
-
 // schedule enqueues fn to run at time at. It panics if at precedes the clock,
 // since the kernel can never travel backwards.
 func (s *shard) schedule(at Time, fn func()) {
@@ -497,7 +451,7 @@ func (s *shard) schedule(at Time, fn func()) {
 	}
 	ev := s.alloc(at)
 	ev.fn = fn
-	s.enqueue(ev)
+	s.queue.push(ev)
 }
 
 // After schedules fn to run after virtual duration d. It may be called from
@@ -690,7 +644,7 @@ func (k *Kernel) spawnOn(s *shard, name string, body func(p *Proc)) *Proc {
 	k.procs = append(k.procs, p)
 	ev := s.alloc(s.now)
 	ev.proc = p
-	s.enqueue(ev)
+	s.queue.push(ev)
 	return p
 }
 
@@ -824,7 +778,9 @@ func (s *shard) advance(self *Proc) advResult {
 			s.stopped = true
 			return advDrained
 		}
-		ev := s.popEvent()
+		// Events due now are always dispatchable: the clock is below the
+		// window horizon (maxTime when unsharded).
+		ev := s.queue.pop(s.horizon)
 		if ev == nil {
 			return advDrained
 		}
@@ -974,7 +930,7 @@ func (s *shard) wakeAs(p *Proc, at Time, step bool) {
 	}
 	ev := s.alloc(at)
 	ev.proc, ev.step = p, step
-	s.enqueue(ev)
+	s.queue.push(ev)
 }
 
 // Sleep suspends the process for virtual duration d. Negative durations are
@@ -1156,7 +1112,7 @@ func (k *Kernel) Shutdown() {
 // and after Run it is exact.
 func (k *Kernel) Pending() int {
 	if k.nsh == 1 {
-		return k.s0.queue.len() + k.s0.fifoLen
+		return k.s0.queue.len()
 	}
 	if k.phase.Load() == phaseRun {
 		var n int64
@@ -1167,7 +1123,7 @@ func (k *Kernel) Pending() int {
 	}
 	n := 0
 	for _, s := range k.shards {
-		n += s.queue.len() + s.fifoLen + s.outCnt
+		n += s.queue.len() + s.outCnt
 	}
 	return n
 }

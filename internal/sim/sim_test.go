@@ -472,18 +472,21 @@ func TestTimeHelpers(t *testing.T) {
 }
 
 func TestHeapPropertyOrdering(t *testing.T) {
-	// Property: popping the heap always yields nondecreasing (time, seq).
+	// Property: popping the queue always yields nondecreasing (time, seq),
+	// and every pushed event exactly once.
 	check := func(times []uint16) bool {
-		var h eventHeap
+		var q eventQueue
 		for i, tv := range times {
-			h.push(&event{at: Time(tv), seq: uint64(i)})
+			q.push(&event{at: Time(tv), seq: uint64(i)})
 		}
 		var prev *event
+		popped := 0
 		for {
-			e := h.pop()
+			e := q.pop(maxTime)
 			if e == nil {
-				break
+				return popped == len(times) && q.len() == 0
 			}
+			popped++
 			if prev != nil {
 				if e.at < prev.at || (e.at == prev.at && e.seq < prev.seq) {
 					return false
@@ -491,7 +494,6 @@ func TestHeapPropertyOrdering(t *testing.T) {
 			}
 			prev = e
 		}
-		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -664,14 +666,14 @@ func TestStaleWakeAfterShutdownIsDropped(t *testing.T) {
 	// The queued wake references a stopped proc; firing it must be dropped by
 	// advance's liveness re-check, not dispatch into a dead kernel. Run
 	// refuses to restart a dead kernel, so drive the event loop directly.
-	ev := k.s0.popEvent()
+	ev := k.s0.queue.pop(maxTime)
 	if ev == nil {
 		t.Fatal("no queued event")
 	}
 	if ev.proc == nil || !ev.proc.done {
 		t.Fatal("queued event is not a stale wake for a torn-down proc")
 	}
-	k.s0.enqueue(ev) // put it back and let advance make the drop decision
+	k.s0.queue.push(ev) // put it back and let advance make the drop decision
 	done := make(chan struct{})
 	go func() {
 		k.s0.stopped = false // Shutdown set it; advance must still drop the wake
