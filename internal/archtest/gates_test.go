@@ -465,3 +465,97 @@ func TestAlterRunsOnSlots(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelStepTouchesNoSamples: the kernel's step machine decides where
+// samples go and moves none (DESIGN.md §14, "sample tasks"). No function
+// reachable from (*sagert.thread).step through static calls — across every
+// module package sagert loads, a call in a function literal counting for the
+// function that contains it — calls funclib.CopyRegion, StoreSink or
+// FillSource, or a funclib.Impl's Compute field. The sample task's body,
+// (*sagert.taskRunner).run, is where they run: the gate checks that it still
+// reaches CopyRegion, StoreSink and Compute (FillSource is source_matrix's
+// Compute), so a rename cannot leave it guarding nothing.
+func TestKernelStepTouchesNoSamples(t *testing.T) {
+	l := newLoader()
+	sage := mustLoad(t, l, "repro/internal/sagert")
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	compute := member(t, fl, "Impl", "Compute")
+	sampleWork := map[types.Object]string{compute: "a funclib.Impl's Compute"}
+	for _, name := range []string{"CopyRegion", "StoreSink", "FillSource"} {
+		sampleWork[lookup(t, fl, name)] = "funclib." + name
+	}
+	step := member(t, sage, "thread", "step").(*types.Func)
+	body := member(t, sage, "taskRunner", "run").(*types.Func)
+
+	// The static call graph, and where each function does sample work.
+	calls := map[*types.Func][]*types.Func{}
+	touches := map[*types.Func][]string{}
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					c, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					// A field selection (Impl.Compute) or a static callee.
+					var to types.Object
+					if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && p.info.Selections[sel] != nil {
+						to = p.info.Selections[sel].Obj()
+					}
+					if g := callee(p.info, c); g != nil {
+						to = g
+						calls[fn] = append(calls[fn], g)
+					}
+					if what, ok := sampleWork[to]; ok {
+						touches[fn] = append(touches[fn], l.fset.Position(c.Pos()).String()+": "+what)
+					}
+					return true
+				})
+			}
+		}
+	}
+	// reach walks the graph from root, recording how each function is reached.
+	reach := func(root *types.Func) (order []*types.Func, via map[*types.Func]*types.Func) {
+		via = map[*types.Func]*types.Func{root: nil}
+		order = []*types.Func{root}
+		for i := 0; i < len(order); i++ {
+			for _, c := range calls[order[i]] {
+				if _, seen := via[c]; !seen {
+					via[c] = order[i]
+					order = append(order, c)
+				}
+			}
+		}
+		return order, via
+	}
+	order, via := reach(step)
+	for _, fn := range order {
+		for _, where := range touches[fn] {
+			path := qualified(fn)
+			for p := via[fn]; p != nil; p = via[p] {
+				path = qualified(p) + " → " + path
+			}
+			t.Errorf("%s, reached from the kernel's step (%s); sample work runs in the thread's sample task", where, path)
+		}
+	}
+	t.Logf("%d functions reachable from %s", len(order), qualified(step))
+
+	seen := map[string]bool{}
+	bodyOrder, _ := reach(body)
+	for _, fn := range bodyOrder {
+		for _, where := range touches[fn] {
+			seen[where[strings.LastIndex(where, ": ")+2:]] = true
+		}
+	}
+	for _, what := range []string{"funclib.CopyRegion", "funclib.StoreSink", "a funclib.Impl's Compute"} {
+		if !seen[what] {
+			t.Errorf("%s does not reach %s; update this gate with the rename", qualified(body), what)
+		}
+	}
+}

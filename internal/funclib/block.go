@@ -57,14 +57,30 @@ func ExtractRegion(blk *Block, reg model.Region) *Block {
 // partition — adopts a dense src itself and takes a dense copy of a pitched
 // one: kinds compute on dense blocks only.
 func Assemble(dst, src *Block) *Block {
-	if dst == nil {
-		if src.dense() {
-			return src
-		}
-		dst = NewBlock(src.Region)
+	blk := Landing(dst, src)
+	Land(blk, src)
+	return blk
+}
+
+// Landing is Assemble's decision without its copy: the block payload src
+// lands in — dst, or for a nil dst src itself when dense and a fresh dense
+// block of its region otherwise.
+func Landing(dst, src *Block) *Block {
+	switch {
+	case dst != nil:
+		return dst
+	case src.dense():
+		return src
 	}
-	CopyRegion(dst, src, src.Region)
-	return dst
+	return NewBlock(src.Region)
+}
+
+// Land is Assemble's copy: it copies payload src into blk, the block Landing
+// chose for it. An adopted payload is its own block and is already there.
+func Land(blk, src *Block) {
+	if blk != src {
+		CopyRegion(blk, src, src.Region)
+	}
 }
 
 // OwnsAdopted reports whether the block an adopting input port ends up

@@ -47,7 +47,9 @@ var (
 	twiddleElems int           // total base-table values across cached plans
 	twiddleTick  atomic.Uint64 // logical clock for LRU ordering
 	twiddleHits  atomic.Uint64
-	twiddleStats CacheStats // Misses and Evictions, under twiddleMu
+	// Misses and evictions, under twiddleMu. The counters are read by the
+	// cache's tests only (TwiddleCacheStats).
+	twiddleMisses, twiddleEvictions uint64
 )
 
 // twiddleCacheMaxElems bounds the cache to 1<<20 base-table values (16 MiB of
@@ -98,15 +100,6 @@ func newFFTPlan(n int) *fftPlan {
 	return p
 }
 
-// CacheStats describes the twiddle cache; served by the daemon's /v1/stats.
-type CacheStats struct {
-	Entries   int    `json:"entries"`
-	Elems     int    `json:"elems"` // base-table complex128 values held (16 bytes each)
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
 // twiddles returns the first n/2 forward twiddle factors e^{-2πik/n}.
 func twiddles(n int) []complex128 { return planFor(n).w }
 
@@ -124,7 +117,7 @@ func planFor(n int) *fftPlan {
 	p = newFFTPlan(n)
 	twiddleMu.Lock()
 	defer twiddleMu.Unlock()
-	twiddleStats.Misses++
+	twiddleMisses++
 	if q, ok := twiddleCache[n]; ok {
 		// Another goroutine published the same size while we computed; both
 		// plans are bitwise identical, keep the published one.
@@ -158,7 +151,7 @@ func evictOldestTwiddleLocked() {
 	}
 	twiddleElems -= len(twiddleCache[oldest].w)
 	delete(twiddleCache, oldest)
-	twiddleStats.Evictions++
+	twiddleEvictions++
 }
 
 // ResetTwiddleCache drops all cached twiddle tables and zeroes the stats.
@@ -168,19 +161,8 @@ func ResetTwiddleCache() {
 	twiddleElems = 0
 	twiddleTick.Store(0)
 	twiddleHits.Store(0)
-	twiddleStats = CacheStats{}
+	twiddleMisses, twiddleEvictions = 0, 0
 	twiddleMu.Unlock()
-}
-
-// TwiddleCacheStats reports the cache's current occupancy and hit counters.
-func TwiddleCacheStats() CacheStats {
-	twiddleMu.RLock()
-	defer twiddleMu.RUnlock()
-	s := twiddleStats
-	s.Entries = len(twiddleCache)
-	s.Elems = twiddleElems
-	s.Hits = twiddleHits.Load()
-	return s
 }
 
 // FFT computes the in-place forward discrete Fourier transform of x using an

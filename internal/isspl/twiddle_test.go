@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// CacheStats describes the twiddle cache.
+type CacheStats struct {
+	Entries   int
+	Elems     int // base-table complex128 values held (16 bytes each)
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+}
+
+// TwiddleCacheStats reports the cache's current occupancy and hit counters.
+func TwiddleCacheStats() CacheStats {
+	twiddleMu.RLock()
+	defer twiddleMu.RUnlock()
+	return CacheStats{
+		Entries: len(twiddleCache), Elems: twiddleElems,
+		Hits: twiddleHits.Load(), Misses: twiddleMisses, Evictions: twiddleEvictions,
+	}
+}
+
 // fixedInput builds the same deterministic input for a size every time, so
 // outputs can be compared bit for bit across cache states.
 func fixedInput(n int) []complex128 {

@@ -3,7 +3,6 @@ package sagert
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/funclib"
 	"repro/internal/isspl"
@@ -22,8 +21,10 @@ type runner struct {
 	sourceStart []sim.Time
 	sinkDone    []sim.Time
 
-	output  *isspl.Matrix
-	outputs map[string]*isspl.Matrix // per sink-function name
+	// sinks holds the collected sinks by function name; firstSink, the first
+	// in function-table order, is Result.Output's.
+	sinks     map[string]*sinkOut
+	firstSink string
 	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
 	// thread touches its credits and overcommit, only its two endpoints its
 	// queue, so sharded runs need no lock.
@@ -38,34 +39,50 @@ type runner struct {
 
 	// On a sharded kernel function threads execute concurrently (one
 	// goroutine per shard), so the cross-thread endpoint bookkeeping —
-	// iteration timestamps, overrun, the first failure — is mutex-guarded.
-	// The locks are uncontended-cheap and touched at most a few times per
-	// iteration, far off the per-event fast path.
+	// iteration timestamps, overrun — is mutex-guarded. The lock is
+	// uncontended-cheap and touched at most a few times per iteration, far
+	// off the per-event fast path.
 	noteMu sync.Mutex // guards sourceStart, sinkDone, maxOverrun
-	errMu  sync.Mutex // guards err
 	sinkMu sync.Mutex // guards assembled sink matrices (replicated sinks overlap)
-	failed atomic.Bool
 
-	err error
+	samples *samples // the sample tasks; nil on a run without samples
 }
 
-// collectOutput prepares the sink assembly target from the sink function's
-// input port shape. A run without compute iterations assembles nothing.
+// A sinkOut is a collected sink's assembled output, shaped like the sink
+// function's input port.
+type sinkOut struct {
+	rows, cols int
+	m          *isspl.Matrix // allocated once, under runner.sinkMu (sinkMatrix)
+}
+
+// collectOutput notes the sinks whose output the run assembles. A run without
+// compute iterations assembles nothing.
 func (r *runner) collectOutput() {
-	r.outputs = map[string]*isspl.Matrix{}
+	r.sinks = map[string]*sinkOut{}
 	if r.opts.ComputeIterations == 0 {
 		return
 	}
 	for fi := range r.plan.Tables.Functions {
 		fe := &r.plan.Tables.Functions[fi]
 		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
-			m := isspl.NewMatrix(fe.Ins[0].Rows, fe.Ins[0].Cols)
-			r.outputs[fe.Name] = m
-			if r.output == nil {
-				r.output = m // first sink, in function-table order
+			r.sinks[fe.Name] = &sinkOut{rows: fe.Ins[0].Rows, cols: fe.Ins[0].Cols}
+			if r.firstSink == "" {
+				r.firstSink = fe.Name
 			}
 		}
 	}
+}
+
+// sinkMatrix returns s's matrix, allocating it on the first call: when the
+// payloads of the last compute iteration begin to land, not before the
+// kernel starts.
+func (r *runner) sinkMatrix(s *sinkOut) *isspl.Matrix {
+	r.sinkMu.Lock()
+	defer r.sinkMu.Unlock()
+	if s.m == nil {
+		s.m = isspl.NewMatrix(s.rows, s.cols)
+	}
+	return s.m
 }
 
 // localOptimised reports whether a transfer can use the optimised
@@ -81,18 +98,8 @@ func (r *runner) spawn(k *sim.Kernel) {
 		t := &thread{}
 		tp := &r.plan.Threads[ti]
 		p := k.SpawnStepOn(tp.Node, fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), t.step)
-		t.init(r, tp, r.world.Attach(tp.Node, p))
+		t.init(r, ti, r.world.Attach(tp.Node, p))
 	}
-}
-
-func (r *runner) fail(err error) {
-	r.errMu.Lock()
-	if r.err == nil {
-		r.err = err
-		r.failed.Store(true)
-		r.mach.K.Stop()
-	}
-	r.errMu.Unlock()
 }
 
 // buildLocalQueues pre-creates every optimised node-local handoff channel,
@@ -189,8 +196,12 @@ func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.T
 
 // result assembles the Result after the kernel drains.
 func (r *runner) result(k *sim.Kernel) *Result {
+	outputs := make(map[string]*isspl.Matrix, len(r.sinks))
+	for name, s := range r.sinks {
+		outputs[name] = r.sinkMatrix(s) // a sink that received nothing is zero
+	}
 	res := &Result{
-		Output: r.output, Outputs: r.outputs, Elapsed: k.Now(),
+		Output: outputs[r.firstSink], Outputs: outputs, Elapsed: k.Now(),
 		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(), Switches: k.Switches(), Windows: k.WindowStats(),
 	}
 	for i := 0; i < r.opts.Iterations; i++ {

@@ -163,10 +163,11 @@ func viewsMatchOracle(t *testing.T, name string) {
 
 // TestNoSamplesChangesNothingElse: a run that carries no samples reports what
 // the default run — samples through the first data set — reports, down to the
-// trace bytes, and assembles no output. Over every corpus case and 64
-// generated ones, clean and faulted (degraded re-sequencing on), on one, two
-// and eight shards, untraced and traced; every other case paces its source,
-// so MaxOverrun has something to say.
+// trace bytes, and assembles no output; so does a run that carries samples
+// through every data set, several iterations' sample tasks in flight at once.
+// Over every corpus case and 64 generated ones, clean and faulted (degraded
+// re-sequencing on), on one, two and eight shards, untraced and traced; every
+// other case paces its source, so MaxOverrun has something to say.
 func TestNoSamplesChangesNothingElse(t *testing.T) {
 	files, err := filepath.Glob("../conformance/testdata/corpus/*.case")
 	if err != nil || len(files) == 0 {
@@ -237,6 +238,8 @@ func TestNoSamplesChangesNothingElse(t *testing.T) {
 						opts.InputPeriod = 40 * time.Microsecond
 					}
 					sampled := run(c, gen.Tables, opts, traced)
+					opts.ComputeIterations = opts.Iterations
+					every := run(c, gen.Tables, opts, traced)
 					opts.ComputeIterations = sagert.NoSamples
 					bare := run(c, gen.Tables, opts, traced)
 
@@ -254,6 +257,17 @@ func TestNoSamplesChangesNothingElse(t *testing.T) {
 					}
 					if !bytes.Equal(sampled.chrome, bare.chrome) {
 						t.Fatalf("%s: trace bytes differ (%d vs %d)", where, len(sampled.chrome), len(bare.chrome))
+					}
+					if len(every.res.Outputs) != sinks {
+						t.Fatalf("%s: the every-iteration run assembled %d of %d sinks", where, len(every.res.Outputs), sinks)
+					}
+					want = *every.res
+					want.Output, want.Outputs = nil, bare.res.Outputs
+					if !reflect.DeepEqual(&want, bare.res) {
+						t.Fatalf("%s: results differ\nevery iteration sampled %+v\nno samples %+v", where, want, *bare.res)
+					}
+					if !bytes.Equal(every.chrome, bare.chrome) {
+						t.Fatalf("%s: trace bytes differ with every iteration sampled (%d vs %d)", where, len(every.chrome), len(bare.chrome))
 					}
 				}
 			}

@@ -15,10 +15,13 @@
 // data per function which can cause extra data access times"), packs each
 // outgoing region separately, and moves data with generic point-to-point
 // transfers instead of the platform's tuned collectives. All of that is charged
-// in virtual time; the host carrying the samples for verification shares one
+// in virtual time. The host carrying the samples for verification shares one
 // address space, moves each sample once per transfer and transforms it in
-// place where its thread owns it — and carries none at all for a caller that
-// reads only timings (Options.ComputeIterations, NoSamples; DESIGN.md §14).
+// place where its thread owns it — off the kernel's goroutine: the step
+// decides where samples go, and one task per thread and compute iteration
+// moves and transforms them once its producers' tasks have (samples.go). It
+// carries none at all for a caller that reads only timings
+// (Options.ComputeIterations, NoSamples; DESIGN.md §14).
 //
 // Pipelining across iterations uses per-transfer credits (double buffering
 // by default), so a source cannot run unboundedly ahead of its consumers —
@@ -61,7 +64,9 @@ type Options struct {
 	// first data set also skips the kinds' Compute and whatever it would have
 	// refused, so NoSamples is for tables whose model passed
 	// funclib.ValidateApp (gluegen.Generate's output always has): there,
-	// Compute cannot fail.
+	// Compute cannot fail. Elsewhere a failing Compute does not stop the
+	// simulation: Run reports the failure after the kernel drains (the
+	// earliest in the order the kernel reached the threads' computes).
 	ComputeIterations int
 	// DispatchOverhead is the per-invocation cost of the function-table
 	// dispatch and thread scheduling. Zero selects the default.
@@ -118,12 +123,14 @@ type Options struct {
 	// to Shards shards that advance concurrently on separate goroutines,
 	// synchronising at lookahead windows derived from the platform's link
 	// latencies. Results, traces, fault verdicts and dispatch counts are
-	// byte-identical to the sequential kernel's — sharding buys wall-clock
-	// speed, never different answers. Values <= 1 select the classic
-	// sequential kernel. The request is a ceiling, not a promise: runs that
-	// cannot shard soundly (shared-fabric platforms, Sequential mode, the
-	// legacy Trace probe, fewer nodes than shards) silently fall back to
-	// fewer shards or one.
+	// byte-identical to the sequential kernel's: sharding never changes an
+	// answer, and rarely buys speed — on the benchmark's 1 024-node Mercury
+	// fft2d, only 1 of its 1 219 windows ran two shards at once
+	// (Result.Windows). Values <= 1 select the classic sequential kernel.
+	// The request is a ceiling, not a promise: runs that cannot shard
+	// soundly (shared-fabric platforms, Sequential mode, the legacy Trace
+	// probe, fewer nodes than shards) silently fall back to fewer shards or
+	// one.
 	Shards int
 	// ShardWeights optionally biases the shard partitioner with per-node
 	// load weights (higher = busier); the analytical twin's per-node busy
@@ -331,14 +338,24 @@ func run(tables *gluegen.Tables, pl machine.Platform, opts Options, hooks runHoo
 	if o.Cancel != nil {
 		k.SetCancel(o.Cancel, o.CancelEvery)
 	}
-	if err := k.Run(); err != nil {
+	if o.ComputeIterations > 0 {
+		r.samples = newSamples(r)
+	}
+	err = k.Run()
+	var taskErr error
+	if r.samples != nil {
+		// A halted kernel leaves no result to verify: drop the tasks that
+		// have not started, wait for the running ones.
+		taskErr = r.samples.join(err != nil || k.Canceled())
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sagert: execution failed: %w", err)
 	}
 	if k.Canceled() {
 		return nil, fmt.Errorf("%w at virtual time %v", ErrCanceled, k.Now())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if taskErr != nil {
+		return nil, taskErr
 	}
 	mach.TraceNodeTotals()
 	return r.result(k), nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/funclib"
-	"repro/internal/isspl"
 	"repro/internal/mpi"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -24,6 +23,7 @@ import (
 // state table.
 type thread struct {
 	r     *runner
+	ti    int // tp's index in the plan's Threads
 	tp    *plan.Thread
 	rank  *mpi.Rank
 	track string // the thread's trace track ("" untraced)
@@ -31,7 +31,8 @@ type thread struct {
 	// iteration allocates no maps or contexts.
 	inBlocks, outBlocks map[string]*funclib.Block
 	ctx                 funclib.Context
-	sinkTarget          *isspl.Matrix // non-nil on the threads of a collected sink
+	sink                *sinkOut    // non-nil on the threads of a collected sink
+	task                *sampleTask // the compute iteration's sample work (samples.go)
 
 	pc      pc
 	wait    waitOn
@@ -85,16 +86,17 @@ const (
 	waitSleep          // a source's pacing sleep, which has no Resume half
 )
 
-// init readies t to run tp as rank.
-func (t *thread) init(r *runner, tp *plan.Thread, rank *mpi.Rank) {
-	t.r, t.tp, t.rank = r, tp, rank
+// init readies t to run the plan's thread ti as rank.
+func (t *thread) init(r *runner, ti int, rank *mpi.Rank) {
+	tp := &r.plan.Threads[ti]
+	t.r, t.ti, t.tp, t.rank = r, ti, tp, rank
 	if r.mach.Trace().Enabled() {
 		t.track = trace.ProcTrack(rank.Proc().Name(), rank.Proc().PID())
 	}
 	t.inBlocks = make(map[string]*funclib.Block, len(tp.Ins))
 	t.outBlocks = make(map[string]*funclib.Block, len(tp.Outs))
-	t.ctx = funclib.Context{FuncName: tp.Fn.Name, Params: tp.Fn.Params, Thread: tp.Index, Threads: tp.Fn.Threads}
-	t.sinkTarget = r.outputs[tp.Fn.Name]
+	t.ctx = contextOf(tp, 0)
+	t.sink = r.sinks[tp.Fn.Name]
 }
 
 // park records what t waits in if a Begin half reported that it parked.
@@ -142,7 +144,7 @@ func (t *thread) step(p *sim.Proc) bool {
 	for {
 		switch t.pc {
 		case stIter:
-			if t.iter >= r.opts.Iterations || r.failed.Load() {
+			if t.iter >= r.opts.Iterations {
 				return false
 			}
 			t.compute = t.iter < r.opts.ComputeIterations
@@ -166,6 +168,9 @@ func (t *thread) step(p *sim.Proc) bool {
 			}
 			t.phaseStart = p.Now()
 			clear(t.inBlocks)
+			if t.compute {
+				t.task = r.samples.task(t, t.iter)
+			}
 			t.pi, t.pc = 0, stInPort
 
 		// --- receive phase: assemble input logical buffers -----------------
@@ -179,17 +184,19 @@ func (t *thread) step(p *sim.Proc) bool {
 				continue
 			}
 			pp := &tp.Ins[t.pi]
-			t.blk = nil // stays nil to adopt the payload
-			switch {
-			case !t.compute || t.sinkTarget != nil:
+			// A port that carries samples gets its block when its first
+			// payload lands, so clearing it overlaps the producers' tasks.
+			t.blk = nil
+			if !t.compute || t.sink != nil {
 				t.blk = &pp.Charge
-			case !pp.Adopt:
-				t.blk = funclib.NewBlock(pp.Region)
 			}
 			t.order, t.xi, t.pc = r.orderXfers(pp.Edges, true, p.Now()), 0, stInXfer
 
 		case stInXfer:
 			if t.xi == len(t.order) {
+				if t.blk == nil { // a port without transfers
+					t.blk = funclib.NewBlock(tp.Ins[t.pi].Region)
+				}
 				t.inBlocks[tp.Ins[t.pi].Entry.Name] = t.blk
 				t.pi, t.pc = t.pi+1, stInPort
 				continue
@@ -240,13 +247,19 @@ func (t *thread) step(p *sim.Proc) bool {
 
 		case stAssemble:
 			e := &edges[t.ei]
-			// A sink holds no samples of its own: the payloads of the last
-			// compute iteration land in the assembled output as they arrive,
-			// earlier ones are dropped.
-			if t.compute && t.sinkTarget == nil {
-				t.blk = funclib.Assemble(t.blk, t.got)
-			} else if t.compute && t.iter == r.opts.ComputeIterations-1 {
-				funclib.StoreSink(&r.sinkMu, t.sinkTarget, t.got)
+			// The task copies the payload in; the step decides where. A sink
+			// port keeps its region-only block: its task stores the payloads.
+			if t.compute {
+				if pp := &tp.Ins[t.pi]; t.blk == nil && !pp.Adopt {
+					t.blk = funclib.NewBlock(pp.Region)
+				}
+				switch {
+				case t.sink == nil:
+					t.blk = funclib.Landing(t.blk, t.got)
+				case t.iter == r.opts.ComputeIterations-1:
+					r.sinkMatrix(t.sink) // where the task stores the payload
+				}
+				t.task.blocks = append(t.task.blocks, t.got)
 			}
 			t.got = nil
 			if tr.Enabled() {
@@ -308,10 +321,14 @@ func (t *thread) step(p *sim.Proc) bool {
 
 		case stCompute:
 			if t.compute {
-				if err := tp.Impl.Compute(&t.ctx, t.inBlocks, t.outBlocks); err != nil {
-					r.fail(fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, t.iter, err))
-					return false
+				for pi := range tp.Ins {
+					t.task.blocks = append(t.task.blocks, t.inBlocks[tp.Ins[pi].Entry.Name])
 				}
+				for pi := range tp.Outs {
+					t.task.blocks = append(t.task.blocks, t.outBlocks[tp.Outs[pi].Entry.Name])
+				}
+				r.samples.submit(t.task)
+				t.task = nil
 			}
 			r.trace(tp, t.iter, "compute", t.phaseStart, p.Now())
 			tr.Phase(trace.LayerSage, tp.Node, t.track, "compute", t.iter, t.phaseStart, p.Now())

@@ -48,8 +48,8 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
 		Thread: tp.Index, Threads: tp.Fn.Threads,
 	}
-	sinkTarget := r.outputs[tp.Fn.Name] // non-nil on the threads of a collected sink
-	for iter := 0; iter < r.opts.Iterations && !r.failed.Load(); iter++ {
+	sink := r.sinks[tp.Fn.Name] // non-nil on the threads of a collected sink
+	for iter := 0; iter < r.opts.Iterations; iter++ {
 		compute := iter < r.opts.ComputeIterations
 
 		if tp.Source {
@@ -74,7 +74,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			pp := &tp.Ins[pi]
 			var blk *funclib.Block // stays nil to adopt the payload
 			switch {
-			case !compute || sinkTarget != nil:
+			case !compute || sink != nil:
 				blk = &pp.Charge
 			case !pp.Adopt:
 				blk = funclib.NewBlock(pp.Region)
@@ -99,10 +99,10 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 						got = payload.Data.(*funclib.Block)
 					}
 				}
-				if compute && sinkTarget == nil {
+				if compute && sink == nil {
 					blk = funclib.Assemble(blk, got)
 				} else if compute && iter == r.opts.ComputeIterations-1 {
-					funclib.StoreSink(&r.sinkMu, sinkTarget, got)
+					funclib.StoreSink(&r.sinkMu, r.sinkMatrix(sink), got)
 				}
 				if tr.Enabled() {
 					tr.Xfer(trace.LayerSage, tp.Node, track,
@@ -150,8 +150,13 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		node.Memcpy(rank.Proc(), copyBytes)
 		if compute {
 			if err := tp.Impl.Compute(ctx, inBlocks, outBlocks); err != nil {
-				r.fail(fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, iter, err))
-				return
+				// The run drains and reports the first failure in
+				// kernel order, as the sample tasks' join does at K = 1.
+				r.samples.mu.Lock()
+				if r.samples.err == nil {
+					r.samples.err = fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, iter, err)
+				}
+				r.samples.mu.Unlock()
 			}
 		}
 		r.trace(tp, iter, "compute", compStart, rank.Proc().Now())

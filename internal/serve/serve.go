@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/isspl"
 	"repro/internal/sagert"
 )
 
@@ -119,13 +118,12 @@ type Stats struct {
 	// WorkerDepths is one gauge per worker: 0 idle, 1 running a batch
 	// request, 1+backlog while running a streaming request (the live
 	// admission-queue depth of the stream it is executing).
-	WorkerDepths   []int64          `json:"worker_depths"`
-	CacheEntries   int              `json:"cache_entries"`
-	CacheHits      uint64           `json:"cache_hits"`
-	CacheMisses    uint64           `json:"cache_misses"`
-	CacheEvictions uint64           `json:"cache_evictions"`
-	TwiddleCache   isspl.CacheStats `json:"twiddle_cache"`
-	Goroutines     int              `json:"goroutines"`
+	WorkerDepths   []int64 `json:"worker_depths"`
+	CacheEntries   int     `json:"cache_entries"`
+	CacheHits      uint64  `json:"cache_hits"`
+	CacheMisses    uint64  `json:"cache_misses"`
+	CacheEvictions uint64  `json:"cache_evictions"`
+	Goroutines     int     `json:"goroutines"`
 }
 
 // Server is the daemon. It implements http.Handler; wire it into an
@@ -422,7 +420,6 @@ func (s *Server) Stats() Stats {
 		CacheHits:          hits,
 		CacheMisses:        misses,
 		CacheEvictions:     evictions,
-		TwiddleCache:       isspl.TwiddleCacheStats(),
 		Goroutines:         runtime.NumGoroutine(),
 	}
 }
