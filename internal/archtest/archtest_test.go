@@ -230,10 +230,10 @@ func callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn.Origin()
 }
 
-// parking is every function of pkgs that can park its process: that
-// reaches sim.Proc.Suspend, the one park, through static calls (a call in
-// a function literal counts for the function that contains it).
-func parking(pkgs []*pkg, suspend *types.Func) map[*types.Func]bool {
+// staticCalls is the static call graph of the functions declared in pkgs:
+// each function's callees, a call in a function literal counting for the
+// function that contains it.
+func staticCalls(pkgs []*pkg) map[*types.Func][]*types.Func {
 	calls := map[*types.Func][]*types.Func{}
 	for _, p := range pkgs {
 		for _, f := range p.files {
@@ -254,6 +254,13 @@ func parking(pkgs []*pkg, suspend *types.Func) map[*types.Func]bool {
 			}
 		}
 	}
+	return calls
+}
+
+// parking is every function of pkgs that can park its process: that
+// reaches sim.Proc.Suspend, the one park, through static calls.
+func parking(pkgs []*pkg, suspend *types.Func) map[*types.Func]bool {
+	calls := staticCalls(pkgs)
 	parks := map[*types.Func]bool{suspend: true}
 	for changed := true; changed; {
 		changed = false

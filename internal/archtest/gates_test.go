@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -520,34 +522,16 @@ func TestKernelStepTouchesNoSamples(t *testing.T) {
 			}
 		}
 	}
-	// reach walks the graph from root, recording how each function is reached.
-	reach := func(root *types.Func) (order []*types.Func, via map[*types.Func]*types.Func) {
-		via = map[*types.Func]*types.Func{root: nil}
-		order = []*types.Func{root}
-		for i := 0; i < len(order); i++ {
-			for _, c := range calls[order[i]] {
-				if _, seen := via[c]; !seen {
-					via[c] = order[i]
-					order = append(order, c)
-				}
-			}
-		}
-		return order, via
-	}
-	order, via := reach(step)
+	order, via := reachable(calls, step)
 	for _, fn := range order {
 		for _, where := range touches[fn] {
-			path := qualified(fn)
-			for p := via[fn]; p != nil; p = via[p] {
-				path = qualified(p) + " → " + path
-			}
-			t.Errorf("%s, reached from the kernel's step (%s); sample work runs in the thread's sample task", where, path)
+			t.Errorf("%s, reached from the kernel's step (%s); sample work runs in the thread's sample task", where, callPath(via, fn))
 		}
 	}
 	t.Logf("%d functions reachable from %s", len(order), qualified(step))
 
 	seen := map[string]bool{}
-	bodyOrder, _ := reach(body)
+	bodyOrder, _ := reachable(calls, body)
 	for _, fn := range bodyOrder {
 		for _, where := range touches[fn] {
 			seen[where[strings.LastIndex(where, ": ")+2:]] = true
@@ -557,5 +541,70 @@ func TestKernelStepTouchesNoSamples(t *testing.T) {
 		if !seen[what] {
 			t.Errorf("%s does not reach %s; update this gate with the rename", qualified(body), what)
 		}
+	}
+}
+
+// reachable walks a static call graph from root breadth first, recording
+// the caller each function is first reached from.
+func reachable(calls map[*types.Func][]*types.Func, root *types.Func) (order []*types.Func, via map[*types.Func]*types.Func) {
+	via = map[*types.Func]*types.Func{root: nil}
+	order = []*types.Func{root}
+	for i := 0; i < len(order); i++ {
+		for _, c := range calls[order[i]] {
+			if _, seen := via[c]; !seen {
+				via[c] = order[i]
+				order = append(order, c)
+			}
+		}
+	}
+	return order, via
+}
+
+// callPath renders the chain of calls reachable recorded from its root to fn.
+func callPath(via map[*types.Func]*types.Func, fn *types.Func) string {
+	path := qualified(fn)
+	for p := via[fn]; p != nil; p = via[p] {
+		path = qualified(p) + " → " + path
+	}
+	return path
+}
+
+// TestRtlIterationAllocatesNoBlocks: the generated program's iteration loop
+// writes only blocks the layout chose (DESIGN.md §14, "physical buffers").
+// Nothing reachable from (*rtl.exec).threadMain through static calls —
+// across every module package rtl loads, a call in a function literal
+// counting for the function that contains it — calls funclib.NewBlock,
+// funclib.Landing or Assemble (which reach NewBlock) or isspl.NewMatrix: the
+// loop lands payloads with funclib.Land on a storage's block. The gate
+// checks that (*rtl.exec).allocate, where a thread's storages get their
+// blocks, still reaches NewBlock, so a rename cannot leave it guarding
+// nothing.
+func TestRtlIterationAllocatesNoBlocks(t *testing.T) {
+	l := newLoader()
+	rtl := mustLoad(t, l, "repro/internal/codegen/rtl")
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	newBlock := lookup(t, fl, "NewBlock").(*types.Func)
+	allocs := map[*types.Func]bool{
+		newBlock:                                true,
+		lookup(t, fl, "Landing").(*types.Func):  true,
+		lookup(t, fl, "Assemble").(*types.Func): true,
+		lookup(t, mustLoad(t, l, "repro/internal/isspl"), "NewMatrix").(*types.Func): true,
+	}
+	loop := member(t, rtl, "exec", "threadMain").(*types.Func)
+	allocate := member(t, rtl, "exec", "allocate").(*types.Func)
+
+	calls := staticCalls(slices.Collect(maps.Values(l.pkgs)))
+	order, via := reachable(calls, loop)
+	for _, fn := range order {
+		for _, c := range calls[fn] {
+			if allocs[c] {
+				t.Errorf("%s calls %s, reached from the iteration loop (%s); a block is the layout's, allocated before the loop",
+					qualified(fn), qualified(c), callPath(via, fn))
+			}
+		}
+	}
+	t.Logf("%d functions reachable from %s", len(order), qualified(loop))
+	if reached, _ := reachable(calls, allocate); !slices.Contains(reached, newBlock) {
+		t.Errorf("%s does not reach %s; update this gate with the rename", qualified(allocate), qualified(newBlock))
 	}
 }

@@ -29,11 +29,16 @@
 // Samples move through the block lifecycle of internal/funclib (DESIGN.md
 // §14), shared with the simulated runtime: a send is a view of the producer's
 // output block, never a packed copy, and a sink's payloads are stored in the
-// iteration's result matrix as they arrive.
+// iteration's result matrix as they arrive. The blocks themselves are the
+// run's physical buffers (layout.go): each logical buffer a thread writes —
+// an assembled input, a pitched payload copied dense, an output not computed
+// in place — gets Slots blocks for the whole run, reused by iteration number
+// once every thread that reads them has finished with them.
 package rtl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,7 +48,9 @@ import (
 )
 
 // DefaultSlots is the per-lane pipelining bound used when a Program does not
-// set one; it matches sagert's default BufferSlots (double buffering).
+// set one; it matches sagert's default BufferSlots (double buffering). It
+// also sets the number of physical blocks behind each logical buffer:
+// min(Slots, Iterations).
 const DefaultSlots = 2
 
 // Xfer is one striped region moving over one lane each iteration.
@@ -64,7 +71,8 @@ type Port struct {
 }
 
 // adopts reports whether an input port's one transfer covers its whole
-// partition: the payload becomes the port's block (funclib.Assemble).
+// partition: a dense payload becomes the port's block, a pitched one is
+// copied dense into the port's storage (layout.go).
 func (p *Port) adopts() bool { return len(p.Xfers) == 1 && p.Xfers[0].Region == p.Region }
 
 // Thread is one goroutine of the generated program: a single thread of a
@@ -103,7 +111,9 @@ type Program struct {
 	App        string
 	Platform   string // platform the tables were generated for (informational)
 	Iterations int
-	// Slots is the per-lane pipelining credit; <= 0 selects DefaultSlots.
+	// Slots is the per-lane pipelining credit and, capped at Iterations,
+	// the number of physical blocks behind each logical buffer; <= 0
+	// selects DefaultSlots.
 	Slots   int
 	Threads []Thread
 	Conns   []Conn
@@ -189,25 +199,46 @@ func (p *Program) slots() int {
 
 // exec is one execution's runtime state.
 type exec struct {
-	p     *Program
+	p *Program
+	*layout
 	chans []chan *funclib.Block
 	abort chan struct{}
 
 	errOnce sync.Once
 	err     error
 
+	// mu guards the watermarks: done[t] is the number of iterations thread t
+	// has finished; finished is signalled when one grows or the run aborts.
+	mu       sync.Mutex
+	finished sync.Cond
+	done     []int
+	aborted  bool
+
 	sinkMu sync.Mutex // serialises sink assembly (funclib.StoreSink)
 	iters  []map[string]*isspl.Matrix
+
+	hooks hooks
 }
 
-// newExec prepares channels and per-iteration sink targets.
+// hooks let this package's tests watch a run; Execute sets none.
+type hooks struct {
+	recv    func(thread int, payload *funclib.Block) // every payload a thread receives
+	park    func(thread int)                         // a thread about to wait for readers; runs under mu, must not block
+	recycle func(b *funclib.Block, cleared bool)     // a block handed out again, before clearing
+}
+
+// newExec prepares the layout, channels and per-iteration sink targets of a
+// validated program.
 func newExec(p *Program) *exec {
 	e := &exec{
-		p:     p,
-		chans: make([]chan *funclib.Block, len(p.Conns)),
-		abort: make(chan struct{}),
-		iters: make([]map[string]*isspl.Matrix, p.Iterations),
+		p:      p,
+		layout: newLayout(p),
+		chans:  make([]chan *funclib.Block, len(p.Conns)),
+		abort:  make(chan struct{}),
+		done:   make([]int, len(p.Threads)),
+		iters:  make([]map[string]*isspl.Matrix, p.Iterations),
 	}
+	e.finished.L = &e.mu
 	for i := range e.chans {
 		e.chans[i] = make(chan *funclib.Block, p.slots())
 	}
@@ -226,52 +257,70 @@ func newExec(p *Program) *exec {
 	return e
 }
 
-// ownedInputs marks the threads of a validated program that compute into
-// their input block: an InPlace kind whose thread owns the block its one
-// input port ends up holding (it assembled it, or funclib.OwnsAdopted against
-// the other transfers of the port that produces it). impls holds each
-// thread's kind.
-func ownedInputs(p *Program, impls []*funclib.Impl) []bool {
-	// producer[c] is the output port that sends on lane c.
-	producer := make([]*Port, len(p.Conns))
-	for ti := range p.Threads {
-		outs := p.Threads[ti].Outs
-		for pi := range outs {
-			for _, x := range outs[pi].Xfers {
-				producer[x.Conn] = &outs[pi]
-			}
-		}
-	}
-	owned := make([]bool, len(p.Threads))
-	for ti := range p.Threads {
-		t := &p.Threads[ti]
-		if !impls[ti].InPlace || len(t.Ins) != 1 || len(t.Outs) != 1 || t.Ins[0].Region != t.Outs[0].Region {
-			continue
-		}
-		in := &t.Ins[0]
-		if !in.adopts() {
-			owned[ti] = true
-			continue
-		}
-		x, src := in.Xfers[0], producer[in.Xfers[0].Conn]
-		owned[ti] = funclib.OwnsAdopted(funclib.ContiguousIn(x.Region, src.Region), x.Region,
-			func(yield func(model.Region) bool) {
-				for _, o := range src.Xfers {
-					if o.Conn != x.Conn && !yield(o.Region) {
-						return
-					}
-				}
-			})
-	}
-	return owned
-}
-
 // fail records the first error and releases every blocked thread.
 func (e *exec) fail(err error) {
 	e.errOnce.Do(func() {
 		e.err = err
 		close(e.abort)
+		e.mu.Lock()
+		e.aborted = true
+		e.mu.Unlock()
+		e.finished.Broadcast()
 	})
+}
+
+// allocate gives thread ti's storages their blocks. It runs on the thread's
+// own goroutine before its first iteration; the loop allocates no block.
+func (e *exec) allocate(ti int) {
+	for _, s := range slices.Concat(e.ins[ti], e.outs[ti]) {
+		if s == nil {
+			continue
+		}
+		for k := range s.blocks {
+			s.blocks[k] = funclib.NewBlock(s.region)
+		}
+	}
+}
+
+// acquire returns thread ti's block of storage s for iteration iter: block
+// iter mod P, once every reader has finished the iteration that used it
+// last. It returns nil when the run aborted.
+func (e *exec) acquire(ti int, s *storage, iter int) *funclib.Block {
+	P := len(s.blocks)
+	b := s.blocks[iter%P]
+	if iter < P {
+		return b // first use: zeroed by allocate
+	}
+	e.mu.Lock()
+	for _, r := range s.readers {
+		for e.done[r] <= iter-P && !e.aborted {
+			if e.hooks.park != nil {
+				e.hooks.park(ti)
+			}
+			e.finished.Wait()
+		}
+	}
+	aborted := e.aborted
+	e.mu.Unlock()
+	if aborted {
+		return nil
+	}
+	if e.hooks.recycle != nil {
+		e.hooks.recycle(b, s.clear)
+	}
+	if s.clear {
+		clear(b.Data)
+	}
+	return b
+}
+
+// finish publishes that thread ti has finished one more iteration: it
+// reads no block of that iteration again.
+func (e *exec) finish(ti int) {
+	e.mu.Lock()
+	e.done[ti]++
+	e.mu.Unlock()
+	e.finished.Broadcast()
 }
 
 // send delivers b on lane conn, blocking while the lane holds Slots
@@ -330,12 +379,15 @@ func (e *exec) drainEOS(t *Thread) {
 	}
 }
 
-// threadMain is the per-goroutine iteration loop: receive striped inputs into
-// their blocks (a sink's straight into the iteration's result), compute, send
-// striped outputs as views — then close lanes (EOS) and verify the inbound
-// lanes closed too. With inPlace set (ownedInputs) the kind transforms the
-// input block where it lies and that block goes on as the output.
-func (e *exec) threadMain(t *Thread, impl *funclib.Impl, inPlace bool) {
+// threadMain is the per-goroutine iteration loop of thread ti: receive
+// striped inputs into their blocks (a sink's straight into the iteration's
+// result), compute, send striped outputs as views, publish the iteration
+// finished — then close lanes (EOS) and verify the inbound lanes closed too.
+// Every block it writes is one the layout chose: an input or output
+// storage's block for this iteration, or, on a thread that computes in place,
+// the input block, which goes on as the output.
+func (e *exec) threadMain(ti int) {
+	t, impl := &e.p.Threads[ti], e.impls[ti]
 	in := make(map[string]*funclib.Block, len(t.Ins))
 	out := make(map[string]*funclib.Block, len(t.Outs))
 	ctx := &funclib.Context{
@@ -351,39 +403,46 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl, inPlace bool) {
 		for pi := range t.Ins {
 			pp := &t.Ins[pi]
 			// A sink port keeps no samples: each payload lands in the result
-			// matrix as it arrives. A port whose one transfer covers its whole
-			// partition adopts the payload; any other assembles into a block
-			// of its own.
+			// matrix as it arrives. A port with a storage lands its payloads
+			// in the storage's block; any other adopts its one dense payload.
 			var blk *funclib.Block
 			switch {
 			case sink:
 				blk = &funclib.Block{Region: pp.Region}
-			case !pp.adopts():
-				blk = funclib.NewBlock(pp.Region)
+			case e.ins[ti][pi] != nil:
+				if blk = e.acquire(ti, e.ins[ti][pi], iter); blk == nil {
+					return
+				}
 			}
 			for _, x := range pp.Xfers {
 				got, ok := e.recv(x.Conn, iter)
 				if !ok {
 					return
 				}
-				if !sink {
-					blk = funclib.Assemble(blk, got)
-				} else if target != nil {
-					funclib.StoreSink(&e.sinkMu, target, got)
+				if e.hooks.recv != nil {
+					e.hooks.recv(ti, got)
+				}
+				switch {
+				case sink:
+					if target != nil {
+						funclib.StoreSink(&e.sinkMu, target, got)
+					}
+				case blk == nil:
+					blk = got
+				default:
+					funclib.Land(blk, got)
 				}
 			}
 			in[pp.Name] = blk
 		}
-		// Output blocks are fresh every iteration: consumers may still hold
-		// views of the previous ones. An owned input block arrived fresh
-		// this iteration too.
 		for pi := range t.Outs {
-			pp := &t.Outs[pi]
-			if inPlace {
-				out[pp.Name] = in[t.Ins[0].Name]
-			} else {
-				out[pp.Name] = funclib.NewBlock(pp.Region)
+			var blk *funclib.Block
+			if e.inPlace[ti] {
+				blk = in[t.Ins[0].Name]
+			} else if blk = e.acquire(ti, e.outs[ti][pi], iter); blk == nil {
+				return
 			}
+			out[t.Outs[pi].Name] = blk
 		}
 		ctx.Iteration = iter
 		if err := impl.Compute(ctx, in, out); err != nil {
@@ -399,22 +458,10 @@ func (e *exec) threadMain(t *Thread, impl *funclib.Impl, inPlace bool) {
 				}
 			}
 		}
+		e.finish(ti)
 	}
 	e.closeOuts(t)
 	e.drainEOS(t)
-}
-
-// lookupImpls resolves every thread's kind.
-func lookupImpls(p *Program) ([]*funclib.Impl, error) {
-	impls := make([]*funclib.Impl, len(p.Threads))
-	for i := range p.Threads {
-		impl, err := funclib.Lookup(p.Threads[i].Kind)
-		if err != nil {
-			return nil, err
-		}
-		impls[i] = impl
-	}
-	return impls, nil
 }
 
 // Execute runs the program: one goroutine per thread, channel lanes between
@@ -425,24 +472,24 @@ func Execute(p *Program) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	impls, err := lookupImpls(p)
-	if err != nil {
-		return nil, err // unreachable: Validate looked every kind up
-	}
-	e := newExec(p)
-	inPlace := ownedInputs(p, impls)
+	return newExec(p).run()
+}
+
+// run starts every thread and waits for all of them.
+func (e *exec) run() (*Result, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i := range p.Threads {
+	for ti := range e.p.Threads {
 		wg.Add(1)
-		go func(t *Thread, impl *funclib.Impl, inPlace bool) {
+		go func() {
 			defer wg.Done()
-			e.threadMain(t, impl, inPlace)
-		}(&p.Threads[i], impls[i], inPlace[i])
+			e.allocate(ti)
+			e.threadMain(ti)
+		}()
 	}
 	wg.Wait()
 	if e.err != nil {
 		return nil, e.err
 	}
-	return &Result{App: p.App, Iters: e.iters, Wall: time.Since(start)}, nil
+	return &Result{App: e.p.App, Iters: e.iters, Wall: time.Since(start)}, nil
 }

@@ -3,8 +3,12 @@ package rtl
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,6 +193,60 @@ func TestAbortReleasesBlockedThreads(t *testing.T) {
 			t.Fatalf("blocked %s not released by abort", name)
 		}
 	}
+
+	// A producer parked waiting for its block's readers: the source, one
+	// block deep at Slots 1, waits at iteration 1 for fft_rows to finish
+	// iteration 0, and fft_rows — held until the source parks — fails
+	// there (a 3-sample row is no FFT length).
+	base := runtime.NumGoroutine()
+	bad := directProgram(4, 3, 3)
+	bad.Slots = 1
+	bad.Threads = slices.Insert(bad.Threads, 1, Thread{Fn: "fft", Kind: "fft_rows", Thread: 0, Threads: 1,
+		Ins:  []Port{{Name: "in", Region: whole(4, 3), Xfers: []Xfer{{Conn: 0, Region: whole(4, 3)}}}},
+		Outs: []Port{{Name: "out", Region: whole(4, 3), Xfers: []Xfer{{Conn: 1, Region: whole(4, 3)}}}}})
+	bad.Threads[2].Ins[0].Xfers[0].Conn = 1
+	bad.Conns = []Conn{{Buf: 0, SrcFn: "src", DstFn: "fft"}, {Buf: 1, SrcFn: "fft", DstFn: "snk"}}
+	if err := bad.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e3 := newExec(bad)
+	parked := make(chan struct{})
+	var once sync.Once
+	e3.hooks.park = func(ti int) {
+		if ti == 0 {
+			once.Do(func() { close(parked) })
+		}
+	}
+	e3.hooks.recv = func(ti int, _ *funclib.Block) {
+		if ti == 1 {
+			select {
+			case <-parked:
+			case <-time.After(5 * time.Second):
+				t.Error("the source never waited for its readers")
+			}
+		}
+	}
+	res, err := e3.run()
+	if res != nil || err == nil || !strings.Contains(err.Error(), "fft thread 0 iteration 0") {
+		t.Fatalf("run with a failing compute: result %v, err %v", res, err)
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("goroutines grew from %d to %d across the aborted run", base, n)
+	}
+}
+
+// settleGoroutines polls until the live goroutine count drops to at most
+// want, returning the last observation (exiting goroutines need a few
+// scheduler rounds).
+func settleGoroutines(want int) int {
+	var n int
+	for range 200 {
+		if n = runtime.NumGoroutine(); n <= want {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return n
 }
 
 // Fan-out: one source value consumed by two sinks (two lanes from the same
@@ -409,5 +467,49 @@ func TestParseTextRejectsCorrupt(t *testing.T) {
 		if _, err := ParseText(bytes.NewReader([]byte(text))); err == nil {
 			t.Fatalf("corrupt output %d parsed cleanly", i)
 		}
+	}
+}
+
+// TestCoversMatchesDefinition holds covers to a sample-by-sample count over
+// random partitions and transfer sets inside them: tilings, overlaps, gaps
+// and empty regions.
+func TestCoversMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	within := func(part model.Region) model.Region {
+		r0 := part.R0 + rng.IntN(part.Rows+1)
+		c0 := part.C0 + rng.IntN(part.Cols+1)
+		return reg(r0, c0, rng.IntN(part.R0+part.Rows-r0+1), rng.IntN(part.C0+part.Cols-c0+1))
+	}
+	seen := map[bool]int{}
+	for range 4000 {
+		part := reg(rng.IntN(4), rng.IntN(4), 1+rng.IntN(6), 1+rng.IntN(6))
+		var xs []Xfer
+		switch rng.IntN(3) {
+		case 0: // a row-band tiling, maybe missing a band
+			for r := part.R0; r < part.R0+part.Rows; {
+				h := 1 + rng.IntN(part.R0+part.Rows-r)
+				if rng.IntN(8) != 0 {
+					xs = append(xs, Xfer{Region: reg(r, part.C0, h, part.Cols)})
+				}
+				r += h
+			}
+		default:
+			for range rng.IntN(5) {
+				xs = append(xs, Xfer{Region: within(part)})
+			}
+		}
+		want := true
+		for r := part.R0; r < part.R0+part.Rows; r++ {
+			for c := part.C0; c < part.C0+part.Cols; c++ {
+				want = want && slices.ContainsFunc(xs, func(x Xfer) bool { return reg(r, c, 1, 1).Intersect(x.Region) == reg(r, c, 1, 1) })
+			}
+		}
+		seen[want]++
+		if got := covers(part, xs); got != want {
+			t.Fatalf("covers(%v, %v) = %v, want %v", part, xs, got, want)
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("outcomes %v: the cases exercise one answer only", seen)
 	}
 }

@@ -8,8 +8,11 @@ import (
 	"repro/internal/model"
 )
 
-// The block lifecycle sagert and codegen/rtl share (DESIGN.md §14): output
-// blocks are fresh per iteration and never written after a send, every
+// The block lifecycle sagert and codegen/rtl share (DESIGN.md §14): an
+// output block is fresh per iteration in sagert; in rtl it is one of the
+// run's physical blocks, rewritten at a later iteration only once every
+// reader of the last one has finished. It is never written after a send
+// while that iteration's readers may still read it, every
 // region travels as a view of its producer's block (pitched when the region
 // is narrower than the block), a whole-partition receive adopts a dense
 // payload, a sink's payloads land in the result as they arrive, and inputs
