@@ -160,7 +160,7 @@ func newLoader() *loader {
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
-	if !strings.HasPrefix(path, "repro/") {
+	if path != "repro" && !strings.HasPrefix(path, "repro/") {
 		return l.std.Import(path)
 	}
 	p, err := l.load(path)
@@ -175,7 +175,11 @@ func (l *loader) load(path string) (*pkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	files, err := parseDir(l.fset, strings.TrimPrefix(path, "repro/"))
+	dir := "." // the module's root package, repro
+	if path != "repro" {
+		dir = strings.TrimPrefix(path, "repro/")
+	}
+	files, err := parseDir(l.fset, dir)
 	if err != nil {
 		return nil, err
 	}

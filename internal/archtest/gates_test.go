@@ -575,29 +575,34 @@ func callPath(via map[*types.Func]*types.Func, fn *types.Func) string {
 // across every module package rtl loads, a call in a function literal
 // counting for the function that contains it — calls funclib.NewBlock,
 // funclib.Landing or Assemble (which reach NewBlock) or isspl.NewMatrix: the
-// loop lands payloads with funclib.Land on a storage's block. The gate
-// checks that (*rtl.exec).allocate, where a thread's storages get their
-// blocks, still reaches NewBlock, so a rename cannot leave it guarding
-// nothing.
+// loop lands payloads with funclib.Land on a storage's block. The one
+// exception is (*rtl.exec).resultMatrix, the only caller of NewMatrix the
+// loop reaches: an iteration's result matrix is the run's output, not a
+// block, and is allocated when its first writer needs it. The gate checks
+// that (*rtl.exec).allocate, where a thread's storages get their blocks,
+// still reaches NewBlock, and resultMatrix still calls NewMatrix, so a rename
+// cannot leave it guarding nothing.
 func TestRtlIterationAllocatesNoBlocks(t *testing.T) {
 	l := newLoader()
 	rtl := mustLoad(t, l, "repro/internal/codegen/rtl")
 	fl := mustLoad(t, l, "repro/internal/funclib")
 	newBlock := lookup(t, fl, "NewBlock").(*types.Func)
+	newMatrix := lookup(t, mustLoad(t, l, "repro/internal/isspl"), "NewMatrix").(*types.Func)
 	allocs := map[*types.Func]bool{
 		newBlock:                                true,
 		lookup(t, fl, "Landing").(*types.Func):  true,
 		lookup(t, fl, "Assemble").(*types.Func): true,
-		lookup(t, mustLoad(t, l, "repro/internal/isspl"), "NewMatrix").(*types.Func): true,
+		newMatrix:                               true,
 	}
 	loop := member(t, rtl, "exec", "threadMain").(*types.Func)
 	allocate := member(t, rtl, "exec", "allocate").(*types.Func)
+	result := member(t, rtl, "exec", "resultMatrix").(*types.Func)
 
 	calls := staticCalls(slices.Collect(maps.Values(l.pkgs)))
 	order, via := reachable(calls, loop)
 	for _, fn := range order {
 		for _, c := range calls[fn] {
-			if allocs[c] {
+			if allocs[c] && !(fn == result && c == newMatrix) {
 				t.Errorf("%s calls %s, reached from the iteration loop (%s); a block is the layout's, allocated before the loop",
 					qualified(fn), qualified(c), callPath(via, fn))
 			}
@@ -607,4 +612,65 @@ func TestRtlIterationAllocatesNoBlocks(t *testing.T) {
 	if reached, _ := reachable(calls, allocate); !slices.Contains(reached, newBlock) {
 		t.Errorf("%s does not reach %s; update this gate with the rename", qualified(allocate), qualified(newBlock))
 	}
+	if !slices.Contains(calls[result], newMatrix) {
+		t.Errorf("%s does not call %s; update this gate with the rename", qualified(result), qualified(newMatrix))
+	}
+}
+
+// TestOnlyFunclibSetsLayouts: a block's layout — its (RowStride, ColStride)
+// pair — comes only from funclib's own views (ExtractRegion, TransposedView,
+// ResultView; DESIGN.md §14). No non-test file of a module package outside
+// internal/funclib assigns either field, increments it, takes its address or
+// names it in a composite literal, so no runtime invents a layout the copy
+// kernels and the at-its-place test were not written for.
+func TestOnlyFunclibSetsLayouts(t *testing.T) {
+	l := newLoader()
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	strides := map[types.Object]bool{
+		member(t, fl, "Block", "RowStride"): true,
+		member(t, fl, "Block", "ColStride"): true,
+	}
+	paths := append(packagesBelow(t, "internal", "cmd", "benchmark", "examples"), "repro")
+	for _, path := range paths {
+		if path == "repro/internal/funclib" {
+			continue
+		}
+		p := mustLoad(t, l, path)
+		// stride reports whether e selects a stride field.
+		stride := func(e ast.Expr) bool {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			return ok && strides[p.info.Uses[sel.Sel]]
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var at ast.Node
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if stride(lhs) {
+							at = lhs
+						}
+					}
+				case *ast.IncDecStmt:
+					if stride(n.X) {
+						at = n
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND && stride(n.X) {
+						at = n
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && strides[p.info.Uses[id]] {
+						at = n
+					}
+				}
+				if at != nil {
+					t.Errorf("%s: %s sets a block's layout; only funclib's views do (ExtractRegion, TransposedView, ResultView)",
+						l.fset.Position(at.Pos()), path)
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d packages checked", len(paths))
 }

@@ -52,10 +52,14 @@ func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 			Thread: tp.Index, Threads: fe.Threads, Params: copyParams(fe.Params),
 			Ins: copyPorts(xp, tp.Ins), Outs: copyPorts(xp, tp.Outs),
 		}
-		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
-			t.SinkRows, t.SinkCols = fe.Ins[0].Rows, fe.Ins[0].Cols
-		}
 		p.Threads[i] = t
+	}
+	for si := range xp.Sinks {
+		s := &xp.Sinks[si]
+		for i := range s.Fn.Threads {
+			t := &p.Threads[xp.First[s.Fn.ID]+i]
+			t.SinkRows, t.SinkCols = s.Rows, s.Cols
+		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: planned an invalid program: %w", err)

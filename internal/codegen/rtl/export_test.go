@@ -21,37 +21,81 @@ func OwnedInputs(p *Program) ([]bool, error) {
 	return newLayout(p).inPlace, nil
 }
 
+// ResultBacking exposes the two layout decisions Execute makes for a
+// validated program, so the external tests can hold them to plan.Build's:
+// per thread, the sink function whose result matrix holds its storage ("" for
+// none), and whether it lands its payloads transposed.
+func ResultBacking(p *Program) (results []string, transposes []bool, err error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	l := newLayout(p)
+	results = make([]string, len(p.Threads))
+	for ti, sink := range l.results {
+		if sink != nil {
+			results[ti] = sink.Fn
+		}
+	}
+	return results, l.transposes, nil
+}
+
+// Storages counts the storages Execute's layout gives a validated program.
+func Storages(p *Program) (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	l := newLayout(p)
+	n := 0
+	for _, s := range slices.Concat(slices.Concat(l.ins...), slices.Concat(l.outs...)) {
+		if s != nil {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// Poisoned counts what ExecutePoisoned saw: the recycled blocks handed out,
+// how many of them skipped clearing and were filled with NaN, and how many of
+// those were the output blocks of threads that land transposed.
+type Poisoned struct {
+	Recycled, Poisoned, Transposed int64
+}
+
 // ExecutePoisoned runs a validated p with every recycled block that is not
 // cleared filled with NaN before reuse, so a sample the layout wrongly
-// assumes rewritten shows in the sinks. It also counts the recycled blocks
-// handed out, and how many of them were poisoned.
-func ExecutePoisoned(p *Program) (res *Result, recycled, poisoned int64, err error) {
+// assumes rewritten shows in the sinks, and counts the recycled blocks.
+func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 	if err := p.Validate(); err != nil {
-		return nil, 0, 0, err
+		return nil, Poisoned{}, err
 	}
 	e := newExec(p)
-	var nRecycled, nPoisoned atomic.Int64
+	var recycled, poisoned, transposed atomic.Int64
 	nan := complex(math.NaN(), math.NaN())
-	e.hooks.recycle = func(b *funclib.Block, cleared bool) {
-		nRecycled.Add(1)
+	e.hooks.recycle = func(ti int, b *funclib.Block, cleared bool) {
+		recycled.Add(1)
 		if !cleared {
-			nPoisoned.Add(1)
+			poisoned.Add(1)
+			if e.transposes[ti] { // its only storage is its output
+				transposed.Add(1)
+			}
 			for i := range b.Data {
 				b.Data[i] = nan
 			}
 		}
 	}
-	res, err = e.run()
-	return res, nRecycled.Load(), nPoisoned.Load(), err
+	res, err := e.run()
+	return res, Poisoned{recycled.Load(), poisoned.Load(), transposed.Load()}, err
 }
 
 // ReceivesOutsideReaders runs a validated p and holds every payload a thread
-// receives to the layout: the payload must lie in a block of some storage,
-// and the receiving thread must be one of that storage's readers. It returns
-// how many payloads it checked and a line for each that fails.
-func ReceivesOutsideReaders(p *Program) (int, []string, error) {
+// receives to the layout: a payload that lies in an iteration's result matrix
+// may be received only by a thread of that sink; any other must lie in a
+// block of some storage, and the receiving thread must be one of that
+// storage's readers. It returns how many payloads it checked, how many of
+// them lay in a result, and a line for each that fails.
+func ReceivesOutsideReaders(p *Program) (checked, inResult int, bad []string, err error) {
 	if err := p.Validate(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	e := newExec(p)
 	type receipt struct {
@@ -70,24 +114,41 @@ func ReceivesOutsideReaders(p *Program) (int, []string, error) {
 		mu.Unlock()
 	}
 	if _, err := e.run(); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
+	}
+	within := func(at uintptr, data []complex128) bool {
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+		return start <= at && at < start+uintptr(len(data))*unsafe.Sizeof(data[0])
 	}
 	// The blocks stay where they are while e is alive: the run is over, so
-	// every storage can be read.
+	// every storage and result can be read.
 	storages := slices.DeleteFunc(slices.Concat(slices.Concat(e.ins...), slices.Concat(e.outs...)),
 		func(s *storage) bool { return s == nil })
-	var bad []string
 	for _, r := range got {
+		t := &p.Threads[r.thread]
+		sink := ""
+		for _, results := range e.iters {
+			for fn, m := range results {
+				if within(r.at, m.Data) {
+					sink = fn
+				}
+			}
+		}
+		if sink != "" {
+			inResult++
+			if t.Kind != "sink_matrix" || t.Fn != sink {
+				bad = append(bad, fmt.Sprintf("%s[%d] received %v from the result of sink %s", t.Fn, t.Thread, r.region, sink))
+			}
+			continue
+		}
 		var in *storage
 		for _, s := range storages {
 			for _, b := range s.blocks {
-				start := uintptr(unsafe.Pointer(&b.Data[0]))
-				if start <= r.at && r.at < start+uintptr(len(b.Data))*unsafe.Sizeof(b.Data[0]) {
+				if within(r.at, b.Data) {
 					in = s
 				}
 			}
 		}
-		t := &p.Threads[r.thread]
 		switch {
 		case in == nil:
 			bad = append(bad, fmt.Sprintf("%s[%d] received %v from no storage", t.Fn, t.Thread, r.region))
@@ -96,5 +157,5 @@ func ReceivesOutsideReaders(p *Program) (int, []string, error) {
 				t.Fn, t.Thread, r.region, in.region, in.readers))
 		}
 	}
-	return len(got), bad, nil
+	return len(got), inResult, bad, nil
 }

@@ -16,9 +16,20 @@ import (
 // wait is for an earlier iteration of a thread that depends on nothing still
 // waiting: by induction on the iteration, the run cannot deadlock.
 
+// Two layout decisions come first, both through funclib's predicates, both
+// the same as plan.Build's for sagert. A result-backed thread
+// (funclib.ResultBacked) keeps its storage in the iteration's result matrix
+// of the sink it feeds — its input block when it computes in place on one of
+// its own, its output block otherwise — so that buffer has no storage here. A
+// thread that lands transposed (funclib.LandsTransposed) receives straight
+// into the transposed view of its output block: its input port has no
+// storage, and a recycled output block is cleared unless its transfers cover
+// the partition.
+
 // storage is the physical memory behind one logical buffer of one thread:
 // an assembling input, an input that copies its one pitched payload dense,
-// or the output of a thread that does not compute in place.
+// or the output of a thread that does not compute in place — unless that
+// buffer lives in a result matrix.
 type storage struct {
 	region model.Region
 	blocks []*funclib.Block // block i mod P serves iteration i
@@ -34,12 +45,19 @@ type storage struct {
 }
 
 // layout is Execute's one pass over a validated Program: each thread's kind,
-// whether it computes in place, and the storages of its ports.
+// whether it computes in place, where its storage lives, and the storages of
+// its ports.
 type layout struct {
 	impls   []*funclib.Impl
 	inPlace []bool
-	ins     [][]*storage // [thread][input port]; nil for a sink port or one that adopts a dense view
-	outs    [][]*storage // [thread][output port]; nil for a thread that computes in place
+	// results holds, for a result-backed thread, a thread of the sink whose
+	// result matrix holds its storage; nil elsewhere.
+	results []*Thread
+	// transposes marks the threads that land their payloads transposed in
+	// their output block.
+	transposes []bool
+	ins        [][]*storage // [thread][input port]; nil for a sink port, one that adopts a dense view, lands transposed or lies in a result
+	outs       [][]*storage // [thread][output port]; nil for a thread that computes in place or whose output lies in a result
 }
 
 // laneEnd is one side of a lane: the thread and its port.
@@ -52,10 +70,12 @@ type laneEnd struct {
 func newLayout(p *Program) *layout {
 	n := len(p.Threads)
 	l := &layout{
-		impls:   make([]*funclib.Impl, n),
-		inPlace: make([]bool, n),
-		ins:     make([][]*storage, n),
-		outs:    make([][]*storage, n),
+		impls:      make([]*funclib.Impl, n),
+		inPlace:    make([]bool, n),
+		results:    make([]*Thread, n),
+		transposes: make([]bool, n),
+		ins:        make([][]*storage, n),
+		outs:       make([][]*storage, n),
 	}
 	src := make([]laneEnd, len(p.Conns))
 	dst := make([]laneEnd, len(p.Conns))
@@ -104,6 +124,28 @@ func newLayout(p *Program) *layout {
 			})
 	}
 
+	// A thread with storage of its own whose one output port feeds only the
+	// threads of one sink keeps that storage in the sink's result when
+	// funclib.ResultBacked admits it; a transposing kind lands transposed.
+	for ti := range p.Threads {
+		t := &p.Threads[ti]
+		if len(t.Ins) == 1 && len(t.Outs) == 1 {
+			l.transposes[ti] = funclib.LandsTransposed(l.impls[ti], t.Ins[0].Region, t.Outs[0].Region)
+		}
+		if len(t.Outs) != 1 || len(t.Outs[0].Xfers) == 0 || l.inPlace[ti] && adoptsDense(&t.Ins[0]) {
+			continue
+		}
+		out := &t.Outs[0]
+		sink := &p.Threads[dst[out.Xfers[0].Conn].thread]
+		toSink := sink.Kind == "sink_matrix"
+		for _, x := range out.Xfers {
+			toSink = toSink && p.Threads[dst[x.Conn].thread].Fn == sink.Fn
+		}
+		if funclib.ResultBacked(toSink, out.Region, t.Threads, sink.SinkRows, sink.SinkCols) {
+			l.results[ti] = sink
+		}
+	}
+
 	// sends marks the readers of the views port pp sends: each consumer,
 	// and an in-place consumer's own sends when it kept the view as its
 	// input block.
@@ -138,8 +180,9 @@ func newLayout(p *Program) *layout {
 	}
 	for ti := range p.Threads {
 		t := &p.Threads[ti]
+		inResult := l.results[ti] != nil
 		l.ins[ti] = make([]*storage, len(t.Ins))
-		if t.Kind != "sink_matrix" {
+		if t.Kind != "sink_matrix" && !l.transposes[ti] && !(l.inPlace[ti] && inResult) {
 			for pi := range t.Ins {
 				pp := &t.Ins[pi]
 				if adoptsDense(pp) {
@@ -152,10 +195,13 @@ func newLayout(p *Program) *layout {
 				l.ins[ti][pi] = newStorage(ti, pp.Region, out, !covers(pp.Region, pp.Xfers))
 			}
 		}
-		if !l.inPlace[ti] {
+		if !l.inPlace[ti] && !inResult {
 			l.outs[ti] = make([]*storage, len(t.Outs))
 			for pi := range t.Outs {
-				l.outs[ti][pi] = newStorage(ti, t.Outs[pi].Region, &t.Outs[pi], true)
+				// Transposed landing rewrites every output sample when the
+				// transfers cover the input partition.
+				clear := !l.transposes[ti] || !covers(t.Ins[0].Region, t.Ins[0].Xfers)
+				l.outs[ti][pi] = newStorage(ti, t.Outs[pi].Region, &t.Outs[pi], clear)
 			}
 		}
 	}

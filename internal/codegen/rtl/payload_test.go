@@ -2,6 +2,7 @@ package rtl_test
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"repro/internal/codegen/rtl"
 	"repro/internal/conformance"
 	"repro/internal/experiments"
+	"repro/internal/funclib"
 	"repro/internal/gluegen"
+	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/platforms"
 )
@@ -213,22 +216,32 @@ func reuseCases(t *testing.T, s int) (cases []*conformance.Case, progs []*rtl.Pr
 // block that the layout does not clear filled with NaN first: a transfer
 // set the layout wrongly believes covers its partition, or a block reused
 // while a reader still needs it, changes a sink bit. Every iteration must
-// equal the sequential oracle bitwise, and every case must have recycled a
-// block — the corpus draws only 1–3 iterations, where reuse need never run —
-// and some recycled block must have skipped its clearing.
+// equal the sequential oracle bitwise. Every case that still has a storage
+// must have recycled a block — the corpus draws only 1–3 iterations, where
+// reuse need never run — and some case must; a case whose every buffer lies
+// in a result (a source feeding its sink) has none. Some recycled block must
+// have skipped its clearing.
 func TestRecycledBlocksMatchOracle(t *testing.T) {
-	var poisoned int64
+	var poisoned, withStorage int64
 	for _, s := range []int{1, 2} {
 		cases, progs := reuseCases(t, s)
 		for i, prog := range progs {
 			c := cases[i]
-			res, recycled, p, err := rtl.ExecutePoisoned(prog)
-			poisoned += p
+			res, seen, err := rtl.ExecutePoisoned(prog)
+			poisoned += seen.Poisoned
 			if err != nil {
 				t.Fatalf("%s seed %d slots %d: %v", c.App.Name, c.Seed, s, err)
 			}
-			if recycled == 0 {
-				t.Errorf("%s seed %d slots %d: %d iterations recycled no block", c.App.Name, c.Seed, s, prog.Iterations)
+			storages, err := rtl.Storages(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if storages > 0 {
+				withStorage++
+				if seen.Recycled == 0 {
+					t.Errorf("%s seed %d slots %d: %d iterations recycled none of %d storages' blocks",
+						c.App.Name, c.Seed, s, prog.Iterations, storages)
+				}
 			}
 			for it := range prog.Iterations {
 				want, err := conformance.Oracle(c.App, it)
@@ -241,26 +254,221 @@ func TestRecycledBlocksMatchOracle(t *testing.T) {
 			}
 		}
 	}
+	if withStorage == 0 {
+		t.Fatal("no case has a storage: the recycling checked nothing")
+	}
 	if poisoned == 0 {
 		t.Fatal("no recycled block skipped clearing: the poison checked nothing")
 	}
-	t.Logf("%d recycled blocks poisoned", poisoned)
+	t.Logf("%d cases with storage, %d recycled blocks poisoned", withStorage, poisoned)
+}
+
+// TestResultBackingMatchesPlan: rtl's layout decides which threads keep their
+// storage in a sink's result and which land transposed from the Program's own
+// transfers; sagert reads plan.Build's decisions off the tables. Over the
+// corpus and 64 generated graphs the two are the same decisions, thread for
+// thread, and each is taken somewhere.
+func TestResultBackingMatchesPlan(t *testing.T) {
+	var cases []*conformance.Case
+	cases, _ = reuseCases(t, 1)
+	backed, transposed := 0, 0
+	for _, c := range cases {
+		pl, err := platforms.ByName(c.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: pl, NumNodes: c.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xp, err := plan.Build(out.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := codegen.Plan(out.Tables, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, transposes, err := rtl.ResultBacking(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti := range xp.Threads {
+			tp := &xp.Threads[ti]
+			want := ""
+			if tp.Result >= 0 {
+				want = xp.Sinks[tp.Result].Fn.Name
+				backed++
+			}
+			if tp.Transposes {
+				transposed++
+			}
+			if results[ti] != want || transposes[ti] != tp.Transposes {
+				t.Errorf("%s seed %d: %s[%d]: rtl result %q transposes %v, plan %q %v", c.App.Name, c.Seed,
+					prog.Threads[ti].Fn, prog.Threads[ti].Thread, results[ti], transposes[ti], want, tp.Transposes)
+			}
+		}
+	}
+	if backed == 0 || transposed == 0 {
+		t.Fatalf("%d result-backed and %d transposing threads: a decision was never taken", backed, transposed)
+	}
+	t.Logf("%d result-backed threads, %d that land transposed", backed, transposed)
+}
+
+// turnCases builds generated cases in which transpose_block feeds a consumer
+// that is not a sink and fans out: a source, a transpose_block, a row-wise op
+// on the turn's output, and either a second op on it or a sink tapping it,
+// every loose end sunk — random sizes, stripings, thread counts, mappings
+// and platforms. The turn's output is a storage of its own, and its tiles
+// cover its partition, so a recycled one skips its clearing.
+func turnCases(t *testing.T, count int) []*conformance.Case {
+	t.Helper()
+	var cases []*conformance.Case
+	for seed := range int64(count) {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{2, 4, 8, 16}[rng.Intn(4)]
+		app := model.NewApp(fmt.Sprintf("turnfan_%d", seed))
+		mt, err := app.AddType(&model.DataType{Name: "m", Rows: n, Cols: n, Elem: model.ElemComplex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		threads := func(s model.StripeKind) int {
+			if s == model.Replicated {
+				return 1 + rng.Intn(3)
+			}
+			return 1 + rng.Intn(min(4, n))
+		}
+		rowStripe := func() model.StripeKind { return []model.StripeKind{model.ByRows, model.Replicated}[rng.Intn(2)] }
+		connect := func(src, dst string) {
+			if _, err := app.Connect(src, "out", dst, "in"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sink := func(name, from string) {
+			s := []model.StripeKind{model.ByRows, model.ByCols, model.Replicated}[rng.Intn(3)]
+			app.AddFunction(&model.Function{Name: name, Kind: "sink_matrix", Threads: threads(s)}).AddInput("in", mt, s)
+			connect(from, name)
+		}
+		s := []model.StripeKind{model.ByRows, model.ByCols, model.Replicated}[rng.Intn(3)]
+		app.AddFunction(&model.Function{Name: "src", Kind: "source_matrix", Threads: threads(s),
+			Params: map[string]any{"seed": 1 + rng.Intn(1000)}}).AddOutput("out", mt, s)
+		turn := app.AddFunction(&model.Function{Name: "turn", Kind: "transpose_block", Threads: threads(model.ByCols)})
+		turn.AddInput("in", mt, model.ByCols)
+		turn.AddOutput("out", mt, model.ByRows)
+		connect("src", "turn")
+		op := func(name string) {
+			kind := []string{"scale", "identity", "mag2", "fft_rows", "window_rows"}[rng.Intn(5)]
+			s := rowStripe()
+			f := app.AddFunction(&model.Function{Name: name, Kind: kind, Threads: threads(s)})
+			switch kind {
+			case "scale":
+				f.Params = map[string]any{"factor": []float64{0.5, -1, 2}[rng.Intn(3)]}
+			case "window_rows":
+				f.Params = map[string]any{"window": []string{"hann", "hamming", "blackman"}[rng.Intn(3)]}
+			}
+			f.AddInput("in", mt, s)
+			f.AddOutput("out", mt, s)
+			connect("turn", name)
+			sink(name+"_sink", name)
+		}
+		op("a")
+		if rng.Intn(2) == 0 {
+			op("b")
+		} else {
+			sink("tap", "turn")
+		}
+		app.AssignIDs()
+		if err := app.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := funclib.ValidateApp(app); err != nil {
+			t.Fatal(err)
+		}
+		nodes := 1 + rng.Intn(8)
+		mapping := model.NewMapping()
+		for _, f := range app.Functions {
+			ns := make([]int, f.Threads)
+			for i := range ns {
+				ns[i] = rng.Intn(nodes)
+			}
+			mapping.Set(f.Name, ns...)
+		}
+		names := platforms.Names()
+		cases = append(cases, &conformance.Case{
+			Seed: seed, Platform: names[rng.Intn(len(names))], Nodes: nodes, Iterations: 3,
+			App: app, Mapping: mapping, Perm: rng.Perm(nodes),
+		})
+	}
+	return cases
+}
+
+// TestTransposedLandingMatchesOracle holds a turn's transposed landing to the
+// sequential oracle where its output is a recycled storage: the generated
+// turn cases at Slots 1 and 2 and Iterations 3·Slots, every recycled block
+// that skips its clearing NaN-poisoned, every iteration bitwise. Some of the
+// poisoned blocks must be the turns' outputs. Each case also passes the
+// conformance checker's variants (sim, replay, generated program, shards).
+func TestTransposedLandingMatchesOracle(t *testing.T) {
+	cases := turnCases(t, 32)
+	var transposed int64
+	for _, c := range cases {
+		if f := c.Check(conformance.CheckOptions{}); f != nil {
+			t.Fatalf("%s: %s", c.App.Name, f)
+		}
+		pl, err := platforms.ByName(c.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: pl, NumNodes: c.Nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []int{1, 2} {
+			prog, err := codegen.Plan(out.Tables, 3*s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog.Slots = s
+			res, seen, err := rtl.ExecutePoisoned(prog)
+			if err != nil {
+				t.Fatalf("%s slots %d: %v", c.App.Name, s, err)
+			}
+			transposed += seen.Transposed
+			for it := range prog.Iterations {
+				want, err := conformance.Oracle(c.App, it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := conformance.CompareOutputs(want, res.Iters[it]); d != "" {
+					t.Fatalf("%s slots %d iteration %d: %s", c.App.Name, s, it, d)
+				}
+			}
+		}
+	}
+	if transposed == 0 {
+		t.Fatal("no recycled transposed output skipped its clearing: the poison checked nothing")
+	}
+	t.Logf("%d cases, %d recycled transposed outputs poisoned", len(cases), transposed)
 }
 
 // TestReadersCoverEveryReceive holds the reader sets to their definition at
 // run time: whatever storage a received payload lies in, the receiving
-// thread is one of its readers. The corpus's in-place fan-outs
-// (fanout-inplace, fanout-cornerturn) send views of a storage on through a
-// thread that adopted it and computes in place, so a reader set that stops
-// at the first hop fails here.
+// thread is one of its readers, and a payload that lies in an iteration's
+// result matrix — a result-backed producer's send — is received only by that
+// sink's threads. The corpus's in-place fan-outs (fanout-inplace,
+// fanout-cornerturn) send views of a storage on through a thread that
+// adopted it and computes in place, so a reader set that stops at the first
+// hop fails here.
 func TestReadersCoverEveryReceive(t *testing.T) {
+	results := 0
 	for _, s := range []int{1, 2} {
 		cases, progs := reuseCases(t, s)
 		for i, prog := range progs {
-			checked, bad, err := rtl.ReceivesOutsideReaders(prog)
+			checked, inResult, bad, err := rtl.ReceivesOutsideReaders(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
+			results += inResult
 			if checked == 0 {
 				t.Errorf("%s seed %d: no payload checked", cases[i].App.Name, cases[i].Seed)
 			}
@@ -268,5 +476,8 @@ func TestReadersCoverEveryReceive(t *testing.T) {
 				t.Errorf("%s seed %d slots %d: %s", cases[i].App.Name, cases[i].Seed, s, b)
 			}
 		}
+	}
+	if results == 0 {
+		t.Fatal("no payload lay in a result: the result rule checked nothing")
 	}
 }

@@ -214,7 +214,10 @@ type exec struct {
 	done     []int
 	aborted  bool
 
-	sinkMu sync.Mutex // serialises sink assembly (funclib.StoreSink)
+	// sinkMu serialises sink assembly (funclib.StoreSink) and guards iters:
+	// an iteration's result matrix is allocated when its first writer needs
+	// it (resultMatrix).
+	sinkMu sync.Mutex
 	iters  []map[string]*isspl.Matrix
 
 	hooks hooks
@@ -222,13 +225,12 @@ type exec struct {
 
 // hooks let this package's tests watch a run; Execute sets none.
 type hooks struct {
-	recv    func(thread int, payload *funclib.Block) // every payload a thread receives
-	park    func(thread int)                         // a thread about to wait for readers; runs under mu, must not block
-	recycle func(b *funclib.Block, cleared bool)     // a block handed out again, before clearing
+	recv    func(thread int, payload *funclib.Block)         // every payload a thread receives
+	park    func(thread int)                                 // a thread about to wait for readers; runs under mu, must not block
+	recycle func(thread int, b *funclib.Block, cleared bool) // a block handed out again, before clearing
 }
 
-// newExec prepares the layout, channels and per-iteration sink targets of a
-// validated program.
+// newExec prepares the layout and channels of a validated program.
 func newExec(p *Program) *exec {
 	e := &exec{
 		p:      p,
@@ -245,16 +247,22 @@ func newExec(p *Program) *exec {
 	for i := range e.iters {
 		e.iters[i] = map[string]*isspl.Matrix{}
 	}
-	for ti := range p.Threads {
-		t := &p.Threads[ti]
-		if t.Kind != "sink_matrix" || t.Thread != 0 {
-			continue
-		}
-		for i := range e.iters {
-			e.iters[i][t.Fn] = isspl.NewMatrix(t.SinkRows, t.SinkCols)
-		}
-	}
 	return e
+}
+
+// resultMatrix returns iteration iter's result matrix of sink thread t's
+// function, allocating it on the first call — when the iteration's first
+// payload lands in it, or its first result-backed producer takes its storage
+// there — on the caller's goroutine, under sinkMu.
+func (e *exec) resultMatrix(iter int, t *Thread) *isspl.Matrix {
+	e.sinkMu.Lock()
+	defer e.sinkMu.Unlock()
+	m := e.iters[iter][t.Fn]
+	if m == nil {
+		m = isspl.NewMatrix(t.SinkRows, t.SinkCols)
+		e.iters[iter][t.Fn] = m
+	}
+	return m
 }
 
 // fail records the first error and releases every blocked thread.
@@ -306,7 +314,7 @@ func (e *exec) acquire(ti int, s *storage, iter int) *funclib.Block {
 		return nil
 	}
 	if e.hooks.recycle != nil {
-		e.hooks.recycle(b, s.clear)
+		e.hooks.recycle(ti, b, s.clear)
 	}
 	if s.clear {
 		clear(b.Data)
@@ -384,7 +392,9 @@ func (e *exec) drainEOS(t *Thread) {
 // result), compute, send striped outputs as views, publish the iteration
 // finished — then close lanes (EOS) and verify the inbound lanes closed too.
 // Every block it writes is one the layout chose: an input or output
-// storage's block for this iteration, or, on a thread that computes in place,
+// storage's block for this iteration, a view of the iteration's result
+// matrix on a result-backed thread, the transposed view of the output block
+// on a thread that lands transposed, or, on a thread that computes in place,
 // the input block, which goes on as the output.
 func (e *exec) threadMain(ti int) {
 	t, impl := &e.p.Threads[ti], e.impls[ti]
@@ -394,12 +404,15 @@ func (e *exec) threadMain(ti int) {
 		FuncName: t.Fn, Params: t.Params,
 		Thread: t.Thread, Threads: t.Threads,
 	}
-	sink := t.Kind == "sink_matrix"
+	sink, result := t.Kind == "sink_matrix", e.results[ti]
 	for iter := 0; iter < e.p.Iterations; iter++ {
-		var target *isspl.Matrix // a sink's result matrix for this iteration
-		if sink {
-			target = e.iters[iter][t.Fn]
+		// A thread that lands transposed takes its output block first.
+		if e.transposes[ti] {
+			if out[t.Outs[0].Name] = e.outputBlock(ti, 0, iter); out[t.Outs[0].Name] == nil {
+				return
+			}
 		}
+		var target *isspl.Matrix // a sink's result matrix for this iteration
 		for pi := range t.Ins {
 			pp := &t.Ins[pi]
 			// A sink port keeps no samples: each payload lands in the result
@@ -409,6 +422,10 @@ func (e *exec) threadMain(ti int) {
 			switch {
 			case sink:
 				blk = &funclib.Block{Region: pp.Region}
+			case e.transposes[ti]:
+				blk = funclib.TransposedView(out[t.Outs[0].Name], pp.Region)
+			case e.inPlace[ti] && result != nil:
+				blk = funclib.ResultView(e.resultMatrix(iter, result), pp.Region)
 			case e.ins[ti][pi] != nil:
 				if blk = e.acquire(ti, e.ins[ti][pi], iter); blk == nil {
 					return
@@ -424,9 +441,10 @@ func (e *exec) threadMain(ti int) {
 				}
 				switch {
 				case sink:
-					if target != nil {
-						funclib.StoreSink(&e.sinkMu, target, got)
+					if target == nil {
+						target = e.resultMatrix(iter, t)
 					}
+					funclib.StoreSink(&e.sinkMu, target, got)
 				case blk == nil:
 					blk = got
 				default:
@@ -436,13 +454,15 @@ func (e *exec) threadMain(ti int) {
 			in[pp.Name] = blk
 		}
 		for pi := range t.Outs {
-			var blk *funclib.Block
-			if e.inPlace[ti] {
-				blk = in[t.Ins[0].Name]
-			} else if blk = e.acquire(ti, e.outs[ti][pi], iter); blk == nil {
-				return
+			switch {
+			case e.transposes[ti]: // taken before its payloads landed
+			case e.inPlace[ti]:
+				out[t.Outs[pi].Name] = in[t.Ins[0].Name]
+			default:
+				if out[t.Outs[pi].Name] = e.outputBlock(ti, pi, iter); out[t.Outs[pi].Name] == nil {
+					return
+				}
 			}
-			out[t.Outs[pi].Name] = blk
 		}
 		ctx.Iteration = iter
 		if err := impl.Compute(ctx, in, out); err != nil {
@@ -462,6 +482,17 @@ func (e *exec) threadMain(ti int) {
 	}
 	e.closeOuts(t)
 	e.drainEOS(t)
+}
+
+// outputBlock returns the block thread ti computes output port pi into at
+// iteration iter, for a thread that does not compute in place: a view of the
+// iteration's result matrix on a result-backed thread, its storage's block
+// otherwise. It returns nil when the run aborted.
+func (e *exec) outputBlock(ti, pi, iter int) *funclib.Block {
+	if result := e.results[ti]; result != nil {
+		return funclib.ResultView(e.resultMatrix(iter, result), e.p.Threads[ti].Outs[pi].Region)
+	}
+	return e.acquire(ti, e.outs[ti][pi], iter)
 }
 
 // Execute runs the program: one goroutine per thread, channel lanes between
@@ -490,6 +521,14 @@ func (e *exec) run() (*Result, error) {
 	wg.Wait()
 	if e.err != nil {
 		return nil, e.err
+	}
+	// A sink that received nothing in an iteration is zero.
+	for ti := range e.p.Threads {
+		if t := &e.p.Threads[ti]; t.Kind == "sink_matrix" {
+			for iter := range e.iters {
+				e.resultMatrix(iter, t)
+			}
+		}
 	}
 	return &Result{App: e.p.App, Iters: e.iters, Wall: time.Since(start)}, nil
 }

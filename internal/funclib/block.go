@@ -20,6 +20,15 @@ import (
 // safe, and a thread that is its input block's only reader (OwnsAdopted) lets
 // an InPlace kind transform it where it lies: the block goes on as the
 // thread's output, still never written after a send.
+//
+// Two layout decisions place a block's samples before anything is written.
+// A thread whose storage only its sink reads keeps it in the sink's result
+// matrix (ResultBacked, ResultView): its sends already lie where StoreSink
+// would copy them, and StoreSink skips them. A thread of a Transposes kind
+// lands its payloads in the transposed view of its output block
+// (TransposedView): the landing copy is the transpose, and Compute has
+// nothing left to do. A block's layout is its (RowStride, ColStride) pair;
+// only this file's views set it.
 
 // ContiguousIn reports whether region reg occupies a contiguous range of a
 // dense block covering blockReg: it must span the block's full width. The
@@ -30,29 +39,121 @@ func ContiguousIn(reg, blockReg model.Region) bool {
 }
 
 // CopyRegion copies region reg from src into dst; both blocks must contain
-// reg.
+// reg, in any layout. Row-major to row-major is a copy per row; between a
+// row-major and a transposed layout it is isspl.TransposeTile; a source that
+// already lies at its place in dst — the same samples in the same layout —
+// is not copied at all.
 func CopyRegion(dst, src *Block, reg model.Region) {
-	dstOff, dstPitch := dst.offset(reg.R0, reg.C0), dst.pitch()
-	srcOff, srcPitch := src.offset(reg.R0, reg.C0), src.pitch()
-	for i := 0; i < reg.Rows; i++ {
-		copy(dst.Data[dstOff:dstOff+reg.Cols], src.Data[srcOff:srcOff+reg.Cols])
-		dstOff += dstPitch
-		srcOff += srcPitch
+	if reg.Empty() {
+		return
+	}
+	dOff, drs, dcs := dst.layout(reg)
+	sOff, srs, scs := src.layout(reg)
+	switch {
+	case atPlace(dst, src, reg):
+	case dcs <= 1 && scs <= 1:
+		for range reg.Rows {
+			copy(dst.Data[dOff:dOff+reg.Cols], src.Data[sOff:sOff+reg.Cols])
+			dOff += drs
+			sOff += srs
+		}
+	case drs <= 1 && scs <= 1:
+		isspl.TransposeTile(dst.Data[dOff:], dcs, src.Data[sOff:], srs, reg.Rows, reg.Cols)
+	case dcs <= 1 && srs <= 1:
+		isspl.TransposeTile(dst.Data[dOff:], drs, src.Data[sOff:], scs, reg.Cols, reg.Rows)
+	default:
+		for i := range reg.Rows {
+			for j := range reg.Cols {
+				dst.Data[dOff+i*drs+j*dcs] = src.Data[sOff+i*srs+j*scs]
+			}
+		}
 	}
 }
 
-// ExtractRegion returns region reg of blk as a view of blk's own storage:
-// dense when reg is contiguous in blk, otherwise pitched like blk, its
-// capacity clipped to the region's last row. It allocates no samples. The
-// caller must not write blk afterwards.
+// layout returns where non-empty region reg of b starts in Data and its
+// strides, zero along an axis the region does not extend on: a stride there
+// never applies.
+func (b *Block) layout(reg model.Region) (off, rs, cs int) {
+	rs, cs = b.strides()
+	if reg.Rows == 1 {
+		rs = 0
+	}
+	if reg.Cols == 1 {
+		cs = 0
+	}
+	return b.offset(reg.R0, reg.C0), rs, cs
+}
+
+// atPlace reports whether non-empty region reg of src lies at its place in
+// dst: the same samples in the same layout.
+func atPlace(dst, src *Block, reg model.Region) bool {
+	dOff, drs, dcs := dst.layout(reg)
+	sOff, srs, scs := src.layout(reg)
+	return &dst.Data[dOff] == &src.Data[sOff] && drs == srs && dcs == scs
+}
+
+// ExtractRegion returns region reg of blk as a view of blk's own storage, in
+// blk's layout — dense when reg is contiguous in a dense blk, pitched when it
+// is narrower, transposed when blk is — its capacity clipped to the region's
+// last sample. It allocates no samples. The caller must not write blk
+// afterwards.
 func ExtractRegion(blk *Block, reg model.Region) *Block {
 	if reg.Empty() {
 		return &Block{Region: reg, Data: blk.Data[:0:0]}
 	}
-	pitch := blk.pitch()
+	rs, cs := blk.strides()
 	off := blk.offset(reg.R0, reg.C0)
-	end := off + (reg.Rows-1)*pitch + reg.Cols
-	return &Block{Region: reg, Data: blk.Data[off:end:end], Pitch: pitch}
+	end := off + (reg.Rows-1)*rs + (reg.Cols-1)*cs + 1
+	return &Block{Region: reg, Data: blk.Data[off:end:end], RowStride: int32(rs), ColStride: int32(cs)}
+}
+
+// TransposedView returns out's samples laid out as the transpose's: a block
+// over region in, whose sample (r, c) is out's sample (c, r). out must cover
+// the transpose of in (transposed). Landing a payload in the view writes it,
+// transposed, into out; a Transposes kind handed the view as its input finds
+// its output already written.
+func TransposedView(out *Block, in model.Region) *Block {
+	rs, cs := out.strides()
+	off := out.offset(in.C0, in.R0)
+	return &Block{Region: in, Data: out.Data[off:], RowStride: int32(cs), ColStride: int32(rs)}
+}
+
+// transposed returns the region of X^T that region r of X becomes.
+func transposed(r model.Region) model.Region {
+	return model.Region{R0: r.C0, C0: r.R0, Rows: r.Cols, Cols: r.Rows}
+}
+
+// LandsTransposed reports whether a thread of kind im, with input partition
+// in and output partition out, lands its payloads in the transposed view of
+// its output block: the kind Transposes and the partitions are each other's
+// transpose. It is the decision both runtimes read, sagert through
+// plan.Thread.Transposes.
+func LandsTransposed(im *Impl, in, out model.Region) bool {
+	return im.Transposes && out == transposed(in)
+}
+
+// ResultBacked reports whether a thread may keep its storage in the result
+// matrix of the sink it feeds, rows × cols: its one output port sends only to
+// the threads of one sink_matrix (toSink), and that port's partition part is
+// the thread's own — not the whole result, replicated across threads — and
+// spans the result's full width, so that the result's rows hold it densely
+// (ResultView). A pitched view, such as fft_cols's column stripe, is left
+// out: kinds compute on dense blocks, and a strided sweep costs more than the
+// copy it saves. For a thread that computes in place on an input block of
+// its own, the storage is that block; for any other, its output block. The
+// plan decides it for sagert (plan.Thread.Result), rtl's layout from its
+// Program, both through this predicate.
+func ResultBacked(toSink bool, part model.Region, threads, rows, cols int) bool {
+	whole := model.Region{Rows: rows, Cols: cols}
+	return toSink && part.C0 == 0 && part.Cols == cols && part.R0 >= 0 && part.R0+part.Rows <= rows &&
+		!(threads > 1 && part == whole)
+}
+
+// ResultView returns region reg of the result matrix m as a block: the
+// storage of a result-backed thread (ResultBacked), dense because reg spans
+// m's full width.
+func ResultView(m *isspl.Matrix, reg model.Region) *Block {
+	return ExtractRegion(&Block{Region: model.Region{Rows: m.Rows, Cols: m.Cols}, Data: m.Data}, reg)
 }
 
 // Assemble lands payload src in the input block dst and returns the block. A
@@ -107,21 +208,20 @@ func OwnsAdopted(dense bool, reg model.Region, otherSends iter.Seq[model.Region]
 }
 
 // StoreSink writes a block — a sink thread's input, or one transfer of it —
-// into the assembled output matrix. Replicated sink threads cover overlapping
-// regions with identical data and may run concurrently (shards, goroutines),
-// so the copy is serialised on mu; writes are identical or disjoint by
-// striping construction, so the order never changes the assembled bytes. A
-// block without samples (a charge-only iteration) stores nothing.
+// into the assembled output matrix. A payload that already lies at its place
+// in target — a view of a result-backed producer's storage (ResultBacked) — is
+// there and is skipped; anything else is copied, through its layout.
+// Replicated sink threads cover overlapping regions with identical data and
+// may run concurrently (shards, goroutines), so the copy is serialised on mu;
+// writes are identical or disjoint by striping construction, so the order
+// never changes the assembled bytes. A block without samples (a charge-only
+// iteration) stores nothing.
 func StoreSink(mu *sync.Mutex, target *isspl.Matrix, b *Block) {
-	if b.Data == nil {
+	dst := &Block{Region: model.Region{Rows: target.Rows, Cols: target.Cols}, Data: target.Data}
+	if b.Data == nil || b.Region.Empty() || atPlace(dst, b, b.Region) {
 		return
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	cols, pitch := b.Region.Cols, b.pitch()
-	dstOff := b.Region.R0*target.Cols + b.Region.C0
-	for i := 0; i < b.Region.Rows; i++ {
-		copy(target.Data[dstOff:dstOff+cols], b.Data[i*pitch:i*pitch+cols])
-		dstOff += target.Cols
-	}
+	CopyRegion(dst, b, b.Region)
 }

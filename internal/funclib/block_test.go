@@ -177,7 +177,7 @@ func TestExtractRegionViewsContiguousAndStrided(t *testing.T) {
 	view := ExtractRegion(blk, rows)
 	if &view.Data[0] != &blk.Data[6] || len(view.Data) != 12 || cap(view.Data) != 12 || !view.dense() {
 		t.Fatalf("contiguous region is not a tight dense view of the block (len %d cap %d pitch %d)",
-			len(view.Data), cap(view.Data), view.Pitch)
+			len(view.Data), cap(view.Data), view.RowStride)
 	}
 
 	tile := model.Region{R0: 5, C0: 4, Rows: 2, Cols: 3}
@@ -187,8 +187,8 @@ func TestExtractRegionViewsContiguousAndStrided(t *testing.T) {
 	pitched := ExtractRegion(blk, tile)
 	// Row 5 of the block starts at 6, column 4 is 2 in; the view ends with
 	// the tile's last row, one pitch further on.
-	if &pitched.Data[0] != &blk.Data[8] || pitched.Pitch != 6 || pitched.dense() {
-		t.Fatalf("strided region is not a pitched view of the block (pitch %d)", pitched.Pitch)
+	if &pitched.Data[0] != &blk.Data[8] || pitched.RowStride != 6 || pitched.dense() {
+		t.Fatalf("strided region is not a pitched view of the block (pitch %d)", pitched.RowStride)
 	}
 	if want := 6 + 3; len(pitched.Data) != want || cap(pitched.Data) != want {
 		t.Fatalf("pitched view not clipped to its last row: len %d cap %d, want %d", len(pitched.Data), cap(pitched.Data), want)
@@ -314,7 +314,7 @@ func TestAssembleAdoptsOrCopies(t *testing.T) {
 	stripe := ExtractRegion(src, model.Region{C0: 1, Rows: 4, Cols: 2})
 	got := Assemble(nil, stripe)
 	if got == stripe || !got.dense() || got.Region != stripe.Region || len(got.Data) != 8 {
-		t.Fatalf("pitched payload adopted as is (pitch %d, %d samples)", got.Pitch, len(got.Data))
+		t.Fatalf("pitched payload adopted as is (pitch %d, %d samples)", got.RowStride, len(got.Data))
 	}
 	for r := 0; r < 4; r++ {
 		for c := 1; c < 3; c++ {

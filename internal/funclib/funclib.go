@@ -10,8 +10,10 @@
 // iteration; Cost prices the same work for the simulated machine.
 //
 // Between two functions a region travels as a pitched view of the producer's
-// block (block.go): same samples, rows Pitch apart, nothing packed. Kinds
-// never meet one — Assemble hands Compute dense blocks only.
+// block (block.go): same samples, rows RowStride apart, nothing packed. Kinds
+// never meet one — Assemble hands Compute dense blocks only, and the one
+// other layout, a transposing kind's transposed input view, is its output
+// block's own samples, already in place.
 package funclib
 
 import (
@@ -22,15 +24,18 @@ import (
 )
 
 // Block is one thread's local view of one port's data set: the region it
-// covers and its row-major samples.
+// covers and its samples.
 type Block struct {
 	Region model.Region
 	Data   []complex128
-	// Pitch is the distance in samples between the starts of consecutive
-	// rows in Data; zero means dense (Region.Cols). Only ExtractRegion makes
-	// a pitched block: a region of a wider block, still in that block's
-	// storage.
-	Pitch int
+	// RowStride and ColStride place the sample at absolute coordinates
+	// (r, c) at Data[(r-Region.R0)*RowStride + (c-Region.C0)*ColStride]. Both
+	// zero means dense and row-major: (Region.Cols, 1). Only funclib's own
+	// views set them: ExtractRegion pitches a region of a wider block
+	// (RowStride the block's, ColStride 1), TransposedView lays a block's
+	// samples out as the transpose's (RowStride 1). int32 keeps a Block at
+	// 64 bytes.
+	RowStride, ColStride int32
 }
 
 // NewBlock allocates a zeroed dense block covering region r.
@@ -38,21 +43,28 @@ func NewBlock(r model.Region) *Block {
 	return &Block{Region: r, Data: make([]complex128, r.Elems())}
 }
 
-// pitch returns the distance in samples between row starts in Data.
-func (b *Block) pitch() int {
-	if b.Pitch == 0 {
-		return b.Region.Cols
+// strides returns the distances in Data between vertically and horizontally
+// adjacent samples.
+func (b *Block) strides() (rs, cs int) {
+	if b.RowStride == 0 && b.ColStride == 0 {
+		return b.Region.Cols, 1
 	}
-	return b.Pitch
+	return int(b.RowStride), int(b.ColStride)
 }
 
-// dense reports whether the block's rows lie back to back in Data.
-func (b *Block) dense() bool { return b.pitch() == b.Region.Cols }
+// dense reports whether the block is laid out dense and row-major, as kinds
+// index it: a view is dense exactly when its region is contiguous
+// (ContiguousIn) in the dense block it was extracted from.
+func (b *Block) dense() bool {
+	rs, cs := b.strides()
+	return rs == b.Region.Cols && cs == 1
+}
 
 // offset returns the index in Data of the sample at absolute coordinates
 // (r, c).
 func (b *Block) offset(r, c int) int {
-	return (r-b.Region.R0)*b.pitch() + (c - b.Region.C0)
+	rs, cs := b.strides()
+	return (r-b.Region.R0)*rs + (c-b.Region.C0)*cs
 }
 
 // At returns the sample at absolute coordinates (r, c), which must lie
@@ -154,6 +166,13 @@ type Impl struct {
 	// first. A runtime may pass such a pair only for an input block nobody
 	// else reads (block.go: the thread owns it).
 	InPlace bool
+	// Transposes marks a one-input, one-output kind whose output is the
+	// transpose of its input, thread by thread: input region (r0, c0, h, w)
+	// of X is output region (c0, r0, w, h) of X^T. A runtime may hand its
+	// Compute as in["in"] the transposed view of out["out"]
+	// (TransposedView): the payloads landed there are the output already,
+	// and Compute has nothing left to do.
+	Transposes bool
 	// Cost prices that Compute call on the abstract machine.
 	Cost func(ctx *Context, in, out map[string]*Block) Cost
 }

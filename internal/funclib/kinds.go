@@ -43,10 +43,11 @@ func sourceSample(rowHash uint64, col int) complex128 {
 	return complex(toUnit(uint32(h>>32)), toUnit(uint32(h)))
 }
 
-// FillSource fills a block with SourceValue samples, hashing the data set
-// once per block and the row once per row.
+// FillSource fills a row-major block with SourceValue samples, hashing the
+// data set once per block and the row once per row.
 func FillSource(b *Block, seed int64, iteration int) {
-	r, pitch := b.Region, b.pitch()
+	r := b.Region
+	pitch, _ := b.strides()
 	set := sourceSetHash(seed, iteration)
 	for i := 0; i < r.Rows; i++ {
 		rowHash := sourceRowHash(set, r.R0+i)
@@ -283,14 +284,16 @@ func init() {
 			ib, ob := in["in"], out["out"]
 			// in: all rows x c cols of X at column offset k.
 			// out: c rows x all cols of X^T at row offset k.
-			if ib.Region.C0 != ob.Region.R0 || ib.Region.Cols != ob.Region.Rows ||
-				ib.Region.Rows != ob.Region.Cols {
+			if ob.Region != transposed(ib.Region) {
 				return fmt.Errorf("funclib: %s: transpose_block regions misaligned: in %v out %v",
 					ctx.FuncName, ib.Region, ob.Region)
 			}
-			isspl.Transpose(ob.Data, ib.Data, ib.Region.Rows, ib.Region.Cols)
+			// Handed the transposed view of out (Transposes), in lies at its
+			// place already and nothing is copied.
+			CopyRegion(TransposedView(ob, ib.Region), ib, ib.Region)
 			return nil
 		},
+		Transposes: true,
 		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
 			return Cost{CopyBytes: blockBytes(in["in"])}
 		},

@@ -42,13 +42,30 @@ func Transpose(dst, src []complex128, rows, cols int) {
 	if len(src) != rows*cols || len(dst) != rows*cols {
 		panic(fmt.Sprintf("isspl: Transpose %dx%d with src %d dst %d", rows, cols, len(src), len(dst)))
 	}
-	for bi := 0; bi < rows; bi += transposeBlock {
-		for bj := 0; bj < cols; bj += transposeBlock {
-			iMax := min(bi+transposeBlock, rows)
-			jMax := min(bj+transposeBlock, cols)
+	TransposeTile(dst, rows, src, cols, rows, cols)
+}
+
+// TransposeTile is the one transposing copy: it writes the h x w tile of src,
+// whose rows start srcPitch samples apart, transposed into dst, whose rows
+// start dstPitch samples apart — tile element (i, j), src[i*srcPitch+j],
+// lands at dst[j*dstPitch+i]. The sweep is cache-blocked: without blocking,
+// each inner step writes a full dst row apart, so large tiles evict every
+// line before reuse. src and dst must not overlap.
+func TransposeTile(dst []complex128, dstPitch int, src []complex128, srcPitch, h, w int) {
+	if h == 0 || w == 0 {
+		return
+	}
+	if len(src) < (h-1)*srcPitch+w || len(dst) < (w-1)*dstPitch+h {
+		panic(fmt.Sprintf("isspl: TransposeTile %dx%d (pitch %d -> %d) with src %d dst %d", h, w, srcPitch, dstPitch, len(src), len(dst)))
+	}
+	for bi := 0; bi < h; bi += transposeBlock {
+		for bj := 0; bj < w; bj += transposeBlock {
+			iMax := min(bi+transposeBlock, h)
+			jMax := min(bj+transposeBlock, w)
 			for i := bi; i < iMax; i++ {
+				row := src[i*srcPitch : i*srcPitch+jMax]
 				for j := bj; j < jMax; j++ {
-					dst[j*rows+i] = src[i*cols+j]
+					dst[j*dstPitch+i] = row[j]
 				}
 			}
 		}
@@ -83,19 +100,7 @@ func ScatterTileTransposed(dst, tile []complex128, dstCols, row0, col0, h, w int
 	if len(tile) < h*w {
 		panic("isspl: ScatterTileTransposed tile too small")
 	}
-	// Cache-blocked like Transpose: without blocking, each inner step writes
-	// a full dst row apart, so large tiles evict every line before reuse.
-	for bi := 0; bi < h; bi += transposeBlock {
-		for bj := 0; bj < w; bj += transposeBlock {
-			iMax := min(bi+transposeBlock, h)
-			jMax := min(bj+transposeBlock, w)
-			for i := bi; i < iMax; i++ {
-				for j := bj; j < jMax; j++ {
-					dst[(row0+j)*dstCols+(col0+i)] = tile[i*w+j]
-				}
-			}
-		}
-	}
+	TransposeTile(dst[row0*dstCols+col0:], dstCols, tile, w, h, w)
 }
 
 func min(a, b int) int {

@@ -2,6 +2,8 @@ package isspl
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +262,32 @@ func BenchmarkScatterTileTransposed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ScatterTileTransposed(dst, tile, dstCols, 0, 0, h, w)
+	}
+}
+
+// TestTransposeTileMatchesDefinition: the one transposing copy, at every
+// pitch and tile shape around the cache block's edge, writes tile element
+// (i, j) at dst[j*dstPitch+i] and nothing else.
+func TestTransposeTileMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, h := range []int{1, 2, 31, 32, 33, 70} {
+		for _, w := range []int{1, 3, 32, 65} {
+			srcPitch, dstPitch := w+rng.Intn(4), h+rng.Intn(4)
+			src := make([]complex128, (h-1)*srcPitch+w)
+			for i := range src {
+				src[i] = complex(float64(i), 1)
+			}
+			dst := make([]complex128, (w-1)*dstPitch+h)
+			want := make([]complex128, len(dst))
+			for i := range h {
+				for j := range w {
+					want[j*dstPitch+i] = src[i*srcPitch+j]
+				}
+			}
+			TransposeTile(dst, dstPitch, src, srcPitch, h, w)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("%dx%d tile, pitch %d -> %d: transposed samples differ", h, w, srcPitch, dstPitch)
+			}
+		}
 	}
 }

@@ -11,7 +11,10 @@
 // Costs, credit ledgers and queues are run state and live with the consumer.
 // Which threads may compute in place (Thread.InPlace) is the tables': whether
 // anybody else reads a thread's input block follows from the lanes alone, so
-// it is decided here, once, and the runtime that carries samples reads it.
+// it is decided here, once, and the runtime that carries samples reads it —
+// as are the two layout decisions of DESIGN.md §14: which threads keep their
+// storage in a sink's result (Thread.Result) and which land their payloads
+// transposed (Thread.Transposes).
 package plan
 
 import (
@@ -84,8 +87,26 @@ type Thread struct {
 	// up holding (it assembled it, or funclib.OwnsAdopted against the
 	// producer port's other edges), so out["out"] is in["in"] and no output
 	// block is allocated.
-	InPlace   bool
-	Ins, Outs []Port
+	InPlace bool
+	// Result indexes Plan.Sinks on a result-backed thread
+	// (funclib.ResultBacked): its storage — its input block when it computes
+	// in place on one of its own, its output block otherwise — is a view of
+	// that sink's result matrix. -1 on every other thread, and on a thread
+	// that computes in place on a dense view it adopted, which has no storage
+	// of its own.
+	Result int
+	// Transposes marks a thread that lands its payloads in the transposed
+	// view of its output block (funclib.LandsTransposed): its input port has
+	// no block of its own, and Compute finds its output written.
+	Transposes bool
+	Ins, Outs  []Port
+}
+
+// Sink is a collected sink: a sink_matrix function with one input port, whose
+// threads' payloads assemble one result matrix shaped like that port's type.
+type Sink struct {
+	Fn         *gluegen.FuncEntry
+	Rows, Cols int
 }
 
 // Plan is the lowered form of one set of tables.
@@ -99,6 +120,8 @@ type Plan struct {
 	// Edges lists every lane, buffer by buffer in ID order, each buffer's
 	// transfers in table order.
 	Edges []Edge
+	// Sinks lists the collected sinks in function-table order.
+	Sinks []Sink
 }
 
 // Build verifies the tables and lowers them. It refuses tables whose lanes
@@ -177,14 +200,48 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 			seen[lane] = true
 		}
 	}
+	for fi := range t.Functions {
+		if fe := &t.Functions[fi]; fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
+			p.Sinks = append(p.Sinks, Sink{Fn: fe, Rows: fe.Ins[0].Rows, Cols: fe.Ins[0].Cols})
+		}
+	}
 	for ti := range p.Threads {
-		for pi := range p.Threads[ti].Ins {
-			port := &p.Threads[ti].Ins[pi]
+		tp := &p.Threads[ti]
+		for pi := range tp.Ins {
+			port := &tp.Ins[pi]
 			port.Adopt = len(port.Edges) == 1 && p.Edges[port.Edges[0]].X.Region == port.Region
 		}
-		p.Threads[ti].InPlace = p.ownsInput(&p.Threads[ti])
+		tp.InPlace = p.ownsInput(tp)
+		tp.Result = p.resultOf(tp)
+		tp.Transposes = len(tp.Ins) == 1 && len(tp.Outs) == 1 &&
+			funclib.LandsTransposed(tp.Impl, tp.Ins[0].Region, tp.Outs[0].Region)
 	}
 	return p, nil
+}
+
+// resultOf decides Thread.Result: the sink every edge of the thread's one
+// output port reaches, if the thread has storage of its own and
+// funclib.ResultBacked admits it.
+func (p *Plan) resultOf(tp *Thread) int {
+	if len(tp.Outs) != 1 || len(tp.Outs[0].Edges) == 0 {
+		return -1
+	}
+	if tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig {
+		return -1 // its block is the producer's view
+	}
+	out := &tp.Outs[0]
+	fn := p.Threads[p.Edges[out.Edges[0]].Dst].Fn
+	toSink := true
+	for _, ei := range out.Edges {
+		toSink = toSink && p.Threads[p.Edges[ei].Dst].Fn == fn
+	}
+	for si := range p.Sinks {
+		s := &p.Sinks[si]
+		if s.Fn == fn && funclib.ResultBacked(toSink, out.Region, tp.Fn.Threads, s.Rows, s.Cols) {
+			return si
+		}
+	}
+	return -1
 }
 
 // ownsInput decides Thread.InPlace: one scan of the producer port's edges per

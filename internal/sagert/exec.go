@@ -21,10 +21,9 @@ type runner struct {
 	sourceStart []sim.Time
 	sinkDone    []sim.Time
 
-	// sinks holds the collected sinks by function name; firstSink, the first
-	// in function-table order, is Result.Output's.
-	sinks     map[string]*sinkOut
-	firstSink string
+	// sinks holds the collected sinks, indexed like plan.Sinks; the first is
+	// Result.Output's.
+	sinks []sinkOut
 	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
 	// thread touches its credits and overcommit, only its two endpoints its
 	// queue, so sharded runs need no lock.
@@ -51,36 +50,31 @@ type runner struct {
 // A sinkOut is a collected sink's assembled output, shaped like the sink
 // function's input port.
 type sinkOut struct {
-	rows, cols int
-	m          *isspl.Matrix // allocated once, under runner.sinkMu (sinkMatrix)
+	*plan.Sink
+	m *isspl.Matrix // allocated once, under runner.sinkMu (sinkMatrix)
 }
 
 // collectOutput notes the sinks whose output the run assembles. A run without
 // compute iterations assembles nothing.
 func (r *runner) collectOutput() {
-	r.sinks = map[string]*sinkOut{}
 	if r.opts.ComputeIterations == 0 {
 		return
 	}
-	for fi := range r.plan.Tables.Functions {
-		fe := &r.plan.Tables.Functions[fi]
-		if fe.Kind == "sink_matrix" && len(fe.Ins) == 1 {
-			r.sinks[fe.Name] = &sinkOut{rows: fe.Ins[0].Rows, cols: fe.Ins[0].Cols}
-			if r.firstSink == "" {
-				r.firstSink = fe.Name
-			}
-		}
+	r.sinks = make([]sinkOut, len(r.plan.Sinks))
+	for si := range r.plan.Sinks {
+		r.sinks[si].Sink = &r.plan.Sinks[si]
 	}
 }
 
 // sinkMatrix returns s's matrix, allocating it on the first call: when the
-// payloads of the last compute iteration begin to land, not before the
-// kernel starts.
+// last compute iteration's first payload lands in it or its first
+// result-backed producer takes its storage there, not before the kernel
+// starts.
 func (r *runner) sinkMatrix(s *sinkOut) *isspl.Matrix {
 	r.sinkMu.Lock()
 	defer r.sinkMu.Unlock()
 	if s.m == nil {
-		s.m = isspl.NewMatrix(s.rows, s.cols)
+		s.m = isspl.NewMatrix(s.Rows, s.Cols)
 	}
 	return s.m
 }
@@ -197,12 +191,15 @@ func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.T
 // result assembles the Result after the kernel drains.
 func (r *runner) result(k *sim.Kernel) *Result {
 	outputs := make(map[string]*isspl.Matrix, len(r.sinks))
-	for name, s := range r.sinks {
-		outputs[name] = r.sinkMatrix(s) // a sink that received nothing is zero
+	for si := range r.sinks {
+		outputs[r.sinks[si].Fn.Name] = r.sinkMatrix(&r.sinks[si]) // a sink that received nothing is zero
 	}
 	res := &Result{
-		Output: outputs[r.firstSink], Outputs: outputs, Elapsed: k.Now(),
+		Outputs: outputs, Elapsed: k.Now(),
 		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(), Switches: k.Switches(), Windows: k.WindowStats(),
+	}
+	if len(r.sinks) > 0 {
+		res.Output = r.sinks[0].m
 	}
 	for i := 0; i < r.opts.Iterations; i++ {
 		res.Latencies = append(res.Latencies, r.sinkDone[i].Sub(r.sourceStart[i]))

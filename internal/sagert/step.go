@@ -32,6 +32,7 @@ type thread struct {
 	inBlocks, outBlocks map[string]*funclib.Block
 	ctx                 funclib.Context
 	sink                *sinkOut    // non-nil on the threads of a collected sink
+	result              *sinkOut    // non-nil on a result-backed thread of a run that collects
 	task                *sampleTask // the compute iteration's sample work (samples.go)
 
 	pc      pc
@@ -96,7 +97,59 @@ func (t *thread) init(r *runner, ti int, rank *mpi.Rank) {
 	t.inBlocks = make(map[string]*funclib.Block, len(tp.Ins))
 	t.outBlocks = make(map[string]*funclib.Block, len(tp.Outs))
 	t.ctx = contextOf(tp, 0)
-	t.sink = r.sinks[tp.Fn.Name]
+	for si := range r.sinks {
+		switch {
+		case r.sinks[si].Fn == tp.Fn:
+			t.sink = &r.sinks[si]
+		case si == tp.Result:
+			t.result = &r.sinks[si]
+		}
+	}
+}
+
+// inResult reports whether this iteration keeps t's storage in its sink's
+// result matrix: t is result-backed (plan.Thread.Result) and the iteration is
+// the last compute iteration, the only one the run collects.
+func (t *thread) inResult() bool {
+	return t.result != nil && t.iter == t.r.opts.ComputeIterations-1
+}
+
+// inputBlock returns the block a compute iteration's payloads land in on
+// input port pp — the transposed view of the output block, a view of the
+// result, or a fresh block — or nil for a port that adopts its one payload.
+// It runs when the port's first payload lands, so clearing a fresh block
+// overlaps the producers' tasks.
+func (t *thread) inputBlock(pp *plan.Port) *funclib.Block {
+	tp := t.tp
+	switch {
+	case tp.Transposes:
+		out := t.outputBlock(0)
+		t.outBlocks[tp.Outs[0].Entry.Name] = out
+		return funclib.TransposedView(out, pp.Region)
+	case tp.InPlace && t.inResult():
+		return funclib.ResultView(t.r.sinkMatrix(t.result), pp.Region)
+	case pp.Adopt:
+		return nil
+	}
+	return funclib.NewBlock(pp.Region)
+}
+
+// outputBlock returns the block output port pi is computed into: the charge
+// block when the iteration carries no samples, the input block a thread that
+// computes in place owns, a view of the result, or a fresh block.
+func (t *thread) outputBlock(pi int) *funclib.Block {
+	tp, pp := t.tp, &t.tp.Outs[pi]
+	switch {
+	case !t.compute:
+		return &pp.Charge
+	case tp.InPlace:
+		// The thread owns its input block: the kind transforms it where it
+		// lies (the cost model still charges the copy).
+		return t.inBlocks[tp.Ins[0].Entry.Name]
+	case t.inResult():
+		return funclib.ResultView(t.r.sinkMatrix(t.result), pp.Region)
+	}
+	return funclib.NewBlock(pp.Region)
 }
 
 // park records what t waits in if a Begin half reported that it parked.
@@ -168,6 +221,7 @@ func (t *thread) step(p *sim.Proc) bool {
 			}
 			t.phaseStart = p.Now()
 			clear(t.inBlocks)
+			clear(t.outBlocks)
 			if t.compute {
 				t.task = r.samples.task(t, t.iter)
 			}
@@ -195,7 +249,7 @@ func (t *thread) step(p *sim.Proc) bool {
 		case stInXfer:
 			if t.xi == len(t.order) {
 				if t.blk == nil { // a port without transfers
-					t.blk = funclib.NewBlock(tp.Ins[t.pi].Region)
+					t.blk = t.inputBlock(&tp.Ins[t.pi])
 				}
 				t.inBlocks[tp.Ins[t.pi].Entry.Name] = t.blk
 				t.pi, t.pc = t.pi+1, stInPort
@@ -250,8 +304,8 @@ func (t *thread) step(p *sim.Proc) bool {
 			// The task copies the payload in; the step decides where. A sink
 			// port keeps its region-only block: its task stores the payloads.
 			if t.compute {
-				if pp := &tp.Ins[t.pi]; t.blk == nil && !pp.Adopt {
-					t.blk = funclib.NewBlock(pp.Region)
+				if t.blk == nil {
+					t.blk = t.inputBlock(&tp.Ins[t.pi])
 				}
 				switch {
 				case t.sink == nil:
@@ -283,19 +337,12 @@ func (t *thread) step(p *sim.Proc) bool {
 			}
 
 		case stCost:
-			clear(t.outBlocks)
 			for pi := range tp.Outs {
-				pp := &tp.Outs[pi]
-				blk := &pp.Charge
-				switch {
-				case t.compute && tp.InPlace:
-					// The thread owns its input block: the kind transforms it
-					// where it lies (the cost model still charges the copy).
-					blk = t.inBlocks[tp.Ins[0].Entry.Name]
-				case t.compute:
-					blk = funclib.NewBlock(pp.Region)
+				// A thread that lands transposed chose its output block when
+				// its first payload landed.
+				if name := tp.Outs[pi].Entry.Name; t.outBlocks[name] == nil {
+					t.outBlocks[name] = t.outputBlock(pi)
 				}
-				t.outBlocks[pp.Entry.Name] = blk
 			}
 			t.ctx.Iteration = t.iter
 			cost := tp.Impl.Cost(&t.ctx, t.inBlocks, t.outBlocks)

@@ -48,7 +48,12 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
 		Thread: tp.Index, Threads: tp.Fn.Threads,
 	}
-	sink := r.sinks[tp.Fn.Name] // non-nil on the threads of a collected sink
+	var sink *sinkOut // non-nil on the threads of a collected sink
+	for si := range r.sinks {
+		if r.sinks[si].Fn == tp.Fn {
+			sink = &r.sinks[si]
+		}
+	}
 	for iter := 0; iter < r.opts.Iterations; iter++ {
 		compute := iter < r.opts.ComputeIterations
 

@@ -240,8 +240,15 @@ func TestHealthAndStats(t *testing.T) {
 // TestDeadlineCancelsMidRun pins the tentpole bug fix: a request that blows
 // its wall-clock budget is canceled between kernel events (504), the worker
 // survives, and the next request runs normally on a fresh kernel.
+//
+// The budget sits between the two requests with room on both sides. Under
+// -race at GOMAXPROCS 8 on the 2-CPU sizing host the small request took 3–6
+// ms alone and 10 ms with other packages loading the host — the old 10 ms
+// budget's flake — and the long one 108 s for its 50 000 data sets; without
+// -race, under 1.5 ms and ~5 s. At 250 ms the small request has a margin of
+// 25× and the long one overruns by 20× or more.
 func TestDeadlineCancelsMidRun(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, Deadline: 10 * time.Millisecond})
+	s := newTestServer(t, Config{Workers: 1, Deadline: 250 * time.Millisecond})
 	long := `{"app":"fft2d","n":256,"threads":4,"nodes":8,"protocol":{"iterations":50000}}`
 	w := do(s, http.MethodPost, "/v1/run", long)
 	if w.Code != http.StatusGatewayTimeout {
