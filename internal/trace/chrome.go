@@ -2,95 +2,186 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sim"
 )
 
-// chromeEvent is one entry of the Chrome trace-event JSON array. Field names
-// follow the trace-event format specification: ph is the phase (X complete,
-// i instant, C counter, M metadata), ts/dur are microseconds.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+// Event kinds, in their tie-break order at equal start time.
+const (
+	evSpan uint8 = iota
+	evInstant
+	evGauge
+)
+
+// evRef points at one recorded event of a run without copying it: kind
+// selects the collector's spans, instants or gauges and idx the element.
+type evRef struct {
+	node       int
+	track      string
+	start, end sim.Time
+	kind       uint8
+	idx        int32
+}
+
+// eventRefs appends a reference to every span, instant and gauge of c.
+func (c *Collector) eventRefs(refs []evRef) []evRef {
+	refs = slices.Grow(refs, len(c.spans)+len(c.instants)+len(c.gauges))
+	for i := range c.spans {
+		s := &c.spans[i]
+		refs = append(refs, evRef{s.Node, s.Track, s.Start, s.End, evSpan, int32(i)})
+	}
+	for i := range c.instants {
+		in := &c.instants[i]
+		refs = append(refs, evRef{in.Node, in.Track, in.At, in.At, evInstant, int32(i)})
+	}
+	for i := range c.gauges {
+		g := &c.gauges[i]
+		refs = append(refs, evRef{g.Node, g.Track, g.At, g.At, evGauge, int32(i)})
+	}
+	return refs
+}
+
+// compareRefs is the export order: by node, track and start time; at equal
+// start spans come before instants and gauges, the outer (longer) span
+// first. A track may carry both (the fault track mixes retry spans with
+// drop instants), and ValidateChrome demands per-track monotonic
+// timestamps. Kind and index make the order total: it is the order of
+// appending spans, instants and gauges as recorded and sorting stably.
+func compareRefs(a, b evRef) int {
+	if a.node != b.node {
+		return cmp.Compare(a.node, b.node)
+	}
+	if a.track != b.track {
+		return strings.Compare(a.track, b.track)
+	}
+	if a.start != b.start {
+		return cmp.Compare(a.start, b.start)
+	}
+	if aSpan, bSpan := a.kind == evSpan, b.kind == evSpan; aSpan != bSpan {
+		if aSpan {
+			return -1
+		}
+		return 1
+	}
+	if a.end != b.end {
+		return cmp.Compare(b.end, a.end)
+	}
+	if a.kind != b.kind {
+		return cmp.Compare(a.kind, b.kind)
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // usec converts virtual nanoseconds to trace-event microseconds.
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
-// chromeWriter assigns stable pid/tid numbers and streams events.
+// chromeWriter streams Chrome trace events, each appended by hand to one
+// scratch buffer exactly as encoding/json renders the trace-event object
+// {name, cat?, ph, ts, dur?, pid, tid, s?, args?} (ph is the phase: X
+// complete, i instant, C counter, M metadata; ts/dur are microseconds).
+// The first write error stops the export.
 type chromeWriter struct {
 	w    *bufio.Writer
-	pids map[string]int // process key -> pid
-	tids map[[2]any]int // (pid, track) -> tid
-	n    int            // events written
+	buf  []byte
+	args bool // the current event's args object is open
+	n    int  // events written
 	err  error
 }
 
-func (cw *chromeWriter) emit(ev chromeEvent) {
-	if cw.err != nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		cw.err = err
-		return
-	}
+// head starts an event with every field up to its args, leaving out an
+// empty cat or s and a zero dur as omitempty does.
+func (cw *chromeWriter) head(name string, cat Layer, ph byte, ts, dur float64, pid, tid int, s string) {
+	b := cw.buf[:0]
 	if cw.n > 0 {
-		cw.w.WriteString(",\n")
+		b = append(b, ",\n"...)
 	}
-	cw.w.Write(b)
+	b = appendJSONString(append(b, `{"name":`...), name)
+	if cat != "" {
+		b = appendJSONString(append(b, `,"cat":`...), string(cat))
+	}
+	b = append(append(b, `,"ph":"`...), ph, '"')
+	b = appendJSONFloat(append(b, `,"ts":`...), ts)
+	if dur != 0 {
+		b = appendJSONFloat(append(b, `,"dur":`...), dur)
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	if s != "" {
+		b = appendJSONString(append(b, `,"s":`...), s)
+	}
+	cw.buf = b
+}
+
+// key appends one member key of the args object, opening it for the
+// first. Members must come in sorted key order, as encoding/json sorts a
+// map's keys.
+func (cw *chromeWriter) key(k string) {
+	if cw.args {
+		cw.buf = append(cw.buf, ',')
+	} else {
+		cw.buf = append(cw.buf, `,"args":{`...)
+		cw.args = true
+	}
+	cw.buf = append(append(append(cw.buf, '"'), k...), `":`...)
+}
+
+func (cw *chromeWriter) intArg(k string, v int64) {
+	cw.key(k)
+	cw.buf = strconv.AppendInt(cw.buf, v, 10)
+}
+
+func (cw *chromeWriter) stringArg(k, v string) {
+	cw.key(k)
+	cw.buf = appendJSONString(cw.buf, v)
+}
+
+// end closes the event and writes it.
+func (cw *chromeWriter) end() {
+	if cw.args {
+		cw.buf = append(cw.buf, '}')
+		cw.args = false
+	}
+	cw.buf = append(cw.buf, '}')
+	_, cw.err = cw.w.Write(cw.buf)
 	cw.n++
 }
 
-// pid returns (allocating if needed) the pid for a process key, emitting the
-// process_name metadata on first use.
-func (cw *chromeWriter) pid(key, displayName string) int {
-	if id, ok := cw.pids[key]; ok {
-		return id
-	}
-	id := len(cw.pids) + 1
-	cw.pids[key] = id
-	cw.emit(chromeEvent{Name: "process_name", Ph: "M", Pid: id, Tid: 0,
-		Args: map[string]any{"name": displayName}})
-	cw.emit(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: id, Tid: 0,
-		Args: map[string]any{"sort_index": id}})
-	return id
-}
-
-// tid returns (allocating if needed) the tid for a track within a pid,
-// emitting the thread_name metadata on first use.
-func (cw *chromeWriter) tid(pid int, track string) int {
-	key := [2]any{pid, track}
-	if id, ok := cw.tids[key]; ok {
-		return id
-	}
-	id := 0
-	for k := range cw.tids {
-		if k[0] == pid {
-			id++
+// appendJSONString appends s as encoding/json renders a string. Printable
+// ASCII without <>&"\ — every name but a process name's "·" — is copied as
+// is; anything else is rendered by json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
 	}
-	id++ // tids are 1-based within the process
-	cw.tids[key] = id
-	cw.emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: id,
-		Args: map[string]any{"name": track}})
-	return id
+	return append(append(append(b, '"'), s...), '"')
 }
 
-// processKey groups a run's events into Chrome processes: one per machine
-// node plus one for the kernel.
-func processKey(runIdx, node int) string { return fmt.Sprintf("r%d/n%d", runIdx, node) }
+// appendJSONFloat appends a finite f as encoding/json renders a float64:
+// the shortest 'f' form, or the 'e' form below 1e-6 and from 1e21 on with
+// a one-digit negative exponent unpadded (e-7, not e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
 
 func processName(label string, node int) string {
 	if node == NodeKernel {
@@ -103,103 +194,67 @@ func processName(label string, node int) string {
 // form, with displayTimeUnit ns). Each run becomes its own group of
 // processes — one per machine node plus a kernel process — so the
 // per-run virtual clocks (which all start at zero) never interleave on a
-// track. Within every track, spans are emitted sorted by start time, so
-// timestamps are monotonic per track (ValidateChrome checks this).
+// track. Within every track, events are emitted sorted by start time, so
+// timestamps are monotonic per track (ValidateChrome checks this). Pids
+// number the (run, node) processes and tids the tracks within a process,
+// both from 1 in export order.
 func (t *Trace) WriteChrome(w io.Writer) error {
-	cw := &chromeWriter{w: bufio.NewWriter(w), pids: map[string]int{}, tids: map[[2]any]int{}}
+	cw := &chromeWriter{w: bufio.NewWriter(w)}
 	cw.w.WriteString("{\"traceEvents\":[\n")
+	var refs []evRef
+	pid := 0
 	for runIdx, c := range t.Runs() {
 		label := c.Label
 		if label == "" {
 			label = fmt.Sprintf("run %d", runIdx)
 		}
-		// Group spans and instants by (node, track), preserving determinism
-		// via sorted iteration. A track may carry both (the fault track mixes
-		// retry spans with drop instants), so each track's events are merged
-		// into one timestamp-sorted stream — ValidateChrome demands per-track
-		// monotonicity in stream order.
-		type trackKey struct {
-			node  int
-			track string
-		}
-		type trackEv struct {
-			start, end sim.Time
-			span       bool
-			gauge      bool
-			s          Span
-			in         Instant
-			g          Gauge
-		}
-		tracks := map[trackKey][]trackEv{}
-		for _, s := range c.spans {
-			k := trackKey{s.Node, s.Track}
-			tracks[k] = append(tracks[k], trackEv{start: s.Start, end: s.End, span: true, s: s})
-		}
-		for _, in := range c.instants {
-			k := trackKey{in.Node, in.Track}
-			tracks[k] = append(tracks[k], trackEv{start: in.At, end: in.At, in: in})
-		}
-		for _, g := range c.gauges {
-			k := trackKey{g.Node, g.Track}
-			tracks[k] = append(tracks[k], trackEv{start: g.At, end: g.At, gauge: true, g: g})
-		}
-		keys := make([]trackKey, 0, len(tracks))
-		for k := range tracks {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].node != keys[j].node {
-				return keys[i].node < keys[j].node
+		refs = c.eventRefs(refs[:0])
+		slices.SortFunc(refs, compareRefs)
+		tid := 0
+		for i, r := range refs {
+			newNode := i == 0 || r.node != refs[i-1].node
+			if newNode {
+				pid, tid = pid+1, 0
+				cw.head("process_name", "", 'M', 0, 0, pid, 0, "")
+				cw.stringArg("name", processName(label, r.node))
+				cw.end()
+				cw.head("process_sort_index", "", 'M', 0, 0, pid, 0, "")
+				cw.intArg("sort_index", int64(pid))
+				cw.end()
 			}
-			return keys[i].track < keys[j].track
-		})
-		for _, k := range keys {
-			pid := cw.pid(processKey(runIdx, k.node), processName(label, k.node))
-			tid := cw.tid(pid, k.track)
-			evs := tracks[k]
-			sort.SliceStable(evs, func(i, j int) bool {
-				if evs[i].start != evs[j].start {
-					return evs[i].start < evs[j].start
-				}
-				if evs[i].span != evs[j].span {
-					return evs[i].span // spans before instants at equal time
-				}
-				return evs[i].end > evs[j].end // outer span first at equal start
-			})
-			for _, ev := range evs {
-				if ev.gauge {
-					cw.emit(chromeEvent{Name: ev.g.Name, Cat: string(ev.g.Layer), Ph: "C",
-						Ts: usec(ev.g.At), Pid: pid, Tid: tid,
-						Args: map[string]any{"value": ev.g.Value}})
-					continue
-				}
-				if !ev.span {
-					cw.emit(chromeEvent{Name: ev.in.Name, Cat: string(ev.in.Layer), Ph: "i",
-						Ts: usec(ev.in.At), Pid: pid, Tid: tid, S: "t",
-						Args: map[string]any{"value": ev.in.Value}})
-					continue
-				}
-				s := ev.s
-				args := map[string]any{}
+			if newNode || r.track != refs[i-1].track {
+				tid++
+				cw.head("thread_name", "", 'M', 0, 0, pid, tid, "")
+				cw.stringArg("name", r.track)
+				cw.end()
+			}
+			switch r.kind {
+			case evSpan:
+				s := &c.spans[r.idx]
+				cw.head(s.Name, s.Layer, 'X', usec(s.Start), float64(s.End.Sub(s.Start))/1e3, pid, tid, "")
 				if s.Bytes >= 0 {
-					args["bytes"] = s.Bytes
+					cw.intArg("bytes", s.Bytes)
 				}
 				if s.Iter >= 0 {
-					args["iter"] = s.Iter
+					cw.intArg("iter", int64(s.Iter))
 				}
 				if s.Depth >= 0 {
-					args["queue_depth"] = s.Depth
+					cw.intArg("queue_depth", int64(s.Depth))
 				}
-				if len(args) == 0 {
-					args = nil
-				}
-				cw.emit(chromeEvent{Name: s.Name, Cat: string(s.Layer), Ph: "X",
-					Ts: usec(s.Start), Dur: float64(s.End.Sub(s.Start)) / 1e3, Pid: pid, Tid: tid, Args: args})
+			case evInstant:
+				in := &c.instants[r.idx]
+				cw.head(in.Name, in.Layer, 'i', usec(in.At), 0, pid, tid, "t")
+				cw.intArg("value", int64(in.Value))
+			default:
+				g := &c.gauges[r.idx]
+				cw.head(g.Name, g.Layer, 'C', usec(g.At), 0, pid, tid, "")
+				cw.intArg("value", int64(g.Value))
+			}
+			cw.end()
+			if cw.err != nil {
+				return cw.err
 			}
 		}
-	}
-	if cw.err != nil {
-		return cw.err
 	}
 	cw.w.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
 	return cw.w.Flush()
