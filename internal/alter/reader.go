@@ -17,7 +17,13 @@ import (
 // symbols and escape-free strings are slices of the source (which they keep
 // alive), not copies.
 
-type reader struct {
+// Scanner reads source one datum, list bracket or typed atom at a time.
+// ReadAll is a loop of Reads on one; a reader of a fixed grammar (gluegen's
+// table source) walks the same text with Open, Close and the typed reads and
+// builds no Values for the atoms it wants as Go ints, strings and symbols.
+// Both see one lexical language: comments, escapes, Unicode spaces, invalid
+// UTF-8 read as U+FFFD, the nesting bound and the atom rules.
+type Scanner struct {
 	src   string
 	pos   int
 	line  int
@@ -29,27 +35,30 @@ type reader struct {
 
 // maxReadDepth bounds list/quote nesting so hostile input (e.g. a few
 // kilobytes of '(' characters) fails with a parse error instead of
-// overflowing the goroutine stack through read's recursion.
+// overflowing the goroutine stack through Read's recursion.
 const maxReadDepth = 1000
 
-// ReadAll parses every top-level form in src. Each byte that is not part of
-// a valid UTF-8 sequence reads as U+FFFD.
-func ReadAll(src string) (List, error) {
+// NewScanner scans src. Each byte that is not part of a valid UTF-8 sequence
+// reads as U+FFFD.
+func NewScanner(src string) *Scanner {
 	if !utf8.ValidString(src) {
 		src = string([]rune(src))
 	}
-	r := &reader{src: src, line: 1}
-	for {
-		r.skipSpace()
-		if r.eof() {
-			return r.pop(0), nil
-		}
-		form, err := r.read()
+	return &Scanner{src: src, line: 1}
+}
+
+// ReadAll parses every top-level form in src, reading invalid UTF-8 as
+// NewScanner does.
+func ReadAll(src string) (List, error) {
+	s := NewScanner(src)
+	for s.More() {
+		form, err := s.Read()
 		if err != nil {
 			return nil, err
 		}
-		r.stack = append(r.stack, form)
+		s.stack = append(s.stack, form)
 	}
+	return s.pop(0), nil
 }
 
 // ReadOne parses a single form, failing on trailing garbage.
@@ -66,20 +75,29 @@ func ReadOne(src string) (Value, error) {
 
 // pop removes the elements above base from the stack and returns them as a
 // list of their own (the nil list when there are none).
-func (r *reader) pop(base int) List {
+func (s *Scanner) pop(base int) List {
 	var items List
-	if n := len(r.stack) - base; n > 0 {
+	if n := len(s.stack) - base; n > 0 {
 		items = make(List, n)
-		copy(items, r.stack[base:])
-		r.stack = r.stack[:base]
+		copy(items, s.stack[base:])
+		s.stack = s.stack[:base]
 	}
 	return items
 }
 
-func (r *reader) eof() bool { return r.pos >= len(r.src) }
+// Line is the line the scanner is on, counting from 1.
+func (s *Scanner) Line() int { return s.line }
 
-func (r *reader) errf(format string, args ...any) error {
-	return fmt.Errorf("alter: line %d: %s", r.line, fmt.Sprintf(format, args...))
+// More skips spaces and comments and reports whether any source is left.
+func (s *Scanner) More() bool {
+	s.skipSpace()
+	return !s.eof()
+}
+
+func (s *Scanner) eof() bool { return s.pos >= len(s.src) }
+
+func (s *Scanner) errf(format string, args ...any) error {
+	return fmt.Errorf("alter: line %d: %s", s.line, fmt.Sprintf(format, args...))
 }
 
 // space and delim mark the ASCII characters that separate tokens and that
@@ -90,137 +108,238 @@ var (
 		'(': true, ')': true, '"': true, ';': true, '\'': true}
 )
 
-func (r *reader) skipSpace() {
-	for !r.eof() {
-		switch c := r.src[r.pos]; {
+func (s *Scanner) skipSpace() {
+	for !s.eof() {
+		switch c := s.src[s.pos]; {
 		case c == '\n':
-			r.line++
-			r.pos++
+			s.line++
+			s.pos++
 		case c == ';':
-			for !r.eof() && r.src[r.pos] != '\n' {
-				r.pos++
+			for !s.eof() && s.src[s.pos] != '\n' {
+				s.pos++
 			}
 		case c < utf8.RuneSelf:
 			if !space[c] {
 				return
 			}
-			r.pos++
+			s.pos++
 		default:
-			c, w := utf8.DecodeRuneInString(r.src[r.pos:])
+			c, w := utf8.DecodeRuneInString(s.src[s.pos:])
 			if !unicode.IsSpace(c) {
 				return
 			}
-			r.pos += w
+			s.pos += w
 		}
 	}
 }
 
-func (r *reader) read() (Value, error) {
-	r.skipSpace()
-	if r.eof() {
-		return nil, r.errf("unexpected end of input")
+// begin moves to the next datum, failing at the end of input or the nesting
+// bound.
+func (s *Scanner) begin() error {
+	s.skipSpace()
+	if s.eof() {
+		return s.errf("unexpected end of input")
 	}
-	if r.depth >= maxReadDepth {
-		return nil, r.errf("nesting deeper than %d", maxReadDepth)
+	if s.depth >= maxReadDepth {
+		return s.errf("nesting deeper than %d", maxReadDepth)
 	}
-	r.depth++
-	defer func() { r.depth-- }()
-	switch c := r.src[r.pos]; c {
+	return nil
+}
+
+// Read reads one whole datum.
+func (s *Scanner) Read() (Value, error) {
+	if err := s.begin(); err != nil {
+		return nil, err
+	}
+	switch c := s.src[s.pos]; c {
 	case '(':
-		r.pos++
-		base := len(r.stack)
+		s.pos++
+		s.depth++
+		base := len(s.stack)
 		for {
-			r.skipSpace()
-			if r.eof() {
-				return nil, r.errf("unterminated list")
-			}
-			if r.src[r.pos] == ')' {
-				r.pos++
-				return r.pop(base), nil
-			}
-			item, err := r.read()
+			closed, err := s.Close()
 			if err != nil {
 				return nil, err
 			}
-			r.stack = append(r.stack, item)
+			if closed {
+				return s.pop(base), nil
+			}
+			item, err := s.Read()
+			if err != nil {
+				return nil, err
+			}
+			s.stack = append(s.stack, item)
 		}
 	case ')':
-		return nil, r.errf("unexpected ')'")
+		return nil, s.errf("unexpected ')'")
 	case '\'':
-		r.pos++
-		quoted, err := r.read()
+		s.pos++
+		s.depth++
+		quoted, err := s.Read()
 		if err != nil {
 			return nil, err
 		}
+		s.depth--
 		return List{Symbol("quote"), quoted}, nil
 	case '"':
-		return r.readString()
+		return s.readString()
 	default:
-		return r.readAtom(), nil
+		return atom(s.scanAtom()), nil
 	}
 }
 
-func (r *reader) readString() (Value, error) {
-	start := r.line
-	r.pos++ // opening quote
+// Open reads the start of a list: a '(' it consumes, reporting true, or the
+// atom nil — AsList's empty list — reporting false. It refuses anything else
+// as AsList would, and a quoted form 'x too, although (quote x) is a list:
+// a typed reader wants the list's elements, not the symbol quote.
+func (s *Scanner) Open() (bool, error) {
+	switch tok, err := s.typed("list"); {
+	case err != nil:
+		return false, err
+	case tok != "":
+		_, err = AsList(atom(tok))
+		return false, err
+	}
+	s.pos++
+	s.depth++
+	return true, nil
+}
+
+// Close reads the end of a list: it consumes a ')' and reports true, or
+// reports false when the list goes on.
+func (s *Scanner) Close() (bool, error) {
+	if !s.More() {
+		return false, s.errf("unterminated list")
+	}
+	if s.src[s.pos] != ')' {
+		return false, nil
+	}
+	s.pos++
+	s.depth--
+	return true, nil
+}
+
+// Int reads an integer by AsInt's rule: an integral float such as 2.0 or 1e3
+// is one.
+func (s *Scanner) Int() (int64, error) {
+	tok, err := s.typed("integer")
+	if err != nil {
+		return 0, err
+	}
+	// What ParseInt takes is numberLike, so atom would make it an integer.
+	if n, err := strconv.ParseInt(tok, 10, 64); err == nil {
+		return n, nil
+	}
+	return AsInt(atom(tok))
+}
+
+// Str reads a string.
+func (s *Scanner) Str() (string, error) {
+	switch tok, err := s.typed("string"); {
+	case err != nil:
+		return "", err
+	case tok != "":
+		return AsString(atom(tok))
+	}
+	return s.readString()
+}
+
+// Symbol reads a symbol.
+func (s *Scanner) Symbol() (Symbol, error) {
+	tok, err := s.typed("symbol")
+	if err != nil {
+		return "", err
+	}
+	if v, ok := literal(tok); ok {
+		return AsSymbol(v)
+	}
+	return Symbol(tok), nil
+}
+
+// Bool reads a boolean.
+func (s *Scanner) Bool() (bool, error) {
+	tok, err := s.typed("boolean")
+	if err != nil {
+		return false, err
+	}
+	if b, ok := atom(tok).(bool); ok {
+		return b, nil
+	}
+	return false, fmt.Errorf("alter: expected boolean, got %s", TypeName(atom(tok)))
+}
+
+// typed moves to the datum a typed read of a want finds and reads it when it
+// is an atom. A list for a want of "list" or a string for "string" it leaves
+// to the caller, returning the empty token (an atom never is one); any other
+// list, quoted form or string it refuses in the value rules' words.
+func (s *Scanner) typed(want string) (string, error) {
+	if err := s.begin(); err != nil {
+		return "", err
+	}
+	var got string
+	switch s.src[s.pos] {
+	case ')':
+		return "", s.errf("unexpected ')'")
+	case '\'':
+		got = "quoted form"
+	case '(':
+		got = "list"
+	case '"':
+		got = "string"
+	default:
+		return s.scanAtom(), nil
+	}
+	if got != want {
+		return "", fmt.Errorf("alter: expected %s, got %s", want, got)
+	}
+	return "", nil
+}
+
+func (s *Scanner) readString() (string, error) {
+	start := s.line
+	s.pos++ // opening quote
 	// Without an escape the value is the source text between the quotes.
-	for i := r.pos; i < len(r.src); i++ {
-		switch r.src[i] {
+	for i := s.pos; i < len(s.src); i++ {
+		switch s.src[i] {
 		case '"':
-			s := r.src[r.pos:i]
-			r.line += strings.Count(s, "\n")
-			r.pos = i + 1
-			return s, nil
+			str := s.src[s.pos:i]
+			s.line += strings.Count(str, "\n")
+			s.pos = i + 1
+			return str, nil
 		case '\\':
-			return r.readEscapedString(start)
+			return s.readEscapedString(start)
 		}
 	}
-	return nil, fmt.Errorf("alter: line %d: unterminated string", start)
+	return "", fmt.Errorf("alter: line %d: unterminated string", start)
 }
 
-func (r *reader) readEscapedString(start int) (Value, error) {
+func (s *Scanner) readEscapedString(start int) (string, error) {
 	var b strings.Builder
 	for {
-		if r.eof() {
-			return nil, fmt.Errorf("alter: line %d: unterminated string", start)
+		if s.eof() {
+			return "", fmt.Errorf("alter: line %d: unterminated string", start)
 		}
-		c := r.src[r.pos]
-		r.pos++
+		c := s.src[s.pos]
+		s.pos++
 		switch c {
 		default:
 			b.WriteByte(c)
 		case '\n':
-			r.line++
+			s.line++
 			b.WriteByte(c)
 		case '"':
 			return b.String(), nil
 		case '\\':
-			if r.eof() {
-				return nil, fmt.Errorf("alter: line %d: unterminated escape", start)
+			if s.eof() {
+				return "", fmt.Errorf("alter: line %d: unterminated escape", start)
 			}
-			e, w := utf8.DecodeRuneInString(r.src[r.pos:])
-			r.pos += w
+			e, w := utf8.DecodeRuneInString(s.src[s.pos:])
+			s.pos += w
+			if i := strings.IndexRune(escapes, e); i >= 0 {
+				b.WriteByte(escaped[i])
+				continue
+			}
 			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case 'a':
-				b.WriteByte('\a')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case 'v':
-				b.WriteByte('\v')
-			case '\\':
-				b.WriteByte('\\')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
 			case 'x', 'u', 'U':
 				// Hex escapes, so Format (which quotes with the full Go
 				// escape set) always round-trips through the reader.
@@ -232,14 +351,14 @@ func (r *reader) readEscapedString(start int) (Value, error) {
 				}
 				var code rune
 				for i := 0; i < digits; i++ {
-					if r.eof() {
-						return nil, fmt.Errorf("alter: line %d: unterminated escape", start)
+					if s.eof() {
+						return "", fmt.Errorf("alter: line %d: unterminated escape", start)
 					}
-					d, ok := hexVal(r.src[r.pos])
+					d, ok := hexVal(s.src[s.pos])
 					if !ok {
-						return nil, fmt.Errorf("alter: line %d: bad hex digit in \\%c escape", start, e)
+						return "", fmt.Errorf("alter: line %d: bad hex digit in \\%c escape", start, e)
 					}
-					r.pos++
+					s.pos++
 					code = code<<4 | d
 				}
 				if e == 'x' {
@@ -248,11 +367,15 @@ func (r *reader) readEscapedString(start int) (Value, error) {
 					b.WriteRune(code)
 				}
 			default:
-				return nil, fmt.Errorf("alter: line %d: unknown escape \\%c", start, e)
+				return "", fmt.Errorf("alter: line %d: unknown escape \\%c", start, e)
 			}
 		}
 	}
 }
+
+// escapes are the one-character escapes after a backslash, and escaped what
+// each stands for.
+const escapes, escaped = "ntrabfv\\\"'", "\n\t\r\a\b\f\v\\\"'"
 
 func hexVal(c byte) (rune, bool) {
 	switch {
@@ -266,44 +389,57 @@ func hexVal(c byte) (rune, bool) {
 	return 0, false
 }
 
-func (r *reader) readAtom() Value {
-	start := r.pos
-	for !r.eof() {
-		if c := r.src[r.pos]; c < utf8.RuneSelf {
+// scanAtom reads the token of an atom.
+func (s *Scanner) scanAtom() string {
+	start := s.pos
+	for !s.eof() {
+		if c := s.src[s.pos]; c < utf8.RuneSelf {
 			if delim[c] {
 				break
 			}
-			r.pos++
-		} else if c, w := utf8.DecodeRuneInString(r.src[r.pos:]); unicode.IsSpace(c) {
+			s.pos++
+		} else if c, w := utf8.DecodeRuneInString(s.src[s.pos:]); unicode.IsSpace(c) {
 			break
 		} else {
-			r.pos += w
+			s.pos += w
 		}
 	}
-	tok := r.src[start:r.pos]
+	return s.src[start:s.pos]
+}
+
+// atom is the value of the atom token tok.
+func atom(tok string) Value {
+	if v, ok := literal(tok); ok {
+		return v
+	}
+	return Symbol(tok)
+}
+
+// literal is the value of the atom token tok when tok is not a symbol.
+func literal(tok string) (Value, bool) {
 	switch tok {
 	case "#t", "true":
-		return true
+		return true, true
 	case "#f", "false":
-		return false
+		return false, true
 	case "nil":
-		return nil
+		return nil, true
 	case "NaN", "+Inf", "-Inf":
 		// The spellings Format prints for non-finite floats. Every other
 		// word ParseFloat would take — inf, Infinity, nan, in any case —
 		// is an identifier.
 		f, _ := strconv.ParseFloat(tok, 64)
-		return f
+		return f, true
 	}
 	if numberLike(tok) {
 		if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			return i
+			return i, true
 		}
 		if f, err := strconv.ParseFloat(tok, 64); err == nil {
-			return f
+			return f, true
 		}
 	}
-	return Symbol(tok)
+	return nil, false
 }
 
 // numberLike reports whether tok starts like a number — an optional sign, an

@@ -468,6 +468,90 @@ func TestAlterRunsOnSlots(t *testing.T) {
 	}
 }
 
+// TestTableReadBuildsNoValueTree: gluegen reads its table source straight
+// into Tables (DESIGN.md §16). Nothing reachable from
+// gluegen.ParseTableSource through static calls — across every module
+// package gluegen loads, a call in a function literal counting for the
+// function that contains it — calls alter.ReadAll or ReadOne or builds an
+// alter.List: a composite literal, make, conversion or append of that type.
+// The one exception is a parameter's value, which (*gluegen.tableReader).params
+// reads whole with (*alter.Scanner).Read; the walk does not follow that call.
+// The gate checks that params still calls Read and that Read and ReadAll
+// still reach a function that builds a List, so a rename cannot leave it
+// guarding nothing.
+func TestTableReadBuildsNoValueTree(t *testing.T) {
+	l := newLoader()
+	gg := mustLoad(t, l, "repro/internal/gluegen")
+	al := mustLoad(t, l, "repro/internal/alter")
+	list := lookup(t, al, "List").Type()
+	readers := map[*types.Func]bool{
+		lookup(t, al, "ReadAll").(*types.Func): true,
+		lookup(t, al, "ReadOne").(*types.Func): true,
+	}
+	read := member(t, al, "Scanner", "Read").(*types.Func)
+	params := member(t, gg, "tableReader", "params").(*types.Func)
+	root := lookup(t, gg, "ParseTableSource").(*types.Func)
+
+	// Where each function builds a List.
+	builds := map[*types.Func][]string{}
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					var made bool
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						made = true
+					case *ast.CallExpr:
+						made = isBuiltin(p.info, n, "make") || isBuiltin(p.info, n, "append") || p.info.Types[n.Fun].IsType()
+					}
+					if e, ok := n.(ast.Expr); ok && made && types.Identical(p.info.TypeOf(e), list) {
+						builds[fn] = append(builds[fn], l.fset.Position(e.Pos()).String())
+					}
+					return true
+				})
+			}
+		}
+	}
+	calls := staticCalls(slices.Collect(maps.Values(l.pkgs)))
+	buildsList := func(root *types.Func) bool {
+		reached, _ := reachable(calls, root)
+		return slices.ContainsFunc(reached, func(fn *types.Func) bool { return len(builds[fn]) > 0 })
+	}
+	for fn := range readers {
+		if !buildsList(fn) {
+			t.Errorf("%s reaches no function that builds an alter.List; update this gate with the change", qualified(fn))
+		}
+	}
+	if !buildsList(read) {
+		t.Errorf("%s reaches no function that builds an alter.List; update this gate with the change", qualified(read))
+	}
+	if !slices.Contains(calls[params], read) {
+		t.Errorf("%s does not call %s; update this gate with the rename", qualified(params), qualified(read))
+	}
+	calls[params] = slices.DeleteFunc(slices.Clone(calls[params]), func(c *types.Func) bool { return c == read })
+
+	order, via := reachable(calls, root)
+	for _, fn := range order {
+		for _, c := range calls[fn] {
+			if readers[c] {
+				t.Errorf("%s calls %s, reached from the table reader (%s); table source is read in one typed pass",
+					qualified(fn), qualified(c), callPath(via, fn))
+			}
+		}
+		for _, where := range builds[fn] {
+			t.Errorf("%s: %s builds an alter.List, reached from the table reader (%s); only a parameter's value is read as a datum",
+				where, qualified(fn), callPath(via, fn))
+		}
+	}
+	t.Logf("%d functions reachable from %s", len(order), qualified(root))
+}
+
 // TestKernelStepTouchesNoSamples: the kernel's step machine decides where
 // samples go and moves none (DESIGN.md §14, "sample tasks"). No function
 // reachable from (*sagert.thread).step through static calls — across every

@@ -10,7 +10,7 @@ import (
 
 // decodeFuzzCorpus extracts the single string argument from a Go fuzz corpus
 // v1 file ("go test fuzz v1\nstring(...)").
-func decodeFuzzCorpus(t *testing.T, path string) string {
+func decodeFuzzCorpus(t testing.TB, path string) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/model"
@@ -70,34 +71,89 @@ func TestGenerateConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAllocCeilingGenerate pins what a cold Generate of the 1024-node shape
-// costs the allocator: 263 074 objects and 13.1 MB when Alter was a tree
-// walker over map frames and the table source was re-read rune by rune;
-// 58 000 and 5.0 MB compiled, on slots, with the reader slicing its source.
-// The bars leave room for the race detector's bookkeeping; best of three.
-func TestAllocCeilingGenerate(t *testing.T) {
-	in := wideInput(t)
+// allocs is what fn costs the allocator, best of three after a warm-up run.
+func allocs(t *testing.T, fn func() error) (mallocs, bytes uint64) {
+	t.Helper()
 	measure := func() (mallocs, bytes uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := Generate(in); err != nil {
+		if err := fn(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
 	measure() // warm one-time state outside the measurement
-	mallocs, bytes := measure()
+	mallocs, bytes = measure()
 	for i := 0; i < 2; i++ {
 		m, b := measure()
 		mallocs, bytes = min(mallocs, m), min(bytes, b)
 	}
+	return mallocs, bytes
+}
+
+// TestAllocCeilingGenerate pins what a cold Generate of the 1024-node shape
+// costs the allocator: 263 074 objects and 13.1 MB when Alter was a tree
+// walker over map frames and the table source was re-read rune by rune;
+// 58 000 and 5.0 MB compiled, on slots, with the reader slicing its source;
+// 36 270 and 3.08 MB with the table source read straight into Tables. The
+// bars leave room for the race detector's bookkeeping.
+func TestAllocCeilingGenerate(t *testing.T) {
+	in := wideInput(t)
+	mallocs, bytes := allocs(t, func() error {
+		_, err := Generate(in)
+		return err
+	})
 	t.Logf("%d allocations, %d bytes", mallocs, bytes)
-	if mallocs > 100_000 {
-		t.Errorf("Generate on the 1024-node shape makes %d allocations, want <= 100000", mallocs)
+	if mallocs > 40_000 {
+		t.Errorf("Generate on the 1024-node shape makes %d allocations, want <= 40000", mallocs)
 	}
-	if bytes > 6_000_000 {
-		t.Errorf("Generate on the 1024-node shape allocates %d bytes, want <= 6 MB", bytes)
+	if bytes > 3_500_000 {
+		t.Errorf("Generate on the 1024-node shape allocates %d bytes, want <= 3.5 MB", bytes)
+	}
+}
+
+// TestAllocCeilingParseTableSource: reading table source builds no value
+// tree and grows no slice per transfer. The 1024-node shape's source, 4 224
+// transfers, costs at most a few allocations more than an 8-thread fft2d
+// 256's (21 441 and 1.98 MB when ReadAll built a list per form), and at most
+// a quarter more bytes than its transfers occupy, plus a constant.
+func TestAllocCeilingParseTableSource(t *testing.T) {
+	parse := func(in Input) (mallocs, bytes uint64, transfers int) {
+		out, err := Generate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range out.Tables.Buffers {
+			transfers += len(b.Transfers)
+		}
+		mallocs, bytes = allocs(t, func() error {
+			_, err := ParseTableSource(out.TableSource)
+			return err
+		})
+		return mallocs, bytes, transfers
+	}
+	app, err := apps.FFT2D(256, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.SpreadParallel(app, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallMallocs, smallBytes, smallN := parse(Input{App: app, Mapping: m, Platform: platforms.CSPI(), NumNodes: 8})
+	mallocs, bytes, n := parse(wideInput(t))
+	t.Logf("fft2d 256/8: %d transfers, %d allocations, %d bytes; 1024-node shape: %d transfers, %d allocations, %d bytes",
+		smallN, smallMallocs, smallBytes, n, mallocs, bytes)
+	if n != 4224 {
+		t.Fatalf("the 1024-node shape has %d transfers, want 4224; update this test with the shape", n)
+	}
+	if mallocs > smallMallocs+16 {
+		t.Errorf("the 1024-node source makes %d allocations, the 8-thread one %d; want at most 16 more", mallocs, smallMallocs)
+	}
+	const constant = 16 << 10
+	if limit := uint64(n)*uint64(unsafe.Sizeof(Transfer{}))*5/4 + constant; bytes > limit {
+		t.Errorf("the 1024-node source allocates %d bytes, want <= %d (1.25 x its transfers + %d)", bytes, limit, constant)
 	}
 }
 

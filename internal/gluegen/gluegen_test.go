@@ -1,6 +1,8 @@
 package gluegen
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,23 +108,127 @@ func TestVerifyCatchesCorruptedTables(t *testing.T) {
 	}
 }
 
-func TestTableSourceRoundTrip(t *testing.T) {
-	out := genFor(t, apps.FFT2D, 64, 4, 4)
-	reparsed, err := ParseTableSource(out.TableSource)
+// tinyInput is TestGoldenTableSource's model: source, two-thread fft_rows
+// and sink on a 4x4 complex matrix, on two CSPI nodes.
+func tinyInput(t *testing.T) Input {
+	t.Helper()
+	a := model.NewApp("tiny")
+	mt, err := a.AddType(&model.DataType{Name: "m", Rows: 4, Cols: 4, Elem: model.ElemComplex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reparsed.Verify(); err != nil {
+	a.AddFunction(&model.Function{Name: "src", Kind: "source_matrix", Threads: 1,
+		Params: map[string]any{"seed": 9}}).AddOutput("out", mt, model.ByRows)
+	work := a.AddFunction(&model.Function{Name: "work", Kind: "fft_rows", Threads: 2})
+	work.AddInput("in", mt, model.ByRows)
+	work.AddOutput("out", mt, model.ByRows)
+	a.AddFunction(&model.Function{Name: "snk", Kind: "sink_matrix", Threads: 1}).AddInput("in", mt, model.ByRows)
+	for _, arc := range [][2]string{{"src", "work"}, {"work", "snk"}} {
+		if _, err := a.Connect(arc[0], "out", arc[1], "in"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.AssignIDs()
+	m := model.NewMapping()
+	m.Set("src", 0)
+	m.Set("work", 0, 1)
+	m.Set("snk", 1)
+	return Input{App: a, Mapping: m, Platform: platforms.CSPI(), NumNodes: 2}
+}
+
+// TestTableSourceRoundTrip: parsing a generation's table source again gives
+// exactly the tables the generation returned — for the golden model, the
+// repo benchmark's two shapes and a custom generator script.
+func TestTableSourceRoundTrip(t *testing.T) {
+	fft512, err := apps.FFT2D(512, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reparsed.AppName != out.Tables.AppName ||
-		len(reparsed.Functions) != len(out.Tables.Functions) ||
-		len(reparsed.Buffers) != len(out.Tables.Buffers) {
-		t.Fatal("reparsed tables differ")
+	spread, err := model.SpreadParallel(fft512, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range reparsed.Buffers {
-		if len(reparsed.Buffers[i].Transfers) != len(out.Tables.Buffers[i].Transfers) {
-			t.Fatalf("buffer %d transfers differ", i)
+	const custom = `(emit ";; written by a custom generator for " (app-name))` + "\n" + StandardScript
+	for _, c := range []struct {
+		name, script string
+		in           Input
+	}{
+		{"golden", StandardScript, tinyInput(t)},
+		{"fft512.cspi8", StandardScript, Input{App: fft512, Mapping: spread, Platform: platforms.CSPI(), NumNodes: 8}},
+		{"fft256.mercury1024", StandardScript, wideInput(t)},
+		{"golden, custom script", custom, tinyInput(t)},
+	} {
+		out, err := GenerateWith(c.in, c.script)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		reparsed, err := ParseTableSource(out.TableSource)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := reparsed.Verify(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(reparsed, out.Tables) {
+			t.Errorf("%s: reparsed tables differ from the generated ones", c.name)
+		}
+		if c.script == custom && !strings.HasPrefix(out.TableSource, ";; written by a custom generator") {
+			t.Errorf("%s: the custom script left no trace:\n%s", c.name, out.TableSource)
+		}
+	}
+}
+
+// TestTransfersEndAtTheirLength: every buffer's transfers are a slice of one
+// array, cut at their own length, so appending to one buffer's reallocates
+// instead of overwriting the next buffer's.
+func TestTransfersEndAtTheirLength(t *testing.T) {
+	tables, err := ParseTableSource(genFor(t, apps.FFT2D, 64, 4, 4).TableSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := tables.Buffers[1].Transfers[0]
+	for i, b := range tables.Buffers {
+		if len(b.Transfers) == 0 || cap(b.Transfers) != len(b.Transfers) {
+			t.Fatalf("buffer %d: %d transfers, capacity %d", i, len(b.Transfers), cap(b.Transfers))
+		}
+	}
+	_ = append(tables.Buffers[0].Transfers, Transfer{SrcThread: -1})
+	if tables.Buffers[1].Transfers[0] != next {
+		t.Fatal("appending to buffer 0's transfers overwrote buffer 1's")
+	}
+}
+
+// TestParseErrorsNameTheirLine: every table-source error, lexical or not,
+// names the line of the form it is in.
+func TestParseErrorsNameTheirLine(t *testing.T) {
+	const head = "(app \"t\" \"CSPI\" 2)\n(function 0 \"src\" \"source_matrix\" 1 (0) () #f)\n"
+	for _, c := range []struct {
+		name, src string
+		line      int
+		want      string
+	}{
+		{"function ID out of sequence", head + `(function 2 "f" "fft_rows" 1 (0) () #f)`, 3, "function ID 2 out of sequence"},
+		{"buffer ID out of sequence", head + `(buffer 1 0 "out" 0 "in" 4 4 8)`, 3, "buffer ID 1 out of sequence"},
+		{"unknown buffer", head + "\n" + `(xfer 0 0 0 (0 0 2 4))`, 4, "unknown buffer 0"},
+		{"port of unknown function", head + `(inport 7 "in" 4 4 8 "rows" (0))`, 3, "unknown function 7"},
+		{"invalid striping", head + `(outport 0 "out" 4 4 8 "diagonal" (0))`, 3, `invalid striping "diagonal"`},
+		{"too few fields", head + `(buffer 0 0 "out" 0 "in" 4 4)`, 3, "buffer wants id"},
+		{"too many fields", "\n" + `(app "t" "CSPI" 2 3)`, 2, "app wants"},
+		{"short region", head + `(buffer 0 0 "out" 0 "in" 4 4 8)` + "\n" + `(xfer 0 0 0 (0 0 2))`, 4, "xfer wants buffer-id, src-thread, dst-thread, region: alter: line 4: unexpected ')'"},
+		{"long region", head + `(buffer 0 0 "out" 0 "in" 4 4 8)` + "\n" + `(xfer 0 0 0 (0 0 2 4 5))`, 4, "region wants"},
+		{"bad param entry", `(app "t" "CSPI" 2) (function 0 "s" "source_matrix" 1 (0) (("seed" 9 10)) #f)`, 1, "param entry"},
+		{"wrong type", head + `(order (0 "one"))`, 3, "expected integer, got string"},
+		{"probe not a boolean", `(app "t" "CSPI" 2)` + "\n" + `(function 0 "s" "source_matrix" 1 (0) () 1)`, 2, "expected boolean"},
+		{"not a directive", head + "()", 3, "a directive is"},
+		{"unknown directive", head + "(frob 1)", 3, `unknown table directive "frob"`},
+		{"missing app header", "(order (0))\n\n", 3, "missing (app ...) header"},
+		{"unterminated string", head + "(order (0))\n(app \"t\n\n", 4, "unterminated string"},
+		{"unterminated list", head + "(order (0)", 3, "unterminated list"},
+	} {
+		_, err := ParseTableSource(c.src)
+		prefix := fmt.Sprintf("gluegen: line %d: ", c.line)
+		if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %q...%q", c.name, err, prefix, c.want)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package gluegen
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/alter"
@@ -10,272 +12,216 @@ import (
 
 // ParseTableSource parses the s-expression runtime-table source emitted by a
 // generator script back into Tables. The grammar is documented on
-// StandardScript.
+// StandardScript. It reads the source in one pass of typed reads on an
+// alter.Scanner — the lexer alter.ReadAll runs on, so both read one lexical
+// language — straight into the tables, and builds no Value tree: only a
+// parameter's value is read as one datum. Every error names the line of the
+// form it is in. DESIGN.md §16.
 func ParseTableSource(src string) (*Tables, error) {
-	forms, err := alter.ReadAll(src)
-	if err != nil {
-		return nil, fmt.Errorf("gluegen: parsing table source: %w", err)
-	}
-	t := &Tables{}
+	p := &tableReader{s: alter.NewScanner(src), t: &Tables{}}
+	// Every xfer directive spells xfer, so the source's transfers fit in
+	// one array of this capacity.
+	xfers := make([]Transfer, 0, strings.Count(src, "xfer"))
 	sawApp := false
-	for _, form := range forms {
-		l, ok := form.(alter.List)
-		if !ok || len(l) == 0 {
-			return nil, fmt.Errorf("gluegen: table source form %s is not a directive", alter.Format(form))
+	for p.err == nil && p.s.More() {
+		p.line, p.form = p.s.Line(), "a directive is (name field ...)"
+		if !p.open() {
+			p.fail("%s", p.form)
 		}
-		head, err := alter.AsSymbol(l[0])
-		if err != nil {
-			return nil, fmt.Errorf("gluegen: table source form %s: %w", alter.Format(form), err)
-		}
+		head, err := p.s.Symbol()
+		p.check(err)
 		switch head {
 		case "app":
-			if err := parseApp(t, l); err != nil {
-				return nil, err
-			}
+			p.form = "app wants name, platform, nodes"
+			p.t.AppName, p.t.Platform, p.t.NumNodes = p.str(), p.str(), p.int()
 			sawApp = true
 		case "function":
-			if err := parseFunction(t, l); err != nil {
-				return nil, err
-			}
+			p.function()
 		case "inport", "outport":
-			if err := parsePort(t, l, head == "inport"); err != nil {
-				return nil, err
-			}
+			p.port(head == "inport")
 		case "buffer":
-			if err := parseBuffer(t, l); err != nil {
-				return nil, err
-			}
+			p.buffer()
 		case "xfer":
-			if err := parseXfer(t, l); err != nil {
-				return nil, err
-			}
+			xfers = append(xfers, p.xfer())
 		case "order":
-			if err := parseOrder(t, l); err != nil {
-				return nil, err
-			}
+			p.form = "order wants one ID list"
+			p.t.Order = p.ints()
 		default:
-			return nil, fmt.Errorf("gluegen: unknown table directive %q", head)
+			p.fail("unknown table directive %q", head)
 		}
+		p.end(p.form)
 	}
-	if !sawApp {
-		return nil, fmt.Errorf("gluegen: table source missing (app ...) header")
+	if !sawApp && p.err == nil {
+		p.line = p.s.Line()
+		p.fail("table source missing (app ...) header")
 	}
-	return t, nil
+	if p.err != nil {
+		return nil, p.err
+	}
+	p.t.assignTransfers(xfers)
+	return p.t, nil
 }
 
-func formErr(l alter.List, format string, args ...any) error {
-	return fmt.Errorf("gluegen: %s in %s", fmt.Sprintf(format, args...), alter.Format(l))
+// tableReader is ParseTableSource's state. Only its first error counts, so
+// a directive reads as a straight run of fields, checked at its end.
+type tableReader struct {
+	s    *alter.Scanner
+	t    *Tables
+	line int    // where the directive being read starts
+	form string // what it holds, for one that is cut short or runs on
+	ids  []int  // an ID list being read
+	err  error
 }
 
-func intAt(l alter.List, i int) (int, error) {
-	n, err := alter.AsInt(l[i])
-	return int(n), err
+// fail records the first error, naming the line of the directive being read.
+func (p *tableReader) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("gluegen: line %d: "+format, append([]any{p.line}, args...)...)
+	}
 }
 
-func stringAt(l alter.List, i int) (string, error) {
-	return alter.AsString(l[i])
-}
-
-func intListAt(l alter.List, i int) ([]int, error) {
-	items, err := alter.AsList(l[i])
+// check records an error of the scanner's.
+func (p *tableReader) check(err error) {
 	if err != nil {
-		return nil, err
+		p.fail("%s: %w", p.form, err)
 	}
-	out := make([]int, len(items))
-	for j, v := range items {
-		n, err := alter.AsInt(v)
-		if err != nil {
-			return nil, err
-		}
-		out[j] = int(n)
-	}
-	return out, nil
 }
 
-func parseApp(t *Tables, l alter.List) error {
-	if len(l) != 4 {
-		return formErr(l, "app wants name, platform, nodes")
+// open reads the start of a list, reporting whether it has elements to read:
+// nil reads as the empty list.
+func (p *tableReader) open() bool {
+	open, err := p.s.Open()
+	p.check(err)
+	return open
+}
+
+// closed reports whether the list being read ends here, consuming its ')'.
+// It also reports true once reading has failed, ending a loop over a list.
+func (p *tableReader) closed() bool {
+	if p.err != nil {
+		return true
 	}
+	closed, err := p.s.Close()
+	p.check(err)
+	return closed || err != nil
+}
+
+// end closes a list, failing with what it holds if it runs on.
+func (p *tableReader) end(holds string) {
+	if !p.closed() {
+		p.fail("%s", holds)
+	}
+}
+
+func (p *tableReader) int() int {
+	n, err := p.s.Int()
+	p.check(err)
+	return int(n)
+}
+
+func (p *tableReader) str() string {
+	s, err := p.s.Str()
+	p.check(err)
+	return s
+}
+
+// ints reads an ID list, at exact capacity.
+func (p *tableReader) ints() []int {
+	p.ids = p.ids[:0]
+	for open := p.open(); open && !p.closed(); {
+		p.ids = append(p.ids, p.int())
+	}
+	return append(make([]int, 0, len(p.ids)), p.ids...)
+}
+
+func (p *tableReader) function() {
+	p.form = "function wants id, name, kind, threads, nodes, params, probe"
+	fe := FuncEntry{ID: p.int(), Name: p.str(), Kind: p.str(), Threads: p.int(), Nodes: p.ints(), Params: p.params()}
 	var err error
-	if t.AppName, err = stringAt(l, 1); err != nil {
-		return err
+	fe.Probe, err = p.s.Bool()
+	p.check(err)
+	if p.err == nil && fe.ID != len(p.t.Functions) {
+		p.fail("function ID %d out of sequence (expected %d)", fe.ID, len(p.t.Functions))
 	}
-	if t.Platform, err = stringAt(l, 2); err != nil {
-		return err
-	}
-	if t.NumNodes, err = intAt(l, 3); err != nil {
-		return err
-	}
-	return nil
+	p.t.Functions = append(p.t.Functions, fe)
 }
 
-func parseFunction(t *Tables, l alter.List) error {
-	if len(l) != 8 {
-		return formErr(l, "function wants id, name, kind, threads, nodes, params, probe")
-	}
-	var fe FuncEntry
-	var err error
-	if fe.ID, err = intAt(l, 1); err != nil {
-		return err
-	}
-	if fe.Name, err = stringAt(l, 2); err != nil {
-		return err
-	}
-	if fe.Kind, err = stringAt(l, 3); err != nil {
-		return err
-	}
-	if fe.Threads, err = intAt(l, 4); err != nil {
-		return err
-	}
-	if fe.Nodes, err = intListAt(l, 5); err != nil {
-		return err
-	}
-	params, err := alter.AsList(l[6])
-	if err != nil {
-		return err
-	}
-	fe.Params = map[string]any{}
-	for _, entry := range params {
-		pair, ok := entry.(alter.List)
-		if !ok || len(pair) != 2 {
-			return formErr(l, "param entry %s is not (key value)", alter.Format(entry))
+// params reads a function's ((key value) ...) list. A value is any datum,
+// read whole: the one place the table reader builds Values.
+func (p *tableReader) params() map[string]any {
+	params := map[string]any{}
+	for open := p.open(); open && !p.closed(); {
+		if !p.open() {
+			p.fail("param entry is not (key value)")
 		}
-		key, err := alter.AsString(pair[0])
-		if err != nil {
-			return err
-		}
-		fe.Params[key] = alterToGo(pair[1])
+		key := p.str()
+		v, err := p.s.Read()
+		p.check(err)
+		params[key] = alterToGo(v)
+		p.end("param entry is not (key value)")
 	}
-	probe, ok := l[7].(bool)
-	if !ok {
-		return formErr(l, "probe flag is %s", alter.TypeName(l[7]))
-	}
-	fe.Probe = probe
-	if fe.ID != len(t.Functions) {
-		return formErr(l, "function ID %d out of sequence (expected %d)", fe.ID, len(t.Functions))
-	}
-	t.Functions = append(t.Functions, fe)
-	return nil
+	return params
 }
 
-func parsePort(t *Tables, l alter.List, isInput bool) error {
-	if len(l) != 8 {
-		return formErr(l, "port wants fn-id, name, rows, cols, elem-bytes, striping, buffers")
+func (p *tableReader) port(isInput bool) {
+	p.form = "port wants fn-id, name, rows, cols, elem-bytes, striping, buffers"
+	fnID := p.int()
+	pe := PortEntry{Name: p.str(), Rows: p.int(), Cols: p.int(), ElemBytes: p.int(), Striping: model.StripeKind(p.str()), Buffers: p.ints()}
+	switch {
+	case p.err != nil:
+	case fnID < 0 || fnID >= len(p.t.Functions):
+		p.fail("port of unknown function %d", fnID)
+	case !model.ValidStripe(pe.Striping):
+		p.fail("invalid striping %q", pe.Striping)
+	case isInput:
+		p.t.Functions[fnID].Ins = append(p.t.Functions[fnID].Ins, pe)
+	default:
+		p.t.Functions[fnID].Outs = append(p.t.Functions[fnID].Outs, pe)
 	}
-	fnID, err := intAt(l, 1)
-	if err != nil {
-		return err
-	}
-	fe, err := t.Function(fnID)
-	if err != nil {
-		return err
-	}
-	var pe PortEntry
-	if pe.Name, err = stringAt(l, 2); err != nil {
-		return err
-	}
-	if pe.Rows, err = intAt(l, 3); err != nil {
-		return err
-	}
-	if pe.Cols, err = intAt(l, 4); err != nil {
-		return err
-	}
-	if pe.ElemBytes, err = intAt(l, 5); err != nil {
-		return err
-	}
-	s, err := stringAt(l, 6)
-	if err != nil {
-		return err
-	}
-	pe.Striping = model.StripeKind(s)
-	if !model.ValidStripe(pe.Striping) {
-		return formErr(l, "invalid striping %q", s)
-	}
-	if pe.Buffers, err = intListAt(l, 7); err != nil {
-		return err
-	}
-	if isInput {
-		fe.Ins = append(fe.Ins, pe)
-	} else {
-		fe.Outs = append(fe.Outs, pe)
-	}
-	return nil
 }
 
-func parseBuffer(t *Tables, l alter.List) error {
-	if len(l) != 9 {
-		return formErr(l, "buffer wants id, src-fn, src-port, dst-fn, dst-port, rows, cols, elem-bytes")
+func (p *tableReader) buffer() {
+	p.form = "buffer wants id, src-fn, src-port, dst-fn, dst-port, rows, cols, elem-bytes"
+	be := BufferEntry{ID: p.int(), SrcFn: p.int(), SrcPort: p.str(), DstFn: p.int(), DstPort: p.str(),
+		Rows: p.int(), Cols: p.int(), ElemBytes: p.int()}
+	if p.err == nil && be.ID != len(p.t.Buffers) {
+		p.fail("buffer ID %d out of sequence (expected %d)", be.ID, len(p.t.Buffers))
 	}
-	var be BufferEntry
-	var err error
-	if be.ID, err = intAt(l, 1); err != nil {
-		return err
-	}
-	if be.SrcFn, err = intAt(l, 2); err != nil {
-		return err
-	}
-	if be.SrcPort, err = stringAt(l, 3); err != nil {
-		return err
-	}
-	if be.DstFn, err = intAt(l, 4); err != nil {
-		return err
-	}
-	if be.DstPort, err = stringAt(l, 5); err != nil {
-		return err
-	}
-	if be.Rows, err = intAt(l, 6); err != nil {
-		return err
-	}
-	if be.Cols, err = intAt(l, 7); err != nil {
-		return err
-	}
-	if be.ElemBytes, err = intAt(l, 8); err != nil {
-		return err
-	}
-	if be.ID != len(t.Buffers) {
-		return formErr(l, "buffer ID %d out of sequence (expected %d)", be.ID, len(t.Buffers))
-	}
-	t.Buffers = append(t.Buffers, be)
-	return nil
+	p.t.Buffers = append(p.t.Buffers, be)
 }
 
-func parseXfer(t *Tables, l alter.List) error {
-	if len(l) != 5 {
-		return formErr(l, "xfer wants buffer-id, src-thread, dst-thread, region")
+// xfer reads a transfer whose Bytes, until assignTransfers, holds the ID of
+// its buffer.
+func (p *tableReader) xfer() Transfer {
+	p.form = "xfer wants buffer-id, src-thread, dst-thread, region"
+	buf := p.int()
+	x := Transfer{SrcThread: p.int(), DstThread: p.int(), Bytes: buf}
+	if !p.open() {
+		p.fail("region wants r0, c0, rows, cols")
 	}
-	bufID, err := intAt(l, 1)
-	if err != nil {
-		return err
+	x.Region = model.Region{R0: p.int(), C0: p.int(), Rows: p.int(), Cols: p.int()}
+	p.end("region wants r0, c0, rows, cols")
+	if p.err == nil && (buf < 0 || buf >= len(p.t.Buffers)) {
+		p.fail("xfer references unknown buffer %d", buf)
 	}
-	if bufID < 0 || bufID >= len(t.Buffers) {
-		return formErr(l, "xfer references unknown buffer %d", bufID)
-	}
-	var x Transfer
-	if x.SrcThread, err = intAt(l, 2); err != nil {
-		return err
-	}
-	if x.DstThread, err = intAt(l, 3); err != nil {
-		return err
-	}
-	if x.Region, err = listToRegion(l[4]); err != nil {
-		return err
-	}
-	buf := &t.Buffers[bufID]
-	x.Bytes = x.Region.Elems() * buf.ElemBytes
-	buf.Transfers = append(buf.Transfers, x)
-	return nil
+	return x
 }
 
-func parseOrder(t *Tables, l alter.List) error {
-	if len(l) != 2 {
-		return formErr(l, "order wants one ID list")
+// assignTransfers hands each buffer its run of xfers, as xfer read them, in
+// source order — sorting them stably by buffer in place first if a
+// hand-written source interleaves buffers — and sets their Bytes. A run is
+// sliced at its own length, so an append to one buffer's transfers
+// reallocates instead of overwriting the next buffer's.
+func (t *Tables) assignTransfers(xfers []Transfer) {
+	byBuffer := func(a, b Transfer) int { return cmp.Compare(a.Bytes, b.Bytes) }
+	if !slices.IsSortedFunc(xfers, byBuffer) {
+		slices.SortStableFunc(xfers, byBuffer)
 	}
-	ids, err := intListAt(l, 1)
-	if err != nil {
-		return err
+	for i := range xfers {
+		b := &t.Buffers[xfers[i].Bytes]
+		xfers[i].Bytes = xfers[i].Region.Elems() * b.ElemBytes
+		b.Transfers = xfers[i-len(b.Transfers) : i+1 : i+1]
 	}
-	t.Order = ids
-	return nil
 }
 
 // standardProgram is StandardScript compiled once per process. A compiled

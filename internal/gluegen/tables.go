@@ -209,7 +209,7 @@ func (t *Tables) Verify() error {
 			add("gluegen: buffer %d: destination port %s.%s missing", b.ID, dst.Name, b.DstPort)
 			continue
 		}
-		if !containsInt(srcPort.Buffers, b.ID) || !containsInt(dstPort.Buffers, b.ID) {
+		if !slices.Contains(srcPort.Buffers, b.ID) || !slices.Contains(dstPort.Buffers, b.ID) {
 			add("gluegen: buffer %d not referenced by both its ports", b.ID)
 		}
 		// Per-destination-thread coverage. byDst lists the transfers bound
@@ -341,15 +341,6 @@ func findPort(ports []PortEntry, name string) *PortEntry {
 		}
 	}
 	return nil
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Input is everything the generator needs: a flattened, validated

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -77,7 +78,7 @@ func verifyReference(t *Tables) error {
 			add("gluegen: buffer %d: destination port %s.%s missing", b.ID, dst.Name, b.DstPort)
 			continue
 		}
-		if !containsInt(srcPort.Buffers, b.ID) || !containsInt(dstPort.Buffers, b.ID) {
+		if !slices.Contains(srcPort.Buffers, b.ID) || !slices.Contains(dstPort.Buffers, b.ID) {
 			add("gluegen: buffer %d not referenced by both its ports", b.ID)
 		}
 		// Per-destination-thread coverage.
