@@ -88,14 +88,18 @@ func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 }
 
 // ReceivesOutsideReaders runs a validated p and holds every payload a thread
-// receives to the layout: a payload that lies in an iteration's result matrix
-// may be received only by a thread of that sink; any other must lie in a
+// receives to the layout. A payload that lies in an iteration's result
+// matrix lies in the storage a result-backed thread keeps there: when that
+// storage's views go only to the sink, it may be received only by a thread of
+// that sink; otherwise also by a thread that precedes every thread of the
+// sink, found by a search over the lanes. Any other payload must lie in a
 // block of some storage, and the receiving thread must be one of that
 // storage's readers. It returns how many payloads it checked, how many of
-// them lay in a result, and a line for each that fails.
-func ReceivesOutsideReaders(p *Program) (checked, inResult int, bad []string, err error) {
+// them lay in a result and were received by the sink or by another thread,
+// and a line for each that fails.
+func ReceivesOutsideReaders(p *Program) (checked, bySink, byOthers int, bad []string, err error) {
 	if err := p.Validate(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	e := newExec(p)
 	type receipt struct {
@@ -114,7 +118,7 @@ func ReceivesOutsideReaders(p *Program) (checked, inResult int, bad []string, er
 		mu.Unlock()
 	}
 	if _, err := e.run(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	within := func(at uintptr, data []complex128) bool {
 		start := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
@@ -124,20 +128,69 @@ func ReceivesOutsideReaders(p *Program) (checked, inResult int, bad []string, er
 	// every storage and result can be read.
 	storages := slices.DeleteFunc(slices.Concat(slices.Concat(e.ins...), slices.Concat(e.outs...)),
 		func(s *storage) bool { return s == nil })
+	// precedes reports whether thread u reaches every thread of sink fn.
+	producer, consumer := make([]int, len(p.Conns)), make([]int, len(p.Conns))
+	for ti := range p.Threads {
+		for _, pp := range p.Threads[ti].Outs {
+			for _, x := range pp.Xfers {
+				producer[x.Conn] = ti
+			}
+		}
+		for _, pp := range p.Threads[ti].Ins {
+			for _, x := range pp.Xfers {
+				consumer[x.Conn] = ti
+			}
+		}
+	}
+	precedes := func(u int, fn string) bool {
+		reached := make([]bool, len(p.Threads))
+		for stack := []int{u}; len(stack) > 0; {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for c := range p.Conns {
+				if v := consumer[c]; producer[c] == w && !reached[v] {
+					reached[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		for v := range p.Threads {
+			if p.Threads[v].Fn == fn && !reached[v] {
+				return false
+			}
+		}
+		return true
+	}
 	for _, r := range got {
 		t := &p.Threads[r.thread]
-		sink := ""
+		sink, owner := "", -1
 		for _, results := range e.iters {
 			for fn, m := range results {
-				if within(r.at, m.Data) {
-					sink = fn
+				if !within(r.at, m.Data) {
+					continue
+				}
+				sink = fn
+				at := int((r.at - uintptr(unsafe.Pointer(&m.Data[0]))) / unsafe.Sizeof(m.Data[0]))
+				sample := model.Region{R0: at / m.Cols, C0: at % m.Cols, Rows: 1, Cols: 1}
+				for o, res := range e.results {
+					if res != nil && res.Fn == fn && p.Threads[o].Outs[0].Region.Intersect(sample) == sample {
+						owner = o
+					}
 				}
 			}
 		}
 		if sink != "" {
-			inResult++
-			if t.Kind != "sink_matrix" || t.Fn != sink {
-				bad = append(bad, fmt.Sprintf("%s[%d] received %v from the result of sink %s", t.Fn, t.Thread, r.region, sink))
+			switch {
+			case owner < 0:
+				bad = append(bad, fmt.Sprintf("%s[%d] received %v from the result of sink %s, in no storage", t.Fn, t.Thread, r.region, sink))
+			case t.Kind == "sink_matrix" && t.Fn == sink:
+				bySink++
+			case !slices.ContainsFunc(p.Threads[owner].Outs[0].Xfers, func(x Xfer) bool { return p.Threads[consumer[x.Conn]].Fn != sink }):
+				bad = append(bad, fmt.Sprintf("%s[%d] received %v from the result of sink %s, whose storage only the sink reads", t.Fn, t.Thread, r.region, sink))
+			case !precedes(r.thread, sink):
+				bad = append(bad, fmt.Sprintf("%s[%d] received %v from the result of sink %s without preceding every sink thread", t.Fn, t.Thread, r.region, sink))
+			default:
+				byOthers++
 			}
 			continue
 		}
@@ -157,5 +210,5 @@ func ReceivesOutsideReaders(p *Program) (checked, inResult int, bad []string, er
 				t.Fn, t.Thread, r.region, in.region, in.readers))
 		}
 	}
-	return len(got), inResult, bad, nil
+	return len(got), bySink, byOthers, bad, nil
 }

@@ -19,12 +19,12 @@ import (
 // Two layout decisions come first, both through funclib's predicates, both
 // the same as plan.Build's for sagert. A result-backed thread
 // (funclib.ResultBacked) keeps its storage in the iteration's result matrix
-// of the sink it feeds — its input block when it computes in place on one of
-// its own, its output block otherwise — so that buffer has no storage here. A
-// thread that lands transposed (funclib.LandsTransposed) receives straight
-// into the transposed view of its output block: its input port has no
-// storage, and a recycled output block is cleared unless its transfers cover
-// the partition.
+// of a sink that every reader of it precedes — its input block when it
+// computes in place on one of its own, its output block otherwise — so that
+// buffer has no storage here. A thread that lands transposed
+// (funclib.LandsTransposed) receives straight into the transposed view of its
+// output block: its input port has no storage, and a recycled output block is
+// cleared unless its transfers cover the partition.
 
 // storage is the physical memory behind one logical buffer of one thread:
 // an assembling input, an input that copies its one pitched payload dense,
@@ -124,25 +124,37 @@ func newLayout(p *Program) *layout {
 			})
 	}
 
-	// A thread with storage of its own whose one output port feeds only the
-	// threads of one sink keeps that storage in the sink's result when
-	// funclib.ResultBacked admits it; a transposing kind lands transposed.
+	// A thread with storage of its own keeps it in a sink's result as
+	// funclib.ResultBacked decides; a transposing kind lands transposed.
+	ts := make([]funclib.ResultThread, n)
+	var sinks []funclib.ResultSink
 	for ti := range p.Threads {
-		t := &p.Threads[ti]
+		t, r := &p.Threads[ti], &ts[ti]
 		if len(t.Ins) == 1 && len(t.Outs) == 1 {
 			l.transposes[ti] = funclib.LandsTransposed(l.impls[ti], t.Ins[0].Region, t.Outs[0].Region)
+			r.Forwards = l.inPlace[ti] && adoptsDense(&t.Ins[0])
 		}
-		if len(t.Outs) != 1 || len(t.Outs[0].Xfers) == 0 || l.inPlace[ti] && adoptsDense(&t.Ins[0]) {
-			continue
+		for pi := range t.Outs {
+			for _, x := range t.Outs[pi].Xfers {
+				r.Out = append(r.Out, dst[x.Conn].thread)
+			}
 		}
-		out := &t.Outs[0]
-		sink := &p.Threads[dst[out.Xfers[0].Conn].thread]
-		toSink := sink.Kind == "sink_matrix"
-		for _, x := range out.Xfers {
-			toSink = toSink && p.Threads[dst[x.Conn].thread].Fn == sink.Fn
+		r.Fn = slices.IndexFunc(p.Threads, func(u Thread) bool { return u.Fn == t.Fn })
+		if len(t.Outs) == 1 && len(r.Out) > 0 && !r.Forwards {
+			r.Part, r.Threads = t.Outs[0].Region, t.Threads
 		}
-		if funclib.ResultBacked(toSink, out.Region, t.Threads, sink.SinkRows, sink.SinkCols) {
-			l.results[ti] = sink
+		if t.Kind == "sink_matrix" {
+			si := slices.IndexFunc(sinks, func(s funclib.ResultSink) bool { return s.Threads[0] == r.Fn })
+			if si < 0 { // the threads' partitions tile the result
+				si, sinks = len(sinks), append(sinks, funclib.ResultSink{Rows: t.SinkRows, Cols: t.SinkCols, Covered: true})
+			}
+			sinks[si].Threads = append(sinks[si].Threads, ti)
+			sinks[si].Covered = sinks[si].Covered && t.Ins[0].covered()
+		}
+	}
+	for ti, si := range funclib.ResultBacked(ts, sinks) {
+		if si >= 0 {
+			l.results[ti] = &p.Threads[sinks[si].Threads[0]]
 		}
 	}
 
@@ -192,7 +204,7 @@ func newLayout(p *Program) *layout {
 				if l.inPlace[ti] {
 					out = &t.Outs[0]
 				}
-				l.ins[ti][pi] = newStorage(ti, pp.Region, out, !covers(pp.Region, pp.Xfers))
+				l.ins[ti][pi] = newStorage(ti, pp.Region, out, !pp.covered())
 			}
 		}
 		if !l.inPlace[ti] && !inResult {
@@ -200,7 +212,7 @@ func newLayout(p *Program) *layout {
 			for pi := range t.Outs {
 				// Transposed landing rewrites every output sample when the
 				// transfers cover the input partition.
-				clear := !l.transposes[ti] || !covers(t.Ins[0].Region, t.Ins[0].Xfers)
+				clear := !l.transposes[ti] || !t.Ins[0].covered()
 				l.outs[ti][pi] = newStorage(ti, t.Outs[pi].Region, &t.Outs[pi], clear)
 			}
 		}
@@ -208,27 +220,8 @@ func newLayout(p *Program) *layout {
 	return l
 }
 
-// covers reports whether the transfers of an input port, which lie inside
-// its partition part (Validate), write every sample of it. Cut along every
-// region edge, part falls into cells that each lie wholly inside a transfer
-// or wholly outside all of them.
-func covers(part model.Region, xs []Xfer) bool {
-	rows := []int{part.R0, part.R0 + part.Rows}
-	cols := []int{part.C0, part.C0 + part.Cols}
-	for _, x := range xs {
-		rows = append(rows, x.Region.R0, x.Region.R0+x.Region.Rows)
-		cols = append(cols, x.Region.C0, x.Region.C0+x.Region.Cols)
-	}
-	slices.Sort(rows)
-	slices.Sort(cols)
-	rows, cols = slices.Compact(rows), slices.Compact(cols)
-	for i := 0; i+1 < len(rows); i++ {
-		for j := 0; j+1 < len(cols); j++ {
-			cell := model.Region{R0: rows[i], C0: cols[j], Rows: rows[i+1] - rows[i], Cols: cols[j+1] - cols[j]}
-			if !slices.ContainsFunc(xs, func(x Xfer) bool { return cell.Intersect(x.Region) == cell }) {
-				return false
-			}
-		}
-	}
-	return true
+// covered reports whether the transfers of an input port, which lie inside
+// its partition (Validate), write every sample of it (funclib.Covers).
+func (p *Port) covered() bool {
+	return funclib.Covers(p.Region, len(p.Xfers), func(i int) model.Region { return p.Xfers[i].Region })
 }

@@ -28,12 +28,12 @@
 //
 // Samples move through the block lifecycle of internal/funclib (DESIGN.md
 // §14), shared with the simulated runtime: a send is a view of the producer's
-// output block, never a packed copy, and a sink's payloads are stored in the
-// iteration's result matrix as they arrive. The blocks themselves are the
-// run's physical buffers (layout.go): each logical buffer a thread writes —
-// an assembled input, a pitched payload copied dense, an output not computed
-// in place — gets Slots blocks for the whole run, reused by iteration number
-// once every thread that reads them has finished with them.
+// output block, never a packed copy, and a sink stores an iteration's
+// payloads in its result matrix once all have arrived. The blocks themselves
+// are the run's physical buffers (layout.go): each logical buffer a thread
+// writes — an assembled input, a pitched payload copied dense, an output not
+// computed in place — gets Slots blocks for the whole run, reused by
+// iteration number once every thread that reads them has finished with them.
 package rtl
 
 import (
@@ -251,8 +251,8 @@ func newExec(p *Program) *exec {
 }
 
 // resultMatrix returns iteration iter's result matrix of sink thread t's
-// function, allocating it on the first call — when the iteration's first
-// payload lands in it, or its first result-backed producer takes its storage
+// function, allocating it on the first call — when a sink thread stores the
+// iteration's payloads, or its result-backed producer takes its storage
 // there — on the caller's goroutine, under sinkMu.
 func (e *exec) resultMatrix(iter int, t *Thread) *isspl.Matrix {
 	e.sinkMu.Lock()
@@ -388,10 +388,10 @@ func (e *exec) drainEOS(t *Thread) {
 }
 
 // threadMain is the per-goroutine iteration loop of thread ti: receive
-// striped inputs into their blocks (a sink's straight into the iteration's
-// result), compute, send striped outputs as views, publish the iteration
-// finished — then close lanes (EOS) and verify the inbound lanes closed too.
-// Every block it writes is one the layout chose: an input or output
+// striped inputs into their blocks (a sink's, once all arrived, into the
+// iteration's result), compute, send striped outputs as views, publish the
+// iteration finished — then close lanes (EOS) and verify the inbound lanes
+// closed too. Every block it writes is one the layout chose: an input or output
 // storage's block for this iteration, a view of the iteration's result
 // matrix on a result-backed thread, the transposed view of the output block
 // on a thread that lands transposed, or, on a thread that computes in place,
@@ -405,6 +405,7 @@ func (e *exec) threadMain(ti int) {
 		Thread: t.Thread, Threads: t.Threads,
 	}
 	sink, result := t.Kind == "sink_matrix", e.results[ti]
+	var payloads []*funclib.Block // a sink's, stored once all have arrived
 	for iter := 0; iter < e.p.Iterations; iter++ {
 		// A thread that lands transposed takes its output block first.
 		if e.transposes[ti] {
@@ -412,12 +413,12 @@ func (e *exec) threadMain(ti int) {
 				return
 			}
 		}
-		var target *isspl.Matrix // a sink's result matrix for this iteration
 		for pi := range t.Ins {
 			pp := &t.Ins[pi]
-			// A sink port keeps no samples: each payload lands in the result
-			// matrix as it arrives. A port with a storage lands its payloads
-			// in the storage's block; any other adopts its one dense payload.
+			// A sink port keeps no samples: its payloads go to the result
+			// once all have arrived (funclib.ResultBacked). A port with a
+			// storage lands its payloads in the storage's block; any other
+			// adopts its one dense payload.
 			var blk *funclib.Block
 			switch {
 			case sink:
@@ -441,10 +442,7 @@ func (e *exec) threadMain(ti int) {
 				}
 				switch {
 				case sink:
-					if target == nil {
-						target = e.resultMatrix(iter, t)
-					}
-					funclib.StoreSink(&e.sinkMu, target, got)
+					payloads = append(payloads, got)
 				case blk == nil:
 					blk = got
 				default:
@@ -453,6 +451,10 @@ func (e *exec) threadMain(ti int) {
 			}
 			in[pp.Name] = blk
 		}
+		for _, b := range payloads {
+			funclib.StoreSink(&e.sinkMu, e.resultMatrix(iter, t), b)
+		}
+		payloads = payloads[:0]
 		for pi := range t.Outs {
 			switch {
 			case e.transposes[ti]: // taken before its payloads landed

@@ -2,6 +2,7 @@ package funclib
 
 import (
 	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/isspl"
@@ -12,23 +13,22 @@ import (
 // output block is fresh per iteration in sagert; in rtl it is one of the
 // run's physical blocks, rewritten at a later iteration only once every
 // reader of the last one has finished. It is never written after a send
-// while that iteration's readers may still read it, every
-// region travels as a view of its producer's block (pitched when the region
-// is narrower than the block), a whole-partition receive adopts a dense
-// payload, a sink's payloads land in the result as they arrive, and inputs
-// are read-only unless owned — so storage shared by several consumers is
-// safe, and a thread that is its input block's only reader (OwnsAdopted) lets
-// an InPlace kind transform it where it lies: the block goes on as the
-// thread's output, still never written after a send.
+// while that iteration's readers may still read it, every region travels as
+// a view of its producer's block (pitched when the region is narrower than
+// the block), a whole-partition receive adopts a dense payload, a sink
+// stores an iteration's payloads in the result once all have arrived, and
+// inputs are read-only unless owned — so storage shared by several
+// consumers is safe, and a thread that is its input block's only reader
+// (OwnsAdopted) lets an InPlace kind transform it where it lies: the block
+// goes on as the thread's output, still never written after a send.
 //
 // Two layout decisions place a block's samples before anything is written.
-// A thread whose storage only its sink reads keeps it in the sink's result
-// matrix (ResultBacked, ResultView): its sends already lie where StoreSink
-// would copy them, and StoreSink skips them. A thread of a Transposes kind
-// lands its payloads in the transposed view of its output block
-// (TransposedView): the landing copy is the transpose, and Compute has
-// nothing left to do. A block's layout is its (RowStride, ColStride) pair;
-// only this file's views set it.
+// A thread whose storage's readers all precede a sink keeps it in the sink's
+// result matrix (ResultBacked, ResultView), which the sink overwrites once
+// they are done. A thread of a Transposes kind lands its payloads in the
+// transposed view of its output block (TransposedView): the landing copy is
+// the transpose, and Compute has nothing left to do. A block's layout is its
+// (RowStride, ColStride) pair; only this file's views set it.
 
 // ContiguousIn reports whether region reg occupies a contiguous range of a
 // dense block covering blockReg: it must span the block's full width. The
@@ -132,21 +132,111 @@ func LandsTransposed(im *Impl, in, out model.Region) bool {
 	return im.Transposes && out == transposed(in)
 }
 
-// ResultBacked reports whether a thread may keep its storage in the result
-// matrix of the sink it feeds, rows × cols: its one output port sends only to
-// the threads of one sink_matrix (toSink), and that port's partition part is
-// the thread's own — not the whole result, replicated across threads — and
-// spans the result's full width, so that the result's rows hold it densely
-// (ResultView). A pitched view, such as fft_cols's column stripe, is left
-// out: kinds compute on dense blocks, and a strided sweep costs more than the
-// copy it saves. For a thread that computes in place on an input block of
-// its own, the storage is that block; for any other, its output block. The
-// plan decides it for sagert (plan.Thread.Result), rtl's layout from its
-// Program, both through this predicate.
-func ResultBacked(toSink bool, part model.Region, threads, rows, cols int) bool {
-	whole := model.Region{Rows: rows, Cols: cols}
-	return toSink && part.C0 == 0 && part.Cols == cols && part.R0 >= 0 && part.R0+part.Rows <= rows &&
-		!(threads > 1 && part == whole)
+// A ResultThread is a thread as ResultBacked reads it: its function (shared
+// by the function's threads), its storage's partition and its function's
+// thread count (Threads 0: no storage of its own, or not one output port),
+// its consumers, and whether it forwards: computes in place on the dense
+// view it adopted, so that its sends are views of its producer's storage.
+type ResultThread struct {
+	Fn, Threads int
+	Part        model.Region
+	Out         []int
+	Forwards    bool
+}
+
+// A ResultSink is a sink as ResultBacked reads it: its threads, its result's
+// shape, and whether its threads' transfers cover the result (Covers).
+type ResultSink struct {
+	Threads    []int
+	Rows, Cols int
+	Covered    bool
+}
+
+// ResultBacked is the result-backing rule both runtimes read (sagert through
+// plan.Plan.Results, rtl through its layout): per thread, the sink whose
+// result matrix holds its storage — the input block it computes in place on
+// when it owns one, its output block otherwise — or -1. A storage qualifies
+// when each thread that reads it, its consumers and through one that
+// forwards that one's, is a thread of the sink or a transitive producer of
+// every sink thread: the owner writes it before sending a view of it, and a
+// sink stores an iteration's payloads once all have arrived, after every
+// reader has finished. Its partition must be the thread's own, not the whole
+// result replicated, and span the result's width, so that its rows hold it
+// densely (ResultView): kinds compute on dense blocks, and a strided sweep
+// of a pitched view such as fft_cols's column stripe costs more than the
+// copy it saves. A result holds one storage: the first function's in thread
+// order whose views go only to the sink, which then copies nothing; else,
+// if the sink's transfers cover the result, the first qualifying function's.
+func ResultBacked(ts []ResultThread, sinks []ResultSink) []int {
+	result := make([]int, len(ts))
+	for u := range result {
+		result[u] = -1
+	}
+	for si, s := range sinks {
+		// at marks the sink's threads 2 and the threads that reach all of them 1.
+		at, reached := make([]uint8, len(ts)), make([]int, len(ts))
+		for _, k := range s.Threads {
+			reach := make([]bool, len(ts))
+			reach[k], at[k] = true, 2
+			for changed := true; changed; {
+				changed = false
+				for u, t := range slices.Backward(ts) {
+					if !reach[u] && slices.ContainsFunc(t.Out, func(v int) bool { return reach[v] }) {
+						reach[u], changed, reached[u] = true, true, reached[u]+1
+						if reached[u] == len(s.Threads) {
+							at[u] = max(at[u], 1)
+						}
+					}
+				}
+			}
+		}
+		whole, pick := model.Region{Rows: s.Rows, Cols: s.Cols}, -1
+		for least := uint8(2); least > 0 && pick < 0; least-- {
+			for u, t := range ts {
+				fits := t.Part.C0 == 0 && t.Part.Cols == s.Cols && t.Part.R0 >= 0 && t.Part.R0+t.Part.Rows <= s.Rows &&
+					t.Threads > 0 && !(t.Threads > 1 && t.Part == whole)
+				if result[u] < 0 && fits && (least == 2 || s.Covered) && (pick < 0 || t.Fn == ts[pick].Fn) && readersAt(ts, u, at, least, 0) {
+					pick, result[u] = u, si
+				}
+			}
+		}
+	}
+	return result
+}
+
+// readersAt reports whether each reader of the views thread u sends is marked
+// at least least in at; a forwarding chain longer than the plan is a cycle.
+func readersAt(ts []ResultThread, u int, at []uint8, least uint8, depth int) bool {
+	for _, v := range ts[u].Out {
+		if at[v] < least || depth == len(ts) || ts[v].Forwards && !readersAt(ts, v, at, least, depth+1) {
+			return false
+		}
+	}
+	return true
+}
+
+// Covers reports whether the n regions region(0), …, region(n-1), which lie
+// inside part, write every sample of it. Cut along every region edge, part
+// falls into cells that each lie wholly inside a region or outside all.
+func Covers(part model.Region, n int, region func(i int) model.Region) bool {
+	rows, cols, rs := make([]int, 2, 2+2*n), make([]int, 2, 2+2*n), make([]model.Region, n)
+	rows[0], rows[1], cols[0], cols[1] = part.R0, part.R0+part.Rows, part.C0, part.C0+part.Cols
+	for i := range n {
+		r := region(i)
+		rows, cols, rs[i] = append(rows, r.R0, r.R0+r.Rows), append(cols, r.C0, r.C0+r.Cols), r
+	}
+	slices.Sort(rows)
+	slices.Sort(cols)
+	rows, cols = slices.Compact(rows), slices.Compact(cols)
+	for i := 0; i+1 < len(rows); i++ {
+		for j := 0; j+1 < len(cols); j++ {
+			cell := model.Region{R0: rows[i], C0: cols[j], Rows: rows[i+1] - rows[i], Cols: cols[j+1] - cols[j]}
+			if !slices.ContainsFunc(rs, func(r model.Region) bool { return cell.Intersect(r) == cell }) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ResultView returns region reg of the result matrix m as a block: the

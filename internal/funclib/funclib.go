@@ -87,7 +87,8 @@ type Context struct {
 	// Sink, when non-nil, receives the blocks a sink-kind function
 	// consumes: the sequential oracle collects its outputs through it. The
 	// runtimes leave it nil — a sink port there holds no samples, its
-	// payloads are stored as they arrive (StoreSink).
+	// payloads are stored once all of an iteration's have arrived
+	// (StoreSink).
 	Sink func(port string, b *Block)
 }
 

@@ -12,9 +12,10 @@
 // Which threads may compute in place (Thread.InPlace) is the tables': whether
 // anybody else reads a thread's input block follows from the lanes alone, so
 // it is decided here, once, and the runtime that carries samples reads it —
-// as are the two layout decisions of DESIGN.md §14: which threads keep their
-// storage in a sink's result (Thread.Result) and which land their payloads
-// transposed (Thread.Transposes).
+// as are the two layout decisions of DESIGN.md §14: which threads land their
+// payloads transposed (Thread.Transposes) and which keep their storage in a
+// sink's result (Results, decided on demand: only a run that carries samples
+// asks).
 package plan
 
 import (
@@ -88,13 +89,6 @@ type Thread struct {
 	// producer port's other edges), so out["out"] is in["in"] and no output
 	// block is allocated.
 	InPlace bool
-	// Result indexes Plan.Sinks on a result-backed thread
-	// (funclib.ResultBacked): its storage — its input block when it computes
-	// in place on one of its own, its output block otherwise — is a view of
-	// that sink's result matrix. -1 on every other thread, and on a thread
-	// that computes in place on a dense view it adopted, which has no storage
-	// of its own.
-	Result int
 	// Transposes marks a thread that lands its payloads in the transposed
 	// view of its output block (funclib.LandsTransposed): its input port has
 	// no block of its own, and Compute finds its output written.
@@ -212,36 +206,44 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 			port.Adopt = len(port.Edges) == 1 && p.Edges[port.Edges[0]].X.Region == port.Region
 		}
 		tp.InPlace = p.ownsInput(tp)
-		tp.Result = p.resultOf(tp)
 		tp.Transposes = len(tp.Ins) == 1 && len(tp.Outs) == 1 &&
 			funclib.LandsTransposed(tp.Impl, tp.Ins[0].Region, tp.Outs[0].Region)
 	}
 	return p, nil
 }
 
-// resultOf decides Thread.Result: the sink every edge of the thread's one
-// output port reaches, if the thread has storage of its own and
-// funclib.ResultBacked admits it.
-func (p *Plan) resultOf(tp *Thread) int {
-	if len(tp.Outs) != 1 || len(tp.Outs[0].Edges) == 0 {
-		return -1
-	}
-	if tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig {
-		return -1 // its block is the producer's view
-	}
-	out := &tp.Outs[0]
-	fn := p.Threads[p.Edges[out.Edges[0]].Dst].Fn
-	toSink := true
-	for _, ei := range out.Edges {
-		toSink = toSink && p.Threads[p.Edges[ei].Dst].Fn == fn
-	}
-	for si := range p.Sinks {
-		s := &p.Sinks[si]
-		if s.Fn == fn && funclib.ResultBacked(toSink, out.Region, tp.Fn.Threads, s.Rows, s.Cols) {
-			return si
+// Results indexes Sinks, per thread, by the sink whose result matrix holds
+// the thread's storage, or is -1 (funclib.ResultBacked); a thread that
+// computes in place on a dense view it adopted has no storage of its own.
+func (p *Plan) Results() []int {
+	ts := make([]funclib.ResultThread, len(p.Threads))
+	out := make([]int, 0, len(p.Edges))
+	for ti := range p.Threads {
+		tp, start := &p.Threads[ti], len(out)
+		for pi := range tp.Outs {
+			for _, ei := range tp.Outs[pi].Edges {
+				out = append(out, p.Edges[ei].Dst)
+			}
+		}
+		t := &ts[ti]
+		t.Fn, t.Out = tp.Fn.ID, out[start:]
+		t.Forwards = tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig // its block is the producer's view
+		if len(tp.Outs) == 1 && len(t.Out) > 0 && !t.Forwards {
+			t.Part, t.Threads = tp.Outs[0].Region, tp.Fn.Threads
 		}
 	}
-	return -1
+	sinks := make([]funclib.ResultSink, len(p.Sinks))
+	for si := range p.Sinks {
+		s := &p.Sinks[si]
+		sinks[si] = funclib.ResultSink{Rows: s.Rows, Cols: s.Cols, Covered: true} // the threads' partitions tile the result
+		for ti := p.First[s.Fn.ID]; ti < p.First[s.Fn.ID]+s.Fn.Threads; ti++ {
+			in := &p.Threads[ti].Ins[0]
+			sinks[si].Threads = append(sinks[si].Threads, ti)
+			sinks[si].Covered = sinks[si].Covered &&
+				funclib.Covers(in.Region, len(in.Edges), func(i int) model.Region { return p.Edges[in.Edges[i]].X.Region })
+		}
+	}
+	return funclib.ResultBacked(ts, sinks)
 }
 
 // ownsInput decides Thread.InPlace: one scan of the producer port's edges per

@@ -22,8 +22,9 @@ type runner struct {
 	sinkDone    []sim.Time
 
 	// sinks holds the collected sinks, indexed like plan.Sinks; the first is
-	// Result.Output's.
-	sinks []sinkOut
+	// Result.Output's. results is the plan's Results when any are collected.
+	sinks   []sinkOut
+	results []int
 	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
 	// thread touches its credits and overcommit, only its two endpoints its
 	// queue, so sharded runs need no lock.
@@ -60,7 +61,7 @@ func (r *runner) collectOutput() {
 	if r.opts.ComputeIterations == 0 {
 		return
 	}
-	r.sinks = make([]sinkOut, len(r.plan.Sinks))
+	r.sinks, r.results = make([]sinkOut, len(r.plan.Sinks)), r.plan.Results()
 	for si := range r.plan.Sinks {
 		r.sinks[si].Sink = &r.plan.Sinks[si]
 	}

@@ -52,11 +52,9 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 		t.Fatalf("5-iteration run allocates %d bytes, 1-iteration run %d: ratio %.2f, want < 1.25",
 			five, one, float64(five)/float64(one))
 	}
-	// One compute iteration holds the source's block — fft_rows adopts its
-	// row stripes exclusively and transforms them where they lie — the blocks
-	// fft_cols assembles its tiles into, transformed in place too, and the
-	// assembled output: three matrices' worth, so four is the bar. Corner-turn
-	// tiles travel as pitched views and the sink's payloads land in the output.
+	// One compute iteration holds at most four matrices' worth of samples;
+	// TestAllocCeilingFFT512 pins the two it holds today. Corner-turn tiles
+	// travel as pitched views and the sink's payloads land in the output.
 	matrix := uint64(512 * 512 * 16)
 	t.Logf("1-iteration run allocates %.2f matrices, 5-iteration run %.2f", float64(one)/float64(matrix), float64(five)/float64(matrix))
 	if one > 4*matrix {
@@ -91,6 +89,34 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 	got := min(allocBytes(runWide), allocBytes(runWide), allocBytes(runWide))
 	if got > 13_700_000 {
 		t.Fatalf("1024-node run allocates %d bytes, more than the 13.7 MB it took before the shared plan", got)
+	}
+}
+
+// TestAllocCeilingFFT512 pins what one data set of an fft2d 512 on 8 CSPI
+// nodes costs sagert: two matrices. The source's block lies in the sink's
+// result (funclib.ResultBacked: its readers, fft_rows transforming the row
+// stripes it adopts where they lie and fft_cols landing its tiles from them,
+// all precede the sink), and fft_cols assembles its tiles into blocks of its
+// own and transforms them in place; the sink then overwrites the result. One
+// megabyte covers the plan and the run's bookkeeping. A third matrix — the
+// source's block outside the result — fails it.
+func TestAllocCeilingFFT512(t *testing.T) {
+	pl := platforms.CSPI()
+	out, err := experiments.GenerateTables(experiments.AppFFT2D, pl, 8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := sagert.Run(out.Tables, pl, sagert.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm one-time state outside the measurement
+	const matrix = 512 * 512 * 16
+	got := allocBytes(run)
+	t.Logf("one run allocates %d bytes, %.2f matrices", got, float64(got)/matrix)
+	if got > 2*matrix+1<<20 {
+		t.Fatalf("one run allocates %d bytes, more than two matrices and 1 MB (%d)", got, 2*matrix+1<<20)
 	}
 }
 
