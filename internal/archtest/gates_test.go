@@ -95,11 +95,16 @@ func packagesBelow(t *testing.T, dirs ...string) []string {
 
 // TestSingleLowering: the tables are lowered once, in internal/plan. No
 // non-test file of a table consumer — sagert, stream, twin, codegen and the
-// packages below them — refers to model.Partition or declares a data or
-// credit tag function of its own; the tags are plan.Edge's.
+// packages below them, rtl among them — refers to model.Partition or
+// declares a data or credit tag function of its own; the tags are
+// plan.Edge's. Nor does one refer to funclib.ResultBacked or
+// funclib.OwnsAdopted: the plan makes every storage decision, and the
+// runtimes carry it out (DESIGN.md §14).
 func TestSingleLowering(t *testing.T) {
 	l := newLoader()
 	partition := lookup(t, mustLoad(t, l, "repro/internal/model"), "Partition")
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	decides := map[types.Object]bool{lookup(t, fl, "ResultBacked"): true, lookup(t, fl, "OwnsAdopted"): true}
 	plan := mustLoad(t, l, "repro/internal/plan")
 	member(t, plan, "Edge", "DataTag")
 	member(t, plan, "Edge", "CreditTag")
@@ -113,6 +118,9 @@ func TestSingleLowering(t *testing.T) {
 				case *ast.Ident:
 					if p.info.Uses[n] == partition {
 						t.Errorf("%s: %s lowers tables itself (model.Partition); use internal/plan", l.fset.Position(n.Pos()), path)
+					}
+					if obj := p.info.Uses[n]; decides[obj] {
+						t.Errorf("%s: %s makes a storage decision itself (funclib.%s); read plan.Thread or plan.Layout", l.fset.Position(n.Pos()), path, obj.Name())
 					}
 				case *ast.FuncDecl:
 					if isTag.MatchString(n.Name.Name) {

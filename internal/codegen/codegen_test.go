@@ -26,7 +26,9 @@ func reg(r0, c0, rows, cols int) model.Region {
 
 // goldenProgram is a small hand-built program exercising every emitter
 // feature: multiple threads, striped transfers, every parameter literal
-// type, and a sink shape.
+// type, a sink shape, and a result host: the source's block lies in the
+// sink's result, so no port has a storage (the planned programs below emit
+// storages).
 func goldenProgram() *rtl.Program {
 	return &rtl.Program{
 		App:        "golden",
@@ -37,6 +39,7 @@ func goldenProgram() *rtl.Program {
 			{
 				Fn: "src", Kind: "source_matrix", Node: 0, Thread: 0, Threads: 1,
 				Params: map[string]any{"seed": 7, "gain": 1.5, "tag": "x", "fast": true},
+				Result: "snk",
 				Outs: []rtl.Port{{Name: "out", Region: reg(0, 0, 4, 4), Xfers: []rtl.Xfer{
 					{Conn: 0, Region: reg(0, 0, 2, 4)},
 					{Conn: 1, Region: reg(2, 0, 2, 4)},

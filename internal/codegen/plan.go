@@ -22,7 +22,8 @@ import (
 // given number of iterations: plan thread i becomes Threads[i], plan edge i
 // becomes lane Conns[i]. The Program is the emitter's self-contained serial
 // form — emitted binaries link rtl, never gluegen — so the plan is copied
-// into it field for field, not referenced.
+// into it field for field, not referenced: its storage decisions too
+// (plan.Thread.InPlace and Transposes, plan.Layout), which rtl only allocates.
 func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 	xp, err := plan.Build(tables)
 	if err != nil {
@@ -44,13 +45,18 @@ func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 			DstFn: xp.Threads[e.Dst].Fn.Name, DstThread: e.X.DstThread,
 		}
 	}
+	layouts := xp.Layouts()
 	for i := range xp.Threads {
-		tp := &xp.Threads[i]
+		tp, l := &xp.Threads[i], &layouts[i]
 		fe := tp.Fn
 		t := rtl.Thread{
 			Fn: fe.Name, Kind: fe.Kind, Node: tp.Node,
 			Thread: tp.Index, Threads: fe.Threads, Params: copyParams(fe.Params),
-			Ins: copyPorts(xp, tp.Ins), Outs: copyPorts(xp, tp.Outs),
+			Ins: copyPorts(xp, tp.Ins, l.Ins), Outs: copyPorts(xp, tp.Outs, l.Outs),
+			InPlace: tp.InPlace, Transposes: tp.Transposes,
+		}
+		if l.Result >= 0 {
+			t.Result = xp.Sinks[l.Result].Fn.Name
 		}
 		p.Threads[i] = t
 	}
@@ -67,12 +73,15 @@ func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 	return p, nil
 }
 
-func copyPorts(xp *plan.Plan, ports []plan.Port) []rtl.Port {
+func copyPorts(xp *plan.Plan, ports []plan.Port, storages []*plan.Storage) []rtl.Port {
 	var out []rtl.Port
 	for pi := range ports {
 		port := rtl.Port{Name: ports[pi].Entry.Name, Region: ports[pi].Region}
 		for _, ei := range ports[pi].Edges {
 			port.Xfers = append(port.Xfers, rtl.Xfer{Conn: int(ei), Region: xp.Edges[ei].X.Region})
+		}
+		if s := storages[pi]; s != nil {
+			port.Storage = &rtl.Storage{Readers: s.Readers, Clear: s.Clear}
 		}
 		out = append(out, port)
 	}

@@ -12,48 +12,6 @@ import (
 	"repro/internal/model"
 )
 
-// OwnedInputs exposes the in-place decision Execute makes for a validated
-// program, so the external tests can hold it to plan.Build's.
-func OwnedInputs(p *Program) ([]bool, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return newLayout(p).inPlace, nil
-}
-
-// ResultBacking exposes the two layout decisions Execute makes for a
-// validated program, so the external tests can hold them to plan.Build's:
-// per thread, the sink function whose result matrix holds its storage ("" for
-// none), and whether it lands its payloads transposed.
-func ResultBacking(p *Program) (results []string, transposes []bool, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	l := newLayout(p)
-	results = make([]string, len(p.Threads))
-	for ti, sink := range l.results {
-		if sink != nil {
-			results[ti] = sink.Fn
-		}
-	}
-	return results, l.transposes, nil
-}
-
-// Storages counts the storages Execute's layout gives a validated program.
-func Storages(p *Program) (int, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	l := newLayout(p)
-	n := 0
-	for _, s := range slices.Concat(slices.Concat(l.ins...), slices.Concat(l.outs...)) {
-		if s != nil {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // Poisoned counts what ExecutePoisoned saw: the recycled blocks handed out,
 // how many of them skipped clearing and were filled with NaN, and how many of
 // those were the output blocks of threads that land transposed.
@@ -62,7 +20,7 @@ type Poisoned struct {
 }
 
 // ExecutePoisoned runs a validated p with every recycled block that is not
-// cleared filled with NaN before reuse, so a sample the layout wrongly
+// cleared filled with NaN before reuse, so a sample the plan wrongly
 // assumes rewritten shows in the sinks, and counts the recycled blocks.
 func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 	if err := p.Validate(); err != nil {
@@ -75,7 +33,7 @@ func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 		recycled.Add(1)
 		if !cleared {
 			poisoned.Add(1)
-			if e.transposes[ti] { // its only storage is its output
+			if p.Threads[ti].Transposes { // its only storage is its output
 				transposed.Add(1)
 			}
 			for i := range b.Data {
@@ -88,15 +46,15 @@ func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 }
 
 // ReceivesOutsideReaders runs a validated p and holds every payload a thread
-// receives to the layout. A payload that lies in an iteration's result
-// matrix lies in the storage a result-backed thread keeps there: when that
-// storage's views go only to the sink, it may be received only by a thread of
-// that sink; otherwise also by a thread that precedes every thread of the
-// sink, found by a search over the lanes. Any other payload must lie in a
-// block of some storage, and the receiving thread must be one of that
-// storage's readers. It returns how many payloads it checked, how many of
-// them lay in a result and were received by the sink or by another thread,
-// and a line for each that fails.
+// receives to the storage records. A payload that lies in an iteration's
+// result matrix lies in the storage a result-backed thread keeps there: when
+// that storage's views go only to the sink, it may be received only by a
+// thread of that sink; otherwise also by a thread that precedes every thread
+// of the sink, found by a search over the lanes. Any other payload must lie in
+// a block of some storage, and the receiving thread must be one of that
+// storage's readers. It returns how many payloads it checked, how many of them
+// lay in a result and were received by the sink or by another thread, and a
+// line for each that fails.
 func ReceivesOutsideReaders(p *Program) (checked, bySink, byOthers int, bad []string, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, 0, 0, nil, err
@@ -205,9 +163,9 @@ func ReceivesOutsideReaders(p *Program) (checked, bySink, byOthers int, bad []st
 		switch {
 		case in == nil:
 			bad = append(bad, fmt.Sprintf("%s[%d] received %v from no storage", t.Fn, t.Thread, r.region))
-		case !slices.Contains(in.readers, r.thread):
+		case !slices.Contains(in.Readers, r.thread):
 			bad = append(bad, fmt.Sprintf("%s[%d] received %v from a %v storage it is not a reader of (readers %v)",
-				t.Fn, t.Thread, r.region, in.region, in.readers))
+				t.Fn, t.Thread, r.region, in.region, in.Readers))
 		}
 	}
 	return len(got), bySink, byOthers, bad, nil

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/model"
-	"repro/internal/plan"
 	"repro/internal/platforms"
 )
 
@@ -67,70 +67,6 @@ func viewsAcrossGOMAXPROCS(t *testing.T, name string) {
 				}
 			}
 		})
-	}
-}
-
-// TestOwnedInputsMatchPlan: rtl decides which threads compute in place from
-// the Program's own transfers, sagert reads plan.Build's decision off the
-// tables; over the corpus and 64 generated graphs the two are the same
-// decision, thread for thread.
-func TestOwnedInputsMatchPlan(t *testing.T) {
-	files, err := filepath.Glob("../../conformance/testdata/corpus/*.case")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no corpus cases (%v)", err)
-	}
-	var cases []*conformance.Case
-	for _, f := range files {
-		c, err := conformance.ReadCaseFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, c)
-	}
-	for seed := int64(0); seed < 64; seed++ {
-		c, err := conformance.Generate(seed, conformance.GenConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, c)
-	}
-	inPlace := 0
-	for _, c := range cases {
-		pl, err := platforms.ByName(c.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: pl, NumNodes: c.Nodes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		xp, err := plan.Build(out.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := codegen.Plan(out.Tables, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owned, err := rtl.OwnedInputs(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(owned) != len(xp.Threads) {
-			t.Fatalf("%s seed %d: %d program threads, %d plan threads", c.App.Name, c.Seed, len(owned), len(xp.Threads))
-		}
-		for ti := range xp.Threads {
-			if owned[ti] {
-				inPlace++
-			}
-			if owned[ti] != xp.Threads[ti].InPlace {
-				t.Errorf("%s seed %d: %s[%d]: rtl in place %v, plan %v", c.App.Name, c.Seed,
-					prog.Threads[ti].Fn, prog.Threads[ti].Thread, owned[ti], xp.Threads[ti].InPlace)
-			}
-		}
-	}
-	if inPlace == 0 {
-		t.Fatal("no thread of any case computes in place")
 	}
 }
 
@@ -219,8 +155,8 @@ func reuseCases(t *testing.T, s int) (cases []*conformance.Case, progs []*rtl.Pr
 }
 
 // TestRecycledBlocksMatchOracle runs every reuse case with each recycled
-// block that the layout does not clear filled with NaN first: a transfer
-// set the layout wrongly believes covers its partition, or a block reused
+// block that the plan does not clear filled with NaN first: a transfer
+// set the plan wrongly believes covers its partition, or a block reused
 // while a reader still needs it, changes a sink bit. Every iteration must
 // equal the sequential oracle bitwise. Every case that still has a storage
 // must have recycled a block — the corpus draws only 1–3 iterations, where
@@ -238,9 +174,13 @@ func TestRecycledBlocksMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d slots %d: %v", c.App.Name, c.Seed, s, err)
 			}
-			storages, err := rtl.Storages(prog)
-			if err != nil {
-				t.Fatal(err)
+			storages := 0
+			for _, th := range prog.Threads {
+				for _, pp := range slices.Concat(th.Ins, th.Outs) {
+					if pp.Storage != nil {
+						storages++
+					}
+				}
 			}
 			if storages > 0 {
 				withStorage++
@@ -267,59 +207,6 @@ func TestRecycledBlocksMatchOracle(t *testing.T) {
 		t.Fatal("no recycled block skipped clearing: the poison checked nothing")
 	}
 	t.Logf("%d cases with storage, %d recycled blocks poisoned", withStorage, poisoned)
-}
-
-// TestResultBackingMatchesPlan: rtl's layout decides which threads keep their
-// storage in a sink's result and which land transposed from the Program's own
-// transfers; sagert reads plan.Build's decisions off the tables. Over the
-// corpus and 64 generated graphs the two are the same decisions, thread for
-// thread, and each is taken somewhere.
-func TestResultBackingMatchesPlan(t *testing.T) {
-	var cases []*conformance.Case
-	cases, _ = reuseCases(t, 1)
-	backed, transposed := 0, 0
-	for _, c := range cases {
-		pl, err := platforms.ByName(c.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: pl, NumNodes: c.Nodes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		xp, err := plan.Build(out.Tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := codegen.Plan(out.Tables, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, transposes, err := rtl.ResultBacking(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planned := xp.Results()
-		for ti := range xp.Threads {
-			tp := &xp.Threads[ti]
-			want := ""
-			if si := planned[ti]; si >= 0 {
-				want = xp.Sinks[si].Fn.Name
-				backed++
-			}
-			if tp.Transposes {
-				transposed++
-			}
-			if results[ti] != want || transposes[ti] != tp.Transposes {
-				t.Errorf("%s seed %d: %s[%d]: rtl result %q transposes %v, plan %q %v", c.App.Name, c.Seed,
-					prog.Threads[ti].Fn, prog.Threads[ti].Thread, results[ti], transposes[ti], want, tp.Transposes)
-			}
-		}
-	}
-	if backed == 0 || transposed == 0 {
-		t.Fatalf("%d result-backed and %d transposing threads: a decision was never taken", backed, transposed)
-	}
-	t.Logf("%d result-backed threads, %d that land transposed", backed, transposed)
 }
 
 // turnCases builds generated cases in which transpose_block feeds a consumer

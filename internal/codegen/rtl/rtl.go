@@ -18,22 +18,21 @@
 //     exactly Iterations messages — no more, no fewer.
 //
 // A Program is a closed plan: it references function kinds from
-// internal/funclib by name but carries every region, lane and thread
-// explicitly, so the generated source that embeds one is self-contained and
-// auditable. Execution is deterministic by construction — every lane has one
-// writer and one reader, every kind is a pure function of its inputs, and
-// sink assembly writes disjoint or identical regions — so two runs (or the
-// in-process and the compiled form of the same Program) produce bitwise
-// identical outputs regardless of GOMAXPROCS or scheduling.
+// internal/funclib by name but carries every region, lane, thread and
+// storage decision explicitly, so the generated source that embeds one is
+// self-contained and auditable. Execution is deterministic by construction —
+// every lane has one writer and one reader, every kind is a pure function of
+// its inputs, and sink assembly writes disjoint or identical regions — so two
+// runs (or the in-process and the compiled form of the same Program) produce
+// bitwise identical outputs regardless of GOMAXPROCS or scheduling.
 //
 // Samples move through the block lifecycle of internal/funclib (DESIGN.md
 // §14), shared with the simulated runtime: a send is a view of the producer's
 // output block, never a packed copy, and a sink stores an iteration's
-// payloads in its result matrix once all have arrived. The blocks themselves
-// are the run's physical buffers (layout.go): each logical buffer a thread
-// writes — an assembled input, a pitched payload copied dense, an output not
-// computed in place — gets Slots blocks for the whole run, reused by
-// iteration number once every thread that reads them has finished with them.
+// payloads in its result matrix once all have arrived. The plan decides where
+// each block lies, the Program carries the decision, and rtl allocates it
+// (layout.go): each Storage gets min(Slots, Iterations) blocks for the whole
+// run, reused by iteration number once its readers have finished with them.
 package rtl
 
 import (
@@ -63,17 +62,24 @@ type Xfer struct {
 }
 
 // Port is one thread's view of one of its function's ports: the partition
-// the thread holds and the lanes that fill (inputs) or drain (outputs) it.
+// the thread holds, the lanes that fill (inputs) or drain (outputs) it, and
+// its physical storage.
 type Port struct {
 	Name   string
 	Region model.Region
 	Xfers  []Xfer
+	// Storage is the port's physical buffer (plan.Layout), nil for a port
+	// without one.
+	Storage *Storage
 }
 
-// adopts reports whether an input port's one transfer covers its whole
-// partition: a dense payload becomes the port's block, a pitched one is
-// copied dense into the port's storage (layout.go).
-func (p *Port) adopts() bool { return len(p.Xfers) == 1 && p.Xfers[0].Region == p.Region }
+// Storage is a port's physical buffer as the plan decided it (plan.Storage):
+// the threads that read a block during the iteration that wrote it, and
+// whether a recycled block is zeroed before reuse.
+type Storage struct {
+	Readers []int // indices into Program.Threads
+	Clear   bool
+}
 
 // Thread is one goroutine of the generated program: a single thread of a
 // function-table entry, bound to a funclib kind.
@@ -89,6 +95,11 @@ type Thread struct {
 	// SinkRows/SinkCols give the full assembly shape when Kind is
 	// "sink_matrix" (the sink's input port type before striping).
 	SinkRows, SinkCols int
+	// The plan's storage decisions (plan.Thread, plan.Layout): the thread
+	// computes into its input block, lands its payloads transposed in its
+	// output block, or keeps its storage in the result of sink Result.
+	InPlace, Transposes bool
+	Result              string
 }
 
 // Conn is one single-producer single-consumer transfer lane. The identity
@@ -135,8 +146,9 @@ type Result struct {
 
 // Validate checks the program's structural integrity: a positive iteration
 // count, known kinds, every lane referenced by exactly one producer and one
-// consumer xfer, every xfer region inside its port partition, and sink
-// threads carrying an assembly shape.
+// consumer xfer, every xfer region inside its port partition, sink threads
+// carrying an assembly shape, and storage decisions Execute can carry out
+// (validateStorage).
 func (p *Program) Validate() error {
 	if p.Iterations < 1 {
 		return fmt.Errorf("rtl: program declares %d iterations", p.Iterations)
@@ -146,6 +158,7 @@ func (p *Program) Validate() error {
 	}
 	produced := make([]int, len(p.Conns))
 	consumed := make([]int, len(p.Conns))
+	from, to := make([]*Port, len(p.Conns)), make([]int, len(p.Conns)) // each lane's producing port, consuming thread
 	for ti := range p.Threads {
 		t := &p.Threads[ti]
 		if _, err := funclib.Lookup(t.Kind); err != nil {
@@ -165,6 +178,11 @@ func (p *Program) Validate() error {
 						return fmt.Errorf("rtl: %s[%d] %s port %s: conn %d out of range", t.Fn, t.Thread, side, pp.Name, x.Conn)
 					}
 					counts[x.Conn]++
+					if side == "input" {
+						to[x.Conn] = ti
+					} else {
+						from[x.Conn] = pp
+					}
 					if x.Region.Intersect(pp.Region) != x.Region {
 						return fmt.Errorf("rtl: %s[%d] %s port %s: transfer region %v spills outside partition %v",
 							t.Fn, t.Thread, side, pp.Name, x.Region, pp.Region)
@@ -186,6 +204,76 @@ func (p *Program) Validate() error {
 				ci, p.Conns[ci], produced[ci], consumed[ci])
 		}
 	}
+	return p.validateStorage(from, to)
+}
+
+// validateStorage checks the structure of the storage decisions the program
+// carries, which Execute carries out without deciding anything (DESIGN.md
+// §14). from and to are each lane's producing port and consuming thread.
+func (p *Program) validateStorage(from []*Port, to []int) error {
+	for ti := range p.Threads {
+		t := &p.Threads[ti]
+		im, _ := funclib.Lookup(t.Kind)
+		one, hosted := len(t.Ins) == 1 && len(t.Outs) == 1, t.Result != ""
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("rtl: %s[%d]: "+format, append([]any{t.Fn, t.Thread}, args...)...)
+		}
+		switch {
+		case t.InPlace && !(im.InPlace && one && t.Ins[0].Region == t.Outs[0].Region):
+			return fail("computes in place, but is no InPlace kind with one input and one output over one region")
+		case t.Transposes && !(one && funclib.LandsTransposed(im, t.Ins[0].Region, t.Outs[0].Region)):
+			return fail("lands transposed, but is no Transposes kind from a region to its transpose")
+		case hosted && p.host(t) < 0:
+			return fail("result host %q is no sink_matrix function", t.Result)
+		case hosted: // the storage lies densely in the result's rows (funclib.ResultView)
+			h := &p.Threads[p.host(t)]
+			whole := model.Region{Rows: h.SinkRows, Cols: h.SinkCols}
+			if len(t.Outs) != 1 || t.Outs[0].Region.Intersect(whole) != t.Outs[0].Region || !funclib.ContiguousIn(t.Outs[0].Region, whole) {
+				return fail("no one output partition spans the full width of sink %s's %dx%d result", h.Fn, h.SinkRows, h.SinkCols)
+			}
+		}
+		// port checks the storage of port pp, whose blocks the lanes of sends
+		// carry views of; bare says whether pp may have none instead.
+		port := func(pp *Port, sends []Xfer, bare bool, why string) error {
+			s := pp.Storage
+			if s == nil {
+				if bare {
+					return nil
+				}
+				return fail("port %s has no storage, yet %s", pp.Name, why)
+			}
+			for _, r := range s.Readers {
+				if r < 0 || r >= len(p.Threads) {
+					return fail("port %s: reader %d out of range", pp.Name, r)
+				}
+			}
+			if !slices.Contains(s.Readers, ti) {
+				return fail("port %s: readers %v miss the owner", pp.Name, s.Readers)
+			}
+			for _, x := range sends {
+				if c := &p.Threads[to[x.Conn]]; !slices.Contains(s.Readers, to[x.Conn]) {
+					return fail("port %s: readers %v miss consumer %s[%d]", pp.Name, s.Readers, c.Fn, c.Thread)
+				}
+			}
+			return nil
+		}
+		for pi := range t.Ins {
+			pp, sends := &t.Ins[pi], []Xfer(nil)
+			if t.InPlace { // the block goes on as the output
+				sends = t.Outs[0].Xfers
+			}
+			adopts := len(pp.Xfers) == 1 && pp.Xfers[0].Region == pp.Region && funclib.ContiguousIn(pp.Region, from[pp.Xfers[0].Conn].Region)
+			bare := t.Kind == "sink_matrix" || t.Transposes || t.InPlace && hosted || adopts
+			if err := port(pp, sends, bare, "adopts no one whole-partition payload contiguous in its producer's port"); err != nil {
+				return err
+			}
+		}
+		for pi := range t.Outs {
+			if err := port(&t.Outs[pi], t.Outs[pi].Xfers, t.InPlace || hosted, "is neither in place nor in a result"); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -200,9 +288,13 @@ func (p *Program) slots() int {
 // exec is one execution's runtime state.
 type exec struct {
 	p *Program
-	*layout
-	chans []chan *funclib.Block
-	abort chan struct{}
+	// results holds, for a result-backed thread, a thread of the sink whose
+	// result matrix holds its storage; ins and outs hold each port's storage
+	// (layout.go), nil for a port without one.
+	results   []*Thread
+	ins, outs [][]*storage
+	chans     []chan *funclib.Block
+	abort     chan struct{}
 
 	errOnce sync.Once
 	err     error
@@ -230,17 +322,26 @@ type hooks struct {
 	recycle func(thread int, b *funclib.Block, cleared bool) // a block handed out again, before clearing
 }
 
-// newExec prepares the layout and channels of a validated program.
+// newExec prepares the storages and channels of a validated program.
 func newExec(p *Program) *exec {
 	e := &exec{
-		p:      p,
-		layout: newLayout(p),
-		chans:  make([]chan *funclib.Block, len(p.Conns)),
-		abort:  make(chan struct{}),
-		done:   make([]int, len(p.Threads)),
-		iters:  make([]map[string]*isspl.Matrix, p.Iterations),
+		p:       p,
+		results: make([]*Thread, len(p.Threads)),
+		ins:     make([][]*storage, len(p.Threads)),
+		outs:    make([][]*storage, len(p.Threads)),
+		chans:   make([]chan *funclib.Block, len(p.Conns)),
+		abort:   make(chan struct{}),
+		done:    make([]int, len(p.Threads)),
+		iters:   make([]map[string]*isspl.Matrix, p.Iterations),
 	}
 	e.finished.L = &e.mu
+	for ti := range p.Threads {
+		t := &p.Threads[ti]
+		if h := p.host(t); h >= 0 {
+			e.results[ti] = &p.Threads[h]
+		}
+		e.ins[ti], e.outs[ti] = newStorages(p, t.Ins), newStorages(p, t.Outs)
+	}
 	for i := range e.chans {
 		e.chans[i] = make(chan *funclib.Block, p.slots())
 	}
@@ -300,7 +401,7 @@ func (e *exec) acquire(ti int, s *storage, iter int) *funclib.Block {
 		return b // first use: zeroed by allocate
 	}
 	e.mu.Lock()
-	for _, r := range s.readers {
+	for _, r := range s.Readers {
 		for e.done[r] <= iter-P && !e.aborted {
 			if e.hooks.park != nil {
 				e.hooks.park(ti)
@@ -314,9 +415,9 @@ func (e *exec) acquire(ti int, s *storage, iter int) *funclib.Block {
 		return nil
 	}
 	if e.hooks.recycle != nil {
-		e.hooks.recycle(ti, b, s.clear)
+		e.hooks.recycle(ti, b, s.Clear)
 	}
-	if s.clear {
+	if s.Clear {
 		clear(b.Data)
 	}
 	return b
@@ -391,13 +492,14 @@ func (e *exec) drainEOS(t *Thread) {
 // striped inputs into their blocks (a sink's, once all arrived, into the
 // iteration's result), compute, send striped outputs as views, publish the
 // iteration finished — then close lanes (EOS) and verify the inbound lanes
-// closed too. Every block it writes is one the layout chose: an input or output
+// closed too. Every block it writes is one the plan chose: an input or output
 // storage's block for this iteration, a view of the iteration's result
 // matrix on a result-backed thread, the transposed view of the output block
 // on a thread that lands transposed, or, on a thread that computes in place,
 // the input block, which goes on as the output.
 func (e *exec) threadMain(ti int) {
-	t, impl := &e.p.Threads[ti], e.impls[ti]
+	t := &e.p.Threads[ti]
+	impl, _ := funclib.Lookup(t.Kind) // Validate looked every kind up
 	in := make(map[string]*funclib.Block, len(t.Ins))
 	out := make(map[string]*funclib.Block, len(t.Outs))
 	ctx := &funclib.Context{
@@ -408,7 +510,7 @@ func (e *exec) threadMain(ti int) {
 	var payloads []*funclib.Block // a sink's, stored once all have arrived
 	for iter := 0; iter < e.p.Iterations; iter++ {
 		// A thread that lands transposed takes its output block first.
-		if e.transposes[ti] {
+		if t.Transposes {
 			if out[t.Outs[0].Name] = e.outputBlock(ti, 0, iter); out[t.Outs[0].Name] == nil {
 				return
 			}
@@ -423,9 +525,9 @@ func (e *exec) threadMain(ti int) {
 			switch {
 			case sink:
 				blk = &funclib.Block{Region: pp.Region}
-			case e.transposes[ti]:
+			case t.Transposes:
 				blk = funclib.TransposedView(out[t.Outs[0].Name], pp.Region)
-			case e.inPlace[ti] && result != nil:
+			case t.InPlace && result != nil:
 				blk = funclib.ResultView(e.resultMatrix(iter, result), pp.Region)
 			case e.ins[ti][pi] != nil:
 				if blk = e.acquire(ti, e.ins[ti][pi], iter); blk == nil {
@@ -457,8 +559,8 @@ func (e *exec) threadMain(ti int) {
 		payloads = payloads[:0]
 		for pi := range t.Outs {
 			switch {
-			case e.transposes[ti]: // taken before its payloads landed
-			case e.inPlace[ti]:
+			case t.Transposes: // taken before its payloads landed
+			case t.InPlace:
 				out[t.Outs[pi].Name] = in[t.Ins[0].Name]
 			default:
 				if out[t.Outs[pi].Name] = e.outputBlock(ti, pi, iter); out[t.Outs[pi].Name] == nil {

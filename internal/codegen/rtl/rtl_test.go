@@ -25,12 +25,13 @@ func reg(r0, c0, rows, cols int) model.Region {
 func whole(rows, cols int) model.Region { return reg(0, 0, rows, cols) }
 
 // directProgram is the minimal 1-thread graph: source -> sink over one lane.
+// The source's block lies in the sink's result, so no port has a storage.
 func directProgram(rows, cols, iterations int) *Program {
 	return &Program{
 		App: "direct", Iterations: iterations, Slots: 2,
 		Threads: []Thread{
 			{Fn: "src", Kind: "source_matrix", Thread: 0, Threads: 1,
-				Params: map[string]any{"seed": 7},
+				Params: map[string]any{"seed": 7}, Result: "snk",
 				Outs: []Port{{Name: "out", Region: whole(rows, cols),
 					Xfers: []Xfer{{Conn: 0, Region: whole(rows, cols)}}}}},
 			{Fn: "snk", Kind: "sink_matrix", Thread: 0, Threads: 1,
@@ -199,13 +200,8 @@ func TestAbortReleasesBlockedThreads(t *testing.T) {
 	// there (a 3-sample row is no FFT length). The sink's transfer covers
 	// half its result, so the source's block cannot lie in it.
 	base := runtime.NumGoroutine()
-	bad := directProgram(4, 3, 3)
+	bad := uncoveredProgram(directProgram(4, 3, 3), "fft", "fft_rows")
 	bad.Slots = 1
-	bad.Threads = slices.Insert(bad.Threads, 1, Thread{Fn: "fft", Kind: "fft_rows", Thread: 0, Threads: 1,
-		Ins:  []Port{{Name: "in", Region: whole(4, 3), Xfers: []Xfer{{Conn: 0, Region: whole(4, 3)}}}},
-		Outs: []Port{{Name: "out", Region: whole(4, 3), Xfers: []Xfer{{Conn: 1, Region: reg(0, 0, 2, 3)}}}}})
-	bad.Threads[2].Ins[0].Xfers[0] = Xfer{Conn: 1, Region: reg(0, 0, 2, 3)}
-	bad.Conns = []Conn{{Buf: 0, SrcFn: "src", DstFn: "fft"}, {Buf: 1, SrcFn: "fft", DstFn: "snk"}}
 	if err := bad.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,24 +231,32 @@ func TestAbortReleasesBlockedThreads(t *testing.T) {
 	}
 }
 
+// uncoveredProgram puts a thread of kind, which computes in place on the
+// source's block it adopts, between the source and the sink of p, a
+// directProgram, and has it send the sink only the upper half of the block.
+// The source's block then cannot lie in the sink's result (the plan's
+// decision, TestUncoveredResultHostsNothing in internal/plan): the source
+// keeps a storage, which the thread and, through it, the sink read.
+func uncoveredProgram(p *Program, fn, kind string) *Program {
+	r := p.Threads[0].Outs[0].Region
+	half := reg(0, 0, r.Rows/2, r.Cols)
+	p.Threads[0].Result = ""
+	p.Threads[0].Outs[0].Storage = &Storage{Readers: []int{0, 1, 2}, Clear: true}
+	p.Threads = slices.Insert(p.Threads, 1, Thread{Fn: fn, Kind: kind, Thread: 0, Threads: 1, InPlace: true,
+		Ins:  []Port{{Name: "in", Region: r, Xfers: []Xfer{{Conn: 0, Region: r}}}},
+		Outs: []Port{{Name: "out", Region: r, Xfers: []Xfer{{Conn: 1, Region: half}}}}})
+	p.Threads[2].Ins[0].Xfers[0] = Xfer{Conn: 1, Region: half}
+	p.Conns = []Conn{{Buf: 0, SrcFn: "src", DstFn: fn}, {Buf: 1, SrcFn: fn, DstFn: "snk"}}
+	return p
+}
+
 // TestUncoveredResultHostsNothing: a source whose block a forwarding
-// identity sends on to a sink that receives only half of it may not keep that
-// block in the sink's result, where the half the sink never writes would
-// keep the source's samples. The result is the source's upper half and zero
-// below, as a fresh result would be, and the source keeps a storage.
+// identity sends on to a sink that receives only half of it keeps that
+// block in a storage of its own, not in the sink's result, where the half
+// the sink never writes would keep the source's samples. The result is the
+// source's upper half and zero below, as a fresh result would be.
 func TestUncoveredResultHostsNothing(t *testing.T) {
-	p := directProgram(4, 4, 2)
-	p.Threads = slices.Insert(p.Threads, 1, Thread{Fn: "id", Kind: "identity", Thread: 0, Threads: 1,
-		Ins:  []Port{{Name: "in", Region: whole(4, 4), Xfers: []Xfer{{Conn: 0, Region: whole(4, 4)}}}},
-		Outs: []Port{{Name: "out", Region: whole(4, 4), Xfers: []Xfer{{Conn: 1, Region: reg(0, 0, 2, 4)}}}}})
-	p.Threads[2].Ins[0].Xfers[0] = Xfer{Conn: 1, Region: reg(0, 0, 2, 4)}
-	p.Conns = []Conn{{Buf: 0, SrcFn: "src", DstFn: "id"}, {Buf: 1, SrcFn: "id", DstFn: "snk"}}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if l := newLayout(p); l.results[0] != nil || l.outs[0][0] == nil {
-		t.Fatalf("the source's block lies in a result the sink does not cover")
-	}
+	p := uncoveredProgram(directProgram(4, 4, 2), "id", "identity")
 	res, err := Execute(p)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +298,7 @@ func TestFanOutTwoSinks(t *testing.T) {
 					{Conn: 0, Region: whole(rows, cols)},
 					{Conn: 1, Region: whole(rows, cols)},
 					{Conn: 2, Region: whole(rows, cols)},
-				}}}},
+				}, Storage: &Storage{Readers: []int{0, 1, 2, 3}, Clear: true}}}},
 			{Fn: "snkA", Kind: "sink_matrix", Thread: 0, Threads: 1,
 				SinkRows: rows, SinkCols: cols,
 				Ins: []Port{{Name: "in", Region: whole(rows, cols),
@@ -340,7 +344,7 @@ func TestFanInDoubleArc(t *testing.T) {
 		App: "fanin", Iterations: 2, Slots: 2,
 		Threads: []Thread{
 			{Fn: "src", Kind: "source_matrix", Thread: 0, Threads: 1,
-				Params: map[string]any{"seed": 5},
+				Params: map[string]any{"seed": 5}, Result: "snk",
 				Outs: []Port{{Name: "out", Region: whole(rows, cols), Xfers: []Xfer{
 					{Conn: 0, Region: top}, {Conn: 1, Region: bot}, // arc a
 					{Conn: 2, Region: top}, {Conn: 3, Region: bot}, // arc b
@@ -350,13 +354,15 @@ func TestFanInDoubleArc(t *testing.T) {
 					{Name: "a", Region: top, Xfers: []Xfer{{Conn: 0, Region: top}}},
 					{Name: "b", Region: top, Xfers: []Xfer{{Conn: 2, Region: top}}},
 				},
-				Outs: []Port{{Name: "out", Region: top, Xfers: []Xfer{{Conn: 4, Region: top}}}}},
+				Outs: []Port{{Name: "out", Region: top, Xfers: []Xfer{{Conn: 4, Region: top}},
+					Storage: &Storage{Readers: []int{1, 3}, Clear: true}}}},
 			{Fn: "add", Kind: "add2", Thread: 1, Threads: 2,
 				Ins: []Port{
 					{Name: "a", Region: bot, Xfers: []Xfer{{Conn: 1, Region: bot}}},
 					{Name: "b", Region: bot, Xfers: []Xfer{{Conn: 3, Region: bot}}},
 				},
-				Outs: []Port{{Name: "out", Region: bot, Xfers: []Xfer{{Conn: 5, Region: bot}}}}},
+				Outs: []Port{{Name: "out", Region: bot, Xfers: []Xfer{{Conn: 5, Region: bot}},
+					Storage: &Storage{Readers: []int{2, 3}, Clear: true}}}},
 			{Fn: "snk", Kind: "sink_matrix", Thread: 0, Threads: 1,
 				SinkRows: rows, SinkCols: cols,
 				Ins: []Port{{Name: "in", Region: whole(rows, cols), Xfers: []Xfer{
@@ -417,6 +423,7 @@ func TestExecuteDeterministic(t *testing.T) {
 }
 
 func TestValidateRejectsBadPrograms(t *testing.T) {
+	uncovered := func(p *Program) *Program { return uncoveredProgram(p, "id", "identity") }
 	cases := []struct {
 		name string
 		mut  func(*Program)
@@ -429,6 +436,34 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"spill", func(p *Program) { p.Threads[0].Outs[0].Xfers[0].Region = reg(0, 0, 9, 9) }, "spills"},
 		{"sink-shape", func(p *Program) { p.Threads[1].SinkRows = 0 }, "assembly shape"},
 		{"thread-index", func(p *Program) { p.Threads[0].Thread = 3 }, "index outside"},
+		// Execute carries out the storage records without checking them
+		// against anything, so each rule refuses what it could not carry
+		// out: on the direct program, whose source lies in the sink's result,
+		// or on the uncovered one, whose source keeps a storage that an
+		// in-place identity adopts and forwards.
+		{"reader-range", func(p *Program) { uncovered(p).Threads[0].Outs[0].Storage.Readers = []int{0, 1, 2, 9} }, "reader 9 out of range"},
+		{"readers-miss-owner", func(p *Program) { uncovered(p).Threads[0].Outs[0].Storage.Readers = []int{1, 2} }, "miss the owner"},
+		{"readers-miss-consumer", func(p *Program) { uncovered(p).Threads[0].Outs[0].Storage.Readers = []int{0, 2} }, "miss consumer id[0]"},
+		{"in-place-kind", func(p *Program) { uncovered(p).Threads[1].Kind = "fir_rows" }, "computes in place"},
+		{"in-place-regions", func(p *Program) { uncovered(p).Threads[1].Outs[0].Region = reg(0, 0, 2, 4) }, "computes in place"},
+		{"transposes", func(p *Program) { p.Threads[0].Transposes = true }, "lands transposed"},
+		{"host-kind", func(p *Program) { p.Threads[0].Result = "src" }, `result host "src" is no sink_matrix function`},
+		{"host-width", func(p *Program) { p.Threads[1].SinkCols = 8 }, "spans the full width of sink snk's 4x8 result"},
+		{"bare-input-part", func(p *Program) {
+			uncovered(p).Threads[0].Outs[0].Xfers[0].Region = reg(0, 0, 2, 4)
+			p.Threads[1].Ins[0].Xfers[0].Region = reg(0, 0, 2, 4)
+		}, "port in has no storage, yet adopts no"},
+		{"bare-input-pitched", func(p *Program) {
+			stripe := reg(0, 0, 4, 2)
+			uncovered(p).Threads[0].Outs[0].Xfers[0].Region = stripe
+			p.Threads[1].Ins[0] = Port{Name: "in", Region: stripe, Xfers: []Xfer{{Conn: 0, Region: stripe}}}
+			p.Threads[1].Outs[0] = Port{Name: "out", Region: stripe, Xfers: []Xfer{{Conn: 1, Region: reg(0, 0, 2, 2)}}}
+			p.Threads[2].Ins[0].Xfers[0].Region = reg(0, 0, 2, 2)
+		}, "port in has no storage, yet adopts no"},
+		{"bare-output", func(p *Program) { uncovered(p).Threads[0].Outs[0].Storage = nil }, "neither in place nor in a result"},
+	}
+	if err := uncovered(directProgram(4, 4, 2)).Validate(); err != nil {
+		t.Fatalf("the uncovered program: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,13 +22,13 @@ import (
 // (OwnsAdopted) lets an InPlace kind transform it where it lies: the block
 // goes on as the thread's output, still never written after a send.
 //
-// Two layout decisions place a block's samples before anything is written.
-// A thread whose storage's readers all precede a sink keeps it in the sink's
-// result matrix (ResultBacked, ResultView), which the sink overwrites once
-// they are done. A thread of a Transposes kind lands its payloads in the
-// transposed view of its output block (TransposedView): the landing copy is
-// the transpose, and Compute has nothing left to do. A block's layout is its
-// (RowStride, ColStride) pair; only this file's views set it.
+// The plan places a block's samples before anything is written, by this
+// file's rules. A thread whose storage's readers all precede a sink keeps it
+// in the sink's result matrix (ResultBacked, ResultView), which the sink
+// overwrites once they are done. A thread of a Transposes kind lands its
+// payloads in the transposed view of its output block (LandsTransposed,
+// TransposedView): the landing copy is the transpose. A block's layout is
+// its (RowStride, ColStride) pair; only this file's views set it.
 
 // ContiguousIn reports whether region reg occupies a contiguous range of a
 // dense block covering blockReg: it must span the block's full width. The
@@ -126,8 +126,7 @@ func transposed(r model.Region) model.Region {
 // LandsTransposed reports whether a thread of kind im, with input partition
 // in and output partition out, lands its payloads in the transposed view of
 // its output block: the kind Transposes and the partitions are each other's
-// transpose. It is the decision both runtimes read, sagert through
-// plan.Thread.Transposes.
+// transpose (plan.Thread.Transposes).
 func LandsTransposed(im *Impl, in, out model.Region) bool {
 	return im.Transposes && out == transposed(in)
 }
@@ -135,13 +134,12 @@ func LandsTransposed(im *Impl, in, out model.Region) bool {
 // A ResultThread is a thread as ResultBacked reads it: its function (shared
 // by the function's threads), its storage's partition and its function's
 // thread count (Threads 0: no storage of its own, or not one output port),
-// its consumers, and whether it forwards: computes in place on the dense
-// view it adopted, so that its sends are views of its producer's storage.
+// its consumers, and its storage's readers, itself among them (plan.Storage).
 type ResultThread struct {
 	Fn, Threads int
 	Part        model.Region
 	Out         []int
-	Forwards    bool
+	Readers     []int
 }
 
 // A ResultSink is a sink as ResultBacked reads it: its threads, its result's
@@ -152,21 +150,19 @@ type ResultSink struct {
 	Covered    bool
 }
 
-// ResultBacked is the result-backing rule both runtimes read (sagert through
-// plan.Plan.Results, rtl through its layout): per thread, the sink whose
-// result matrix holds its storage — the input block it computes in place on
-// when it owns one, its output block otherwise — or -1. A storage qualifies
-// when each thread that reads it, its consumers and through one that
-// forwards that one's, is a thread of the sink or a transitive producer of
-// every sink thread: the owner writes it before sending a view of it, and a
-// sink stores an iteration's payloads once all have arrived, after every
-// reader has finished. Its partition must be the thread's own, not the whole
-// result replicated, and span the result's width, so that its rows hold it
-// densely (ResultView): kinds compute on dense blocks, and a strided sweep
-// of a pitched view such as fft_cols's column stripe costs more than the
-// copy it saves. A result holds one storage: the first function's in thread
-// order whose views go only to the sink, which then copies nothing; else,
-// if the sink's transfers cover the result, the first qualifying function's.
+// ResultBacked is the result-backing rule plan.Plan.Layouts applies: per
+// thread, the sink whose result matrix holds its storage, or -1. A storage
+// qualifies when each reader but its owner is a thread of the sink or a
+// transitive producer of every sink thread: the owner writes it before
+// sending a view of it, and a sink stores an iteration's payloads once all
+// have arrived, after every reader has finished. Its partition must be the
+// thread's own, not the whole result replicated, and span the result's
+// width, so that its rows hold it densely (ResultView): kinds compute on
+// dense blocks, and a strided sweep of a pitched view such as fft_cols's
+// column stripe costs more than the copy it saves. A result holds one
+// storage: the first function's in thread order read by the sink's threads
+// alone, which then copies nothing; else, if the sink's transfers cover the
+// result, the first qualifying function's.
 func ResultBacked(ts []ResultThread, sinks []ResultSink) []int {
 	result := make([]int, len(ts))
 	for u := range result {
@@ -195,48 +191,14 @@ func ResultBacked(ts []ResultThread, sinks []ResultSink) []int {
 			for u, t := range ts {
 				fits := t.Part.C0 == 0 && t.Part.Cols == s.Cols && t.Part.R0 >= 0 && t.Part.R0+t.Part.Rows <= s.Rows &&
 					t.Threads > 0 && !(t.Threads > 1 && t.Part == whole)
-				if result[u] < 0 && fits && (least == 2 || s.Covered) && (pick < 0 || t.Fn == ts[pick].Fn) && readersAt(ts, u, at, least, 0) {
+				if result[u] < 0 && fits && (least == 2 || s.Covered) && (pick < 0 || t.Fn == ts[pick].Fn) &&
+					!slices.ContainsFunc(t.Readers, func(v int) bool { return v != u && at[v] < least }) {
 					pick, result[u] = u, si
 				}
 			}
 		}
 	}
 	return result
-}
-
-// readersAt reports whether each reader of the views thread u sends is marked
-// at least least in at; a forwarding chain longer than the plan is a cycle.
-func readersAt(ts []ResultThread, u int, at []uint8, least uint8, depth int) bool {
-	for _, v := range ts[u].Out {
-		if at[v] < least || depth == len(ts) || ts[v].Forwards && !readersAt(ts, v, at, least, depth+1) {
-			return false
-		}
-	}
-	return true
-}
-
-// Covers reports whether the n regions region(0), …, region(n-1), which lie
-// inside part, write every sample of it. Cut along every region edge, part
-// falls into cells that each lie wholly inside a region or outside all.
-func Covers(part model.Region, n int, region func(i int) model.Region) bool {
-	rows, cols, rs := make([]int, 2, 2+2*n), make([]int, 2, 2+2*n), make([]model.Region, n)
-	rows[0], rows[1], cols[0], cols[1] = part.R0, part.R0+part.Rows, part.C0, part.C0+part.Cols
-	for i := range n {
-		r := region(i)
-		rows, cols, rs[i] = append(rows, r.R0, r.R0+r.Rows), append(cols, r.C0, r.C0+r.Cols), r
-	}
-	slices.Sort(rows)
-	slices.Sort(cols)
-	rows, cols = slices.Compact(rows), slices.Compact(cols)
-	for i := 0; i+1 < len(rows); i++ {
-		for j := 0; j+1 < len(cols); j++ {
-			cell := model.Region{R0: rows[i], C0: cols[j], Rows: rows[i+1] - rows[i], Cols: cols[j+1] - cols[j]}
-			if !slices.ContainsFunc(rs, func(r model.Region) bool { return cell.Intersect(r) == cell }) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ResultView returns region reg of the result matrix m as a block: the

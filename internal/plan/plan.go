@@ -11,15 +11,16 @@
 // Costs, credit ledgers and queues are run state and live with the consumer.
 // Which threads may compute in place (Thread.InPlace) is the tables': whether
 // anybody else reads a thread's input block follows from the lanes alone, so
-// it is decided here, once, and the runtime that carries samples reads it —
-// as are the two layout decisions of DESIGN.md §14: which threads land their
-// payloads transposed (Thread.Transposes) and which keep their storage in a
-// sink's result (Results, decided on demand: only a run that carries samples
-// asks).
+// it is decided here, once, as is every other storage decision of DESIGN.md
+// §14: which threads land their payloads transposed (Thread.Transposes), and,
+// on demand (Layouts: only a run that carries samples asks), which keep their
+// storage in a sink's result and which ports have a storage, read by whom.
+// The runtimes that carry samples carry these decisions out.
 package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/funclib"
 	"repro/internal/gluegen"
@@ -212,38 +213,122 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 	return p, nil
 }
 
-// Results indexes Sinks, per thread, by the sink whose result matrix holds
-// the thread's storage, or is -1 (funclib.ResultBacked); a thread that
-// computes in place on a dense view it adopted has no storage of its own.
-func (p *Plan) Results() []int {
-	ts := make([]funclib.ResultThread, len(p.Threads))
-	out := make([]int, 0, len(p.Edges))
+// Storage is the memory behind one logical buffer of one thread in a runtime
+// that keeps a buffer's blocks for the whole run (rtl): an assembling input,
+// an input that copies its one pitched payload dense, or the output of a
+// thread that does not compute in place, unless it lies in a sink's result.
+type Storage struct {
+	// Readers lists, ascending, the threads that read a block in the
+	// iteration that wrote it: the owner, the consumers of its views and,
+	// through one that forwards them (computes in place on the dense view it
+	// adopted), that one's consumers, transitively.
+	Readers []int
+	// Clear marks a storage whose recycled block must be zeroed: all but an
+	// input whose transfers cover its partition, and the output of a thread
+	// that lands transposed from such an input.
+	Clear bool
+}
+
+// Layout is one thread's storage record (DESIGN.md §14): the sink whose
+// result matrix holds its storage (an index into Sinks, or -1;
+// funclib.ResultBacked), and each port's storage, nil for a port without one.
+type Layout struct {
+	Result    int
+	Ins, Outs []*Storage
+}
+
+// Layouts decides, per thread, where its storage lives. Only a run that
+// carries samples asks; the cost grows with the edges the views travel.
+func (p *Plan) Layouts() []Layout {
+	forwards := func(tp *Thread) bool { return tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig }
+	n := 0
 	for ti := range p.Threads {
-		tp, start := &p.Threads[ti], len(out)
+		n += len(p.Threads[ti].Outs) + len(p.Threads[ti].Ins)
+	}
+	ls, ts := make([]Layout, len(p.Threads)), make([]funclib.ResultThread, len(p.Threads))
+	store, ports, seen := make([]Storage, n), make([]*Storage, n), make([]int, len(p.Threads))
+	var readers []int                   // every reader set, back to back
+	out := make([]int, 0, len(p.Edges)) // every consumer list, back to back
+	var walk func(pp *Port, mark int)
+	walk = func(pp *Port, mark int) {
+		for _, ei := range pp.Edges {
+			if d := p.Edges[ei].Dst; seen[d] != mark {
+				seen[d], readers = mark, append(readers, d)
+				if forwards(&p.Threads[d]) {
+					walk(&p.Threads[d].Outs[0], mark)
+				}
+			}
+		}
+	}
+	// From here on k indexes a thread's first output in store and ports,
+	// j its first input.
+	for ti, k := 0, 0; ti < len(p.Threads); ti++ {
+		tp, l, t, j := &p.Threads[ti], &ls[ti], &ts[ti], k+len(p.Threads[ti].Outs)
+		l.Outs, l.Ins = ports[k:j:j], ports[j:j+len(tp.Ins):j+len(tp.Ins)]
+		start := len(out)
 		for pi := range tp.Outs {
 			for _, ei := range tp.Outs[pi].Edges {
 				out = append(out, p.Edges[ei].Dst)
 			}
+			if !forwards(tp) {
+				first := len(readers)
+				seen[ti], readers = first+1, append(readers, ti)
+				walk(&tp.Outs[pi], first+1)
+				slices.Sort(readers[first:])
+				store[k+pi] = Storage{Readers: readers[first:len(readers):len(readers)], Clear: !tp.Transposes || !p.covered(tp, &tp.Ins[0])}
+				if !tp.InPlace {
+					l.Outs[pi] = &store[k+pi]
+				}
+			}
 		}
-		t := &ts[ti]
 		t.Fn, t.Out = tp.Fn.ID, out[start:]
-		t.Forwards = tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig // its block is the producer's view
-		if len(tp.Outs) == 1 && len(t.Out) > 0 && !t.Forwards {
-			t.Part, t.Threads = tp.Outs[0].Region, tp.Fn.Threads
+		if len(tp.Outs) == 1 && len(t.Out) > 0 && !forwards(tp) {
+			t.Part, t.Threads, t.Readers = tp.Outs[0].Region, tp.Fn.Threads, store[k].Readers
 		}
+		for pi := range tp.Ins {
+			if in := &tp.Ins[pi]; tp.Fn.Kind != "sink_matrix" && !tp.Transposes && !(in.Adopt && p.Edges[in.Edges[0]].SrcContig) {
+				readers = append(readers, ti)
+				l.Ins[pi] = &store[j+pi]
+				*l.Ins[pi] = Storage{Readers: readers[len(readers)-1 : len(readers) : len(readers)], Clear: !p.covered(tp, in)}
+				if tp.InPlace {
+					l.Ins[pi].Readers = store[k].Readers // the block goes on as the output
+				}
+			}
+		}
+		k = j + len(tp.Ins)
 	}
 	sinks := make([]funclib.ResultSink, len(p.Sinks))
 	for si := range p.Sinks {
 		s := &p.Sinks[si]
 		sinks[si] = funclib.ResultSink{Rows: s.Rows, Cols: s.Cols, Covered: true} // the threads' partitions tile the result
 		for ti := p.First[s.Fn.ID]; ti < p.First[s.Fn.ID]+s.Fn.Threads; ti++ {
-			in := &p.Threads[ti].Ins[0]
 			sinks[si].Threads = append(sinks[si].Threads, ti)
-			sinks[si].Covered = sinks[si].Covered &&
-				funclib.Covers(in.Region, len(in.Edges), func(i int) model.Region { return p.Edges[in.Edges[i]].X.Region })
+			sinks[si].Covered = sinks[si].Covered && p.covered(&p.Threads[ti], &p.Threads[ti].Ins[0])
 		}
 	}
-	return funclib.ResultBacked(ts, sinks)
+	// A result-backed thread's storage lies in the result: its input when it
+	// computes in place, its output otherwise.
+	for ti, si := range funclib.ResultBacked(ts, sinks) {
+		if ls[ti].Result = si; si >= 0 {
+			clear(ls[ti].Outs)
+			if p.Threads[ti].InPlace {
+				clear(ls[ti].Ins)
+			}
+		}
+	}
+	return ls
+}
+
+// covered reports whether the transfers of tp's input port in write every
+// sample of its partition. Build verified the tables, so each of the port's
+// buffers tiles, thread by thread, the partition of the buffer's own shape:
+// a buffer shaped like the port covers it. A port without one is taken as
+// not covered, which costs a clearing or a result copy, never a sample.
+func (p *Plan) covered(tp *Thread, in *Port) bool {
+	return slices.ContainsFunc(in.Entry.Buffers, func(bi int) bool {
+		b := &p.Tables.Buffers[bi]
+		return b.DstFn == tp.Fn.ID && b.DstPort == in.Entry.Name && b.Rows == in.Entry.Rows && b.Cols == in.Entry.Cols
+	})
 }
 
 // ownsInput decides Thread.InPlace: one scan of the producer port's edges per

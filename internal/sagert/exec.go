@@ -22,9 +22,9 @@ type runner struct {
 	sinkDone    []sim.Time
 
 	// sinks holds the collected sinks, indexed like plan.Sinks; the first is
-	// Result.Output's. results is the plan's Results when any are collected.
+	// Result.Output's. layouts is the plan's Layouts when any are collected.
 	sinks   []sinkOut
-	results []int
+	layouts []plan.Layout
 	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
 	// thread touches its credits and overcommit, only its two endpoints its
 	// queue, so sharded runs need no lock.
@@ -61,7 +61,7 @@ func (r *runner) collectOutput() {
 	if r.opts.ComputeIterations == 0 {
 		return
 	}
-	r.sinks, r.results = make([]sinkOut, len(r.plan.Sinks)), r.plan.Results()
+	r.sinks, r.layouts = make([]sinkOut, len(r.plan.Sinks)), r.plan.Layouts()
 	for si := range r.plan.Sinks {
 		r.sinks[si].Sink = &r.plan.Sinks[si]
 	}

@@ -101,14 +101,14 @@ func (t *thread) init(r *runner, ti int, rank *mpi.Rank) {
 		switch {
 		case r.sinks[si].Fn == tp.Fn:
 			t.sink = &r.sinks[si]
-		case si == r.results[ti]:
+		case si == r.layouts[ti].Result:
 			t.result = &r.sinks[si]
 		}
 	}
 }
 
 // inResult reports whether this iteration keeps t's storage in its sink's
-// result matrix: t is result-backed (plan.Plan.Results) and the iteration is
+// result matrix: t is result-backed (plan.Layout.Result) and the iteration is
 // the last compute iteration, the only one the run collects.
 func (t *thread) inResult() bool {
 	return t.result != nil && t.iter == t.r.opts.ComputeIterations-1
