@@ -62,11 +62,13 @@ func (c *compiler) global(s Symbol) int {
 // being compiled can run (parameters, let names, a let* name once its
 // initialiser is behind us); late[i] says it was declared before that was
 // so — by a define or as a let* name — and must start out unbound.
+// captured says a lambda is compiled in this scope or one inside it.
 type scope struct {
-	up    *scope
-	names []Symbol
-	sure  []bool
-	late  []bool
+	up       *scope
+	names    []Symbol
+	sure     []bool
+	late     []bool
+	captured bool
 }
 
 func (sc *scope) slot(name Symbol) int {
@@ -92,8 +94,16 @@ func (sc *scope) declare(name Symbol, sure bool) int {
 	return i
 }
 
+// capture marks sc and every scope around it: a closure made in sc's frame
+// holds that frame, and through its up links each enclosing one.
+func (sc *scope) capture() {
+	for ; sc != nil && !sc.captured; sc = sc.up {
+		sc.captured = true
+	}
+}
+
 func (sc *scope) shape() shape {
-	s := shape{nslots: len(sc.names)}
+	s := shape{nslots: len(sc.names), captured: sc.captured}
 	for i, late := range sc.late {
 		if late {
 			s.late = append(s.late, i)
@@ -534,6 +544,7 @@ type lambdaCode struct {
 }
 
 func (c *compiler) lambda(params, body List, sc *scope) (*lambdaCode, error) {
+	sc.capture()
 	code := &lambdaCode{rest: -1, direct: true}
 	fs := &scope{up: sc}
 	rest := false
@@ -644,7 +655,7 @@ func (c *compiler) let(form List, sc *scope, sequential bool) node {
 		if in.tick() {
 			return nil, in.stepErr()
 		}
-		nf := newFrame(fr, &sh)
+		nf := in.newFrame(fr, &sh)
 		initFrame := fr
 		if sequential {
 			initFrame = nf
@@ -656,7 +667,11 @@ func (c *compiler) let(form List, sc *scope, sequential bool) node {
 			}
 			nf.slots[slots[i]] = v
 		}
-		return evalSeq(body, in, nf)
+		out, err := evalSeq(body, in, nf)
+		if err == nil {
+			in.release(nf, &sh)
+		}
+		return out, err
 	}
 }
 
@@ -771,7 +786,7 @@ func (c *compiler) call(form List, sc *scope) node {
 			// The common call: the arguments are evaluated into the frame
 			// the body will run in. Depth is charged after them, as Apply
 			// charges it after its caller evaluated them.
-			nf := newFrame(f.env, &f.code.shape)
+			nf := in.newFrame(f.env, &f.code.shape)
 			for i, arg := range args {
 				if nf.slots[i], err = arg(in, fr); err != nil {
 					return nil, err
@@ -784,6 +799,9 @@ func (c *compiler) call(form List, sc *scope) node {
 			}
 			out, err := in.run(f, nf)
 			in.depth--
+			if err == nil {
+				in.release(nf, &f.code.shape)
+			}
 			return out, err
 		}
 		// Any other call takes its arguments on the interpreter's stack

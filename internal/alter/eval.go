@@ -63,6 +63,9 @@ type Interp struct {
 	// stack holds the arguments of every builtin call in progress, so a
 	// call does not allocate an argument list.
 	stack List
+	// free is a stack of frames whose scope returned and that no closure
+	// can reach; entering a scope pops one. Run drops it when it returns.
+	free []*frame
 }
 
 // New creates an interpreter with the standard library installed.
@@ -93,7 +96,7 @@ func (in *Interp) Run(p *Program) (Value, error) {
 	}
 	saved := in.cells
 	in.cells = cells
-	defer func() { in.cells = saved }()
+	defer func() { in.cells, in.free = saved, nil }()
 	var last Value
 	for _, form := range p.forms {
 		var err error
@@ -139,7 +142,7 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 		if c.rest >= 0 && len(args) < len(c.params) {
 			return nil, fmt.Errorf("alter: %s wants at least %d arguments, got %d", lambdaName(f), len(c.params), len(args))
 		}
-		fr := newFrame(f.env, &c.shape)
+		fr := in.newFrame(f.env, &c.shape)
 		for i, slot := range c.params {
 			fr.slots[slot] = args[i]
 		}
@@ -148,7 +151,11 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 			copy(rest, args[len(c.params):])
 			fr.slots[c.rest] = rest
 		}
-		return in.run(f, fr)
+		out, err := in.run(f, fr)
+		if err == nil {
+			in.release(fr, &c.shape)
+		}
+		return out, err
 	default:
 		return nil, fmt.Errorf("alter: cannot call %s", TypeName(callee))
 	}
@@ -183,7 +190,8 @@ func lambdaName(f *Lambda) string {
 
 // frame holds the local variables of one procedure call or let: slot i is
 // the i'th name its scope declares. Frames that fit use the inline array,
-// so entering a scope is one allocation.
+// so making one is one allocation, and a frame no closure can reach is
+// reused once its scope returns (see Interp.release).
 type frame struct {
 	up    *frame
 	slots []Value
@@ -198,19 +206,48 @@ type shape struct {
 	// a reference that finds one unbound looks further out, which is what
 	// a chain of name-keyed frames did for a name not defined yet.
 	late []int
+	// captured: a lambda is compiled in this scope or in one inside it, so
+	// a closure may hold the frame (or a frame below it) after the scope
+	// returns.
+	captured bool
 }
 
-func newFrame(up *frame, s *shape) *frame {
-	fr := &frame{up: up}
-	if s.nslots <= len(fr.small) {
-		fr.slots = fr.small[:s.nslots]
+// newFrame makes a frame of shape s below up, reusing a released one when
+// there is one. A released frame's slots are all nil, to its capacity.
+func (in *Interp) newFrame(up *frame, s *shape) *frame {
+	var fr *frame
+	if n := len(in.free); n > 0 {
+		fr = in.free[n-1]
+		in.free = in.free[:n-1]
+		fr.up = up
 	} else {
+		fr = &frame{up: up}
+	}
+	switch {
+	case s.nslots <= cap(fr.slots):
+		fr.slots = fr.slots[:s.nslots]
+	case s.nslots <= len(fr.small):
+		fr.slots = fr.small[:s.nslots]
+	default:
 		fr.slots = make([]Value, s.nslots)
 	}
 	for _, slot := range s.late {
 		fr.slots[slot] = unbound
 	}
 	return fr
+}
+
+// release hands back fr, the frame of a scope of shape s that has just
+// returned, unless a closure may hold it. Nothing else can: a frame below
+// it is either released already or captured, which makes this one captured
+// too. A scope that returns an error keeps its frame.
+func (in *Interp) release(fr *frame, s *shape) {
+	if s.captured {
+		return
+	}
+	clear(fr.slots)
+	fr.up = nil
+	in.free = append(in.free, fr)
 }
 
 // unbound marks a cell or slot that has no value yet.

@@ -135,6 +135,48 @@ var matchPrograms = []struct {
 	{name: "recursion", src: "(define (sum n) (if (= n 0) 0 (+ n (sum (- n 1))))) (sum 500)", want: "125250"},
 	{name: "mutual recursion", src: "(define (ev? n) (if (= n 0) #t (od? (- n 1)))) (define (od? n) (if (= n 0) #f (ev? (- n 1)))) (list (ev? 10) (od? 7) (ev? 3))", want: "(#t #t #f)"},
 
+	// --- frame reuse: a frame no closure can reach is reused once its scope
+	// returns, so each closure below must still see its own frames after
+	// the call that made it is over and another call has run. Three wrong
+	// evaluators fail here: one that marks only the innermost scope of a
+	// lambda captured, one that releases captured frames too, and one that
+	// does not reset late slots to unbound when it reuses a frame ---
+	{name: "closure made in a let inside a lambda", src: `
+		(define (mk x) (let ((y 1)) (lambda () (+ x y))))
+		(define a (mk 10)) (define b (mk 20)) (list (a) (b))`, want: "(11 21)"},
+	{name: "closure three scopes down", src: `
+		(define (mk a) (let ((b (* a 2))) (let* ((c (+ b 1))) (lambda () (list a b c)))))
+		(define p (mk 1)) (define q (mk 5)) (list (p) (q))`, want: "((1 2 3) (5 10 11))"},
+	{name: "procedure define inside let*", src: `
+		(define (mk x) (let* ((y (* x 2))) (define (get) (list x y)) get))
+		(define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "((1 2) (2 4))"},
+	{name: "closure made in a let initialiser", src: `
+		(define (mk x) (let ((y (+ x 1))) (let ((f (lambda () (list x y))) (z 0)) f)))
+		(define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "((1 2) (2 3))"},
+	{name: "closures kept through map", src: `
+		(define adders (map (lambda (k) (let ((k10 (* k 10))) (lambda (x) (+ x k k10)))) '(1 2 3)))
+		(map (lambda (f) (f 100)) adders)`, want: "(111 122 133)"},
+	{name: "closures kept through sort-by", src: `
+		(define fs (sort-by (lambda (f) (f)) (map (lambda (n) (let ((m (- 10 n))) (lambda () (+ m n n)))) '(1 5 3))))
+		(map (lambda (f) (f)) fs)`, want: "(11 13 15)"},
+	{name: "closures built by recursion", src: `
+		(define (build n) (if (= n 0) '() (let ((more (build (- n 1)))) (cons (lambda () n) more))))
+		(map (lambda (f) (f)) (build 4))`, want: "(4 3 2 1)"},
+	{name: "read before internal define on a second call", src: `
+		(define x 10) (define (f) (define r x) (define x 1) (list r x))
+		(list (f) (f))`, want: "((10 1) (10 1))"},
+	{name: "read before define in a let body on a second call", src: `
+		(define y 5) (define (g a) (let ((b a)) (define r y) (define y b) (list r y)))
+		(list (g 1) (g 2))`, want: "((5 1) (5 2))"},
+	{name: "frames of different sizes reused", src: `
+		(define (big a b c d e f) (list a b c d e f)) (define (small a) (let ((b a)) b))
+		(list (big 1 2 3 4 5 6) (small 7) (big 8 9 10 11 12 13) (small 14))`, want: "((1 2 3 4 5 6) 7 (8 9 10 11 12 13) 14)"},
+	{name: "a returned &rest list outlives its frame", src: `
+		(define (f &rest r) r) (define (g a) a) (list (f 1 2) (g 3) (f 4))`, want: "((1 2) 3 (4))"},
+	{name: "error inside a released scope's callee", src: `
+		(define (f n) (let ((m n)) (if (= m 2) (nosuch) m)))
+		(list (f 1) (f 2))`, want: "error: alter: undefined variable nosuch"},
+
 	// --- &rest and argument binding ---
 	{name: "&rest", src: "(define (f a &rest r) (list a r)) (list (f 1) (f 1 2 3))", want: "((1 ()) (1 (2 3)))"},
 	{name: "&rest only", src: "((lambda (&rest all) all) 1 2)", want: "(1 2)"},
@@ -382,7 +424,7 @@ func (g *progGen) form(head string, parts ...func()) {
 func (g *progGen) expr(depth int) {
 	sub := func() { g.expr(depth - 1) }
 	body := func() { g.body(depth - 1) }
-	kinds := 25
+	kinds := 26
 	if depth <= 0 {
 		kinds = 4
 	}
@@ -454,6 +496,16 @@ func (g *progGen) expr(depth int) {
 		g.form("apply", sub, func() { g.form("list", sub, sub) })
 	case 24:
 		g.form("emit", sub)
+	case 25:
+		// A lambda that returns a closure made in a let inside it, called
+		// three times before any closure runs: each must still see its own
+		// parameter and let name once the next call has run.
+		p, q := genNames[g.pick(len(genNames))], genNames[g.pick(len(genNames))]
+		fmt.Fprintf(&g.b, "(map (lambda (k) (k)) (map (lambda (%s) (let ((%s ", p, q)
+		sub()
+		fmt.Fprintf(&g.b, ")) (lambda () (cons %s (cons %s (cons ", p, q)
+		sub()
+		g.b.WriteString(" nil)))))) '(1 2 3)))")
 	}
 }
 

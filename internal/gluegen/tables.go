@@ -215,7 +215,7 @@ func (t *Tables) Verify() error {
 		// Per-destination-thread coverage. byDst lists the transfers bound
 		// for a thread this function has, grouped by thread; plan.Build
 		// refuses the others.
-		byDst = byDst[:0]
+		byDst = slices.Grow(byDst[:0], len(b.Transfers))
 		ordered := true
 		for k, x := range b.Transfers {
 			if x.DstThread < 0 || x.DstThread >= dst.Threads {
