@@ -11,7 +11,7 @@ import (
 // TestExitCodes pins the CLI contract: usage mistakes exit 2, runtime
 // failures exit 1. (Successful experiments are covered by main_test.go.)
 func TestExitCodes(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such.json")
+	missing := filepath.Join(t.TempDir(), "no-such-plan.txt")
 	tests := []struct {
 		name string
 		args []string
@@ -19,7 +19,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
 		{"unknown experiment", []string{"-experiment", "warpdrive"}, cli.ExitUsage},
-		{"missing benchcheck file", []string{"-benchcheck", missing}, cli.ExitFailure},
+		{"missing faults file", []string{"-experiment", "twonode", "-quick", "-faults", missing}, cli.ExitFailure},
+		{"retired benchjson flag", []string{"-benchjson", "x"}, cli.ExitUsage},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

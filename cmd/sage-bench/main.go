@@ -28,11 +28,9 @@
 // -trace-summary prints per-node utilisation, link traffic and wait
 // statistics derived from the same trace. Tracing never changes results.
 //
-// -benchjson BENCH_<n>.json runs the fixed performance matrix instead of an
-// experiment (see package repro/internal/bench) and writes the report;
-// -bench-quick shrinks the matrix for CI smoke runs. -benchcheck FILE
-// validates an existing report against the BENCH JSON schema and prints its
-// deterministic fingerprint.
+// Host performance is measured by the repo benchmark (benchmark/); the
+// virtual-time fingerprint of a fixed full-size matrix is pinned by
+// internal/bench's committed golden.
 package main
 
 import (
@@ -43,7 +41,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/atot"
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -66,55 +63,15 @@ func cliMain(args []string, stderr io.Writer) int {
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of every simulation run to this file")
 	traceSummary := fs.Bool("trace-summary", false, "print a per-node/per-link trace summary (requires or implies tracing)")
 	faultsPath := fs.String("faults", "", "fault-plan file injected into every simulated run (validate with sage-faultcheck)")
-	benchJSON := fs.String("benchjson", "", "run the fixed benchmark matrix and write the BENCH JSON report to this file (ignores -experiment)")
-	benchQuick := fs.Bool("bench-quick", false, "with -benchjson: tiny matrix sizes for CI smoke runs")
-	benchCheck := fs.String("benchcheck", "", "validate an existing BENCH JSON report and print its deterministic fingerprint")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
 
-	if *benchCheck != "" {
-		r, err := bench.ReadFile(*benchCheck)
-		if err != nil {
-			fmt.Fprintln(stderr, "sage-bench:", err)
-			return cli.ExitCode(err)
-		}
-		fmt.Print(r.Fingerprint())
-		return cli.ExitOK
-	}
-	if *benchJSON != "" {
-		if err := runBench(*benchJSON, *benchQuick); err != nil {
-			fmt.Fprintln(stderr, "sage-bench:", err)
-			return cli.ExitCode(err)
-		}
-		return cli.ExitOK
-	}
 	if err := run(*exp, *quick, *paper, *parallel, *shards, *tracePath, *traceSummary, *faultsPath); err != nil {
 		fmt.Fprintln(stderr, "sage-bench:", err)
 		return cli.ExitCode(err)
 	}
 	return cli.ExitOK
-}
-
-// runBench executes the fixed performance matrix and writes the report.
-// Progress goes to stderr; the JSON file is the product.
-func runBench(path string, quick bool) error {
-	r, err := bench.Run(bench.Matrix(quick), os.Stderr)
-	if err != nil {
-		return err
-	}
-	if err := bench.Validate(r); err != nil {
-		return fmt.Errorf("fresh report failed schema validation: %w", err)
-	}
-	if err := bench.WriteFile(path, r); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: %d cases written to %s\n", len(r.Cases), path)
-	if s := r.Summary; s != nil {
-		fmt.Fprintf(os.Stderr, "bench: events/sec mean %.0f p50 %.0f range [%.0f, %.0f] over %d cases\n",
-			s.EventsPerSecMean, s.EventsPerSecP50, s.EventsPerSecMin, s.EventsPerSecMax, s.Cases)
-	}
-	return nil
 }
 
 func run(exp string, quick, paper bool, parallel, shards int, tracePath string, traceSummary bool, faultsPath string) error {

@@ -8,7 +8,7 @@ import (
 )
 
 // tinyCases is a fast sub-matrix covering every case shape: clean, faulted,
-// traced, analytically priced, and the micro case.
+// traced, analytically priced, sharded, streamed and executed.
 func tinyCases() []Case {
 	return []Case{
 		{Name: "fft64.clean", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2},
@@ -18,214 +18,122 @@ func tinyCases() []Case {
 		{Name: "fft64.mercury.s2", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Platform: "Mercury", Shards: 2},
 		{Name: "stream64.mixed", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 8, Stream: true},
 		{Name: "fft64.exec", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Exec: true},
-		{Name: "kernel.schedule", Events: 10_000},
 	}
 }
 
+// TestRunValidatesAndFingerprints: every case shape yields the outputs its
+// kind defines — simulations time and dispatch, the twin predicts without
+// dispatching, an exec case hashes its output and has no virtual time — and
+// the fingerprint has one line per case.
 func TestRunValidatesAndFingerprints(t *testing.T) {
-	r, err := Run(tinyCases(), nil)
+	cases := tinyCases()
+	rs, err := Run(cases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(r); err != nil {
-		t.Fatalf("fresh report fails its own schema: %v", err)
+	for i, r := range rs {
+		c := cases[i]
+		if r.Name != c.Name {
+			t.Fatalf("result %d is %q, want %q", i, r.Name, c.Name)
+		}
+		switch {
+		case c.Exec:
+			if r.VirtualNS != 0 || r.Dispatches != 0 || len(r.OutputHash) != 64 {
+				t.Errorf("exec case %q: virtual_ns=%d dispatches=%d output=%q", c.Name, r.VirtualNS, r.Dispatches, r.OutputHash)
+			}
+		case c.Twin:
+			if r.VirtualNS <= 0 || r.Dispatches != 0 {
+				t.Errorf("twin case %q: virtual_ns=%d dispatches=%d", c.Name, r.VirtualNS, r.Dispatches)
+			}
+		default:
+			if r.VirtualNS <= 0 || r.Dispatches == 0 || r.OutputHash != "" {
+				t.Errorf("simulated case %q: virtual_ns=%d dispatches=%d output=%q", c.Name, r.VirtualNS, r.Dispatches, r.OutputHash)
+			}
+		}
 	}
-	fp := r.Fingerprint()
-	if strings.Count(fp, "\n") != len(r.Cases) {
+	fp := Fingerprint(rs)
+	if strings.Count(fp, "\n") != len(rs) {
 		t.Fatalf("fingerprint has wrong line count:\n%s", fp)
 	}
-	for _, c := range r.Cases {
+	for _, c := range cases {
 		if !strings.Contains(fp, c.Name+" ") {
 			t.Fatalf("fingerprint missing case %q", c.Name)
 		}
 	}
 }
 
-// TestDeterministicFields is the determinism gate: two fresh runs of the
-// same cases must agree exactly on every virtual-time output. (Wall times
-// and allocation counts are host noise and excluded by Fingerprint.)
+// TestDeterministicFields is the determinism gate on the tiny cases: two
+// fresh runs must agree exactly.
 func TestDeterministicFields(t *testing.T) {
-	a, err := Run(tinyCases(), nil)
+	a, err := Run(tinyCases())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tinyCases(), nil)
+	b, err := Run(tinyCases())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("deterministic fields changed between runs:\n--- first\n%s--- second\n%s", a.Fingerprint(), b.Fingerprint())
+	if Fingerprint(a) != Fingerprint(b) {
+		t.Fatalf("deterministic fields changed between runs:\n--- first\n%s--- second\n%s", Fingerprint(a), Fingerprint(b))
 	}
 }
 
 func TestMatrixShape(t *testing.T) {
-	for _, quick := range []bool{false, true} {
-		cases := Matrix(quick)
-		var traced, faulted, micro, wide, wideTwin, wideSharded, streamed, execs int
-		seen := map[string]bool{}
-		for _, c := range cases {
-			if seen[c.Name] {
-				t.Fatalf("duplicate case name %q", c.Name)
+	cases := Matrix()
+	var traced, faulted, wide, wideTwin, wideSharded, streamed, execs int
+	seen := map[string]bool{}
+	for _, c := range cases {
+		if seen[c.Name] {
+			t.Fatalf("duplicate case name %q", c.Name)
+		}
+		seen[c.Name] = true
+		if c.Traced {
+			traced++
+		}
+		if c.Faulted {
+			faulted++
+		}
+		if c.Stream {
+			streamed++
+			if c.Iterations <= 0 {
+				t.Fatalf("stream case %q offers no frames", c.Name)
 			}
-			seen[c.Name] = true
-			if c.Traced {
-				traced++
+		}
+		if c.Exec {
+			execs++
+			if c.Traced || c.Faulted || c.Twin || c.Stream || c.Shards > 1 {
+				t.Fatalf("exec case %q mixes modes", c.Name)
 			}
-			if c.Faulted {
-				faulted++
+		}
+		if c.Threads > 0 {
+			wide++
+			if c.Twin {
+				wideTwin++
 			}
-			if c.App == "" {
-				micro++
-				if c.Events <= 0 {
-					t.Fatalf("micro case %q has no event count", c.Name)
+			if c.Shards > 1 {
+				wideSharded++
+				if c.Platform != "Mercury" {
+					t.Fatalf("sharded case %q targets %q; only distributed-fabric platforms shard", c.Name, c.Platform)
 				}
 			}
-			if c.Stream {
-				streamed++
-				if c.Iterations <= 0 {
-					t.Fatalf("stream case %q offers no frames", c.Name)
-				}
-			}
-			if c.Exec {
-				execs++
-				if c.Traced || c.Faulted || c.Twin || c.Stream || c.Shards > 1 {
-					t.Fatalf("exec case %q mixes modes", c.Name)
-				}
-			}
-			if c.Threads > 0 {
-				wide++
-				if c.Twin {
-					wideTwin++
-				}
-				if c.Shards > 1 {
-					wideSharded++
-					if c.Platform != "Mercury" {
-						t.Fatalf("sharded case %q targets %q; only distributed-fabric platforms shard", c.Name, c.Platform)
-					}
-				}
-				if c.Nodes < 1024 {
-					t.Fatalf("wide case %q has only %d nodes", c.Name, c.Nodes)
-				}
+			if c.Nodes < 1024 {
+				t.Fatalf("wide case %q has only %d nodes", c.Name, c.Nodes)
 			}
 		}
-		if micro != 1 {
-			t.Fatalf("quick=%v: %d micro cases, want 1", quick, micro)
-		}
-		// The wide-topology pairs: the CSPI tables priced by the DES and the
-		// twin, plus the Mercury sequential/sharded pair, all at >= 1024 nodes
-		// even in the quick matrix.
-		if wide != 4 || wideTwin != 1 || wideSharded != 1 {
-			t.Fatalf("quick=%v: %d wide cases (%d twin, %d sharded), want des+twin and seq+sharded pairs", quick, wide, wideTwin, wideSharded)
-		}
-		if streamed != 1 {
-			t.Fatalf("quick=%v: %d stream cases, want 1", quick, streamed)
-		}
-		if execs != 1 {
-			t.Fatalf("quick=%v: %d exec cases, want 1", quick, execs)
-		}
-		sims := len(cases) - micro - wide - streamed - execs
-		if traced != sims/2 || faulted != sims/2 {
-			t.Fatalf("quick=%v: matrix unbalanced: %d sims, %d traced, %d faulted", quick, sims, traced, faulted)
-		}
 	}
-}
-
-// TestSummary: the cross-case roll-up is computed with the shared stats
-// estimators over every case that actually dispatched events.
-func TestSummary(t *testing.T) {
-	r, err := Run(tinyCases(), nil)
-	if err != nil {
-		t.Fatal(err)
+	// The wide-topology pairs: the CSPI tables priced by the DES and the
+	// twin, plus the Mercury sequential/sharded pair, all at 1024 nodes.
+	if wide != 4 || wideTwin != 1 || wideSharded != 1 {
+		t.Fatalf("%d wide cases (%d twin, %d sharded), want des+twin and seq+sharded pairs", wide, wideTwin, wideSharded)
 	}
-	if r.Summary == nil {
-		t.Fatal("report has no summary")
+	if streamed != 1 {
+		t.Fatalf("%d stream cases, want 1", streamed)
 	}
-	want := 0
-	for _, c := range r.Cases {
-		if c.Dispatches > 0 {
-			want++
-		}
+	if execs != 1 {
+		t.Fatalf("%d exec cases, want 1", execs)
 	}
-	sum := r.Summary
-	if sum.Cases != want {
-		t.Errorf("summary covers %d cases, want %d (twin cases price without simulating)", sum.Cases, want)
-	}
-	if sum.WallNSTotal <= 0 {
-		t.Errorf("wall_ns_total = %d", sum.WallNSTotal)
-	}
-	if sum.EventsPerSecMin > sum.EventsPerSecMean || sum.EventsPerSecMean > sum.EventsPerSecMax {
-		t.Errorf("mean %g outside [%g, %g]", sum.EventsPerSecMean, sum.EventsPerSecMin, sum.EventsPerSecMax)
-	}
-	if sum.EventsPerSecP50 < sum.EventsPerSecMin || sum.EventsPerSecP50 > sum.EventsPerSecMax {
-		t.Errorf("p50 %g outside [%g, %g]", sum.EventsPerSecP50, sum.EventsPerSecMin, sum.EventsPerSecMax)
-	}
-	if sum.AllocsPerEvtMean <= 0 {
-		t.Errorf("allocs_per_event_mean = %g", sum.AllocsPerEvtMean)
-	}
-	// A report with no dispatching cases has nothing to summarise.
-	twinOnly := &Report{Cases: []CaseResult{{Name: "t", Kind: "twin", WallNS: 5}}}
-	if Summarize(twinOnly) != nil {
-		t.Error("twin-only report produced a summary")
-	}
-}
-
-func TestValidateRejectsBadReports(t *testing.T) {
-	good, err := Run([]Case{{Name: "kernel.schedule", Events: 1000}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := []struct {
-		name string
-		fn   func(r *Report)
-	}{
-		{"wrong schema", func(r *Report) { r.Schema = "sage-bench/0" }},
-		{"no cases", func(r *Report) { r.Cases = nil }},
-		{"missing name", func(r *Report) { r.Cases[0].Name = "" }},
-		{"duplicate name", func(r *Report) { r.Cases = append(r.Cases, r.Cases[0]) }},
-		{"zero dispatches", func(r *Report) { r.Cases[0].Dispatches = 0 }},
-		{"zero wall", func(r *Report) { r.Cases[0].WallNS = 0 }},
-		{"unknown kind", func(r *Report) { r.Cases[0].Kind = "oracle" }},
-		{"twin that simulated", func(r *Report) { r.Cases[0].Kind = "twin" }}, // dispatches != 0
-		{"negative shards", func(r *Report) { r.Cases[0].Shards = -1 }},
-		{"exec with dispatches", func(r *Report) { r.Cases[0].Kind = "exec" }},
-		{"exec missing hash", func(r *Report) {
-			r.Cases[0].Kind = "exec"
-			r.Cases[0].VirtualNS = 0
-			r.Cases[0].Dispatches = 0
-			r.Cases[0].EventsPerSec = 0
-			r.Cases[0].OutputHash = "deadbeef"
-		}},
-		{"sharded twin", func(r *Report) {
-			r.Cases[0].Kind = "twin"
-			r.Cases[0].Dispatches = 0
-			r.Cases[0].EventsPerSec = 0
-			r.Cases[0].Shards = 4
-		}},
-	}
-	for _, m := range mutate {
-		r := *good
-		r.Cases = append([]CaseResult(nil), good.Cases...)
-		m.fn(&r)
-		if err := Validate(&r); err == nil {
-			t.Errorf("%s: validation passed", m.name)
-		}
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	r, err := Run([]Case{{Name: "kernel.schedule", Events: 1000}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/BENCH_test.json"
-	if err := WriteFile(path, r); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fingerprint() != r.Fingerprint() {
-		t.Fatal("round trip changed deterministic fields")
+	sims := len(cases) - wide - streamed - execs
+	if traced != sims/2 || faulted != sims/2 {
+		t.Fatalf("matrix unbalanced: %d sims, %d traced, %d faulted", sims, traced, faulted)
 	}
 }

@@ -35,8 +35,8 @@ const TagThreadLimit = 128
 // Edge is one lane: a striding entry of a logical buffer, moving one region
 // from a producer thread to a consumer thread each iteration.
 type Edge struct {
-	Buf int              // logical buffer ID
-	X   gluegen.Transfer // the table's striding entry
+	Buf int               // logical buffer ID
+	X   *gluegen.Transfer // the table's striding entry, in Tables.Buffers[Buf].Transfers
 	// Src and Dst index Plan.Threads.
 	Src, Dst int
 	// SrcContig and DstContig report whether X.Region is contiguous in the
@@ -420,7 +420,7 @@ func (p *Plan) wire(fe *gluegen.FuncEntry, pi int, input bool, base []int, wired
 				e.Dst, e.DstContig = ti, funclib.ContiguousIn(x.Region, port.Region)
 			} else {
 				port = &p.Threads[ti].Outs[pi]
-				e.Buf, e.X = bufID, *x
+				e.Buf, e.X = bufID, x
 				e.Src, e.SrcContig = ti, funclib.ContiguousIn(x.Region, port.Region)
 			}
 			port.Edges = append(port.Edges, int32(ei))

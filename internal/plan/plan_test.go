@@ -140,13 +140,14 @@ func checkInvariants(t *testing.T, tb *gluegen.Tables, p *plan.Plan) {
 		base[bi] = n
 		src, dst := &tb.Functions[buf.SrcFn], &tb.Functions[buf.DstFn]
 		srcPort, dstPort := findPort(src.Outs, buf.SrcPort), findPort(dst.Ins, buf.DstPort)
-		for _, x := range buf.Transfers {
+		for xi := range buf.Transfers {
+			x := &buf.Transfers[xi]
 			if n >= len(p.Edges) {
 				t.Fatalf("plan has %d edges, tables more", len(p.Edges))
 			}
 			e := &p.Edges[n]
 			if e.Buf != buf.ID || e.X != x {
-				t.Fatalf("edge %d is b%d %+v, want b%d %+v", n, e.Buf, e.X, buf.ID, x)
+				t.Fatalf("edge %d is b%d %+v, want b%d's entry %+v", n, e.Buf, e.X, buf.ID, *x)
 			}
 			if s := &p.Threads[e.Src]; s.Fn != src || s.Index != x.SrcThread {
 				t.Fatalf("edge %d: producer %s[%d], want %s[%d]", n, s.Fn.Name, s.Index, src.Name, x.SrcThread)
@@ -282,7 +283,7 @@ func TestPlanInvariantsAndConsumerAgreement(t *testing.T) {
 // TestTagPackingIsPinned holds the formula itself: tags name MPI channels,
 // so they are visible in traces and may not drift.
 func TestTagPackingIsPinned(t *testing.T) {
-	e := plan.Edge{Buf: 3, X: gluegen.Transfer{SrcThread: 5, DstThread: 7}}
+	e := plan.Edge{Buf: 3, X: &gluegen.Transfer{SrcThread: 5, DstThread: 7}}
 	if e.DataTag() != (3*128+5)*128+7 || e.CreditTag() != 1<<23+e.DataTag() {
 		t.Fatalf("tags %d/%d", e.DataTag(), e.CreditTag())
 	}

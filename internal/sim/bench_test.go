@@ -7,7 +7,7 @@ import (
 
 // BenchmarkKernelSchedule measures the event scheduling core: one timer
 // event scheduled and dispatched per op, no process involvement. This is
-// the benchmark the repo's BENCH_*.json kernel-sched baselines track.
+// the scheduling loop the repo benchmark's sim.schedule_ns_per_event times.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
