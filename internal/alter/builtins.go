@@ -405,48 +405,9 @@ func installStrings(env *Env) {
 		return b.String(), nil
 	})
 	env.Register("format", func(args List) (Value, error) {
-		// (format "template" args...): ~a inserts display form, ~s write
-		// form, ~~ a literal tilde, ~% a newline.
-		if err := wantAtLeast(args, 1); err != nil {
-			return nil, err
-		}
-		tpl, err := AsString(args[0])
-		if err != nil {
-			return nil, err
-		}
 		var b strings.Builder
-		b.Grow(len(tpl) + 8*len(args))
-		argi := 1
-		for i := 0; i < len(tpl); i++ {
-			c := tpl[i]
-			if c != '~' {
-				b.WriteByte(c)
-				continue
-			}
-			i++
-			if i >= len(tpl) {
-				return nil, fmt.Errorf("dangling ~ in format template")
-			}
-			switch tpl[i] {
-			case 'a', 'A':
-				if argi >= len(args) {
-					return nil, fmt.Errorf("not enough arguments for format template %q", tpl)
-				}
-				writeValue(&b, args[argi], false)
-				argi++
-			case 's', 'S':
-				if argi >= len(args) {
-					return nil, fmt.Errorf("not enough arguments for format template %q", tpl)
-				}
-				writeValue(&b, args[argi], true)
-				argi++
-			case '~':
-				b.WriteByte('~')
-			case '%':
-				b.WriteByte('\n')
-			default:
-				return nil, fmt.Errorf("unknown format directive ~%c", tpl[i])
-			}
+		if err := FormatTo(&b, args); err != nil {
+			return nil, err
 		}
 		return b.String(), nil
 	})
@@ -737,4 +698,47 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		}
 		return out, nil
 	})
+}
+
+// FormatTo is (format "template" args...) writing into b instead of
+// returning a string — ~a inserts display form, ~s write form, ~~ a literal
+// tilde, ~% a newline — so an output stream formats straight into its text.
+// It is the one directive loop: the format builtin is FormatTo into a fresh
+// builder. b grows by doubling. An error can leave the text partly written.
+func FormatTo(b *strings.Builder, args List) error {
+	if err := wantAtLeast(args, 1); err != nil {
+		return err
+	}
+	tpl, err := AsString(args[0])
+	if err != nil {
+		return err
+	}
+	b.Grow(len(tpl) + 8*len(args))
+	argi := 1
+	for i := 0; i < len(tpl); i++ {
+		c := tpl[i]
+		if c != '~' {
+			b.WriteByte(c)
+			continue
+		}
+		i++
+		if i >= len(tpl) {
+			return fmt.Errorf("dangling ~ in format template")
+		}
+		switch tpl[i] {
+		case 'a', 'A', 's', 'S':
+			if argi >= len(args) {
+				return fmt.Errorf("not enough arguments for format template %q", tpl)
+			}
+			writeValue(b, args[argi], tpl[i] == 's' || tpl[i] == 'S')
+			argi++
+		case '~':
+			b.WriteByte('~')
+		case '%':
+			b.WriteByte('\n')
+		default:
+			return fmt.Errorf("unknown format directive ~%c", tpl[i])
+		}
+	}
+	return nil
 }

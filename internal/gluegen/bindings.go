@@ -12,8 +12,10 @@ import (
 // BindModel installs the SAGE model-access "standard calls" into an Alter
 // interpreter (§2: "The language also includes a set of standard calls to
 // access certain features in SAGE, such as setting or retrieving a property
-// value from an object"). Emitted table lines accumulate in tableOut;
-// emitted glue listing lines in glueOut.
+// value from an object"). Emitted table lines accumulate in tableOut —
+// (emit-format tpl args...) formats a line straight into it, as (emit
+// (format tpl args...)) would write it; emitted glue listing lines in
+// glueOut.
 func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder) {
 	env := in.Global
 	app := input.App
@@ -265,6 +267,13 @@ func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder
 	env.Register("emit", func(args alter.List) (alter.Value, error) {
 		for _, a := range args {
 			alter.WriteDisplay(tableOut, a)
+		}
+		tableOut.WriteByte('\n')
+		return nil, nil
+	})
+	env.Register("emit-format", func(args alter.List) (alter.Value, error) {
+		if err := alter.FormatTo(tableOut, args); err != nil {
+			return nil, err
 		}
 		tableOut.WriteByte('\n')
 		return nil, nil

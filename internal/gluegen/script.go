@@ -9,7 +9,9 @@ const StandardScript = `
 ;; ---------------------------------------------------------------------------
 ;; SAGE standard glue-code generator.
 ;;
-;; Emits, via (emit ...), one s-expression per line of runtime-table source:
+;; Emits, via (emit-format template args...) -- (emit (format ...)) without
+;; the intermediate string -- one s-expression per line of runtime-table
+;; source:
 ;;   (app "name" "platform" num-nodes)
 ;;   (function id "name" "kind" threads (node...) (params-alist) probe)
 ;;   (inport  fn-id "name" rows cols elem-bytes "striping" (buffer-id...))
@@ -28,7 +30,7 @@ const StandardScript = `
                   (app-name) (platform-name) (num-nodes)))
 (emit-src "")
 
-(emit (format "(app ~s ~s ~a)" (app-name) (platform-name) (num-nodes)))
+(emit-format "(app ~s ~s ~a)" (app-name) (platform-name) (num-nodes))
 
 ;; --- function table ---------------------------------------------------------
 
@@ -41,20 +43,20 @@ const StandardScript = `
           (range num-arcs)))
 
 (define (emit-port label f p)
-  (emit (format "(~a ~a ~s ~a ~a ~a ~s ~a)"
-                label (function-id f) (port-name p)
-                (port-rows p) (port-cols p) (port-elem-bytes p)
-                (port-striping p) (port-buffers p))))
+  (emit-format "(~a ~a ~s ~a ~a ~a ~s ~a)"
+               label (function-id f) (port-name p)
+               (port-rows p) (port-cols p) (port-elem-bytes p)
+               (port-striping p) (port-buffers p)))
 
 (emit-src ";; function table (runtime dispatches by ID = index)")
 (for-each
  (lambda (f)
    (let ((nodes (map (lambda (i) (node-of f i))
                      (range (function-threads f)))))
-     (emit (format "(function ~a ~s ~s ~a ~a ~s ~a)"
-                   (function-id f) (function-name f) (function-kind f)
-                   (function-threads f) nodes (function-params f)
-                   (if (get-property f "probe" #f) "#t" "#f")))
+     (emit-format "(function ~a ~s ~s ~a ~a ~s ~a)"
+                  (function-id f) (function-name f) (function-kind f)
+                  (function-threads f) nodes (function-params f)
+                  (if (get-property f "probe" #f) "#t" "#f"))
      (for-each (lambda (p) (emit-port "inport" f p)) (inputs f))
      (for-each (lambda (p) (emit-port "outport" f p)) (outputs f))
      (emit-src (format ";;  [~a] ~a  kind=~a threads=~a nodes=~a"
@@ -66,7 +68,7 @@ const StandardScript = `
 ;; --- logical buffers and striding -------------------------------------------
 
 (define (emit-xfer buf i j reg)
-  (emit (format "(xfer ~a ~a ~a ~a)" buf i j reg)))
+  (emit-format "(xfer ~a ~a ~a ~a)" buf i j reg))
 
 (emit-src ";; logical buffers (one per arc) with striding schedules")
 (for-each
@@ -78,9 +80,9 @@ const StandardScript = `
              (eb (port-elem-bytes sp))
              (ss (port-striping sp)) (ds (port-striping dp)))
          (let ((st (function-threads sf)) (dt (function-threads df)))
-           (emit (format "(buffer ~a ~a ~s ~a ~s ~a ~a ~a)"
-                         bi (function-id sf) (port-name sp)
-                         (function-id df) (port-name dp) rows cols eb))
+           (emit-format "(buffer ~a ~a ~s ~a ~s ~a ~a ~a)"
+                        bi (function-id sf) (port-name sp)
+                        (function-id df) (port-name dp) rows cols eb)
            (emit-src (format ";;  buffer ~a: ~a.~a (~a) -> ~a.~a (~a), ~ax~a"
                              bi (function-name sf) (port-name sp) ss
                              (function-name df) (port-name dp) ds rows cols))
@@ -111,6 +113,6 @@ const StandardScript = `
 
 ;; --- execution order ----------------------------------------------------------
 
-(emit (format "(order ~a)" (topo-order)))
+(emit-format "(order ~a)" (topo-order))
 (emit-src (format ";; execution order: ~a" (topo-order)))
 `

@@ -32,10 +32,19 @@
 // process — including the resilient send's attempt, backoff and giveup
 // stages. SendPacked, RecvUnpacked, RecvTimeoutUnpacked and everything built
 // on them (the collectives) are the blocking wrappers over those halves.
+//
+// A message nobody waits for yet queues on its destination's endpoint, and
+// identical bodiless messages queue as one entry with a count: the credit
+// returns of a pipelined lane — mpi.Empty() per freed slot, read only before
+// the lane's next send — hold one entry however many slots are free. Only
+// the newest entry of a (source, tag) absorbs the next such message, so each
+// (source, tag) still drains in arrival order, and no receiver can tell a
+// counted message from the copies it stands for.
 package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -82,10 +91,19 @@ func Float64Payload(data []float64) Payload {
 func Empty() Payload { return Payload{} }
 
 // message is the wire unit: envelope fields used for matching plus payload.
+// Ranks and tags fit 32 bits (Send and Recv refuse a tag that does not), so
+// a queued entry is 40 bytes.
 type message struct {
-	src  int
-	tag  int
-	body Payload
+	src, tag int32
+	body     Payload
+}
+
+// queued is a pending entry: n arrivals of message m, all alike. Only a
+// bodiless message (Data nil) joins an entry, so the copies it stands for
+// are indistinguishable.
+type queued struct {
+	m message
+	n int
 }
 
 // waiter is a blocked receiver: a match key plus a private one-shot channel
@@ -133,12 +151,14 @@ func (w *waiter) HoldResume(p *sim.Proc) (done, came bool) {
 	return true, !w.timedOut
 }
 
-// endpoint is the per-rank receive engine: an unordered pending set matched
-// by (source, tag), serving possibly many simulated threads on one rank.
+// endpoint is the per-rank receive engine, serving possibly many simulated
+// threads on one rank: the messages nobody waited for, in arrival order and
+// matched by (source, tag) — a run of identical bodiless ones one counted
+// entry — and the receivers waiting, in the order they began.
 type endpoint struct {
 	k       *sim.Kernel
 	rank    int
-	pending []message
+	pending []queued
 	waiters []*waiter
 	free    *waiter
 	flights *flight // recycled in-flight records
@@ -266,13 +286,15 @@ func (e *endpoint) putWaiter(w *waiter) {
 }
 
 func matches(m *message, src, tag int) bool {
-	return m.src == src && m.tag == tag
+	return int(m.src) == src && int(m.tag) == tag
 }
 
 // deliver makes m visible to receivers at the current virtual instant,
 // handing it to the first blocked waiter that matches (FIFO among waiters).
 // The hand-over posts the waiter's gate step: the receiver's phases start
-// here, without waking it.
+// here, without waking it. Unmatched, m joins the newest pending entry of
+// its (source, tag) when both are bodiless and equally sized, and queues
+// behind it otherwise.
 func (e *endpoint) deliver(m message) {
 	for i, w := range e.waiters {
 		if matches(&m, w.src, w.tag) {
@@ -282,17 +304,30 @@ func (e *endpoint) deliver(m message) {
 			return
 		}
 	}
-	e.pending = append(e.pending, m)
+	for i := len(e.pending) - 1; i >= 0 && m.body.Data == nil; i-- {
+		q := &e.pending[i]
+		if q.m.src != m.src || q.m.tag != m.tag {
+			continue
+		}
+		if q.m.body.Data == nil && q.m.body.Bytes == m.body.Bytes {
+			q.n++
+			return
+		}
+		break
+	}
+	e.pending = append(e.pending, queued{m: m, n: 1})
 }
 
-// match takes a pending message matching (src, tag) if there is one;
-// otherwise it queues a waiter for it — armed to time out after d when timed
-// — which the caller passes to the node as the receive's gate.
+// match takes the oldest pending message matching (src, tag) if there is
+// one; otherwise it queues a waiter for it — armed to time out after d when
+// timed — which the caller passes to the node as the receive's gate.
 func (e *endpoint) match(p *sim.Proc, src, tag int, timed bool, d sim.Duration) (message, *waiter) {
 	for i := range e.pending {
-		if matches(&e.pending[i], src, tag) {
-			m := e.pending[i]
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
+		if q := &e.pending[i]; matches(&q.m, src, tag) {
+			m := q.m
+			if q.n--; q.n == 0 {
+				e.pending = slices.Delete(e.pending, i, i+1)
+			}
 			return m, nil
 		}
 	}
@@ -458,6 +493,7 @@ func (r *Rank) SendBegin(dst, tag int, body Payload, pack int) bool {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("mpi: send to rank %d of world size %d", dst, r.Size()))
 	}
+	checkTag(tag)
 	op := &r.op
 	op.recv, op.dst, op.tag, op.msg = false, dst, tag, body
 	if !r.w.Mach.Faults().Enabled() {
@@ -540,6 +576,13 @@ func (r *Rank) sendOn() bool {
 	}
 }
 
+// checkTag refuses a tag the envelope cannot carry.
+func checkTag(tag int) {
+	if tag != int(int32(tag)) {
+		panic(fmt.Sprintf("mpi: tag %d does not fit 32 bits", tag))
+	}
+}
+
 // wire is the send's size on the wire, envelope included.
 func (op *pending) wire() int { return op.msg.Bytes + EnvelopeBytes }
 
@@ -547,7 +590,7 @@ func (op *pending) wire() int { return op.msg.Bytes + EnvelopeBytes }
 func (r *Rank) sent() {
 	op := &r.op
 	ep := &r.w.endpoints[op.dst]
-	m := message{src: r.id, tag: op.tag, body: op.msg}
+	m := message{src: int32(r.id), tag: int32(op.tag), body: op.msg}
 	op.msg = Payload{}
 	if arrival := op.x.Arrival; arrival > r.proc.Now() {
 		// Delivery executes on dst's shard; the fabric latency of a
@@ -628,6 +671,7 @@ func (r *Rank) recvBegin(src, tag, unpack int, timed bool, d sim.Duration) bool 
 	if src < 0 || src >= r.Size() {
 		panic(fmt.Sprintf("mpi: recv from rank %d of world size %d", src, r.Size()))
 	}
+	checkTag(tag)
 	m, w := r.w.endpoints[r.id].match(r.proc, src, tag, timed, d)
 	op := &r.op
 	op.recv, op.w, op.unpack, op.msg, op.ok = true, w, unpack, m.body, true
