@@ -395,8 +395,9 @@ func (e *Evaluator) Evaluate(m *model.Mapping, w Weights) (Cost, error) {
 }
 
 // evalGenome prices one genome. It is pure with respect to the Evaluator
-// (scratch state comes from a pool), so fitness evaluations may run
-// concurrently — the GA's worker pool relies on this.
+// (scratch state comes from a pool), so evaluations may run concurrently;
+// the GA's scoring workers each hold one scratch for a whole search and
+// call evalGenomeInto.
 func (e *Evaluator) evalGenome(g genome, w Weights) Cost {
 	s := e.scratch.Get().(*evalScratch)
 	c := e.evalGenomeInto(g, w, s)

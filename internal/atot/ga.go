@@ -114,11 +114,13 @@ type gaArchive struct {
 }
 
 func (a *gaArchive) offer(s scored) {
-	key := genomeKey(s.g)
-	if _, dup := a.seen[key]; dup {
+	// A genome too costly for a full archive is turned away before its key
+	// is built, so offers after the archive fills mostly allocate nothing.
+	if len(a.top) == a.k && s.cost.Total >= a.top[a.k-1].cost.Total {
 		return
 	}
-	if len(a.top) == a.k && s.cost.Total >= a.top[a.k-1].cost.Total {
+	key := genomeKey(s.g)
+	if _, dup := a.seen[key]; dup {
 		return
 	}
 	a.seen[key] = struct{}{}
@@ -182,53 +184,76 @@ func runGA(e *Evaluator, cfg GAConfig, arch *gaArchive) (scored, *GAStats, error
 	rng := rand.New(rand.NewSource(c.Seed))
 	genomeLen := len(e.tasks)
 
-	newGenome := func() genome {
-		g := make(genome, genomeLen)
+	// A search holds two generations for its whole run, each a population
+	// whose genomes are fixed slots of one arena: a generation breeds into
+	// next while selection reads pop, then the two swap.
+	generation := func() []scored {
+		arena := make([]int, c.Population*genomeLen)
+		g := make([]scored, c.Population)
 		for i := range g {
-			g[i] = rng.Intn(e.NumNodes)
+			g[i].g = arena[i*genomeLen : (i+1)*genomeLen : (i+1)*genomeLen]
 		}
 		return g
 	}
+	pop, next := generation(), generation()
+	randomize := func(g genome) {
+		for i := range g {
+			g[i] = rng.Intn(e.NumNodes)
+		}
+	}
 
-	stats := &GAStats{Generations: c.Generations}
-	// scoreAll prices a batch of genomes on the worker pool. evalGenome is
-	// pure (pooled scratch, memoized tables, no rng) and Fitness is required
-	// to be, so scoring in parallel is safe and preserves the exact
-	// sequential trajectory. The archive is fed afterwards, sequentially.
-	scoreAll := func(batch []scored) {
-		stats.Evaluations += len(batch)
-		runPool(len(batch), c.Parallelism, func(i int) {
-			if c.Fitness != nil {
-				batch[i].cost = Cost{Total: c.Fitness(batch[i].g)}
-			} else {
-				batch[i].cost = e.evalGenome(batch[i].g, c.Weights)
-			}
-		})
+	stats := &GAStats{Generations: c.Generations, BestByGen: make([]float64, 0, c.Generations)}
+	// scoreAll prices a batch of genomes on the worker pool. The cost model
+	// is pure (memoized tables, no rng; each worker owns one scratch for the
+	// search) and Fitness is required to be, so scoring in parallel is safe
+	// and preserves the exact sequential trajectory. The archive is fed
+	// afterwards, sequentially.
+	width := poolWidth(c.Population, c.Parallelism)
+	var scratch []*evalScratch
+	if c.Fitness == nil {
+		scratch = make([]*evalScratch, width)
+		for w := range scratch {
+			scratch[w] = e.scratch.Get().(*evalScratch)
+			defer e.scratch.Put(scratch[w])
+		}
+	}
+	var batch []scored
+	score := func(w, i int) {
+		if c.Fitness != nil {
+			batch[i].cost = Cost{Total: c.Fitness(batch[i].g)}
+		} else {
+			batch[i].cost = e.evalGenomeInto(batch[i].g, c.Weights, scratch[w])
+		}
+	}
+	scoreAll := func(b []scored) {
+		stats.Evaluations += len(b)
+		batch = b
+		runPool(len(b), width, score)
 		if arch != nil {
-			for _, s := range batch {
+			for _, s := range b {
 				arch.offer(s)
 			}
 		}
 	}
 
-	pop := make([]scored, c.Population)
 	// Seed the population with the two deterministic baselines plus random
 	// genomes, so the GA never does worse than the heuristics.
-	if g, err := e.genomeFromMapping(model.RoundRobin(e.App, e.NumNodes)); err == nil {
-		pop[0] = scored{g: g}
-	} else {
-		pop[0] = scored{g: newGenome()}
-	}
-	if m, err := model.SpreadParallel(e.App, e.NumNodes); err == nil {
-		if g, err := e.genomeFromMapping(m); err == nil {
-			pop[1] = scored{g: g}
+	baseline := func(g genome, m *model.Mapping, err error) {
+		if err == nil {
+			if h, err := e.genomeFromMapping(m); err == nil {
+				copy(g, h)
+				return
+			}
 		}
+		randomize(g)
 	}
-	if pop[1].g == nil {
-		pop[1] = scored{g: newGenome()}
+	baseline(pop[0].g, model.RoundRobin(e.App, e.NumNodes), nil)
+	if c.Population > 1 {
+		m, err := model.SpreadParallel(e.App, e.NumNodes)
+		baseline(pop[1].g, m, err)
 	}
 	for i := 2; i < c.Population; i++ {
-		pop[i] = scored{g: newGenome()}
+		randomize(pop[i].g)
 	}
 	scoreAll(pop)
 
@@ -252,29 +277,33 @@ func runGA(e *Evaluator, cfg GAConfig, arch *gaArchive) (scored, *GAStats, error
 		return b.g
 	}
 
+	elites := min(c.Elite, c.Population)
+	order := make([]int, c.Population) // pop indices, partially sorted by cost
 	for gen := 0; gen < c.Generations; gen++ {
-		next := make([]scored, 0, c.Population)
-		// Elitism: carry the best genomes unchanged.
-		elitePool := append([]scored(nil), pop...)
-		for i := 0; i < c.Elite && i < len(elitePool); i++ {
+		// Elitism: carry the best genomes unchanged, picked by a partial
+		// selection sort over indices (the first-found minimum wins a tie).
+		for i := range order {
+			order[i] = i
+		}
+		for i := 0; i < elites; i++ {
 			bi := i
-			for j := i + 1; j < len(elitePool); j++ {
-				if elitePool[j].cost.Total < elitePool[bi].cost.Total {
+			for j := i + 1; j < len(order); j++ {
+				if pop[order[j]].cost.Total < pop[order[bi]].cost.Total {
 					bi = j
 				}
 			}
-			elitePool[i], elitePool[bi] = elitePool[bi], elitePool[i]
-			next = append(next, elitePool[i])
+			order[i], order[bi] = order[bi], order[i]
+			copy(next[i].g, pop[order[i]].g)
+			next[i].cost = pop[order[i]].cost
 		}
 		// Breed all offspring first (rng-consuming, sequential), then score
 		// the batch on the pool. Tournament selection reads only the previous
 		// generation's costs, so deferring the children's scores changes
 		// nothing.
-		elites := len(next)
-		for len(next) < c.Population {
+		for _, s := range next[elites:] {
 			a := tournament()
 			b := tournament()
-			child := make(genome, genomeLen)
+			child := s.g
 			if rng.Float64() < c.Crossover {
 				// Single-point crossover preserves contiguous function
 				// thread groups reasonably well.
@@ -289,10 +318,9 @@ func runGA(e *Evaluator, cfg GAConfig, arch *gaArchive) (scored, *GAStats, error
 					child[i] = rng.Intn(e.NumNodes)
 				}
 			}
-			next = append(next, scored{g: child})
 		}
 		scoreAll(next[elites:])
-		pop = next
+		pop, next = next, pop
 		stats.BestByGen = append(stats.BestByGen, best().cost.Total)
 	}
 

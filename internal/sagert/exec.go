@@ -210,6 +210,7 @@ func (r *runner) result(k *sim.Kernel) *Result {
 	} else {
 		res.Period = res.Latencies[0]
 	}
+	res.NodeStats = make([]NodeStat, 0, len(r.mach.Nodes()))
 	for _, nd := range r.mach.Nodes() {
 		res.NodeStats = append(res.NodeStats, NodeStat{
 			Node: nd.ID, ComputeBusy: nd.ComputeBusy, CopyBusy: nd.CopyBusy,

@@ -342,6 +342,7 @@ func Run(cfg Config) (*Result, error) {
 			res.LastDone = r.frames[i].Done
 		}
 	}
+	res.NodeStats = make([]NodeStat, 0, len(mach.Nodes()))
 	for _, nd := range mach.Nodes() {
 		res.NodeStats = append(res.NodeStats, NodeStat{
 			Node: nd.ID, ComputeBusy: nd.ComputeBusy, CopyBusy: nd.CopyBusy,
