@@ -2,6 +2,7 @@ package archtest
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"maps"
@@ -765,4 +766,72 @@ func TestOnlyFunclibSetsLayouts(t *testing.T) {
 		}
 	}
 	t.Logf("%d packages checked", len(paths))
+}
+
+// goAllowance is a module-relative path prefix where a non-test go
+// statement may appear, and why.
+type goAllowance struct{ prefix, why string }
+
+var goAllowed = []goAllowance{
+	{"internal/pool/", "the ordered worker pool every fan-out runs on"},
+	{"internal/atot/pool.go", "the GA's static-striding scorer for tiny uniform jobs"},
+	{"internal/sagert/samples.go", "sample tasks beside the kernel's step"},
+	{"internal/codegen/rtl/", "the generated program's one goroutine per SAGE thread"},
+	{"internal/serve/serve.go", "the daemon's long-lived worker fleet"},
+	{"internal/sim/sharding.go", "the sharded kernel's window workers (-shards)"},
+	{"cmd/sage-serve/", "the daemon's listener"},
+	{"cmd/sage-load/", "the load generator's concurrent clients"},
+	{"benchmark/", "the repo benchmark's closed-loop clients"},
+}
+
+// TestGoStatementsOnlyInPools: concurrency composes through one fan-out
+// primitive (ROADMAP 13). A non-test go statement appears only under a
+// goAllowed prefix; anywhere else a stage starts goroutines of its own
+// beside the pool, which nests badly inside a pool worker. Every prefix
+// must still hold one, so the list cannot outlive what it allows.
+func TestGoStatementsOnlyInPools(t *testing.T) {
+	fset := token.NewFileSet()
+	used := make([]bool, len(goAllowed))
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); !ok {
+				return true
+			}
+			i := slices.IndexFunc(goAllowed, func(a goAllowance) bool { return strings.HasPrefix(rel, a.prefix) })
+			if i < 0 {
+				t.Errorf("%s: go statement outside the fan-out primitives; run the work on internal/pool", fset.Position(n.Pos()))
+			} else {
+				used[i] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range goAllowed {
+		if !used[i] {
+			t.Errorf("%s (%s) holds no go statement any more: drop it from goAllowed", a.prefix, a.why)
+		}
+	}
 }

@@ -236,7 +236,7 @@ func runSim(c Case) (Result, error) {
 	opts := sagert.Options{Iterations: c.Iterations, Shards: c.Shards}
 	if c.Shards > 1 {
 		// Seed the shard partitioner with the twin's per-node busy forecast,
-		// the same steering sage-run uses; partition choice is wall-clock-only.
+		// the same steering sage run uses; partition choice is wall-clock-only.
 		if w, werr := twin.ShardWeights(out.Tables, pl, twin.Options{Iterations: c.Iterations}); werr == nil {
 			opts.ShardWeights = w
 		}

@@ -6,7 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/pool"
 )
 
 // Config tunes a conformance campaign over a seed range.
@@ -75,28 +76,11 @@ func Run(from, to int64, cfg Config) (*Report, error) {
 	if to < from {
 		return nil, fmt.Errorf("conformance: bad seed range [%d, %d)", from, to)
 	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	n := int(to - from)
-	results := make([]SeedResult, n)
-	seeds := make(chan int, n)
-	for i := 0; i < n; i++ {
-		seeds <- i
-	}
-	close(seeds)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range seeds {
-				results[i] = runSeed(from+int64(i), cfg)
-			}
-		}()
-	}
-	wg.Wait()
+	// runSeed reports a failing seed as data, never as an error, so the
+	// pool's first-error cancel never fires and every seed runs.
+	results, _ := pool.Run(max(cfg.Parallelism, 1), int(to-from), func(i int) (SeedResult, error) {
+		return runSeed(from+int64(i), cfg), nil
+	})
 
 	rep := &Report{Config: cfg, Seeds: results}
 	for i := range results {

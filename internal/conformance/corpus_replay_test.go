@@ -10,7 +10,7 @@ import (
 // TestCorpusReplay re-runs every committed reproducer in testdata/corpus
 // through the complete differential check on each `go test`: a case that once
 // exposed a bug (or pins a degenerate shape) keeps guarding it forever. New
-// reproducers land here by copying the seed-<n>.case file sage-conform writes
+// reproducers land here by copying the seed-<n>.case file sage conform writes
 // on failure.
 func TestCorpusReplay(t *testing.T) {
 	dir := filepath.Join("testdata", "corpus")

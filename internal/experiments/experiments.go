@@ -34,6 +34,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -301,7 +302,7 @@ func RunTable1(cfg Table1Config) (*Table1, error) {
 		row  Row
 		cols []*trace.Collector
 	}
-	outs, err := runPool(c.Protocol.Parallelism, len(cells), func(i int) (cellOut, error) {
+	outs, err := pool.Run(c.Protocol.Parallelism, len(cells), func(i int) (cellOut, error) {
 		cl := cells[i]
 		hand, hcols, err := runHand(cl.kind, c.Platform, cl.nodes, cl.n, c.Protocol)
 		if err != nil {
@@ -362,4 +363,20 @@ func (t *Table1) Format() string {
 	fmt.Fprintf(&b, "\nAverages: 2D FFT %.1f%%   Corner Turn %.1f%%   Overall %.1f%% of hand-coded\n",
 		t.FFTAvg, t.CTAvg, t.OverallAvg)
 	return b.String()
+}
+
+// mergeTrace folds the per-run collectors produced by pooled jobs into the
+// protocol's Trace in input (sweep) order, after the pool has drained. Each
+// collector was filled by exactly one kernel's goroutine, so this single
+// post-pool pass is the only cross-run touch point — no locking, and the
+// merged trace is identical at any parallelism. No-op when tracing is off.
+func mergeTrace[T any](t *trace.Trace, results []T, cols func(T) []*trace.Collector) {
+	if t == nil {
+		return
+	}
+	for _, r := range results {
+		for _, c := range cols(r) {
+			t.Add(c)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -36,7 +37,7 @@ func RunTwoNode(pl machine.Platform, n int, proto Protocol) (*TwoNode, error) {
 		row  Row
 		cols []*trace.Collector
 	}
-	outs, err := runPool(proto.Parallelism, len(nodeCounts), func(i int) (cellOut, error) {
+	outs, err := pool.Run(proto.Parallelism, len(nodeCounts), func(i int) (cellOut, error) {
 		nodes := nodeCounts[i]
 		hand, hcols, err := runHand(AppCornerTurn, pl, nodes, n, proto)
 		if err != nil {
@@ -173,7 +174,7 @@ func RunCrossVendor(n int, nodes []int, proto Protocol) (*CrossVendor, error) {
 		row  VendorRow
 		cols []*trace.Collector
 	}
-	outs, err := runPool(proto.Parallelism, len(cells), func(i int) (cellOut, error) {
+	outs, err := pool.Run(proto.Parallelism, len(cells), func(i int) (cellOut, error) {
 		cl := cells[i]
 		lat, cols, err := runHand(cl.kind, cl.pl, cl.nn, n, proto)
 		if err != nil {
@@ -264,7 +265,7 @@ func RunPortability(kind AppKind, n, nodes int, proto Protocol) (*Portability, e
 	proto = proto.withDefaults()
 	out := &Portability{App: kind, N: n, Nodes: nodes}
 	vendors := platforms.Vendors()
-	results, err := runPool(proto.Parallelism, len(vendors), func(i int) (*sagert.Result, error) {
+	results, err := pool.Run(proto.Parallelism, len(vendors), func(i int) (*sagert.Result, error) {
 		pl := vendors[i]
 		tbl, err := GenerateTables(kind, pl, nodes, n)
 		if err != nil {
@@ -405,7 +406,7 @@ func RunPipeline(kind AppKind, pl machine.Platform, n, nodes, iterations int) (*
 			return nil
 		},
 	}
-	if _, err := runPool(0, len(modes), func(i int) (struct{}, error) {
+	if _, err := pool.Run(0, len(modes), func(i int) (struct{}, error) {
 		return struct{}{}, modes[i]()
 	}); err != nil {
 		return nil, err
@@ -456,7 +457,7 @@ func RunScaling(kind AppKind, pl machine.Platform, n int, nodeCounts []int, prot
 		hand, sage sim.Duration
 		cols       []*trace.Collector
 	}
-	points, err := runPool(proto.Parallelism, len(nodeCounts), func(i int) (point, error) {
+	points, err := pool.Run(proto.Parallelism, len(nodeCounts), func(i int) (point, error) {
 		hand, hcols, err := runHand(kind, pl, nodeCounts[i], n, proto)
 		if err != nil {
 			return point{}, err
@@ -648,7 +649,7 @@ func RunHeterogeneous(app *model.App, pl machine.Platform, speeds []float64, ga 
 		return res.AvgLatency(), nil
 	}
 	mappings := []*model.Mapping{gaMap, model.RoundRobin(app, nodes)}
-	measured, err := runPool(0, len(mappings), func(i int) (sim.Duration, error) {
+	measured, err := pool.Run(0, len(mappings), func(i int) (sim.Duration, error) {
 		return measure(mappings[i])
 	})
 	if err != nil {
@@ -706,7 +707,7 @@ func RunRealTime(kind AppKind, pl machine.Platform, n, nodes, iterations int, fa
 	out := &RealTime{App: kind, N: n, Nodes: nodes, Capacity: free.Period}
 	// Every paced run depends on the free-running period above, but the runs
 	// are independent of each other: one pooled job per input rate.
-	rows, err := runPool(0, len(factors), func(i int) (RealTimeRow, error) {
+	rows, err := pool.Run(0, len(factors), func(i int) (RealTimeRow, error) {
 		period := sim.Duration(float64(free.Period) * factors[i])
 		res, err := sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: iterations, ComputeIterations: sagert.NoSamples, InputPeriod: period})
 		if err != nil {
@@ -795,7 +796,7 @@ func RunMappingStudy(app *model.App, pl machine.Platform, nodes int, ga atot.GAC
 		return res.AvgLatency(), nil
 	}
 	mappings := []*model.Mapping{gaMap, rr}
-	measured, err := runPool(0, len(mappings), func(i int) (sim.Duration, error) {
+	measured, err := pool.Run(0, len(mappings), func(i int) (sim.Duration, error) {
 		return measure(mappings[i])
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/platforms"
+	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -100,7 +101,7 @@ func RunFaultSweep(cfg FaultSweepConfig) (*FaultSweep, error) {
 		}
 		return cellOut{hand: hand, sage: sage, cols: append(hcols, scols...)}, nil
 	}
-	outs, err := runPool(c.Protocol.Parallelism, 1+len(c.Rates), func(i int) (cellOut, error) {
+	outs, err := pool.Run(c.Protocol.Parallelism, 1+len(c.Rates), func(i int) (cellOut, error) {
 		var plan *fault.Plan
 		if i > 0 && c.Rates[i-1] > 0 {
 			plan = fault.DropAll(c.Seed, c.Rates[i-1])

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -45,7 +46,7 @@ func RunStreamCompare(cfg StreamCompareConfig) (*StreamCompare, error) {
 		rep *stream.Report
 		col *trace.Collector
 	}
-	outs, err := runPool(cfg.Parallelism, len(cells), func(i int) (cellOut, error) {
+	outs, err := pool.Run(cfg.Parallelism, len(cells), func(i int) (cellOut, error) {
 		c, err := cells[i].Build()
 		if err != nil {
 			return cellOut{}, fmt.Errorf("experiments: stream compare: %w", err)

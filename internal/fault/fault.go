@@ -164,7 +164,7 @@ func (p *Plan) Validate() error {
 
 // CheckNodes verifies that every concrete node / link endpoint referenced by
 // the plan exists on a machine with n nodes (wildcards always pass). Used by
-// sage-faultcheck and by runtimes before installing a plan.
+// sage check fault and by runtimes before installing a plan.
 func (p *Plan) CheckNodes(n int) error {
 	if p == nil {
 		return nil

@@ -239,7 +239,7 @@ func parseWindow(kv map[string]string) (Window, error) {
 }
 
 // String renders the plan back in the text format ParsePlan accepts
-// (round-trippable; used by sage-faultcheck to echo the normalised plan).
+// (round-trippable; used by sage check fault to echo the normalised plan).
 func (p *Plan) String() string {
 	if p == nil {
 		return ""

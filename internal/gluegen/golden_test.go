@@ -9,8 +9,8 @@ import (
 )
 
 // TestGoldenTableSource pins the exact generated table source for a tiny
-// model. The table-source grammar is a wire format (sage-gluegen writes it,
-// sage-run parses it), so accidental format changes must be caught — update
+// model. The table-source grammar is a wire format (sage gluegen writes it,
+// sage run parses it), so accidental format changes must be caught — update
 // this golden text deliberately when the grammar changes.
 func TestGoldenTableSource(t *testing.T) {
 	a := model.NewApp("tiny")

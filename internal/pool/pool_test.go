@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestOrderPreserved: results land in input order at every parallelism.
@@ -63,5 +64,44 @@ func TestZeroJobs(t *testing.T) {
 	got, err := Run(4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
+	}
+}
+
+// TestEveryJobRunsExactlyOnce: each index is dispatched to exactly one
+// worker.
+func TestEveryJobRunsExactlyOnce(t *testing.T) {
+	var calls [50]atomic.Int32
+	if _, err := Run(8, len(calls), func(i int) (struct{}, error) {
+		calls[i].Add(1)
+		return struct{}{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("job %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestCancelKeepsLowestIndexError: cancellation must not change which error
+// is reported. A slow failure at index 0 and an instant failure at index 1
+// race; the batch still reports index 0's error, exactly as a sequential
+// loop would.
+func TestCancelKeepsLowestIndexError(t *testing.T) {
+	_, err := Run(2, 100, func(i int) (int, error) {
+		switch i {
+		case 0:
+			time.Sleep(20 * time.Millisecond)
+			return 0, errors.New("job 0 failed")
+		case 1:
+			return 0, errors.New("job 1 failed")
+		default:
+			time.Sleep(time.Millisecond)
+			return i, nil
+		}
+	})
+	if err == nil || err.Error() != "job 0 failed" {
+		t.Fatalf("err = %v, want the lowest-index (job 0) error", err)
 	}
 }

@@ -329,7 +329,7 @@ func TestComputeErrorPropagates(t *testing.T) {
 	// A library function failing at runtime must abort the run with a
 	// descriptive error, not hang or panic. Validation refuses a model whose
 	// Compute can fail, so the bad window parameter goes into the generated
-	// tables — what sage-run accepts from a file, unvalidated.
+	// tables — what sage run -tables accepts from a file, unvalidated.
 	app := model.NewApp("failing")
 	mt, _ := app.AddType(&model.DataType{Name: "m", Rows: 16, Cols: 16, Elem: model.ElemComplex})
 	src := app.AddFunction(&model.Function{Name: "src", Kind: "source_matrix", Threads: 1})

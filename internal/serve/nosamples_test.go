@@ -114,3 +114,32 @@ func TestAllocCeilingSimRequest(t *testing.T) {
 		t.Fatalf("one sim request allocates %d bytes, a 256x256 matrix is %d: the run carries samples", got, matrix)
 	}
 }
+
+// TestAllocCeilingGARequest: a request whose mapping is a GA search runs the
+// search at width 1 — it executes inside a worker of a fleet that already
+// fills the cores, so it fans out no goroutines of its own. One fft2d 256
+// request on 8 nodes (pop 32, 40 generations) measured 1 455 allocations at
+// any GOMAXPROCS (up to 1 493 under -race); scoring at GOMAXPROCS width
+// measured 1 594 at GOMAXPROCS 2 and 1 924–1 988 at 8.
+func TestAllocCeilingGARequest(t *testing.T) {
+	r := Request{App: "fft2d", N: 256, Threads: 4, Nodes: 8, Mapping: "ga"}
+	if err := r.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := execute(context.Background(), &r, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	run() // warm one-time state (the compiled generator script) outside the measurement
+	got := min(run(), run(), run())
+	const ceiling = 1520
+	t.Logf("one ga request makes %d allocations (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Fatalf("one ga request makes %d allocations, ceiling %d: is the search fanning out inside a fleet worker?", got, ceiling)
+	}
+}

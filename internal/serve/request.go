@@ -13,13 +13,13 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/atot"
-	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -48,7 +48,7 @@ type Request struct {
 	N int `json:"n,omitempty"`
 	// Threads is the benchmark worker-thread count (default 4).
 	Threads int `json:"threads,omitempty"`
-	// Source is inline model text (the sage-designer format); when set it
+	// Source is inline model text (the sage designer format); when set it
 	// replaces App/N/Threads.
 	Source string `json:"source,omitempty"`
 	// Platform is a registry platform name (default CSPI).
@@ -63,7 +63,7 @@ type Request struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Protocol is the execution protocol (§3.3 shape).
 	Protocol Protocol `json:"protocol,omitempty"`
-	// Faults is an optional fault-plan text (the sage-faultcheck format)
+	// Faults is an optional fault-plan text (the sage check fault format)
 	// injected into every repetition.
 	Faults string `json:"faults,omitempty"`
 	// TraceSummary asks for the per-node/per-link trace summary of the
@@ -364,8 +364,11 @@ func buildCase(r *Request) (*gluegen.Tables, *model.App, machine.Platform, *Resp
 		} else {
 			var stats *atot.GAStats
 			// Small fixed GA budget: the daemon answers interactively, and
-			// the seed (cache-keyed) makes the search reproducible.
-			mapping, stats, err = atot.MapGA(ev, atot.GAConfig{Population: 32, Generations: 40, Seed: r.Seed})
+			// the seed (cache-keyed) makes the search reproducible. The
+			// search runs inside a worker of a fleet that already fills the
+			// cores, so it scores at width 1: a nested fan-out of ~30
+			// microsecond scorings per generation costs more than it saves.
+			mapping, stats, err = atot.MapGA(ev, atot.GAConfig{Population: 32, Generations: 40, Seed: r.Seed, Parallelism: 1})
 			if stats != nil {
 				resp.GA = &GASummary{Generations: stats.Generations, Evaluations: stats.Evaluations, Best: stats.Best.Total}
 			}
@@ -536,7 +539,7 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 // wired into the kernel's cancellation poll (sagert.Options.Cancel): a
 // deadline mid-run aborts between dispatched events and sagert's deferred
 // Kernel.Shutdown releases the parked process goroutines, so a canceled
-// request leaks nothing. Repetitions fan out on the experiments pool; its
+// request leaks nothing. Repetitions fan out on internal/pool; its
 // first-failure cancellation stops the batch as soon as one repetition is
 // canceled. backlog feeds the daemon's per-worker queue-depth gauge on
 // streaming requests; batch requests ignore it.
@@ -569,7 +572,7 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 	if par > 4 {
 		par = 4
 	}
-	outs, err := experiments.RunPool(par, reps, func(i int) (repOut, error) {
+	outs, err := pool.Run(par, reps, func(i int) (repOut, error) {
 		if err := ctx.Err(); err != nil {
 			return repOut{}, err
 		}

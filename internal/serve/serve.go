@@ -3,7 +3,7 @@
 // weeks. Long-lived-process discipline shapes everything here:
 //
 //   - a bounded worker fleet executes requests (no per-request goroutine
-//     fan-out beyond the experiments pool, which is itself bounded);
+//     fan-out beyond internal/pool's, which is itself bounded);
 //   - admission control sheds load early — a token bucket for sustained
 //     rate, a bounded queue for bursts — with HTTP 429, instead of letting
 //     latency and memory grow without bound;

@@ -163,7 +163,7 @@ func BuildReport(classes []Class, seed int64, res *Result) *Report {
 }
 
 // Validate checks a report's internal consistency — the schema gate CI runs
-// on sage-stream output.
+// on sage stream output (sage check stream).
 func (r *Report) Validate() error {
 	if r.Schema != ReportSchema {
 		return fmt.Errorf("stream: report schema %q, want %q", r.Schema, ReportSchema)

@@ -16,7 +16,7 @@ import (
 
 // Scenario is the authored form of a streaming run: an app/platform/mapping
 // case plus the class mix, fault plan and remap policy. It is what
-// sage-stream reads from disk, what the experiments harness commits as
+// sage stream reads from disk, what the experiments harness commits as
 // goldens, and what a report embeds so a replay needs nothing else.
 type Scenario struct {
 	// App selects a generated benchmark: fft2d | cornerturn | stap.
@@ -39,7 +39,7 @@ type Scenario struct {
 	BufferSlots int `json:"buffer_slots,omitempty"`
 	// Classes is the client mix.
 	Classes []Class `json:"classes"`
-	// Faults is an optional fault-plan text (the sage-faultcheck format).
+	// Faults is an optional fault-plan text (the sage check fault format).
 	Faults string `json:"faults,omitempty"`
 	// Remap, when non-nil, enables the remapping controller.
 	Remap *RemapSpec `json:"remap,omitempty"`

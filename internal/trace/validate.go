@@ -47,7 +47,7 @@ type rawChromeEvent struct {
 // events in the "stream" category the StreamKinds vocabulary (the
 // streaming-workload schema extension). It
 // returns per-category statistics on success. This is the schema gate CI
-// runs against sage-bench -trace output.
+// runs against sage bench -trace output.
 func ValidateChrome(data []byte) (*ChromeStats, error) {
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`

@@ -14,9 +14,9 @@ import (
 	"strings"
 
 	"repro/internal/conformance"
-	"repro/internal/experiments"
 	"repro/internal/gluegen"
 	"repro/internal/platforms"
+	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/twin"
@@ -116,7 +116,7 @@ func (r *Report) Table() string {
 func Validate(cfg Config) (*Report, error) {
 	c := cfg.withDefaults()
 	type caseRuns struct{ runs []Run }
-	results, err := experiments.RunPool(c.Parallelism, c.Seeds, func(i int) (caseRuns, error) {
+	results, err := pool.Run(c.Parallelism, c.Seeds, func(i int) (caseRuns, error) {
 		seed := c.SeedStart + int64(i)
 		cc, err := conformance.Generate(seed, conformance.GenConfig{Quick: c.Quick})
 		if err != nil {
