@@ -25,9 +25,6 @@ import (
 // Independent simulation runs fan out across a bounded worker pool
 // (-parallel, default GOMAXPROCS). Results are identical at any pool size —
 // all timing is virtual — so -parallel trades host wall-clock only.
-// -shards N additionally shards each SAGE simulation internally
-// (sagert.Options.Shards) — useful when one huge run dominates; like
-// -parallel it never changes a reported number.
 //
 // -faults plan.txt injects a deterministic fault plan (drops, degraded
 // links, node stalls — see DESIGN.md §6 and sage check fault) into every
@@ -48,7 +45,6 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced sizes and protocol for a fast smoke run")
 	paper := fs.Bool("paper", false, "use the literal §3.3 protocol (10 executions x 100 iterations); slow, and — the simulator being deterministic — numerically identical to the default reduced protocol")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS, 1 = sequential); output is identical at any setting")
-	shards := fs.Int("shards", 1, "shard each SAGE simulation run across up to this many cores (byte-identical output; sequential-mode comparisons and shared-fabric platforms ignore it)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of every simulation run to this file")
 	traceSummary := fs.Bool("trace-summary", false, "print a per-node/per-link trace summary (requires or implies tracing)")
 	faultsPath := fs.String("faults", "", "fault-plan file injected into every simulated run (validate with sage check fault)")
@@ -75,7 +71,6 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 		vendorNodes = []int{4, 8}
 	}
 	proto.Parallelism = *parallel
-	proto.Shards = *shards
 	if *faultsPath != "" {
 		src, err := os.ReadFile(*faultsPath)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/sagert"
 	"repro/internal/trace"
-	"repro/internal/twin"
 	"repro/internal/viz"
 )
 
@@ -28,7 +27,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	fs := flags("run", stderr)
 	d := designFlags(fs, "mapping", "hw", "tables")
 	iterations := fs.Int("iterations", 10, "data sets to process")
-	shards := fs.Int("shards", 1, "simulate on up to this many host cores (byte-identical results; falls back to 1 when the run cannot shard)")
 	sequential := fs.Bool("sequential", false, "process one data set at a time (no pipelining)")
 	optimized := fs.Bool("optimized-buffers", false, "enable the future-work buffer optimisation")
 	vizReport := fs.Bool("viz", false, "print the Visualizer report")
@@ -51,16 +49,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	pl := l.pl
-	opts := sagert.Options{Iterations: *iterations, Sequential: *sequential, OptimizedBuffers: *optimized, Shards: *shards}
-	if *shards > 1 {
-		// Seed the shard partitioner with the twin's per-node busy forecast;
-		// uniform weights are a fine fallback when the twin refuses.
-		if w, err := twin.ShardWeights(tables, pl, twin.Options{
-			Iterations: *iterations, Sequential: *sequential, OptimizedBuffers: *optimized,
-		}); err == nil {
-			opts.ShardWeights = w
-		}
-	}
+	opts := sagert.Options{Iterations: *iterations, Sequential: *sequential, OptimizedBuffers: *optimized}
 	var vtrace *viz.Trace
 	if *vizReport || *traceCSV != "" || *svgOut != "" {
 		var hook func(sagert.Event)

@@ -778,7 +778,6 @@ var goAllowed = []goAllowance{
 	{"internal/sagert/samples.go", "sample tasks beside the kernel's step"},
 	{"internal/codegen/rtl/", "the generated program's one goroutine per SAGE thread"},
 	{"internal/serve/serve.go", "the daemon's long-lived worker fleet"},
-	{"internal/sim/sharding.go", "the sharded kernel's window workers (-shards)"},
 	{"cmd/sage-serve/", "the daemon's listener"},
 	{"cmd/sage-load/", "the load generator's concurrent clients"},
 	{"benchmark/", "the repo benchmark's closed-loop clients"},
@@ -832,6 +831,83 @@ func TestGoStatementsOnlyInPools(t *testing.T) {
 	for i, a := range goAllowed {
 		if !used[i] {
 			t.Errorf("%s (%s) holds no go statement any more: drop it from goAllowed", a.prefix, a.why)
+		}
+	}
+}
+
+// TestNoNewShardCallers: sagert.Options.Shards and ShardWeights are ignored
+// fields, kept only for the benchmark's wide1024 shard2 class until that
+// class goes (ROADMAP 1(c)), and twin.ShardWeights, the twin's per-node busy
+// forecast, is what that class feeds them. So no Go file outside benchmark/,
+// test files included, names a Shards field — as a selector or a composite
+// literal key — or anything called ShardWeights, other than those three
+// declarations.
+func TestNoNewShardCallers(t *testing.T) {
+	// The declarations the gate allows: the two fields and the function.
+	fields := map[string]bool{"internal/sagert/sagert.go Shards": true, "internal/sagert/sagert.go ShardWeights": true}
+	funcs := map[string]bool{"internal/twin/twin.go ShardWeights": true}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "benchmark" || path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		flag := func(id *ast.Ident) {
+			t.Errorf("%s: names %s; only benchmark/ may, until ROADMAP 1(c) drops its shard2 class", fset.Position(id.Pos()), id.Name)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if key := rel + " " + n.Name.Name; funcs[key] {
+					seen[key], declared[n.Name] = true, true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					if key := rel + " " + id.Name; fields[key] {
+						seen[key], declared[id] = true, true
+					}
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "Shards" {
+					flag(n.Sel)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && id.Name == "Shards" {
+					flag(id)
+				}
+			case *ast.Ident:
+				if n.Name == "ShardWeights" && !declared[n] {
+					flag(n)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []map[string]bool{fields, funcs} {
+		for d := range m {
+			if !seen[d] {
+				t.Errorf("%s is no longer declared: drop it from the gate, and the gate once nothing is left", d)
+			}
 		}
 	}
 }

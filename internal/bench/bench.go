@@ -1,9 +1,9 @@
 // Package bench pins the virtual-time fingerprint of a fixed matrix of
 // end-to-end runs: FFT sizes and a corner turn (traced and untraced,
 // faulted and clean), a 1024-node wide-topology pair priced both by the
-// discrete-event simulator and by the analytical twin, a 1024-node Mercury
-// pair run sequentially and on the sharded kernel, a mixed-class streaming
-// case on the stream runtime, and the generated program run on real data.
+// discrete-event simulator and by the analytical twin, the same workload on
+// 1024 Mercury nodes, a mixed-class streaming case on the stream runtime, and
+// the generated program run on real data.
 //
 // Each case contributes one line — virtual elapsed time, kernel dispatches
 // and, for the real-execution case, the SHA-256 of its output — that must be
@@ -64,10 +64,6 @@ type Case struct {
 	// Platform names the target platform from the registry. Empty means
 	// CSPI, the classic matrix target.
 	Platform string
-	// Shards runs the simulation on the sharded kernel (sagert's
-	// Options.Shards). The fingerprint is identical at any shard count.
-	// Zero or one means sequential.
-	Shards int
 	// Exec runs the case as a real program instead of a simulation: the
 	// tables are lowered into the generated goroutines-and-channels runtime
 	// (internal/codegen) and executed on actual data. OutputHash then
@@ -88,8 +84,8 @@ type Result struct {
 // Matrix returns the fixed matrix: FFT 256/512/1024 and corner turn 512,
 // each traced and untraced, faulted and clean, on 8 nodes; a 1024-node
 // wide-topology pair pricing the same tables with the DES and with the
-// analytical twin; a 1024-node Mercury pair running the same simulation
-// sequentially and on 8 shards; one streaming and one real-execution case.
+// analytical twin; the same simulation on 1024 Mercury nodes; one streaming
+// and one real-execution case.
 func Matrix() []Case {
 	type appCell struct {
 		app experiments.AppKind
@@ -142,21 +138,13 @@ func Matrix() []Case {
 			Iterations: iters, Twin: twin,
 		})
 	}
-	// Sharded pair: the same wide workload on Mercury — a crossbar platform
-	// with per-node fabric resources, so the conservative sharder can split
-	// it — run once sequentially and once on 8 shards. Their lines must
-	// match exactly: sharding is byte-identical by contract.
-	for _, shards := range []int{1, 8} {
-		name := fmt.Sprintf("fft%d.xlm%d.des", xlN, xlNodes)
-		if shards > 1 {
-			name += fmt.Sprintf(".s%d", shards)
-		}
-		cases = append(cases, Case{
-			Name: name, App: experiments.AppFFT2D, N: xlN, Threads: xlThreads,
-			Nodes: xlNodes, Iterations: iters, Platform: "Mercury", Shards: shards,
-		})
-	}
+	// The same wide workload on Mercury, a crossbar platform with per-node
+	// fabric resources.
 	cases = append(cases,
+		Case{
+			Name: fmt.Sprintf("fft%d.xlm%d.des", xlN, xlNodes), App: experiments.AppFFT2D, N: xlN, Threads: xlThreads,
+			Nodes: xlNodes, Iterations: iters, Platform: "Mercury",
+		},
 		Case{Name: "stream128.mixed", App: experiments.AppFFT2D, N: 128, Nodes: nodes, Iterations: 120, Stream: true},
 		Case{Name: "fft256.exec", App: experiments.AppFFT2D, N: 256, Nodes: nodes, Iterations: iters, Exec: true},
 	)
@@ -233,14 +221,7 @@ func runSim(c Case) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	opts := sagert.Options{Iterations: c.Iterations, Shards: c.Shards}
-	if c.Shards > 1 {
-		// Seed the shard partitioner with the twin's per-node busy forecast,
-		// the same steering sage run uses; partition choice is wall-clock-only.
-		if w, werr := twin.ShardWeights(out.Tables, pl, twin.Options{Iterations: c.Iterations}); werr == nil {
-			opts.ShardWeights = w
-		}
-	}
+	opts := sagert.Options{Iterations: c.Iterations}
 	if c.Faulted {
 		plan, err := fault.ParsePlan(faultPlanText)
 		if err != nil {

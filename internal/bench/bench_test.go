@@ -8,14 +8,14 @@ import (
 )
 
 // tinyCases is a fast sub-matrix covering every case shape: clean, faulted,
-// traced, analytically priced, sharded, streamed and executed.
+// traced, analytically priced, on another platform, streamed and executed.
 func tinyCases() []Case {
 	return []Case{
 		{Name: "fft64.clean", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2},
 		{Name: "fft64.faulted", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Faulted: true},
 		{Name: "ct64.clean.traced", App: experiments.AppCornerTurn, N: 64, Nodes: 4, Iterations: 2, Traced: true},
 		{Name: "fft64.twin", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Twin: true},
-		{Name: "fft64.mercury.s2", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Platform: "Mercury", Shards: 2},
+		{Name: "fft64.mercury", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Platform: "Mercury"},
 		{Name: "stream64.mixed", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 8, Stream: true},
 		{Name: "fft64.exec", App: experiments.AppFFT2D, N: 64, Nodes: 4, Iterations: 2, Exec: true},
 	}
@@ -80,7 +80,7 @@ func TestDeterministicFields(t *testing.T) {
 
 func TestMatrixShape(t *testing.T) {
 	cases := Matrix()
-	var traced, faulted, wide, wideTwin, wideSharded, streamed, execs int
+	var traced, faulted, wide, wideTwin, wideMercury, streamed, execs int
 	seen := map[string]bool{}
 	for _, c := range cases {
 		if seen[c.Name] {
@@ -101,7 +101,7 @@ func TestMatrixShape(t *testing.T) {
 		}
 		if c.Exec {
 			execs++
-			if c.Traced || c.Faulted || c.Twin || c.Stream || c.Shards > 1 {
+			if c.Traced || c.Faulted || c.Twin || c.Stream {
 				t.Fatalf("exec case %q mixes modes", c.Name)
 			}
 		}
@@ -110,21 +110,18 @@ func TestMatrixShape(t *testing.T) {
 			if c.Twin {
 				wideTwin++
 			}
-			if c.Shards > 1 {
-				wideSharded++
-				if c.Platform != "Mercury" {
-					t.Fatalf("sharded case %q targets %q; only distributed-fabric platforms shard", c.Name, c.Platform)
-				}
+			if c.Platform == "Mercury" {
+				wideMercury++
 			}
 			if c.Nodes < 1024 {
 				t.Fatalf("wide case %q has only %d nodes", c.Name, c.Nodes)
 			}
 		}
 	}
-	// The wide-topology pairs: the CSPI tables priced by the DES and the
-	// twin, plus the Mercury sequential/sharded pair, all at 1024 nodes.
-	if wide != 4 || wideTwin != 1 || wideSharded != 1 {
-		t.Fatalf("%d wide cases (%d twin, %d sharded), want des+twin and seq+sharded pairs", wide, wideTwin, wideSharded)
+	// The wide-topology cases: the CSPI tables priced by the DES and the
+	// twin, plus the Mercury DES case, all at 1024 nodes.
+	if wide != 3 || wideTwin != 1 || wideMercury != 1 {
+		t.Fatalf("%d wide cases (%d twin, %d Mercury), want the CSPI des+twin pair and one Mercury case", wide, wideTwin, wideMercury)
 	}
 	if streamed != 1 {
 		t.Fatalf("%d stream cases, want 1", streamed)

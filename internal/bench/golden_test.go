@@ -65,14 +65,13 @@ func golden(t *testing.T) map[string]Result {
 }
 
 // widePair returns the golden lines of the matrix's two wide-topology cases
-// on platform (empty is CSPI): base is the one sel rejects, other the one it
-// accepts.
-func widePair(t *testing.T, platform string, sel func(Case) bool) (base, other Result) {
+// on CSPI: base is the one sel rejects, other the one it accepts.
+func widePair(t *testing.T, sel func(Case) bool) (base, other Result) {
 	t.Helper()
 	g := golden(t)
 	var found int
 	for _, c := range Matrix() {
-		if c.Threads == 0 || c.Platform != platform {
+		if c.Threads == 0 || c.Platform != "" {
 			continue
 		}
 		r, ok := g[c.Name]
@@ -87,7 +86,7 @@ func widePair(t *testing.T, platform string, sel func(Case) bool) (base, other R
 		found++
 	}
 	if found != 2 {
-		t.Fatalf("matrix has %d wide cases on %q, want a pair", found, platform)
+		t.Fatalf("matrix has %d wide cases on CSPI, want a pair", found)
 	}
 	return base, other
 }
@@ -96,7 +95,7 @@ func widePair(t *testing.T, platform string, sel func(Case) bool) (base, other R
 // the 1024-node topology its prediction lands within 25 % of the DES, and
 // the analytical case dispatches nothing.
 func TestFingerprintTwinAccuracy(t *testing.T) {
-	des, tw := widePair(t, "", func(c Case) bool { return c.Twin })
+	des, tw := widePair(t, func(c Case) bool { return c.Twin })
 	if tw.Dispatches != 0 {
 		t.Errorf("twin case dispatched %d events", tw.Dispatches)
 	}
@@ -106,15 +105,5 @@ func TestFingerprintTwinAccuracy(t *testing.T) {
 	}
 	if ape := 100 * d / float64(des.VirtualNS); ape > 25 {
 		t.Errorf("twin predicts %d ns, DES measures %d ns (APE %.1f%% > 25%%)", tw.VirtualNS, des.VirtualNS, ape)
-	}
-}
-
-// TestFingerprintShardIdentity: sharding is a wall-clock knob only, so the
-// sharded 1024-node Mercury case has the sequential case's line exactly.
-func TestFingerprintShardIdentity(t *testing.T) {
-	seq, sharded := widePair(t, "Mercury", func(c Case) bool { return c.Shards > 1 })
-	if sharded.VirtualNS != seq.VirtualNS || sharded.Dispatches != seq.Dispatches {
-		t.Errorf("sharding changed the fingerprint: virtual %d vs %d, dispatches %d vs %d",
-			seq.VirtualNS, sharded.VirtualNS, seq.Dispatches, sharded.Dispatches)
 	}
 }

@@ -301,7 +301,7 @@ func turnCases(t *testing.T, count int) []*conformance.Case {
 // turn cases at Slots 1 and 2 and Iterations 3·Slots, every recycled block
 // that skips its clearing NaN-poisoned, every iteration bitwise. Some of the
 // poisoned blocks must be the turns' outputs. Each case also passes the
-// conformance checker's variants (sim, replay, generated program, shards).
+// conformance checker's variants (sim, replay, generated program and the rest).
 func TestTransposedLandingMatchesOracle(t *testing.T) {
 	cases := turnCases(t, 32)
 	var transposed int64

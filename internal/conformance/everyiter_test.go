@@ -16,8 +16,8 @@ import (
 // every data set (ComputeIterations = Iterations), so the sample tasks of
 // several iterations are in flight at once. The sinks it assembles — the last
 // compute iteration's — must equal the generated program's last iteration
-// and the sequential oracle's, bit for bit, on one shard and on two. Over the
-// corpus and 64 quick seeds.
+// and the sequential oracle's, bit for bit. Over the corpus and 64 quick
+// seeds.
 func TestSimEqualsExecOnEveryIteration(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.case"))
 	if err != nil || len(files) == 0 {
@@ -64,18 +64,16 @@ func TestSimEqualsExecOnEveryIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2} {
-			where := fmt.Sprintf("%s seed %d K=%d, %d iterations", c.App.Name, c.Seed, shards, c.Iterations)
-			res, err := sagert.Run(gen.Tables, pl, sagert.Options{Iterations: c.Iterations, ComputeIterations: c.Iterations, Shards: shards})
-			if err != nil {
-				t.Fatalf("%s: %v", where, err)
-			}
-			if d := CompareOutputs(exec.Iters[last], res.Outputs); d != "" {
-				t.Fatalf("%s: sim vs exec's last iteration: %s", where, d)
-			}
-			if d := CompareOutputs(oracle, res.Outputs); d != "" {
-				t.Fatalf("%s: sim vs oracle: %s", where, d)
-			}
+		where := fmt.Sprintf("%s seed %d, %d iterations", c.App.Name, c.Seed, c.Iterations)
+		res, err := sagert.Run(gen.Tables, pl, sagert.Options{Iterations: c.Iterations, ComputeIterations: c.Iterations})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if d := CompareOutputs(exec.Iters[last], res.Outputs); d != "" {
+			t.Fatalf("%s: sim vs exec's last iteration: %s", where, d)
+		}
+		if d := CompareOutputs(oracle, res.Outputs); d != "" {
+			t.Fatalf("%s: sim vs oracle: %s", where, d)
 		}
 	}
 	if several == 0 {

@@ -139,10 +139,10 @@ func validPerm(perm []int, n int) bool {
 //  1. the sequential oracle evaluates the model;
 //  2. the pipeline (gluegen on the case's mapping and platform, executed by
 //     sagert on the sim kernel) must reproduce the oracle bit for bit;
-//  3. metamorphic variants — re-execution, a seed-derived shard count on
-//     the shard-parallel kernel, sequential mode, optimized buffers,
-//     traced, faulted under forced delivery, and a node-permuted mapping —
-//     must each reproduce the baseline run bit for bit.
+//  3. metamorphic variants — re-execution, the generated program, sequential
+//     mode, optimized buffers, traced, faulted under forced delivery, and a
+//     node-permuted mapping — must each reproduce the baseline run bit for
+//     bit.
 //
 // A nil return means every invariant held.
 func (c *Case) Check(opt CheckOptions) *Failure {
@@ -214,27 +214,6 @@ func (c *Case) Check(opt CheckOptions) *Failure {
 			return &Failure{Variant: "exec-oracle",
 				Detail: fmt.Sprintf("iteration %d: %s", iter, d)}
 		}
-	}
-
-	// Sharded: the same tables on the shard-parallel kernel, with the shard
-	// count derived from the seed so the corpus sweeps K from 1 to the node
-	// count. Platforms whose runs cannot shard (shared fabric) fall back to
-	// the sequential kernel, making the comparison trivially true there and
-	// genuinely metamorphic on distributed-fabric platforms. Outputs and the
-	// dispatch count must both match bit for bit: sharding may not create,
-	// drop or reorder one event's worth of observable work.
-	shards := 1 + int(c.Seed%int64(c.Nodes))
-	shardOut, shardDispatch, err := c.runVariant(tables,
-		sagert.Options{Iterations: c.Iterations, Shards: shards}, opt)
-	if err != nil {
-		return &Failure{Variant: "sharded", Detail: err.Error()}
-	}
-	if d := CompareOutputs(baseOut, shardOut); d != "" {
-		return &Failure{Variant: "sharded", Detail: fmt.Sprintf("shards=%d: %s", shards, d)}
-	}
-	if shardDispatch != baseDispatch {
-		return &Failure{Variant: "sharded",
-			Detail: fmt.Sprintf("shards=%d: dispatch count %d, want %d", shards, shardDispatch, baseDispatch)}
 	}
 
 	variants := []struct {

@@ -38,7 +38,6 @@ import (
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/twin"
 )
 
 // Protocol fixes the measurement parameters of §3.3.
@@ -66,14 +65,6 @@ type Protocol struct {
 	// Parallelism. Hand-coded baselines get the MPI retry protocol; SAGE
 	// runs additionally get the resilient runtime mode.
 	Faults *fault.Plan
-	// Shards requests conservative sharded execution inside each SAGE
-	// simulation run (sagert.Options.Shards): one run's event processing
-	// spreads across up to Shards cores, byte-identical to the sequential
-	// kernel. Orthogonal to Parallelism, which fans out whole runs; Shards
-	// helps when a single huge run dominates the wall clock. Runs that
-	// cannot shard soundly (shared-fabric platforms, Sequential-mode
-	// comparisons) silently ignore it.
-	Shards int
 }
 
 // Paper is the full §3.3 protocol.
@@ -208,7 +199,6 @@ func runSage(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol, op
 			o.Collector = trace.New(fmt.Sprintf("sage %s %s n=%d nodes=%d rep%d", kind, pl.Name, n, nodes, rep))
 			cols = append(cols, o.Collector)
 		}
-		applyShards(proto, out.Tables, pl, &o)
 		res, err := sagert.Run(out.Tables, pl, o)
 		if err != nil {
 			return 0, nil, err
@@ -216,25 +206,6 @@ func runSage(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol, op
 		total += res.AvgLatency()
 	}
 	return total / sim.Duration(proto.Repetitions), cols, nil
-}
-
-// applyShards copies the protocol's shard request into one run's options,
-// seeding the partitioner with the analytical twin's per-node busy forecast
-// (twin.ShardWeights) so the shard cuts land between the busy nodes. The
-// weights only steer the partition — any partition is byte-identical — so a
-// twin error just falls back to uniform weights.
-func applyShards(proto Protocol, tables *gluegen.Tables, pl machine.Platform, o *sagert.Options) {
-	if proto.Shards <= 1 {
-		return
-	}
-	o.Shards = proto.Shards
-	if w, err := twin.ShardWeights(tables, pl, twin.Options{
-		Iterations: o.Iterations, DispatchOverhead: o.DispatchOverhead,
-		BufferSlots: o.BufferSlots, Sequential: o.Sequential,
-		OptimizedBuffers: o.OptimizedBuffers, NodeSpeeds: o.NodeSpeeds,
-	}); err == nil {
-		o.ShardWeights = w
-	}
 }
 
 // Row is one line of a hand-vs-SAGE comparison table.

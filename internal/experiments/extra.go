@@ -271,9 +271,7 @@ func RunPortability(kind AppKind, n, nodes int, proto Protocol) (*Portability, e
 		if err != nil {
 			return nil, err
 		}
-		o := sagert.Options{Iterations: proto.Iterations}
-		applyShards(proto, tbl.Tables, pl, &o)
-		return sagert.Run(tbl.Tables, pl, o)
+		return sagert.Run(tbl.Tables, pl, sagert.Options{Iterations: proto.Iterations})
 	})
 	if err != nil {
 		return nil, err

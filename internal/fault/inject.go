@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,26 +38,20 @@ type Injector struct {
 	plan *Plan
 	seed uint64
 	tr   *trace.Collector
-	// Mutable injection state is kept strictly per node, because on a
-	// sharded kernel (sim.Kernel.SetShards) the injector is consulted
-	// concurrently by processes on different shards. Every call site passes
-	// the node the calling process executes on (LinkAttempt's src,
-	// StalledUntil's node), so per-node state inherits the kernel's
-	// one-goroutine-per-shard confinement with no locking — exactly the
-	// discipline the trace collector uses.
-	nodes []nodeFaultState
+	// attempts counts transfer attempts per directed link, so two attempts
+	// at the same virtual instant draw differently.
+	attempts map[[2]int]uint64
+	// stallNoted remembers which (node, window start) stalls have already
+	// been traced, so one window is one span no matter how many processes
+	// hit it.
+	stallNoted map[stallKey]bool
+	counts     map[string]int
 }
 
-// nodeFaultState is one node's injection bookkeeping.
-type nodeFaultState struct {
-	// attempts counts transfer attempts per destination, so two attempts
-	// at the same virtual instant draw differently.
-	attempts map[int]uint64
-	// stallNoted remembers which window-start stalls have already been
-	// traced, so one window is one span no matter how many processes hit
-	// it.
-	stallNoted map[sim.Time]bool
-	counts     map[string]int
+// stallKey names one node's stall window by its start.
+type stallKey struct {
+	node int
+	from sim.Time
 }
 
 // NewInjector builds the per-kernel injector for the plan. A nil or empty
@@ -65,36 +60,8 @@ func (p *Plan) NewInjector() *Injector {
 	if p.Empty() {
 		return nil
 	}
-	return &Injector{plan: p, seed: uint64(p.Seed)}
-}
-
-// Bind pre-sizes the per-node state for a machine of n nodes. The machine
-// model calls it when the injector is installed; it must run before any
-// concurrent (sharded) use. Idempotent; never shrinks.
-func (in *Injector) Bind(n int) {
-	if in == nil {
-		return
-	}
-	in.grow(n - 1)
-}
-
-func (in *Injector) grow(node int) {
-	for len(in.nodes) <= node {
-		in.nodes = append(in.nodes, nodeFaultState{
-			attempts:   map[int]uint64{},
-			stallNoted: map[sim.Time]bool{},
-			counts:     map[string]int{},
-		})
-	}
-}
-
-// state returns node's bookkeeping, growing on demand (growth only happens
-// single-threaded: sharded runs are pre-sized by Bind).
-func (in *Injector) state(node int) *nodeFaultState {
-	if node >= len(in.nodes) {
-		in.grow(node)
-	}
-	return &in.nodes[node]
+	return &Injector{plan: p, seed: uint64(p.Seed),
+		attempts: map[[2]int]uint64{}, stallNoted: map[stallKey]bool{}, counts: map[string]int{}}
 }
 
 // SetTrace attaches the run's trace collector so injected faults appear in
@@ -110,19 +77,12 @@ func (in *Injector) SetTrace(c *trace.Collector) {
 func (in *Injector) Enabled() bool { return in != nil }
 
 // Counts reports how many faults of each kind ("drop", "down", "stall")
-// have been injected so far, merged across nodes. Call between runs or
-// after the kernel drains, not concurrently with a sharded run.
+// have been injected so far, as a copy the caller may keep.
 func (in *Injector) Counts() map[string]int {
 	if in == nil {
 		return nil
 	}
-	out := map[string]int{}
-	for i := range in.nodes {
-		for k, v := range in.nodes[i].counts {
-			out[k] += v
-		}
-	}
-	return out
+	return maps.Clone(in.counts)
 }
 
 // splitmix64 finaliser: a bijective avalanche mix.
@@ -151,9 +111,9 @@ func (in *Injector) LinkAttempt(src, dst int, now sim.Time) Outcome {
 	if in == nil {
 		return out
 	}
-	st := in.state(src)
-	attempt := st.attempts[dst]
-	st.attempts[dst] = attempt + 1
+	link := [2]int{src, dst}
+	attempt := in.attempts[link]
+	in.attempts[link] = attempt + 1
 
 	for i := range in.plan.Degrades {
 		r := &in.plan.Degrades[i]
@@ -243,7 +203,7 @@ func (in *Injector) NodeStalled(node int, now sim.Time) bool {
 
 // note counts one injected fault and traces it as an instant event.
 func (in *Injector) note(kind string, node int, name string, at sim.Time) {
-	in.state(node).counts[kind]++
+	in.counts[kind]++
 	if in.tr.Enabled() {
 		in.tr.FaultPoint(node, name, at)
 	}
@@ -252,12 +212,12 @@ func (in *Injector) note(kind string, node int, name string, at sim.Time) {
 // noteStall counts and traces one stall window as a span, once per
 // (node, window).
 func (in *Injector) noteStall(node int, w Window) {
-	st := in.state(node)
-	if st.stallNoted[w.From] {
+	key := stallKey{node, w.From}
+	if in.stallNoted[key] {
 		return
 	}
-	st.stallNoted[w.From] = true
-	st.counts["stall"]++
+	in.stallNoted[key] = true
+	in.counts["stall"]++
 	if in.tr.Enabled() {
 		in.tr.FaultSpan(node, fmt.Sprintf("stall node %d", node), w.From, w.To)
 	}

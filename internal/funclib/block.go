@@ -264,7 +264,7 @@ func OwnsAdopted(dense bool, reg model.Region, otherSends iter.Seq[model.Region]
 // in target — a view of a result-backed producer's storage (ResultBacked) — is
 // there and is skipped; anything else is copied, through its layout.
 // Replicated sink threads cover overlapping regions with identical data and
-// may run concurrently (shards, goroutines), so the copy is serialised on mu;
+// may run concurrently (sample tasks, goroutines), so the copy is serialised on mu;
 // writes are identical or disjoint by striping construction, so the order
 // never changes the assembled bytes. A block without samples (a charge-only
 // iteration) stores nothing.

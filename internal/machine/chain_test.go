@@ -247,10 +247,9 @@ func newMsgScenario(seed int64) *msgScenario {
 	return sc
 }
 
-// hookRec records the complete hook stream, one per shard when sharded.
+// hookRec records the complete hook stream.
 type hookRec struct {
-	lines    []string
-	children []*hookRec
+	lines []string
 }
 
 func (h *hookRec) add(v ...any)                                { h.lines = append(h.lines, fmt.Sprint(v...)) }
@@ -263,21 +262,10 @@ func (h *hookRec) ChanOp(op, name string, qlen int, at sim.Time) { h.add("chan "
 func (h *hookRec) ResourceOp(op, name string, inUse, capacity, queued int, at sim.Time) {
 	h.add("res ", op, name, inUse, capacity, queued, at)
 }
-func (h *hookRec) ShardStart(k *sim.Kernel, n int) []sim.Tracer {
-	out := make([]sim.Tracer, n)
-	for i := range out {
-		c := &hookRec{}
-		h.children = append(h.children, c)
-		out[i] = c
-	}
-	return out
-}
-func (h *hookRec) WindowEnd([]sim.ShardDispatch) {}
-func (h *hookRec) RunEnd()                       {}
 
 // msgRun is everything observable about one execution of a scenario.
 type msgRun struct {
-	Hooks      [][]string
+	Hooks      []string
 	Logs       [][]string // per process: clock and result on return from every operation
 	Nodes      []string   // per node: the accounting counters
 	Faults     string
@@ -287,14 +275,9 @@ type msgRun struct {
 	Switches   uint64 // reported, not compared
 }
 
-func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
+func (sc *msgScenario) run(t *testing.T, impl msgImpl) *msgRun {
 	t.Helper()
 	k := sim.NewKernel()
-	if shards > 1 {
-		// Nodes 0 and 1 share a board across the cut: the intra-board
-		// latency bounds the lookahead.
-		k.SetShards(shards, []int{0, 1, 0, 1}, time.Microsecond)
-	}
 	tr := &hookRec{}
 	k.SetTracer(tr)
 	pl := testPlatform()
@@ -308,26 +291,21 @@ func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
 		m.SetFaults(plan.NewInjector())
 	}
 	inboxes := make([]*inbox, len(sc.procNode))
-	for i, node := range sc.procNode {
-		inboxes[i] = &inbox{ch: sim.NewChanOn[int](k, node, fmt.Sprintf("inbox%d", i))}
+	for i := range sc.procNode {
+		inboxes[i] = &inbox{ch: sim.NewChan[int](k, fmt.Sprintf("inbox%d", i))}
 	}
 	for i, n := range sc.feeds {
 		for j := 0; j < n; j++ {
 			in, v := inboxes[i], 10000+j
-			k.AfterOn(sc.procNode[i], 50*time.Millisecond+sim.Duration(j), func() { in.arrive(v) })
+			k.After(50*time.Millisecond+sim.Duration(j), func() { in.arrive(v) })
 		}
 	}
 	out := &msgRun{Logs: make([][]string, len(sc.ops))}
 	for i, ops := range sc.ops {
-		node := sc.procNode[i]
-		nd := m.Node(node)
-		k.SpawnOn(node, fmt.Sprintf("p%d", i), func(p *sim.Proc) {
+		nd := m.Node(sc.procNode[i])
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Proc) {
 			note := func(v ...any) {
-				line := fmt.Sprint(p.Now(), v)
-				if shards == 1 {
-					line = fmt.Sprint(p.Now(), k.Dispatched(), v)
-				}
-				out.Logs[i] = append(out.Logs[i], line)
+				out.Logs[i] = append(out.Logs[i], fmt.Sprint(p.Now(), k.Dispatched(), v))
 			}
 			for j, op := range ops {
 				switch op.kind {
@@ -342,7 +320,7 @@ func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
 					if at <= p.Now() {
 						in.arrive(v)
 					} else {
-						p.AfterOn(dst, at.Sub(p.Now()), func() { in.arrive(v) })
+						k.After(at.Sub(p.Now()), func() { in.arrive(v) })
 					}
 				case msgRecv:
 					in := inboxes[i]
@@ -354,7 +332,7 @@ func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
 						in.waiting = true
 						if op.timeout > 0 {
 							gen := in.gen
-							p.AfterOn(node, op.timeout, func() {
+							k.After(op.timeout, func() {
 								if in.gen == gen && in.waiting {
 									in.waiting = false
 									impl.interrupt(in.ch, -1)
@@ -394,10 +372,7 @@ func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
 	out.Err = fmt.Sprint(k.Run())
 	out.Dispatched, out.End, out.Switches = k.Dispatched(), k.Now(), k.Switches()
 	k.Shutdown()
-	out.Hooks = [][]string{tr.lines}
-	for _, c := range tr.children {
-		out.Hooks = append(out.Hooks, c.lines)
-	}
+	out.Hooks = tr.lines
 	for _, nd := range m.Nodes() {
 		out.Nodes = append(out.Nodes, fmt.Sprint(nd.ComputeBusy, nd.CopyBusy, nd.CommBusy, nd.MsgsSent, nd.BytesSent))
 	}
@@ -409,8 +384,7 @@ func (sc *msgScenario) run(t *testing.T, shards int, impl msgImpl) *msgRun {
 // pack copy, the fabric path, self-transfers, down and dropped links;
 // RecvOverhead behind a gate with its unpack copy, timeouts tying with
 // arrivals in either order — to the calls they replaced, over seeded
-// scenarios at K = 1 (and two shards on a crossbar, where nodes can be cut):
-// the complete hook stream, every process's clock and results, the nodes'
+// scenarios: the complete hook stream, every process's clock and results, the nodes'
 // ComputeBusy/CopyBusy/CommBusy/MsgsSent/BytesSent, the stall counts,
 // Dispatched, the final clock and Run's error — equal, not close.
 func TestMessageChainMatchesCalls(t *testing.T) {
@@ -418,39 +392,31 @@ func TestMessageChainMatchesCalls(t *testing.T) {
 	var refSw, gotSw uint64
 	for seed := int64(0); seed < scenarios; seed++ {
 		sc := newMsgScenario(seed)
-		ks := []int{1}
-		if sc.fabric == 0 {
-			ks = append(ks, 2)
+		want := sc.run(t, callsMsgs)
+		got := sc.run(t, chainedMsgs)
+		refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
+		want.Switches, got.Switches = 0, 0
+		if reflect.DeepEqual(want, got) {
+			continue
 		}
-		for _, shards := range ks {
-			want := sc.run(t, shards, callsMsgs)
-			got := sc.run(t, shards, chainedMsgs)
-			refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
-			want.Switches, got.Switches = 0, 0
-			if reflect.DeepEqual(want, got) {
-				continue
-			}
-			diff := func(what string, a, b []string) {
-				for i := 0; i < len(a) && i < len(b); i++ {
-					if a[i] != b[i] {
-						t.Errorf("seed %d K=%d %s: entry %d: calls %s, chain %s", seed, shards, what, i, a[i], b[i])
-						return
-					}
-				}
-				if len(a) != len(b) {
-					t.Errorf("seed %d K=%d %s: calls %d entries, chain %d", seed, shards, what, len(a), len(b))
+		diff := func(what string, a, b []string) {
+			for i := 0; i < len(a) && i < len(b); i++ {
+				if a[i] != b[i] {
+					t.Errorf("seed %d %s: entry %d: calls %s, chain %s", seed, what, i, a[i], b[i])
+					return
 				}
 			}
-			for s := range want.Hooks {
-				diff(fmt.Sprintf("tracer %d", s), want.Hooks[s], got.Hooks[s])
+			if len(a) != len(b) {
+				t.Errorf("seed %d %s: calls %d entries, chain %d", seed, what, len(a), len(b))
 			}
-			for p := range want.Logs {
-				diff(fmt.Sprintf("process %d", p), want.Logs[p], got.Logs[p])
-			}
-			diff("nodes", want.Nodes, got.Nodes)
-			t.Fatalf("seed %d K=%d: calls vs chain: dispatched %d vs %d, end %v vs %v, faults %s vs %s, err %q vs %q",
-				seed, shards, want.Dispatched, got.Dispatched, want.End, got.End, want.Faults, got.Faults, want.Err, got.Err)
 		}
+		diff("hooks", want.Hooks, got.Hooks)
+		for p := range want.Logs {
+			diff(fmt.Sprintf("process %d", p), want.Logs[p], got.Logs[p])
+		}
+		diff("nodes", want.Nodes, got.Nodes)
+		t.Fatalf("seed %d: calls vs chain: dispatched %d vs %d, end %v vs %v, faults %s vs %s, err %q vs %q",
+			seed, want.Dispatched, got.Dispatched, want.End, got.End, want.Faults, got.Faults, want.Err, got.Err)
 	}
 	t.Logf("%d scenarios: %d switches as calls, %d as chains", scenarios, refSw, gotSw)
 	if gotSw*3 > refSw*2 {

@@ -39,9 +39,6 @@ func (m *Machine) SetTrace(c *trace.Collector) {
 func (m *Machine) SetFaults(inj *fault.Injector) {
 	m.faults = inj
 	inj.SetTrace(m.tr)
-	// Pre-size the injector's per-node state so a sharded run never grows
-	// it concurrently.
-	inj.Bind(len(m.nodes))
 }
 
 // Faults returns the installed injector (nil — the disabled injector — when
@@ -162,19 +159,15 @@ func New(k *sim.Kernel, pl Platform, n int) *Machine {
 	for i := range slab {
 		nd := &slab[i]
 		nd.ID, nd.Board, nd.mach, nd.speed = i, pl.Board(i), m, 1
-		// Per-node resources live on the shard owning the node (shard 0 on
-		// an unsharded kernel), since only processes on that node touch
-		// them. The fabric above stays global: a platform with a shared
-		// fabric cannot shard (the runtime layer forces one shard).
-		nd.egress.InitOn(k, i, 1, (*egressName)(nd))
-		nd.cpu.InitOn(k, i, 1, (*cpuName)(nd))
+		nd.egress.Init(k, 1, (*egressName)(nd))
+		nd.cpu.Init(k, 1, (*cpuName)(nd))
 		m.nodes[i] = nd
 	}
 	return m
 }
 
 // egressName and cpuName name a node's two resources on demand
-// (sim.Resource.InitOn): the node itself, seen through a type whose Name
+// (sim.Resource.Init): the node itself, seen through a type whose Name
 // says which resource is meant, so naming needs no allocation up front.
 type (
 	egressName Node

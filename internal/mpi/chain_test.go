@@ -15,8 +15,8 @@ import (
 func twoRanks(t testing.TB, pl machine.Platform, a, b func(r *Rank)) *sim.Kernel {
 	k := sim.NewKernel()
 	w := NewWorld(machine.New(k, pl, 8))
-	k.SpawnOn(0, "a", func(p *sim.Proc) { a(w.Attach(0, p)) })
-	k.SpawnOn(4, "b", func(p *sim.Proc) { b(w.Attach(4, p)) })
+	k.Spawn("a", func(p *sim.Proc) { a(w.Attach(0, p)) })
+	k.Spawn("b", func(p *sim.Proc) { b(w.Attach(4, p)) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

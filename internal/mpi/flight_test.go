@@ -44,21 +44,18 @@ func TestMessageInFlightAllocFree(t *testing.T) {
 }
 
 // TestDeliveredFlightDropsPayload: a delivered in-flight record goes back to
-// a free list holding neither its payload nor its destination, and a
-// ping-pong — one message in flight at a time, the record returning with
-// every reply — only ever needs one.
+// its world's free list holding neither its payload nor its destination, and
+// a ping-pong — one message in flight at a time — only ever needs one.
 func TestDeliveredFlightDropsPayload(t *testing.T) {
 	w := pingPong(t, 20, new([4]complex128))
 	records := 0
-	for rank, ep := range w.endpoints {
-		for f := ep.flights; f != nil; f = f.next {
-			records++
-			if f.m.body.Data != nil || f.dst != nil {
-				t.Fatalf("rank %d: a recycled in-flight record still holds payload %v for %v", rank, f.m.body.Data, f.dst)
-			}
+	for f := w.flights; f != nil; f = f.next {
+		records++
+		if f.m.body.Data != nil || f.dst != nil {
+			t.Fatalf("a recycled in-flight record still holds payload %v for %v", f.m.body.Data, f.dst)
 		}
 	}
 	if records != 1 {
-		t.Fatalf("%d in-flight records after a ping-pong, want the 1 that travelled back and forth", records)
+		t.Fatalf("%d in-flight records after a ping-pong, want the 1 that every message used", records)
 	}
 }

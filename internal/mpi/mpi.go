@@ -25,7 +25,7 @@
 // out is woken plainly and charged nothing.
 //
 // Each point-to-point operation is also two halves, for a process that has
-// no stack to park (sim.Kernel.SpawnStepOn): SendBegin, RecvBegin and
+// no stack to park (sim.Kernel.SpawnStep): SendBegin, RecvBegin and
 // RecvTimeoutBegin begin it and report whether the process parked; Resume
 // follows each wake until it reports the operation over, and Received hands
 // over what a receive got. The pending operation lives on the Rank — one per
@@ -161,17 +161,16 @@ type endpoint struct {
 	pending []queued
 	waiters []*waiter
 	free    *waiter
-	flights *flight // recycled in-flight records
-	timers  *timer  // recycled receive-timeout records
+	timers  *timer // recycled receive-timeout records
 }
 
 // flight is a message between Send and its arrival event: what the event's
 // callback needs, so a message in flight allocates nothing in steady state.
-// A record is taken from the sender's endpoint and returned to the
-// destination's on delivery; traffic that flows both ways (every data edge
-// has a credit edge back) keeps the lists balanced, and since each endpoint
-// is only ever touched from its own rank's shard, sharded runs need no lock.
+// A record is taken from its world's free list and returned there on
+// delivery, so one-way traffic reuses the records as well as traffic that
+// flows both ways.
 type flight struct {
+	w    *World
 	dst  *endpoint
 	m    message
 	fire func() // arrive, bound once when the record is first allocated
@@ -180,26 +179,26 @@ type flight struct {
 
 // getFlight takes an in-flight record off the free list (or allocates one)
 // for message m to dst.
-func (e *endpoint) getFlight(dst *endpoint, m message) *flight {
-	f := e.flights
+func (w *World) getFlight(dst *endpoint, m message) *flight {
+	f := w.flights
 	if f == nil {
-		f = &flight{}
+		f = &flight{w: w}
 		f.fire = f.arrive
 	} else {
-		e.flights = f.next
+		w.flights = f.next
 		f.next = nil
 	}
 	f.dst, f.m = dst, m
 	return f
 }
 
-// arrive is the arrival event: it runs on the destination's shard, recycles
-// the record there — dropping its reference to the payload — and delivers.
+// arrive is the arrival event: it recycles the record — dropping its
+// reference to the payload — and delivers.
 func (f *flight) arrive() {
 	dst, m := f.dst, f.m
 	f.dst, f.m = nil, message{}
-	f.next = dst.flights
-	dst.flights = f
+	f.next = f.w.flights
+	f.w.flights = f
 	dst.deliver(m)
 }
 
@@ -218,7 +217,7 @@ type timer struct {
 }
 
 // arm schedules a timeout for w's current wait d from now.
-func (e *endpoint) arm(p *sim.Proc, w *waiter, d sim.Duration) {
+func (e *endpoint) arm(w *waiter, d sim.Duration) {
 	t := e.timers
 	if t == nil {
 		t = &timer{e: e}
@@ -228,9 +227,7 @@ func (e *endpoint) arm(p *sim.Proc, w *waiter, d sim.Duration) {
 		t.next = nil
 	}
 	t.w, t.gen = w, w.gen
-	// The timer is shard-local: p executes on the endpoint's rank, and the
-	// callback only touches this endpoint's state.
-	p.AfterOn(e.rank, d, t.fire)
+	e.k.After(d, t.fire)
 }
 
 // expire is the timeout event. Unless the wait it guards has resolved, it
@@ -262,7 +259,7 @@ func (t *timer) expire() {
 func (e *endpoint) getWaiter(src, tag int) *waiter {
 	w := e.free
 	if w == nil {
-		w = &waiter{rank: e.rank, src: src, tag: tag, ch: sim.NewChanOn[message](e.k, e.rank, "")}
+		w = &waiter{rank: e.rank, src: src, tag: tag, ch: sim.NewChan[message](e.k, "")}
 		w.ch.SetNamer(w.chanName)
 		return w
 	}
@@ -334,7 +331,7 @@ func (e *endpoint) match(p *sim.Proc, src, tag int, timed bool, d sim.Duration) 
 	w := e.getWaiter(src, tag)
 	e.waiters = append(e.waiters, w)
 	if timed {
-		e.arm(p, w, d)
+		e.arm(w, d)
 	}
 	return message{}, w
 }
@@ -345,6 +342,7 @@ type World struct {
 	endpoints []endpoint
 	retry     fault.RetryPolicy
 	retrySet  bool
+	flights   *flight // recycled in-flight records
 }
 
 // NewWorld creates a world spanning every node of the machine.
@@ -422,8 +420,7 @@ const (
 // machine node i.
 func (w *World) Launch(name string, body func(r *Rank)) {
 	for i := 0; i < w.Size(); i++ {
-		i := i
-		w.Mach.K.SpawnOn(i, fmt.Sprintf("%s.rank%d", name, i), func(p *sim.Proc) {
+		w.Mach.K.Spawn(fmt.Sprintf("%s.rank%d", name, i), func(p *sim.Proc) {
 			body(&Rank{w: w, id: i, node: w.Mach.Node(i), proc: p})
 		})
 	}
@@ -593,14 +590,12 @@ func (r *Rank) sent() {
 	m := message{src: int32(r.id), tag: int32(op.tag), body: op.msg}
 	op.msg = Payload{}
 	if arrival := op.x.Arrival; arrival > r.proc.Now() {
-		// Delivery executes on dst's shard; the fabric latency of a
-		// cross-shard link is what bounds the kernel's lookahead.
-		f := r.w.endpoints[r.id].getFlight(ep, m)
-		r.proc.AfterOn(op.dst, arrival.Sub(r.proc.Now()), f.fire)
+		f := r.w.getFlight(ep, m)
+		r.proc.Kernel().After(arrival.Sub(r.proc.Now()), f.fire)
 		return
 	}
-	// Only self-transfers arrive instantly (cross-node latency is always
-	// positive), so delivering inline stays on dst's shard.
+	// Only self-transfers arrive instantly: cross-node latency is always
+	// positive.
 	ep.deliver(m)
 }
 

@@ -329,3 +329,39 @@ func TestAllocCeilingCreditReturns(t *testing.T) {
 		t.Errorf("the exchange allocates %d bytes, want <= %d", bytes, ceiling)
 	}
 }
+
+// TestAllocCeilingOneWay: a message in flight is a record from its world's
+// free list, returned there on arrival, so one-way traffic — rank 1 streams
+// bodiless messages to rank 0, which reads them all at the end — reuses a
+// handful of records instead of allocating one per message. The exchange
+// runs twice and the second run is measured, as in
+// TestAllocCeilingCreditReturns.
+func TestAllocCeilingOneWay(t *testing.T) {
+	const msgs = 8192
+	exchange := func() {
+		k, w := world(2)
+		w.Launch("oneway", func(r *Rank) {
+			if r.ID() == 1 {
+				for i := 0; i < msgs; i++ {
+					r.Send(0, 0, Empty())
+				}
+				return
+			}
+			r.Proc().Sleep(time.Second)
+			for i := 0; i < msgs; i++ {
+				r.Recv(1, 0)
+			}
+		})
+		run(t, k)
+	}
+	exchange()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exchange()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d one-way messages: %d bytes", msgs, bytes)
+	if ceiling := uint64(msgs * 4); bytes > ceiling {
+		t.Errorf("the exchange allocates %d bytes, want <= %d", bytes, ceiling)
+	}
+}

@@ -124,7 +124,7 @@ func TestCancelArmedDoesNotPerturbMeasurements(t *testing.T) {
 
 // TestKernelPanicBecomesRunError: a library function that panics inside a
 // thread process must come back as Run's error, naming the thread, on the
-// caller's goroutine — sequential and sharded — with the deferred
+// caller's goroutine, with the deferred
 // Kernel.Shutdown releasing every other thread; the next Run is undisturbed.
 func TestKernelPanicBecomesRunError(t *testing.T) {
 	tb := genTables(t, apps.FFT2D, 64, 2, 4)
@@ -138,22 +138,20 @@ func TestKernelPanicBecomesRunError(t *testing.T) {
 	}
 	compute := im.Compute
 	im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
-		if ctx.Thread == 0 { // one thread only: which of two shards fails first is a race
+		if ctx.Thread == 0 { // one thread only
 			panic("kernel bug")
 		}
 		return compute(ctx, in, out)
 	}
 	defer func() { im.Compute = compute }()
 	base := runtime.NumGoroutine()
-	for _, shards := range []int{1, 2} {
-		res, err := Run(tb, platforms.CSPI(), Options{Iterations: 2, Shards: shards})
-		const want = `sagert: execution failed: sim: process "fft2d_64.fft_cols[0]" (pid 3) panicked: kernel bug`
-		if res != nil || err == nil || err.Error() != want {
-			t.Fatalf("shards=%d: Run = %v, %v; want error %q", shards, res, err, want)
-		}
-		if n := settleGoroutines(base); n > base {
-			t.Fatalf("shards=%d: goroutines grew from %d to %d after a panicking run", shards, base, n)
-		}
+	res, err := Run(tb, platforms.CSPI(), Options{Iterations: 2})
+	const want = `sagert: execution failed: sim: process "fft2d_64.fft_cols[0]" (pid 3) panicked: kernel bug`
+	if res != nil || err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, %v; want error %q", res, err, want)
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("goroutines grew from %d to %d after a panicking run", base, n)
 	}
 	im.Compute = compute
 	again, err := Run(tb, platforms.CSPI(), Options{Iterations: 2})

@@ -25,9 +25,7 @@ type runner struct {
 	// Result.Output's. layouts is the plan's Layouts when any are collected.
 	sinks   []sinkOut
 	layouts []plan.Layout
-	// Per-edge run state, indexed like plan.Edges. Only an edge's producer
-	// thread touches its credits and overcommit, only its two endpoints its
-	// queue, so sharded runs need no lock.
+	// Per-edge run state, indexed like plan.Edges.
 	credits []int
 	// overcommit tracks emergency credit borrowing (resilient mode only): a
 	// bounded per-run budget, so the pipeline depth can never exceed
@@ -37,12 +35,6 @@ type runner struct {
 	iterBarrier *sim.Barrier                // non-nil in Sequential mode
 	maxOverrun  sim.Duration
 
-	// On a sharded kernel function threads execute concurrently (one
-	// goroutine per shard), so the cross-thread endpoint bookkeeping —
-	// iteration timestamps, overrun — is mutex-guarded. The lock is
-	// uncontended-cheap and touched at most a few times per iteration, far
-	// off the per-event fast path.
-	noteMu sync.Mutex // guards sourceStart, sinkDone, maxOverrun
 	sinkMu sync.Mutex // guards assembled sink matrices (replicated sinks overlap)
 
 	samples *samples // the sample tasks; nil on a run without samples
@@ -86,21 +78,19 @@ func (r *runner) localOptimised(srcNode, dstNode int) bool {
 	return r.opts.OptimizedBuffers && srcNode == dstNode
 }
 
-// spawn launches every function thread on its mapped node's shard, as a
-// stackless process stepping the thread's state machine (step.go).
+// spawn launches every function thread as a stackless process stepping the
+// thread's state machine (step.go), attached to its mapped node's rank.
 func (r *runner) spawn(k *sim.Kernel) {
 	for ti := range r.plan.Threads {
 		t := &thread{}
 		tp := &r.plan.Threads[ti]
-		p := k.SpawnStepOn(tp.Node, fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), t.step)
+		p := k.SpawnStep(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), t.step)
 		t.init(r, ti, r.world.Attach(tp.Node, p))
 	}
 }
 
-// buildLocalQueues pre-creates every optimised node-local handoff channel,
-// before the kernel runs. Creating them lazily mid-run would mutate shared
-// state from concurrent shard goroutines; eager creation is free (a channel
-// is inert until used) and changes nothing observable.
+// buildLocalQueues creates every optimised node-local handoff channel before
+// the kernel runs (a channel is inert until used).
 func (r *runner) buildLocalQueues(k *sim.Kernel) {
 	if !r.opts.OptimizedBuffers {
 		return
@@ -109,7 +99,7 @@ func (r *runner) buildLocalQueues(k *sim.Kernel) {
 	for ei := range r.plan.Edges {
 		e := &r.plan.Edges[ei]
 		if node := r.plan.Threads[e.Src].Node; node == r.plan.Threads[e.Dst].Node {
-			r.localQueues[ei] = sim.NewChanOn[*funclib.Block](k, node,
+			r.localQueues[ei] = sim.NewChan[*funclib.Block](k,
 				fmt.Sprintf("local b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread))
 		}
 	}
@@ -156,27 +146,17 @@ func (r *runner) orderXfers(edges []int32, input bool, now sim.Time) []int32 {
 }
 
 func (r *runner) noteSourceStart(iter int, t sim.Time) {
-	r.noteMu.Lock()
 	if r.sourceStart[iter] == 0 || t < r.sourceStart[iter] {
 		r.sourceStart[iter] = t
 	}
-	r.noteMu.Unlock()
 }
 
 func (r *runner) noteSinkDone(iter int, t sim.Time) {
-	r.noteMu.Lock()
-	if t > r.sinkDone[iter] {
-		r.sinkDone[iter] = t
-	}
-	r.noteMu.Unlock()
+	r.sinkDone[iter] = max(r.sinkDone[iter], t)
 }
 
 func (r *runner) noteOverrun(over sim.Duration) {
-	r.noteMu.Lock()
-	if over > r.maxOverrun {
-		r.maxOverrun = over
-	}
-	r.noteMu.Unlock()
+	r.maxOverrun = max(r.maxOverrun, over)
 }
 
 func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.Time) {
@@ -197,7 +177,7 @@ func (r *runner) result(k *sim.Kernel) *Result {
 	}
 	res := &Result{
 		Outputs: outputs, Elapsed: k.Now(),
-		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(), Switches: k.Switches(), Windows: k.WindowStats(),
+		MaxOverrun: r.maxOverrun, Dispatches: k.Dispatched(), Switches: k.Switches(),
 	}
 	if len(r.sinks) > 0 {
 		res.Output = r.sinks[0].m

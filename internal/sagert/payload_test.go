@@ -147,10 +147,10 @@ func aliasingTables(t *testing.T, name string) (*conformance.Case, *gluegen.Tabl
 
 // TestPayloadViewsMatchOracle runs the fan-out corner turn with three
 // pipelined compute iterations — so views of iteration i are still being read
-// while iteration i+1 is produced — on the sequential and the sharded kernel,
-// clean and faulted (a retried or force-delivered message resends the same
-// view). Every run must equal the sequential oracle bit for bit; under -race
-// the sharded runs also prove no thread writes what another still reads.
+// while iteration i+1 is produced — clean and faulted (a retried or
+// force-delivered message resends the same view). Every run must equal the
+// sequential oracle bit for bit; under -race the sample tasks, which run
+// beside the kernel, also prove no thread writes what another still reads.
 func TestPayloadViewsMatchOracle(t *testing.T) { viewsMatchOracle(t, "fanout-cornerturn") }
 
 // TestInPlaceViewsMatchOracle: the same runs of the in-place fan-out. The
@@ -168,22 +168,20 @@ func viewsMatchOracle(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	for _, faulted := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 8} {
-			opts := sagert.Options{Iterations: computeIters + 1, ComputeIterations: computeIters, Shards: shards}
-			if faulted {
-				opts.Faults = c.Faults
-				opts.Resilience = fault.Resilience{Degraded: true}
-			}
-			t.Run(fmt.Sprintf("faulted=%v/shards=%d", faulted, shards), func(t *testing.T) {
-				res, err := sagert.Run(tables, pl, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := conformance.CompareOutputs(want, res.Outputs); d != "" {
-					t.Fatal(d)
-				}
-			})
+		opts := sagert.Options{Iterations: computeIters + 1, ComputeIterations: computeIters}
+		if faulted {
+			opts.Faults = c.Faults
+			opts.Resilience = fault.Resilience{Degraded: true}
 		}
+		t.Run(fmt.Sprintf("faulted=%v", faulted), func(t *testing.T) {
+			res, err := sagert.Run(tables, pl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := conformance.CompareOutputs(want, res.Outputs); d != "" {
+				t.Fatal(d)
+			}
+		})
 	}
 }
 
@@ -192,7 +190,7 @@ func viewsMatchOracle(t *testing.T, name string) {
 // trace bytes, and assembles no output; so does a run that carries samples
 // through every data set, several iterations' sample tasks in flight at once.
 // Over every corpus case and 64 generated ones, clean and faulted (degraded
-// re-sequencing on), on one, two and eight shards, untraced and traced; every
+// re-sequencing on), untraced and traced; every
 // other case paces its source, so MaxOverrun has something to say.
 func TestNoSamplesChangesNothingElse(t *testing.T) {
 	files, err := filepath.Glob("../conformance/testdata/corpus/*.case")
@@ -253,48 +251,46 @@ func TestNoSamplesChangesNothingElse(t *testing.T) {
 			if faulted && c.Faults.Empty() {
 				continue
 			}
-			for _, shards := range []int{1, 2, 8} {
-				for _, traced := range []bool{false, true} {
-					opts := sagert.Options{Iterations: c.Iterations + 1, Shards: shards}
-					if faulted {
-						opts.Faults = c.Faults
-						opts.Resilience = fault.Resilience{Degraded: true}
-					}
-					if paced {
-						opts.InputPeriod = 40 * time.Microsecond
-					}
-					sampled := run(c, gen.Tables, opts, traced)
-					opts.ComputeIterations = opts.Iterations
-					every := run(c, gen.Tables, opts, traced)
-					opts.ComputeIterations = sagert.NoSamples
-					bare := run(c, gen.Tables, opts, traced)
+			for _, traced := range []bool{false, true} {
+				opts := sagert.Options{Iterations: c.Iterations + 1}
+				if faulted {
+					opts.Faults = c.Faults
+					opts.Resilience = fault.Resilience{Degraded: true}
+				}
+				if paced {
+					opts.InputPeriod = 40 * time.Microsecond
+				}
+				sampled := run(c, gen.Tables, opts, traced)
+				opts.ComputeIterations = opts.Iterations
+				every := run(c, gen.Tables, opts, traced)
+				opts.ComputeIterations = sagert.NoSamples
+				bare := run(c, gen.Tables, opts, traced)
 
-					where := fmt.Sprintf("%s seed %d faulted=%v shards=%d paced=%v traced=%v", c.App.Name, c.Seed, faulted, shards, paced, traced)
-					if sampled.res.Output == nil || len(sampled.res.Outputs) != sinks {
-						t.Fatalf("%s: the default run assembled %d of %d sinks", where, len(sampled.res.Outputs), sinks)
-					}
-					if bare.res.Output != nil || len(bare.res.Outputs) != 0 {
-						t.Fatalf("%s: a run without samples assembled %d sink matrices", where, len(bare.res.Outputs))
-					}
-					want := *sampled.res
-					want.Output, want.Outputs = nil, bare.res.Outputs
-					if !reflect.DeepEqual(&want, bare.res) {
-						t.Fatalf("%s: results differ\nsampled %+v\nno samples %+v", where, want, *bare.res)
-					}
-					if !bytes.Equal(sampled.chrome, bare.chrome) {
-						t.Fatalf("%s: trace bytes differ (%d vs %d)", where, len(sampled.chrome), len(bare.chrome))
-					}
-					if len(every.res.Outputs) != sinks {
-						t.Fatalf("%s: the every-iteration run assembled %d of %d sinks", where, len(every.res.Outputs), sinks)
-					}
-					want = *every.res
-					want.Output, want.Outputs = nil, bare.res.Outputs
-					if !reflect.DeepEqual(&want, bare.res) {
-						t.Fatalf("%s: results differ\nevery iteration sampled %+v\nno samples %+v", where, want, *bare.res)
-					}
-					if !bytes.Equal(every.chrome, bare.chrome) {
-						t.Fatalf("%s: trace bytes differ with every iteration sampled (%d vs %d)", where, len(every.chrome), len(bare.chrome))
-					}
+				where := fmt.Sprintf("%s seed %d faulted=%v paced=%v traced=%v", c.App.Name, c.Seed, faulted, paced, traced)
+				if sampled.res.Output == nil || len(sampled.res.Outputs) != sinks {
+					t.Fatalf("%s: the default run assembled %d of %d sinks", where, len(sampled.res.Outputs), sinks)
+				}
+				if bare.res.Output != nil || len(bare.res.Outputs) != 0 {
+					t.Fatalf("%s: a run without samples assembled %d sink matrices", where, len(bare.res.Outputs))
+				}
+				want := *sampled.res
+				want.Output, want.Outputs = nil, bare.res.Outputs
+				if !reflect.DeepEqual(&want, bare.res) {
+					t.Fatalf("%s: results differ\nsampled %+v\nno samples %+v", where, want, *bare.res)
+				}
+				if !bytes.Equal(sampled.chrome, bare.chrome) {
+					t.Fatalf("%s: trace bytes differ (%d vs %d)", where, len(sampled.chrome), len(bare.chrome))
+				}
+				if len(every.res.Outputs) != sinks {
+					t.Fatalf("%s: the every-iteration run assembled %d of %d sinks", where, len(every.res.Outputs), sinks)
+				}
+				want = *every.res
+				want.Output, want.Outputs = nil, bare.res.Outputs
+				if !reflect.DeepEqual(&want, bare.res) {
+					t.Fatalf("%s: results differ\nevery iteration sampled %+v\nno samples %+v", where, want, *bare.res)
+				}
+				if !bytes.Equal(every.chrome, bare.chrome) {
+					t.Fatalf("%s: trace bytes differ with every iteration sampled (%d vs %d)", where, len(every.chrome), len(bare.chrome))
 				}
 			}
 		}

@@ -29,7 +29,7 @@
 //
 // Like the paper's table-driven kernel, a function thread is not a program
 // with a stack but a step over its table entry: a stackless simulated
-// process (sim.Kernel.SpawnStepOn) whose walk over its plan.Thread is an
+// process (sim.Kernel.SpawnStep) whose walk over its plan.Thread is an
 // explicit state machine (step.go). The kernel runs it inline at every wake,
 // and it blocks only through the Begin/Resume halves of the sim, machine and
 // mpi operations, so no event of a run is a process switch — under faults,
@@ -118,24 +118,17 @@ type Options struct {
 	// Resilience tunes the resilient mode's timeouts and overcommit budget;
 	// zero fields take fault.Resilience defaults. Ignored without Faults.
 	Resilience fault.Resilience
-	// Shards requests conservative sharded execution of the simulation
-	// (sim.Kernel.SetShards): the machine's nodes are partitioned into up
-	// to Shards shards that advance concurrently on separate goroutines,
-	// synchronising at lookahead windows derived from the platform's link
-	// latencies. Results, traces, fault verdicts and dispatch counts are
-	// byte-identical to the sequential kernel's: sharding never changes an
-	// answer, and rarely buys speed — on the benchmark's 1 024-node Mercury
-	// fft2d, only 1 of its 1 219 windows ran two shards at once
-	// (Result.Windows). Values <= 1 select the classic sequential kernel.
-	// The request is a ceiling, not a promise: runs that cannot shard
-	// soundly (shared-fabric platforms, Sequential mode, the legacy Trace
-	// probe, fewer nodes than shards) silently fall back to fewer shards or
-	// one.
+	// Shards is ignored: every run executes on the one kernel (DESIGN.md
+	// §12 says why there is no sharded one).
+	//
+	// Deprecated: the benchmark's wide1024 shard2 class (benchmark/des.go)
+	// is the one caller left; ROADMAP item 1(c) drops that class, and then
+	// this field goes.
 	Shards int
-	// ShardWeights optionally biases the shard partitioner with per-node
-	// load weights (higher = busier); the analytical twin's per-node busy
-	// forecast (twin.ShardWeights) is the intended source. Missing or short
-	// weights default to uniform. Ignored unless Shards > 1.
+	// ShardWeights is ignored, like Shards.
+	//
+	// Deprecated: kept only for the same caller as Shards, and deleted with
+	// it.
 	ShardWeights []float64
 	// Cancel, when non-nil, aborts the run as soon as the channel is closed:
 	// the kernel polls it between dispatched events (sim.Kernel.SetCancel),
@@ -229,15 +222,9 @@ type Result struct {
 	// one executing the event loop (sim.Kernel.Switches) — what the run paid
 	// in coroutine round trips. Every function thread is a stackless process
 	// (a step machine, not a coroutine), so a run pays none: Switches is 0
-	// at any Options, shard count included. It stays as the gate that keeps
-	// it so; the daemon does not emit it.
+	// at any Options. It stays as the gate that keeps it so; the daemon does
+	// not emit it.
 	Switches uint64
-	// Windows is the sharded kernel's window census (sim.Kernel.WindowStats):
-	// how many lookahead windows ran, in how many of them two or more shards
-	// had work, and how many events crossed shards. A host-side diagnostic
-	// like Switches, it depends on Options.Shards — no identity comparison
-	// across shard counts may read it — and the daemon does not emit it.
-	Windows sim.WindowStats
 	// NodeStats reports per-node busy time.
 	NodeStats []NodeStat
 }
@@ -299,12 +286,6 @@ func run(tables *gluegen.Tables, pl machine.Platform, opts Options, hooks runHoo
 	// (runner errors call Stop mid-execution); without this every failed run
 	// leaks one goroutine per function thread.
 	defer k.Shutdown()
-	// Sharding must be decided before anything binds to the kernel: node
-	// resources, channels and processes attach to their owning shard at
-	// creation time.
-	if n, domainOf, lookahead := planShards(tables, pl, &o); n > 1 {
-		k.SetShards(n, domainOf, lookahead)
-	}
 	mach := machine.New(k, pl, tables.NumNodes)
 	mach.SetNodeSpeeds(o.NodeSpeeds)
 	mach.SetTrace(o.Collector)

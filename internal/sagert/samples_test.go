@@ -114,12 +114,10 @@ func TestTasksDownstreamOfAFailureAreSkipped(t *testing.T) {
 		ran.Add(1)
 		return colsCompute(ctx, in, out)
 	}
-	for _, shards := range []int{1, 2} {
-		res, err := Run(tb, platforms.CSPI(), Options{Iterations: 3, ComputeIterations: 3, Shards: shards})
-		const want = "sagert: fft_rows thread 0 iteration 0: refused"
-		if res != nil || err == nil || err.Error() != want {
-			t.Fatalf("shards=%d: Run = %v, %v; want error %q", shards, res, err, want)
-		}
+	res, err := Run(tb, platforms.CSPI(), Options{Iterations: 3, ComputeIterations: 3})
+	const want = "sagert: fft_rows thread 0 iteration 0: refused"
+	if res != nil || err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, %v; want error %q", res, err, want)
 	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("fft_cols computed %d times downstream of a failed fft_rows", n)

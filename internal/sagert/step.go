@@ -11,7 +11,7 @@ import (
 )
 
 // A thread is one function thread of the plan, run as a stackless process
-// (sim.Kernel.SpawnStepOn): its walk over the plan.Thread — await credits,
+// (sim.Kernel.SpawnStep): its walk over the plan.Thread — await credits,
 // receive in port order, assemble, charge and compute, extract and send,
 // return credits — is an explicit state machine instead of a coroutine.
 // step runs the walk from t.pc until the thread would block. There it calls

@@ -25,7 +25,7 @@ import (
 // The step machine (step.go) is held to threadMain, the coroutine it
 // replaced (threadmain_test.go), over seeded runs: fft2d and corner turn on
 // CSPI, SKY and Mercury, under every Options path on its own and in
-// combination, at K = 1 and on two shards.
+// combination.
 
 // stepScenario is one seeded run.
 type stepScenario struct {
@@ -158,21 +158,20 @@ type stepRun struct {
 	Res        *Result // Switches zeroed: compared apart
 	Sinks      []string
 	Err        string
-	Hooks      [][]string // the kernel's tracer, then one per shard (no Collector)
-	Chrome     []byte     // the Collector's trace (with one)
-	Events     []Event    // the legacy probe's
+	Hooks      []string // the kernel's tracer (no Collector)
+	Chrome     []byte   // the Collector's trace (with one)
+	Events     []Event  // the legacy probe's
 	Dispatched uint64
 	Seq        uint64
 	End        sim.Time
 	Switches   uint64
 }
 
-// run executes the scenario on shards shards with spawn driving the
-// threads (nil: the step machine).
-func (sc *stepScenario) run(t *testing.T, shards int, spawn func(*runner, *sim.Kernel)) *stepRun {
+// run executes the scenario with spawn driving the threads (nil: the step
+// machine).
+func (sc *stepScenario) run(t *testing.T, spawn func(*runner, *sim.Kernel)) *stepRun {
 	t.Helper()
 	o := sc.opts
-	o.Shards = shards
 	out := &stepRun{}
 	if sc.probe {
 		o.Collector, o.ProbeAll = trace.New("step"), true
@@ -200,7 +199,7 @@ func (sc *stepScenario) run(t *testing.T, shards int, spawn func(*runner, *sim.K
 		out.Switches, res.Switches = res.Switches, 0
 		out.Res, out.Sinks = res, sinkBits(res)
 	}
-	out.Hooks = append([][]string{rec.lines}, rec.children()...)
+	out.Hooks = rec.lines
 	if o.Collector != nil {
 		out.Chrome = chromeBytes(t, o.Collector)
 	}
@@ -221,11 +220,23 @@ func sinkBits(res *Result) []string {
 	return out
 }
 
-// hookRec records the complete sim hook stream, one child per shard when
-// sharded.
+// chromeBytes serialises a collector to Chrome trace JSON — the bytes a user
+// would actually write to disk, and therefore the strictest practical
+// definition of "the trace is identical".
+func chromeBytes(t *testing.T, c *trace.Collector) []byte {
+	t.Helper()
+	tr := trace.NewTrace()
+	tr.Add(c)
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hookRec records the complete sim hook stream.
 type hookRec struct {
 	lines []string
-	kids  []*hookRec
 }
 
 func (h *hookRec) add(v ...any)                                { h.lines = append(h.lines, fmt.Sprint(v...)) }
@@ -238,24 +249,6 @@ func (h *hookRec) ChanOp(op, name string, qlen int, at sim.Time) { h.add("chan "
 func (h *hookRec) ResourceOp(op, name string, inUse, capacity, queued int, at sim.Time) {
 	h.add("res ", op, name, inUse, capacity, queued, at)
 }
-func (h *hookRec) ShardStart(k *sim.Kernel, n int) []sim.Tracer {
-	out := make([]sim.Tracer, n)
-	for i := range out {
-		c := &hookRec{}
-		h.kids = append(h.kids, c)
-		out[i] = c
-	}
-	return out
-}
-func (h *hookRec) WindowEnd([]sim.ShardDispatch) {}
-func (h *hookRec) RunEnd()                       {}
-func (h *hookRec) children() [][]string {
-	var out [][]string
-	for _, c := range h.kids {
-		out = append(out, c.lines)
-	}
-	return out
-}
 
 // TestStepMachineMatchesThreadMain is the step machine's oracle test. Over
 // seeded scenarios — fft2d and corner turn on CSPI, SKY and Mercury, spread,
@@ -264,8 +257,7 @@ func (h *hookRec) children() [][]string {
 // buffers; the Sequential barrier; overrunning InputPeriod pacing; NoSamples;
 // a Collector with ProbeAll and the legacy probe; a cancel firing mid-run;
 // runs starved of a credit into a deadlock — it demands, of the step machine
-// against threadMain as a coroutine, at K = 1 and on two shards: the full
-// sim hook stream (or the Collector's Chrome trace and the probe's events),
+// against threadMain as a coroutine: the full sim hook stream (or the Collector's Chrome trace and the probe's events),
 // the Result and every sink sample bit for bit, Dispatched, the last
 // sequence number, the clock, and Run's error, deadlock reports included —
 // equal, not close. The step machine switches never.
@@ -274,56 +266,46 @@ func TestStepMachineMatchesThreadMain(t *testing.T) {
 	seen := map[string]int{}
 	for seed := int64(0); seed < scenarios; seed++ {
 		sc := newStepScenario(t, seed)
-		for _, shards := range []int{1, 2} {
-			if shards > 1 && sc.cancelEvery > 0 {
-				// A sharded cancel halts at whatever dispatch each shard's
-				// worker has reached: wall-clock timing, not the model.
-				continue
+		want := sc.run(t, spawnCoroutines)
+		got := sc.run(t, nil)
+		if got.Switches != 0 {
+			t.Fatalf("%s: the step machine made %d process switches", sc.name, got.Switches)
+		}
+		want.Switches = 0
+		if !reflect.DeepEqual(want, got) {
+			reportStepDiff(t, sc.name, want, got)
+		}
+		switch {
+		case strings.Contains(want.Err, "deadlock"):
+			seen["deadlock"]++
+		case strings.Contains(want.Err, "canceled"):
+			seen["canceled mid-run"]++
+		case want.Err != "<nil>":
+			t.Fatalf("%s: %s", sc.name, want.Err)
+		}
+		if want.Res != nil && want.Res.MaxOverrun > 0 {
+			seen["overrun"]++
+		}
+		for _, span := range []string{"recv-timeout", "credit-timeout", "overcommit", "retry"} {
+			if bytes.Contains(want.Chrome, []byte(span)) {
+				seen[span]++
 			}
-			want := sc.run(t, shards, spawnCoroutines)
-			got := sc.run(t, shards, nil)
-			if got.Switches != 0 {
-				t.Fatalf("%s K=%d: the step machine made %d process switches", sc.name, shards, got.Switches)
-			}
-			want.Switches = 0
-			if !reflect.DeepEqual(want, got) {
-				reportStepDiff(t, fmt.Sprintf("%s K=%d", sc.name, shards), want, got)
-			}
-			switch {
-			case strings.Contains(want.Err, "deadlock"):
-				seen["deadlock"]++
-			case strings.Contains(want.Err, "canceled"):
-				seen["canceled mid-run"]++
-			case want.Err != "<nil>":
-				t.Fatalf("%s K=%d: %s", sc.name, shards, want.Err)
-			}
-			if want.Res != nil && want.Res.MaxOverrun > 0 {
-				seen["overrun"]++
-			}
-			if want.Res != nil && want.Res.Windows.Windows > 0 {
-				seen["sharded"]++
-			}
-			for _, span := range []string{"recv-timeout", "credit-timeout", "overcommit", "retry"} {
-				if bytes.Contains(want.Chrome, []byte(span)) {
-					seen[span]++
-				}
-			}
-			if sc.opts.OptimizedBuffers && want.Res != nil && want.Res.Dispatches > 0 {
-				seen["optimized"]++
-			}
-			if sc.opts.Sequential {
-				seen["sequential"]++
-			}
-			if sc.opts.ComputeIterations == NoSamples {
-				seen["nosamples"]++
-			}
-			if len(want.Events) > 0 {
-				seen["probe"]++
-			}
+		}
+		if sc.opts.OptimizedBuffers && want.Res != nil && want.Res.Dispatches > 0 {
+			seen["optimized"]++
+		}
+		if sc.opts.Sequential {
+			seen["sequential"]++
+		}
+		if sc.opts.ComputeIterations == NoSamples {
+			seen["nosamples"]++
+		}
+		if len(want.Events) > 0 {
+			seen["probe"]++
 		}
 	}
 	t.Logf("%d scenarios: %v", scenarios, seen)
-	for _, path := range []string{"deadlock", "canceled mid-run", "overrun", "sharded", "recv-timeout", "credit-timeout",
+	for _, path := range []string{"deadlock", "canceled mid-run", "overrun", "recv-timeout", "credit-timeout",
 		"overcommit", "retry", "optimized", "sequential", "nosamples", "probe"} {
 		if seen[path] == 0 {
 			t.Errorf("no scenario took the %s path", path)
@@ -345,11 +327,7 @@ func reportStepDiff(t *testing.T, label string, want, got *stepRun) {
 			t.Errorf("%s %s: threadMain %d entries, step machine %d", label, what, len(a), len(b))
 		}
 	}
-	for i := range want.Hooks {
-		if i < len(got.Hooks) {
-			first(fmt.Sprintf("hooks %d", i), want.Hooks[i], got.Hooks[i])
-		}
-	}
+	first("hooks", want.Hooks, got.Hooks)
 	if !bytes.Equal(want.Chrome, got.Chrome) {
 		first("chrome trace", strings.Split(string(want.Chrome), "\n"), strings.Split(string(got.Chrome), "\n"))
 	}

@@ -112,7 +112,7 @@ func TestQueueCensusWide1024Seq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := reflect.ValueOf(k).Elem().FieldByName("s0").Elem().FieldByName("queue")
+	q := reflect.ValueOf(k).Elem().FieldByName("queue")
 	pushes, moves := q.FieldByName("pushes").Uint(), q.FieldByName("moves").Uint()
 	perPush := float64(moves) / float64(pushes)
 	t.Logf("wide1024 seq: %d dispatches, %d queued pushes, %d bucket moves (%.2f per push)", res.Dispatches, pushes, moves, perPush)

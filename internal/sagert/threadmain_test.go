@@ -20,7 +20,7 @@ import (
 func spawnCoroutines(r *runner, k *sim.Kernel) {
 	for ti := range r.plan.Threads {
 		tp := &r.plan.Threads[ti]
-		k.SpawnOn(tp.Node, fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) {
+		k.Spawn(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) {
 			rank := r.world.Attach(tp.Node, p)
 			r.threadMain(tp, rank)
 		})

@@ -26,7 +26,6 @@ func TestResponsesEqualSampledRun(t *testing.T) {
 		"sequential": `{"app":"fft2d","n":32,"threads":2,"nodes":2,"trace_summary":true,"protocol":{"iterations":3,"repetitions":3,"sequential":true}}`,
 		"optimized":  `{"app":"cornerturn","n":64,"threads":4,"nodes":2,"mapping":"roundrobin","protocol":{"optimized_buffers":true}}`,
 		"faulted":    `{"app":"fft2d","n":64,"threads":4,"nodes":4,"trace_summary":true,` + faults + `}`,
-		"sharded":    `{"app":"fft2d","n":64,"threads":8,"nodes":16,"platform":"Mercury","shards":4,"trace_summary":true}`,
 		"source": `{"source":"app s\ntype m 16 8 complex\ntype h 16 4 complex\nfunction a source_matrix threads 2\n  out out m rows\n` +
 			`function w window_rows threads 2\n  param window kaiser\n  in in m rows\n  out out m rows\n` +
 			`function d fir_decimate_rows threads 4\n  param factor 2.0\n  in in m rows\n  out out h rows\n` +
@@ -55,7 +54,6 @@ func TestResponsesEqualSampledRun(t *testing.T) {
 				Iterations:       r.Protocol.Iterations,
 				Sequential:       r.Protocol.Sequential,
 				OptimizedBuffers: r.Protocol.OptimizedBuffers,
-				Shards:           r.Shards,
 			}
 			var plan *fault.Plan
 			if r.Faults != "" {

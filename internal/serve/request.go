@@ -73,14 +73,6 @@ type Request struct {
 	// It is excluded from the cache key: patience is not a simulation
 	// parameter, and cached bytes must not depend on it.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// Shards requests conservative sharded execution of each simulation run
-	// (sagert.Options.Shards): the run's event processing spreads across up
-	// to Shards host cores with byte-identical output. Like TimeoutMs it is
-	// excluded from the cache key — sharding changes wall-clock speed, never
-	// response bytes, so requests differing only in shards share an entry.
-	// Ignored by streaming and estimate requests and by runs that cannot
-	// shard soundly (shared-fabric platforms, sequential protocol).
-	Shards int `json:"shards,omitempty"`
 	// Estimate answers with the analytical twin's closed-form prediction
 	// instead of simulating: the response carries predicted period/latency/
 	// elapsed (plus a twin breakdown) and never occupies a worker slot or a
@@ -266,9 +258,6 @@ func (r *Request) normalize() error {
 	if r.TimeoutMs < 0 {
 		return badf("timeout_ms must be non-negative")
 	}
-	if r.Shards < 0 {
-		return badf("shards must be non-negative")
-	}
 	if r.Estimate {
 		if r.Faults != "" {
 			return badf("estimate: fault paths are outside the twin's model; drop faults or run a full simulation")
@@ -296,7 +285,6 @@ func (r *Request) normalize() error {
 func (r *Request) cacheKey() string {
 	c := *r
 	c.TimeoutMs = 0
-	c.Shards = 0
 	b, err := json.Marshal(&c)
 	if err != nil {
 		// A Request is plain data; Marshal cannot fail on it.
@@ -585,7 +573,6 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 			OptimizedBuffers:  r.Protocol.OptimizedBuffers,
 			Faults:            plan,
 			Cancel:            ctx.Done(),
-			Shards:            r.Shards,
 		}
 		var col *trace.Collector
 		if r.TraceSummary && i == 0 {

@@ -284,40 +284,14 @@ func TestTimeoutMsExcludedFromCacheKey(t *testing.T) {
 	}
 }
 
-// TestShardsExcludedFromCacheKey: sharding spends host cores, never changes
-// response bytes, so (a) requests differing only in shards share a cache
-// entry, and (b) a cold sharded execution produces byte-identical output to
-// the sequential one.
-func TestShardsExcludedFromCacheKey(t *testing.T) {
-	base := `{"app":"fft2d","n":64,"threads":4,"nodes":8,"platform":"Mercury","protocol":{"iterations":3}}`
-	sharded := `{"app":"fft2d","n":64,"threads":4,"nodes":8,"platform":"Mercury","protocol":{"iterations":3},"shards":4}`
-
+// TestShardsRejected: the shards field went with the sharded kernel, so a
+// request that still sets it is refused with a 400 that names the field,
+// never run as if the field were not there.
+func TestShardsRejected(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	w := do(s, http.MethodPost, "/v1/run", base)
-	if w.Code != http.StatusOK {
-		t.Fatalf("warm request: status %d (body %s)", w.Code, w.Body.String())
-	}
-	w2 := do(s, http.MethodPost, "/v1/run", sharded)
-	if w2.Code != http.StatusOK || w2.Header().Get("X-Sage-Cache") != "hit" {
-		t.Errorf("shards changed the cache key: status %d, X-Sage-Cache %q", w2.Code, w2.Header().Get("X-Sage-Cache"))
-	}
-	if !bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()) {
-		t.Error("cached bytes differ under shards")
-	}
-
-	// Cold sharded execution (fresh server, nothing cached) must produce the
-	// exact bytes the sequential kernel produced above.
-	s2 := newTestServer(t, Config{Workers: 1})
-	w3 := do(s2, http.MethodPost, "/v1/run", sharded)
-	if w3.Code != http.StatusOK || w3.Header().Get("X-Sage-Cache") == "hit" {
-		t.Fatalf("cold sharded run: status %d, X-Sage-Cache %q", w3.Code, w3.Header().Get("X-Sage-Cache"))
-	}
-	if !bytes.Equal(w.Body.Bytes(), w3.Body.Bytes()) {
-		t.Error("sharded execution changed response bytes")
-	}
-
-	if w := do(s, http.MethodPost, "/v1/run", `{"app":"fft2d","shards":-1}`); w.Code != http.StatusBadRequest {
-		t.Errorf("negative shards: status %d, want 400", w.Code)
+	w := do(s, http.MethodPost, "/v1/run", `{"app":"fft2d","n":64,"threads":4,"nodes":8,"platform":"Mercury","shards":4}`)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"shards\"`) {
+		t.Fatalf("status %d, body %s; want 400 naming the shards field", w.Code, w.Body.String())
 	}
 }
 

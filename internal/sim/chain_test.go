@@ -214,7 +214,7 @@ func newChainScenario(seed int64) *chainScenario {
 // step (stackless_test.go) runs them as a stackless process, with halves.
 type chainProc struct {
 	k            *Kernel
-	shards, d    int
+	d            int
 	li           int // index of the process's log
 	ops          []chainOp
 	q            Duration
@@ -228,14 +228,10 @@ type chainProc struct {
 	then func(p *Proc) bool
 }
 
-// note logs the clock on return from an operation, with its result (and,
-// unsharded, the dispatch count and sequence number).
+// note logs the clock, the dispatch count and the sequence number on return
+// from an operation, with its result.
 func (cp *chainProc) note(p *Proc, v ...any) {
-	line := fmt.Sprint(p.Now(), v)
-	if cp.shards == 1 {
-		line = fmt.Sprint(p.Now(), cp.k.s0.dispatched, cp.k.seqG, v)
-	}
-	*cp.log = append(*cp.log, line)
+	*cp.log = append(*cp.log, fmt.Sprint(p.Now(), cp.k.dispatched, cp.k.seq, v))
 }
 
 // chain is op's chain on the process's domain.
@@ -257,18 +253,18 @@ func (cp *chainProc) send(p *Proc, op chainOp, j int) {
 	b, v := cp.box[op.dom], 100*cp.li+j
 	switch {
 	case op.dom != cp.d:
-		p.AfterOn(op.dom, holdLookahead+op.d, func() { b.Send(v) })
+		cp.k.After(pingLatency+op.d, func() { b.Send(v) })
 	case op.d == 0:
 		b.Send(v)
 	default:
-		p.AfterOn(cp.d, op.d, func() { b.Send(v) })
+		cp.k.After(op.d, func() { b.Send(v) })
 	}
 }
 
 // timed arms opTimed, operation j: a private box that a delivery and a
 // timeout race for.
 func (cp *chainProc) timed(p *Proc, op chainOp, j int, impl chainImpl) *Chan[int] {
-	ch := NewChanOn[int](cp.k, cp.d, fmt.Sprintf("timed%d.%d", cp.li, j))
+	ch := NewChan[int](cp.k, fmt.Sprintf("timed%d.%d", cp.li, j))
 	done := false
 	deliver := func() {
 		if !done {
@@ -283,11 +279,11 @@ func (cp *chainProc) timed(p *Proc, op chainOp, j int, impl chainImpl) *Chan[int
 		}
 	}
 	if op.timerFirst {
-		p.AfterOn(cp.d, op.d2, timeout)
-		p.AfterOn(cp.d, op.d, deliver)
+		cp.k.After(op.d2, timeout)
+		cp.k.After(op.d, deliver)
 	} else {
-		p.AfterOn(cp.d, op.d, deliver)
-		p.AfterOn(cp.d, op.d2, timeout)
+		cp.k.After(op.d, deliver)
+		cp.k.After(op.d2, timeout)
 	}
 	return ch
 }
@@ -332,9 +328,9 @@ func (cp *chainProc) body(p *Proc, impl chainImpl) {
 }
 
 // run executes the scenario with impl and returns everything observable.
-func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun {
+func (sc *chainScenario) run(t *testing.T, impl chainImpl) *holdRun {
 	t.Helper()
-	k := shardedKernel(shards, 2, holdLookahead)
+	k := NewKernel()
 	tr := &hookLog{}
 	k.SetTracer(tr)
 	out := &holdRun{}
@@ -342,14 +338,14 @@ func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun 
 	var cpu, fab, eg [2]*Resource
 	var box [2]*Chan[int]
 	for d := 0; d < 2; d++ {
-		cpu[d] = NewResourceOn(k, d, fmt.Sprintf("cpu%d", d), sc.cpuCap[d])
-		fab[d] = NewResourceOn(k, d, fmt.Sprintf("fabric%d", d), sc.fabCap[d])
-		eg[d] = NewResourceOn(k, d, fmt.Sprintf("egress%d", d), 1)
+		cpu[d] = NewResource(k, fmt.Sprintf("cpu%d", d), sc.cpuCap[d])
+		fab[d] = NewResource(k, fmt.Sprintf("fabric%d", d), sc.fabCap[d])
+		eg[d] = NewResource(k, fmt.Sprintf("egress%d", d), 1)
 		stalls[d] = &stallWindows{wins: sc.wins[d]}
-		box[d] = NewChanOn[int](k, d, fmt.Sprintf("box%d", d))
+		box[d] = NewChan[int](k, fmt.Sprintf("box%d", d))
 		for i, at := range sc.feeds[d] {
 			b, v := box[d], 10000+i
-			k.AfterOn(d, Duration(at), func() { b.Send(v) })
+			k.After(Duration(at), func() { b.Send(v) })
 		}
 	}
 	var logs [][]string
@@ -360,26 +356,23 @@ func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun 
 	for d := 0; d < 2; d++ {
 		for i, ops := range sc.procs[d] {
 			cp := &chainProc{
-				k: k, shards: shards, d: d, li: li, ops: ops, q: sc.quantum,
+				k: k, d: d, li: li, ops: ops, q: sc.quantum,
 				cpu: cpu[d], fab: fab[d], eg: eg[d], stall: stalls[d], box: box, log: &logs[li],
 			}
 			li++
 			name := fmt.Sprintf("d%dp%d", d, i)
 			if impl.stackless {
-				k.SpawnStepOn(d, name, func(p *Proc) bool { return cp.step(p, impl) })
+				k.SpawnStep(name, func(p *Proc) bool { return cp.step(p, impl) })
 			} else {
-				k.SpawnOn(d, name, func(p *Proc) { cp.body(p, impl) })
+				k.Spawn(name, func(p *Proc) { cp.body(p, impl) })
 			}
 		}
 	}
 	out.Err = fmt.Sprint(k.Run())
-	out.Dispatched, out.End, out.Switches, out.Seq = k.Dispatched(), k.Now(), k.Switches(), k.seqG
+	out.Dispatched, out.End, out.Switches, out.Seq = k.Dispatched(), k.Now(), k.Switches(), k.seq
 	k.Shutdown()
 	out.ProcLogs = logs
-	out.Hooks = [][]string{tr.lines}
-	for _, c := range tr.children {
-		out.Hooks = append(out.Hooks, c.lines)
-	}
+	out.Hooks = tr.lines
 	for d := range stalls {
 		out.StallCalls[d] = stalls[d].calls
 	}
@@ -390,41 +383,36 @@ func (sc *chainScenario) run(t *testing.T, shards int, impl chainImpl) *holdRun 
 // chain held in one park — and a receive with a chain behind it — produce
 // the same hook stream as the calls they replaced, consult the stall hook at
 // the same instants, return from every operation at the same clock with the
-// same value (unsharded: at the same dispatch count and sequence number), and
-// end at the same dispatch count, sequence number, time and error (a
-// deadlock's report included) — equal, not close — at K = 1 and on two
-// shards. Only the switch count may differ.
+// same value, dispatch count and sequence number, and end at the same
+// dispatch count, sequence number, time and error (a deadlock's report
+// included) — equal, not close. Only the switch count may differ.
 func TestChainMatchesCalls(t *testing.T) {
 	const scenarios = 240
 	var refSw, gotSw uint64
 	deadlocks := 0
 	for seed := int64(0); seed < scenarios; seed++ {
 		sc := newChainScenario(seed)
-		for _, shards := range []int{1, 2} {
-			want := sc.run(t, shards, callsImpl)
-			got := sc.run(t, shards, chainedImpl)
-			refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
-			want.Switches, got.Switches = 0, 0
-			if shards == 1 && want.Err != "<nil>" {
-				deadlocks++
-			}
-			if reflect.DeepEqual(want, got) {
-				continue
-			}
-			for s := range want.Hooks {
-				diffLines(t, fmt.Sprintf("seed %d K=%d tracer %d hooks", seed, shards, s), want.Hooks[s], got.Hooks[s])
-			}
-			for p := range want.ProcLogs {
-				diffLines(t, fmt.Sprintf("seed %d K=%d process %d log", seed, shards, p), want.ProcLogs[p], got.ProcLogs[p])
-			}
-			for d := range want.StallCalls {
-				diffLines(t, fmt.Sprintf("seed %d K=%d domain %d stall-hook calls", seed, shards, d), want.StallCalls[d], got.StallCalls[d])
-			}
-			t.Fatalf("seed %d K=%d: calls vs chain: dispatched %d vs %d, seq %d vs %d, end %v vs %v, err %q vs %q",
-				seed, shards, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End, want.Err, got.Err)
+		want := sc.run(t, callsImpl)
+		got := sc.run(t, chainedImpl)
+		refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
+		want.Switches, got.Switches = 0, 0
+		if want.Err != "<nil>" {
+			deadlocks++
 		}
+		if reflect.DeepEqual(want, got) {
+			continue
+		}
+		diffLines(t, fmt.Sprintf("seed %d hooks", seed), want.Hooks, got.Hooks)
+		for p := range want.ProcLogs {
+			diffLines(t, fmt.Sprintf("seed %d process %d log", seed, p), want.ProcLogs[p], got.ProcLogs[p])
+		}
+		for d := range want.StallCalls {
+			diffLines(t, fmt.Sprintf("seed %d domain %d stall-hook calls", seed, d), want.StallCalls[d], got.StallCalls[d])
+		}
+		t.Fatalf("seed %d: calls vs chain: dispatched %d vs %d, seq %d vs %d, end %v vs %v, err %q vs %q",
+			seed, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End, want.Err, got.Err)
 	}
-	t.Logf("%d scenarios x K=1,2 (%d ending in a deadlock): %d switches as calls, %d as chains", scenarios, deadlocks, refSw, gotSw)
+	t.Logf("%d scenarios (%d ending in a deadlock): %d switches as calls, %d as chains", scenarios, deadlocks, refSw, gotSw)
 	if deadlocks == 0 {
 		t.Fatal("no scenario deadlocked: the deadlock report is not being compared")
 	}
@@ -515,95 +503,85 @@ func TestChainLifecycle(t *testing.T) {
 		{"cancel", nil}, // armed below: needs the channel before Run
 		{"panic", func(k *Kernel, p *Proc) { panic("boom") }},
 	}
-	for _, shards := range []int{1, 2} {
-		for _, end := range endings {
-			tc := fmt.Sprintf("K=%d %s", shards, end.name)
-			base := runtime.NumGoroutine()
-			k := shardedKernel(shards, 2, time.Microsecond)
-			arm := end.arm
-			if arm == nil {
-				cancel := make(chan struct{})
-				k.SetCancel(cancel, 1)
-				arm = func(*Kernel, *Proc) { close(cancel) }
-			}
-			tr := &hookLog{}
-			k.SetTracer(tr)
-			cpu := NewResourceOn(k, 0, "cpu", 1)
-			fab, eg := NewResourceOn(k, 0, "fabric", 1), NewResourceOn(k, 0, "egress", 1)
-			box := NewChanOn[int](k, 0, "box")
-			after := 0
-			send := &Chain{CPU: cpu, Quantum: q, Burst: [2]Duration{q / 2, q / 2}, Fabric: fab, Egress: eg, Wire: 100 * q}
-			for _, name := range []string{"wire", "queued"} {
-				k.SpawnOn(0, name, func(p *Proc) {
-					defer func() { after += 100 }() // the unwind itself must still happen
-					p.Hold(send)
-					after++
-				})
-			}
-			k.SpawnOn(0, "gated", func(p *Proc) {
-				defer func() { after += 100 }()
-				var v int
-				box.RecvHold(p, &v, &Chain{CPU: cpu, Quantum: q, Burst: [2]Duration{q}})
+	for _, end := range endings {
+		tc := end.name
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		arm := end.arm
+		if arm == nil {
+			cancel := make(chan struct{})
+			k.SetCancel(cancel, 1)
+			arm = func(*Kernel, *Proc) { close(cancel) }
+		}
+		tr := &hookLog{}
+		k.SetTracer(tr)
+		cpu := NewResource(k, "cpu", 1)
+		fab, eg := NewResource(k, "fabric", 1), NewResource(k, "egress", 1)
+		box := NewChan[int](k, "box")
+		after := 0
+		send := &Chain{CPU: cpu, Quantum: q, Burst: [2]Duration{q / 2, q / 2}, Fabric: fab, Egress: eg, Wire: 100 * q}
+		for _, name := range []string{"wire", "queued"} {
+			k.Spawn(name, func(p *Proc) {
+				defer func() { after += 100 }() // the unwind itself must still happen
+				p.Hold(send)
 				after++
 			})
-			// The ender fires once the first send is on the wire and the
-			// second has finished its bursts and queued for the fabric; its
-			// next wake is the event at which a cancel poll sees the close.
-			k.SpawnOn(0, "ender", func(p *Proc) {
-				p.Sleep(2*q + q/2)
-				arm(k, p)
-				p.Sleep(q)
-				p.Sleep(time.Hour)
-			})
-			k.SpawnOn(1, "bystander", func(p *Proc) { p.Sleep(time.Hour) })
-			err := k.Run()
-			if end.name == "panic" {
-				if pe, ok := err.(*PanicError); !ok || pe.Proc != "ender" || pe.Callback {
-					t.Fatalf("%s: Run = %v, want the ender's PanicError", tc, err)
-				}
-			} else if err != nil {
-				t.Fatalf("%s: Run = %v", tc, err)
+		}
+		k.Spawn("gated", func(p *Proc) {
+			defer func() { after += 100 }()
+			var v int
+			box.RecvHold(p, &v, &Chain{CPU: cpu, Quantum: q, Burst: [2]Duration{q}})
+			after++
+		})
+		// The ender fires once the first send is on the wire and the
+		// second has finished its bursts and queued for the fabric; its
+		// next wake is the event at which a cancel poll sees the close.
+		k.Spawn("ender", func(p *Proc) {
+			p.Sleep(2*q + q/2)
+			arm(k, p)
+			p.Sleep(q)
+			p.Sleep(time.Hour)
+		})
+		k.Spawn("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+		err := k.Run()
+		if end.name == "panic" {
+			if pe, ok := err.(*PanicError); !ok || pe.Proc != "ender" || pe.Callback {
+				t.Fatalf("%s: Run = %v, want the ender's PanicError", tc, err)
 			}
-			if fab.InUse() != 1 || fab.QueueDepth() != 1 || eg.InUse() != 1 {
-				t.Fatalf("%s: run ended with fabric %d in use / %d queued, egress %d in use; want one send on the wire and one queued",
-					tc, fab.InUse(), fab.QueueDepth(), eg.InUse())
+		} else if err != nil {
+			t.Fatalf("%s: Run = %v", tc, err)
+		}
+		if fab.InUse() != 1 || fab.QueueDepth() != 1 || eg.InUse() != 1 {
+			t.Fatalf("%s: run ended with fabric %d in use / %d queued, egress %d in use; want one send on the wire and one queued",
+				tc, fab.InUse(), fab.QueueDepth(), eg.InUse())
+		}
+		disp, pending := k.Dispatched(), k.Pending()
+		hooks := func() int { return len(tr.lines) }
+		before := hooks()
+		live := k.LiveProcs()
+		requireNoLeak(t, tc, k, base)
+		if k.Dispatched() != disp || k.Pending() != pending {
+			t.Fatalf("%s: Shutdown dispatched: %d -> %d events, %d -> %d pending", tc, disp, k.Dispatched(), pending, k.Pending())
+		}
+		if got := hooks() - before; got != live {
+			t.Fatalf("%s: %d hooks fired during Shutdown, want the %d ProcEnds", tc, got, live)
+		}
+		if after != 300 {
+			t.Fatalf("%s: after = %d, want 300 (all three bodies unwound, none continued past its hold)", tc, after)
+		}
+		// A delivery to the torn-down gate and the chains' queued events
+		// must be dropped, not run, should anything drive the dead loop.
+		box.Send(1)
+		inUse, depth, fired := fab.InUse(), fab.QueueDepth(), hooks()
+		for k.queue.len() > 0 { // an armed cancel poll stops the loop after each event
+			k.stopped = false
+			if got := k.advance(nil); got != advDrained {
+				t.Fatalf("%s: advance on the dead kernel = %v, want advDrained", tc, got)
 			}
-			disp, pending := k.Dispatched(), k.Pending()
-			hooks := func() (n int) {
-				n = len(tr.lines)
-				for _, c := range tr.children {
-					n += len(c.lines)
-				}
-				return n
-			}
-			before := hooks()
-			live := k.LiveProcs()
-			requireNoLeak(t, tc, k, base)
-			if k.Dispatched() != disp || k.Pending() != pending {
-				t.Fatalf("%s: Shutdown dispatched: %d -> %d events, %d -> %d pending", tc, disp, k.Dispatched(), pending, k.Pending())
-			}
-			if got := hooks() - before; got != live {
-				t.Fatalf("%s: %d hooks fired during Shutdown, want the %d ProcEnds", tc, got, live)
-			}
-			if after != 300 {
-				t.Fatalf("%s: after = %d, want 300 (all three bodies unwound, none continued past its hold)", tc, after)
-			}
-			// A delivery to the torn-down gate and the chains' queued events
-			// must be dropped, not run, should anything drive the dead loop.
-			box.Send(1)
-			inUse, depth, fired := fab.InUse(), fab.QueueDepth(), hooks()
-			for _, s := range k.shards {
-				for s.queue.len() > 0 { // an armed cancel poll stops the loop after each event
-					s.stopped = false
-					if got := s.advance(nil); got != advDrained {
-						t.Fatalf("%s: advance on the dead kernel = %v, want advDrained", tc, got)
-					}
-				}
-			}
-			if fab.InUse() != inUse || fab.QueueDepth() != depth || cpu.InUse() != 0 || hooks() != fired || k.Pending() != 0 {
-				t.Fatalf("%s: a step of a torn-down chain ran: fabric %d -> %d in use, %d -> %d queued, cpu %d, hooks %d -> %d, %d pending",
-					tc, inUse, fab.InUse(), depth, fab.QueueDepth(), cpu.InUse(), fired, hooks(), k.Pending())
-			}
+		}
+		if fab.InUse() != inUse || fab.QueueDepth() != depth || cpu.InUse() != 0 || hooks() != fired || k.Pending() != 0 {
+			t.Fatalf("%s: a step of a torn-down chain ran: fabric %d -> %d in use, %d -> %d queued, cpu %d, hooks %d -> %d, %d pending",
+				tc, inUse, fab.InUse(), depth, fab.QueueDepth(), cpu.InUse(), fired, hooks(), k.Pending())
 		}
 	}
 }

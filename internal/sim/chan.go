@@ -10,30 +10,18 @@ import "fmt"
 // once the clock reaches it. Receivers block in virtual time until a value is
 // available. Delivery order is (arrival time, send sequence), so simultaneous
 // arrivals are received in the order they were sent.
-//
-// On a sharded kernel a mailbox belongs to one shard: every process that
-// sends or receives on it must be pinned there (create it with NewChanOn).
-// Cross-shard communication goes through Proc.AfterOn, which schedules a
-// callback on the destination shard that then operates on its local
-// channels.
 type Chan[T any] struct {
-	sh      *shard
+	k       *Kernel
 	name    string
 	namer   func() string // overrides name when set (SetNamer)
 	ready   []T           // values whose arrival time has passed
 	waiters []*Proc       // receivers blocked on an empty mailbox, FIFO
 }
 
-// NewChan creates a mailbox owned by kernel k (on shard 0 when sharded).
-// The name appears in deadlock reports.
+// NewChan creates a mailbox owned by kernel k. The name appears in deadlock
+// reports.
 func NewChan[T any](k *Kernel, name string) *Chan[T] {
-	return &Chan[T]{sh: k.s0, name: name}
-}
-
-// NewChanOn creates a mailbox on the shard owning the given scheduling
-// domain. Identical to NewChan on an unsharded kernel.
-func NewChanOn[T any](k *Kernel, domain int, name string) *Chan[T] {
-	return &Chan[T]{sh: k.shardFor(domain), name: name}
+	return &Chan[T]{k: k, name: name}
 }
 
 // Len reports the number of values currently available to receivers.
@@ -67,22 +55,22 @@ func (c *Chan[T]) Interrupt(v T) { c.deliver(v, false) }
 // SendAt schedules v to arrive at virtual time at (clamped to now). The
 // sender does not block; use Resource to model the sender holding a link.
 func (c *Chan[T]) SendAt(at Time, v T) {
-	if at <= c.sh.now {
+	if at <= c.k.now {
 		c.Send(v)
 		return
 	}
-	c.sh.schedule(at, func() { c.Send(v) })
+	c.k.schedule(at, func() { c.Send(v) })
 }
 
 // SendAfter schedules v to arrive after virtual duration d.
-func (c *Chan[T]) SendAfter(d Duration, v T) { c.SendAt(c.sh.now.Add(d), v) }
+func (c *Chan[T]) SendAfter(d Duration, v T) { c.SendAt(c.k.now.Add(d), v) }
 
 // deliver appends v and wakes the head receiver; open says whether a gated
 // receiver's wake is its hold's step (Send) or a plain wake (Interrupt).
 func (c *Chan[T]) deliver(v T, open bool) {
 	c.ready = append(c.ready, v)
-	if tr := c.sh.tracer; tr != nil {
-		tr.ChanOp("send", c.Name(), len(c.ready), c.sh.now)
+	if tr := c.k.tracer; tr != nil {
+		tr.ChanOp("send", c.Name(), len(c.ready), c.k.now)
 	}
 	if len(c.waiters) > 0 {
 		p := c.waiters[0]
@@ -94,7 +82,7 @@ func (c *Chan[T]) deliver(v T, open bool) {
 		// when dispatched. A gated receiver with a chain to hold takes it in
 		// its hold's step instead.
 		h := &p.hold
-		c.sh.wakeAs(p, c.sh.now, open && h.state == holdGated && h.busy())
+		c.k.wakeAs(p, c.k.now, open && h.state == holdGated && h.busy())
 	}
 }
 
@@ -114,7 +102,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 // RecvBegin is Recv's first half: it takes a value if one is available,
 // and otherwise queues p as a receiver and reports that it parked.
 func (c *Chan[T]) RecvBegin(p *Proc) (v T, parked bool) {
-	p.since = c.sh.now
+	p.since = c.k.now
 	if len(c.ready) > 0 {
 		return c.receive(p, p.since), false
 	}
@@ -142,15 +130,15 @@ func (c *Chan[T]) wait(p *Proc) {
 // receive hands the head value to p, which has waited for it since start,
 // with the hooks a blocked Recv fires when it resumes.
 func (c *Chan[T]) receive(p *Proc, start Time) T {
-	if tr := c.sh.tracer; tr != nil && c.sh.now > start {
-		tr.Wait(p.pid, p.name, "recv", c.Name(), start, c.sh.now, 0)
+	if tr := c.k.tracer; tr != nil && c.k.now > start {
+		tr.Wait(p.pid, p.name, "recv", c.Name(), start, c.k.now, 0)
 	}
 	v := c.ready[0]
 	// Shift rather than reslice forever to keep memory bounded.
 	copy(c.ready, c.ready[1:])
 	c.ready = c.ready[:len(c.ready)-1]
-	if tr := c.sh.tracer; tr != nil {
-		tr.ChanOp("recv", c.Name(), len(c.ready), c.sh.now)
+	if tr := c.k.tracer; tr != nil {
+		tr.ChanOp("recv", c.Name(), len(c.ready), c.k.now)
 	}
 	return v
 }
@@ -188,12 +176,12 @@ func (c *Chan[T]) RecvHold(p *Proc, dst *T, then *Chain) {
 // reports whether p parked.
 func (c *Chan[T]) RecvHoldBegin(p *Proc, dst *T, then *Chain) bool {
 	if len(c.ready) > 0 {
-		*dst = c.receive(p, c.sh.now)
+		*dst = c.receive(p, c.k.now)
 		return p.HoldBegin(then)
 	}
 	p.holdInit(then)
 	h := &p.hold
-	h.state, h.gate, h.stash, p.since = holdGated, c, dst, c.sh.now
+	h.state, h.gate, h.stash, p.since = holdGated, c, dst, c.k.now
 	c.wait(p)
 	return true
 }
@@ -246,12 +234,11 @@ func (c *Chan[T]) TryRecv() (T, bool) {
 
 // Resource models a counted resource (a link, a bus, a DMA engine) that
 // processes hold for spans of virtual time. Waiters are served FIFO, which
-// models fair arbitration and keeps runs deterministic. Like Chan, a
-// Resource belongs to one shard of a sharded kernel (NewResourceOn).
+// models fair arbitration and keeps runs deterministic.
 type Resource struct {
-	sh       *shard
+	k        *Kernel
 	name     string
-	namer    Namer // asked for name on first use when set (InitOn)
+	namer    Namer // asked for name on first use when set (Init)
 	capacity int
 	inUse    int
 	waiters  []*resWaiter
@@ -272,32 +259,23 @@ type resWaiter struct {
 }
 
 // NewResource creates a resource with the given capacity (must be >= 1),
-// owned by kernel k (on shard 0 when sharded).
+// owned by kernel k.
 func NewResource(k *Kernel, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{sh: k.s0, name: name, capacity: capacity}
+	return &Resource{k: k, name: name, capacity: capacity}
 }
 
-// NewResourceOn creates a resource on the shard owning the given scheduling
-// domain. Identical to NewResource on an unsharded kernel.
-func NewResourceOn(k *Kernel, domain int, name string, capacity int) *Resource {
+// Init makes r — storage its owner allocates, such as one field of an
+// element of a per-machine slab — a resource of kernel k with the given
+// capacity, named by namer the first time a tracer or a deadlock report
+// reads its name: a resource that nobody names costs no string.
+func (r *Resource) Init(k *Kernel, capacity int, namer Namer) {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{sh: k.shardFor(domain), name: name, capacity: capacity}
-}
-
-// InitOn makes r — storage its owner allocates, such as one field of an
-// element of a per-machine slab — a resource with the given capacity on the
-// shard owning domain, named by namer the first time a tracer or a deadlock
-// report reads its name: a resource that nobody names costs no string.
-func (r *Resource) InitOn(k *Kernel, domain int, capacity int, namer Namer) {
-	if capacity < 1 {
-		panic("sim: resource capacity must be >= 1")
-	}
-	*r = Resource{sh: k.shardFor(domain), namer: namer, capacity: capacity}
+	*r = Resource{k: k, namer: namer, capacity: capacity}
 }
 
 // Capacity returns the total capacity.
@@ -341,7 +319,7 @@ func (r *Resource) AcquireBegin(p *Proc, n int) bool {
 	// FIFO fairness: if others are already queued, go behind them even if
 	// capacity is momentarily available.
 	if r.inUse+n > r.capacity || len(r.waiters) > 0 {
-		p.depth, p.since = len(r.waiters), r.sh.now
+		p.depth, p.since = len(r.waiters), r.k.now
 		w := &p.rw
 		w.p, w.n, w.woken, w.step = p, n, false, false
 		r.waiters = append(r.waiters, w)
@@ -359,8 +337,8 @@ func (r *Resource) AcquireResume(p *Proc) bool {
 		p.blockedVerb, p.blockedOn = "acquire", r
 		return false
 	}
-	if tr := r.sh.tracer; tr != nil && r.sh.now > p.since {
-		tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.sh.now, p.depth)
+	if tr := r.k.tracer; tr != nil && r.k.now > p.since {
+		tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.k.now, p.depth)
 	}
 	r.take(p.rw.n)
 	return true
@@ -383,8 +361,8 @@ func (r *Resource) granted(w *resWaiter) bool {
 // take marks n units held and lets leftover capacity reach the next waiter.
 func (r *Resource) take(n int) {
 	r.inUse += n
-	if tr := r.sh.tracer; tr != nil {
-		tr.ResourceOp("acquire", r.Name(), r.inUse, r.capacity, len(r.waiters), r.sh.now)
+	if tr := r.k.tracer; tr != nil {
+		tr.ResourceOp("acquire", r.Name(), r.inUse, r.capacity, len(r.waiters), r.k.now)
 	}
 	r.wakeHead()
 }
@@ -395,8 +373,8 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic(fmt.Sprintf("sim: resource %q over-released", r.Name()))
 	}
-	if tr := r.sh.tracer; tr != nil {
-		tr.ResourceOp("release", r.Name(), r.inUse, r.capacity, len(r.waiters), r.sh.now)
+	if tr := r.k.tracer; tr != nil {
+		tr.ResourceOp("release", r.Name(), r.inUse, r.capacity, len(r.waiters), r.k.now)
 	}
 	r.wakeHead()
 }
@@ -407,7 +385,7 @@ func (r *Resource) wakeHead() {
 	}
 	if w := r.waiters[0]; !w.woken && r.inUse+w.n <= r.capacity {
 		w.woken = true
-		r.sh.wakeAs(w.p, r.sh.now, w.step)
+		r.k.wakeAs(w.p, r.k.now, w.step)
 	}
 }
 
@@ -422,8 +400,6 @@ func (r *Resource) Use(p *Proc, n int, d Duration) {
 // Barrier synchronises a fixed set of processes: each process calls Wait and
 // blocks until all n have arrived, at which point every process resumes at
 // the same virtual instant. The barrier is reusable (generation counted).
-// On a sharded kernel all participants must be pinned to the same shard
-// (the first waiter's shard adopts the barrier).
 type Barrier struct {
 	k       *Kernel
 	name    string
@@ -460,21 +436,18 @@ func (b *Barrier) Wait(p *Proc) {
 // WaitBegin is Wait's first half: p arrives, and the last arrival releases
 // everyone and goes on; any other parks and WaitBegin reports true.
 func (b *Barrier) WaitBegin(p *Proc) bool {
-	sh := p.sh
+	k := b.k
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
 		b.gen++
 		for _, w := range b.waiting {
-			if w.sh != sh {
-				panic(fmt.Sprintf("sim: barrier %q spans shards", b.name))
-			}
-			sh.wake(w, sh.now)
+			k.wake(w, k.now)
 		}
 		b.waiting = b.waiting[:0]
 		return false
 	}
-	p.gen, p.depth, p.since = b.gen, len(b.waiting), sh.now
+	p.gen, p.depth, p.since = b.gen, len(b.waiting), k.now
 	b.waiting = append(b.waiting, p)
 	p.blockedVerb, p.blockedOn = "barrier", b
 	return true
@@ -483,13 +456,13 @@ func (b *Barrier) WaitBegin(p *Proc) bool {
 // WaitResume is Wait's half after a wake: it reports whether the generation
 // p waited out is over, and otherwise p waits on.
 func (b *Barrier) WaitResume(p *Proc) bool {
-	sh := p.sh
+	k := b.k
 	if b.gen == p.gen {
 		p.blockedVerb, p.blockedOn = "barrier", b
 		return false
 	}
-	if tr := sh.tracer; tr != nil && sh.now > p.since {
-		tr.Wait(p.pid, p.name, "barrier", b.name, p.since, sh.now, p.depth)
+	if tr := k.tracer; tr != nil && k.now > p.since {
+		tr.Wait(p.pid, p.name, "barrier", b.name, p.since, k.now, p.depth)
 	}
 	return true
 }

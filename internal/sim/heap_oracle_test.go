@@ -95,7 +95,7 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// heapQueue is the shard queue as it was: the FIFO lane holds the events
+// heapQueue is the kernel's queue as it was: the FIFO lane holds the events
 // due at the clock, in seq order, and the heap the rest.
 type heapQueue struct {
 	heap       eventHeap
@@ -104,7 +104,6 @@ type heapQueue struct {
 }
 
 // push is the old enqueue: onto the lane if due now, into the heap if later.
-// A mailbox delivery went straight to the heap (pushed with now < at).
 func (o *heapQueue) push(ev *event, now Time) {
 	if ev.at != now {
 		o.heap.push(ev)
@@ -119,11 +118,10 @@ func (o *heapQueue) push(ev *event, now Time) {
 	o.laneLen++
 }
 
-// pop is the old popEvent: it merges the lane with the heap and refuses
-// heap events at or beyond the horizon. A heap entry can tie the lane
-// head's time only with a smaller sequence number, so the comparison keeps
-// exact scheduling order.
-func (o *heapQueue) pop(horizon Time) *event {
+// pop is the old popEvent: it merges the lane with the heap. A heap entry
+// can tie the lane head's time only with a smaller sequence number, so the
+// comparison keeps exact scheduling order.
+func (o *heapQueue) pop() *event {
 	if f := o.head; f != nil {
 		if t := o.heap.top(); t == nil || eventLess(f, t) {
 			o.head = f.next
@@ -135,59 +133,26 @@ func (o *heapQueue) pop(horizon Time) *event {
 			return f
 		}
 	}
-	if t := o.heap.top(); t == nil || t.at >= horizon {
+	if o.heap.top() == nil {
 		return nil
 	}
 	return o.heap.pop()
 }
 
-// next is the old nextAt: the earlier of the heap's top and the lane head.
-func (o *heapQueue) next() Time {
-	t := maxTime
-	if top := o.heap.top(); top != nil {
-		t = top.at
-	}
-	if o.head != nil && o.head.at < t {
-		t = o.head.at
-	}
-	return t
-}
-
-// renumber is the old mergeWindow loop over the heap's items and the lane.
-func (o *heapQueue) renumber(base uint64, trueOf []uint64) {
-	fix := func(ev *event) {
-		if ev.seq > base {
-			ev.seq = trueOf[ev.seq-base-1]
-		}
-	}
-	for _, ev := range o.heap.items {
-		fix(ev)
-	}
-	for f := o.head; f != nil; f = f.next {
-		fix(f)
-	}
-}
-
-// TestQueueMatchesHeapOracle feeds a shard's queue and the heap it replaced
-// the same seeded operation streams — pushes at or after the clock, lane
-// appends at it, pops under window horizons that refuse and that accept,
-// and window barriers that renumber provisional sequence numbers the way
-// mergeWindow does and then deliver a mailbox of cross-shard events in
-// arbitrary order — and requires the same (at, seq) from every pop, the
-// same length after every operation and the same window snapshot at every
-// barrier. Time scales run from all-ties to sparse, so every bucket, the
-// tie sort and the refusal path are taken.
+// TestQueueMatchesHeapOracle feeds the kernel's queue and the heap it
+// replaced the same seeded operation streams — pushes at or after the
+// clock, lane appends at it and pops — and requires the same (at, seq) from
+// every pop and the same length after every operation. Time scales run from
+// all-ties to sparse, so every bucket and the tie sort are taken.
 func TestQueueMatchesHeapOracle(t *testing.T) {
 	const streams = 10000
-	var pops, refused, ties, barriers, mailed int
+	var pops, ties int
 	for seed := 0; seed < streams; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		s := NewKernel().s0
-		s.outbox = make([][]*event, 1)
+		var q eventQueue
 		var o heapQueue
-		var oBox []*event
 		var now Time
-		var seq, base uint64
+		var seq uint64
 		scale := int64(1) << (4 * rng.Intn(10)) // 1 ns .. 2^36 ns
 		var times []Time                        // every time pushed, for ties
 		pair := func(at Time) (*event, *event) {
@@ -204,14 +169,12 @@ func TestQueueMatchesHeapOracle(t *testing.T) {
 			}
 			return now + 1 + Time(rng.Int63n(4*scale))
 		}
-		pop := func(horizon Time) bool {
-			s.horizon = horizon
-			got, want := s.queue.pop(s.horizon), o.pop(horizon)
+		pop := func() bool {
+			got, want := q.pop(), o.pop()
 			switch {
 			case (got == nil) != (want == nil):
-				t.Fatalf("seed %d: pop under horizon %v = %v, oracle %v", seed, horizon, got, want)
+				t.Fatalf("seed %d: pop = %v, oracle %v", seed, got, want)
 			case got == nil:
-				refused++
 				return false
 			case got.at != want.at || got.seq != want.seq:
 				t.Fatalf("seed %d: pop = (%v, %d), oracle (%v, %d)", seed, got.at, got.seq, want.at, want.seq)
@@ -229,71 +192,27 @@ func TestQueueMatchesHeapOracle(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 15: // a lane append: due now
 				a, b := pair(now)
-				s.queue.push(a)
+				q.push(a)
 				o.push(b, now)
-			case r < 50: // a future push
+			case r < 55: // a future push
 				a, b := pair(later())
-				s.queue.push(a)
+				q.push(a)
 				o.push(b, now)
-			case r < 58: // a cross-shard event, delivered at the next barrier
-				a, b := pair(later())
-				s.outbox[0] = append(s.outbox[0], a)
-				oBox = append(oBox, b)
-			case r < 85: // an unbounded pop
-				pop(maxTime)
-			case r < 95: // a pop under a window horizon that may refuse it
-				pop(now + 1 + Time(rng.Int63n(4*scale)))
-			default: // a window barrier
-				for s.queue.head != nil {
-					pop(maxTime)
-				}
-				if got, want := s.queue.next(), o.next(); got != want {
-					t.Fatalf("seed %d: window snapshot %v, oracle %v", seed, got, want)
-				}
-				// The window's allocations get strictly increasing true
-				// numbers above base, with other shards' in the gaps.
-				trueOf := make([]uint64, seq-base)
-				next := base
-				for j := range trueOf {
-					next += 1 + uint64(rng.Intn(3))
-					trueOf[j] = next
-				}
-				s.base = base
-				s.renumber(trueOf)
-				o.renumber(base, trueOf)
-				for _, ev := range oBox {
-					if ev.seq > base {
-						ev.seq = trueOf[ev.seq-base-1]
-					}
-				}
-				seq, base = next, next
-				// Mailboxes deliver in any order; an event the clock has
-				// since passed could not have been sent, so neither side
-				// gets it.
-				perm := rng.Perm(len(oBox))
-				for _, i := range perm {
-					if a, b := s.outbox[0][i], oBox[i]; a.at > now {
-						s.queue.push(a)
-						o.push(b, now)
-						mailed++
-					}
-				}
-				s.outbox[0], oBox = s.outbox[0][:0], oBox[:0]
-				barriers++
+			default:
+				pop()
 			}
-			if got, want := s.queue.len(), o.heap.len()+o.laneLen; got != want {
+			if got, want := q.len(), o.heap.len()+o.laneLen; got != want {
 				t.Fatalf("seed %d op %d: %d queued, oracle %d", seed, op, got, want)
 			}
 		}
-		for pop(maxTime) {
+		for pop() {
 		}
-		if s.queue.len() != 0 || o.heap.len() != 0 || o.head != nil {
-			t.Fatalf("seed %d: drained queue holds %d, oracle %d", seed, s.queue.len(), o.heap.len())
+		if q.len() != 0 || o.heap.len() != 0 || o.head != nil {
+			t.Fatalf("seed %d: drained queue holds %d, oracle %d", seed, q.len(), o.heap.len())
 		}
 	}
-	t.Logf("%d streams: %d pops (%d at the previous pop's instant), %d refused, %d barriers, %d mailbox events",
-		streams, pops, ties, refused, barriers, mailed)
-	if ties == 0 || refused == 0 || mailed == 0 {
-		t.Fatal("the streams missed a path: ties, refusals or mailbox deliveries")
+	t.Logf("%d streams: %d pops (%d at the previous pop's instant)", streams, pops, ties)
+	if ties == 0 {
+		t.Fatal("the streams missed a path: no pop tied the clock")
 	}
 }

@@ -156,13 +156,13 @@ func (p *Proc) holdPhase() bool {
 func (p *Proc) holdNext() {
 	h := &p.hold
 	if h.Stall != nil {
-		s := h.CPU.sh
-		if until, ok := h.Stall.StalledUntil(s.now); ok {
-			if until < s.now {
-				until = s.now
+		k := h.CPU.k
+		if until, ok := h.Stall.StalledUntil(k.now); ok {
+			if until < k.now {
+				until = k.now
 			}
 			h.state = holdStalled
-			s.wakeAs(p, until, true)
+			k.wakeAs(p, until, true)
 			return
 		}
 	}
@@ -186,7 +186,7 @@ func (h *holding) res() *Resource {
 func (p *Proc) holdAcquire(r *Resource) {
 	h := &p.hold
 	if r.inUse+1 > r.capacity || len(r.waiters) > 0 {
-		p.since, p.depth = r.sh.now, len(r.waiters)
+		p.since, p.depth = r.k.now, len(r.waiters)
 		w := &p.rw
 		w.p, w.n, w.woken, w.step = p, 1, false, true
 		r.waiters = append(r.waiters, w)
@@ -204,7 +204,7 @@ func (p *Proc) holdAcquire(r *Resource) {
 func (p *Proc) holdTake(r *Resource) {
 	h := &p.hold
 	r.take(1)
-	s := r.sh
+	k := r.k
 	if h.stage < stageFabric {
 		q := min(h.left, h.Quantum)
 		h.left -= q
@@ -213,7 +213,7 @@ func (p *Proc) holdTake(r *Resource) {
 		if more {
 			h.state = holdSlice
 		}
-		s.wakeAs(p, s.now.Add(q), more)
+		k.wakeAs(p, k.now.Add(q), more)
 		return
 	}
 	if h.stage == stageFabric {
@@ -222,7 +222,7 @@ func (p *Proc) holdTake(r *Resource) {
 		return
 	}
 	h.stage, h.state = stageWire, holdIdle
-	s.wake(p, s.now.Add(max(h.Wire, 0)))
+	k.wake(p, k.now.Add(max(h.Wire, 0)))
 }
 
 // holdStep runs when one of the hold's step events fires, in whoever is
@@ -248,8 +248,8 @@ func (p *Proc) holdStep() {
 		if !r.granted(&p.rw) {
 			return
 		}
-		if tr := r.sh.tracer; tr != nil && r.sh.now > p.since {
-			tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.sh.now, p.depth)
+		if tr := r.k.tracer; tr != nil && r.k.now > p.since {
+			tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.k.now, p.depth)
 		}
 		p.holdTake(r)
 	default:

@@ -52,12 +52,10 @@ func (s *stallWindows) StalledUntil(now Time) (Time, bool) {
 	return end, stalled
 }
 
-// hookLog records the complete hook stream of one shard, every argument
-// included. On a sharded kernel each shard gets its own (ShardStart), which
-// is all the comparison needs: reference and sliced hold run at the same K.
+// hookLog records the complete hook stream of a kernel, every argument
+// included.
 type hookLog struct {
-	lines    []string
-	children []*hookLog
+	lines []string
 }
 
 func (h *hookLog) ProcStart(pid int, name string, at Time) {
@@ -75,17 +73,6 @@ func (h *hookLog) ChanOp(op, name string, qlen int, at Time) {
 func (h *hookLog) ResourceOp(op, name string, inUse, capacity, queued int, at Time) {
 	h.lines = append(h.lines, fmt.Sprint("res ", op, name, inUse, capacity, queued, at))
 }
-func (h *hookLog) ShardStart(k *Kernel, n int) []Tracer {
-	out := make([]Tracer, n)
-	for i := range out {
-		c := &hookLog{}
-		h.children = append(h.children, c)
-		out[i] = c
-	}
-	return out
-}
-func (h *hookLog) WindowEnd([]ShardDispatch) {}
-func (h *hookLog) RunEnd()                   {}
 
 // holdOp is one step of a scenario process.
 type holdOp struct {
@@ -97,8 +84,8 @@ type holdOp struct {
 // holdScenario is a seeded plan, fixed before anything runs so the reference
 // and the sliced hold execute the same program: two domains (one resource
 // and one stall schedule each), 1-6 processes per resource mixing sliced
-// holds with plain acquires, and cross-domain pings that give a sharded run
-// windows to cut.
+// holds with plain acquires, and cross-domain pings that make each domain's
+// receiver contend for its resource.
 type holdScenario struct {
 	quantum  Duration
 	capacity [2]int
@@ -176,7 +163,7 @@ func newHoldScenario(seed int64) *holdScenario {
 
 // holdRun is everything observable about one execution of a scenario.
 type holdRun struct {
-	Hooks      [][]string // the kernel's tracer, then one per shard when sharded
+	Hooks      []string // the kernel's tracer
 	StallCalls [2][]Time
 	ProcLogs   [][]string // per process: the clock on return from every operation
 	Dispatched uint64
@@ -186,12 +173,13 @@ type holdRun struct {
 	Switches   uint64 // reported, not compared: the one thing meant to differ
 }
 
-const holdLookahead = 2 * time.Microsecond
+// pingLatency is the least delay of a cross-domain ping.
+const pingLatency = 2 * time.Microsecond
 
 // run executes the scenario with hold as the sliced-hold implementation.
-func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *Proc, d, quantum Duration, stall Staller)) *holdRun {
+func (sc *holdScenario) run(t *testing.T, hold func(r *Resource, p *Proc, d, quantum Duration, stall Staller)) *holdRun {
 	t.Helper()
-	k := shardedKernel(shards, 2, holdLookahead)
+	k := NewKernel()
 	tr := &hookLog{}
 	k.SetTracer(tr)
 	out := &holdRun{}
@@ -199,15 +187,15 @@ func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *
 	var res [2]*Resource
 	var inbox [2]*Chan[int]
 	for d := 0; d < 2; d++ {
-		res[d] = NewResourceOn(k, d, fmt.Sprintf("cpu%d", d), sc.capacity[d])
+		res[d] = NewResource(k, fmt.Sprintf("cpu%d", d), sc.capacity[d])
 		stalls[d] = &stallWindows{wins: sc.wins[d]}
-		inbox[d] = NewChanOn[int](k, d, fmt.Sprintf("inbox%d", d))
+		inbox[d] = NewChan[int](k, fmt.Sprintf("inbox%d", d))
 	}
 	for d := 0; d < 2; d++ {
 		d, r, st, other := d, res[d], stalls[d], 1-d
 		// The receiver answers each ping with a short hold on its own
-		// resource, so cross-shard events feed the contention.
-		k.SpawnOn(d, fmt.Sprintf("rx%d", d), func(p *Proc) {
+		// resource, so cross-domain events feed the contention.
+		k.Spawn(fmt.Sprintf("rx%d", d), func(p *Proc) {
 			for i := 0; i < sc.pings[d]; i++ {
 				inbox[d].Recv(p)
 				hold(r, p, sc.quantum+1, sc.quantum, st)
@@ -217,15 +205,9 @@ func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *
 			ops := ops
 			li := len(out.ProcLogs)
 			out.ProcLogs = append(out.ProcLogs, nil)
-			k.SpawnOn(d, fmt.Sprintf("d%dp%d", d, i), func(p *Proc) {
+			k.Spawn(fmt.Sprintf("d%dp%d", d, i), func(p *Proc) {
 				note := func() {
-					line := fmt.Sprint(p.Now())
-					if shards == 1 {
-						// Unsharded, the dispatch count and the sequence
-						// counter are exact at every instant: pin them too.
-						line = fmt.Sprint(p.Now(), k.s0.dispatched, k.seqG)
-					}
-					out.ProcLogs[li] = append(out.ProcLogs[li], line)
+					out.ProcLogs[li] = append(out.ProcLogs[li], fmt.Sprint(p.Now(), k.dispatched, k.seq))
 				}
 				for _, op := range ops {
 					switch op.kind {
@@ -241,7 +223,7 @@ func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *
 					case 3:
 						p.Sleep(op.d)
 					case 4:
-						p.AfterOn(other, holdLookahead+op.d, func() { inbox[other].Send(1) })
+						k.After(pingLatency+op.d, func() { inbox[other].Send(1) })
 					}
 					note()
 				}
@@ -249,14 +231,11 @@ func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *
 		}
 	}
 	if err := k.Run(); err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
+		t.Fatal(err)
 	}
-	out.Dispatched, out.End, out.Switches, out.Seq = k.Dispatched(), k.Now(), k.Switches(), k.seqG
+	out.Dispatched, out.End, out.Switches, out.Seq = k.Dispatched(), k.Now(), k.Switches(), k.seq
 	k.Shutdown()
-	out.Hooks = [][]string{tr.lines}
-	for _, c := range tr.children {
-		out.Hooks = append(out.Hooks, c.lines)
-	}
+	out.Hooks = tr.lines
 	for d := range stalls {
 		out.StallCalls[d] = stalls[d].calls
 	}
@@ -266,40 +245,35 @@ func (sc *holdScenario) run(t *testing.T, shards int, hold func(r *Resource, p *
 // TestSlicedHoldMatchesLoop is the tentpole's oracle: over seeded scenarios
 // the sliced hold and the loop it replaced produce the same hook stream,
 // consult the stall hook at the same instants, return from every operation
-// at the same clock (unsharded: at the same dispatch count and sequence
-// number), and end at the same dispatch count, sequence number and time —
-// equal, not close — at K = 1 and on two shards. Only the switch count may
-// differ, and only downwards.
+// at the same clock, dispatch count and sequence number, and end at the
+// same dispatch count, sequence number and time — equal, not close. Only the
+// switch count may differ, and only downwards.
 func TestSlicedHoldMatchesLoop(t *testing.T) {
 	const scenarios = 240
 	var refSw, gotSw uint64
 	for seed := int64(0); seed < scenarios; seed++ {
 		sc := newHoldScenario(seed)
-		for _, shards := range []int{1, 2} {
-			want := sc.run(t, shards, refHoldSliced)
-			got := sc.run(t, shards, (*Resource).HoldSliced)
-			if got.Switches > want.Switches {
-				t.Errorf("seed %d K=%d: %d switches, the loop made %d", seed, shards, got.Switches, want.Switches)
-			}
-			refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
-			want.Switches, got.Switches = 0, 0
-			if reflect.DeepEqual(want, got) {
-				continue
-			}
-			for s := range want.Hooks {
-				diffLines(t, fmt.Sprintf("seed %d K=%d tracer %d hooks", seed, shards, s), want.Hooks[s], got.Hooks[s])
-			}
-			for p := range want.ProcLogs {
-				diffLines(t, fmt.Sprintf("seed %d K=%d process %d log", seed, shards, p), want.ProcLogs[p], got.ProcLogs[p])
-			}
-			for d := range want.StallCalls {
-				diffLines(t, fmt.Sprintf("seed %d K=%d domain %d stall-hook calls", seed, shards, d), want.StallCalls[d], got.StallCalls[d])
-			}
-			t.Fatalf("seed %d K=%d: loop vs sliced hold: dispatched %d vs %d, seq %d vs %d, end %v vs %v",
-				seed, shards, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End)
+		want := sc.run(t, refHoldSliced)
+		got := sc.run(t, (*Resource).HoldSliced)
+		if got.Switches > want.Switches {
+			t.Errorf("seed %d: %d switches, the loop made %d", seed, got.Switches, want.Switches)
 		}
+		refSw, gotSw = refSw+want.Switches, gotSw+got.Switches
+		want.Switches, got.Switches = 0, 0
+		if reflect.DeepEqual(want, got) {
+			continue
+		}
+		diffLines(t, fmt.Sprintf("seed %d hooks", seed), want.Hooks, got.Hooks)
+		for p := range want.ProcLogs {
+			diffLines(t, fmt.Sprintf("seed %d process %d log", seed, p), want.ProcLogs[p], got.ProcLogs[p])
+		}
+		for d := range want.StallCalls {
+			diffLines(t, fmt.Sprintf("seed %d domain %d stall-hook calls", seed, d), want.StallCalls[d], got.StallCalls[d])
+		}
+		t.Fatalf("seed %d: loop vs sliced hold: dispatched %d vs %d, seq %d vs %d, end %v vs %v",
+			seed, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End)
 	}
-	t.Logf("%d scenarios x K=1,2: %d switches as a loop, %d as sliced holds", scenarios, refSw, gotSw)
+	t.Logf("%d scenarios: %d switches as a loop, %d as sliced holds", scenarios, refSw, gotSw)
 	if gotSw*2 > refSw {
 		t.Fatalf("sliced holds made %d switches against the loop's %d: the steps are not running inline", gotSw, refSw)
 	}
@@ -366,87 +340,77 @@ func TestSlicedHoldLifecycle(t *testing.T) {
 		{"cancel", nil}, // armed below: needs the channel before Run
 		{"panic", func(k *Kernel, p *Proc) { panic("boom") }},
 	}
-	for _, shards := range []int{1, 2} {
-		for _, end := range endings {
-			tc := fmt.Sprintf("K=%d %s", shards, end.name)
-			base := runtime.NumGoroutine()
-			k := shardedKernel(shards, 2, time.Microsecond)
-			arm := end.arm
-			if arm == nil {
-				cancel := make(chan struct{})
-				k.SetCancel(cancel, 1)
-				arm = func(*Kernel, *Proc) { close(cancel) }
-			}
-			tr := &hookLog{}
-			k.SetTracer(tr)
-			r := NewResourceOn(k, 0, "cpu", 1)
-			after := 0
-			for _, name := range []string{"holder", "queued"} {
-				k.SpawnOn(0, name, func(p *Proc) {
-					defer func() { after += 100 }() // the unwind itself must still happen
-					r.HoldSliced(p, 100*quantum, quantum, nil)
-					after++
-				})
-			}
-			// The ender lives on the holds' shard and fires mid-slice, so
-			// the holder has the unit and the other hold sits in the queue.
-			k.SpawnOn(0, "ender", func(p *Proc) {
-				p.Sleep(quantum + quantum/2)
-				arm(k, p)
-				p.Sleep(time.Hour)
+	for _, end := range endings {
+		tc := end.name
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		arm := end.arm
+		if arm == nil {
+			cancel := make(chan struct{})
+			k.SetCancel(cancel, 1)
+			arm = func(*Kernel, *Proc) { close(cancel) }
+		}
+		tr := &hookLog{}
+		k.SetTracer(tr)
+		r := NewResource(k, "cpu", 1)
+		after := 0
+		for _, name := range []string{"holder", "queued"} {
+			k.Spawn(name, func(p *Proc) {
+				defer func() { after += 100 }() // the unwind itself must still happen
+				r.HoldSliced(p, 100*quantum, quantum, nil)
+				after++
 			})
-			k.SpawnOn(1, "bystander", func(p *Proc) { p.Sleep(time.Hour) })
-			err := k.Run()
-			if end.name == "panic" {
-				if pe, ok := err.(*PanicError); !ok || pe.Proc != "ender" || pe.Callback {
-					t.Fatalf("%s: Run = %v, want the ender's PanicError", tc, err)
-				}
-			} else if err != nil {
-				t.Fatalf("%s: Run = %v", tc, err)
+		}
+		// The ender fires mid-slice, so the holder has the unit and the
+		// other hold sits in the queue.
+		k.Spawn("ender", func(p *Proc) {
+			p.Sleep(quantum + quantum/2)
+			arm(k, p)
+			p.Sleep(time.Hour)
+		})
+		k.Spawn("bystander", func(p *Proc) { p.Sleep(time.Hour) })
+		err := k.Run()
+		if end.name == "panic" {
+			if pe, ok := err.(*PanicError); !ok || pe.Proc != "ender" || pe.Callback {
+				t.Fatalf("%s: Run = %v, want the ender's PanicError", tc, err)
 			}
-			// Both holds are mid-flight: one on the unit and one queued, or (the
-			// cancel poll stops the kernel on a slice boundary) both queued
-			// with the grant still pending.
-			if r.InUse()+r.QueueDepth() != 2 || r.QueueDepth() == 0 {
-				t.Fatalf("%s: run ended with %d in use, %d queued; want two holds mid-flight", tc, r.InUse(), r.QueueDepth())
+		} else if err != nil {
+			t.Fatalf("%s: Run = %v", tc, err)
+		}
+		// Both holds are mid-flight: one on the unit and one queued, or (the
+		// cancel poll stops the kernel on a slice boundary) both queued
+		// with the grant still pending.
+		if r.InUse()+r.QueueDepth() != 2 || r.QueueDepth() == 0 {
+			t.Fatalf("%s: run ended with %d in use, %d queued; want two holds mid-flight", tc, r.InUse(), r.QueueDepth())
+		}
+		disp, pending := k.Dispatched(), k.Pending()
+		hooks := func() int { return len(tr.lines) }
+		before := hooks()
+		live := k.LiveProcs()
+		requireNoLeak(t, tc, k, base)
+		if k.Dispatched() != disp || k.Pending() != pending {
+			t.Fatalf("%s: Shutdown dispatched: %d -> %d events, %d -> %d pending", tc, disp, k.Dispatched(), pending, k.Pending())
+		}
+		// Teardown reports one ProcEnd per process it stopped, nothing else.
+		if got := hooks() - before; got != live {
+			t.Fatalf("%s: %d hooks fired during Shutdown, want the %d ProcEnds", tc, got, live)
+		}
+		if after != 200 {
+			t.Fatalf("%s: after = %d, want 200 (both bodies unwound, neither continued past its hold)", tc, after)
+		}
+		// The holds' step events are still queued. Like a stale wake
+		// (TestStaleWakeAfterShutdownIsDropped) they must be dropped, not
+		// run, should anything drive the dead kernel's loop.
+		inUse, depth, fired := r.InUse(), r.QueueDepth(), hooks()
+		for k.queue.len() > 0 { // an armed cancel poll stops the loop after each event
+			k.stopped = false
+			if got := k.advance(nil); got != advDrained {
+				t.Fatalf("%s: advance on the dead kernel = %v, want advDrained", tc, got)
 			}
-			disp, pending := k.Dispatched(), k.Pending()
-			hooks := func() (n int) {
-				n = len(tr.lines)
-				for _, c := range tr.children {
-					n += len(c.lines)
-				}
-				return n
-			}
-			before := hooks()
-			live := k.LiveProcs()
-			requireNoLeak(t, tc, k, base)
-			if k.Dispatched() != disp || k.Pending() != pending {
-				t.Fatalf("%s: Shutdown dispatched: %d -> %d events, %d -> %d pending", tc, disp, k.Dispatched(), pending, k.Pending())
-			}
-			// Teardown reports one ProcEnd per process it stopped, nothing else.
-			if got := hooks() - before; got != live {
-				t.Fatalf("%s: %d hooks fired during Shutdown, want the %d ProcEnds", tc, got, live)
-			}
-			if after != 200 {
-				t.Fatalf("%s: after = %d, want 200 (both bodies unwound, neither continued past its hold)", tc, after)
-			}
-			// The holds' step events are still queued. Like a stale wake
-			// (TestStaleWakeAfterShutdownIsDropped) they must be dropped, not
-			// run, should anything drive the dead kernel's loop.
-			inUse, depth, fired := r.InUse(), r.QueueDepth(), hooks()
-			for _, s := range k.shards {
-				for s.queue.len() > 0 { // an armed cancel poll stops the loop after each event
-					s.stopped = false
-					if got := s.advance(nil); got != advDrained {
-						t.Fatalf("%s: advance on the dead kernel = %v, want advDrained", tc, got)
-					}
-				}
-			}
-			if r.InUse() != inUse || r.QueueDepth() != depth || hooks() != fired || k.Pending() != 0 {
-				t.Fatalf("%s: a step of a torn-down hold ran: in use %d -> %d, queued %d -> %d, hooks %d -> %d, %d pending",
-					tc, inUse, r.InUse(), depth, r.QueueDepth(), fired, hooks(), k.Pending())
-			}
+		}
+		if r.InUse() != inUse || r.QueueDepth() != depth || hooks() != fired || k.Pending() != 0 {
+			t.Fatalf("%s: a step of a torn-down hold ran: in use %d -> %d, queued %d -> %d, hooks %d -> %d, %d pending",
+				tc, inUse, r.InUse(), depth, r.QueueDepth(), fired, hooks(), k.Pending())
 		}
 	}
 }

@@ -9,24 +9,46 @@ import (
 )
 
 // Coroutine lifecycle: however a run ends — a process body panics, a process
-// calls Stop, a cancel fires mid-window, the run deadlocks — Shutdown must
-// leave no process coroutine (a parked goroutine, to the runtime) behind, on
-// any shard count, whether or not the driver and its processes share a P.
+// calls Stop, a cancel fires mid-run, the run deadlocks — Shutdown must
+// leave no process coroutine (a parked goroutine, to the runtime) behind,
+// whether or not the driver and its processes share a P.
 
-// shardedKernel returns a kernel over nDom domains dealt round-robin onto
-// the given number of shards (1 = the plain sequential kernel).
-func shardedKernel(shards, nDom int, lookahead Duration) *Kernel {
-	k := NewKernel()
-	domOf := make([]int, nDom)
-	for d := range domOf {
-		domOf[d] = d % shards
+// ringWorkload builds a token ring of nDom processes: each receives the
+// token, does some local work and forwards it to the next one lat or more
+// later, for hops hops and then one drain lap, so every process exits. The
+// journal records every hop with its timestamp.
+func ringWorkload(k *Kernel, nDom, hops int, lat Duration, journal *[]string) {
+	chans := make([]*Chan[int], nDom)
+	for d := 0; d < nDom; d++ {
+		chans[d] = NewChan[int](k, fmt.Sprintf("ring%d", d))
 	}
-	k.SetShards(shards, domOf, lookahead)
-	return k
+	for d := 0; d < nDom; d++ {
+		k.Spawn(fmt.Sprintf("node%d", d), func(p *Proc) {
+			for {
+				tok := chans[d].Recv(p)
+				*journal = append(*journal, fmt.Sprintf("%d@%d t=%d", tok, d, p.Now()))
+				if tok >= hops {
+					// Drain lap: keep the token moving so every node exits.
+					if tok < hops+nDom-1 {
+						nxt := (d + 1) % nDom
+						fin := tok + 1
+						k.After(lat, func() { chans[nxt].Send(fin) })
+					}
+					return
+				}
+				p.Sleep(Duration(tok%7) * 100 * time.Nanosecond) // local work
+				nxt := (d + 1) % nDom
+				tok++
+				k.After(lat+Duration(tok%3)*time.Microsecond, func() {
+					chans[nxt].Send(tok)
+				})
+			}
+		})
+	}
+	k.After(0, func() { chans[0].Send(0) })
 }
 
-// requireNoLeak shuts k down and checks every coroutine and window worker
-// is gone. base is runtime.NumGoroutine() from before the kernel existed; an
+// requireNoLeak shuts k down and checks every coroutine is gone. base is runtime.NumGoroutine() from before the kernel existed; an
 // earlier test's goroutine may still have been exiting then, so the count
 // may end below it, never above.
 func requireNoLeak(t *testing.T, tc string, k *Kernel, base int) {
@@ -41,32 +63,29 @@ func requireNoLeak(t *testing.T, tc string, k *Kernel, base int) {
 }
 
 func TestProcPanicBecomesRunError(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		tc := fmt.Sprintf("K=%d", shards)
-		base := runtime.NumGoroutine()
-		k := shardedKernel(shards, 2, time.Microsecond)
-		never := NewChanOn[int](k, 0, "never")
-		k.SpawnOn(0, "stuck", func(p *Proc) { never.Recv(p) })
-		k.SpawnOn(1, "spinner", func(p *Proc) {
-			for {
-				p.Sleep(time.Microsecond)
-			}
-		})
-		k.SpawnOn(1, "fft_rows[3]", func(p *Proc) {
-			p.Sleep(10 * time.Microsecond)
-			var rows []int
-			_ = rows[3]
-		})
-		err := k.Run()
-		const want = `sim: process "fft_rows[3]" (pid 2) panicked: runtime error: index out of range [3] with length 0`
-		if err == nil || err.Error() != want {
-			t.Fatalf("%s: Run = %v, want %s", tc, err, want)
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	never := NewChan[int](k, "never")
+	k.Spawn("stuck", func(p *Proc) { never.Recv(p) })
+	k.Spawn("spinner", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
 		}
-		if k.LiveProcs() != 2 {
-			t.Fatalf("%s: LiveProcs = %d, want the two processes the panic left parked", tc, k.LiveProcs())
-		}
-		requireNoLeak(t, tc, k, base)
+	})
+	k.Spawn("fft_rows[3]", func(p *Proc) {
+		p.Sleep(10 * time.Microsecond)
+		var rows []int
+		_ = rows[3]
+	})
+	err := k.Run()
+	const want = `sim: process "fft_rows[3]" (pid 2) panicked: runtime error: index out of range [3] with length 0`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %s", err, want)
 	}
+	if k.LiveProcs() != 2 {
+		t.Fatalf("LiveProcs = %d, want the two processes the panic left parked", k.LiveProcs())
+	}
+	requireNoLeak(t, "body panic", k, base)
 }
 
 // panicOnSecond is a Staller whose second consultation — the first one a
@@ -82,21 +101,19 @@ func (s *panicOnSecond) StalledUntil(Time) (Time, bool) {
 
 // TestCallbackPanicBecomesRunError: a panic in callback context — an event
 // callback or a sliced-hold step — becomes Run's error wherever the callback
-// happens to execute: in the driver, in a process that was running the event
-// loop (which is not the one blamed), or on a shard's window worker, where an
-// unrecovered panic would take the whole program down.
+// happens to execute: in the driver, or in a process that was running the
+// event loop (which is not the one blamed).
 func TestCallbackPanicBecomesRunError(t *testing.T) {
 	cases := []struct {
-		name   string
-		shards int
-		build  func(k *Kernel)
-		want   string
-		live   int // processes the failure leaves parked
+		name  string
+		build func(k *Kernel)
+		want  string
+		live  int // processes the failure leaves parked
 	}{
-		{"driver", 1, func(k *Kernel) {
+		{"driver", func(k *Kernel) {
 			k.After(10, func() { panic("boom") })
 		}, "sim: event callback panicked: boom", 0},
-		{"borrowed process", 1, func(k *Kernel) {
+		{"borrowed process", func(k *Kernel) {
 			// "other" is asleep, i.e. running the event loop, when the
 			// callback fires; its body is unwound by a panic that is not its
 			// own, and the error must say so.
@@ -104,13 +121,13 @@ func TestCallbackPanicBecomesRunError(t *testing.T) {
 			k.Spawn("parked", func(p *Proc) { p.Sleep(time.Hour) })
 			k.After(10, func() { panic("boom") })
 		}, "sim: event callback panicked: boom", 1},
-		{"hold step in a borrowed process", 1, func(k *Kernel) {
+		{"hold step in a borrowed process", func(k *Kernel) {
 			r := NewResource(k, "cpu", 1)
 			k.Spawn("burst", func(p *Proc) { r.HoldSliced(p, time.Millisecond, time.Microsecond, &panicOnSecond{}) })
 			// The last process to start runs the loop when the step fires.
 			k.Spawn("other", func(p *Proc) { p.Sleep(time.Hour) })
 		}, `sim: sliced-hold step of process "burst" (pid 0) panicked: stall hook boom`, 1},
-		{"hold step in the driver", 1, func(k *Kernel) {
+		{"hold step in the driver", func(k *Kernel) {
 			r := NewResource(k, "cpu", 1)
 			k.Spawn("early", func(p *Proc) {})
 			k.Spawn("burst", func(p *Proc) {
@@ -121,33 +138,10 @@ func TestCallbackPanicBecomesRunError(t *testing.T) {
 			// once, which leaves the driver running the loop.
 			k.After(20, func() { k.Spawn("late", func(p *Proc) {}) })
 		}, `sim: sliced-hold step of process "burst" (pid 1) panicked: stall hook boom`, 1},
-		{"shard worker", 2, func(k *Kernel) {
-			k.SpawnOn(0, "spinner", func(p *Proc) {
-				for {
-					p.Sleep(time.Microsecond)
-				}
-			})
-			k.AfterOn(1, 10*time.Microsecond, func() { panic("boom") })
-		}, "sim: event callback panicked: boom", 1},
-		{"shard worker, borrowed process", 2, func(k *Kernel) {
-			k.SpawnOn(0, "spinner", func(p *Proc) {
-				for {
-					p.Sleep(time.Microsecond)
-				}
-			})
-			// "other" ticks ten times per window, so it — not the worker —
-			// is running shard 1's loop when the callback fires mid-window.
-			k.SpawnOn(1, "other", func(p *Proc) {
-				for {
-					p.Sleep(100 * time.Nanosecond)
-				}
-			})
-			k.AfterOn(1, 10*time.Microsecond+50*time.Nanosecond, func() { panic("boom") })
-		}, "sim: event callback panicked: boom", 1},
 	}
 	for _, c := range cases {
 		base := runtime.NumGoroutine()
-		k := shardedKernel(c.shards, 2, time.Microsecond)
+		k := NewKernel()
 		c.build(k)
 		err := k.Run()
 		pe, ok := err.(*PanicError)
@@ -166,7 +160,7 @@ func TestShutdownReleasesAllCoroutines(t *testing.T) {
 	// ring is a token ring that would run (practically) forever.
 	ring := func(k *Kernel) {
 		journal := new([]string)
-		ringWorkload(k, nDom, 1<<30, lat, nil, journal)
+		ringWorkload(k, nDom, 1<<30, lat, journal)
 	}
 	endings := []struct {
 		name  string
@@ -175,7 +169,7 @@ func TestShutdownReleasesAllCoroutines(t *testing.T) {
 	}{
 		{"stop", func(k *Kernel) {
 			ring(k)
-			k.SpawnOn(3, "stopper", func(p *Proc) {
+			k.Spawn("stopper", func(p *Proc) {
 				p.Sleep(200 * time.Microsecond)
 				k.Stop()
 			})
@@ -189,7 +183,7 @@ func TestShutdownReleasesAllCoroutines(t *testing.T) {
 			ring(k)
 			cancel := make(chan struct{})
 			k.SetCancel(cancel, 16)
-			k.SpawnOn(5, "canceller", func(p *Proc) {
+			k.Spawn("canceller", func(p *Proc) {
 				p.Sleep(200 * time.Microsecond)
 				close(cancel)
 			})
@@ -201,8 +195,8 @@ func TestShutdownReleasesAllCoroutines(t *testing.T) {
 		}},
 		{"deadlock", func(k *Kernel) {
 			for d := 0; d < nDom; d++ {
-				never := NewChanOn[int](k, d, fmt.Sprintf("never%d", d))
-				k.SpawnOn(d, fmt.Sprintf("stuck%d", d), func(p *Proc) { never.Recv(p) })
+				never := NewChan[int](k, fmt.Sprintf("never%d", d))
+				k.Spawn(fmt.Sprintf("stuck%d", d), func(p *Proc) { never.Recv(p) })
 			}
 		}, func(k *Kernel, err error) string {
 			if de, ok := err.(*DeadlockError); !ok || len(de.Blocked) != nDom {
@@ -214,20 +208,18 @@ func TestShutdownReleasesAllCoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, shards := range []int{1, 2, 4} {
-			for _, end := range endings {
-				tc := fmt.Sprintf("GOMAXPROCS=%d K=%d %s", procs, shards, end.name)
-				base := runtime.NumGoroutine()
-				k := shardedKernel(shards, nDom, lat)
-				end.build(k)
-				if msg := end.check(k, k.Run()); msg != "" {
-					t.Fatalf("%s: %s", tc, msg)
-				}
-				if k.LiveProcs() != nDom {
-					t.Fatalf("%s: LiveProcs = %d before Shutdown, want the %d parked processes", tc, k.LiveProcs(), nDom)
-				}
-				requireNoLeak(t, tc, k, base)
+		for _, end := range endings {
+			tc := fmt.Sprintf("GOMAXPROCS=%d %s", procs, end.name)
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			end.build(k)
+			if msg := end.check(k, k.Run()); msg != "" {
+				t.Fatalf("%s: %s", tc, msg)
 			}
+			if k.LiveProcs() != nDom {
+				t.Fatalf("%s: LiveProcs = %d before Shutdown, want the %d parked processes", tc, k.LiveProcs(), nDom)
+			}
+			requireNoLeak(t, tc, k, base)
 		}
 	}
 }

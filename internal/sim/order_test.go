@@ -13,7 +13,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/dispatch_order_k1.golden")
 
 // dispatchOrderLog runs a seeded random mix of processes, mailboxes,
-// resources, a barrier, timers and mid-run spawns on an unsharded kernel and
+// resources, a barrier, timers and mid-run spawns on a kernel and
 // returns one line per observation — "at dispatched seq pid", pid -1 for a
 // timer callback — written when a process starts, after each of its
 // operations returns, and inside each callback. The dispatch count is in
@@ -24,7 +24,7 @@ func dispatchOrderLog(seed int64) []byte {
 	k := NewKernel()
 	var log bytes.Buffer
 	rec := func(pid int) {
-		fmt.Fprintf(&log, "%d %d %d %d\n", k.s0.now, k.s0.dispatched, k.seqG, pid)
+		fmt.Fprintf(&log, "%d %d %d %d\n", k.now, k.dispatched, k.seq, pid)
 	}
 	const nproc, nchan, steps, rounds = 12, 4, 40, 4
 	chans := make([]*Chan[int], nchan)

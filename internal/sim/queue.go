@@ -2,13 +2,13 @@ package sim
 
 import "math/bits"
 
-// eventQueue is a shard's event queue: a FIFO lane of the events due at the
+// eventQueue is the kernel's event queue: a FIFO lane of the events due at the
 // current instant, in seq order, in front of a monotone radix queue of the
 // future ones (Ahuja, Mehlhorn, Orlin and Tarjan, 1990). When the lane
 // empties, advance hands it the whole next instant, so dispatch order is
 // (time, seq) and the lane never competes with the buckets.
 //
-// Invariant: last is the instant the queue last advanced to — the shard's
+// Invariant: last is the instant the queue last advanced to — the kernel's
 // clock. Every queued time is >= last; an event at last rides the lane, any
 // other sits in bucket bits.Len64(at ^ last), one past the highest bit in
 // which its time differs from last. So every time in a lower bucket is
@@ -49,9 +49,9 @@ func (q *eventQueue) file(ev *event) {
 }
 
 // toLane inserts ev, due at last, into the lane by seq. A push at the
-// instant carries the newest seq, and a handed-over instant arrives in
-// ascending or (from a bucket's prepends) descending order, so both ends
-// are O(1); the walk sorts the rare tie a sharded window's mailbox leaves.
+// instant carries the newest seq, and a handed-over instant arrives mostly
+// in ascending or (from a bucket's prepends) descending order, so both ends
+// are O(1); the walk sorts a bucket whose re-filings mixed the two.
 func (q *eventQueue) toLane(ev *event) {
 	if q.head == nil || ev.seq > q.tail.seq {
 		ev.next = nil
@@ -71,9 +71,9 @@ func (q *eventQueue) toLane(ev *event) {
 }
 
 // pop removes the earliest event by (time, seq), or returns nil when none
-// is queued before horizon (maxTime when unsharded).
-func (q *eventQueue) pop(horizon Time) *event {
-	if q.head == nil && !q.advance(horizon) {
+// is queued.
+func (q *eventQueue) pop() *event {
+	if q.head == nil && !q.advance() {
 		return nil
 	}
 	ev := q.head
@@ -97,16 +97,13 @@ func (q *eventQueue) earliest() (int, Time) {
 }
 
 // advance moves last to the earliest time m in the buckets, hands the empty
-// lane every event at m and re-files the rest of m's bucket. It refuses,
-// changing nothing, when the buckets are empty or m reaches horizon.
-func (q *eventQueue) advance(horizon Time) bool {
+// lane every event at m and re-files the rest of m's bucket. It reports
+// false, changing nothing, when the buckets are empty.
+func (q *eventQueue) advance() bool {
 	if q.full == 0 {
 		return false
 	}
 	b, m := q.earliest()
-	if m >= horizon {
-		return false
-	}
 	ev := q.bucket[b]
 	q.bucket[b], q.full, q.last = nil, q.full&^(1<<b), m
 	for ev != nil {
@@ -120,28 +117,4 @@ func (q *eventQueue) advance(horizon Time) bool {
 		ev = next
 	}
 	return true
-}
-
-// next reports the earliest queued time (maxTime if none), changing nothing.
-func (q *eventQueue) next() Time {
-	if q.head != nil {
-		return q.last
-	}
-	if q.full == 0 {
-		return maxTime
-	}
-	_, m := q.earliest()
-	return m
-}
-
-// each calls f on every queued event.
-func (q *eventQueue) each(f func(*event)) {
-	for ev := q.head; ev != nil; ev = ev.next {
-		f(ev)
-	}
-	for _, ev := range q.bucket {
-		for ; ev != nil; ev = ev.next {
-			f(ev)
-		}
-	}
 }

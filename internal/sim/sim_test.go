@@ -431,7 +431,7 @@ func TestSchedulePastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.s0.schedule(Time(0), func() {})
+	k.schedule(Time(0), func() {})
 }
 
 func TestStopHaltsRun(t *testing.T) {
@@ -482,7 +482,7 @@ func TestHeapPropertyOrdering(t *testing.T) {
 		var prev *event
 		popped := 0
 		for {
-			e := q.pop(maxTime)
+			e := q.pop()
 			if e == nil {
 				return popped == len(times) && q.len() == 0
 			}
@@ -666,18 +666,18 @@ func TestStaleWakeAfterShutdownIsDropped(t *testing.T) {
 	// The queued wake references a stopped proc; firing it must be dropped by
 	// advance's liveness re-check, not dispatch into a dead kernel. Run
 	// refuses to restart a dead kernel, so drive the event loop directly.
-	ev := k.s0.queue.pop(maxTime)
+	ev := k.queue.pop()
 	if ev == nil {
 		t.Fatal("no queued event")
 	}
 	if ev.proc == nil || !ev.proc.done {
 		t.Fatal("queued event is not a stale wake for a torn-down proc")
 	}
-	k.s0.queue.push(ev) // put it back and let advance make the drop decision
+	k.queue.push(ev) // put it back and let advance make the drop decision
 	done := make(chan struct{})
 	go func() {
-		k.s0.stopped = false // Shutdown set it; advance must still drop the wake
-		if got := k.s0.advance(nil); got != advDrained {
+		k.stopped = false // Shutdown set it; advance must still drop the wake
+		if got := k.advance(nil); got != advDrained {
 			t.Errorf("advance = %v, want advDrained", got)
 		}
 		close(done)

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// A stackless process (SpawnStepOn) is a state machine over the halves of
+// A stackless process (SpawnStep) is a state machine over the halves of
 // the blocking forms. These tests hold it to the coroutine process running
 // the blocking forms themselves: the same events at the same (time, seq),
 // the same hooks, results and deadlock reports, and none of the switches.
@@ -123,42 +123,37 @@ func (cp *chainProc) begin(p *Proc, j int, op chainOp, impl chainImpl) bool {
 // (Shutdown's ProcEnds included), the stall-hook consultations, every
 // process's clock, result, dispatch count and sequence number on return
 // from each operation, and the final dispatch count, sequence number, clock
-// and error — equal, not close — at K = 1 and on two shards. A stackless run
-// switches never.
+// and error — equal, not close. A stackless run switches never.
 func TestStacklessMatchesCoroutines(t *testing.T) {
 	const scenarios = 240
 	deadlocks := 0
 	var coSw uint64
 	for seed := int64(0); seed < scenarios; seed++ {
 		sc := newChainScenario(seed)
-		for _, shards := range []int{1, 2} {
-			want := sc.run(t, shards, chainedImpl)
-			got := sc.run(t, shards, stacklessImpl)
-			if got.Switches != 0 {
-				t.Fatalf("seed %d K=%d: a stackless run made %d switches", seed, shards, got.Switches)
-			}
-			coSw += want.Switches
-			want.Switches = 0
-			if shards == 1 && want.Err != "<nil>" {
-				deadlocks++
-			}
-			if reflect.DeepEqual(want, got) {
-				continue
-			}
-			for s := range want.Hooks {
-				diffLines(t, fmt.Sprintf("seed %d K=%d tracer %d hooks", seed, shards, s), want.Hooks[s], got.Hooks[s])
-			}
-			for p := range want.ProcLogs {
-				diffLines(t, fmt.Sprintf("seed %d K=%d process %d log", seed, shards, p), want.ProcLogs[p], got.ProcLogs[p])
-			}
-			for d := range want.StallCalls {
-				diffLines(t, fmt.Sprintf("seed %d K=%d domain %d stall-hook calls", seed, shards, d), want.StallCalls[d], got.StallCalls[d])
-			}
-			t.Fatalf("seed %d K=%d: coroutines vs stackless: dispatched %d vs %d, seq %d vs %d, end %v vs %v, err %q vs %q",
-				seed, shards, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End, want.Err, got.Err)
+		want := sc.run(t, chainedImpl)
+		got := sc.run(t, stacklessImpl)
+		if got.Switches != 0 {
+			t.Fatalf("seed %d: a stackless run made %d switches", seed, got.Switches)
 		}
+		coSw += want.Switches
+		want.Switches = 0
+		if want.Err != "<nil>" {
+			deadlocks++
+		}
+		if reflect.DeepEqual(want, got) {
+			continue
+		}
+		diffLines(t, fmt.Sprintf("seed %d hooks", seed), want.Hooks, got.Hooks)
+		for p := range want.ProcLogs {
+			diffLines(t, fmt.Sprintf("seed %d process %d log", seed, p), want.ProcLogs[p], got.ProcLogs[p])
+		}
+		for d := range want.StallCalls {
+			diffLines(t, fmt.Sprintf("seed %d domain %d stall-hook calls", seed, d), want.StallCalls[d], got.StallCalls[d])
+		}
+		t.Fatalf("seed %d: coroutines vs stackless: dispatched %d vs %d, seq %d vs %d, end %v vs %v, err %q vs %q",
+			seed, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End, want.Err, got.Err)
 	}
-	t.Logf("%d scenarios x K=1,2 (%d ending in a deadlock): %d switches as coroutines, none stackless", scenarios, deadlocks, coSw)
+	t.Logf("%d scenarios (%d ending in a deadlock): %d switches as coroutines, none stackless", scenarios, deadlocks, coSw)
 	if deadlocks == 0 {
 		t.Fatal("no scenario deadlocked: the deadlock report is not being compared")
 	}
@@ -178,8 +173,8 @@ func sleeper(n int, d Duration) func(p *Proc) bool {
 
 // TestStacklessPanicIsTheBodys: a panic inside a step is the stackless
 // process's body panic — PanicError{Proc, PID, Callback: false} — wherever
-// the step runs: in the driver, on a shard's window worker, or in a
-// coroutine that was running the event loop (which is not the one blamed).
+// the step runs: in the driver, or in a coroutine that was running the event
+// loop (which is not the one blamed).
 // The panicking process ends there, with its ProcEnd, as a coroutine's body
 // does; Shutdown then ends the others and no goroutine remains.
 func TestStacklessPanicIsTheBodys(t *testing.T) {
@@ -195,35 +190,29 @@ func TestStacklessPanicIsTheBodys(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name   string
-		shards int
-		build  func(k *Kernel)
-		live   int // processes left for Shutdown
+		name  string
+		build func(k *Kernel)
+		live  int // processes left for Shutdown
 	}{
-		{"driver", 1, func(k *Kernel) {
-			k.SpawnStepOn(0, "parked", sleeper(1, time.Hour))
-			k.SpawnStepOn(0, "fft_rows[3]", boom(3))
+		{"driver", func(k *Kernel) {
+			k.SpawnStep("parked", sleeper(1, time.Hour))
+			k.SpawnStep("fft_rows[3]", boom(3))
 		}, 1},
-		{"borrowed coroutine", 1, func(k *Kernel) {
-			k.SpawnStepOn(0, "parked", sleeper(1, time.Hour))
-			k.SpawnStepOn(0, "fft_rows[3]", boom(3))
+		{"borrowed coroutine", func(k *Kernel) {
+			k.SpawnStep("parked", sleeper(1, time.Hour))
+			k.SpawnStep("fft_rows[3]", boom(3))
 			// "other" wakes every 100 ns, so it is the one running the loop
 			// when the stackless step panics; it is unwound, not blamed.
-			k.SpawnOn(0, "other", func(p *Proc) {
+			k.Spawn("other", func(p *Proc) {
 				for {
 					p.Sleep(100 * time.Nanosecond)
 				}
 			})
 		}, 1},
-		{"shard worker", 2, func(k *Kernel) {
-			k.SpawnStepOn(1, "parked", sleeper(1, time.Hour))
-			k.SpawnStepOn(1, "fft_rows[3]", boom(3))
-			k.SpawnStepOn(0, "spinner", sleeper(1<<30, time.Microsecond))
-		}, 2},
 	}
 	for _, c := range cases {
 		base := runtime.NumGoroutine()
-		k := shardedKernel(c.shards, 2, time.Microsecond)
+		k := NewKernel()
 		tr := &hookLog{}
 		k.SetTracer(tr)
 		c.build(k)
@@ -243,13 +232,6 @@ func TestStacklessPanicIsTheBodys(t *testing.T) {
 				ended++
 			}
 		}
-		for _, ch := range tr.children {
-			for _, l := range ch.lines {
-				if strings.HasPrefix(l, "end 1fft_rows[3]") {
-					ended++
-				}
-			}
-		}
 		if ended != 1 {
 			t.Fatalf("%s: the panicking process ended %d times, want once", c.name, ended)
 		}
@@ -260,7 +242,7 @@ func TestStacklessPanicIsTheBodys(t *testing.T) {
 // stack to park; it is the body's panic, named.
 func TestStacklessBlockingFormPanics(t *testing.T) {
 	k := NewKernel()
-	k.SpawnStepOn(0, "wrong", func(p *Proc) bool { p.Sleep(time.Microsecond); return true })
+	k.SpawnStep("wrong", func(p *Proc) bool { p.Sleep(time.Microsecond); return true })
 	err := k.Run()
 	pe, ok := err.(*PanicError)
 	if !ok || pe.Callback || pe.Proc != "wrong" || !strings.Contains(err.Error(), "a step may call only Begin/Resume halves") {
@@ -274,58 +256,56 @@ func TestStacklessBlockingFormPanics(t *testing.T) {
 // dispatches no event, fires ProcEnd for every started stackless process and
 // for no unstarted one, and leaves no goroutine behind.
 func TestStacklessLifecycle(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		for _, end := range []string{"stop", "cancel", "deadlock"} {
-			tc := fmt.Sprintf("K=%d %s", shards, end)
-			base := runtime.NumGoroutine()
-			k := shardedKernel(shards, 2, time.Microsecond)
-			tr := &hookLog{}
-			k.SetTracer(tr)
-			never := NewChanOn[int](k, 0, "never")
-			k.SpawnStepOn(0, "stuck", func(p *Proc) bool {
-				if _, parked := never.RecvBegin(p); !parked {
-					t.Errorf("%s: the never channel had a value", tc)
-				}
-				return true
-			})
-			steps := 0
-			k.SpawnStepOn(1, "ticker", func(p *Proc) bool {
-				steps++
-				if end == "deadlock" && steps > 3 {
-					return false
-				}
-				p.SleepBegin(time.Microsecond)
-				return true
-			})
-			switch end {
-			case "stop":
-				k.AfterOn(0, 10*time.Microsecond+1, func() { k.Stop() })
-			case "cancel":
-				cancel := make(chan struct{})
-				close(cancel)
-				k.SetCancel(cancel, 5)
+	for _, end := range []string{"stop", "cancel", "deadlock"} {
+		tc := end
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		tr := &hookLog{}
+		k.SetTracer(tr)
+		never := NewChan[int](k, "never")
+		k.SpawnStep("stuck", func(p *Proc) bool {
+			if _, parked := never.RecvBegin(p); !parked {
+				t.Errorf("%s: the never channel had a value", tc)
 			}
-			err := k.Run()
-			if _, dl := err.(*DeadlockError); (end == "deadlock") != dl || (end != "deadlock" && err != nil) {
-				t.Fatalf("%s: Run = %v", tc, err)
+			return true
+		})
+		steps := 0
+		k.SpawnStep("ticker", func(p *Proc) bool {
+			steps++
+			if end == "deadlock" && steps > 3 {
+				return false
 			}
-			live := k.LiveProcs()
-			disp, before, stepped := k.Dispatched(), len(tr.lines), steps
-			requireNoLeak(t, tc, k, base)
-			if k.Dispatched() != disp || steps != stepped {
-				t.Fatalf("%s: Shutdown ran the kernel: %d -> %d dispatches, %d -> %d steps", tc, disp, k.Dispatched(), stepped, steps)
-			}
-			if got := tr.lines[before:]; len(got) != live {
-				t.Fatalf("%s: Shutdown fired %q, want the ProcEnds of the %d started processes", tc, got, live)
-			}
+			p.SleepBegin(time.Microsecond)
+			return true
+		})
+		switch end {
+		case "stop":
+			k.After(10*time.Microsecond+1, func() { k.Stop() })
+		case "cancel":
+			cancel := make(chan struct{})
+			close(cancel)
+			k.SetCancel(cancel, 5)
+		}
+		err := k.Run()
+		if _, dl := err.(*DeadlockError); (end == "deadlock") != dl || (end != "deadlock" && err != nil) {
+			t.Fatalf("%s: Run = %v", tc, err)
+		}
+		live := k.LiveProcs()
+		disp, before, stepped := k.Dispatched(), len(tr.lines), steps
+		requireNoLeak(t, tc, k, base)
+		if k.Dispatched() != disp || steps != stepped {
+			t.Fatalf("%s: Shutdown ran the kernel: %d -> %d dispatches, %d -> %d steps", tc, disp, k.Dispatched(), stepped, steps)
+		}
+		if got := tr.lines[before:]; len(got) != live {
+			t.Fatalf("%s: Shutdown fired %q, want the ProcEnds of the %d started processes", tc, got, live)
 		}
 	}
 	// Processes whose start event never fired vanish without a hook.
 	k := NewKernel()
 	tr := &hookLog{}
 	k.SetTracer(tr)
-	k.SpawnStepOn(0, "first", func(p *Proc) bool { k.Stop(); p.SleepBegin(time.Hour); return true })
-	k.SpawnStepOn(0, "unstarted", sleeper(1, time.Microsecond))
+	k.SpawnStep("first", func(p *Proc) bool { k.Stop(); p.SleepBegin(time.Hour); return true })
+	k.SpawnStep("unstarted", sleeper(1, time.Microsecond))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +327,7 @@ func TestStacklessAllocFree(t *testing.T) {
 		box := NewChan[int](k, "box")
 		c := &Chain{CPU: cpu, Quantum: time.Microsecond, Burst: [2]Duration{1500}}
 		n, v := 0, 0
-		k.SpawnStepOn(0, "tx", func(p *Proc) bool {
+		k.SpawnStep("tx", func(p *Proc) bool {
 			if n == ops {
 				return false
 			}
@@ -357,7 +337,7 @@ func TestStacklessAllocFree(t *testing.T) {
 			return true
 		})
 		got := 0
-		k.SpawnStepOn(0, "rx", func(p *Proc) bool {
+		k.SpawnStep("rx", func(p *Proc) bool {
 			if got > 0 && !box.RecvHoldResume(p, &v) {
 				return true
 			}
@@ -380,7 +360,7 @@ func TestStacklessAllocFree(t *testing.T) {
 	perProc := marginalAllocs(t, func(procs int) {
 		k := NewKernel()
 		for i := 0; i < procs; i++ {
-			k.SpawnStepOn(0, "w", step)
+			k.SpawnStep("w", step)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -21,14 +21,6 @@ import (
 // Config describes one streaming run: the generated runtime tables, the
 // client-class mix that drives the source, and the optional fault plan and
 // remapping controller.
-//
-// Streaming runs always execute on the sequential kernel: the admission
-// source, the shedding policy and the remap controller all observe global
-// state (backlog across every node, cross-node stall windows), so there is
-// no sound lookahead to shard against. Callers that set a shard count
-// upstream (serve's Request.Shards, sagert.Options.Shards) get it silently
-// ignored here — the results are identical either way, sharding is only a
-// wall-clock knob.
 type Config struct {
 	// Tables are the glue generator's runtime tables; the initial mapping is
 	// the tables' own thread->node assignment.

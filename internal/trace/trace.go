@@ -207,14 +207,6 @@ type Collector struct {
 	procStart   map[int]sim.Time
 	dispatched  uint64
 	elapsed     sim.Time
-
-	// Sharded-kernel state (see shard.go). On a parent, children/kernel
-	// route node-keyed recording to per-shard child collectors during the
-	// run; on a child, shard tags every record with the dispatch that
-	// emitted it so WindowEnd can merge in exact sequential order.
-	children []*Collector
-	kernel   *sim.Kernel
-	shard    *shardState
 }
 
 // New returns an empty collector for one simulation run.
@@ -239,11 +231,7 @@ func (c *Collector) Span(layer Layer, node int, track, name string, start, end s
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).Span(layer, node, track, name, start, end)
-		return
-	}
-	c.addSpan(Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -253,11 +241,7 @@ func (c *Collector) Phase(layer Layer, node int, track, name string, iter int, s
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).Phase(layer, node, track, name, iter, start, end)
-		return
-	}
-	c.addSpan(Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: iter, Depth: -1})
 }
 
@@ -266,11 +250,7 @@ func (c *Collector) Xfer(layer Layer, node int, track, name string, bytes int, i
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).Xfer(layer, node, track, name, bytes, iter, start, end)
-		return
-	}
-	c.addSpan(Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: int64(bytes), Iter: iter, Depth: -1})
 }
 
@@ -280,12 +260,8 @@ func (c *Collector) Collective(node int, track, name string, start, end sim.Time
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).Collective(node, track, name, start, end)
-		return
-	}
 	c.collectives[name]++
-	c.addSpan(Span{Layer: LayerMPI, Node: node, Track: track, Name: name,
+	c.spans = append(c.spans, Span{Layer: LayerMPI, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -306,12 +282,8 @@ func (c *Collector) FaultPoint(node int, name string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).FaultPoint(node, name, at)
-		return
-	}
 	c.faults[eventKind(name)]++
-	c.addInstant(Instant{Layer: LayerFault, Node: node,
+	c.instants = append(c.instants, Instant{Layer: LayerFault, Node: node,
 		Track: FaultTrack, Name: name, At: at})
 }
 
@@ -329,12 +301,8 @@ func (c *Collector) FaultSpanOn(node int, track, name string, start, end sim.Tim
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).FaultSpanOn(node, track, name, start, end)
-		return
-	}
 	c.faults[eventKind(name)]++
-	c.addSpan(Span{Layer: LayerFault, Node: node, Track: track,
+	c.spans = append(c.spans, Span{Layer: LayerFault, Node: node, Track: track,
 		Name: name, Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -370,12 +338,8 @@ func (c *Collector) StreamPoint(node int, name string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).StreamPoint(node, name, at)
-		return
-	}
 	c.streams[eventKind(name)]++
-	c.addInstant(Instant{Layer: LayerStream, Node: node,
+	c.instants = append(c.instants, Instant{Layer: LayerStream, Node: node,
 		Track: StreamTrack, Name: name, At: at})
 }
 
@@ -387,12 +351,8 @@ func (c *Collector) StreamSpan(node int, track, name string, start, end sim.Time
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).StreamSpan(node, track, name, start, end)
-		return
-	}
 	c.streams[eventKind(name)]++
-	c.addSpan(Span{Layer: LayerStream, Node: node, Track: track,
+	c.spans = append(c.spans, Span{Layer: LayerStream, Node: node, Track: track,
 		Name: name, Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -403,12 +363,8 @@ func (c *Collector) StreamGauge(node int, track, name string, value int, at sim.
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		c.route(node).StreamGauge(node, track, name, value, at)
-		return
-	}
 	c.streams[eventKind(name)]++
-	c.addGauge(Gauge{Layer: LayerStream, Node: node, Track: track,
+	c.gauges = append(c.gauges, Gauge{Layer: LayerStream, Node: node, Track: track,
 		Name: name, At: at, Value: value})
 }
 
@@ -450,11 +406,6 @@ func (c *Collector) LinkTransfer(src, dst, bytes int) {
 	if c == nil {
 		return
 	}
-	if c.children != nil {
-		// The sender's process executes on src's shard.
-		c.route(src).LinkTransfer(src, dst, bytes)
-		return
-	}
 	lt := c.links[LinkKey{src, dst}]
 	if lt == nil {
 		lt = &LinkTotals{}
@@ -467,10 +418,6 @@ func (c *Collector) LinkTransfer(src, dst, bytes int) {
 // AddNodeTotals records a node's end-of-run counters.
 func (c *Collector) AddNodeTotals(nt NodeTotals) {
 	if c == nil {
-		return
-	}
-	if c.children != nil {
-		c.route(nt.Node).AddNodeTotals(nt)
 		return
 	}
 	c.nodes = append(c.nodes, nt)
@@ -617,7 +564,7 @@ func (c *Collector) ProcEnd(pid int, name string, at sim.Time) {
 		start = at
 	}
 	delete(c.procStart, pid)
-	c.addSpan(Span{Layer: LayerSim, Node: NodeKernel,
+	c.spans = append(c.spans, Span{Layer: LayerSim, Node: NodeKernel,
 		Track: ProcTrack(name, pid), Name: "proc " + name,
 		Start: start, End: at, Bytes: -1, Iter: -1, Depth: -1})
 }
@@ -649,7 +596,7 @@ func (c *Collector) Wait(pid int, proc, kind, object string, from, to sim.Time, 
 	if kind == "acquire" && !c.Verbose {
 		return
 	}
-	c.addSpan(Span{Layer: LayerSim, Node: NodeKernel,
+	c.spans = append(c.spans, Span{Layer: LayerSim, Node: NodeKernel,
 		Track: ProcTrack(proc, pid), Name: "wait:" + kind + " " + object,
 		Start: from, End: to, Bytes: -1, Iter: -1, Depth: queueDepth})
 }
@@ -660,7 +607,7 @@ func (c *Collector) ChanOp(op, name string, qlen int, at sim.Time) {
 	if c == nil || !c.Verbose {
 		return
 	}
-	c.addInstant(Instant{Layer: LayerSim, Node: NodeKernel,
+	c.instants = append(c.instants, Instant{Layer: LayerSim, Node: NodeKernel,
 		Track: "chan " + name, Name: op, At: at, Value: qlen})
 }
 
@@ -670,7 +617,7 @@ func (c *Collector) ResourceOp(op, name string, inUse, capacity, queued int, at 
 	if c == nil || !c.Verbose {
 		return
 	}
-	c.addInstant(Instant{Layer: LayerSim, Node: NodeKernel,
+	c.instants = append(c.instants, Instant{Layer: LayerSim, Node: NodeKernel,
 		Track: "res " + name, Name: fmt.Sprintf("%s %d/%d", op, inUse, capacity), At: at, Value: queued})
 }
 

@@ -83,13 +83,9 @@ type NodeCost struct {
 	Comm    sim.Duration
 }
 
-// ShardWeights returns per-node load weights for seeding the sharded
-// kernel's partitioner (sim/shard.Partition, via sagert.Options.ShardWeights):
-// each node's predicted total busy time under protocol o. The twin's
-// bottleneck decomposition puts the cut boundaries between the busy nodes
-// instead of bisecting them, which balances the shards' event load. The
-// weights only steer the partition — a byte-identical run falls out of any
-// partition — so callers may freely ignore an error and pass nil (uniform).
+// ShardWeights returns the twin's per-node busy forecast: each node's
+// predicted total busy time — compute, copy and communication — under
+// protocol o, indexed by node.
 func ShardWeights(t *gluegen.Tables, pl machine.Platform, o Options) ([]float64, error) {
 	e, err := NewEvaluator(t, pl)
 	if err != nil {
