@@ -144,7 +144,7 @@ func TestExitCodes(t *testing.T) {
 
 		{"viz", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
 		{"viz", "missing -trace", nil, cli.ExitUsage},
-		{"viz", "missing trace file", []string{"-trace", missing("t.csv")}, cli.ExitFailure},
+		{"viz", "missing trace file", []string{"-trace", missing("t.json")}, cli.ExitFailure},
 	}
 	check := func(tc row) func(*testing.T) {
 		return func(t *testing.T) {

@@ -39,7 +39,7 @@ var commands = []command{
 	{"atot", "map a model's threads onto a platform (GA, twin, greedy, round-robin, spread)", cmdAtot},
 	{"gluegen", "run the Alter glue generator: runtime table source and glue listing", cmdGluegen},
 	{"run", "execute a model or pre-generated tables under the SAGE runtime", cmdRun},
-	{"viz", "render the Visualizer report from a probe-event CSV", cmdViz},
+	{"viz", "render the Visualizer report from the Chrome trace of one sage run", cmdViz},
 	{"bench", "regenerate the paper's tables and figures", cmdBench},
 	{"twin", "predict a run in closed form, sweep node counts, validate the twin", cmdTwin},
 	{"stream", "run streaming scenarios: SLO reports, remap comparison, replay", cmdStream},

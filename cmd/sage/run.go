@@ -15,12 +15,13 @@ import (
 // multicomputer: it loads (or spreads) a mapping, generates the glue tables
 // (or loads pre-generated table source), runs the configured number of
 // iterations, and reports period and latency per §3.3. With -viz it prints
-// the Visualizer report; with -trace-csv / -svg it exports the probe
-// events; with -trace it writes a Chrome trace-event JSON of the whole run
-// (kernel, runtime and MPI layers) for chrome://tracing or Perfetto.
+// the Visualizer report and with -svg it writes the Visualizer's timeline;
+// with -trace it writes a Chrome trace-event JSON of the whole run (kernel,
+// runtime and MPI layers) for chrome://tracing or Perfetto, which sage viz
+// reads back.
 //
 //	sage run -model fft2d.sage -platform CSPI -nodes 8 -iterations 100
-//	sage run -model fft2d.sage -mapping fft2d.map -viz -trace-csv trace.csv
+//	sage run -model fft2d.sage -mapping fft2d.map -viz -trace trace.json
 //	sage run -tables fft2d.tbl                  # run pre-generated glue
 //	sage run -model fft2d.sage -hw custom.hw    # custom hardware design
 func cmdRun(args []string, stdout, stderr io.Writer) error {
@@ -30,7 +31,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	sequential := fs.Bool("sequential", false, "process one data set at a time (no pipelining)")
 	optimized := fs.Bool("optimized-buffers", false, "enable the future-work buffer optimisation")
 	vizReport := fs.Bool("viz", false, "print the Visualizer report")
-	traceCSV := fs.String("trace-csv", "", "export probe events as CSV")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
 	svgOut := fs.String("svg", "", "export the execution timeline as SVG")
 	latencyBound := fs.Duration("latency-threshold", 0, "flag iterations over this latency")
@@ -50,14 +50,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	}
 	pl := l.pl
 	opts := sagert.Options{Iterations: *iterations, Sequential: *sequential, OptimizedBuffers: *optimized}
-	var vtrace *viz.Trace
-	if *vizReport || *traceCSV != "" || *svgOut != "" {
-		var hook func(sagert.Event)
-		vtrace, hook = viz.Collector()
-		opts.ProbeAll = true
-		opts.Trace = hook
-	}
-	if *traceOut != "" {
+	if *vizReport || *svgOut != "" || *traceOut != "" {
 		opts.Collector = trace.New(tables.AppName + " on " + pl.Name)
 	}
 	res, err := sagert.Run(tables, pl, opts)
@@ -77,14 +70,15 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  LATENCY VIOLATION: iteration %d took %v (threshold %v)\n", v.Iteration, v.Latency, v.Threshold)
 		}
 	}
-	if *vizReport {
-		fmt.Fprintln(stdout)
-		if err := vtrace.Report(stdout, 100); err != nil {
+	var vtrace *viz.Trace
+	if *vizReport || *svgOut != "" {
+		if vtrace, err = viz.FromRun(opts.Collector); err != nil {
 			return err
 		}
 	}
-	if *traceCSV != "" {
-		if err := writeFile(*traceCSV, vtrace.WriteCSV); err != nil {
+	if *vizReport {
+		fmt.Fprintln(stdout)
+		if err := vtrace.Report(stdout, 100); err != nil {
 			return err
 		}
 	}

@@ -10,15 +10,16 @@ import (
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/trace"
 )
 
 func TestRunFromModel(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := writeModel(t, dir, apps.CornerTurn, 64, 4)
-	csvPath := filepath.Join(dir, "trace.csv")
+	tracePath := filepath.Join(dir, "trace.json")
 	svgPath := filepath.Join(dir, "trace.svg")
 	out, err := stdoutOf(cmdRun, "-model", modelPath, "-platform", "CSPI", "-nodes", "4",
-		"-iterations", "3", "-trace-csv", csvPath, "-svg", svgPath)
+		"-iterations", "3", "-trace", tracePath, "-svg", svgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +28,12 @@ func TestRunFromModel(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	csv, err := os.ReadFile(csvPath)
-	if err != nil || !strings.HasPrefix(string(csv), "fn,name") {
-		t.Fatalf("trace csv missing/wrong: %v", err)
+	chrome, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ValidateChrome(chrome); err != nil {
+		t.Fatalf("chrome trace: %v", err)
 	}
 	svg, err := os.ReadFile(svgPath)
 	if err != nil || !strings.Contains(string(svg), "<svg") {

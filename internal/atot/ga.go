@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -208,7 +209,7 @@ func runGA(e *Evaluator, cfg GAConfig, arch *gaArchive) (scored, *GAStats, error
 	// search) and Fitness is required to be, so scoring in parallel is safe
 	// and preserves the exact sequential trajectory. The archive is fed
 	// afterwards, sequentially.
-	width := poolWidth(c.Population, c.Parallelism)
+	width := pool.Width(c.Population, c.Parallelism)
 	var scratch []*evalScratch
 	if c.Fitness == nil {
 		scratch = make([]*evalScratch, width)
@@ -228,7 +229,7 @@ func runGA(e *Evaluator, cfg GAConfig, arch *gaArchive) (scored, *GAStats, error
 	scoreAll := func(b []scored) {
 		stats.Evaluations += len(b)
 		batch = b
-		runPool(len(b), width, score)
+		pool.Stride(len(b), width, score)
 		if arch != nil {
 			for _, s := range b {
 				arch.offer(s)

@@ -235,7 +235,7 @@ func TestGAMatchesReference(t *testing.T) {
 				if fitness == nil && sh.e.taskNode == nil {
 					continue // the cost model needs a valid application
 				}
-				for _, par := range []int{1, 2, 4} {
+				for _, par := range []int{1, 2, 4, 0} { // 0: GOMAXPROCS
 					cfg := base
 					cfg.Fitness, cfg.Parallelism = fitness, par
 					name := fmt.Sprintf("%s/cfg%d/fitness=%v/par=%d", sh.name, ci, fitness != nil, par)

@@ -232,7 +232,6 @@ func runSim(c Case) (Result, error) {
 	}
 	if c.Traced {
 		opts.Collector = trace.New(c.Name)
-		opts.ProbeAll = true
 	}
 	run, err := sagert.Run(out.Tables, pl, opts)
 	if err != nil {

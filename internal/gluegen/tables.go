@@ -85,7 +85,9 @@ type FuncEntry struct {
 	Params  map[string]any
 	Ins     []PortEntry
 	Outs    []PortEntry
-	Probe   bool
+	// Probe is the model's probe property, kept in the table for tools that
+	// read it; the runtime's trace collector records every function.
+	Probe bool
 }
 
 // Tables is the complete generated runtime configuration.

@@ -1,6 +1,8 @@
-// Package pool provides the order-preserving worker pool every fan-out in
-// the repo runs on: experiment sweeps, the serve daemon's repetition
-// batches, the twin's GA candidate promotions and the streaming comparison.
+// Package pool provides the two fan-out shapes every concurrent batch in
+// the repo runs on: Run, the order-preserving worker pool of experiment
+// sweeps, the serve daemon's repetition batches, the twin's GA candidate
+// promotions and the streaming comparison; and Stride, the static striding
+// of the GA's genome scoring, for jobs too tiny to hand out one at a time.
 // It lives below those packages precisely so they can all share it without
 // import cycles.
 package pool
@@ -35,12 +37,7 @@ import (
 // index a sequential loop would have reached before its first error — the
 // lowest-index-error contract is unaffected by cancellation.
 func Run[T any](parallelism, n int, job func(i int) (T, error)) ([]T, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > n {
-		parallelism = n
-	}
+	parallelism = Width(n, parallelism)
 	results := make([]T, n)
 	if parallelism <= 1 {
 		for i := 0; i < n; i++ {
@@ -79,4 +76,49 @@ func Run[T any](parallelism, n int, job func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
+}
+
+// Width is how many workers run a batch of n jobs: parallelism, where <= 0
+// selects runtime.GOMAXPROCS(0), capped at n and at least 1.
+func Width(n, parallelism int) int {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	return max(min(parallelism, n), 1)
+}
+
+// Stride runs job(w, i) for every i in [0, n) on up to width workers. It is
+// for tiny, uniform jobs (the GA scores one genome in about a microsecond),
+// whose hand-off over Run's channel would cost more than the job, so the
+// shares are fixed up front: worker w runs jobs w, w+width, w+2*width, ...
+// and the calling goroutine is worker 0. Width 1 runs the jobs inline (the
+// sequential reference). Jobs cannot fail; w lets each worker own scratch
+// state.
+//
+// A job that writes only its own output slot and worker w's own state gives
+// byte-identical results to sequential execution: width changes wall-clock
+// time, never a computed number.
+func Stride(n, width int, job func(w, i int)) {
+	width = min(width, n)
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			job(0, i)
+		}
+		return
+	}
+	share := func(w int) {
+		for i := w; i < n; i += width {
+			job(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share(w)
+		}()
+	}
+	share(0)
+	wg.Wait()
 }

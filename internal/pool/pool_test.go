@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,5 +104,40 @@ func TestCancelKeepsLowestIndexError(t *testing.T) {
 	})
 	if err == nil || err.Error() != "job 0 failed" {
 		t.Fatalf("err = %v, want the lowest-index (job 0) error", err)
+	}
+}
+
+// TestWidth: <= 0 means GOMAXPROCS, capped at the job count, never below 1.
+func TestWidth(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ n, parallelism, want int }{
+		{10, 3, 3}, {2, 3, 2}, {0, 3, 1}, {0, 0, 1}, {1 << 20, 0, procs}, {1 << 20, -1, procs}, {5, 1, 1},
+	} {
+		if got := Width(c.n, c.parallelism); got != c.want {
+			t.Errorf("Width(%d, %d) = %d, want %d", c.n, c.parallelism, got, c.want)
+		}
+	}
+}
+
+// TestStrideSharesByResidue: every job runs exactly once, job i on worker
+// i mod the width in use, and at most that many workers run.
+func TestStrideSharesByResidue(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 7, 50} {
+			ran := make([]atomic.Int32, n)
+			worker := make([]int, n)
+			Stride(n, width, func(w, i int) {
+				ran[i].Add(1)
+				worker[i] = w
+			})
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("width %d, n %d: job %d ran %d times", width, n, i, got)
+				}
+				if want := i % min(width, n); worker[i] != want {
+					t.Fatalf("width %d, n %d: job %d ran on worker %d, want %d", width, n, i, worker[i], want)
+				}
+			}
+		}
 	}
 }

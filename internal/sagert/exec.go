@@ -159,16 +159,6 @@ func (r *runner) noteOverrun(over sim.Duration) {
 	r.maxOverrun = max(r.maxOverrun, over)
 }
 
-func (r *runner) trace(tp *plan.Thread, iter int, phase string, start, end sim.Time) {
-	if r.opts.Trace == nil || !(tp.Fn.Probe || r.opts.ProbeAll) {
-		return
-	}
-	r.opts.Trace(Event{
-		Fn: tp.Fn.ID, FnName: tp.Fn.Name, Thread: tp.Index, Node: tp.Node,
-		Iter: iter, Phase: phase, Start: start, End: end,
-	})
-}
-
 // result assembles the Result after the kernel drains.
 func (r *runner) result(k *sim.Kernel) *Result {
 	outputs := make(map[string]*isspl.Matrix, len(r.sinks))

@@ -96,17 +96,18 @@ type Options struct {
 	// (backpressure from the pipeline) accumulate overrun, reported in
 	// Result.MaxOverrun.
 	InputPeriod sim.Duration
-	// Trace, when non-nil, receives an event for every phase of every
-	// probed function (or every function if ProbeAll).
-	Trace func(Event)
 	// Collector, when non-nil, receives structured trace spans for the
 	// whole run: per-thread function phases (recv/compute/send), per-port
 	// transfer activity with byte counts, buffer-credit stalls, MPI
 	// collective spans, and the sim kernel's process/wait events. One
 	// collector serves one run. See package repro/internal/trace.
 	Collector *trace.Collector
-	// ProbeAll instruments every function, not just those whose model
-	// entry set the probe property.
+	// ProbeAll is ignored: the Collector records every function's phases,
+	// whatever its model's probe property says.
+	//
+	// Deprecated: the benchmark's ct512t class (benchmark/des.go) is the one
+	// setter left; ROADMAP item 1(c) drops that line, and then this field
+	// goes.
 	ProbeAll bool
 	// Faults, when non-nil and non-empty, installs a deterministic fault
 	// injector on the simulated machine and switches the runtime into its
@@ -178,18 +179,6 @@ func (o *Options) withDefaults() Options {
 	}
 	out.Resilience = out.Resilience.WithDefaults()
 	return out
-}
-
-// Event is one traced phase of a function thread's iteration.
-type Event struct {
-	Fn     int
-	FnName string
-	Thread int
-	Node   int
-	Iter   int
-	Phase  string // "recv", "compute", "send"
-	Start  sim.Time
-	End    sim.Time
 }
 
 // Result reports an execution.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/isspl"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/trace"
 )
 
 // genTables generates verified tables for a benchmark app.
@@ -253,66 +254,40 @@ func TestOptimizedBuffersFasterAndCorrect(t *testing.T) {
 	}
 }
 
+// TestTraceEvents: the Collector records every function's recv, compute
+// and send phases on its thread's track, none ending before it starts.
 func TestTraceEvents(t *testing.T) {
 	tb := genTables(t, apps.CornerTurn, 32, 2, 2)
-	var events []Event
-	_, err := Run(tb, platforms.CSPI(), Options{
-		Iterations: 2, ProbeAll: true,
-		Trace: func(e Event) { events = append(events, e) },
-	})
-	if err != nil {
+	col := trace.New("events")
+	if _, err := Run(tb, platforms.CSPI(), Options{Iterations: 2, Collector: col}); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Fatal("no trace events")
-	}
-	phases := map[string]bool{}
-	for _, e := range events {
-		phases[e.Phase] = true
-		if e.End < e.Start {
-			t.Fatalf("event ends before it starts: %+v", e)
+	phases := map[string]map[string]bool{}
+	for _, s := range col.Spans() {
+		if s.Layer != trace.LayerSage || s.Name != "recv" && s.Name != "compute" && s.Name != "send" {
+			continue
 		}
-		if e.FnName == "" {
-			t.Fatalf("unnamed event: %+v", e)
+		if s.End < s.Start {
+			t.Fatalf("span ends before it starts: %+v", s)
 		}
-	}
-	for _, want := range []string{"recv", "compute", "send"} {
-		if !phases[want] {
-			t.Fatalf("missing phase %q in %v", want, phases)
+		fn, _, ok := strings.Cut(s.Track, "[")
+		if !ok || !strings.HasPrefix(fn, tb.AppName+".") {
+			t.Fatalf("span on a track of no function thread: %+v", s)
 		}
+		if phases[fn] == nil {
+			phases[fn] = map[string]bool{}
+		}
+		phases[fn][s.Name] = true
 	}
-	// Without ProbeAll and without probe properties, no events.
-	var none []Event
-	_, err = Run(tb, platforms.CSPI(), Options{Iterations: 1, Trace: func(e Event) { none = append(none, e) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("unprobed run emitted %d events", len(none))
-	}
-}
-
-func TestProbePropertyEnablesTracing(t *testing.T) {
-	app, err := apps.CornerTurn(32, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Function("turn").SetProp("probe", true)
-	mapping, _ := model.SpreadParallel(app, 2)
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: platforms.CSPI(), NumNodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	if _, err := Run(out.Tables, platforms.CSPI(), Options{Iterations: 1, Trace: func(e Event) { events = append(events, e) }}); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("probe property did not enable tracing")
-	}
-	for _, e := range events {
-		if e.FnName != "turn" {
-			t.Fatalf("unprobed function traced: %+v", e)
+	for _, fe := range tb.Functions {
+		got := phases[tb.AppName+"."+fe.Name]
+		for _, want := range []string{"recv", "compute", "send"} {
+			if want == "recv" && len(fe.Ins) == 0 || want == "send" && len(fe.Outs) == 0 {
+				continue
+			}
+			if !got[want] {
+				t.Errorf("%s: no %s phase in %v", fe.Name, want, got)
+			}
 		}
 	}
 }

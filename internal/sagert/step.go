@@ -231,7 +231,6 @@ func (t *thread) step(p *sim.Proc) bool {
 		case stInPort:
 			if t.pi == len(tp.Ins) {
 				if len(tp.Ins) > 0 {
-					r.trace(tp, t.iter, "recv", t.phaseStart, p.Now())
 					tr.Phase(trace.LayerSage, tp.Node, t.track, "recv", t.iter, t.phaseStart, p.Now())
 				}
 				t.pc = stDispatch
@@ -377,7 +376,6 @@ func (t *thread) step(p *sim.Proc) bool {
 				r.samples.submit(t.task)
 				t.task = nil
 			}
-			r.trace(tp, t.iter, "compute", t.phaseStart, p.Now())
 			tr.Phase(trace.LayerSage, tp.Node, t.track, "compute", t.iter, t.phaseStart, p.Now())
 			t.phaseStart = p.Now()
 			t.pi, t.pc = 0, stOutPort
@@ -386,7 +384,6 @@ func (t *thread) step(p *sim.Proc) bool {
 		case stOutPort:
 			if t.pi == len(tp.Outs) {
 				if len(tp.Outs) > 0 {
-					r.trace(tp, t.iter, "send", t.phaseStart, p.Now())
 					tr.Phase(trace.LayerSage, tp.Node, t.track, "send", t.iter, t.phaseStart, p.Now())
 				}
 				t.pc = stIterEnd

@@ -33,7 +33,7 @@ type stepScenario struct {
 	tables      *gluegen.Tables
 	pl          machine.Platform
 	opts        Options
-	probe       bool // a Collector, ProbeAll and the legacy Trace probe
+	traced      bool // a Collector
 	cancelEvery int  // > 0: Cancel is closed, polled every cancelEvery dispatches
 	starve      int  // >= 0: this edge's credits start at zero, which deadlocks the run
 }
@@ -105,8 +105,8 @@ func newStepScenario(t *testing.T, seed int64) *stepScenario {
 		o.ComputeIterations = 2
 	}
 	if rng.Intn(3) == 0 {
-		sc.probe = true
-		tags = append(tags, "probe")
+		sc.traced = true
+		tags = append(tags, "traced")
 	}
 	if rng.Intn(6) == 0 {
 		sc.cancelEvery = 20 + rng.Intn(600)
@@ -160,7 +160,6 @@ type stepRun struct {
 	Err        string
 	Hooks      []string // the kernel's tracer (no Collector)
 	Chrome     []byte   // the Collector's trace (with one)
-	Events     []Event  // the legacy probe's
 	Dispatched uint64
 	Seq        uint64
 	End        sim.Time
@@ -173,9 +172,8 @@ func (sc *stepScenario) run(t *testing.T, spawn func(*runner, *sim.Kernel)) *ste
 	t.Helper()
 	o := sc.opts
 	out := &stepRun{}
-	if sc.probe {
-		o.Collector, o.ProbeAll = trace.New("step"), true
-		o.Trace = func(e Event) { out.Events = append(out.Events, e) }
+	if sc.traced {
+		o.Collector = trace.New("step")
 	}
 	if sc.cancelEvery > 0 {
 		cancel := make(chan struct{})
@@ -255,9 +253,9 @@ func (h *hookRec) ResourceOp(op, name string, inUse, capacity, queued int, at si
 // staggered and randomly co-located; faults with short receive and credit
 // timeouts, overcommit budgets and degraded re-sequencing; optimised local
 // buffers; the Sequential barrier; overrunning InputPeriod pacing; NoSamples;
-// a Collector with ProbeAll and the legacy probe; a cancel firing mid-run;
+// a Collector; a cancel firing mid-run;
 // runs starved of a credit into a deadlock — it demands, of the step machine
-// against threadMain as a coroutine: the full sim hook stream (or the Collector's Chrome trace and the probe's events),
+// against threadMain as a coroutine: the full sim hook stream (or the Collector's Chrome trace),
 // the Result and every sink sample bit for bit, Dispatched, the last
 // sequence number, the clock, and Run's error, deadlock reports included —
 // equal, not close. The step machine switches never.
@@ -300,13 +298,13 @@ func TestStepMachineMatchesThreadMain(t *testing.T) {
 		if sc.opts.ComputeIterations == NoSamples {
 			seen["nosamples"]++
 		}
-		if len(want.Events) > 0 {
-			seen["probe"]++
+		if bytes.Contains(want.Chrome, []byte(`"name":"compute"`)) {
+			seen["traced"]++
 		}
 	}
 	t.Logf("%d scenarios: %v", scenarios, seen)
 	for _, path := range []string{"deadlock", "canceled mid-run", "overrun", "recv-timeout", "credit-timeout",
-		"overcommit", "retry", "optimized", "sequential", "nosamples", "probe"} {
+		"overcommit", "retry", "optimized", "sequential", "nosamples", "traced"} {
 		if seen[path] == 0 {
 			t.Errorf("no scenario took the %s path", path)
 		}
@@ -330,9 +328,6 @@ func reportStepDiff(t *testing.T, label string, want, got *stepRun) {
 	first("hooks", want.Hooks, got.Hooks)
 	if !bytes.Equal(want.Chrome, got.Chrome) {
 		first("chrome trace", strings.Split(string(want.Chrome), "\n"), strings.Split(string(got.Chrome), "\n"))
-	}
-	if !reflect.DeepEqual(want.Events, got.Events) {
-		t.Errorf("%s: legacy probe events differ", label)
 	}
 	if !reflect.DeepEqual(want.Res, got.Res) || !reflect.DeepEqual(want.Sinks, got.Sinks) {
 		t.Errorf("%s: results differ:\nthreadMain   %+v\nstep machine %+v", label, want.Res, got.Res)

@@ -120,7 +120,6 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			inBlocks[pp.Entry.Name] = blk
 		}
 		if len(tp.Ins) > 0 {
-			r.trace(tp, iter, "recv", recvStart, rank.Proc().Now())
 			tr.Phase(trace.LayerSage, tp.Node, track, "recv", iter, recvStart, rank.Proc().Now())
 		}
 
@@ -164,7 +163,6 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				r.samples.mu.Unlock()
 			}
 		}
-		r.trace(tp, iter, "compute", compStart, rank.Proc().Now())
 		tr.Phase(trace.LayerSage, tp.Node, track, "compute", iter, compStart, rank.Proc().Now())
 
 		// --- send phase ------------------------------------------------------
@@ -216,7 +214,6 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			}
 		}
 		if len(tp.Outs) > 0 {
-			r.trace(tp, iter, "send", sendStart, rank.Proc().Now())
 			tr.Phase(trace.LayerSage, tp.Node, track, "send", iter, sendStart, rank.Proc().Now())
 		}
 

@@ -171,6 +171,36 @@ func TestValidateChromeRejects(t *testing.T) {
 	}
 }
 
+// TestReadChromeRejects pins the reader's negative cases beyond the
+// validator's, which it shares, and its reading of a minimal file.
+func TestReadChromeRejects(t *testing.T) {
+	const proc = `{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"r · node 2"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"w #4"}}`
+	cases := map[string]string{
+		"invalid":            `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-1,"pid":1,"tid":1}]}`,
+		"no process name":    `{"traceEvents":[{"name":"a","ph":"X","ts":1,"pid":1,"tid":1}]}`,
+		"no thread name":     `{"traceEvents":[` + proc + `,{"name":"a","ph":"X","ts":1,"pid":1,"tid":2}]}`,
+		"bad process name":   `{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"r · node x"}}]}`,
+		"unwritten phase":    `{"traceEvents":[` + proc + `,{"name":"a","ph":"B","ts":1,"pid":1,"tid":1}]}`,
+		"mistyped args":      `{"traceEvents":[` + proc + `,{"name":"a","ph":"X","ts":1,"pid":1,"tid":1,"args":{"iter":"x"}}]}`,
+		"beyond the clock":   `{"traceEvents":[` + proc + `,{"name":"a","ph":"X","ts":1e300,"pid":1,"tid":1}]}`,
+		"duration overflows": `{"traceEvents":[` + proc + `,{"name":"a","ph":"X","ts":1,"dur":1e16,"pid":1,"tid":1}]}`,
+	}
+	for name, src := range cases {
+		if _, err := ReadChrome([]byte(src)); err == nil {
+			t.Errorf("%s: reader accepted %s", name, src)
+		}
+	}
+	tr, err := ReadChrome([]byte(`{"traceEvents":[` + proc + `,{"name":"a","cat":"sagert","ph":"X","ts":0.001,"dur":2.5,"pid":1,"tid":1,"args":{"iter":3}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Span{Layer: LayerSage, Node: 2, Track: "w #4", Name: "a", Start: 1, End: 2501, Bytes: -1, Iter: 3, Depth: -1}
+	if runs := tr.Runs(); len(runs) != 1 || runs[0].Label != "r" || len(runs[0].Spans()) != 1 || runs[0].Spans()[0] != want {
+		t.Fatalf("read %+v", runs)
+	}
+}
+
 // TestSummaryIncludesRunSections smoke-tests the text summary.
 func TestSummaryIncludesRunSections(t *testing.T) {
 	tr := NewTrace()

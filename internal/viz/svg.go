@@ -3,9 +3,6 @@ package viz
 import (
 	"fmt"
 	"io"
-	"sort"
-
-	"repro/internal/sagert"
 )
 
 // WriteSVG renders the execution timeline as a standalone SVG document: one
@@ -28,27 +25,7 @@ func (t *Trace) WriteSVG(w io.Writer, width int) error {
 		"send":    "#ffb703",
 	}
 
-	type rowKey struct {
-		fn     int
-		name   string
-		thread int
-	}
-	rows := map[rowKey][]sagert.Event{}
-	for _, e := range t.Events {
-		k := rowKey{e.Fn, e.FnName, e.Thread}
-		rows[k] = append(rows[k], e)
-	}
-	keys := make([]rowKey, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].fn != keys[j].fn {
-			return keys[i].fn < keys[j].fn
-		}
-		return keys[i].thread < keys[j].thread
-	})
-
+	rows := t.rows()
 	lo, hi := t.Span()
 	span := float64(hi - lo)
 	if span <= 0 {
@@ -57,7 +34,7 @@ func (t *Trace) WriteSVG(w io.Writer, width int) error {
 	plotW := float64(width - labelW - 10)
 	x := func(ts float64) float64 { return float64(labelW) + (ts-float64(lo))/span*plotW }
 
-	height := topH + len(keys)*(laneH+laneGap) + 10
+	height := topH + len(rows)*(laneH+laneGap) + 10
 	if _, err := fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", width, height); err != nil {
 		return err
 	}
@@ -70,12 +47,12 @@ func (t *Trace) WriteSVG(w io.Writer, width int) error {
 			lx, phaseFill[ph], lx+13, ph)
 		lx += 80
 	}
-	for i, k := range keys {
+	for i, r := range rows {
 		y := topH + i*(laneH+laneGap)
-		fmt.Fprintf(w, `<text x="4" y="%d">%s[%d]</text>`+"\n", y+laneH-7, xmlEscape(k.name), k.thread)
+		fmt.Fprintf(w, `<text x="4" y="%d">%s[%d]</text>`+"\n", y+laneH-7, xmlEscape(r[0].FnName), r[0].Thread)
 		fmt.Fprintf(w, `<rect x="%d" y="%d" width="%.1f" height="%d" fill="#f1f3f5"/>`+"\n",
 			labelW, y, plotW, laneH)
-		for _, e := range rows[k] {
+		for _, e := range r {
 			x0 := x(float64(e.Start))
 			x1 := x(float64(e.End))
 			if x1-x0 < 0.5 {

@@ -6,40 +6,100 @@
 // application performance, and search for problems in the system, such as
 // bottlenecks or violated latency thresholds."
 //
-// Probes are the trace hooks of the SAGE runtime (sagert.Options.Trace /
-// the per-function "probe" model property); this package collects the
-// events and renders text displays: an ASCII Gantt timeline per function
-// thread, per-function phase breakdowns, a bottleneck ranking, latency
-// threshold checks, and CSV export for external tooling.
+// The probes are the SAGE runtime's recv/compute/send phase spans, which a
+// run records into its trace.Collector (sagert.Options.Collector) for every
+// function thread; FromRun reads them out of a live collector or out of one
+// run of a Chrome trace file read back with trace.ReadChrome. This package
+// renders them as text and graphical displays: an ASCII Gantt timeline per
+// function thread, per-function phase breakdowns, a bottleneck ranking,
+// latency threshold checks and an SVG timeline.
 package viz
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
-	"repro/internal/sagert"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// newLineScanner wraps bufio.Scanner with a generous buffer for long traces.
-func newLineScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	return sc
+// Event is one phase of one function thread's iteration.
+type Event struct {
+	FnName string
+	Thread int
+	Node   int
+	Iter   int
+	Phase  string // "recv", "compute", "send"
+	Start  sim.Time
+	End    sim.Time
+	// pid is the thread's simulated process. The runtime spawns threads in
+	// function-table order, so pid order is the timeline's row order.
+	pid int
 }
 
-// Trace is a collected set of runtime probe events.
+// Trace is the Visualizer's view of one run: its phase events, ordered by
+// thread, iteration and phase.
 type Trace struct {
-	Events []sagert.Event
+	Events []Event
 }
 
-// Collector returns a trace and the hook to pass as sagert.Options.Trace.
-func Collector() (*Trace, func(sagert.Event)) {
+// phaseRank orders a thread's phases within an iteration; 0 is not a phase.
+var phaseRank = map[string]int{"recv": 1, "compute": 2, "send": 3}
+
+// FromRun collects the sagert phase spans of one run. Each span's track is
+// the thread's process track, trace.ProcTrack("App.fn[i]", pid), which
+// names the function (between the first '.' and the last '['), the thread
+// index and the process id.
+func FromRun(c *trace.Collector) (*Trace, error) {
 	t := &Trace{}
-	return t, func(e sagert.Event) { t.Events = append(t.Events, e) }
+	for _, s := range c.Spans() {
+		if s.Layer != trace.LayerSage || phaseRank[s.Name] == 0 {
+			continue
+		}
+		e := Event{Node: s.Node, Iter: s.Iter, Phase: s.Name, Start: s.Start, End: s.End}
+		var ok bool
+		if e.FnName, e.Thread, e.pid, ok = parseTrack(s.Track); !ok {
+			return nil, fmt.Errorf("viz: %s span on track %q, not a function thread's", s.Name, s.Track)
+		}
+		t.Events = append(t.Events, e)
+	}
+	slices.SortStableFunc(t.Events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.Iter, b.Iter),
+			cmp.Compare(phaseRank[a.Phase], phaseRank[b.Phase]))
+	})
+	return t, nil
+}
+
+// parseTrack splits a "App.fn[i] #pid" process track.
+func parseTrack(track string) (fn string, thread, pid int, ok bool) {
+	proc, pidText, found := strings.Cut(track, " #")
+	dot, open := strings.IndexByte(proc, '.'), strings.LastIndexByte(proc, '[')
+	if !found || dot < 0 || open < dot || !strings.HasSuffix(proc, "]") {
+		return "", 0, 0, false
+	}
+	var err1, err2 error
+	thread, err1 = strconv.Atoi(proc[open+1 : len(proc)-1])
+	pid, err2 = strconv.Atoi(pidText)
+	return proc[dot+1 : open], thread, pid, err1 == nil && err2 == nil
+}
+
+// rows splits the events into timeline lanes, one per function thread, in
+// pid order.
+func (t *Trace) rows() [][]Event {
+	var out [][]Event
+	start := 0
+	for i := range t.Events {
+		if i+1 == len(t.Events) || t.Events[i+1].pid != t.Events[i].pid {
+			out = append(out, t.Events[start:i+1])
+			start = i + 1
+		}
+	}
+	return out
 }
 
 // Span reports the earliest start and latest end across all events.
@@ -182,26 +242,6 @@ func (t *Trace) Gantt(w io.Writer, width int) error {
 	if span <= 0 {
 		span = 1
 	}
-	type rowKey struct {
-		fn     int
-		name   string
-		thread int
-	}
-	rows := map[rowKey][]sagert.Event{}
-	for _, e := range t.Events {
-		k := rowKey{e.Fn, e.FnName, e.Thread}
-		rows[k] = append(rows[k], e)
-	}
-	keys := make([]rowKey, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].fn != keys[j].fn {
-			return keys[i].fn < keys[j].fn
-		}
-		return keys[i].thread < keys[j].thread
-	})
 	col := func(ts sim.Time) int {
 		c := int(float64(ts.Sub(lo)) / float64(span) * float64(width))
 		if c < 0 {
@@ -214,12 +254,12 @@ func (t *Trace) Gantt(w io.Writer, width int) error {
 	}
 	phaseChar := map[string]byte{"recv": 'r', "compute": 'C', "send": 's'}
 	fmt.Fprintf(w, "timeline %v .. %v (%v)\n", lo, hi, span)
-	for _, k := range keys {
+	for _, r := range t.rows() {
 		line := make([]byte, width)
 		for i := range line {
 			line[i] = '.'
 		}
-		for _, e := range rows[k] {
+		for _, e := range r {
 			c0, c1 := col(e.Start), col(e.End)
 			ch := phaseChar[e.Phase]
 			if ch == 0 {
@@ -233,16 +273,9 @@ func (t *Trace) Gantt(w io.Writer, width int) error {
 				}
 			}
 		}
-		fmt.Fprintf(w, "%-24s |%s|\n", fmt.Sprintf("%s[%d] n%d", k.name, k.thread, firstNode(rows[k])), line)
+		fmt.Fprintf(w, "%-24s |%s|\n", fmt.Sprintf("%s[%d] n%d", r[0].FnName, r[0].Thread, r[0].Node), line)
 	}
 	return nil
-}
-
-func firstNode(events []sagert.Event) int {
-	if len(events) == 0 {
-		return -1
-	}
-	return events[0].Node
 }
 
 // Report writes the full Visualizer text report: breakdown, bottlenecks and
@@ -260,71 +293,4 @@ func (t *Trace) Report(w io.Writer, width int) error {
 	}
 	fmt.Fprintln(w, "\n-- timeline --")
 	return t.Gantt(w, width)
-}
-
-// WriteCSV exports the raw events (one per line) for external tools.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "fn,name,thread,node,iteration,phase,start_ns,end_ns"); err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%s,%d,%d\n",
-			e.Fn, csvEscape(e.FnName), e.Thread, e.Node, e.Iter, e.Phase, int64(e.Start), int64(e.End)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
-
-// ReadCSV parses a trace previously exported with WriteCSV. Function names
-// containing commas or quotes are not round-tripped (the runtime never
-// produces them); a malformed line yields an error.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := newLineScanner(r)
-	t := &Trace{}
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if first {
-			first = false
-			if strings.HasPrefix(line, "fn,") {
-				continue // header
-			}
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 8 {
-			return nil, fmt.Errorf("viz: bad trace line %q", line)
-		}
-		var e sagert.Event
-		var start, end int64
-		if _, err := fmt.Sscanf(parts[0], "%d", &e.Fn); err != nil {
-			return nil, fmt.Errorf("viz: bad fn id in %q", line)
-		}
-		e.FnName = parts[1]
-		for i, dst := range []*int{&e.Thread, &e.Node, &e.Iter} {
-			if _, err := fmt.Sscanf(parts[2+i], "%d", dst); err != nil {
-				return nil, fmt.Errorf("viz: bad field %d in %q", 2+i, line)
-			}
-		}
-		e.Phase = parts[5]
-		if _, err := fmt.Sscanf(parts[6], "%d", &start); err != nil {
-			return nil, fmt.Errorf("viz: bad start in %q", line)
-		}
-		if _, err := fmt.Sscanf(parts[7], "%d", &end); err != nil {
-			return nil, fmt.Errorf("viz: bad end in %q", line)
-		}
-		e.Start, e.End = sim.Time(start), sim.Time(end)
-		t.Events = append(t.Events, e)
-	}
-	return t, sc.Err()
 }

@@ -2,6 +2,9 @@ package viz
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,23 +15,36 @@ import (
 	"repro/internal/platforms"
 	"repro/internal/sagert"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// runTraced executes a corner turn with all probes on and returns the trace
-// and result.
+// tracedRun executes app (n, threads) spread over nodes CSPI nodes for iters
+// data sets and returns its collector and result.
+func tracedRun(t *testing.T, build func(int, int) (*model.App, error), n, threads, nodes, iters int) (*trace.Collector, *sagert.Result) {
+	t.Helper()
+	app, err := build(n, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping, _ := model.SpreadParallel(app, nodes)
+	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: platforms.CSPI(), NumNodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := trace.New(app.Name)
+	res, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: iters, Collector: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col, res
+}
+
+// runTraced executes a corner turn and returns its Visualizer trace and
+// result.
 func runTraced(t *testing.T) (*Trace, *sagert.Result) {
 	t.Helper()
-	app, err := apps.CornerTurn(64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapping, _ := model.SpreadParallel(app, 4)
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: platforms.CSPI(), NumNodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, hook := Collector()
-	res, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 3, ProbeAll: true, Trace: hook})
+	col, res := tracedRun(t, apps.CornerTurn, 64, 4, 4, 3)
+	trace, err := FromRun(col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +59,81 @@ func TestCollectorGathersEvents(t *testing.T) {
 	lo, hi := trace.Span()
 	if hi <= lo {
 		t.Fatalf("span = [%v, %v]", lo, hi)
+	}
+}
+
+// TestChromeRoundTrip: the report and SVG of a corner turn and an fft2d run
+// equal the goldens in testdata, which the replaced probe hook rendered,
+// both from the live collector and from the run's Chrome trace read back
+// with trace.ReadChrome.
+func TestChromeRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		build                    func(int, int) (*model.App, error)
+		n, threads, nodes, iters int
+	}{
+		{"cornerturn", apps.CornerTurn, 64, 4, 4, 3},
+		{"fft2d", apps.FFT2D, 64, 8, 8, 2},
+	} {
+		col, _ := tracedRun(t, tc.build, tc.n, tc.threads, tc.nodes, tc.iters)
+		tr := trace.NewTrace()
+		tr.Add(col)
+		var chrome bytes.Buffer
+		if err := tr.WriteChrome(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		back, err := trace.ReadChrome(chrome.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, from := range []struct {
+			name string
+			col  *trace.Collector
+		}{{"live", col}, {"chrome", back.Runs()[0]}} {
+			v, err := FromRun(from.col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var report, svg bytes.Buffer
+			if err := v.Report(&report, 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.WriteSVG(&svg, 1200); err != nil {
+				t.Fatal(err)
+			}
+			for ext, got := range map[string][]byte{"report": report.Bytes(), "svg": svg.Bytes()} {
+				want, err := os.ReadFile(filepath.Join("testdata", tc.name+"."+ext))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s %s from the %s trace differs from testdata:\n%s", tc.name, ext, from.name, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFromRunRejectsForeignTrack: a phase span whose track is not a
+// function thread's process track is an error, not a misfiled row.
+func TestFromRunRejectsForeignTrack(t *testing.T) {
+	for _, track := range []string{"faults", "app.f[0]", "app.f[x] #3", "f[0] #3", "app.f[0 #3", "app.f[0] #"} {
+		c := trace.New("bad")
+		c.Phase(trace.LayerSage, 0, track, "compute", 0, 1, 2)
+		if _, err := FromRun(c); err == nil {
+			t.Errorf("track %q accepted", track)
+		}
+	}
+	c := trace.New("ok")
+	c.Phase(trace.LayerSage, 1, trace.ProcTrack("my.app.f.g[12]", 7), "send", 4, 1, 2)
+	c.Phase(trace.LayerSage, 1, trace.ProcTrack("my.app.f.g[12]", 7), "credit b0", 4, 1, 2)
+	v, err := FromRun(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{{FnName: "app.f.g", Thread: 12, Node: 1, Iter: 4, Phase: "send", Start: 1, End: 2, pid: 7}}
+	if !reflect.DeepEqual(v.Events, want) {
+		t.Fatalf("events = %+v", v.Events)
 	}
 }
 
@@ -163,64 +254,6 @@ func TestReport(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	trace, _ := runTraced(t)
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(trace.Events)+1 {
-		t.Fatalf("csv has %d lines for %d events", len(lines), len(trace.Events))
-	}
-	if lines[0] != "fn,name,thread,node,iteration,phase,start_ns,end_ns" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if len(strings.Split(l, ",")) != 8 {
-			t.Fatalf("bad csv line %q", l)
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	trace, _ := runTraced(t)
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Events) != len(trace.Events) {
-		t.Fatalf("round trip lost events: %d vs %d", len(got.Events), len(trace.Events))
-	}
-	for i := range got.Events {
-		if got.Events[i] != trace.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, got.Events[i], trace.Events[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	for _, bad := range []string{
-		"1,f,0,0,0,compute,10",        // too few fields
-		"x,f,0,0,0,compute,10,20",     // bad fn
-		"1,f,a,0,0,compute,10,20",     // bad thread
-		"1,f,0,0,0,compute,ten,20",    // bad start
-		"1,f,0,0,0,compute,10,twenty", // bad end
-	} {
-		if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-	// Header-only and empty are fine.
-	if tr, err := ReadCSV(strings.NewReader("fn,name,thread,node,iteration,phase,start_ns,end_ns\n")); err != nil || len(tr.Events) != 0 {
-		t.Fatalf("header-only: %v %v", tr, err)
-	}
-}
-
 func TestWriteSVG(t *testing.T) {
 	trace, _ := runTraced(t)
 	var buf bytes.Buffer
@@ -250,17 +283,5 @@ func TestWriteSVG(t *testing.T) {
 func TestXMLEscape(t *testing.T) {
 	if got := xmlEscape(`a<b>&"c`); got != "a&lt;b&gt;&amp;&quot;c" {
 		t.Fatalf("escape = %q", got)
-	}
-}
-
-func TestCSVEscape(t *testing.T) {
-	if csvEscape("plain") != "plain" {
-		t.Fatal("plain escaped")
-	}
-	if csvEscape(`a,b`) != `"a,b"` {
-		t.Fatal("comma not quoted")
-	}
-	if csvEscape(`a"b`) != `"a""b"` {
-		t.Fatal("quote not doubled")
 	}
 }

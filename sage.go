@@ -15,7 +15,8 @@
 //  4. generate glue code: an Alter script traverses the model and emits the
 //     runtime tables (internal/alter, internal/gluegen);
 //  5. execute on the simulated multicomputer under the SAGE runtime kernel
-//     (internal/sagert) and inspect probe traces (internal/viz).
+//     (internal/sagert) and inspect the phase spans its trace collector
+//     records (internal/trace) in the Visualizer (internal/viz).
 //
 // A minimal session:
 //
@@ -29,11 +30,11 @@
 package sage
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/apps"
 	"repro/internal/atot"
-	"repro/internal/core"
 	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/sagert"
 	"repro/internal/shelf"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/viz"
 )
 
@@ -60,7 +62,7 @@ type (
 	RunOptions = sagert.Options
 	// RunResult reports an execution.
 	RunResult = sagert.Result
-	// Trace is a collected set of visualizer probe events.
+	// Trace is the Visualizer's view of a run's phase spans.
 	Trace = viz.Trace
 	// GAConfig tunes the AToT genetic mapper.
 	GAConfig = atot.GAConfig
@@ -186,53 +188,53 @@ func (p *Project) SetMapping(m *Mapping) error {
 	return nil
 }
 
-// Build runs the standard Alter glue-code generator over the mapped project
-// and returns the executable Program.
-func (p *Project) Build() (*core.Program, error) {
-	if p.Mapping == nil {
-		return nil, fmt.Errorf("sage: project has no mapping (call MapSpread, AutoMap or SetMapping)")
-	}
-	return core.Build(p.App, p.Mapping, p.Platform, p.Nodes)
-}
-
 // Generate runs the standard Alter glue-code generator over the mapped
-// project and returns the generation artifacts.
+// project and returns the generation artifacts: verified runtime tables and
+// the glue listing.
 func (p *Project) Generate() (*GlueOutput, error) {
-	prog, err := p.Build()
-	if err != nil {
-		return nil, err
+	if p.Mapping == nil {
+		return nil, errNoMapping
 	}
-	return prog.Artifacts, nil
+	return gluegen.Generate(p.glueInput())
 }
 
 // GenerateWith runs a custom Alter generator script instead of the standard
 // one.
 func (p *Project) GenerateWith(script string) (*GlueOutput, error) {
 	if p.Mapping == nil {
-		return nil, fmt.Errorf("sage: project has no mapping (call MapSpread, AutoMap or SetMapping)")
+		return nil, errNoMapping
 	}
-	prog, err := core.BuildWithScript(p.App, p.Mapping, p.Platform, p.Nodes, script)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Artifacts, nil
+	return gluegen.GenerateWith(p.glueInput(), script)
+}
+
+var errNoMapping = errors.New("sage: project has no mapping (call MapSpread, AutoMap or SetMapping)")
+
+func (p *Project) glueInput() gluegen.Input {
+	return gluegen.Input{App: p.App, Mapping: p.Mapping, Platform: p.Platform, NumNodes: p.Nodes}
 }
 
 // Run generates glue code and executes it on a fresh simulated machine.
 func (p *Project) Run(opts RunOptions) (*RunResult, error) {
-	prog, err := p.Build()
+	out, err := p.Generate()
 	if err != nil {
 		return nil, err
 	}
-	return prog.Run(opts)
+	return sagert.Run(out.Tables, p.Platform, opts)
 }
 
-// RunTraced is Run with every function probed, returning the visualizer
-// trace alongside the result.
+// RunTraced is Run with a trace collector (opts.Collector, or a fresh one),
+// returning the Visualizer's view of its phase spans alongside the result.
 func (p *Project) RunTraced(opts RunOptions) (*RunResult, *Trace, error) {
-	prog, err := p.Build()
+	if opts.Collector == nil {
+		opts.Collector = trace.New("")
+	}
+	res, err := p.Run(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return prog.RunTraced(opts)
+	vt, err := viz.FromRun(opts.Collector)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, vt, nil
 }

@@ -108,6 +108,39 @@ func TestProjectErrors(t *testing.T) {
 	if _, err := proj.Run(sage.RunOptions{}); err == nil {
 		t.Fatal("run without mapping accepted")
 	}
+	if _, _, err := proj.RunTraced(sage.RunOptions{}); err == nil {
+		t.Fatal("traced run without mapping accepted")
+	}
+	if err := proj.MapSpread(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&sage.Project{Platform: proj.Platform, Nodes: 2, Mapping: proj.Mapping}).Generate(); err == nil {
+		t.Fatal("generate without an application accepted")
+	}
+}
+
+// TestGenerateRejectsUnknownKind: the function library's validation runs
+// before any glue is generated.
+func TestGenerateRejectsUnknownKind(t *testing.T) {
+	app := sage.NewApp("bad")
+	mt, _ := app.AddType(&sage.DataType{Name: "m", Rows: 8, Cols: 8, Elem: "complex"})
+	f := app.AddFunction(&sage.Function{Name: "f", Kind: "warp", Threads: 1})
+	f.AddOutput("out", mt, sage.ByRows)
+	snk := app.AddFunction(&sage.Function{Name: "snk", Kind: "sink_matrix", Threads: 1})
+	snk.AddInput("in", mt, sage.ByRows)
+	if _, err := app.Connect("f", "out", "snk", "in"); err != nil {
+		t.Fatal(err)
+	}
+	proj, err := sage.NewProject(app, "CSPI", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proj.MapSpread(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proj.Generate(); err == nil || !strings.Contains(err.Error(), "warp") {
+		t.Fatalf("unknown kind: err = %v", err)
+	}
 }
 
 func TestCustomGeneratorScript(t *testing.T) {
@@ -129,6 +162,89 @@ func TestCustomGeneratorScript(t *testing.T) {
 	// script path is live.
 	if _, err := proj.GenerateWith(script); err == nil {
 		t.Fatal("incomplete custom generation accepted")
+	}
+}
+
+// mappedCornerTurn returns a CornerTurn project on CSPI, spread over nodes.
+func mappedCornerTurn(t *testing.T, n, nodes int) *sage.Project {
+	t.Helper()
+	app, err := sage.NewCornerTurnApp(n, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := sage.NewProject(app, "CSPI", nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proj.MapSpread(); err != nil {
+		t.Fatal(err)
+	}
+	return proj
+}
+
+// TestGenerateWithStandardAndBrokenScript: the standard script, passed as a
+// custom one, generates the standard glue; a script that does not evaluate
+// is rejected.
+func TestGenerateWithStandardAndBrokenScript(t *testing.T) {
+	proj := mappedCornerTurn(t, 32, 2)
+	out, err := proj.GenerateWith(sage.StandardGeneratorScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.GlueSource, "SAGE auto-generated") {
+		t.Fatal("glue listing missing")
+	}
+	if _, err := proj.GenerateWith("(nope)"); err == nil {
+		t.Fatal("broken script accepted")
+	}
+}
+
+// TestProjectRunRepeatable: a project can run repeatedly, each time on a
+// fresh machine, with identical virtual timing.
+func TestProjectRunRepeatable(t *testing.T) {
+	proj := mappedCornerTurn(t, 64, 4)
+	out, err := proj.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Tables.Functions) != 4 {
+		t.Fatalf("tables = %+v", out.Tables)
+	}
+	res, err := proj.Run(sage.RunOptions{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Output == nil || res.Period <= 0 {
+		t.Fatalf("result = %+v", res)
+	}
+	res2, err := proj.Run(sage.RunOptions{Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Period != res2.Period {
+		t.Fatalf("re-run diverged: %v vs %v", res.Period, res2.Period)
+	}
+}
+
+// TestRunTracedCoversEveryFunction: a traced run yields phase spans for
+// every function of the application.
+func TestRunTracedCoversEveryFunction(t *testing.T) {
+	proj := mappedCornerTurn(t, 64, 4)
+	res, tr, err := proj.RunTraced(sage.RunOptions{Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || len(tr.Events) == 0 {
+		t.Fatal("no trace collected")
+	}
+	seen := map[string]bool{}
+	for _, ev := range tr.Events {
+		seen[ev.FnName] = true
+	}
+	for _, f := range proj.App.Functions {
+		if !seen[f.Name] {
+			t.Errorf("no span for function %s", f.Name)
+		}
 	}
 }
 
