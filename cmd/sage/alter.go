@@ -23,18 +23,18 @@ import (
 //	echo '(+ 1 2)' | sage alter -              # evaluate stdin
 func cmdAlter(args []string, stdout, stderr io.Writer) error {
 	in := alter.New()
-	// Scripts get (display ...) and (newline) for output; the gluegen
-	// embedding replaces these with emit streams.
-	in.Global.Register("display", func(a alter.List) (alter.Value, error) {
+	// Scripts get (display ...) and (newline) for output, defined in this
+	// interpreter only; the gluegen embedding has emit streams instead.
+	in.Define("display", &alter.Builtin{Name: "display", Fn: func(_ *alter.Interp, a alter.List) (alter.Value, error) {
 		for _, v := range a {
 			fmt.Fprint(stdout, alter.Display(v))
 		}
 		return nil, nil
-	})
-	in.Global.Register("newline", func(a alter.List) (alter.Value, error) {
+	}})
+	in.Define("newline", &alter.Builtin{Name: "newline", Fn: func(_ *alter.Interp, a alter.List) (alter.Value, error) {
 		fmt.Fprintln(stdout)
 		return nil, nil
-	})
+	}})
 
 	for _, path := range args {
 		if strings.HasPrefix(path, "-") && path != "-" {

@@ -10,7 +10,7 @@ import "testing"
 func TestAllocCeilingFrameReuse(t *testing.T) {
 	run := func(src string, n int) float64 {
 		in := New()
-		in.Global.Define("xs", make(List, n)) // nil elements: nothing to box
+		in.Define("xs", make(List, n)) // nil elements: nothing to box
 		p := MustCompile(src)
 		return testing.AllocsPerRun(5, func() {
 			if _, err := in.Run(p); err != nil {

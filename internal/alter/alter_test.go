@@ -381,12 +381,9 @@ func TestStepLimit(t *testing.T) {
 
 func TestCustomBuiltinAndHostObjects(t *testing.T) {
 	type widget struct{ name string }
-	in := New()
-	w := &widget{name: "w1"}
-	in.Global.Register("get-widget", func(args List) (Value, error) {
-		return w, nil
-	})
-	in.Global.Register("widget-name", func(args List) (Value, error) {
+	lib := Stdlib().With(&Builtin{Name: "get-widget", Fn: func(in *Interp, args List) (Value, error) {
+		return in.Host, nil
+	}}, &Builtin{Name: "widget-name", Fn: func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -395,7 +392,10 @@ func TestCustomBuiltinAndHostObjects(t *testing.T) {
 			return nil, errFor(args[0])
 		}
 		return wd.name, nil
-	})
+	}})
+	w := &widget{name: "w1"}
+	in := lib.New()
+	in.Host = w
 	got, err := in.RunString(`(widget-name (get-widget))`)
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +475,10 @@ func TestDefineNamesAnonymousLambda(t *testing.T) {
 	if _, err := in.RunString("(define f (lambda (x) x))"); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := in.Global.Lookup("f")
+	v, err := in.RunString("f")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if lam := v.(*Lambda); lam.Name != "f" {
 		t.Fatalf("lambda name = %q", lam.Name)
 	}

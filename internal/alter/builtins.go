@@ -6,14 +6,25 @@ import (
 	"strings"
 )
 
-// installStdlib registers the base procedure library. Model-traversal
-// standard calls are installed separately by the embedding tool.
-func installStdlib(env *Env) {
-	installArith(env)
-	installCompare(env)
-	installLists(env)
-	installStrings(env)
-	installPredicates(env)
+// newStdlib builds the base procedure library. Model-traversal standard
+// calls are added by the embedding tool (Library.With).
+func newStdlib() *Library {
+	lib := &Library{vals: map[Symbol]Value{}}
+	installArith(lib)
+	installCompare(lib)
+	installLists(lib)
+	installStrings(lib)
+	installPredicates(lib)
+	for name, proc := range applicative {
+		lib.add(name, func(in *Interp, args List) (Value, error) { return proc(in, args) })
+	}
+	return lib
+}
+
+// add binds a builtin while the library is being built, before any Interp
+// shares it.
+func (l *Library) add(name string, fn func(in *Interp, args List) (Value, error)) {
+	l.vals[Symbol(name)] = &Builtin{Name: name, Fn: fn}
 }
 
 func wantArgs(args List, n int) error {
@@ -71,13 +82,13 @@ func numFold(args List, intFn func(a, b int64) (int64, error), floatFn func(a, b
 	return acc, nil
 }
 
-func installArith(env *Env) {
-	env.Register("+", func(args List) (Value, error) {
+func installArith(lib *Library) {
+	lib.add("+", func(_ *Interp, args List) (Value, error) {
 		return numFold(args,
 			func(a, b int64) (int64, error) { return a + b, nil },
 			func(a, b float64) float64 { return a + b }, 0, false)
 	})
-	env.Register("-", func(args List) (Value, error) {
+	lib.add("-", func(_ *Interp, args List) (Value, error) {
 		if err := wantAtLeast(args, 1); err != nil {
 			return nil, err
 		}
@@ -85,12 +96,12 @@ func installArith(env *Env) {
 			func(a, b int64) (int64, error) { return a - b, nil },
 			func(a, b float64) float64 { return a - b }, 0, true)
 	})
-	env.Register("*", func(args List) (Value, error) {
+	lib.add("*", func(_ *Interp, args List) (Value, error) {
 		return numFold(args,
 			func(a, b int64) (int64, error) { return a * b, nil },
 			func(a, b float64) float64 { return a * b }, 1, false)
 	})
-	env.Register("/", func(args List) (Value, error) {
+	lib.add("/", func(_ *Interp, args List) (Value, error) {
 		if err := wantAtLeast(args, 2); err != nil {
 			return nil, err
 		}
@@ -103,7 +114,7 @@ func installArith(env *Env) {
 			},
 			func(a, b float64) float64 { return a / b }, 1, false)
 	})
-	env.Register("mod", func(args List) (Value, error) {
+	lib.add("mod", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -120,7 +131,7 @@ func installArith(env *Env) {
 		}
 		return a % b, nil
 	})
-	env.Register("abs", func(args List) (Value, error) {
+	lib.add("abs", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -139,7 +150,7 @@ func installArith(env *Env) {
 			return nil, fmt.Errorf("expected number, got %s", TypeName(args[0]))
 		}
 	})
-	env.Register("even?", func(args List) (Value, error) {
+	lib.add("even?", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -149,7 +160,7 @@ func installArith(env *Env) {
 		}
 		return n%2 == 0, nil
 	})
-	env.Register("odd?", func(args List) (Value, error) {
+	lib.add("odd?", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -159,7 +170,7 @@ func installArith(env *Env) {
 		}
 		return n%2 != 0, nil
 	})
-	env.Register("min", func(args List) (Value, error) {
+	lib.add("min", func(_ *Interp, args List) (Value, error) {
 		if err := wantAtLeast(args, 1); err != nil {
 			return nil, err
 		}
@@ -177,7 +188,7 @@ func installArith(env *Env) {
 				return a
 			}, 0, false)
 	})
-	env.Register("max", func(args List) (Value, error) {
+	lib.add("max", func(_ *Interp, args List) (Value, error) {
 		if err := wantAtLeast(args, 1); err != nil {
 			return nil, err
 		}
@@ -197,9 +208,9 @@ func installArith(env *Env) {
 	})
 }
 
-func installCompare(env *Env) {
+func installCompare(lib *Library) {
 	cmp := func(name string, ok func(c int) bool) {
-		env.Register(name, func(args List) (Value, error) {
+		lib.add(name, func(_ *Interp, args List) (Value, error) {
 			if err := wantAtLeast(args, 2); err != nil {
 				return nil, err
 			}
@@ -230,13 +241,13 @@ func installCompare(env *Env) {
 	cmp("<=", func(c int) bool { return c <= 0 })
 	cmp(">=", func(c int) bool { return c >= 0 })
 	cmp("=", func(c int) bool { return c == 0 })
-	env.Register("equal?", func(args List) (Value, error) {
+	lib.add("equal?", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
 		return Equal(args[0], args[1]), nil
 	})
-	env.Register("not", func(args List) (Value, error) {
+	lib.add("not", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -244,13 +255,13 @@ func installCompare(env *Env) {
 	})
 }
 
-func installLists(env *Env) {
-	env.Register("list", func(args List) (Value, error) {
+func installLists(lib *Library) {
+	lib.add("list", func(_ *Interp, args List) (Value, error) {
 		out := make(List, len(args))
 		copy(out, args)
 		return out, nil
 	})
-	env.Register("cons", func(args List) (Value, error) {
+	lib.add("cons", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -262,7 +273,7 @@ func installLists(env *Env) {
 		out = append(out, args[0])
 		return append(out, tail...), nil
 	})
-	env.Register("first", func(args List) (Value, error) {
+	lib.add("first", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -275,7 +286,7 @@ func installLists(env *Env) {
 		}
 		return l[0], nil
 	})
-	env.Register("rest", func(args List) (Value, error) {
+	lib.add("rest", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -290,7 +301,7 @@ func installLists(env *Env) {
 		copy(out, l[1:])
 		return out, nil
 	})
-	env.Register("nth", func(args List) (Value, error) {
+	lib.add("nth", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -307,7 +318,7 @@ func installLists(env *Env) {
 		}
 		return l[i], nil
 	})
-	env.Register("length", func(args List) (Value, error) {
+	lib.add("length", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -322,7 +333,7 @@ func installLists(env *Env) {
 			return nil, fmt.Errorf("expected list or string, got %s", TypeName(args[0]))
 		}
 	})
-	env.Register("append", func(args List) (Value, error) {
+	lib.add("append", func(_ *Interp, args List) (Value, error) {
 		var out List
 		for _, a := range args {
 			l, err := AsList(a)
@@ -333,7 +344,7 @@ func installLists(env *Env) {
 		}
 		return out, nil
 	})
-	env.Register("reverse", func(args List) (Value, error) {
+	lib.add("reverse", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -347,7 +358,7 @@ func installLists(env *Env) {
 		}
 		return out, nil
 	})
-	env.Register("range", func(args List) (Value, error) {
+	lib.add("range", func(_ *Interp, args List) (Value, error) {
 		// (range n) -> (0 .. n-1); (range a b) -> (a .. b-1).
 		if len(args) != 1 && len(args) != 2 {
 			return nil, fmt.Errorf("wants 1 or 2 arguments, got %d", len(args))
@@ -374,7 +385,7 @@ func installLists(env *Env) {
 		}
 		return out, nil
 	})
-	env.Register("assoc", func(args List) (Value, error) {
+	lib.add("assoc", func(_ *Interp, args List) (Value, error) {
 		// (assoc key alist) -> matching (key value) pair or nil.
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
@@ -396,22 +407,22 @@ func installLists(env *Env) {
 	})
 }
 
-func installStrings(env *Env) {
-	env.Register("string-append", func(args List) (Value, error) {
+func installStrings(lib *Library) {
+	lib.add("string-append", func(_ *Interp, args List) (Value, error) {
 		var b strings.Builder
 		for _, a := range args {
 			writeValue(&b, a, false)
 		}
 		return b.String(), nil
 	})
-	env.Register("format", func(args List) (Value, error) {
+	lib.add("format", func(_ *Interp, args List) (Value, error) {
 		var b strings.Builder
 		if err := FormatTo(&b, args); err != nil {
 			return nil, err
 		}
 		return b.String(), nil
 	})
-	env.Register("symbol->string", func(args List) (Value, error) {
+	lib.add("symbol->string", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -421,7 +432,7 @@ func installStrings(env *Env) {
 		}
 		return string(s), nil
 	})
-	env.Register("string->symbol", func(args List) (Value, error) {
+	lib.add("string->symbol", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -431,7 +442,7 @@ func installStrings(env *Env) {
 		}
 		return Symbol(s), nil
 	})
-	env.Register("string-upcase", func(args List) (Value, error) {
+	lib.add("string-upcase", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -441,7 +452,7 @@ func installStrings(env *Env) {
 		}
 		return strings.ToUpper(s), nil
 	})
-	env.Register("string-split", func(args List) (Value, error) {
+	lib.add("string-split", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -460,7 +471,7 @@ func installStrings(env *Env) {
 		}
 		return out, nil
 	})
-	env.Register("string-contains?", func(args List) (Value, error) {
+	lib.add("string-contains?", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -474,7 +485,7 @@ func installStrings(env *Env) {
 		}
 		return strings.Contains(s, sub), nil
 	})
-	env.Register("number->string", func(args List) (Value, error) {
+	lib.add("number->string", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -483,7 +494,7 @@ func installStrings(env *Env) {
 		}
 		return Display(args[0]), nil
 	})
-	env.Register("string->number", func(args List) (Value, error) {
+	lib.add("string->number", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 1); err != nil {
 			return nil, err
 		}
@@ -500,7 +511,7 @@ func installStrings(env *Env) {
 		}
 		return v, nil
 	})
-	env.Register("string-join", func(args List) (Value, error) {
+	lib.add("string-join", func(_ *Interp, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -520,9 +531,9 @@ func installStrings(env *Env) {
 	})
 }
 
-func installPredicates(env *Env) {
+func installPredicates(lib *Library) {
 	pred := func(name string, f func(v Value) bool) {
-		env.Register(name, func(args List) (Value, error) {
+		lib.add(name, func(_ *Interp, args List) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
 			}
@@ -555,12 +566,18 @@ func installPredicates(env *Env) {
 	})
 }
 
-// installApplicative registers map/filter/for-each/apply/fold/sort-by, which
-// apply procedures and so are bound to one interpreter's Apply. Each call
-// reuses one argument list for every element it applies the procedure to:
-// Apply's callee may not keep it (see Builtin).
-func installApplicative(env *Env, apply func(callee Value, args List) (Value, error)) {
-	env.Register("apply", func(args List) (Value, error) {
+// applier applies procedures: the Interp calling a procedure-applying
+// builtin, or the reference evaluator the tests hold the Interp to.
+type applier interface {
+	Apply(callee Value, args List) (Value, error)
+}
+
+// applicative holds the procedures that apply procedures — apply, map,
+// filter, for-each, fold, sort-by — over whatever applier calls them. Each
+// call reuses one argument list for every element it applies the procedure
+// to: Apply's callee may not keep it (see Builtin).
+var applicative = map[string]func(ap applier, args List) (Value, error){
+	"apply": func(ap applier, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -568,9 +585,9 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		if err != nil {
 			return nil, err
 		}
-		return apply(args[0], l)
-	})
-	env.Register("map", func(args List) (Value, error) {
+		return ap.Apply(args[0], l)
+	},
+	"map": func(ap applier, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -582,14 +599,14 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		out := make(List, len(l))
 		for i, v := range l {
 			arg[0] = v
-			out[i], err = apply(fn, arg)
+			out[i], err = ap.Apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return out, nil
-	})
-	env.Register("filter", func(args List) (Value, error) {
+	},
+	"filter": func(ap applier, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -601,7 +618,7 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		var out List
 		for _, v := range l {
 			arg[0] = v
-			keep, err := apply(fn, arg)
+			keep, err := ap.Apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
@@ -610,8 +627,8 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 			}
 		}
 		return out, nil
-	})
-	env.Register("for-each", func(args List) (Value, error) {
+	},
+	"for-each": func(ap applier, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
 		}
@@ -622,13 +639,13 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		fn, arg := args[0], make(List, 1)
 		for _, v := range l {
 			arg[0] = v
-			if _, err := apply(fn, arg); err != nil {
+			if _, err := ap.Apply(fn, arg); err != nil {
 				return nil, err
 			}
 		}
 		return nil, nil
-	})
-	env.Register("fold", func(args List) (Value, error) {
+	},
+	"fold": func(ap applier, args List) (Value, error) {
 		// (fold fn init list)
 		if err := wantArgs(args, 3); err != nil {
 			return nil, err
@@ -641,14 +658,14 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		acc := args[1]
 		for _, v := range l {
 			arg[0], arg[1] = acc, v
-			acc, err = apply(fn, arg)
+			acc, err = ap.Apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return acc, nil
-	})
-	env.Register("sort-by", func(args List) (Value, error) {
+	},
+	"sort-by": func(ap applier, args List) (Value, error) {
 		// (sort-by key-fn list): stable sort by numeric or string key.
 		if err := wantArgs(args, 2); err != nil {
 			return nil, err
@@ -661,7 +678,7 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 		keys := make([]Value, len(l))
 		for i, v := range l {
 			arg[0] = v
-			keys[i], err = apply(fn, arg)
+			keys[i], err = ap.Apply(fn, arg)
 			if err != nil {
 				return nil, err
 			}
@@ -697,7 +714,7 @@ func installApplicative(env *Env, apply func(callee Value, args List) (Value, er
 			out[i] = l[j]
 		}
 		return out, nil
-	})
+	},
 }
 
 // FormatTo is (format "template" args...) writing into b instead of

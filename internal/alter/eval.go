@@ -5,48 +5,56 @@ import (
 	"fmt"
 )
 
-// Env is the global environment: one cell per name. Local variables never
-// live here — they are frame slots, resolved when a program is compiled —
-// so this is the only name-keyed table a run consults, and it does so once
-// per program (Interp.Run links every global the program mentions to its
-// cell) rather than once per reference.
-type Env struct {
-	cells map[Symbol]*Value
+// Library is a global environment that is built once and then only read:
+// the standard procedures, plus whatever standard calls an embedder adds with
+// With. Every Interp over a library shares it, across goroutines; what a run
+// binds with define or set! goes to the Interp's own cells, never here.
+type Library struct {
+	vals map[Symbol]Value
 }
 
-// cell returns the cell for s, creating it unbound.
-func (e *Env) cell(s Symbol) *Value {
-	c, ok := e.cells[s]
-	if !ok {
-		c = new(Value)
-		*c = unbound
-		e.cells[s] = c
+// stdlib is the base library, built once per process.
+var stdlib = newStdlib()
+
+// Stdlib returns the base library: the arithmetic, comparison, list, string,
+// predicate and procedure-applying builtins.
+func Stdlib() *Library { return stdlib }
+
+// With returns a new library holding l's bindings and bs, a builtin of l's
+// name replaced. l is unchanged.
+func (l *Library) With(bs ...*Builtin) *Library {
+	out := &Library{vals: make(map[Symbol]Value, len(l.vals)+len(bs))}
+	for s, v := range l.vals {
+		out.vals[s] = v
 	}
-	return c
-}
-
-// Lookup returns the value bound to s.
-func (e *Env) Lookup(s Symbol) (Value, bool) {
-	if c, ok := e.cells[s]; ok && !isUnbound(*c) {
-		return *c, true
+	for _, b := range bs {
+		out.vals[Symbol(b.Name)] = b
 	}
-	return nil, false
+	return out
 }
 
-// Define binds s.
-func (e *Env) Define(s Symbol, v Value) { *e.cell(s) = v }
+// New creates an interpreter over l.
+func (l *Library) New() *Interp { return &Interp{lib: l, MaxDepth: 4096} }
 
-// Register installs a builtin procedure under its name. See Builtin for what
-// fn may do with its arguments.
-func (e *Env) Register(name string, fn func(args List) (Value, error)) {
-	e.Define(Symbol(name), &Builtin{Name: name, Fn: fn})
-}
-
-// Interp is an Alter interpreter instance: a global environment, execution
-// limits, and the state of the run in progress. A Program holds none of
-// that, so an Interp is what must not be shared between goroutines.
+// Interp is an Alter interpreter instance: the library it runs on, its own
+// global cells, execution limits, and the state of the run in progress. A
+// Program and a Library hold none of that, so an Interp is what must not be
+// shared between goroutines.
 type Interp struct {
-	Global *Env
+	lib *Library
+	// The interpreter's own global cells: one for every name a program run
+	// here mentions or the host Defines, holding the library's value until
+	// a define or set! replaces it. Run links a program to these cells, so
+	// a later program sees what an earlier one defined. The first program's
+	// cells are kept as Run linked them, in first and firstCells; own
+	// indexes every cell by name once a second program or the host needs
+	// one by name, which an interpreter that runs one program never does.
+	first      *Program
+	firstCells []*Value
+	own        map[Symbol]*Value
+	// Host is the embedder's state for the run, for builtins of its library
+	// to read from the Interp that calls them.
+	Host any
 	// MaxDepth bounds recursion (the glue generators recurse over models,
 	// not unboundedly; a runaway script is a bug to report, not a hang).
 	MaxDepth int
@@ -68,12 +76,52 @@ type Interp struct {
 	free []*frame
 }
 
-// New creates an interpreter with the standard library installed.
-func New() *Interp {
-	in := &Interp{Global: &Env{cells: map[Symbol]*Value{}}, MaxDepth: 4096, MaxSteps: 0}
-	installStdlib(in.Global)
-	installApplicative(in.Global, in.Apply)
-	return in
+// New creates an interpreter over the base library.
+func New() *Interp { return stdlib.New() }
+
+// Define binds s in this interpreter, shadowing the library's s if it has
+// one.
+func (in *Interp) Define(s Symbol, v Value) {
+	in.index()
+	*in.link([]Symbol{s})[0] = v
+}
+
+// link returns the interpreter's cell of each name, making the ones it lacks
+// — in one allocation, holding the library's value or unbound — and adding
+// them to own if it has been built.
+func (in *Interp) link(names []Symbol) []*Value {
+	cells := make([]*Value, len(names))
+	fresh := make([]Value, len(names))
+	for i, s := range names {
+		c := in.own[s]
+		if c == nil {
+			c = &fresh[i]
+			*c = unbound
+			if v, ok := in.lib.vals[s]; ok {
+				*c = v
+			}
+			if in.own != nil {
+				in.own[s] = c
+			}
+		}
+		cells[i] = c
+	}
+	return cells
+}
+
+// index builds own — from the first program's cells, if one has been
+// linked — unless it is built already.
+func (in *Interp) index() {
+	if in.own != nil {
+		return
+	}
+	in.own = make(map[Symbol]*Value, len(in.firstCells))
+	if in.first != nil {
+		for i, s := range in.first.globals {
+			in.own[s] = in.firstCells[i]
+		}
+		in.first, in.firstCells = nil, nil
+	}
 }
 
 // RunString reads and evaluates every form in src, returning the last value.
@@ -87,12 +135,15 @@ func (in *Interp) RunString(src string) (Value, error) {
 
 // Run evaluates every top-level form of p in order, returning the last
 // value. It first links p to this interpreter: each global name p mentions
-// is looked up (or created unbound) in Global once, here, and the compiled
-// code reaches it by index from then on.
+// is looked up once, here, in the interpreter's own cells and then the
+// library, and the compiled code reaches its cell by index from then on.
 func (in *Interp) Run(p *Program) (Value, error) {
-	cells := make([]*Value, len(p.globals))
-	for i, s := range p.globals {
-		cells[i] = in.Global.cell(s)
+	if in.first != nil {
+		in.index() // a second program: the first one's cells are needed by name
+	}
+	cells := in.link(p.globals)
+	if in.own == nil {
+		in.first, in.firstCells = p, cells
 	}
 	saved := in.cells
 	in.cells = cells
@@ -129,7 +180,7 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 	}
 	switch f := callee.(type) {
 	case *Builtin:
-		v, err := f.Fn(args)
+		v, err := f.Fn(in, args)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}

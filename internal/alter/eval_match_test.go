@@ -27,7 +27,7 @@ func observe(src string, maxSteps, maxDepth int) (compiled, reference outcome) {
 		if maxDepth > 0 {
 			in.MaxDepth = maxDepth
 		}
-		in.Global.Register("emit", func(args List) (Value, error) {
+		in.Define("emit", &Builtin{Name: "emit", Fn: func(_ *Interp, args List) (Value, error) {
 			if !printable(args) {
 				return nil, errors.New("value too large")
 			}
@@ -36,7 +36,7 @@ func observe(src string, maxSteps, maxDepth int) (compiled, reference outcome) {
 			}
 			out.WriteByte('\n')
 			return nil, nil
-		})
+		}})
 		return in
 	}
 	finish := func(v Value, err error, out *strings.Builder) outcome {
@@ -340,10 +340,10 @@ func TestProgramIsShared(t *testing.T) {
 	p := MustCompile(`(define (next) (set! n (+ n step)) n) (next) (next)`)
 	for i := 0; i < 2; i++ {
 		a, b := New(), New()
-		a.Global.Define("n", int64(0))
-		a.Global.Define("step", int64(1))
-		b.Global.Define("n", int64(100))
-		b.Global.Define("step", int64(5))
+		a.Define("n", int64(0))
+		a.Define("step", int64(1))
+		b.Define("n", int64(100))
+		b.Define("step", int64(5))
 		va, err := a.Run(p)
 		if err != nil {
 			t.Fatal(err)

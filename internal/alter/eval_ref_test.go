@@ -11,6 +11,9 @@ import "fmt"
 
 // RefInterp is a reference interpreter.
 type RefInterp struct {
+	// base is the Interp the reference was made from: its builtins are
+	// called with it, so a host's builtins find their Host.
+	base     *Interp
 	global   *refEnv
 	MaxDepth int
 	MaxSteps int
@@ -30,19 +33,24 @@ type refClosure struct {
 }
 
 // NewReference creates a reference interpreter whose globals are everything
-// bound in base — the standard library and whatever the host registered —
-// with the procedure-applying builtins rebound to the reference's Apply.
+// bound in base — its library and whatever the host defined — with the
+// procedure-applying builtins rebound to the reference's Apply.
 func NewReference(base *Interp) *RefInterp {
-	in := &RefInterp{global: newRefEnv(nil), MaxDepth: base.MaxDepth, MaxSteps: base.MaxSteps,
+	in := &RefInterp{base: base, global: newRefEnv(nil), MaxDepth: base.MaxDepth, MaxSteps: base.MaxSteps,
 		closures: map[*Lambda]*refClosure{}}
-	applicative := &Env{cells: map[Symbol]*Value{}}
-	installApplicative(applicative, in.Apply)
-	for _, cells := range []map[Symbol]*Value{base.Global.cells, applicative.cells} {
-		for name, cell := range cells {
-			if !isUnbound(*cell) {
-				in.global.Define(name, *cell)
-			}
+	for name, v := range base.lib.vals {
+		in.global.Define(name, v)
+	}
+	base.index()
+	for name, cell := range base.own {
+		if !isUnbound(*cell) {
+			in.global.Define(name, *cell)
 		}
+	}
+	for name, proc := range applicative {
+		in.global.Define(Symbol(name), &Builtin{Name: name, Fn: func(_ *Interp, args List) (Value, error) {
+			return proc(in, args)
+		}})
 	}
 	return in
 }
@@ -152,7 +160,7 @@ func (in *RefInterp) Apply(callee Value, args List) (Value, error) {
 	}
 	switch f := callee.(type) {
 	case *Builtin:
-		v, err := f.Fn(args)
+		v, err := f.Fn(in.base, args)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}

@@ -111,9 +111,7 @@ func TestStandardScriptMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", names[i], script.name, err)
 			}
-			base := alter.New()
-			var tables, glue strings.Builder
-			gluegen.BindModel(base, in, &tables, &glue)
+			base, tables, glue := gluegen.NewInterp(in)
 			if _, err := alter.NewReference(base).RunString(script.src); err != nil {
 				t.Fatalf("%s/%s: reference: %v", names[i], script.name, err)
 			}

@@ -3,24 +3,26 @@
 // language similar to Lisp in its syntax and style, which provides a direct
 // interface to the contents of a SAGE model"). The interpreter provides the
 // constructs the paper enumerates — procedure encapsulation, conditionals,
-// looping, variable declaration, and recursion — plus a builtin registry
-// through which the embedding tool (internal/gluegen) installs the "standard
-// calls" for traversing model objects, reading and setting properties, and
-// emitting output.
+// looping, variable declaration, and recursion — plus a Library of builtins
+// that the embedding tool (internal/gluegen) extends, once per process, with
+// the "standard calls" for traversing model objects, reading and setting
+// properties, and emitting output.
 //
 // Values are s-expressions: nil, booleans, integers, floats, strings,
-// symbols, proper lists, procedures (lambdas and builtins) and opaque host
-// objects (model functions, ports, arcs). Lists are Go slices, which keeps
-// traversal code simple and garbage-collector friendly. No builtin mutates a
-// list in place, so a value may be shared freely — between variables, and
-// between interpreters running one compiled Program.
+// symbols, proper lists, regions, procedures (lambdas and builtins) and
+// opaque host objects (model functions, ports, arcs). Lists are Go slices,
+// which keeps traversal code simple and garbage-collector friendly. No
+// builtin mutates a list in place, so a value may be shared freely — between
+// variables, and between interpreters running one compiled Program.
 //
 // Execution is compile once, run on slots (DESIGN.md §16): Compile turns
 // the reader's forms into a tree of Go closures in which every special form
 // is already decided and every variable already resolved to a frame slot or
 // a global cell; an Interp holds everything a run changes (globals, frames,
 // step and depth counters), so one Program serves any number of Interps at
-// once. The tree-walking evaluator this replaced is kept in
+// once. The builtins are one immutable Library, built once per process and
+// shared by every Interp over it; an Interp holds only what its runs define
+// or set!. The tree-walking evaluator this replaced is kept in
 // eval_ref_test.go as the language's reference semantics; the two are held
 // equal on values, error texts and emitted bytes.
 package alter
@@ -35,7 +37,7 @@ import (
 type Symbol string
 
 // Value is any Alter datum: nil, bool, int64, float64, string, Symbol,
-// List, *Lambda, *Builtin, or an opaque host object.
+// List, Region, *Lambda, *Builtin, or an opaque host object.
 type Value any
 
 // List is a proper list.
@@ -50,12 +52,23 @@ type Lambda struct {
 	cells []*Value // the globals of the program that created it, linked
 }
 
+// Region is a rectangle of a data set — rows [R0, R0+Rows), columns
+// [C0, C0+Cols) — as one datum rather than a list of four numbers: the value
+// the striping standard calls compute with. It prints as (r0 c0 rows cols).
+type Region struct {
+	R0, C0     int
+	Rows, Cols int
+}
+
 // Builtin is a host procedure. Args arrive already evaluated and belong to
 // the interpreter: Fn may read them until it returns and may keep any
-// element, but must not keep or return the slice itself.
+// element, but must not keep or return the slice itself. A builtin lives in
+// a Library that every Interp over it shares, so it keeps no run state of
+// its own: what it needs of the run it reads from in, the Interp calling it
+// (its Apply, or the embedder's Host).
 type Builtin struct {
 	Name string
-	Fn   func(args List) (Value, error)
+	Fn   func(in *Interp, args List) (Value, error)
 }
 
 // Truthy implements Lisp truth: everything except nil and false is true.
@@ -119,6 +132,16 @@ func writeValue(b *strings.Builder, v Value, write bool) {
 			writeValue(b, e, write)
 		}
 		b.WriteByte(')')
+	case Region:
+		var buf [20]byte
+		b.WriteByte('(')
+		for i, n := range [...]int{x.R0, x.C0, x.Rows, x.Cols} {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.Write(strconv.AppendInt(buf[:0], int64(n), 10))
+		}
+		b.WriteByte(')')
 	case *Lambda:
 		name := x.Name
 		if name == "" {
@@ -149,6 +172,8 @@ func TypeName(v Value) string {
 		return "symbol"
 	case List:
 		return "list"
+	case Region:
+		return "region"
 	case *Lambda, *Builtin:
 		return "procedure"
 	default:
@@ -212,7 +237,8 @@ func AsList(v Value) (List, error) {
 }
 
 // Equal implements structural equality across Alter values (numbers compare
-// across int/float; lists compare elementwise; host objects by identity).
+// across int/float; lists compare elementwise; regions by value; host
+// objects by identity).
 func Equal(a, b Value) bool {
 	if af, aok := numeric(a); aok {
 		bf, bok := numeric(b)

@@ -405,15 +405,17 @@ func TestDaemonMovesNoSamples(t *testing.T) {
 }
 
 // TestAlterRunsOnSlots: Alter's locals are frame slots (DESIGN.md §16). The
-// global table, Env.cells, is the only storage of internal/alter whose type
-// holds a name-keyed value map — map[Symbol]Value or map[Symbol]*Value — in
-// any variable, field, parameter, result or named type.
+// two global tables — the shared library's Library.vals and an
+// interpreter's own cells, Interp.own — are the only storage of
+// internal/alter whose type holds a name-keyed value map — map[Symbol]Value
+// or map[Symbol]*Value — in any variable, field, parameter, result or named
+// type.
 func TestAlterRunsOnSlots(t *testing.T) {
 	l := newLoader()
 	alter := mustLoad(t, l, "repro/internal/alter")
 	symbol := lookup(t, alter, "Symbol").Type()
 	value := lookup(t, alter, "Value").Type()
-	cells := member(t, alter, "Env", "cells")
+	tables := []types.Object{member(t, alter, "Library", "vals"), member(t, alter, "Interp", "own")}
 	nameKeyed := func(m *types.Map) bool {
 		if !types.Identical(m.Key(), symbol) {
 			return false
@@ -451,8 +453,10 @@ func TestAlterRunsOnSlots(t *testing.T) {
 		}
 		return false
 	}
-	if !holds(cells.Type()) {
-		t.Fatal("Env.cells is not a map[Symbol]*Value; update this gate with the change")
+	for _, table := range tables {
+		if !holds(table.Type()) {
+			t.Fatalf("%s is not a name-keyed value map; update this gate with the change", table.Name())
+		}
 	}
 	for _, f := range alter.files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -461,7 +465,7 @@ func TestAlterRunsOnSlots(t *testing.T) {
 				return true
 			}
 			obj := alter.info.Defs[id]
-			if obj == nil || obj == cells {
+			if obj == nil || slices.Contains(tables, obj) {
 				return true
 			}
 			typ := obj.Type()
@@ -469,7 +473,7 @@ func TestAlterRunsOnSlots(t *testing.T) {
 				typ = tn.Type().Underlying()
 			}
 			if holds(typ) {
-				t.Errorf("%s: %s holds a name-keyed value map; locals are frame slots, and Env.cells is the one global table",
+				t.Errorf("%s: %s holds a name-keyed value map; locals are frame slots, and Library.vals and Interp.own are the global tables",
 					l.fset.Position(id.Pos()), id.Name)
 			}
 			return true

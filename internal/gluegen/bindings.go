@@ -2,6 +2,7 @@ package gluegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,56 +10,41 @@ import (
 	"repro/internal/model"
 )
 
-// BindModel installs the SAGE model-access "standard calls" into an Alter
-// interpreter (§2: "The language also includes a set of standard calls to
-// access certain features in SAGE, such as setting or retrieving a property
-// value from an object"). Emitted table lines accumulate in tableOut —
+// binding is one generator run's state — the model it reads and the two
+// texts it writes — which the standard calls read from the Interp's Host.
+type binding struct {
+	input       Input
+	table, glue strings.Builder
+}
+
+// NewInterp returns an interpreter over the standard calls, bound to input,
+// and the two texts a run writes. Emitted table lines accumulate in table —
 // (emit-format tpl args...) formats a line straight into it, as (emit
-// (format tpl args...)) would write it; emitted glue listing lines in
-// glueOut.
-func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder) {
-	env := in.Global
-	app := input.App
+// (format tpl args...)) would write it; emitted glue listing lines in glue.
+func NewInterp(input Input) (in *alter.Interp, table, glue *strings.Builder) {
+	b := &binding{input: input}
+	in = standardCalls.New()
+	in.Host = b
+	return in, &b.table, &b.glue
+}
 
-	// --- model roots -----------------------------------------------------
+// standardCalls is Alter's base library plus the SAGE model-access
+// "standard calls" (§2: "The language also includes a set of standard calls
+// to access certain features in SAGE, such as setting or retrieving a
+// property value from an object"). It is built once per process and shared
+// by every generator run: a call reads the run it serves from the calling
+// Interp's Host.
+var standardCalls = alter.Stdlib().With(slices.Concat(modelCalls(), regionCalls(), emitCalls())...)
 
-	env.Register("app-name", func(args alter.List) (alter.Value, error) {
-		return app.Name, nil
-	})
-	env.Register("platform-name", func(args alter.List) (alter.Value, error) {
-		return input.Platform.Name, nil
-	})
-	env.Register("num-nodes", func(args alter.List) (alter.Value, error) {
-		return int64(input.NumNodes), nil
-	})
-	env.Register("functions", func(args alter.List) (alter.Value, error) {
-		out := make(alter.List, len(app.Functions))
-		for i, f := range app.Functions {
-			out[i] = f
-		}
-		return out, nil
-	})
-	env.Register("arcs", func(args alter.List) (alter.Value, error) {
-		out := make(alter.List, len(app.Arcs))
-		for i, a := range app.Arcs {
-			out[i] = a
-		}
-		return out, nil
-	})
-	env.Register("topo-order", func(args alter.List) (alter.Value, error) {
-		order, err := app.TopoOrder()
-		if err != nil {
-			return nil, err
-		}
-		out := make(alter.List, len(order))
-		for i, f := range order {
-			out[i] = int64(f.ID)
-		}
-		return out, nil
-	})
+// call makes a standard call that reads its run's binding.
+func call(name string, fn func(b *binding, args alter.List) (alter.Value, error)) *alter.Builtin {
+	return &alter.Builtin{Name: name, Fn: func(in *alter.Interp, args alter.List) (alter.Value, error) {
+		return fn(in.Host.(*binding), args)
+	}}
+}
 
-	// --- object accessors ------------------------------------------------
-
+// modelCalls traverse the model and read and set its properties.
+func modelCalls() []*alter.Builtin {
 	asFunction := func(v alter.Value) (*model.Function, error) {
 		f, ok := v.(*model.Function)
 		if !ok {
@@ -80,8 +66,8 @@ func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder
 		}
 		return a, nil
 	}
-	fnAccessor := func(name string, get func(f *model.Function) (alter.Value, error)) {
-		env.Register(name, func(args alter.List) (alter.Value, error) {
+	fnAccessor := func(name string, get func(f *model.Function) (alter.Value, error)) *alter.Builtin {
+		return &alter.Builtin{Name: name, Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("wants 1 argument")
 			}
@@ -90,32 +76,10 @@ func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder
 				return nil, err
 			}
 			return get(f)
-		})
+		}}
 	}
-	fnAccessor("function-name", func(f *model.Function) (alter.Value, error) { return f.Name, nil })
-	fnAccessor("function-kind", func(f *model.Function) (alter.Value, error) { return f.Kind, nil })
-	fnAccessor("function-id", func(f *model.Function) (alter.Value, error) { return int64(f.ID), nil })
-	fnAccessor("function-threads", func(f *model.Function) (alter.Value, error) { return int64(f.Threads), nil })
-	fnAccessor("function-params", func(f *model.Function) (alter.Value, error) {
-		return paramsToAlist(f.Params), nil
-	})
-	fnAccessor("inputs", func(f *model.Function) (alter.Value, error) {
-		out := make(alter.List, len(f.Inputs))
-		for i, p := range f.Inputs {
-			out[i] = p
-		}
-		return out, nil
-	})
-	fnAccessor("outputs", func(f *model.Function) (alter.Value, error) {
-		out := make(alter.List, len(f.Outputs))
-		for i, p := range f.Outputs {
-			out[i] = p
-		}
-		return out, nil
-	})
-
-	portAccessor := func(name string, get func(p *model.Port) (alter.Value, error)) {
-		env.Register(name, func(args alter.List) (alter.Value, error) {
+	portAccessor := func(name string, get func(p *model.Port) (alter.Value, error)) *alter.Builtin {
+		return &alter.Builtin{Name: name, Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("wants 1 argument")
 			}
@@ -124,181 +88,239 @@ func BindModel(in *alter.Interp, input Input, tableOut, glueOut *strings.Builder
 				return nil, err
 			}
 			return get(p)
-		})
+		}}
 	}
-	portAccessor("port-name", func(p *model.Port) (alter.Value, error) { return p.Name, nil })
-	portAccessor("port-striping", func(p *model.Port) (alter.Value, error) { return string(p.Striping), nil })
-	portAccessor("port-rows", func(p *model.Port) (alter.Value, error) { return int64(p.Type.Rows), nil })
-	portAccessor("port-cols", func(p *model.Port) (alter.Value, error) { return int64(p.Type.Cols), nil })
-	portAccessor("port-elem-bytes", func(p *model.Port) (alter.Value, error) {
-		b, err := p.Type.Elem.WireBytes()
-		return int64(b), err
-	})
-	portAccessor("port-fn", func(p *model.Port) (alter.Value, error) { return p.Fn, nil })
-
-	env.Register("arc-from", func(args alter.List) (alter.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("wants 1 argument")
-		}
-		a, err := asArc(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.From, nil
-	})
-	env.Register("arc-to", func(args alter.List) (alter.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("wants 1 argument")
-		}
-		a, err := asArc(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return a.To, nil
-	})
-
-	// --- properties (the paper's canonical standard calls) ----------------
-
-	env.Register("get-property", func(args alter.List) (alter.Value, error) {
-		if len(args) != 3 {
-			return nil, fmt.Errorf("wants (get-property obj key default)")
-		}
-		f, err := asFunction(args[0])
-		if err != nil {
-			return nil, err
-		}
-		key, err := alter.AsString(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return goToAlter(f.Prop(key, alterToGo(args[2]))), nil
-	})
-	env.Register("set-property", func(args alter.List) (alter.Value, error) {
-		if len(args) != 3 {
-			return nil, fmt.Errorf("wants (set-property obj key value)")
-		}
-		f, err := asFunction(args[0])
-		if err != nil {
-			return nil, err
-		}
-		key, err := alter.AsString(args[1])
-		if err != nil {
-			return nil, err
-		}
-		f.SetProp(key, alterToGo(args[2]))
-		return args[2], nil
-	})
-
-	// --- mapping -----------------------------------------------------------
-
-	env.Register("node-of", func(args alter.List) (alter.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("wants (node-of function thread)")
-		}
-		f, err := asFunction(args[0])
-		if err != nil {
-			return nil, err
-		}
-		i, err := alter.AsInt(args[1])
-		if err != nil {
-			return nil, err
-		}
-		n, err := input.Mapping.NodeOf(f.Name, int(i))
-		if err != nil {
-			return nil, err
-		}
-		return int64(n), nil
-	})
-
-	// --- striping math -----------------------------------------------------
-
-	env.Register("partition", func(args alter.List) (alter.Value, error) {
-		if len(args) != 5 {
-			return nil, fmt.Errorf("wants (partition striping rows cols threads i)")
-		}
-		s, err := alter.AsString(args[0])
-		if err != nil {
-			return nil, err
-		}
-		nums := make([]int64, 4)
-		for i := 0; i < 4; i++ {
-			nums[i], err = alter.AsInt(args[i+1])
+	arcAccessor := func(name string, get func(a *model.Arc) *model.Port) *alter.Builtin {
+		return &alter.Builtin{Name: name, Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("wants 1 argument")
+			}
+			a, err := asArc(args[0])
 			if err != nil {
 				return nil, err
 			}
-		}
-		r, err := model.Partition(model.StripeKind(s), int(nums[0]), int(nums[1]), int(nums[2]), int(nums[3]))
-		if err != nil {
-			return nil, err
-		}
-		return regionToList(r), nil
-	})
-	env.Register("intersect", func(args alter.List) (alter.Value, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("wants (intersect r1 r2)")
-		}
-		r1, err := listToRegion(args[0])
-		if err != nil {
-			return nil, err
-		}
-		r2, err := listToRegion(args[1])
-		if err != nil {
-			return nil, err
-		}
-		out := r1.Intersect(r2)
-		if out.Empty() {
+			return get(a), nil
+		}}
+	}
+	return []*alter.Builtin{
+		// --- model roots ---------------------------------------------------
+		call("app-name", func(b *binding, args alter.List) (alter.Value, error) {
+			return b.input.App.Name, nil
+		}),
+		call("platform-name", func(b *binding, args alter.List) (alter.Value, error) {
+			return b.input.Platform.Name, nil
+		}),
+		call("num-nodes", func(b *binding, args alter.List) (alter.Value, error) {
+			return int64(b.input.NumNodes), nil
+		}),
+		call("functions", func(b *binding, args alter.List) (alter.Value, error) {
+			out := make(alter.List, len(b.input.App.Functions))
+			for i, f := range b.input.App.Functions {
+				out[i] = f
+			}
+			return out, nil
+		}),
+		call("arcs", func(b *binding, args alter.List) (alter.Value, error) {
+			out := make(alter.List, len(b.input.App.Arcs))
+			for i, a := range b.input.App.Arcs {
+				out[i] = a
+			}
+			return out, nil
+		}),
+		call("topo-order", func(b *binding, args alter.List) (alter.Value, error) {
+			order, err := b.input.App.TopoOrder()
+			if err != nil {
+				return nil, err
+			}
+			out := make(alter.List, len(order))
+			for i, f := range order {
+				out[i] = int64(f.ID)
+			}
+			return out, nil
+		}),
+
+		// --- object accessors ----------------------------------------------
+		fnAccessor("function-name", func(f *model.Function) (alter.Value, error) { return f.Name, nil }),
+		fnAccessor("function-kind", func(f *model.Function) (alter.Value, error) { return f.Kind, nil }),
+		fnAccessor("function-id", func(f *model.Function) (alter.Value, error) { return int64(f.ID), nil }),
+		fnAccessor("function-threads", func(f *model.Function) (alter.Value, error) { return int64(f.Threads), nil }),
+		fnAccessor("function-params", func(f *model.Function) (alter.Value, error) {
+			return paramsToAlist(f.Params), nil
+		}),
+		fnAccessor("inputs", func(f *model.Function) (alter.Value, error) {
+			out := make(alter.List, len(f.Inputs))
+			for i, p := range f.Inputs {
+				out[i] = p
+			}
+			return out, nil
+		}),
+		fnAccessor("outputs", func(f *model.Function) (alter.Value, error) {
+			out := make(alter.List, len(f.Outputs))
+			for i, p := range f.Outputs {
+				out[i] = p
+			}
+			return out, nil
+		}),
+		portAccessor("port-name", func(p *model.Port) (alter.Value, error) { return p.Name, nil }),
+		portAccessor("port-striping", func(p *model.Port) (alter.Value, error) { return string(p.Striping), nil }),
+		portAccessor("port-rows", func(p *model.Port) (alter.Value, error) { return int64(p.Type.Rows), nil }),
+		portAccessor("port-cols", func(p *model.Port) (alter.Value, error) { return int64(p.Type.Cols), nil }),
+		portAccessor("port-elem-bytes", func(p *model.Port) (alter.Value, error) {
+			b, err := p.Type.Elem.WireBytes()
+			return int64(b), err
+		}),
+		portAccessor("port-fn", func(p *model.Port) (alter.Value, error) { return p.Fn, nil }),
+		arcAccessor("arc-from", func(a *model.Arc) *model.Port { return a.From }),
+		arcAccessor("arc-to", func(a *model.Arc) *model.Port { return a.To }),
+
+		// --- properties (the paper's canonical standard calls) --------------
+		{Name: "get-property", Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 3 {
+				return nil, fmt.Errorf("wants (get-property obj key default)")
+			}
+			f, err := asFunction(args[0])
+			if err != nil {
+				return nil, err
+			}
+			key, err := alter.AsString(args[1])
+			if err != nil {
+				return nil, err
+			}
+			return goToAlter(f.Prop(key, alterToGo(args[2]))), nil
+		}},
+		{Name: "set-property", Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 3 {
+				return nil, fmt.Errorf("wants (set-property obj key value)")
+			}
+			f, err := asFunction(args[0])
+			if err != nil {
+				return nil, err
+			}
+			key, err := alter.AsString(args[1])
+			if err != nil {
+				return nil, err
+			}
+			f.SetProp(key, alterToGo(args[2]))
+			return args[2], nil
+		}},
+
+		// --- mapping ---------------------------------------------------------
+		call("node-of", func(b *binding, args alter.List) (alter.Value, error) {
+			if len(args) != 2 {
+				return nil, fmt.Errorf("wants (node-of function thread)")
+			}
+			f, err := asFunction(args[0])
+			if err != nil {
+				return nil, err
+			}
+			i, err := alter.AsInt(args[1])
+			if err != nil {
+				return nil, err
+			}
+			n, err := b.input.Mapping.NodeOf(f.Name, int(i))
+			if err != nil {
+				return nil, err
+			}
+			return int64(n), nil
+		}),
+	}
+}
+
+// regionCalls are the striping math. A region is one alter.Region datum,
+// which prints as (r0 c0 rows cols); the calls that take one also take that
+// four-element list. alter.Region has model.Region's fields, so each
+// converts to the other.
+func regionCalls() []*alter.Builtin {
+	return []*alter.Builtin{
+		{Name: "partition", Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 5 {
+				return nil, fmt.Errorf("wants (partition striping rows cols threads i)")
+			}
+			s, err := alter.AsString(args[0])
+			if err != nil {
+				return nil, err
+			}
+			var nums [4]int64
+			for i := range nums {
+				nums[i], err = alter.AsInt(args[i+1])
+				if err != nil {
+					return nil, err
+				}
+			}
+			r, err := model.Partition(model.StripeKind(s), int(nums[0]), int(nums[1]), int(nums[2]), int(nums[3]))
+			if err != nil {
+				return nil, err
+			}
+			return alter.Region(r), nil
+		}},
+		{Name: "intersect", Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 2 {
+				return nil, fmt.Errorf("wants (intersect r1 r2)")
+			}
+			r1, err := asRegion(args[0])
+			if err != nil {
+				return nil, err
+			}
+			r2, err := asRegion(args[1])
+			if err != nil {
+				return nil, err
+			}
+			out := r1.Intersect(r2)
+			if out.Empty() {
+				return nil, nil
+			}
+			return alter.Region(out), nil
+		}},
+		{Name: "region-elems", Fn: func(_ *alter.Interp, args alter.List) (alter.Value, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("wants (region-elems r)")
+			}
+			r, err := asRegion(args[0])
+			if err != nil {
+				return nil, err
+			}
+			return int64(r.Elems()), nil
+		}},
+	}
+}
+
+// emitCalls write the run's two output texts.
+func emitCalls() []*alter.Builtin {
+	return []*alter.Builtin{
+		call("emit", func(b *binding, args alter.List) (alter.Value, error) {
+			for _, a := range args {
+				alter.WriteDisplay(&b.table, a)
+			}
+			b.table.WriteByte('\n')
 			return nil, nil
-		}
-		return regionToList(out), nil
-	})
-	env.Register("region-elems", func(args alter.List) (alter.Value, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("wants (region-elems r)")
-		}
-		r, err := listToRegion(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return int64(r.Elems()), nil
-	})
-
-	// --- output streams -----------------------------------------------------
-
-	env.Register("emit", func(args alter.List) (alter.Value, error) {
-		for _, a := range args {
-			alter.WriteDisplay(tableOut, a)
-		}
-		tableOut.WriteByte('\n')
-		return nil, nil
-	})
-	env.Register("emit-format", func(args alter.List) (alter.Value, error) {
-		if err := alter.FormatTo(tableOut, args); err != nil {
-			return nil, err
-		}
-		tableOut.WriteByte('\n')
-		return nil, nil
-	})
-	env.Register("emit-src", func(args alter.List) (alter.Value, error) {
-		for _, a := range args {
-			alter.WriteDisplay(glueOut, a)
-		}
-		glueOut.WriteByte('\n')
-		return nil, nil
-	})
+		}),
+		call("emit-format", func(b *binding, args alter.List) (alter.Value, error) {
+			if err := alter.FormatTo(&b.table, args); err != nil {
+				return nil, err
+			}
+			b.table.WriteByte('\n')
+			return nil, nil
+		}),
+		call("emit-src", func(b *binding, args alter.List) (alter.Value, error) {
+			for _, a := range args {
+				alter.WriteDisplay(&b.glue, a)
+			}
+			b.glue.WriteByte('\n')
+			return nil, nil
+		}),
+	}
 }
 
-// regionToList renders a region as (r0 c0 rows cols).
-func regionToList(r model.Region) alter.List {
-	return alter.List{int64(r.R0), int64(r.C0), int64(r.Rows), int64(r.Cols)}
-}
-
-// listToRegion parses (r0 c0 rows cols).
-func listToRegion(v alter.Value) (model.Region, error) {
+// asRegion reads a region: the datum, or the list (r0 c0 rows cols).
+func asRegion(v alter.Value) (model.Region, error) {
+	if r, ok := v.(alter.Region); ok {
+		return model.Region(r), nil
+	}
 	l, err := alter.AsList(v)
 	if err != nil || len(l) != 4 {
 		return model.Region{}, fmt.Errorf("expected region (r0 c0 rows cols), got %s", alter.Format(v))
 	}
-	nums := make([]int, 4)
+	var nums [4]int
 	for i, e := range l {
 		n, err := alter.AsInt(e)
 		if err != nil {

@@ -15,9 +15,7 @@ func runEmit(t *testing.T, in Input, script, builtin string) (string, string) {
 	if err != nil {
 		t.Fatalf("%s: %v", script, err)
 	}
-	interp := alter.New()
-	var table, glue strings.Builder
-	BindModel(interp, in, &table, &glue)
+	interp, table, _ := NewInterp(in)
 	if _, err := interp.Run(program); err != nil {
 		msg := err.Error()
 		if !strings.HasPrefix(msg, builtin+": ") {

@@ -28,9 +28,47 @@ func wideInput(t *testing.T) Input {
 	return Input{App: app, Mapping: m, Platform: platforms.Mercury(), NumNodes: 1024}
 }
 
-// TestGenerateConcurrent: every Generate shares one compiled StandardScript.
-// Goroutines generating for two different applications at once must each get
-// what a serial run gets.
+// shadowingScript is the standard generator run with map and intersect
+// replaced by the script's own — a define of a base-library name and a set!
+// of a standard call, both of which compute what the originals do — and
+// both broken once the tables are emitted. The definitions live in the run's
+// interpreter: the library every run shares is never written, so this
+// script's output is Generate's, and so is every later run's.
+const shadowingScript = `
+(define (map f l) (if (null? l) '() (cons (f (first l)) (map f (rest l)))))
+(set! intersect (let ((real intersect)) (lambda (a b) (real b a))))
+` + StandardScript + `
+(define map 0)
+(set! intersect (lambda (a b) nil))
+`
+
+// TestShadowingStaysInTheRun: a run that defines and set!s library names
+// writes the tables Generate writes, and the next Generate is unchanged.
+func TestShadowingStaysInTheRun(t *testing.T) {
+	in := wideInput(t)
+	want, err := Generate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowed, err := GenerateWith(in, shadowingScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Generate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, out := range map[string]*Output{"the shadowing run": shadowed, "the Generate after it": after} {
+		if out.TableSource != want.TableSource || out.GlueSource != want.GlueSource {
+			t.Errorf("%s writes other text than Generate", name)
+		}
+	}
+}
+
+// TestGenerateConcurrent: every Generate shares one compiled StandardScript
+// and one library of standard calls. Goroutines generating for two different
+// applications at once, half of the calls through shadowingScript, must each
+// get what a serial Generate gets.
 func TestGenerateConcurrent(t *testing.T) {
 	var inputs [2]Input
 	var want [2]*Output
@@ -55,7 +93,13 @@ func TestGenerateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
 				which := (g + k) % 2
-				out, err := Generate(inputs[which])
+				var out *Output
+				var err error
+				if (g+k/2)%2 == 0 {
+					out, err = Generate(inputs[which])
+				} else {
+					out, err = GenerateWith(inputs[which], shadowingScript)
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -100,8 +144,10 @@ func allocs(t *testing.T, fn func() error) (mallocs, bytes uint64) {
 // 23 283 and 1.74 MB with Alter reusing the frames no closure captures and
 // Verify sizing its scratch once per buffer; 10 553 and 0.98 MB with every
 // table line formatted straight into the table text (emit-format), which
-// grows by doubling. The bars leave room for the race detector's
-// bookkeeping (10 624 and 1.03 MB).
+// grows by doubling; 5 462 and 0.72 MB with the library of standard calls
+// built once per process and a region one datum, not a four-element list.
+// The bars are those plus under 10 %, which holds the race detector's
+// bookkeeping (5 533 and 0.76 MB).
 func TestAllocCeilingGenerate(t *testing.T) {
 	in := wideInput(t)
 	mallocs, bytes := allocs(t, func() error {
@@ -109,11 +155,41 @@ func TestAllocCeilingGenerate(t *testing.T) {
 		return err
 	})
 	t.Logf("%d allocations, %d bytes", mallocs, bytes)
-	if mallocs > 12_000 {
-		t.Errorf("Generate on the 1024-node shape makes %d allocations, want <= 12000", mallocs)
+	if mallocs > 6_000 {
+		t.Errorf("Generate on the 1024-node shape makes %d allocations, want <= 6000", mallocs)
 	}
-	if bytes > 1_100_000 {
-		t.Errorf("Generate on the 1024-node shape allocates %d bytes, want <= 1.1 MB", bytes)
+	if bytes > 790_000 {
+		t.Errorf("Generate on the 1024-node shape allocates %d bytes, want <= 790 kB", bytes)
+	}
+}
+
+// TestAllocCeilingGenerateServeShape pins a cold Generate of the shape the
+// daemon generates for most requests — fft2d 256, 4 threads a stage, 8 CSPI
+// nodes, spread mapping — where the environment is a larger share than on
+// the 1024-node shape: 817 allocations and 42.4 kB when every Generate
+// registered the base library and the standard calls afresh and a region
+// was a list; 526 and 29.6 kB with one library per process and the region
+// datum. The bars are those plus under 10 %.
+func TestAllocCeilingGenerateServeShape(t *testing.T) {
+	app, err := apps.FFT2D(256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.SpreadParallel(app, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Input{App: app, Mapping: m, Platform: platforms.CSPI(), NumNodes: 8}
+	mallocs, bytes := allocs(t, func() error {
+		_, err := Generate(in)
+		return err
+	})
+	t.Logf("%d allocations, %d bytes", mallocs, bytes)
+	if mallocs > 575 {
+		t.Errorf("Generate on the serve shape makes %d allocations, want <= 575", mallocs)
+	}
+	if bytes > 32_500 {
+		t.Errorf("Generate on the serve shape allocates %d bytes, want <= 32.5 kB", bytes)
 	}
 }
 

@@ -256,19 +256,18 @@ func GenerateWith(in Input, script string) (*Output, error) {
 
 // generate runs a compiled generator over a validated input.
 func generate(in Input, program *alter.Program) (*Output, error) {
-	interp := alter.New()
+	interp, table, glue := NewInterp(in)
 	interp.MaxSteps = 50_000_000 // generation over large models is bounded work
-	var tableSrc, glueSrc strings.Builder
-	BindModel(interp, in, &tableSrc, &glueSrc)
 	if _, err := interp.Run(program); err != nil {
 		return nil, fmt.Errorf("gluegen: generator script failed: %w", err)
 	}
-	tables, err := ParseTableSource(tableSrc.String())
+	tableSrc := table.String()
+	tables, err := ParseTableSource(tableSrc)
 	if err != nil {
 		return nil, err
 	}
 	if err := tables.Verify(); err != nil {
 		return nil, fmt.Errorf("gluegen: generated tables failed verification: %w", err)
 	}
-	return &Output{Tables: tables, TableSource: tableSrc.String(), GlueSource: glueSrc.String()}, nil
+	return &Output{Tables: tables, TableSource: tableSrc, GlueSource: glue.String()}, nil
 }

@@ -267,7 +267,7 @@ func refParseXfer(t *Tables, l alter.List) error {
 	if x.DstThread, err = refIntAt(l, 3); err != nil {
 		return err
 	}
-	if x.Region, err = listToRegion(l[4]); err != nil {
+	if x.Region, err = asRegion(l[4]); err != nil {
 		return err
 	}
 	buf := &t.Buffers[bufID]
