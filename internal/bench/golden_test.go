@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/fingerprint.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 const goldenPath = "testdata/fingerprint.golden"
 

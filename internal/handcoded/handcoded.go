@@ -104,9 +104,7 @@ func phase(r *mpi.Rank, name string, iter int, f func()) {
 	}
 	start := r.Proc().Now()
 	f()
-	tr.Phase(trace.LayerHand, r.Node().ID,
-		trace.ProcTrack(r.Proc().Name(), r.Proc().PID()),
-		name, iter, start, r.Proc().Now())
+	tr.Phase(trace.LayerHand, r.Node().ID, tr.Track(r.Proc()), name, iter, start, r.Proc().Now())
 }
 
 const (

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // Reserved tag bases keep collective traffic out of the user tag space.
 // User code must use tags below TagUserLimit.
@@ -319,7 +315,7 @@ func (r *Rank) collSpan(name string, f func()) {
 	}
 	start := r.proc.Now()
 	f()
-	tr.Collective(r.node.ID, trace.ProcTrack(r.proc.Name(), r.proc.PID()), name, start, r.proc.Now())
+	tr.Collective(r.node.ID, tr.Track(r.proc), name, start, r.proc.Now())
 }
 
 // Barrier synchronises all ranks (dissemination barrier).

@@ -31,6 +31,7 @@ type runner struct {
 	// bounded per-run budget, so the pipeline depth can never exceed
 	// BufferSlots + MaxCreditOvercommit.
 	overcommit  []int
+	names       []xferNames                 // trace names, on a traced run only
 	localQueues []*sim.Chan[*funclib.Block] // optimised node-local handoffs; nil elsewhere
 	iterBarrier *sim.Barrier                // non-nil in Sequential mode
 	maxOverrun  sim.Duration

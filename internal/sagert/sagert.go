@@ -292,6 +292,9 @@ func run(tables *gluegen.Tables, pl machine.Platform, opts Options, hooks runHoo
 	if mach.Faults().Enabled() {
 		r.overcommit = make([]int, len(xp.Edges))
 	}
+	if mach.Trace().Enabled() {
+		r.nameXfers()
+	}
 	r.buildLocalQueues(k)
 	r.collectOutput()
 	if o.Sequential {

@@ -91,9 +91,7 @@ const (
 func (t *thread) init(r *runner, ti int, rank *mpi.Rank) {
 	tp := &r.plan.Threads[ti]
 	t.r, t.ti, t.tp, t.rank = r, ti, tp, rank
-	if r.mach.Trace().Enabled() {
-		t.track = trace.ProcTrack(rank.Proc().Name(), rank.Proc().PID())
-	}
+	t.track = r.mach.Trace().Track(rank.Proc())
 	t.inBlocks = make(map[string]*funclib.Block, len(tp.Ins))
 	t.outBlocks = make(map[string]*funclib.Block, len(tp.Outs))
 	t.ctx = contextOf(tp, 0)
@@ -285,9 +283,9 @@ func (t *thread) step(p *sim.Proc) bool {
 				// A resilient receive timed out: record it and re-arm. The
 				// message is guaranteed to come eventually (the MPI retry
 				// protocol forces delivery after its attempt budget).
-				tr.FaultSpanOn(tp.Node, t.track,
-					fmt.Sprintf("recv-timeout b%d t%d", e.Buf, e.X.SrcThread),
-					t.tryStart, p.Now())
+				if tr.Enabled() {
+					tr.FaultSpanOn(tp.Node, t.track, r.names[t.ei].recvTimeout, t.tryStart, p.Now())
+				}
 				if t.park(t.recvBegin(p, e), waitRank) {
 					return true
 				}
@@ -316,8 +314,7 @@ func (t *thread) step(p *sim.Proc) bool {
 			}
 			t.got = nil
 			if tr.Enabled() {
-				tr.Xfer(trace.LayerSage, tp.Node, t.track,
-					fmt.Sprintf("recv b%d t%d", e.Buf, e.X.SrcThread),
+				tr.Xfer(trace.LayerSage, tp.Node, t.track, r.names[t.ei].recv,
 					e.X.Bytes, t.iter, t.xferStart, p.Now())
 			}
 			// Return a pipelining credit to the producer; then the next
@@ -421,8 +418,9 @@ func (t *thread) step(p *sim.Proc) bool {
 				// credit — the credit stays in flight and satisfies a later
 				// wait instantly, so the pipeline depth overshoot is bounded
 				// by the budget and drains by itself. Otherwise re-arm.
-				tr.FaultSpanOn(tp.Node, t.track,
-					fmt.Sprintf("credit-timeout b%d", e.Buf), t.tryStart, p.Now())
+				if tr.Enabled() {
+					tr.FaultSpanOn(tp.Node, t.track, r.names[t.ei].creditTimeout, t.tryStart, p.Now())
+				}
 				if r.overcommit[t.ei] >= r.opts.Resilience.MaxCreditOvercommit {
 					if t.park(t.creditBegin(p, e), waitRank) {
 						return true
@@ -430,13 +428,12 @@ func (t *thread) step(p *sim.Proc) bool {
 					continue
 				}
 				r.overcommit[t.ei]++
-				tr.FaultPoint(tp.Node,
-					fmt.Sprintf("overcommit b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread),
-					p.Now())
+				if tr.Enabled() {
+					tr.FaultPoint(tp.Node, r.names[t.ei].overcommit, p.Now())
+				}
 			}
 			if tr.Enabled() && p.Now() > t.creditStart {
-				tr.Phase(trace.LayerSage, tp.Node, t.track,
-					fmt.Sprintf("credit b%d", e.Buf),
+				tr.Phase(trace.LayerSage, tp.Node, t.track, r.names[t.ei].credit,
 					t.iter, t.creditStart, p.Now())
 			}
 			t.pc = stSend
@@ -476,8 +473,7 @@ func (t *thread) step(p *sim.Proc) bool {
 		case stSent:
 			if tr.Enabled() {
 				e := &edges[t.ei]
-				tr.Xfer(trace.LayerSage, tp.Node, t.track,
-					fmt.Sprintf("send b%d t%d", e.Buf, e.X.DstThread),
+				tr.Xfer(trace.LayerSage, tp.Node, t.track, r.names[t.ei].send,
 					e.X.Bytes, t.iter, t.xferStart, p.Now())
 			}
 			t.xi, t.pc = t.xi+1, stOutXfer
@@ -490,6 +486,31 @@ func (t *thread) step(p *sim.Proc) bool {
 			if r.iterBarrier != nil && t.park(r.iterBarrier.WaitBegin(p), waitBarrier) {
 				return true
 			}
+		}
+	}
+}
+
+// xferNames are the trace names of one edge's spans: the consumer's
+// receive and the producer's send and credit wait, and their fault names.
+type xferNames struct {
+	recv, send, credit                     string
+	recvTimeout, creditTimeout, overcommit string // in resilient mode only
+}
+
+// nameXfers builds every edge's trace names once per traced run, so a
+// transfer's span formats nothing.
+func (r *runner) nameXfers() {
+	resilient := r.mach.Faults().Enabled()
+	r.names = make([]xferNames, len(r.plan.Edges))
+	for ei := range r.plan.Edges {
+		e, n := &r.plan.Edges[ei], &r.names[ei]
+		n.recv = fmt.Sprintf("recv b%d t%d", e.Buf, e.X.SrcThread)
+		n.send = fmt.Sprintf("send b%d t%d", e.Buf, e.X.DstThread)
+		n.credit = fmt.Sprintf("credit b%d", e.Buf)
+		if resilient {
+			n.recvTimeout = fmt.Sprintf("recv-timeout b%d t%d", e.Buf, e.X.SrcThread)
+			n.creditTimeout = fmt.Sprintf("credit-timeout b%d", e.Buf)
+			n.overcommit = fmt.Sprintf("overcommit b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread)
 		}
 	}
 }

@@ -163,9 +163,7 @@ func (r *runner) newThreadState(tp *plan.Thread, p *sim.Proc) *threadState {
 	st.my = st.cur[tp.Fn.ID][tp.Index]
 	st.rank = r.world.Attach(st.my, p)
 	st.node = r.mach.Node(st.my)
-	if r.mach.Trace().Enabled() {
-		st.track = trace.ProcTrack(p.Name(), p.PID())
-	}
+	st.track = r.mach.Trace().Track(p)
 	st.ins = make(map[string]*funclib.Block, len(tp.Ins))
 	st.outs = make(map[string]*funclib.Block, len(tp.Outs))
 	for pi := range tp.Ins {

@@ -23,7 +23,7 @@ const (
 )
 
 // evRef points at one recorded event of a run without copying it: kind
-// selects the collector's spans, instants or gauges and idx the element.
+// selects the collector's spans, instants or gauges and idx the record.
 type evRef struct {
 	node       int
 	track      string
@@ -34,17 +34,17 @@ type evRef struct {
 
 // eventRefs appends a reference to every span, instant and gauge of c.
 func (c *Collector) eventRefs(refs []evRef) []evRef {
-	refs = slices.Grow(refs, len(c.spans)+len(c.instants)+len(c.gauges))
-	for i := range c.spans {
-		s := &c.spans[i]
+	refs = slices.Grow(refs, c.spans.len()+c.instants.len()+c.gauges.len())
+	for i := range c.spans.len() {
+		s := c.spans.at(i)
 		refs = append(refs, evRef{s.Node, s.Track, s.Start, s.End, evSpan, int32(i)})
 	}
-	for i := range c.instants {
-		in := &c.instants[i]
+	for i := range c.instants.len() {
+		in := c.instants.at(i)
 		refs = append(refs, evRef{in.Node, in.Track, in.At, in.At, evInstant, int32(i)})
 	}
-	for i := range c.gauges {
-		g := &c.gauges[i]
+	for i := range c.gauges.len() {
+		g := c.gauges.at(i)
 		refs = append(refs, evRef{g.Node, g.Track, g.At, g.At, evGauge, int32(i)})
 	}
 	return refs
@@ -230,7 +230,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 			}
 			switch r.kind {
 			case evSpan:
-				s := &c.spans[r.idx]
+				s := c.spans.at(int(r.idx))
 				cw.head(s.Name, s.Layer, 'X', usec(s.Start), float64(s.End.Sub(s.Start))/1e3, pid, tid, "")
 				if s.Bytes >= 0 {
 					cw.intArg("bytes", s.Bytes)
@@ -242,11 +242,11 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 					cw.intArg("queue_depth", int64(s.Depth))
 				}
 			case evInstant:
-				in := &c.instants[r.idx]
+				in := c.instants.at(int(r.idx))
 				cw.head(in.Name, in.Layer, 'i', usec(in.At), 0, pid, tid, "t")
 				cw.intArg("value", int64(in.Value))
 			default:
-				g := &c.gauges[r.idx]
+				g := c.gauges.at(int(r.idx))
 				cw.head(g.Name, g.Layer, 'C', usec(g.At), 0, pid, tid, "")
 				cw.intArg("value", int64(g.Value))
 			}

@@ -114,15 +114,15 @@ func referenceChrome(t *Trace, w io.Writer) error {
 			g          Gauge
 		}
 		tracks := map[trackKey][]trackEv{}
-		for _, s := range c.spans {
+		for _, s := range c.spans.appendTo(nil) {
 			k := trackKey{s.Node, s.Track}
 			tracks[k] = append(tracks[k], trackEv{start: s.Start, end: s.End, span: true, s: s})
 		}
-		for _, in := range c.instants {
+		for _, in := range c.instants.appendTo(nil) {
 			k := trackKey{in.Node, in.Track}
 			tracks[k] = append(tracks[k], trackEv{start: in.At, end: in.At, in: in})
 		}
-		for _, g := range c.gauges {
+		for _, g := range c.gauges.appendTo(nil) {
 			k := trackKey{g.Node, g.Track}
 			tracks[k] = append(tracks[k], trackEv{start: g.At, end: g.At, gauge: true, g: g})
 		}

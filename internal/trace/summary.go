@@ -27,7 +27,7 @@ func (t *Trace) WriteSummary(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "== %s ==\n", label)
 		fmt.Fprintf(w, "elapsed %v virtual, %d kernel events, %d spans\n",
-			c.elapsed, c.dispatched, len(c.spans))
+			c.elapsed, c.dispatched, c.spans.len())
 		if len(c.nodes) > 0 {
 			fmt.Fprintf(w, "%5s %8s %12s  %-14s %-14s %-14s %-14s %6s\n",
 				"node", "msgs", "bytes", "compute", "copy", "comm", "idle", "util")

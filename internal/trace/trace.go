@@ -195,18 +195,30 @@ type Collector struct {
 	// instants, which can enlarge traces by orders of magnitude.
 	Verbose bool
 
-	spans       []Span
-	instants    []Instant
-	gauges      []Gauge
+	spans       eventLog[Span]
+	instants    eventLog[Instant]
+	gauges      eventLog[Gauge]
 	nodes       []NodeTotals
 	links       map[LinkKey]*LinkTotals
-	waits       map[string]*WaitTotals
+	waits       map[waitKey]*WaitTotals
+	waitNames   map[waitKey]string // "wait:kind object" per full object
 	collectives map[string]int
 	faults      map[string]int
 	streams     map[string]int
-	procStart   map[int]sim.Time
+	procs       map[int]liveProc
 	dispatched  uint64
 	elapsed     sim.Time
+}
+
+// waitKey is a wait's kind (a single word: recv, acquire, barrier) and its
+// object.
+type waitKey struct{ kind, obj string }
+
+// liveProc is a live process: its track, built once, and its start time.
+type liveProc struct {
+	track   string
+	start   sim.Time
+	started bool
 }
 
 // New returns an empty collector for one simulation run.
@@ -214,11 +226,12 @@ func New(label string) *Collector {
 	return &Collector{
 		Label:       label,
 		links:       map[LinkKey]*LinkTotals{},
-		waits:       map[string]*WaitTotals{},
+		waits:       map[waitKey]*WaitTotals{},
+		waitNames:   map[waitKey]string{},
 		collectives: map[string]int{},
 		faults:      map[string]int{},
 		streams:     map[string]int{},
-		procStart:   map[int]sim.Time{},
+		procs:       map[int]liveProc{},
 	}
 }
 
@@ -231,7 +244,7 @@ func (c *Collector) Span(layer Layer, node int, track, name string, start, end s
 	if c == nil {
 		return
 	}
-	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans.add(Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -241,7 +254,7 @@ func (c *Collector) Phase(layer Layer, node int, track, name string, iter int, s
 	if c == nil {
 		return
 	}
-	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans.add(Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: iter, Depth: -1})
 }
 
@@ -250,7 +263,7 @@ func (c *Collector) Xfer(layer Layer, node int, track, name string, bytes int, i
 	if c == nil {
 		return
 	}
-	c.spans = append(c.spans, Span{Layer: layer, Node: node, Track: track, Name: name,
+	c.spans.add(Span{Layer: layer, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: int64(bytes), Iter: iter, Depth: -1})
 }
 
@@ -261,7 +274,7 @@ func (c *Collector) Collective(node int, track, name string, start, end sim.Time
 		return
 	}
 	c.collectives[name]++
-	c.spans = append(c.spans, Span{Layer: LayerMPI, Node: node, Track: track, Name: name,
+	c.spans.add(Span{Layer: LayerMPI, Node: node, Track: track, Name: name,
 		Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -283,7 +296,7 @@ func (c *Collector) FaultPoint(node int, name string, at sim.Time) {
 		return
 	}
 	c.faults[eventKind(name)]++
-	c.instants = append(c.instants, Instant{Layer: LayerFault, Node: node,
+	c.instants.add(Instant{Layer: LayerFault, Node: node,
 		Track: FaultTrack, Name: name, At: at})
 }
 
@@ -302,7 +315,7 @@ func (c *Collector) FaultSpanOn(node int, track, name string, start, end sim.Tim
 		return
 	}
 	c.faults[eventKind(name)]++
-	c.spans = append(c.spans, Span{Layer: LayerFault, Node: node, Track: track,
+	c.spans.add(Span{Layer: LayerFault, Node: node, Track: track,
 		Name: name, Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -339,7 +352,7 @@ func (c *Collector) StreamPoint(node int, name string, at sim.Time) {
 		return
 	}
 	c.streams[eventKind(name)]++
-	c.instants = append(c.instants, Instant{Layer: LayerStream, Node: node,
+	c.instants.add(Instant{Layer: LayerStream, Node: node,
 		Track: StreamTrack, Name: name, At: at})
 }
 
@@ -352,7 +365,7 @@ func (c *Collector) StreamSpan(node int, track, name string, start, end sim.Time
 		return
 	}
 	c.streams[eventKind(name)]++
-	c.spans = append(c.spans, Span{Layer: LayerStream, Node: node, Track: track,
+	c.spans.add(Span{Layer: LayerStream, Node: node, Track: track,
 		Name: name, Start: start, End: end, Bytes: -1, Iter: -1, Depth: -1})
 }
 
@@ -364,7 +377,7 @@ func (c *Collector) StreamGauge(node int, track, name string, value int, at sim.
 		return
 	}
 	c.streams[eventKind(name)]++
-	c.gauges = append(c.gauges, Gauge{Layer: LayerStream, Node: node, Track: track,
+	c.gauges.add(Gauge{Layer: LayerStream, Node: node, Track: track,
 		Name: name, At: at, Value: value})
 }
 
@@ -392,12 +405,12 @@ func (c *Collector) Streams() []struct {
 	return out
 }
 
-// Gauges returns the recorded counter samples in recording order.
+// Gauges returns a copy of the recorded counter samples in recording order.
 func (c *Collector) Gauges() []Gauge {
 	if c == nil {
 		return nil
 	}
-	return c.gauges
+	return c.gauges.appendTo(nil)
 }
 
 // LinkTransfer accumulates per-link traffic counters (called by the machine
@@ -440,12 +453,13 @@ func (c *Collector) Elapsed() sim.Time { return c.elapsed }
 // Dispatched reports the kernel event count recorded by Finish.
 func (c *Collector) Dispatched() uint64 { return c.dispatched }
 
-// Spans returns the recorded spans in recording order (completion order).
+// Spans returns a copy of the recorded spans in recording order
+// (completion order).
 func (c *Collector) Spans() []Span {
 	if c == nil {
 		return nil
 	}
-	return c.spans
+	return c.spans.appendTo(nil)
 }
 
 // Nodes returns the recorded per-node totals.
@@ -494,25 +508,21 @@ func (c *Collector) Waits() []struct {
 	if c == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(c.waits))
-	for k := range c.waits {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := c.waits[keys[i]], c.waits[keys[j]]
-		if a.Total != b.Total {
-			return a.Total > b.Total
-		}
-		return keys[i] < keys[j]
-	})
 	out := make([]struct {
 		Key string
 		WaitTotals
-	}, len(keys))
-	for i, k := range keys {
-		out[i].Key = k
-		out[i].WaitTotals = *c.waits[k]
+	}, len(c.waits))
+	i := 0
+	for k, wt := range c.waits {
+		out[i].Key, out[i].WaitTotals = k.kind+" "+k.obj, *wt
+		i++
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Key < out[j].Key
+	})
 	return out
 }
 
@@ -545,13 +555,35 @@ func (c *Collector) Collectives() []struct {
 // The Collector is the standard implementation of the sim package's Tracer
 // interface; Machine.SetTrace installs it on the kernel.
 
+// Track returns process p's track, ProcTrack(p.Name(), p.PID()), built
+// once per process: every layer's spans of one simulated thread share it.
+// The nil collector returns "".
+func (c *Collector) Track(p *sim.Proc) string {
+	if c == nil {
+		return ""
+	}
+	return c.live(p.PID(), p.Name()).track
+}
+
+// live returns process pid's entry, making it on first sight.
+func (c *Collector) live(pid int, name string) liveProc {
+	pr, ok := c.procs[pid]
+	if !ok {
+		pr.track = ProcTrack(name, pid)
+		c.procs[pid] = pr
+	}
+	return pr
+}
+
 // ProcStart implements sim.Tracer: remember when the process began so
 // ProcEnd can emit its lifetime span.
 func (c *Collector) ProcStart(pid int, name string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	c.procStart[pid] = at
+	pr := c.live(pid, name)
+	pr.start, pr.started = at, true
+	c.procs[pid] = pr
 }
 
 // ProcEnd implements sim.Tracer: emit the process lifetime span.
@@ -559,14 +591,14 @@ func (c *Collector) ProcEnd(pid int, name string, at sim.Time) {
 	if c == nil {
 		return
 	}
-	start, ok := c.procStart[pid]
-	if !ok {
-		start = at
+	pr := c.live(pid, name)
+	if !pr.started {
+		pr.start = at
 	}
-	delete(c.procStart, pid)
-	c.spans = append(c.spans, Span{Layer: LayerSim, Node: NodeKernel,
-		Track: ProcTrack(name, pid), Name: "proc " + name,
-		Start: start, End: at, Bytes: -1, Iter: -1, Depth: -1})
+	delete(c.procs, pid)
+	c.spans.add(Span{Layer: LayerSim, Node: NodeKernel,
+		Track: pr.track, Name: "proc " + name,
+		Start: pr.start, End: at, Bytes: -1, Iter: -1, Depth: -1})
 }
 
 // Wait implements sim.Tracer: a process blocked from from to to on a channel
@@ -585,19 +617,23 @@ func (c *Collector) Wait(pid int, proc, kind, object string, from, to sim.Time, 
 	if i := strings.IndexByte(counterObj, '('); i > 0 {
 		counterObj = counterObj[:i]
 	}
-	key := kind + " " + counterObj
-	wt := c.waits[key]
+	wt := c.waits[waitKey{kind, counterObj}]
 	if wt == nil {
 		wt = &WaitTotals{}
-		c.waits[key] = wt
+		c.waits[waitKey{kind, counterObj}] = wt
 	}
 	wt.Count++
 	wt.Total += to.Sub(from)
 	if kind == "acquire" && !c.Verbose {
 		return
 	}
-	c.spans = append(c.spans, Span{Layer: LayerSim, Node: NodeKernel,
-		Track: ProcTrack(proc, pid), Name: "wait:" + kind + " " + object,
+	name, ok := c.waitNames[waitKey{kind, object}]
+	if !ok {
+		name = "wait:" + kind + " " + object
+		c.waitNames[waitKey{kind, object}] = name
+	}
+	c.spans.add(Span{Layer: LayerSim, Node: NodeKernel,
+		Track: c.live(pid, proc).track, Name: name,
 		Start: from, End: to, Bytes: -1, Iter: -1, Depth: queueDepth})
 }
 
@@ -607,7 +643,7 @@ func (c *Collector) ChanOp(op, name string, qlen int, at sim.Time) {
 	if c == nil || !c.Verbose {
 		return
 	}
-	c.instants = append(c.instants, Instant{Layer: LayerSim, Node: NodeKernel,
+	c.instants.add(Instant{Layer: LayerSim, Node: NodeKernel,
 		Track: "chan " + name, Name: op, At: at, Value: qlen})
 }
 
@@ -617,7 +653,7 @@ func (c *Collector) ResourceOp(op, name string, inUse, capacity, queued int, at 
 	if c == nil || !c.Verbose {
 		return
 	}
-	c.instants = append(c.instants, Instant{Layer: LayerSim, Node: NodeKernel,
+	c.instants.add(Instant{Layer: LayerSim, Node: NodeKernel,
 		Track: "res " + name, Name: fmt.Sprintf("%s %d/%d", op, inUse, capacity), At: at, Value: queued})
 }
 

@@ -198,14 +198,14 @@ func ReadChrome(data []byte) (*Trace, error) {
 		at := sim.Time(math.Round(*ev.Ts * 1e3))
 		switch ev.Ph {
 		case "X":
-			p.c.spans = append(p.c.spans, Span{Layer: Layer(ev.Cat), Node: p.node, Track: name, Name: *ev.Name,
+			p.c.spans.add(Span{Layer: Layer(ev.Cat), Node: p.node, Track: name, Name: *ev.Name,
 				Start: at, End: at.Add(sim.Duration(math.Round(ev.Dur * 1e3))),
 				Bytes: args.Bytes, Iter: args.Iter, Depth: args.QueueDepth})
 		case "i":
-			p.c.instants = append(p.c.instants, Instant{Layer: Layer(ev.Cat), Node: p.node, Track: name,
+			p.c.instants.add(Instant{Layer: Layer(ev.Cat), Node: p.node, Track: name,
 				Name: *ev.Name, At: at, Value: args.Value})
 		case "C":
-			p.c.gauges = append(p.c.gauges, Gauge{Layer: Layer(ev.Cat), Node: p.node, Track: name,
+			p.c.gauges.add(Gauge{Layer: Layer(ev.Cat), Node: p.node, Track: name,
 				Name: *ev.Name, At: at, Value: args.Value})
 		default:
 			return fmt.Errorf("trace: event %d (%s) has phase %q, which WriteChrome never writes", i, *ev.Name, ev.Ph)
