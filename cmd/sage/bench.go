@@ -4,24 +4,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"repro/internal/apps"
-	"repro/internal/atot"
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/platforms"
 	"repro/internal/trace"
 )
 
 // cmdBench regenerates the paper's evaluation tables and figures (see
-// DESIGN.md's experiment index).
+// EXPERIMENTS.md); each experiment is one entry of experiments.Experiments.
 //
 //	sage bench -experiment table1              # Table 1.0 at paper scale
-//	sage bench -experiment table1 -quick       # reduced protocol
 //	sage bench -experiment table1 -parallel 4  # 4-worker simulation pool
-//	sage bench -experiment all -quick
+//	sage bench -experiment all
 //
+// Every run follows §3.3's 100 iterations once: the simulator is
+// deterministic, so the paper's ten executions would print the same numbers.
 // Independent simulation runs fan out across a bounded worker pool
 // (-parallel, default GOMAXPROCS). Results are identical at any pool size —
 // all timing is virtual — so -parallel trades host wall-clock only.
@@ -41,9 +40,7 @@ import (
 // internal/bench's committed golden.
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flags("bench", stderr)
-	exp := fs.String("experiment", "table1", "experiment to run (table1|twonode|aggregate|crossvendor|portability|genstudy|pipeline|mapping|heterogeneous|realtime|scaling|faultsweep|all)")
-	quick := fs.Bool("quick", false, "reduced sizes and protocol for a fast smoke run")
-	paper := fs.Bool("paper", false, "use the literal §3.3 protocol (10 executions x 100 iterations); slow, and — the simulator being deterministic — numerically identical to the default reduced protocol")
+	exp := fs.String("experiment", "table1", "experiment to run ("+experimentNames()+"|all)")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS, 1 = sequential); output is identical at any setting")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of every simulation run to this file")
 	traceSummary := fs.Bool("trace-summary", false, "print a per-node/per-link trace summary (requires or implies tracing)")
@@ -52,25 +49,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Default: paper sizes, reduced repetition count. Averages are exact
-	// because virtual timing is deterministic across repetitions.
-	proto := experiments.Protocol{Repetitions: 1, Iterations: 5}
-	if *paper {
-		proto = experiments.Paper()
-	}
-	sizes := []int{256, 512, 1024}
-	nodes := []int{4, 8}
-	anomalyN := 512
-	vendorN := 1024
-	vendorNodes := []int{2, 4, 8, 16}
-	if *quick {
-		proto = experiments.Quick()
-		sizes = []int{64, 128}
-		anomalyN = 128
-		vendorN = 128
-		vendorNodes = []int{4, 8}
-	}
-	proto.Parallelism = *parallel
+	proto := experiments.Protocol{Parallelism: *parallel}
 	if *faultsPath != "" {
 		src, err := os.ReadFile(*faultsPath)
 		if err != nil {
@@ -87,100 +66,37 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 		tr = trace.NewTrace()
 		proto.Trace = tr
 	}
-	tblCfg := experiments.Table1Config{Sizes: sizes, Nodes: nodes, Protocol: proto}
-
-	// formatted is what every experiment returns: a table to print.
-	type formatted interface{ Format() string }
-	show := func(t formatted, err error) error {
-		if err == nil {
-			fmt.Fprintln(stdout, t.Format())
-		}
-		return err
-	}
-	runOne := func(name string) error {
-		switch name {
-		case "table1":
-			return show(experiments.RunTable1(tblCfg))
-		case "twonode":
-			t, err := experiments.RunTwoNode(platforms.CSPI(), anomalyN, proto)
-			if err := show(t, err); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "two-node configuration is the worst: %v (paper §3.4 observed the same)\n\n", t.WorstIsTwoNodes())
-		case "aggregate":
-			return show(experiments.RunAggregate(tblCfg))
-		case "crossvendor":
-			return show(experiments.RunCrossVendor(vendorN, vendorNodes, proto))
-		case "portability":
-			p, err := experiments.RunPortability(experiments.AppFFT2D, min(512, vendorN), 8, experiments.Quick())
-			if err := show(p, err); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "identical output on every platform: %v\n\n", p.AllVerified())
-		case "genstudy":
-			for _, kind := range []experiments.AppKind{experiments.AppFFT2D, experiments.AppCornerTurn} {
-				if err := show(experiments.RunGenStudy(kind, platforms.CSPI(), vendorN, 8)); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintln(stdout)
-		case "pipeline":
-			return show(experiments.RunPipeline(experiments.AppFFT2D, platforms.CSPI(), min(512, vendorN), 8, 8))
-		case "mapping":
-			app, err := apps.STAP(min(256, vendorN), 6)
-			if err != nil {
-				return err
-			}
-			gens := 120
-			if *quick {
-				gens = 30
-			}
-			return show(experiments.RunMappingStudy(app, platforms.CSPI(), 8, atot.GAConfig{Generations: gens, Seed: 1}))
-		case "heterogeneous":
-			app, err := apps.STAP(min(128, vendorN), 4)
-			if err != nil {
-				return err
-			}
-			gens := 60
-			if *quick {
-				gens = 25
-			}
-			return show(experiments.RunHeterogeneous(app, platforms.CSPI(),
-				[]float64{2, 2, 1, 1, 1, 1, 0.5, 0.5},
-				atot.GAConfig{Generations: gens, Seed: 1}))
-		case "scaling":
-			for _, kind := range []experiments.AppKind{experiments.AppFFT2D, experiments.AppCornerTurn} {
-				if err := show(experiments.RunScaling(kind, platforms.CSPI(), min(512, vendorN), vendorNodes, proto)); err != nil {
-					return err
-				}
-			}
-		case "faultsweep":
-			fc := experiments.FaultSweepConfig{N: min(256, vendorN), Protocol: proto}
-			if *quick {
-				fc.Rates = []float64{0, 0.1, 0.3}
-			}
-			return show(experiments.RunFaultSweep(fc))
-		case "realtime":
-			return show(experiments.RunRealTime(experiments.AppCornerTurn, platforms.CSPI(), min(512, vendorN), 8, 8, nil))
-		default:
-			return cli.Usagef("unknown experiment %q", name)
-		}
-		return nil
-	}
 
 	if *exp != "all" {
-		if err := runOne(*exp); err != nil {
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
+			return cli.Usagef("unknown experiment %q", *exp)
+		}
+		out, err := e.Run(proto)
+		if err != nil {
 			return err
 		}
+		fmt.Fprint(stdout, out)
 		return writeTrace(stdout, stderr, tr, *tracePath, *traceSummary)
 	}
-	for _, name := range []string{"table1", "twonode", "aggregate", "crossvendor", "portability", "genstudy", "pipeline", "mapping", "heterogeneous", "realtime", "scaling", "faultsweep"} {
-		fmt.Fprintf(stdout, "=== %s ===\n", name)
-		if err := runOne(name); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	for _, e := range experiments.Experiments {
+		fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
+		out, err := e.Run(proto)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
+		fmt.Fprint(stdout, out)
 	}
 	return writeTrace(stdout, stderr, tr, *tracePath, *traceSummary)
+}
+
+// experimentNames joins the registry's names for the flag's help text.
+func experimentNames() string {
+	names := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		names[i] = e.Name
+	}
+	return strings.Join(names, "|")
 }
 
 // writeTrace emits the collected trace as Chrome trace-event JSON and/or a

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGenStudyExperiment(t *testing.T) {
-	out, err := stdoutOf(cmdBench, "-quick", "-experiment", "genstudy")
+	out, err := stdoutOf(cmdBench, "-experiment", "genstudy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestGenStudyExperiment(t *testing.T) {
 }
 
 func TestTable1QuickExperiment(t *testing.T) {
-	out, err := stdoutOf(cmdBench, "-quick", "-experiment", "table1")
+	out, err := stdoutOf(cmdBench, "-experiment", "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestTable1QuickExperiment(t *testing.T) {
 // TestParallelFlagOutputIdentical pins the CLI-level determinism guarantee:
 // -parallel changes wall-clock only, never a byte of the printed tables.
 func TestParallelFlagOutputIdentical(t *testing.T) {
-	seq, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode", "-parallel", "1")
+	seq, err := stdoutOf(cmdBench, "-experiment", "twonode", "-parallel", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode", "-parallel", "4")
+	par, err := stdoutOf(cmdBench, "-experiment", "twonode", "-parallel", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestParallelFlagOutputIdentical(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := stdoutOf(cmdBench, "-quick", "-experiment", "warpcore"); err == nil {
+	if _, err := stdoutOf(cmdBench, "-experiment", "warpcore"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -54,16 +54,16 @@ func TestUnknownExperiment(t *testing.T) {
 // TestFaultSweepExperiment smoke-tests the faultsweep table end to end,
 // including its -parallel invariance.
 func TestFaultSweepExperiment(t *testing.T) {
-	seq, err := stdoutOf(cmdBench, "-quick", "-experiment", "faultsweep", "-parallel", "1")
+	seq, err := stdoutOf(cmdBench, "-experiment", "faultsweep", "-parallel", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Fault sweep", "% of Hand", "x fault0", "30.0%"} {
+	for _, want := range []string{"Fault sweep", "% of Hand", "x fault0", "20.0%"} {
 		if !strings.Contains(seq, want) {
 			t.Fatalf("output missing %q:\n%s", want, seq)
 		}
 	}
-	par, err := stdoutOf(cmdBench, "-quick", "-experiment", "faultsweep", "-parallel", "4")
+	par, err := stdoutOf(cmdBench, "-experiment", "faultsweep", "-parallel", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestFaultsFlag(t *testing.T) {
 	if err := os.WriteFile(plan, []byte("seed 9\ndrop link=* rate=0.2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	clean, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode")
+	clean, err := stdoutOf(cmdBench, "-experiment", "twonode")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode", "-faults", plan)
+	faulted, err := stdoutOf(cmdBench, "-experiment", "twonode", "-faults", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func TestFaultsFlag(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("drop rate=2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode", "-faults", bad); err == nil {
+	if _, err := stdoutOf(cmdBench, "-experiment", "twonode", "-faults", bad); err == nil {
 		t.Fatal("malformed plan file accepted")
 	}
-	if _, err := stdoutOf(cmdBench, "-quick", "-experiment", "twonode", "-faults", filepath.Join(t.TempDir(), "missing.txt")); err == nil {
+	if _, err := stdoutOf(cmdBench, "-experiment", "twonode", "-faults", filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Fatal("missing plan file accepted")
 	}
 }

@@ -82,8 +82,10 @@ func TestExitCodes(t *testing.T) {
 
 		{"bench", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
 		{"bench", "unknown experiment", []string{"-experiment", "warpdrive"}, cli.ExitUsage},
-		{"bench", "missing faults file", []string{"-experiment", "twonode", "-quick", "-faults", missing("plan.txt")}, cli.ExitFailure},
+		{"bench", "missing faults file", []string{"-experiment", "twonode", "-faults", missing("plan.txt")}, cli.ExitFailure},
 		{"bench", "retired benchjson flag", []string{"-benchjson", "x"}, cli.ExitUsage},
+		{"bench", "retired quick flag", []string{"-quick"}, cli.ExitUsage},
+		{"bench", "retired paper flag", []string{"-paper"}, cli.ExitUsage},
 
 		{"check fault", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
 		{"check fault", "no plan argument", nil, cli.ExitUsage},

@@ -9,7 +9,7 @@
 //	sage atot     -model fft2d.sage -platform CSPI -nodes 8 -o fft2d.map
 //	sage gluegen  -model fft2d.sage -mapping fft2d.map -tables fft2d.tbl
 //	sage run      -model fft2d.sage -mapping fft2d.map -viz
-//	sage bench    -experiment table1 -quick
+//	sage bench    -experiment table1
 //	sage check    fault|trace|stream [flags] file
 //
 // Every subcommand shares one exit-code discipline (internal/cli): 0 on

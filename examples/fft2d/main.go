@@ -29,7 +29,6 @@ func main() {
 		Platform: pl,
 		Sizes:    []int{*n},
 		Nodes:    []int{*nodes},
-		Protocol: experiments.Protocol{Repetitions: 1, Iterations: 5},
 	})
 	if err != nil {
 		log.Fatal(err)

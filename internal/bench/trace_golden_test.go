@@ -77,8 +77,7 @@ var traceGoldenRuns = []struct {
 	// A small Table 1 grid, merged in sweep order: hand-coded and SAGE runs
 	// of both applications, several collectors in one trace.
 	{"table1", func() (*trace.Trace, error) {
-		proto := experiments.Quick()
-		proto.Trace = trace.NewTrace()
+		proto := experiments.Protocol{Iterations: 5, Trace: trace.NewTrace()}
 		_, err := experiments.RunTable1(experiments.Table1Config{Sizes: []int{64}, Nodes: []int{4}, Protocol: proto})
 		return proto.Trace, err
 	}},

@@ -5,16 +5,18 @@
 // optimisation), the cross-vendor comparison the paper takes from MITRE, the
 // portability claim (one model, regenerated per platform), and a generation
 // study for Figure 1.0. Each experiment returns a structured result with a
-// Format method that prints rows shaped like the paper's tables.
+// Format method that prints rows shaped like the paper's tables; the
+// registry (registry.go) names each experiment's one grid.
 //
 // Measurement protocol (§3.3): each configuration is "executed ten times
 // where each execution consists of a 100 iterations" and the reported value
-// averages all of them. The simulator is deterministic, so the repetitions
-// are literal re-executions of identical virtual work; iterations after the
-// first move no samples but charge identical virtual time (see
-// internal/handcoded and internal/sagert). Period and latency follow the
-// paper's definitions: period is the time between completed data sets,
-// latency is source-to-sink time for one data set.
+// averages all of them. The simulator is deterministic, so the ten
+// executions would repeat identical virtual work: each configuration runs
+// its 100 iterations once. Iterations after the first move no samples but
+// charge identical virtual time (see internal/handcoded and
+// internal/sagert). Period and latency follow the paper's definitions:
+// period is the time between completed data sets, latency is source-to-sink
+// time for one data set.
 //
 // Sweeps execute their independent simulation runs on a bounded worker pool
 // (Protocol.Parallelism, default GOMAXPROCS) and aggregate results in input
@@ -40,10 +42,14 @@ import (
 	"repro/internal/trace"
 )
 
+// paperIterations is §3.3's iteration count per execution.
+const paperIterations = 100
+
 // Protocol fixes the measurement parameters of §3.3.
 type Protocol struct {
-	Repetitions int // paper: 10
-	Iterations  int // paper: 100 per repetition
+	// Iterations is the number of data sets each run processes; zero
+	// selects the paper's 100.
+	Iterations int
 	// Parallelism bounds the worker pool that fans independent simulation
 	// runs across host cores (each run owns its own sim.Kernel and
 	// machine). 0 selects runtime.GOMAXPROCS; 1 forces sequential
@@ -52,11 +58,11 @@ type Protocol struct {
 	// depends on host concurrency.
 	Parallelism int
 	// Trace, when non-nil, collects structured traces of every simulation
-	// run the experiment performs: each repetition of each sweep cell gets
-	// its own trace.Collector (one collector per sim.Kernel, so pooled runs
-	// never share mutable state), and the collectors are merged into Trace
-	// in sweep order after the worker pool drains. Tracing therefore never
-	// perturbs results and produces identical output at any Parallelism.
+	// run the experiment performs: each run gets its own trace.Collector
+	// (one collector per sim.Kernel, so pooled runs never share mutable
+	// state), and the collectors are merged into Trace in sweep order after
+	// the worker pool drains. Tracing therefore never perturbs results and
+	// produces identical output at any Parallelism.
 	Trace *trace.Trace
 	// Faults, when non-nil and non-empty, applies a deterministic fault plan
 	// to every simulation run of the experiment: the shared immutable plan
@@ -67,18 +73,9 @@ type Protocol struct {
 	Faults *fault.Plan
 }
 
-// Paper is the full §3.3 protocol.
-func Paper() Protocol { return Protocol{Repetitions: 10, Iterations: 100} }
-
-// Quick is a reduced protocol for unit tests and smoke runs.
-func Quick() Protocol { return Protocol{Repetitions: 2, Iterations: 5} }
-
 func (p Protocol) withDefaults() Protocol {
-	if p.Repetitions < 1 {
-		p.Repetitions = 1
-	}
 	if p.Iterations < 1 {
-		p.Iterations = 1
+		p.Iterations = paperIterations
 	}
 	return p
 }
@@ -92,14 +89,9 @@ const (
 )
 
 // BuildApp constructs the application model for a kind; exported so the
-// real-execution driver (sage-exec) can evaluate the same model with the
+// real-execution driver (sage exec) can evaluate the same model with the
 // sequential oracle it diffs the generated program against.
 func BuildApp(kind AppKind, n, threads int) (*model.App, error) {
-	return buildApp(kind, n, threads)
-}
-
-// buildApp constructs the application model for a kind.
-func buildApp(kind AppKind, n, threads int) (*model.App, error) {
 	switch kind {
 	case AppFFT2D:
 		return apps.FFT2D(n, threads)
@@ -110,42 +102,11 @@ func buildApp(kind AppKind, n, threads int) (*model.App, error) {
 	}
 }
 
-// runHand executes the hand-coded baseline under the protocol and returns
-// the average per-data-set time. The hand-coded benchmarks process data
-// sets in a sequential loop, so their period equals their latency.
-func runHand(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol) (sim.Duration, []*trace.Collector, error) {
-	var total sim.Duration
-	var cols []*trace.Collector
-	for rep := 0; rep < proto.Repetitions; rep++ {
-		cfg := handcoded.Config{Platform: pl, Nodes: nodes, N: n, Iterations: proto.Iterations, Seed: 1,
-			Faults: proto.Faults}
-		if proto.Trace != nil {
-			cfg.Trace = trace.New(fmt.Sprintf("hand %s %s n=%d nodes=%d rep%d", kind, pl.Name, n, nodes, rep))
-			cols = append(cols, cfg.Trace)
-		}
-		var res *handcoded.Result
-		var err error
-		switch kind {
-		case AppFFT2D:
-			res, err = handcoded.FFT2D(cfg)
-		case AppCornerTurn:
-			res, err = handcoded.CornerTurn(cfg)
-		default:
-			return 0, nil, fmt.Errorf("experiments: unknown app %q", kind)
-		}
-		if err != nil {
-			return 0, nil, err
-		}
-		total += res.AvgLatency()
-	}
-	return total / sim.Duration(proto.Repetitions), cols, nil
-}
-
 // GenerateTables builds the model, maps it (one worker thread per node,
 // source and sink on node 0 — the deployment of §3.3's manual mapping
 // step), and runs the Alter glue generator.
 func GenerateTables(kind AppKind, pl machine.Platform, nodes, n int) (*gluegen.Output, error) {
-	app, err := buildApp(kind, n, nodes)
+	app, err := BuildApp(kind, n, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +123,7 @@ func GenerateTables(kind AppKind, pl machine.Platform, nodes, n int) (*gluegen.O
 // machine (model.StaggerParallel), so a 1024-node platform is genuinely
 // populated instead of piling every stage onto nodes 0..threads-1.
 func GenerateTablesWide(kind AppKind, pl machine.Platform, nodes, threads, n int) (*gluegen.Output, error) {
-	app, err := buildApp(kind, n, threads)
+	app, err := BuildApp(kind, n, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -173,39 +134,110 @@ func GenerateTablesWide(kind AppKind, pl machine.Platform, nodes, threads, n int
 	return gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
 }
 
-// runSage generates glue code and executes it under the protocol, returning
-// the average per-data-set time. For the hand-coded comparison the runtime
-// runs in Sequential mode (one data set at a time, like the hand-coded
-// measurement loop); the runtime's pipelined throughput is studied
-// separately by RunPipeline.
-func runSage(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol, opts sagert.Options) (sim.Duration, []*trace.Collector, error) {
-	out, err := GenerateTables(kind, pl, nodes, n)
+// cell is one configuration of a hand-vs-SAGE sweep.
+type cell struct {
+	kind     AppKind
+	pl       machine.Platform
+	n, nodes int
+	opts     sagert.Options // the SAGE runtime's mode
+	faults   *fault.Plan    // injected into both runs
+}
+
+func (c cell) String() string {
+	return fmt.Sprintf("%s %s n=%d nodes=%d", c.kind, c.pl.Name, c.n, c.nodes)
+}
+
+// runHand executes the hand-coded baseline of a cell and returns its
+// per-data-set time. The hand-coded benchmarks process data sets in a
+// sequential loop, so their period equals their latency.
+func runHand(c cell, iterations int, col *trace.Collector) (sim.Duration, error) {
+	cfg := handcoded.Config{Platform: c.pl, Nodes: c.nodes, N: c.n, Iterations: iterations, Seed: 1,
+		Faults: c.faults, Trace: col}
+	var res *handcoded.Result
+	var err error
+	switch c.kind {
+	case AppFFT2D:
+		res, err = handcoded.FFT2D(cfg)
+	case AppCornerTurn:
+		res, err = handcoded.CornerTurn(cfg)
+	default:
+		return 0, fmt.Errorf("experiments: unknown app %q", c.kind)
+	}
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	var total sim.Duration
-	var cols []*trace.Collector
-	for rep := 0; rep < proto.Repetitions; rep++ {
-		o := opts
-		o.Iterations = proto.Iterations
-		o.ComputeIterations = sagert.NoSamples // only AvgLatency and the trace are read
-		o.Sequential = true
-		o.Faults = proto.Faults
-		if proto.Faults.HasStalls() {
-			// Stall plans engage the degraded-mode transfer re-sequencing.
-			o.Resilience.Degraded = true
-		}
-		if proto.Trace != nil {
-			o.Collector = trace.New(fmt.Sprintf("sage %s %s n=%d nodes=%d rep%d", kind, pl.Name, n, nodes, rep))
-			cols = append(cols, o.Collector)
-		}
-		res, err := sagert.Run(out.Tables, pl, o)
-		if err != nil {
-			return 0, nil, err
-		}
-		total += res.AvgLatency()
+	return res.AvgLatency(), nil
+}
+
+// runSage generates glue code for a cell and executes it, returning the
+// per-data-set time. For the hand-coded comparison the runtime runs in
+// Sequential mode (one data set at a time, like the hand-coded measurement
+// loop); the runtime's pipelined throughput is studied separately by
+// RunPipeline.
+func runSage(c cell, iterations int, col *trace.Collector) (sim.Duration, error) {
+	out, err := GenerateTables(c.kind, c.pl, c.nodes, c.n)
+	if err != nil {
+		return 0, err
 	}
-	return total / sim.Duration(proto.Repetitions), cols, nil
+	o := c.opts
+	o.Iterations = iterations
+	o.ComputeIterations = sagert.NoSamples // only AvgLatency and the trace are read
+	o.Sequential = true
+	o.Faults = c.faults
+	if c.faults.HasStalls() {
+		// Stall plans engage the degraded-mode transfer re-sequencing.
+		o.Resilience.Degraded = true
+	}
+	o.Collector = col
+	res, err := sagert.Run(out.Tables, c.pl, o)
+	if err != nil {
+		return 0, err
+	}
+	return res.AvgLatency(), nil
+}
+
+// sweep measures every cell on the protocol's worker pool: the hand-coded
+// baseline and, when sage is set, the generated runtime. Rows come back in
+// cell order (Sage and PctOfHand stay zero without sage). Each run's
+// collector is merged into proto.Trace in cell order after the pool drains,
+// so rows and trace are identical at any Parallelism.
+func sweep(proto Protocol, cells []cell, sage bool) ([]Row, error) {
+	type cellOut struct {
+		row        Row
+		hand, sage *trace.Collector
+	}
+	newCol := func(impl string, c cell) *trace.Collector {
+		if proto.Trace == nil {
+			return nil
+		}
+		return trace.New(impl + " " + c.String())
+	}
+	outs, err := pool.Run(proto.Parallelism, len(cells), func(i int) (cellOut, error) {
+		c := cells[i]
+		out := cellOut{row: Row{App: c.kind, N: c.n, Nodes: c.nodes}, hand: newCol("hand", c)}
+		var err error
+		if out.row.Hand, err = runHand(c, proto.Iterations, out.hand); err != nil {
+			return cellOut{}, fmt.Errorf("experiments: %s hand: %w", c, err)
+		}
+		if sage {
+			out.sage = newCol("sage", c)
+			if out.row.Sage, err = runSage(c, proto.Iterations, out.sage); err != nil {
+				return cellOut{}, fmt.Errorf("experiments: %s sage: %w", c, err)
+			}
+			out.row.PctOfHand = 100 * float64(out.row.Hand) / float64(out.row.Sage)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(outs))
+	for i, o := range outs {
+		rows[i] = o.row
+		proto.Trace.Add(o.hand)
+		proto.Trace.Add(o.sage)
+	}
+	return rows, nil
 }
 
 // Row is one line of a hand-vs-SAGE comparison table.
@@ -220,9 +252,9 @@ type Row struct {
 
 // Table1 is the reproduction of Table 1.0.
 type Table1 struct {
-	Platform string
-	Protocol Protocol
-	Rows     []Row
+	Platform   string
+	Iterations int
+	Rows       []Row
 	// Averages per application and overall, in "% of hand coded".
 	FFTAvg, CTAvg, OverallAvg float64
 }
@@ -250,57 +282,26 @@ func (c Table1Config) withDefaults() Table1Config {
 	return c
 }
 
-// RunTable1 executes the Table 1.0 grid. The grid's cells are independent
-// simulations, so they fan out across the Protocol.Parallelism worker pool;
-// rows and averages are aggregated in grid order regardless of which cell
-// finishes first.
+// RunTable1 executes the Table 1.0 grid as one sweep; rows and averages
+// are aggregated in grid order regardless of which cell finishes first.
 func RunTable1(cfg Table1Config) (*Table1, error) {
 	c := cfg.withDefaults()
-	out := &Table1{Platform: c.Platform.Name, Protocol: c.Protocol}
-	type cell struct {
-		kind     AppKind
-		n, nodes int
-	}
 	var cells []cell
 	for _, kind := range []AppKind{AppFFT2D, AppCornerTurn} {
 		for _, n := range c.Sizes {
 			for _, nodes := range c.Nodes {
-				cells = append(cells, cell{kind, n, nodes})
+				cells = append(cells, cell{kind, c.Platform, n, nodes, c.Options, c.Protocol.Faults})
 			}
 		}
 	}
-	type cellOut struct {
-		row  Row
-		cols []*trace.Collector
-	}
-	outs, err := pool.Run(c.Protocol.Parallelism, len(cells), func(i int) (cellOut, error) {
-		cl := cells[i]
-		hand, hcols, err := runHand(cl.kind, c.Platform, cl.nodes, cl.n, c.Protocol)
-		if err != nil {
-			return cellOut{}, fmt.Errorf("experiments: %s n=%d nodes=%d hand: %w", cl.kind, cl.n, cl.nodes, err)
-		}
-		sage, scols, err := runSage(cl.kind, c.Platform, cl.nodes, cl.n, c.Protocol, c.Options)
-		if err != nil {
-			return cellOut{}, fmt.Errorf("experiments: %s n=%d nodes=%d sage: %w", cl.kind, cl.n, cl.nodes, err)
-		}
-		return cellOut{
-			row: Row{App: cl.kind, N: cl.n, Nodes: cl.nodes, Hand: hand, Sage: sage,
-				PctOfHand: 100 * float64(hand) / float64(sage)},
-			cols: append(hcols, scols...),
-		}, nil
-	})
+	rows, err := sweep(c.Protocol, cells, true)
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(c.Protocol.Trace, outs, func(co cellOut) []*trace.Collector { return co.cols })
-	// The Trace pointer is an output channel, not a protocol parameter:
-	// keep it out of the result so traced and untraced tables compare equal.
-	out.Protocol.Trace = nil
+	out := &Table1{Platform: c.Platform.Name, Iterations: c.Protocol.Iterations, Rows: rows}
 	var fftSum, ctSum float64
 	var fftN, ctN int
-	for _, co := range outs {
-		r := co.row
-		out.Rows = append(out.Rows, r)
+	for _, r := range rows {
 		if r.App == AppFFT2D {
 			fftSum += r.PctOfHand
 			fftN++
@@ -325,7 +326,7 @@ func RunTable1(cfg Table1Config) (*Table1, error) {
 func (t *Table1) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1.0 — Comparison of hand-coded and auto-generated code for %s\n", t.Platform)
-	fmt.Fprintf(&b, "(protocol: %d executions x %d iterations, averaged)\n\n", t.Protocol.Repetitions, t.Protocol.Iterations)
+	fmt.Fprintf(&b, "(protocol: %d iterations, averaged; one execution, as the simulator is deterministic)\n\n", t.Iterations)
 	fmt.Fprintf(&b, "%-12s %-11s %6s  %14s %14s %14s\n", "Application", "Array Size", "Nodes", "Hand Coded", "SAGE AutoGen", "% of Hand")
 	for _, r := range t.Rows {
 		fmt.Fprintf(&b, "%-12s %-11s %6d  %14v %14v %13.1f%%\n",
@@ -334,20 +335,4 @@ func (t *Table1) Format() string {
 	fmt.Fprintf(&b, "\nAverages: 2D FFT %.1f%%   Corner Turn %.1f%%   Overall %.1f%% of hand-coded\n",
 		t.FFTAvg, t.CTAvg, t.OverallAvg)
 	return b.String()
-}
-
-// mergeTrace folds the per-run collectors produced by pooled jobs into the
-// protocol's Trace in input (sweep) order, after the pool has drained. Each
-// collector was filled by exactly one kernel's goroutine, so this single
-// post-pool pass is the only cross-run touch point — no locking, and the
-// merged trace is identical at any parallelism. No-op when tracing is off.
-func mergeTrace[T any](t *trace.Trace, results []T, cols func(T) []*trace.Collector) {
-	if t == nil {
-		return
-	}
-	for _, r := range results {
-		for _, c := range cols(r) {
-			t.Add(c)
-		}
-	}
 }

@@ -16,7 +16,7 @@ func quickTable(t *testing.T) *Table1 {
 	tbl, err := RunTable1(Table1Config{
 		Sizes:    []int{64, 128},
 		Nodes:    []int{4, 8},
-		Protocol: Quick(),
+		Protocol: Protocol{Iterations: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestTable1PaperScalePoint(t *testing.T) {
 	tbl, err := RunTable1(Table1Config{
 		Sizes:    []int{1024},
 		Nodes:    []int{8},
-		Protocol: Protocol{Repetitions: 1, Iterations: 3},
+		Protocol: Protocol{Iterations: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestTable1Format(t *testing.T) {
 }
 
 func TestTwoNodeAnomaly(t *testing.T) {
-	res, err := RunTwoNode(platforms.CSPI(), 128, Quick())
+	res, err := RunTwoNode(platforms.CSPI(), 128, Protocol{Iterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAggregateOptimizedImproves(t *testing.T) {
 	agg, err := RunAggregate(Table1Config{
 		Sizes:    []int{128},
 		Nodes:    []int{4},
-		Protocol: Quick(),
+		Protocol: Protocol{Iterations: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestAggregateOptimizedImproves(t *testing.T) {
 }
 
 func TestCrossVendorShape(t *testing.T) {
-	cv, err := RunCrossVendor(128, []int{4, 8}, Quick())
+	cv, err := RunCrossVendor(128, []int{4, 8}, Protocol{Iterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCrossVendorShape(t *testing.T) {
 }
 
 func TestPortabilityAllPlatforms(t *testing.T) {
-	p, err := RunPortability(AppFFT2D, 64, 4, Quick())
+	p, err := RunPortability(AppFFT2D, 64, 4, Protocol{Iterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPipelineStudy(t *testing.T) {
 }
 
 func TestScalingStudy(t *testing.T) {
-	s, err := RunScaling(AppFFT2D, platforms.CSPI(), 256, []int{1, 2, 4, 8}, Quick())
+	s, err := RunScaling(AppFFT2D, platforms.CSPI(), 256, []int{1, 2, 4, 8}, Protocol{Iterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,22 +326,22 @@ func TestRealTimeStudy(t *testing.T) {
 	}
 }
 
+// TestProtocolDefaults: the zero protocol is §3.3's, 100 iterations; an
+// explicit count is kept.
 func TestProtocolDefaults(t *testing.T) {
-	p := Protocol{}.withDefaults()
-	if p.Repetitions != 1 || p.Iterations != 1 {
+	if p := (Protocol{}).withDefaults(); p.Iterations != 100 {
 		t.Fatalf("defaults = %+v", p)
 	}
-	paper := Paper()
-	if paper.Repetitions != 10 || paper.Iterations != 100 {
-		t.Fatalf("paper protocol = %+v", paper)
+	if p := (Protocol{Iterations: 3}).withDefaults(); p.Iterations != 3 {
+		t.Fatalf("explicit iterations = %+v", p)
 	}
 }
 
 func TestBuildAppUnknownKind(t *testing.T) {
-	if _, err := buildApp("bogus", 64, 4); err == nil {
+	if _, err := BuildApp("bogus", 64, 4); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, _, err := runHand("bogus", platforms.CSPI(), 4, 64, Quick()); err == nil {
+	if _, err := runHand(cell{kind: "bogus", pl: platforms.CSPI(), n: 64, nodes: 4}, 5, nil); err == nil {
 		t.Fatal("unknown kind accepted by runHand")
 	}
 }

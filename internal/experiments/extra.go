@@ -6,13 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/atot"
+	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -28,40 +28,18 @@ type TwoNode struct {
 	Rows []Row // corner turn at 2, 4, 8 nodes
 }
 
-// RunTwoNode measures the corner turn across node counts, one pooled run per
-// node count.
+// RunTwoNode measures the corner turn at 2, 4 and 8 nodes, one sweep.
 func RunTwoNode(pl machine.Platform, n int, proto Protocol) (*TwoNode, error) {
 	proto = proto.withDefaults()
-	nodeCounts := []int{2, 4, 8}
-	type cellOut struct {
-		row  Row
-		cols []*trace.Collector
+	var cells []cell
+	for _, nodes := range []int{2, 4, 8} {
+		cells = append(cells, cell{AppCornerTurn, pl, n, nodes, sagert.Options{}, proto.Faults})
 	}
-	outs, err := pool.Run(proto.Parallelism, len(nodeCounts), func(i int) (cellOut, error) {
-		nodes := nodeCounts[i]
-		hand, hcols, err := runHand(AppCornerTurn, pl, nodes, n, proto)
-		if err != nil {
-			return cellOut{}, err
-		}
-		sage, scols, err := runSage(AppCornerTurn, pl, nodes, n, proto, sagert.Options{})
-		if err != nil {
-			return cellOut{}, err
-		}
-		return cellOut{
-			row: Row{App: AppCornerTurn, N: n, Nodes: nodes,
-				Hand: hand, Sage: sage, PctOfHand: 100 * float64(hand) / float64(sage)},
-			cols: append(hcols, scols...),
-		}, nil
-	})
+	rows, err := sweep(proto, cells, true)
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(proto.Trace, outs, func(co cellOut) []*trace.Collector { return co.cols })
-	out := &TwoNode{N: n}
-	for _, co := range outs {
-		out.Rows = append(out.Rows, co.row)
-	}
-	return out, nil
+	return &TwoNode{N: n, Rows: rows}, nil
 }
 
 // Format renders the anomaly table.
@@ -149,46 +127,26 @@ type CrossVendor struct {
 	Rows []VendorRow
 }
 
-// RunCrossVendor sweeps both benchmarks across the four vendor platforms at
-// several node counts, the shape of the MITRE cross-vendor data the paper
-// cites.
+// RunCrossVendor sweeps the hand-coded benchmarks across the four vendor
+// platforms at the given node counts, the shape of the MITRE cross-vendor
+// data the paper cites.
 func RunCrossVendor(n int, nodes []int, proto Protocol) (*CrossVendor, error) {
 	proto = proto.withDefaults()
-	if len(nodes) == 0 {
-		nodes = []int{2, 4, 8, 16}
-	}
-	type cell struct {
-		pl   machine.Platform
-		kind AppKind
-		nn   int
-	}
 	var cells []cell
 	for _, pl := range platforms.Vendors() {
 		for _, kind := range []AppKind{AppFFT2D, AppCornerTurn} {
 			for _, nn := range nodes {
-				cells = append(cells, cell{pl, kind, nn})
+				cells = append(cells, cell{kind, pl, n, nn, sagert.Options{}, proto.Faults})
 			}
 		}
 	}
-	type cellOut struct {
-		row  VendorRow
-		cols []*trace.Collector
-	}
-	outs, err := pool.Run(proto.Parallelism, len(cells), func(i int) (cellOut, error) {
-		cl := cells[i]
-		lat, cols, err := runHand(cl.kind, cl.pl, cl.nn, n, proto)
-		if err != nil {
-			return cellOut{}, err
-		}
-		return cellOut{row: VendorRow{Platform: cl.pl.Name, App: cl.kind, Nodes: cl.nn, Latency: lat}, cols: cols}, nil
-	})
+	rows, err := sweep(proto, cells, false)
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(proto.Trace, outs, func(co cellOut) []*trace.Collector { return co.cols })
 	out := &CrossVendor{N: n}
-	for _, co := range outs {
-		out.Rows = append(out.Rows, co.row)
+	for i, r := range rows {
+		out.Rows = append(out.Rows, VendorRow{Platform: cells[i].pl.Name, App: r.App, Nodes: r.Nodes, Latency: r.Hand})
 	}
 	return out, nil
 }
@@ -383,7 +341,7 @@ func RunPipeline(kind AppKind, pl machine.Platform, n, nodes, iterations int) (*
 	}
 	modes := []func() error{
 		func() (err error) {
-			out.Hand, _, err = runHand(kind, pl, nodes, n, Protocol{Repetitions: 1, Iterations: iterations})
+			out.Hand, err = runHand(cell{kind: kind, pl: pl, n: n, nodes: nodes}, iterations, nil)
 			return err
 		},
 		func() error {
@@ -432,8 +390,8 @@ type ScalingRow struct {
 	Nodes       int
 	Hand        sim.Duration
 	Sage        sim.Duration
-	HandSpeedup float64 // vs 1 node hand-coded
-	SageSpeedup float64 // vs 1 node SAGE
+	HandSpeedup float64 // vs hand-coded at the first node count
+	SageSpeedup float64 // vs SAGE at the first node count
 }
 
 // Scaling sweeps node counts for one application.
@@ -443,44 +401,25 @@ type Scaling struct {
 	Rows []ScalingRow
 }
 
-// RunScaling measures hand-coded and SAGE times across node counts and
-// derives speedups relative to each version's single-node time.
+// RunScaling measures hand-coded and SAGE times across node counts, one
+// sweep, and derives speedups relative to each version's time at the first
+// node count.
 func RunScaling(kind AppKind, pl machine.Platform, n int, nodeCounts []int, proto Protocol) (*Scaling, error) {
 	proto = proto.withDefaults()
-	if len(nodeCounts) == 0 {
-		nodeCounts = []int{1, 2, 4, 8, 16}
+	var cells []cell
+	for _, nodes := range nodeCounts {
+		cells = append(cells, cell{kind, pl, n, nodes, sagert.Options{}, proto.Faults})
 	}
-	out := &Scaling{App: kind, N: n}
-	type point struct {
-		hand, sage sim.Duration
-		cols       []*trace.Collector
-	}
-	points, err := pool.Run(proto.Parallelism, len(nodeCounts), func(i int) (point, error) {
-		hand, hcols, err := runHand(kind, pl, nodeCounts[i], n, proto)
-		if err != nil {
-			return point{}, err
-		}
-		sage, scols, err := runSage(kind, pl, nodeCounts[i], n, proto, sagert.Options{})
-		if err != nil {
-			return point{}, err
-		}
-		return point{hand, sage, append(hcols, scols...)}, nil
-	})
+	rows, err := sweep(proto, cells, true)
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(proto.Trace, points, func(pt point) []*trace.Collector { return pt.cols })
-	// Speedups are relative to the first configuration, derivable only once
-	// every pooled measurement is in.
-	var handBase, sageBase sim.Duration
-	for i, pt := range points {
-		if handBase == 0 {
-			handBase, sageBase = pt.hand, pt.sage
-		}
+	out := &Scaling{App: kind, N: n}
+	for _, r := range rows {
 		out.Rows = append(out.Rows, ScalingRow{
-			Nodes: nodeCounts[i], Hand: pt.hand, Sage: pt.sage,
-			HandSpeedup: float64(handBase) / float64(pt.hand),
-			SageSpeedup: float64(sageBase) / float64(pt.sage),
+			Nodes: r.Nodes, Hand: r.Hand, Sage: r.Sage,
+			HandSpeedup: float64(rows[0].Hand) / float64(r.Hand),
+			SageSpeedup: float64(rows[0].Sage) / float64(r.Sage),
 		})
 	}
 	return out, nil
@@ -539,28 +478,43 @@ func RunEstimateAccuracy(app *model.App, pl machine.Platform, nodes int) (*Estim
 	}
 
 	out := &EstimateAccuracy{App: app.Name}
+	var mappings []*model.Mapping
 	for _, name := range []string{"packed", "roundrobin", "spread", "greedy"} {
-		m, ok := candidates[name]
-		if !ok {
-			continue
+		if m, ok := candidates[name]; ok {
+			cost, err := ev.Evaluate(m, atot.Weights{})
+			if err != nil {
+				return nil, err
+			}
+			out.Points = append(out.Points, EstimatePoint{Mapping: name, Estimated: cost.CriticalPath})
+			mappings = append(mappings, m)
 		}
-		cost, err := ev.Evaluate(m, atot.Weights{})
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := gluegenGenerate(app, m, pl, nodes)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 2, ComputeIterations: sagert.NoSamples, Sequential: true})
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, EstimatePoint{
-			Mapping: name, Estimated: cost.CriticalPath, Measured: res.AvgLatency(),
-		})
+	}
+	measured, err := measureMappings(app, pl, nodes, sagert.Options{Iterations: 2, Sequential: true}, mappings)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out.Points {
+		out.Points[i].Measured = measured[i]
 	}
 	return out, nil
+}
+
+// measureMappings generates tables for each mapping of app and runs them,
+// one pooled run per mapping without samples, returning each run's average
+// latency in mapping order.
+func measureMappings(app *model.App, pl machine.Platform, nodes int, opts sagert.Options, mappings []*model.Mapping) ([]sim.Duration, error) {
+	opts.ComputeIterations = sagert.NoSamples
+	return pool.Run(0, len(mappings), func(i int) (sim.Duration, error) {
+		out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mappings[i], Platform: pl, NumNodes: nodes})
+		if err != nil {
+			return 0, err
+		}
+		res, err := sagert.Run(out.Tables, pl, opts)
+		if err != nil {
+			return 0, err
+		}
+		return res.AvgLatency(), nil
+	})
 }
 
 // RankAgreement counts concordant pairs: for how many mapping pairs does the
@@ -632,29 +586,14 @@ func RunHeterogeneous(app *model.App, pl machine.Platform, speeds []float64, ga 
 	if err != nil {
 		return nil, err
 	}
-	out := &Heterogeneous{App: app.Name, Speeds: speeds}
 	// Measure per-data-set latency in sequential mode — the quantity the
 	// optimiser's critical-path model estimates.
-	measure := func(m *model.Mapping) (sim.Duration, error) {
-		tbl, err := gluegenGenerate(app, m, pl, nodes)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 3, ComputeIterations: sagert.NoSamples, Sequential: true, NodeSpeeds: speeds})
-		if err != nil {
-			return 0, err
-		}
-		return res.AvgLatency(), nil
-	}
-	mappings := []*model.Mapping{gaMap, model.RoundRobin(app, nodes)}
-	measured, err := pool.Run(0, len(mappings), func(i int) (sim.Duration, error) {
-		return measure(mappings[i])
-	})
+	measured, err := measureMappings(app, pl, nodes, sagert.Options{Iterations: 3, Sequential: true, NodeSpeeds: speeds},
+		[]*model.Mapping{gaMap, model.RoundRobin(app, nodes)})
 	if err != nil {
 		return nil, err
 	}
-	out.MeasuredGA, out.MeasuredRR = measured[0], measured[1]
-	return out, nil
+	return &Heterogeneous{App: app.Name, Speeds: speeds, MeasuredGA: measured[0], MeasuredRR: measured[1]}, nil
 }
 
 // Format renders the study.
@@ -686,13 +625,11 @@ type RealTime struct {
 }
 
 // RunRealTime measures the free-running period, then paces the source at
-// multiples of it and reports whether the runtime sustains each rate.
+// the given multiples of it and reports whether the runtime sustains each
+// rate.
 func RunRealTime(kind AppKind, pl machine.Platform, n, nodes, iterations int, factors []float64) (*RealTime, error) {
 	if iterations < 4 {
 		iterations = 4
-	}
-	if len(factors) == 0 {
-		factors = []float64{0.7, 1.0, 1.3, 2.0}
 	}
 	tbl, err := GenerateTables(kind, pl, nodes, n)
 	if err != nil {
@@ -782,21 +719,7 @@ func RunMappingStudy(app *model.App, pl machine.Platform, nodes int, ga atot.GAC
 	}
 	study := &MappingStudy{App: app.Name, GACost: stats.Best, GreedyCost: greedyCost, RoundRobin: rrCost}
 
-	measure := func(m *model.Mapping) (sim.Duration, error) {
-		out, err := gluegenGenerate(app, m, pl, nodes)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sagert.Run(out, pl, sagert.Options{Iterations: 3, ComputeIterations: sagert.NoSamples})
-		if err != nil {
-			return 0, err
-		}
-		return res.AvgLatency(), nil
-	}
-	mappings := []*model.Mapping{gaMap, rr}
-	measured, err := pool.Run(0, len(mappings), func(i int) (sim.Duration, error) {
-		return measure(mappings[i])
-	})
+	measured, err := measureMappings(app, pl, nodes, sagert.Options{Iterations: 3}, []*model.Mapping{gaMap, rr})
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,8 @@ import (
 	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/platforms"
-	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DefaultFaultSeed is the fault-plan seed the sweep uses when the config
@@ -67,72 +65,42 @@ type FaultRow struct {
 // plan family, so the whole table is reproducible byte for byte at any
 // Protocol.Parallelism and with tracing on or off.
 type FaultSweep struct {
-	App      AppKind
-	Platform string
-	N, Nodes int
-	Seed     int64
-	Protocol Protocol
-	Rows     []FaultRow
+	App        AppKind
+	Platform   string
+	N, Nodes   int
+	Seed       int64
+	Iterations int
+	Rows       []FaultRow
 }
 
-// RunFaultSweep measures overhead versus fault rate: for each rate it runs
-// the hand-coded baseline and the SAGE runtime under a drop-all-links plan
-// (rate 0 runs fault-free) and normalises against the fault-free run. Cells
-// fan out across the Protocol.Parallelism pool like every other sweep.
+// RunFaultSweep measures overhead versus fault rate: one sweep whose first
+// cell runs fault-free and whose cell i+1 runs rate i under a drop-all-links
+// plan (none at rate 0); each row is normalised against the fault-free
+// cell. The sweep's own plans replace Protocol.Faults.
 func RunFaultSweep(cfg FaultSweepConfig) (*FaultSweep, error) {
 	c := cfg.withDefaults()
-	out := &FaultSweep{App: c.App, Platform: c.Platform.Name, N: c.N, Nodes: c.Nodes,
-		Seed: c.Seed, Protocol: c.Protocol}
-	type cellOut struct {
-		hand, sage sim.Duration
-		cols       []*trace.Collector
-	}
-	// Cell 0 is the fault-free reference; cell i+1 runs rate i.
-	runCell := func(plan *fault.Plan) (cellOut, error) {
-		proto := c.Protocol
-		proto.Faults = plan
-		hand, hcols, err := runHand(c.App, c.Platform, c.Nodes, c.N, proto)
-		if err != nil {
-			return cellOut{}, err
-		}
-		sage, scols, err := runSage(c.App, c.Platform, c.Nodes, c.N, proto, c.Options)
-		if err != nil {
-			return cellOut{}, err
-		}
-		return cellOut{hand: hand, sage: sage, cols: append(hcols, scols...)}, nil
-	}
-	outs, err := pool.Run(c.Protocol.Parallelism, 1+len(c.Rates), func(i int) (cellOut, error) {
+	cells := []cell{{c.App, c.Platform, c.N, c.Nodes, c.Options, nil}}
+	for _, rate := range c.Rates {
 		var plan *fault.Plan
-		if i > 0 && c.Rates[i-1] > 0 {
-			plan = fault.DropAll(c.Seed, c.Rates[i-1])
+		if rate > 0 {
+			plan = fault.DropAll(c.Seed, rate)
 		}
-		co, err := runCell(plan)
-		if err != nil {
-			rate := 0.0
-			if i > 0 {
-				rate = c.Rates[i-1]
-			}
-			return cellOut{}, fmt.Errorf("experiments: fault sweep rate %g: %w", rate, err)
-		}
-		return co, nil
-	})
+		cells = append(cells, cell{c.App, c.Platform, c.N, c.Nodes, c.Options, plan})
+	}
+	rows, err := sweep(c.Protocol, cells, true)
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(c.Protocol.Trace, outs, func(co cellOut) []*trace.Collector { return co.cols })
-	// Trace is an output channel and Parallelism a host-execution knob —
-	// neither is a result parameter, so drop both from the stored protocol:
-	// a sweep must compare deep-equal however it was executed.
-	out.Protocol.Trace = nil
-	out.Protocol.Parallelism = 0
-	base := outs[0]
+	out := &FaultSweep{App: c.App, Platform: c.Platform.Name, N: c.N, Nodes: c.Nodes,
+		Seed: c.Seed, Iterations: c.Protocol.Iterations}
+	base := rows[0]
 	for i, rate := range c.Rates {
-		co := outs[i+1]
+		r := rows[i+1]
 		out.Rows = append(out.Rows, FaultRow{
-			Rate: rate, Hand: co.hand, Sage: co.sage,
-			HandSlow:  float64(co.hand) / float64(base.hand),
-			SageSlow:  float64(co.sage) / float64(base.sage),
-			PctOfHand: 100 * float64(co.hand) / float64(co.sage),
+			Rate: rate, Hand: r.Hand, Sage: r.Sage,
+			HandSlow:  float64(r.Hand) / float64(base.Hand),
+			SageSlow:  float64(r.Sage) / float64(base.Sage),
+			PctOfHand: r.PctOfHand,
 		})
 	}
 	return out, nil
@@ -143,8 +111,7 @@ func (s *FaultSweep) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fault sweep — %s %dx%d on %s, %d nodes, plan seed %d\n",
 		s.App, s.N, s.N, s.Platform, s.Nodes, s.Seed)
-	fmt.Fprintf(&b, "(protocol: %d executions x %d iterations; drop faults on all links,\n",
-		s.Protocol.Repetitions, s.Protocol.Iterations)
+	fmt.Fprintf(&b, "(protocol: %d iterations, one execution; drop faults on all links,\n", s.Iterations)
 	fmt.Fprintf(&b, " MPI retry protocol on both, SAGE resilient runtime mode on top)\n\n")
 	fmt.Fprintf(&b, "%7s  %14s %8s  %14s %8s  %10s\n",
 		"rate", "Hand Coded", "x fault0", "SAGE AutoGen", "x fault0", "% of Hand")

@@ -20,7 +20,6 @@ func faultTestConfig(parallelism int, tr *trace.Trace) FaultSweepConfig {
 		Rates: []float64{0, 0.1, 0.3},
 		Seed:  DefaultFaultSeed,
 		Protocol: Protocol{
-			Repetitions: 1,
 			Iterations:  3,
 			Parallelism: parallelism,
 			Trace:       tr,

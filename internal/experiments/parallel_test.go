@@ -84,8 +84,7 @@ func TestRunPoolZeroJobs(t *testing.T) {
 func TestTable1ParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) *Table1 {
 		t.Helper()
-		proto := Quick()
-		proto.Parallelism = parallelism
+		proto := Protocol{Iterations: 5, Parallelism: parallelism}
 		tbl, err := RunTable1(Table1Config{
 			Sizes:    []int{64, 128},
 			Nodes:    []int{2, 4, 8},
@@ -98,9 +97,6 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 	}
 	seq := run(1)
 	par := run(8)
-	// Protocol (carrying the differing Parallelism) is part of the struct;
-	// the measured content must match exactly.
-	par.Protocol = seq.Protocol
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel sweep diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 			seq.Format(), par.Format())
@@ -115,8 +111,7 @@ func TestTable1ParallelMatchesSequential(t *testing.T) {
 func TestCrossVendorParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) *CrossVendor {
 		t.Helper()
-		proto := Quick()
-		proto.Parallelism = parallelism
+		proto := Protocol{Iterations: 5, Parallelism: parallelism}
 		cv, err := RunCrossVendor(128, []int{2, 4}, proto)
 		if err != nil {
 			t.Fatal(err)

@@ -73,12 +73,9 @@ func RunStreamCompare(cfg StreamCompareConfig) (*StreamCompare, error) {
 	if err != nil {
 		return nil, err
 	}
-	mergeTrace(cfg.Trace, outs, func(co cellOut) []*trace.Collector {
-		if co.col == nil {
-			return nil
-		}
-		return []*trace.Collector{co.col}
-	})
+	for _, co := range outs {
+		cfg.Trace.Add(co.col)
+	}
 	return &StreamCompare{Scenario: cfg.Scenario, Static: outs[0].rep, Remap: outs[1].rep}, nil
 }
 

@@ -16,7 +16,6 @@ func traceTestConfig(parallelism int, tr *trace.Trace) Table1Config {
 		Sizes: []int{16},
 		Nodes: []int{2, 4},
 		Protocol: Protocol{
-			Repetitions: 2,
 			Iterations:  2,
 			Parallelism: parallelism,
 			Trace:       tr,

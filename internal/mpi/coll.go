@@ -7,101 +7,58 @@ import "fmt"
 const (
 	TagUserLimit = 1 << 24
 	tagBarrier   = 0x1000
-	tagBcast     = 0x2000
 	tagGather    = 0x3000
 	tagScatter   = 0x4000
 	tagAlltoall  = 0x5000
-	tagReduce    = 0x6000
-	tagAllreduce = 0x7000
-	// collTagBase offsets all collective tags above the user space; each
-	// communicator adds its own slice on top (see Comm).
+	// collTagBase offsets all collective tags above the user space.
 	collTagBase = 1 << 24
 )
 
-// collCtx abstracts "a participant in a collective" so the same algorithms
-// serve the world communicator and split sub-communicators: local rank ids,
-// sends/receives in the group's translated namespace, and a way to price
-// the self-block copy of an all-to-all.
-type collCtx struct {
-	size       int
-	me         int
-	send       func(dst, tag int, body Payload)
-	recv       func(src, tag int) Payload
-	memcpySelf func(bytes int)
-}
-
-func (c *collCtx) sendrecv(dst, sendTag int, body Payload, src, recvTag int) Payload {
-	c.send(dst, sendTag, body)
-	return c.recv(src, recvTag)
-}
+// collSend and collRecv move one collective message in the reserved tag
+// space.
+func (r *Rank) collSend(dst, tag int, body Payload) { r.Send(dst, collTagBase+tag, body) }
+func (r *Rank) collRecv(src, tag int) Payload       { return r.Recv(src, collTagBase+tag) }
 
 // --- algorithms -------------------------------------------------------------
 
 // barrierOn is a dissemination barrier: ceil(log2 n) rounds of small
 // messages, charging realistic latency and software overhead rather than
 // synchronising for free.
-func barrierOn(c *collCtx) {
-	n := c.size
+func barrierOn(r *Rank) {
+	n := r.Size()
 	if n == 1 {
 		return
 	}
 	for k := 1; k < n; k <<= 1 {
-		dst := (c.me + k) % n
-		src := (c.me - k + n) % n
-		c.send(dst, tagBarrier+k, Empty())
-		c.recv(src, tagBarrier+k)
+		dst := (r.id + k) % n
+		src := (r.id - k + n) % n
+		r.collSend(dst, tagBarrier+k, Empty())
+		r.collRecv(src, tagBarrier+k)
 	}
 }
 
-// bcastOn distributes root's payload along a binomial tree.
-func bcastOn(c *collCtx, root int, body Payload) Payload {
-	n := c.size
-	if n == 1 {
-		return body
-	}
-	rel := (c.me - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % n
-			body = c.recv(src, tagBcast)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			dst := (rel + mask + root) % n
-			c.send(dst, tagBcast, body)
-		}
-		mask >>= 1
-	}
-	return body
-}
-
-// gatherOn collects one payload from every participant at root.
-func gatherOn(c *collCtx, root int, body Payload) []Payload {
-	n := c.size
-	if c.me != root {
-		c.send(root, tagGather, body)
+// gatherOn collects one payload from every rank at root.
+func gatherOn(r *Rank, root int, body Payload) []Payload {
+	n := r.Size()
+	if r.id != root {
+		r.collSend(root, tagGather, body)
 		return nil
 	}
 	out := make([]Payload, n)
-	out[c.me] = body
+	out[r.id] = body
 	for src := 0; src < n; src++ {
 		if src == root {
 			continue
 		}
-		out[src] = c.recv(src, tagGather)
+		out[src] = r.collRecv(src, tagGather)
 	}
 	return out
 }
 
-// scatterOn distributes parts[i] from root to participant i.
-func scatterOn(c *collCtx, root int, parts []Payload) Payload {
-	n := c.size
-	if c.me == root {
+// scatterOn distributes parts[i] from root to rank i.
+func scatterOn(r *Rank, root int, parts []Payload) Payload {
+	n := r.Size()
+	if r.id == root {
 		if len(parts) != n {
 			panic(fmt.Sprintf("mpi: scatter with %d parts for %d ranks", len(parts), n))
 		}
@@ -109,11 +66,11 @@ func scatterOn(c *collCtx, root int, parts []Payload) Payload {
 			if dst == root {
 				continue
 			}
-			c.send(dst, tagScatter, parts[dst])
+			r.collSend(dst, tagScatter, parts[dst])
 		}
 		return parts[root]
 	}
-	return c.recv(root, tagScatter)
+	return r.collRecv(root, tagScatter)
 }
 
 // AlltoallAlgorithm selects the collective exchange schedule; the paper notes
@@ -146,56 +103,57 @@ func AlgorithmFor(name string) AlltoallAlgorithm {
 }
 
 // alltoallOn performs a personalised all-to-all exchange.
-func alltoallOn(c *collCtx, parts []Payload, alg AlltoallAlgorithm) []Payload {
-	n := c.size
+func alltoallOn(r *Rank, parts []Payload, alg AlltoallAlgorithm) []Payload {
+	n := r.Size()
 	if len(parts) != n {
 		panic(fmt.Sprintf("mpi: alltoall with %d parts for %d ranks", len(parts), n))
 	}
 	out := make([]Payload, n)
 	// Self block: local copy, priced by the memory system.
-	c.memcpySelf(parts[c.me].Bytes)
-	out[c.me] = parts[c.me]
+	r.node.Memcpy(r.proc, parts[r.id].Bytes)
+	out[r.id] = parts[r.id]
 	if n == 1 {
 		return out
 	}
 	switch alg {
 	case AlltoallDirect:
-		alltoallDirectOn(c, parts, out)
+		alltoallDirectOn(r, parts, out)
 	case AlltoallPairwise:
-		alltoallPairwiseOn(c, parts, out)
+		alltoallPairwiseOn(r, parts, out)
 	case AlltoallBruck:
-		alltoallBruckOn(c, parts, out)
+		alltoallBruckOn(r, parts, out)
 	default:
 		panic(fmt.Sprintf("mpi: unknown alltoall algorithm %q", alg))
 	}
 	return out
 }
 
-func alltoallDirectOn(c *collCtx, parts, out []Payload) {
-	n := c.size
+func alltoallDirectOn(r *Rank, parts, out []Payload) {
+	n := r.Size()
 	for k := 1; k < n; k++ {
-		dst := (c.me + k) % n
-		c.send(dst, tagAlltoall, parts[dst])
+		dst := (r.id + k) % n
+		r.collSend(dst, tagAlltoall, parts[dst])
 	}
 	for k := 1; k < n; k++ {
-		src := (c.me - k + n) % n
-		out[src] = c.recv(src, tagAlltoall)
+		src := (r.id - k + n) % n
+		out[src] = r.collRecv(src, tagAlltoall)
 	}
 }
 
-func alltoallPairwiseOn(c *collCtx, parts, out []Payload) {
-	n := c.size
+func alltoallPairwiseOn(r *Rank, parts, out []Payload) {
+	n := r.Size()
 	pow2 := n&(n-1) == 0
 	for k := 1; k < n; k++ {
 		var sendTo, recvFrom int
 		if pow2 {
-			sendTo = c.me ^ k
+			sendTo = r.id ^ k
 			recvFrom = sendTo
 		} else {
-			sendTo = (c.me + k) % n
-			recvFrom = (c.me - k + n) % n
+			sendTo = (r.id + k) % n
+			recvFrom = (r.id - k + n) % n
 		}
-		out[recvFrom] = c.sendrecv(sendTo, tagAlltoall+k, parts[sendTo], recvFrom, tagAlltoall+k)
+		r.collSend(sendTo, tagAlltoall+k, parts[sendTo])
+		out[recvFrom] = r.collRecv(recvFrom, tagAlltoall+k)
 	}
 }
 
@@ -207,13 +165,13 @@ type bruckBlock struct {
 
 const bruckBlockHeaderBytes = 8
 
-func alltoallBruckOn(c *collCtx, parts, out []Payload) {
-	n := c.size
+func alltoallBruckOn(r *Rank, parts, out []Payload) {
+	n := r.Size()
 	// Phase 1: local rotation. buf[j] holds the block destined for rank
 	// (me + j) mod n.
 	buf := make([]Payload, n)
 	for j := 1; j < n; j++ {
-		buf[j] = parts[(c.me+j)%n]
+		buf[j] = parts[(r.id+j)%n]
 	}
 	// Phase 2: log2(n) combined exchanges.
 	for k := 1; k < n; k <<= 1 {
@@ -225,10 +183,8 @@ func alltoallBruckOn(c *collCtx, parts, out []Payload) {
 				bytes += buf[j].Bytes + bruckBlockHeaderBytes
 			}
 		}
-		dst := (c.me + k) % n
-		src := (c.me - k + n) % n
-		got := c.sendrecv(dst, tagAlltoall+k, Payload{Bytes: bytes, Data: blocks},
-			src, tagAlltoall+k)
+		r.collSend((r.id+k)%n, tagAlltoall+k, Payload{Bytes: bytes, Data: blocks})
+		got := r.collRecv((r.id-k+n)%n, tagAlltoall+k)
 		for _, b := range got.Data.([]bruckBlock) {
 			buf[b.Index] = b.Body
 		}
@@ -236,72 +192,11 @@ func alltoallBruckOn(c *collCtx, parts, out []Payload) {
 	// Phase 3: after the exchanges, buf[j] holds the block sent by rank
 	// (me - j) mod n for us; un-rotate into source order.
 	for j := 1; j < n; j++ {
-		out[(c.me-j+n)%n] = buf[j]
+		out[(r.id-j+n)%n] = buf[j]
 	}
 }
 
-// reduceOn combines every participant's payload at root along a binomial
-// tree (non-roots return their partial, which callers should ignore).
-func reduceOn(c *collCtx, root int, body Payload, op ReduceOp) Payload {
-	n := c.size
-	if n == 1 {
-		return body
-	}
-	rel := (c.me - root + n) % n
-	acc := body
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			dst := (rel - mask + root) % n
-			c.send(dst, tagReduce, acc)
-			return acc // this participant is done contributing
-		}
-		if rel+mask < n {
-			src := (rel + mask + root) % n
-			acc = op(acc, c.recv(src, tagReduce))
-		}
-		mask <<= 1
-	}
-	return acc
-}
-
-// allreduceOn combines every participant's payload on all of them:
-// recursive doubling on power-of-two sizes, reduce-then-broadcast otherwise.
-func allreduceOn(c *collCtx, body Payload, op ReduceOp) Payload {
-	n := c.size
-	if n == 1 {
-		return body
-	}
-	if n&(n-1) == 0 {
-		acc := body
-		for mask := 1; mask < n; mask <<= 1 {
-			partner := c.me ^ mask
-			got := c.sendrecv(partner, tagAllreduce+mask, acc, partner, tagAllreduce+mask)
-			acc = op(acc, got)
-		}
-		return acc
-	}
-	acc := reduceOn(c, 0, body, op)
-	if c.me != 0 {
-		acc = Payload{} // only root holds the full reduction
-	}
-	return bcastOn(c, 0, acc)
-}
-
-// --- world-communicator wrappers --------------------------------------------
-
-// collective builds the world collCtx for this rank.
-func (r *Rank) collective() *collCtx {
-	return &collCtx{
-		size: r.Size(),
-		me:   r.id,
-		send: func(dst, tag int, body Payload) { r.Send(dst, collTagBase+tag, body) },
-		recv: func(src, tag int) Payload { return r.Recv(src, collTagBase+tag) },
-		memcpySelf: func(bytes int) {
-			r.node.Memcpy(r.proc, bytes)
-		},
-	}
-}
+// --- collectives -------------------------------------------------------------
 
 // collSpan runs one collective under a trace span when the machine is
 // traced: the span covers this rank's participation, on the calling
@@ -320,22 +215,14 @@ func (r *Rank) collSpan(name string, f func()) {
 
 // Barrier synchronises all ranks (dissemination barrier).
 func (r *Rank) Barrier() {
-	r.collSpan("barrier", func() { barrierOn(r.collective()) })
-}
-
-// Bcast distributes root's payload to all ranks and returns it everywhere.
-// Non-root callers pass anything (ignored).
-func (r *Rank) Bcast(root int, body Payload) Payload {
-	var out Payload
-	r.collSpan("bcast", func() { out = bcastOn(r.collective(), root, body) })
-	return out
+	r.collSpan("barrier", func() { barrierOn(r) })
 }
 
 // Gather collects one payload from every rank at root. The root's return
 // value is indexed by source rank; other ranks get nil.
 func (r *Rank) Gather(root int, body Payload) []Payload {
 	var out []Payload
-	r.collSpan("gather", func() { out = gatherOn(r.collective(), root, body) })
+	r.collSpan("gather", func() { out = gatherOn(r, root, body) })
 	return out
 }
 
@@ -343,7 +230,7 @@ func (r *Rank) Gather(root int, body Payload) []Payload {
 // part. Only the root's parts argument is consulted.
 func (r *Rank) Scatter(root int, parts []Payload) Payload {
 	var out Payload
-	r.collSpan("scatter", func() { out = scatterOn(r.collective(), root, parts) })
+	r.collSpan("scatter", func() { out = scatterOn(r, root, parts) })
 	return out
 }
 
@@ -352,22 +239,6 @@ func (r *Rank) Scatter(root int, parts []Payload) Payload {
 // memory copy. parts must have exactly Size() entries.
 func (r *Rank) Alltoall(parts []Payload, alg AlltoallAlgorithm) []Payload {
 	var out []Payload
-	r.collSpan("alltoall["+string(alg)+"]", func() { out = alltoallOn(r.collective(), parts, alg) })
-	return out
-}
-
-// Reduce combines every rank's payload at root (op must be associative and
-// commutative); non-roots get their partial, which they should ignore.
-func (r *Rank) Reduce(root int, body Payload, op ReduceOp) Payload {
-	var out Payload
-	r.collSpan("reduce", func() { out = reduceOn(r.collective(), root, body, op) })
-	return out
-}
-
-// Allreduce combines every rank's payload and returns the result on all
-// ranks.
-func (r *Rank) Allreduce(body Payload, op ReduceOp) Payload {
-	var out Payload
-	r.collSpan("allreduce", func() { out = allreduceOn(r.collective(), body, op) })
+	r.collSpan("alltoall["+string(alg)+"]", func() { out = alltoallOn(r, parts, alg) })
 	return out
 }

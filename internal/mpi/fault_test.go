@@ -169,7 +169,7 @@ func TestRecvTimeoutMatchesEarlyMessage(t *testing.T) {
 	w.Launch("t", func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			r.Send(1, 7, Float64Payload([]float64{42}))
+			r.Send(1, 7, Payload{Bytes: 4, Data: []float64{42}})
 		case 1:
 			got, ok = r.RecvTimeout(0, 7, time.Second)
 			// Nothing more is coming: a second timed receive must expire.
@@ -197,7 +197,7 @@ func TestRecvTimeoutThenLateArrival(t *testing.T) {
 		case 0:
 			// Sleep past the receiver's first deadline, then send.
 			r.Proc().Sleep(500 * time.Microsecond)
-			r.Send(1, 7, Float64Payload([]float64{7}))
+			r.Send(1, 7, Payload{Bytes: 4, Data: []float64{7}})
 		case 1:
 			_, firstOK = r.RecvTimeout(0, 7, 100*time.Microsecond)
 			second = r.Recv(0, 7)

@@ -1,6 +1,6 @@
 // Package mpi implements the message-passing substrate of the reproduction:
 // a deterministic MPI subset (point-to-point with tag matching, barrier,
-// broadcast, gather/scatter, and three all-to-all algorithms) executing on the
+// gather/scatter, and three all-to-all algorithms) executing on the
 // simulated multicomputer of internal/machine.
 //
 // The paper's benchmarks — and the vendor systems it measures — are MPI
@@ -80,11 +80,6 @@ func (p Payload) Complex() []complex128 {
 		panic(fmt.Sprintf("mpi: payload holds %T, want []complex128", p.Data))
 	}
 	return v
-}
-
-// Float64Payload wraps a float64 vector, priced at float32 wire size.
-func Float64Payload(data []float64) Payload {
-	return Payload{Bytes: 4 * len(data), Data: data}
 }
 
 // Empty returns a zero-byte payload (control messages).
@@ -710,11 +705,4 @@ func (r *Rank) recvDone(came bool) {
 		op.msg = Payload{}
 	}
 	r.w.endpoints[r.id].putWaiter(w)
-}
-
-// Sendrecv sends to dst and then receives from src (safe because Send does
-// not block on the receiver).
-func (r *Rank) Sendrecv(dst, sendTag int, body Payload, src, recvTag int) Payload {
-	r.Send(dst, sendTag, body)
-	return r.Recv(src, recvTag)
 }

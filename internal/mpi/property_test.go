@@ -133,50 +133,3 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestBcastReduceAllreduceAgree checks bcast delivers the root payload
-// everywhere and allreduce equals reduce-at-root for random node counts.
-func TestBcastReduceAllreduceAgree(t *testing.T) {
-	sum := func(a, b Payload) Payload {
-		av, bv := a.Complex(), b.Complex()
-		out := make([]complex128, len(av))
-		for i := range av {
-			out[i] = av[i] + bv[i]
-		}
-		return ComplexPayload(out)
-	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 6; trial++ {
-		nodes := 1 + rng.Intn(12)
-		root := rng.Intn(nodes)
-		t.Run(fmt.Sprintf("trial%d_nodes%d", trial, nodes), func(t *testing.T) {
-			k, w := world(nodes)
-			bcastGot := make([]Payload, nodes)
-			reduceGot := make([]Payload, 1)
-			allGot := make([]Payload, nodes)
-			w.Launch("coll", func(r *Rank) {
-				body := ComplexPayload([]complex128{complex(float64(r.ID()+1), 0)})
-				bcastGot[r.ID()] = r.Bcast(root, body)
-				red := r.Reduce(root, body, sum)
-				if r.ID() == root {
-					reduceGot[0] = red
-				}
-				allGot[r.ID()] = r.Allreduce(body, sum)
-			})
-			run(t, k)
-			rootBody := ComplexPayload([]complex128{complex(float64(root+1), 0)})
-			want := complex(float64(nodes*(nodes+1)/2), 0)
-			for q := 0; q < nodes; q++ {
-				if !payloadsEqual(bcastGot[q], rootBody) {
-					t.Fatalf("rank %d bcast got %v, want %v", q, bcastGot[q].Complex(), rootBody.Complex())
-				}
-				if got := allGot[q].Complex(); len(got) != 1 || got[0] != want {
-					t.Fatalf("rank %d allreduce got %v, want %v", q, got, want)
-				}
-			}
-			if got := reduceGot[0].Complex(); len(got) != 1 || got[0] != want {
-				t.Fatalf("reduce at root got %v, want %v", got, want)
-			}
-		})
-	}
-}

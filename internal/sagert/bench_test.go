@@ -47,3 +47,18 @@ func BenchmarkStripeDispatchSequential(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulatorThroughput measures raw discrete-event throughput: how
+// many simulated corner-turn iterations per host second.
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	out, err := experiments.GenerateTables(experiments.AppCornerTurn, platforms.CSPI(), 8, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

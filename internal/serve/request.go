@@ -19,7 +19,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
-	"repro/internal/pool"
 	"repro/internal/sagert"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -64,10 +63,10 @@ type Request struct {
 	// Protocol is the execution protocol (§3.3 shape).
 	Protocol Protocol `json:"protocol,omitempty"`
 	// Faults is an optional fault-plan text (the sage check fault format)
-	// injected into every repetition.
+	// injected into the run.
 	Faults string `json:"faults,omitempty"`
-	// TraceSummary asks for the per-node/per-link trace summary of the
-	// first repetition in the response.
+	// TraceSummary asks for the per-node/per-link trace summary of the run
+	// in the response.
 	TraceSummary bool `json:"trace_summary,omitempty"`
 	// TimeoutMs lowers the server's per-request deadline for this request.
 	// It is excluded from the cache key: patience is not a simulation
@@ -81,12 +80,13 @@ type Request struct {
 	Estimate bool `json:"estimate,omitempty"`
 }
 
-// Protocol mirrors the experiments protocol: repetitions of a fixed
-// iteration count. The simulator is deterministic, so repetitions reproduce
-// identical virtual results; they exist to exercise the batch path.
+// Protocol mirrors the experiments protocol: a fixed iteration count, run
+// once. Repetitions is accepted so that clients written for the old
+// repetition knob still decode; the simulator is deterministic, so
+// normalize folds every valid value to 1 and a request runs once.
 type Protocol struct {
 	Iterations       int  `json:"iterations,omitempty"`        // default 5
-	Repetitions      int  `json:"repetitions,omitempty"`       // default 1
+	Repetitions      int  `json:"repetitions,omitempty"`       // always 1 after normalize
 	Sequential       bool `json:"sequential,omitempty"`        // no pipelining
 	OptimizedBuffers bool `json:"optimized_buffers,omitempty"` // future-work optimisation
 	// Stream switches the request from the batch runtime to the streaming
@@ -223,7 +223,6 @@ func (r *Request) normalize() error {
 		if r.Protocol.Repetitions > 1 {
 			return badf("stream: repetitions > 1 is a batch-protocol knob (streaming runs are deterministic)")
 		}
-		r.Protocol.Repetitions = 1
 		if r.Protocol.Sequential || r.Protocol.OptimizedBuffers {
 			return badf("stream: sequential and optimized_buffers are batch-runtime modes")
 		}
@@ -248,13 +247,11 @@ func (r *Request) normalize() error {
 		if r.Protocol.Iterations < 0 {
 			return badf("iterations must be positive")
 		}
-		if r.Protocol.Repetitions == 0 {
-			r.Protocol.Repetitions = 1
-		}
-		if r.Protocol.Repetitions < 0 {
-			return badf("repetitions must be positive")
-		}
 	}
+	if r.Protocol.Repetitions < 0 {
+		return badf("repetitions must be positive")
+	}
+	r.Protocol.Repetitions = 1
 	if r.TimeoutMs < 0 {
 		return badf("timeout_ms must be non-negative")
 	}
@@ -527,10 +524,8 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 // wired into the kernel's cancellation poll (sagert.Options.Cancel): a
 // deadline mid-run aborts between dispatched events and sagert's deferred
 // Kernel.Shutdown releases the parked process goroutines, so a canceled
-// request leaks nothing. Repetitions fan out on internal/pool; its
-// first-failure cancellation stops the batch as soon as one repetition is
-// canceled. backlog feeds the daemon's per-worker queue-depth gauge on
-// streaming requests; batch requests ignore it.
+// request leaks nothing. backlog feeds the daemon's per-worker queue-depth
+// gauge on streaming requests; batch requests ignore it.
 func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, error) {
 	if r.Protocol.Stream != nil {
 		return executeStream(ctx, r, backlog)
@@ -551,53 +546,31 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 		}
 	}
 
-	reps := r.Protocol.Repetitions
-	type repOut struct {
-		res *sagert.Result
-		col *trace.Collector
+	// No Response field derives from a sample, and buildCase's tables come
+	// from a validated model: the run carries none.
+	opts := sagert.Options{
+		Iterations:        r.Protocol.Iterations,
+		ComputeIterations: sagert.NoSamples,
+		Sequential:        r.Protocol.Sequential,
+		OptimizedBuffers:  r.Protocol.OptimizedBuffers,
+		Faults:            plan,
+		Cancel:            ctx.Done(),
 	}
-	par := reps
-	if par > 4 {
-		par = 4
+	if r.TraceSummary {
+		opts.Collector = trace.New(resp.App + " on " + pl.Name)
 	}
-	outs, err := pool.Run(par, reps, func(i int) (repOut, error) {
-		if err := ctx.Err(); err != nil {
-			return repOut{}, err
-		}
-		// No Response field derives from a sample, and buildCase's tables
-		// come from a validated model: the run carries none.
-		opts := sagert.Options{
-			Iterations:        r.Protocol.Iterations,
-			ComputeIterations: sagert.NoSamples,
-			Sequential:        r.Protocol.Sequential,
-			OptimizedBuffers:  r.Protocol.OptimizedBuffers,
-			Faults:            plan,
-			Cancel:            ctx.Done(),
-		}
-		var col *trace.Collector
-		if r.TraceSummary && i == 0 {
-			col = trace.New(resp.App + " on " + pl.Name)
-			opts.Collector = col
-		}
-		res, err := sagert.Run(tables, pl, opts)
-		if err != nil {
-			return repOut{}, err
-		}
-		return repOut{res: res, col: col}, nil
-	})
+	res, err := sagert.Run(tables, pl, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := resp.setRun(outs[0].res, outs[0].col, plan); err != nil {
+	if err := resp.setRun(res, opts.Collector, plan); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
 // setRun fills in what a batch run measured: the timings and per-node busy
-// times of res, the summary of the first repetition's trace when one was
-// collected, and the fault plan's one-line account. Nothing here reads a
+// times of res, the summary of its trace when one was collected, and the fault plan's one-line account. Nothing here reads a
 // sample, which is why execute's runs carry none.
 func (resp *Response) setRun(res *sagert.Result, col *trace.Collector, plan *fault.Plan) error {
 	period := time.Duration(res.Period)

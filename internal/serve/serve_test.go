@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -77,22 +78,38 @@ func TestRunEndpointAndCache(t *testing.T) {
 	}
 }
 
+// TestRepetitionsAndTraceSummary: the simulator is deterministic, so a
+// request runs once whatever repetitions it asks for. Old clients that send
+// the field still decode, get the bytes of a single run, and share its
+// cache entry; a negative count stays a client error.
 func TestRepetitionsAndTraceSummary(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	body := `{"app":"cornerturn","n":64,"threads":2,"nodes":4,"trace_summary":true,"protocol":{"iterations":2,"repetitions":3}}`
-	w := do(s, http.MethodPost, "/v1/run", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+	const body = `{"app":"cornerturn","n":64,"threads":2,"nodes":4,"trace_summary":true,"protocol":{"iterations":2%s}}`
+	once := do(s, http.MethodPost, "/v1/run", fmt.Sprintf(body, ""))
+	if once.Code != http.StatusOK || once.Header().Get("X-Sage-Cache") != "miss" {
+		t.Fatalf("status %d, X-Sage-Cache %q, body %s", once.Code, once.Header().Get("X-Sage-Cache"), once.Body.String())
 	}
 	var resp Response
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(once.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Repetitions != 3 {
-		t.Errorf("repetitions = %d, want 3", resp.Repetitions)
+	if resp.Repetitions != 1 {
+		t.Errorf("repetitions = %d, want 1", resp.Repetitions)
 	}
 	if resp.TraceSummary == "" {
 		t.Error("trace summary requested but absent")
+	}
+	for _, reps := range []string{`,"repetitions":3`, `,"repetitions":1`} {
+		w := do(s, http.MethodPost, "/v1/run", fmt.Sprintf(body, reps))
+		if w.Code != http.StatusOK || w.Header().Get("X-Sage-Cache") != "hit" {
+			t.Errorf("%s: status %d, X-Sage-Cache %q, want a cache hit", reps, w.Code, w.Header().Get("X-Sage-Cache"))
+		}
+		if !bytes.Equal(w.Body.Bytes(), once.Body.Bytes()) {
+			t.Errorf("%s: response differs from the single run's", reps)
+		}
+	}
+	if w := do(s, http.MethodPost, "/v1/run", fmt.Sprintf(body, `,"repetitions":-1`)); w.Code != http.StatusBadRequest {
+		t.Errorf("negative repetitions: status %d, want 400", w.Code)
 	}
 }
 
