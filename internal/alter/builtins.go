@@ -570,12 +570,18 @@ func installPredicates(lib *Library) {
 // builtin, or the reference evaluator the tests hold the Interp to.
 type applier interface {
 	Apply(callee Value, args List) (Value, error)
+	// argList returns a list of n nil slots to pass arguments in. An
+	// Interp's are on its stack, above the builtin's own arguments, and go
+	// when the builtin returns.
+	argList(n int) List
 }
 
 // applicative holds the procedures that apply procedures — apply, map,
 // filter, for-each, fold, sort-by — over whatever applier calls them. Each
-// call reuses one argument list for every element it applies the procedure
-// to: Apply's callee may not keep it (see Builtin).
+// call reuses one argument list from the applier for every element it
+// applies the procedure to: Apply's callee may not keep it (see Builtin).
+// None of them keeps the procedure once it returns, which is what lets a
+// lambda written as its argument be lent (see lendingCall).
 var applicative = map[string]func(ap applier, args List) (Value, error){
 	"apply": func(ap applier, args List) (Value, error) {
 		if err := wantArgs(args, 2); err != nil {
@@ -595,7 +601,7 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 		if err != nil {
 			return nil, err
 		}
-		fn, arg := args[0], make(List, 1)
+		fn, arg := args[0], ap.argList(1)
 		out := make(List, len(l))
 		for i, v := range l {
 			arg[0] = v
@@ -614,7 +620,7 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 		if err != nil {
 			return nil, err
 		}
-		fn, arg := args[0], make(List, 1)
+		fn, arg := args[0], ap.argList(1)
 		var out List
 		for _, v := range l {
 			arg[0] = v
@@ -636,7 +642,7 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 		if err != nil {
 			return nil, err
 		}
-		fn, arg := args[0], make(List, 1)
+		fn, arg := args[0], ap.argList(1)
 		for _, v := range l {
 			arg[0] = v
 			if _, err := ap.Apply(fn, arg); err != nil {
@@ -654,7 +660,7 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 		if err != nil {
 			return nil, err
 		}
-		fn, arg := args[0], make(List, 2)
+		fn, arg := args[0], ap.argList(2)
 		acc := args[1]
 		for _, v := range l {
 			arg[0], arg[1] = acc, v
@@ -674,7 +680,7 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 		if err != nil {
 			return nil, err
 		}
-		fn, arg := args[0], make(List, 1)
+		fn, arg := args[0], ap.argList(1)
 		keys := make([]Value, len(l))
 		for i, v := range l {
 			arg[0] = v
@@ -721,7 +727,10 @@ var applicative = map[string]func(ap applier, args List) (Value, error){
 // returning a string — ~a inserts display form, ~s write form, ~~ a literal
 // tilde, ~% a newline — so an output stream formats straight into its text.
 // It is the one directive loop: the format builtin is FormatTo into a fresh
-// builder. b grows by doubling. An error can leave the text partly written.
+// builder. When the template does not fit in b's spare capacity, b grows by
+// doubling, with room for the line; a b sized for its whole text is not
+// grown for a reservation its last lines do not need. An error can leave the
+// text partly written.
 func FormatTo(b *strings.Builder, args List) error {
 	if err := wantAtLeast(args, 1); err != nil {
 		return err
@@ -730,7 +739,9 @@ func FormatTo(b *strings.Builder, args List) error {
 	if err != nil {
 		return err
 	}
-	b.Grow(len(tpl) + 8*len(args))
+	if b.Cap()-b.Len() < len(tpl) {
+		b.Grow(len(tpl) + 8*len(args))
+	}
 	argi := 1
 	for i := 0; i < len(tpl); i++ {
 		c := tpl[i]

@@ -62,7 +62,8 @@ func (c *compiler) global(s Symbol) int {
 // being compiled can run (parameters, let names, a let* name once its
 // initialiser is behind us); late[i] says it was declared before that was
 // so — by a define or as a let* name — and must start out unbound.
-// captured says a lambda is compiled in this scope or one inside it.
+// captured says a closure that may outlive the scope is compiled in it or in
+// one inside it: any lambda but one lent to a builtin (see lendingCall).
 type scope struct {
 	up       *scope
 	names    []Symbol
@@ -464,6 +465,7 @@ func (c *compiler) define(form List, sc *scope) node {
 		if name, err = AsSymbol(target[0]); err != nil {
 			return fail(err)
 		}
+		sc.capture()
 		code, err := c.lambda(target[1:], form[2:], sc)
 		if err != nil {
 			return fail(err)
@@ -532,7 +534,8 @@ func (c *compiler) set(form List, sc *scope) node {
 }
 
 // lambdaCode is the compiled form of a lambda expression; a Lambda value is
-// this plus the frame it closed over.
+// this plus the frame it closed over. Compiling one does not mark sc
+// captured: the caller does, unless the closure is lent (see lendingCall).
 type lambdaCode struct {
 	params []int // slot of each positional parameter
 	rest   int   // slot of the &rest parameter, -1 if none
@@ -544,7 +547,6 @@ type lambdaCode struct {
 }
 
 func (c *compiler) lambda(params, body List, sc *scope) (*lambdaCode, error) {
-	sc.capture()
 	code := &lambdaCode{rest: -1, direct: true}
 	fs := &scope{up: sc}
 	rest := false
@@ -589,6 +591,7 @@ func (c *compiler) lambdaForm(form List, sc *scope) node {
 	if err != nil {
 		return fail(err)
 	}
+	sc.capture()
 	code, err := c.lambda(params, form[2:], sc)
 	if err != nil {
 		return fail(err)
@@ -773,7 +776,11 @@ func (c *compiler) when(form List, sc *scope, want bool) node {
 // --- calls -------------------------------------------------------------------
 
 func (c *compiler) call(form List, sc *scope) node {
-	fn, args := c.compile(form[0], sc), c.seq(form[1:], sc)
+	fn := c.compile(form[0], sc)
+	if code, lender := c.lentLambda(form, sc); code != nil {
+		return lendingCall(fn, code, lender, c.seq(form[2:], sc))
+	}
+	args := c.seq(form[1:], sc)
 	return func(in *Interp, fr *frame) (Value, error) {
 		if in.tick() {
 			return nil, in.stepErr()
@@ -804,21 +811,102 @@ func (c *compiler) call(form List, sc *scope) node {
 			}
 			return out, err
 		}
-		// Any other call takes its arguments on the interpreter's stack
-		// (capped, so that a callee appending to them cannot write over a
-		// later call's).
-		base := len(in.stack)
-		for _, arg := range args {
-			v, err := arg(in, fr)
-			if err != nil {
-				in.stack = in.stack[:base]
-				return nil, err
-			}
-			in.stack = append(in.stack, v)
+		// Any other call takes its arguments on the interpreter's stack.
+		return in.applyStacked(fr, callee, len(in.stack), args)
+	}
+}
+
+// applyStacked evaluates args onto the stack and applies callee to the
+// stack from base up: the arguments, after any the call pushed already. The
+// list is capped, so that a callee appending to it cannot write over a
+// later call's.
+func (in *Interp) applyStacked(fr *frame, callee Value, base int, args []node) (Value, error) {
+	for _, arg := range args {
+		v, err := arg(in, fr)
+		if err != nil {
+			in.stack = in.stack[:base]
+			return nil, err
 		}
-		top := len(in.stack)
-		out, err := in.Apply(callee, in.stack[base:top:top])
-		in.stack = in.stack[:base]
+		in.stack = append(in.stack, v)
+	}
+	top := len(in.stack)
+	out, err := in.Apply(callee, in.stack[base:top:top])
+	in.stack = in.stack[:base]
+	return out, err
+}
+
+// lenders are the builtins that apply their procedure argument and keep no
+// hold on it once they return (see applicative), by name.
+var lenders = func() map[Symbol]*Builtin {
+	out := make(map[Symbol]*Builtin, len(applicative))
+	for name := range applicative {
+		out[Symbol(name)] = stdlib.vals[Symbol(name)].(*Builtin)
+	}
+	return out
+}()
+
+// lentLambda compiles the lambda of a call (p (lambda params body...)
+// args...) whose p names a lender, without marking sc captured, and returns
+// it with the lender; it returns nil for any other call. A closure the body
+// makes that is not lent marks its own scope and every one around it,
+// sc included, captured as usual.
+func (c *compiler) lentLambda(form List, sc *scope) (*lambdaCode, *Builtin) {
+	if len(form) < 2 {
+		return nil, nil
+	}
+	name, _ := form[0].(Symbol)
+	lender := lenders[name]
+	lam, ok := form[1].(List)
+	if lender == nil || !ok || len(lam) < 3 || lam[0] != Symbol("lambda") {
+		return nil, nil
+	}
+	params, err := AsList(lam[1])
+	if err != nil {
+		return nil, nil
+	}
+	code, err := c.lambda(params, lam[2:], sc)
+	if err != nil {
+		return nil, nil // compiled again by lambdaForm, which reports it
+	}
+	return code, lender
+}
+
+// lendingCall is the call (p (lambda ...) rest...) of a lender p. While p is
+// still that lender when the call runs, the closure is lent to it: it cannot
+// outlive the call, so its scope need not be captured, and it is taken from
+// the Interp's spares and handed back once p returns. If the name has been
+// rebound the closure may be kept: it is made afresh and pins its frame and
+// every frame around it, which are then never released.
+func lendingCall(fn node, code *lambdaCode, lender *Builtin, rest []node) node {
+	return func(in *Interp, fr *frame) (Value, error) {
+		if in.tick() {
+			return nil, in.stepErr()
+		}
+		callee, err := fn(in, fr)
+		if err != nil {
+			return nil, err
+		}
+		if in.tick() { // the lambda form's own step
+			return nil, in.stepErr()
+		}
+		lent := callee == Value(lender)
+		var f *Lambda
+		if n := len(in.spare); lent && n > 0 {
+			f, in.spare = in.spare[n-1], in.spare[:n-1]
+		} else {
+			f = new(Lambda)
+		}
+		if !lent {
+			fr.pin()
+		}
+		*f = Lambda{code: code, env: fr, cells: in.cells}
+		base := len(in.stack)
+		in.stack = append(in.stack, f)
+		out, err := in.applyStacked(fr, callee, base, rest)
+		if lent && err == nil {
+			*f = Lambda{}
+			in.spare = append(in.spare, f)
+		}
 		return out, err
 	}
 }

@@ -74,6 +74,9 @@ type Interp struct {
 	// free is a stack of frames whose scope returned and that no closure
 	// can reach; entering a scope pops one. Run drops it when it returns.
 	free []*frame
+	// spare holds closures that were lent to a builtin and handed back (see
+	// lendingCall). Run drops it when it returns.
+	spare []*Lambda
 }
 
 // New creates an interpreter over the base library.
@@ -147,7 +150,7 @@ func (in *Interp) Run(p *Program) (Value, error) {
 	}
 	saved := in.cells
 	in.cells = cells
-	defer func() { in.cells, in.free = saved, nil }()
+	defer func() { in.cells, in.free, in.spare = saved, nil, nil }()
 	var last Value
 	for _, form := range p.forms {
 		var err error
@@ -180,7 +183,9 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 	}
 	switch f := callee.(type) {
 	case *Builtin:
+		base := len(in.stack)
 		v, err := f.Fn(in, args)
+		in.stack = in.stack[:base]
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}
@@ -210,6 +215,14 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 	default:
 		return nil, fmt.Errorf("alter: cannot call %s", TypeName(callee))
 	}
+}
+
+// argList returns n nil slots on top of the stack; Apply drops them when
+// the builtin that asked for them returns.
+func (in *Interp) argList(n int) List {
+	base := len(in.stack)
+	in.stack = append(in.stack, make(List, n)...)
+	return in.stack[base : base+n : base+n]
 }
 
 // run evaluates f's body in fr, f's frame with the arguments in place.
@@ -247,6 +260,9 @@ type frame struct {
 	up    *frame
 	slots []Value
 	small [4]Value
+	// pinned: a closure that may be kept holds this frame or one below it,
+	// though the scope's shape says none can (see lendingCall).
+	pinned bool
 }
 
 // shape is what the compiler knows about a scope's frame.
@@ -290,15 +306,22 @@ func (in *Interp) newFrame(up *frame, s *shape) *frame {
 
 // release hands back fr, the frame of a scope of shape s that has just
 // returned, unless a closure may hold it. Nothing else can: a frame below
-// it is either released already or captured, which makes this one captured
-// too. A scope that returns an error keeps its frame.
+// it is either released already or captured or pinned, which makes this one
+// so too. A scope that returns an error keeps its frame.
 func (in *Interp) release(fr *frame, s *shape) {
-	if s.captured {
+	if s.captured || fr.pinned {
 		return
 	}
 	clear(fr.slots)
 	fr.up = nil
 	in.free = append(in.free, fr)
+}
+
+// pin keeps fr and every frame around it from being released.
+func (fr *frame) pin() {
+	for ; fr != nil && !fr.pinned; fr = fr.up {
+		fr.pinned = true
+	}
 }
 
 // unbound marks a cell or slot that has no value yet.

@@ -226,6 +226,17 @@ var matchPrograms = []struct {
 	{name: "format", src: `(format "~a|~s|~a|~~~%" "x" "x" '(1 "y" z))`, want: `"x|\"x\"|(1 y z)|~\n"`},
 	{name: "emit", src: `(emit "a" 1 '(2 "b")) (for-each (lambda (x) (emit x)) '(1 2))`, want: "nil"},
 
+	// --- lambdas lent to those builtins, and closures that outlive a call ---
+	{name: "lent lambda sees its scope", src: `(define (f n) (let ((k (* n 10))) (map (lambda (x) (+ k x)) '(1 2)))) (list (f 1) (f 2))`, want: "((11 12) (21 22))"},
+	{name: "lent lambdas nest", src: `(define (g n) (fold + 0 (map (lambda (x) (fold + 0 (map (lambda (y) (* x y n)) '(1 2)))) '(1 2 3)))) (list (g 1) (g 2))`, want: "(18 36)"},
+	{name: "defined lambda outlives its call", src: `(define (mk n) (let ((k n)) (for-each (lambda (x) x) '(1)) (define h (lambda () k)) h)) (define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "(1 2)"},
+	{name: "closure returned from map", src: `(define ks (map (lambda (n) (let ((m (* n 2))) (lambda () (list n m)))) '(1 2 3))) (map (lambda (k) (k)) ks)`, want: "((1 2) (2 4) (3 6))"},
+	{name: "closure passed to a user function", src: `(define kept '()) (define (keep p) (set! kept (cons p kept))) (define (mk n) (let ((k n)) (keep (lambda () k)) (for-each (lambda (x) x) '(1 2)))) (mk 1) (mk 2) (map (lambda (p) (p)) kept)`, want: "(2 1)"},
+	{name: "for-each rebound by define", src: `(define (for-each p l) p) (define (mk n) (let ((k n)) (for-each (lambda () k) '()))) (define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "(1 2)"},
+	{name: "filter rebound by set!", src: `(set! filter (lambda (p l) p)) (define (mk n) (let ((k n)) (filter (lambda () k) '()))) (define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "(1 2)"},
+	{name: "map rebound by a let", src: `(define (mk n) (let ((map (lambda (p l) p)) (k n)) (map (lambda () k) '()))) (define a (mk 1)) (define b (mk 2)) (list (a) (b))`, want: "(1 2)"},
+	{name: "lender rebound after the call is compiled", src: `(define (mk n) (let ((k n)) (for-each (lambda () k) '()))) (define x (mk 0)) (define (for-each p l) p) (define a (mk 1)) (define b (mk 2)) (list x (a) (b))`, want: "(nil 1 2)"},
+
 	// --- errors ---
 	{name: "undefined variable", src: "(emit 1) nosuch", want: "error: alter: undefined variable nosuch"},
 	{name: "undefined in a body", src: "(define (f) (emit 1) nosuch) (f)", want: "error: alter: undefined variable nosuch"},
@@ -384,7 +395,7 @@ func (g *progGen) pick(n int) int {
 }
 
 var (
-	genNames    = []string{"a", "b", "c", "f", "g", "x", "list", "if", "+"}
+	genNames    = []string{"a", "b", "c", "f", "g", "x", "list", "if", "+", "for-each", "filter"}
 	genBuiltins = []string{"+", "-", "*", "<", "=", "list", "cons", "first", "rest", "length", "not", "null?", "emit"}
 )
 
@@ -424,7 +435,7 @@ func (g *progGen) form(head string, parts ...func()) {
 func (g *progGen) expr(depth int) {
 	sub := func() { g.expr(depth - 1) }
 	body := func() { g.body(depth - 1) }
-	kinds := 26
+	kinds := 27
 	if depth <= 0 {
 		kinds = 4
 	}
@@ -506,6 +517,18 @@ func (g *progGen) expr(depth int) {
 		fmt.Fprintf(&g.b, ")) (lambda () (cons %s (cons %s (cons ", p, q)
 		sub()
 		g.b.WriteString(" nil)))))) '(1 2 3)))")
+	case 26:
+		// A lambda written as the procedure argument of map, for-each or
+		// filter, closing over a let: lent to the builtin, or kept by what
+		// the program rebound the name to. A kept one is called only after
+		// a later call has run, in whatever frame its let's was.
+		p, q := genNames[g.pick(len(genNames))], genNames[g.pick(len(genNames))]
+		fmt.Fprintf(&g.b, "(let ((k (let ((%s ", p)
+		sub()
+		fmt.Fprintf(&g.b, ")) (%s (lambda (%s) (list %s %s)) '(1 2 3))))) (f 7) (if (procedure? k) (k ",
+			[]string{"map", "for-each", "filter"}[g.pick(3)], q, p, q)
+		sub()
+		g.b.WriteString(") k))")
 	}
 }
 
@@ -529,9 +552,9 @@ func generateProgram(choices []byte) string {
 // and depth, which the emitted bytes then show.
 func FuzzEvalMatchesReference(f *testing.F) {
 	f.Add([]byte{}, uint16(0), uint8(0))
-	f.Add([]byte("\x10\x03\x04\x00\x01\x02\x12\x05\x00\x0e\x01\x02\x07\x01\x03"), uint16(400), uint8(16))
-	f.Add([]byte("\x15\x02\x04\x0c\x00\x01\x02\x03\x10\x05\x08\x01\x02\x00\x13\x04\x07"), uint16(120), uint8(8))
-	f.Add([]byte("\x0e\x01\x05\x05\x02\x10\x02\x07\x03\x01\x16\x0e\x02\x01\x04\x0c\x01\x00"), uint16(60), uint8(30))
+	f.Add([]byte("\x10\x03\x04\x00\x01\x02\x12\x05\x00\x02\x01\x02\a\x01\x03"), uint16(400), uint8(16))
+	f.Add([]byte("\x15\x02\x01\f\x00\x01\x02\x03\x02\x02\b\x01\x02\x00\x13\x04\a"), uint16(120), uint8(8))
+	f.Add([]byte("\x0e\x01\x05\x05\x02\x01\x02\a\x03\x01\x16\x02\x02\x01\x04\f\x01\x00"), uint16(60), uint8(30))
 	f.Fuzz(func(t *testing.T, choices []byte, steps uint16, depth uint8) {
 		src := generateProgram(choices)
 		got, ref := observe(src, 1+int(steps)%3000, 1+int(depth)%40)

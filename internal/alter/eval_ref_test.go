@@ -151,6 +151,9 @@ func (in *RefInterp) evalCall(form List, env *refEnv) (Value, error) {
 	return in.Apply(callee, args)
 }
 
+// argList is a fresh list: the reference keeps no argument stack.
+func (in *RefInterp) argList(n int) List { return make(List, n) }
+
 // Apply invokes a procedure value on already-evaluated arguments.
 func (in *RefInterp) Apply(callee Value, args List) (Value, error) {
 	in.depth++

@@ -117,7 +117,8 @@ func writeValue(b *strings.Builder, v Value, write bool) {
 		b.Write(strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 	case string:
 		if write {
-			b.WriteString(strconv.Quote(x))
+			var buf [64]byte
+			b.Write(strconv.AppendQuote(buf[:0], x))
 		} else {
 			b.WriteString(x)
 		}

@@ -20,7 +20,8 @@ type binding struct {
 // NewInterp returns an interpreter over the standard calls, bound to input,
 // and the two texts a run writes. Emitted table lines accumulate in table —
 // (emit-format tpl args...) formats a line straight into it, as (emit
-// (format tpl args...)) would write it; emitted glue listing lines in glue.
+// (format tpl args...)) would write it; emitted glue listing lines in glue,
+// where (emit-src-format tpl args...) does the same.
 func NewInterp(input Input) (in *alter.Interp, table, glue *strings.Builder) {
 	b := &binding{input: input}
 	in = standardCalls.New()
@@ -284,30 +285,37 @@ func regionCalls() []*alter.Builtin {
 	}
 }
 
-// emitCalls write the run's two output texts.
+// emitCalls write the run's two output texts: (emit args...) and
+// (emit-format template args...) a line of the table source, (emit-src
+// args...) and (emit-src-format template args...) a line of the glue
+// listing. The -format calls write (format template args...) straight into
+// the text, with no string of its own.
 func emitCalls() []*alter.Builtin {
-	return []*alter.Builtin{
-		call("emit", func(b *binding, args alter.List) (alter.Value, error) {
+	table := func(b *binding) *strings.Builder { return &b.table }
+	glue := func(b *binding) *strings.Builder { return &b.glue }
+	display := func(name string, text func(*binding) *strings.Builder) *alter.Builtin {
+		return call(name, func(b *binding, args alter.List) (alter.Value, error) {
+			w := text(b)
 			for _, a := range args {
-				alter.WriteDisplay(&b.table, a)
+				alter.WriteDisplay(w, a)
 			}
-			b.table.WriteByte('\n')
+			w.WriteByte('\n')
 			return nil, nil
-		}),
-		call("emit-format", func(b *binding, args alter.List) (alter.Value, error) {
-			if err := alter.FormatTo(&b.table, args); err != nil {
+		})
+	}
+	format := func(name string, text func(*binding) *strings.Builder) *alter.Builtin {
+		return call(name, func(b *binding, args alter.List) (alter.Value, error) {
+			w := text(b)
+			if err := alter.FormatTo(w, args); err != nil {
 				return nil, err
 			}
-			b.table.WriteByte('\n')
+			w.WriteByte('\n')
 			return nil, nil
-		}),
-		call("emit-src", func(b *binding, args alter.List) (alter.Value, error) {
-			for _, a := range args {
-				alter.WriteDisplay(&b.glue, a)
-			}
-			b.glue.WriteByte('\n')
-			return nil, nil
-		}),
+		})
+	}
+	return []*alter.Builtin{
+		display("emit", table), format("emit-format", table),
+		display("emit-src", glue), format("emit-src-format", glue),
 	}
 }
 

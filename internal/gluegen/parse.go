@@ -257,6 +257,11 @@ func GenerateWith(in Input, script string) (*Output, error) {
 // generate runs a compiled generator over a validated input.
 func generate(in Input, program *alter.Program) (*Output, error) {
 	interp, table, glue := NewInterp(in)
+	if program == standardProgram {
+		t, g := standardSizes(in)
+		table.Grow(t)
+		glue.Grow(g)
+	}
 	interp.MaxSteps = 50_000_000 // generation over large models is bounded work
 	if _, err := interp.Run(program); err != nil {
 		return nil, fmt.Errorf("gluegen: generator script failed: %w", err)

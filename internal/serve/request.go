@@ -513,11 +513,17 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 		}
 		resp.TraceSummary = b.String()
 	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		resp.FaultSummary = fmt.Sprintf("seed %d: %d drop / %d degrade / %d stall rules applied",
-			cfg.Faults.Seed, len(cfg.Faults.Drops), len(cfg.Faults.Degrades), len(cfg.Faults.Stalls))
-	}
+	resp.FaultSummary = faultSummary(cfg.Faults)
 	return resp, nil
+}
+
+// faultSummary describes the fault plan a run was given, "" for none.
+func faultSummary(plan *fault.Plan) string {
+	if plan == nil || plan.Empty() {
+		return ""
+	}
+	return fmt.Sprintf("seed %d: %d drop / %d degrade / %d stall rules applied",
+		plan.Seed, len(plan.Drops), len(plan.Degrades), len(plan.Stalls))
 }
 
 // execute runs a normalized request end to end. The context's deadline is
@@ -601,9 +607,6 @@ func (resp *Response) setRun(res *sagert.Result, col *trace.Collector, plan *fau
 		}
 		resp.TraceSummary = b.String()
 	}
-	if plan != nil && !plan.Empty() {
-		resp.FaultSummary = fmt.Sprintf("seed %d: %d drop / %d degrade / %d stall rules applied to every repetition",
-			plan.Seed, len(plan.Drops), len(plan.Degrades), len(plan.Stalls))
-	}
+	resp.FaultSummary = faultSummary(plan)
 	return nil
 }

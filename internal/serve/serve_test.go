@@ -129,8 +129,8 @@ func TestFaultPlanSummary(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.FaultSummary == "" {
-		t.Error("fault plan supplied but no fault summary in response")
+	if want := "seed 3: 1 drop / 0 degrade / 0 stall rules applied"; resp.FaultSummary != want {
+		t.Errorf("fault summary %q, want %q", resp.FaultSummary, want)
 	}
 }
 

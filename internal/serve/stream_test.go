@@ -123,8 +123,8 @@ func TestStreamWithRemapAndFaults(t *testing.T) {
 	if resp.Stream.Remaps[0].Trigger != 1 {
 		t.Errorf("remap triggered on node %d, want 1", resp.Stream.Remaps[0].Trigger)
 	}
-	if resp.FaultSummary == "" {
-		t.Error("fault plan supplied but no fault summary")
+	if want := "seed 3: 0 drop / 0 degrade / 15 stall rules applied"; resp.FaultSummary != want {
+		t.Errorf("fault summary %q, want %q", resp.FaultSummary, want)
 	}
 }
 

@@ -87,6 +87,7 @@ func (q *eventQueue) pop() *event {
 
 // earliest returns the lowest non-empty bucket and its earliest time, the
 // earliest in the buckets, which must not be empty.
+// A per-bucket minimum kept by file was slower: wide1024 10.9 → 11.6 ms, 6 of 8 pairs.
 func (q *eventQueue) earliest() (int, Time) {
 	b := bits.TrailingZeros64(q.full)
 	m := q.bucket[b].at

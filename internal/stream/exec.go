@@ -85,6 +85,9 @@ type runner struct {
 	sinkThreads int
 	maxBacklog  int
 	creditStall sim.Duration
+	// stallNames[b] names a credit stall on buffer b in the trace; nil when
+	// tracing is off.
+	stallNames []string
 
 	ctl *controller
 	err error
@@ -106,6 +109,12 @@ func (r *runner) initEpoch() {
 	r.credits = make([]int, len(r.plan.Edges))
 	for i := range r.credits {
 		r.credits[i] = r.cfg.BufferSlots
+	}
+	if r.mach.Trace().Enabled() {
+		r.stallNames = make([]string, len(r.cfg.Tables.Buffers))
+		for b := range r.stallNames {
+			r.stallNames[b] = fmt.Sprintf("credit-stall b%d", b)
+		}
 	}
 }
 
@@ -149,6 +158,8 @@ type threadState struct {
 	my    int     // current node id
 	cur   [][]int // current epoch (fn -> thread -> node)
 	track string  // trace track, "" when tracing is off
+	// qdepth names the thread's queue-depth gauge, "" when tracing is off.
+	qdepth string
 
 	// stateBytes is the thread's working-set size (all port partitions): the
 	// payload a migration moves.
@@ -164,6 +175,9 @@ func (r *runner) newThreadState(tp *plan.Thread, p *sim.Proc) *threadState {
 	st.rank = r.world.Attach(st.my, p)
 	st.node = r.mach.Node(st.my)
 	st.track = r.mach.Trace().Track(p)
+	if r.mach.Trace().Enabled() {
+		st.qdepth = fmt.Sprintf("qdepth %s#%d", tp.Fn.Name, tp.Index)
+	}
 	st.ins = make(map[string]*funclib.Block, len(tp.Ins))
 	st.outs = make(map[string]*funclib.Block, len(tp.Outs))
 	for pi := range tp.Ins {
@@ -314,7 +328,7 @@ func (r *runner) sendSlot(st *threadState, si int, w float64) {
 				if stall := st.p.Now().Sub(start); stall > 0 {
 					r.creditStall += stall
 					if tr.Enabled() {
-						tr.StreamSpan(st.my, st.track, fmt.Sprintf("credit-stall b%d", e.Buf), start, st.p.Now())
+						tr.StreamSpan(st.my, st.track, r.stallNames[e.Buf], start, st.p.Now())
 					}
 				}
 			} else {
@@ -366,8 +380,7 @@ func (r *runner) consumerMain(st *threadState) {
 			r.remapStep(st, rec.arg)
 		}
 		if tr.Enabled() {
-			tr.StreamGauge(st.my, st.track, fmt.Sprintf("qdepth %s#%d", st.tp.Fn.Name, st.tp.Index),
-				len(r.slots)-slot-1, st.p.Now())
+			tr.StreamGauge(st.my, st.track, st.qdepth, len(r.slots)-slot-1, st.p.Now())
 		}
 	}
 }
