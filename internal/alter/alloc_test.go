@@ -68,3 +68,40 @@ func TestAllocCeilingFrameReuse(t *testing.T) {
 		t.Logf("%s: %v allocations at N = %d, %v at N = %d", name, a, small, b, large)
 	}
 }
+
+// TestAllocCeilingArgumentStack: a Program records the deepest argument
+// stack a run of it needed, and a fresh Interp running it again allocates
+// its stack once at that depth instead of growing it from nothing by
+// doubling (which cost a serve-shape gluegen.Generate ~1 kB in six
+// allocations).
+func TestAllocCeilingArgumentStack(t *testing.T) {
+	p := MustCompile(`(define (deep n) (if (= n 0) (list 1 2 3) (append (list n n) (deep (- n 1)))))
+	                  (for-each (lambda (x) (map (lambda (y) (+ x y)) (deep 12))) (list 1 2))`)
+	first := New()
+	if _, err := first.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	depth := int(p.stack.Load())
+	if depth < 12 || depth != first.peak {
+		t.Fatalf("recorded depth %d, first run's peak %d: want them equal and at least 12", depth, first.peak)
+	}
+	run := func(hinted bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			in := New()
+			if !hinted {
+				in.stack = List{} // a stack already there: Run keeps it
+			}
+			if _, err := in.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			if hinted && cap(in.stack) != depth {
+				t.Fatalf("a later run's stack has capacity %d, want the recorded %d: it grew", cap(in.stack), depth)
+			}
+		})
+	}
+	hinted, grown := run(true), run(false)
+	t.Logf("argument stack %d deep: %.0f allocations a run, %.0f growing it from nothing", depth, hinted, grown)
+	if grown-hinted < 3 {
+		t.Fatalf("%.0f allocations a run with the recorded depth, %.0f growing the stack: want at least 3 fewer", hinted, grown)
+	}
+}

@@ -1,15 +1,23 @@
 package alter
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Program is a compiled script. It is immutable once Compile returns — the
 // closures capture slot numbers, global indices and other closures, never
 // run state — so one Program may be run by any number of Interps at once.
+// Only stack, a capacity hint, changes after, and atomically.
 type Program struct {
 	forms []node
 	// globals names every global the code mentions; a node holds an index
 	// into it, and Interp.Run turns the names into cells.
 	globals []Symbol
+	// stack is the deepest argument stack (Interp.stack) a run of the
+	// program has needed, which a run that starts with none allocates at
+	// once instead of growing it by doubling.
+	stack atomic.Int64
 }
 
 // node is one compiled expression. fr is the innermost frame (nil at top
@@ -31,6 +39,15 @@ func Compile(src string) (*Program, error) {
 	}
 	p.globals = c.globals
 	return p, nil
+}
+
+// noteStack records that a run needed an argument stack depth deep.
+func (p *Program) noteStack(depth int) {
+	for seen := p.stack.Load(); int64(depth) > seen; seen = p.stack.Load() {
+		if p.stack.CompareAndSwap(seen, int64(depth)) {
+			return
+		}
+	}
 }
 
 // MustCompile is Compile for scripts that are part of the program text.
@@ -830,6 +847,7 @@ func (in *Interp) applyStacked(fr *frame, callee Value, base int, args []node) (
 		in.stack = append(in.stack, v)
 	}
 	top := len(in.stack)
+	in.peak = max(in.peak, top)
 	out, err := in.Apply(callee, in.stack[base:top:top])
 	in.stack = in.stack[:base]
 	return out, err

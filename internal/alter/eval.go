@@ -69,8 +69,10 @@ type Interp struct {
 	// top-level forms; a Lambda carries its own and run swaps them in.
 	cells []*Value
 	// stack holds the arguments of every builtin call in progress, so a
-	// call does not allocate an argument list.
+	// call does not allocate an argument list; peak is the deepest it has
+	// been, which Run records in the Program.
 	stack List
+	peak  int
 	// free is a stack of frames whose scope returned and that no closure
 	// can reach; entering a scope pops one. Run drops it when it returns.
 	free []*frame
@@ -150,7 +152,13 @@ func (in *Interp) Run(p *Program) (Value, error) {
 	}
 	saved := in.cells
 	in.cells = cells
-	defer func() { in.cells, in.free, in.spare = saved, nil, nil }()
+	if in.stack == nil {
+		in.stack = make(List, 0, p.stack.Load())
+	}
+	defer func() {
+		in.cells, in.free, in.spare = saved, nil, nil
+		p.noteStack(in.peak)
+	}()
 	var last Value
 	for _, form := range p.forms {
 		var err error
@@ -222,6 +230,7 @@ func (in *Interp) Apply(callee Value, args List) (Value, error) {
 func (in *Interp) argList(n int) List {
 	base := len(in.stack)
 	in.stack = append(in.stack, make(List, n)...)
+	in.peak = max(in.peak, base+n)
 	return in.stack[base : base+n : base+n]
 }
 

@@ -27,6 +27,7 @@ const StandardScript = `
 
 (define all-arcs (arcs))
 (define num-arcs (length all-arcs))
+(define arc-ids (range num-arcs))
 
 (emit-src ";; SAGE auto-generated glue code")
 (emit-src-format ";; application: ~a   target: ~a (~a nodes)"
@@ -43,7 +44,7 @@ const StandardScript = `
   (filter (lambda (i)
             (let ((a (nth all-arcs i)))
               (or (equal? (arc-from a) p) (equal? (arc-to a) p))))
-          (range num-arcs)))
+          arc-ids))
 
 (define (emit-port label f p)
   (emit-format "(~a ~a ~s ~a ~a ~a ~s ~a)"
@@ -94,11 +95,11 @@ const StandardScript = `
            ;; thread, so one source thread is chosen round-robin; a striped
            ;; source contributes the (disjoint) intersections of its threads'
            ;; partitions, which are computed once per arc, not once per pair.
-           (let ((sthreads (range st))
-                 (sregs (if (equal? ss "replicated")
-                            nil
-                            (map (lambda (i) (partition ss rows cols st i))
-                                 (range st)))))
+           (let* ((sthreads (range st))
+                  (sregs (if (equal? ss "replicated")
+                             nil
+                             (map (lambda (i) (partition ss rows cols st i))
+                                  sthreads))))
              (for-each
               (lambda (j)
                 (let ((dreg (partition ds rows cols dt j)))
@@ -111,7 +112,7 @@ const StandardScript = `
                              (emit-xfer bi i j x))))
                        sthreads))))
               (range dt))))))))
- (range num-arcs))
+ arc-ids)
 (emit-src "")
 
 ;; --- execution order ----------------------------------------------------------

@@ -373,8 +373,8 @@ func (sc *msgScenario) run(t *testing.T, impl msgImpl) *msgRun {
 	out.Dispatched, out.End, out.Switches = k.Dispatched(), k.Now(), k.Switches()
 	k.Shutdown()
 	out.Hooks = tr.lines
-	for _, nd := range m.Nodes() {
-		out.Nodes = append(out.Nodes, fmt.Sprint(nd.ComputeBusy, nd.CopyBusy, nd.CommBusy, nd.MsgsSent, nd.BytesSent))
+	for i := range m.NumNodes() {
+		out.Nodes = append(out.Nodes, fmt.Sprint(m.Totals(i)))
 	}
 	out.Faults = fmt.Sprint(m.Faults().Counts())
 	return out

@@ -12,9 +12,15 @@ import (
 // Machine is a Platform instantiated at a specific node count on a simulation
 // kernel. All nodes of a machine share one kernel and one virtual clock.
 type Machine struct {
-	K      *sim.Kernel
-	Plat   Platform
+	K    *sim.Kernel
+	Plat Platform
+	// nodes[i] is node i once something uses it (Node, SetNodeSpeeds), nil
+	// until then. A node is carved out of spare, the rest of the newest
+	// chunk, so a run builds the nodes it maps onto and a handful of
+	// objects, not the whole machine.
 	nodes  []*Node
+	spare  []Node
+	built  int
 	fabric *sim.Resource // nil when FabricConcurrency == 0 (crossbar)
 	tr     *trace.Collector
 	faults *fault.Injector
@@ -58,10 +64,11 @@ func (m *Machine) TraceNodeTotals() {
 	if !m.tr.Enabled() {
 		return
 	}
-	for _, nd := range m.nodes {
+	for i := range m.nodes {
+		t := m.Totals(i)
 		m.tr.AddNodeTotals(trace.NodeTotals{
-			Node: nd.ID, ComputeBusy: nd.ComputeBusy, CopyBusy: nd.CopyBusy,
-			CommBusy: nd.CommBusy, MsgsSent: nd.MsgsSent, BytesSent: nd.BytesSent,
+			Node: i, ComputeBusy: t.ComputeBusy, CopyBusy: t.CopyBusy,
+			CommBusy: t.CommBusy, MsgsSent: t.MsgsSent, BytesSent: t.BytesSent,
 		})
 	}
 	m.tr.Finish(m.K)
@@ -83,7 +90,12 @@ type Node struct {
 	// messaging system.
 	speed float64
 
-	// Accounting, in virtual time.
+	Totals
+}
+
+// Totals are a node's accumulated counters: busy time, in virtual time, and
+// the messages and bytes it sent.
+type Totals struct {
 	ComputeBusy sim.Duration
 	CopyBusy    sim.Duration
 	CommBusy    sim.Duration
@@ -148,22 +160,35 @@ func New(k *sim.Kernel, pl Platform, n int) *Machine {
 	if n < 1 {
 		panic(fmt.Sprintf("machine: node count %d < 1", n))
 	}
-	m := &Machine{K: k, Plat: pl}
+	m := &Machine{K: k, Plat: pl, nodes: make([]*Node, n)}
 	if pl.FabricConcurrency > 0 {
 		m.fabric = sim.NewResource(k, pl.Name+".fabric", pl.FabricConcurrency)
 	}
-	// One slab holds every node and, inside it, the node's two resources;
-	// their names are formatted only if a tracer or a deadlock report asks.
-	slab := make([]Node, n)
-	m.nodes = make([]*Node, n)
-	for i := range slab {
-		nd := &slab[i]
-		nd.ID, nd.Board, nd.mach, nd.speed = i, pl.Board(i), m, 1
-		nd.egress.Init(k, 1, (*egressName)(nd))
-		nd.cpu.Init(k, 1, (*cpuName)(nd))
-		m.nodes[i] = nd
-	}
 	return m
+}
+
+// Chunk is how many records the next allocation holds — nodes, or the
+// per-node records of a layer above such as MPI endpoints — once built of n
+// are built: as many as are built already, at least 4 and at most 16. A run
+// that uses a few nodes builds a few; one that uses many makes an object
+// per 16.
+func Chunk(built, n int) int { return min(max(built, 4), 16, n-built) }
+
+// build makes node id, which nothing has used yet. A chunk holds the nodes
+// and, inside each, its two resources; their names are formatted only if a
+// tracer or a deadlock report asks.
+func (m *Machine) build(id int) *Node {
+	if len(m.spare) == 0 {
+		m.spare = make([]Node, Chunk(m.built, len(m.nodes)))
+	}
+	nd := &m.spare[0]
+	m.spare = m.spare[1:]
+	m.built++
+	nd.ID, nd.Board, nd.mach, nd.speed = id, m.Plat.Board(id), m, 1
+	nd.egress.Init(m.K, 1, (*egressName)(nd))
+	nd.cpu.Init(m.K, 1, (*cpuName)(nd))
+	m.nodes[id] = nd
+	return nd
 }
 
 // egressName and cpuName name a node's two resources on demand
@@ -180,11 +205,22 @@ func (n *cpuName) Name() string    { return fmt.Sprintf("%s.n%d.cpu", n.mach.Pla
 // NumNodes reports the node count.
 func (m *Machine) NumNodes() int { return len(m.nodes) }
 
-// Node returns node id (panics if out of range).
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
+// Node returns node id, building it on first use (panics if out of range).
+func (m *Machine) Node(id int) *Node {
+	if nd := m.nodes[id]; nd != nil {
+		return nd
+	}
+	return m.build(id)
+}
 
-// Nodes returns all nodes in id order.
-func (m *Machine) Nodes() []*Node { return m.nodes }
+// Totals reports node id's counters; a node nothing has used reports zeros,
+// and is not built to do so.
+func (m *Machine) Totals(id int) Totals {
+	if nd := m.nodes[id]; nd != nil {
+		return nd.Totals
+	}
+	return Totals{}
+}
 
 // ComputeFlops blocks the calling process for the CPU time of nflops
 // floating-point operations on this node.
@@ -218,7 +254,7 @@ func (m *Machine) SetNodeSpeeds(speeds []float64) {
 		if i >= len(m.nodes) {
 			return
 		}
-		m.nodes[i].SetSpeed(s)
+		m.Node(i).SetSpeed(s)
 	}
 }
 
@@ -459,20 +495,17 @@ func (nd *Node) recvCharged(unpack int) {
 	nd.CopyBusy += nd.mach.Plat.CopyTime(unpack)
 }
 
-// Utilization reports the fraction of the elapsed virtual time [0, now] this
+// Utilization reports the fraction of the elapsed virtual time [0, now] the
 // node's CPU spent busy (compute + copy). Wire serialisation is concurrent
 // DMA-engine work and is reported separately via CommBusy. Returns 0 for an
 // idle clock.
-func (nd *Node) Utilization(now sim.Time) float64 {
+func (t Totals) Utilization(now sim.Time) float64 {
 	if now <= 0 {
 		return 0
 	}
-	return float64(nd.ComputeBusy+nd.CopyBusy) / float64(now)
+	return float64(t.ComputeBusy+t.CopyBusy) / float64(now)
 }
 
 // ResetAccounting clears the per-node counters (used between experiment
 // repetitions that share a machine).
-func (nd *Node) ResetAccounting() {
-	nd.ComputeBusy, nd.CopyBusy, nd.CommBusy = 0, 0, 0
-	nd.MsgsSent, nd.BytesSent = 0, 0
-}
+func (nd *Node) ResetAccounting() { nd.Totals = Totals{} }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,19 +67,42 @@ func TestSwitchPerMessageSide(t *testing.T) {
 }
 
 // TestMachineAllocCeiling: a 1 024-node machine and its MPI world are a
-// handful of allocations — nodes, their resources and the endpoints live in
-// per-machine slabs, and no resource name is formatted until a tracer or a
-// deadlock report asks (9 766 objects, 3 584 of them names, when each was
-// its own object).
+// handful of allocations and two tables of pointers — a node and an
+// endpoint are built on first use, from small chunks, and no resource name
+// is formatted until a tracer or a deadlock report asks (9 766 objects,
+// 3 584 of them names, when each was its own object; 13 objects and 329 kB
+// when every node and endpoint was built up front: 19 kB now). A rank
+// attached costs its Rank handle; its node and endpoint come from chunks
+// (machine.Chunk): for 128 ranks, ten of each — 4, 4, 8, then 16s.
 func TestMachineAllocCeiling(t *testing.T) {
 	pl := platforms.Mercury()
-	allocs := testing.AllocsPerRun(5, func() {
-		NewWorld(machine.New(sim.NewKernel(), pl, 1024))
-	})
-	t.Logf("machine.New + mpi.NewWorld for 1 024 nodes: %.0f allocations", allocs)
-	if allocs > 64 {
-		t.Fatalf("machine.New + mpi.NewWorld for 1 024 nodes allocate %.0f objects, want <= 64", allocs)
+	k := sim.NewKernel()
+	var w *World
+	allocs := testing.AllocsPerRun(5, func() { w = NewWorld(machine.New(k, pl, 1024)) })
+	bytes := allocBytes(func() { w = NewWorld(machine.New(k, pl, 1024)) })
+	t.Logf("machine.New + mpi.NewWorld for 1 024 nodes: %.0f allocations, %d bytes", allocs, bytes)
+	if allocs > 64 || bytes > 24<<10 {
+		t.Fatalf("machine.New + mpi.NewWorld for 1 024 nodes allocate %.0f objects and %d bytes, want <= 64 and <= 24 kB", allocs, bytes)
 	}
+	used := testing.AllocsPerRun(5, func() {
+		w = NewWorld(machine.New(k, pl, 1024))
+		for i := 0; i < 1024; i += 8 {
+			w.Attach(i, nil)
+		}
+	}) - allocs
+	t.Logf("128 of them attached: %.0f more allocations", used)
+	if used > 128+2*10 {
+		t.Fatalf("attaching 128 ranks allocates %.0f objects, want a handle a rank and ten chunks each of nodes and endpoints", used)
+	}
+}
+
+// allocBytes reports the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestTimedRecvAllocFree: a timed receive arms a pooled timer record whose

@@ -80,13 +80,22 @@ func (r *runner) localOptimised(srcNode, dstNode int) bool {
 }
 
 // spawn launches every function thread as a stackless process stepping the
-// thread's state machine (step.go), attached to its mapped node's rank.
+// thread's state machine (step.go), attached to its mapped node's rank. A
+// rank's queue of unexpected messages is sized from the lanes its threads
+// feed and are fed by.
 func (r *runner) spawn(k *sim.Kernel) {
 	for ti := range r.plan.Threads {
 		t := &thread{}
 		tp := &r.plan.Threads[ti]
 		p := k.SpawnStep(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), t.step)
-		t.init(r, ti, r.world.Attach(tp.Node, p))
+		rank := r.world.Attach(tp.Node, p)
+		for pi := range tp.Outs {
+			rank.Reserve(len(tp.Outs[pi].Edges), 0)
+		}
+		for pi := range tp.Ins {
+			rank.Reserve(0, len(tp.Ins[pi].Edges))
+		}
+		t.init(r, ti, rank)
 	}
 }
 
@@ -181,12 +190,13 @@ func (r *runner) result(k *sim.Kernel) *Result {
 	} else {
 		res.Period = res.Latencies[0]
 	}
-	res.NodeStats = make([]NodeStat, 0, len(r.mach.Nodes()))
-	for _, nd := range r.mach.Nodes() {
-		res.NodeStats = append(res.NodeStats, NodeStat{
-			Node: nd.ID, ComputeBusy: nd.ComputeBusy, CopyBusy: nd.CopyBusy,
-			CommBusy: nd.CommBusy, Utilization: nd.Utilization(k.Now()),
-		})
+	res.NodeStats = make([]NodeStat, r.mach.NumNodes())
+	for i := range res.NodeStats {
+		t := r.mach.Totals(i)
+		res.NodeStats[i] = NodeStat{
+			Node: i, ComputeBusy: t.ComputeBusy, CopyBusy: t.CopyBusy,
+			CommBusy: t.CommBusy, Utilization: t.Utilization(k.Now()),
+		}
 	}
 	return res
 }

@@ -271,7 +271,7 @@ func TestStepMachineMatchesThreadMain(t *testing.T) {
 		}
 		want.Switches = 0
 		if !reflect.DeepEqual(want, got) {
-			reportStepDiff(t, sc.name, want, got)
+			reportStepDiff(t, sc.name, "threadMain", "step machine", want, got)
 		}
 		switch {
 		case strings.Contains(want.Err, "deadlock"):
@@ -311,18 +311,19 @@ func TestStepMachineMatchesThreadMain(t *testing.T) {
 	}
 }
 
-// reportStepDiff fails the test with the first difference of each kind.
-func reportStepDiff(t *testing.T, label string, want, got *stepRun) {
+// reportStepDiff fails the test with the first difference of each kind
+// between the oracle's run, want, and got.
+func reportStepDiff(t *testing.T, label, oracle, subject string, want, got *stepRun) {
 	t.Helper()
 	first := func(what string, a, b []string) {
 		for i := 0; i < len(a) && i < len(b); i++ {
 			if a[i] != b[i] {
-				t.Errorf("%s %s: entry %d: threadMain %s, step machine %s", label, what, i, a[i], b[i])
+				t.Errorf("%s %s: entry %d: %s %s, %s %s", label, what, i, oracle, a[i], subject, b[i])
 				return
 			}
 		}
 		if len(a) != len(b) {
-			t.Errorf("%s %s: threadMain %d entries, step machine %d", label, what, len(a), len(b))
+			t.Errorf("%s %s: %s %d entries, %s %d", label, what, oracle, len(a), subject, len(b))
 		}
 	}
 	first("hooks", want.Hooks, got.Hooks)
@@ -330,8 +331,36 @@ func reportStepDiff(t *testing.T, label string, want, got *stepRun) {
 		first("chrome trace", strings.Split(string(want.Chrome), "\n"), strings.Split(string(got.Chrome), "\n"))
 	}
 	if !reflect.DeepEqual(want.Res, got.Res) || !reflect.DeepEqual(want.Sinks, got.Sinks) {
-		t.Errorf("%s: results differ:\nthreadMain   %+v\nstep machine %+v", label, want.Res, got.Res)
+		t.Errorf("%s: results differ:\n%s %+v\n%s %+v", label, oracle, want.Res, subject, got.Res)
 	}
 	t.Fatalf("%s: dispatched %d vs %d, seq %d vs %d, end %v vs %v, err %q vs %q",
 		label, want.Dispatched, got.Dispatched, want.Seq, got.Seq, want.End, got.End, want.Err, got.Err)
+}
+
+// TestLazyStepScenariosMatchEager holds nodes and endpoints built on first
+// use to the machine and world that built them all up front, over the step
+// machine's seeded scenarios: the full hook stream (or the Chrome trace),
+// the Result and sink bits, Dispatched, the last sequence number, the clock
+// and Run's error, deadlock reports included. TestLazyNodesMatchEager
+// covers the conformance corpus and the 1 024-node shape.
+func TestLazyStepScenariosMatchEager(t *testing.T) {
+	eager := func(r *runner, k *sim.Kernel) {
+		buildEveryNode(r)
+		r.spawn(k)
+	}
+	deadlocks := 0
+	for seed := int64(0); seed < 220; seed++ {
+		sc := newStepScenario(t, seed)
+		want := sc.run(t, eager)
+		got := sc.run(t, nil)
+		if !reflect.DeepEqual(want, got) {
+			reportStepDiff(t, sc.name, "eager", "first use", want, got)
+		}
+		if strings.Contains(want.Err, "deadlock") {
+			deadlocks++
+		}
+	}
+	if deadlocks == 0 {
+		t.Error("no scenario deadlocked")
+	}
 }

@@ -129,7 +129,11 @@ func TestQueueCensusWide1024Seq(t *testing.T) {
 // threads, three data sets of which the first carries samples. With a
 // coroutine per thread (iter.Pull's objects, a body closure and a context
 // each) it was 10 791 objects; as step machines, ~9 230 — under 0.08 per
-// event of its 119 980.
+// event of its 119 980. The fft2d runs on 130 of the 1 024 nodes, so with
+// nodes and endpoints built on first use and each endpoint's queue sized
+// from the plan's lanes a run allocates 3.39 MB in ~8 160 objects (3.85 MB
+// in ~8 540 with the whole machine built and the queues grown by
+// doubling).
 func TestAllocCeilingWide1024Seq(t *testing.T) {
 	app, err := apps.FFT2D(256, 64)
 	if err != nil {
@@ -154,8 +158,47 @@ func TestAllocCeilingWide1024Seq(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(3, run)
 	runtime.ReadMemStats(&after)
-	t.Logf("wide1024 seq: %.0f allocations, %d bytes per run", allocs, (after.TotalAlloc-before.TotalAlloc)/4)
-	if allocs > 9500 {
-		t.Fatalf("a wide1024 seq run allocates %.0f objects, ceiling 9 500", allocs)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 4
+	t.Logf("wide1024 seq: %.0f allocations, %d bytes per run", allocs, bytes)
+	if ceiling := 3_450_000 * allocSlack; allocs > 9500 || float64(bytes) > ceiling {
+		t.Fatalf("a wide1024 seq run allocates %.0f objects and %d bytes, ceilings 9 500 and %.0f", allocs, bytes, ceiling)
+	}
+}
+
+// TestAllocCeilingServeShapeNoSamples pins what the daemon's sim request
+// allocates in sagert.Run: CSPI, 8 nodes, fft2d 256 on 4 threads spread
+// over them, five data sets and no samples — model, mapping and tables are
+// built outside. The threads use 4 of the 8 nodes: 27.6 kB with nodes and
+// endpoints built on first use and each queue sized from the plan (32.0 kB
+// with the machine built up front and the queues grown by doubling), so a
+// per-node or per-message object creeping back shows here.
+func TestAllocCeilingServeShapeNoSamples(t *testing.T) {
+	app, err := apps.FFT2D(256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := platforms.CSPI()
+	mapping, err := model.SpreadParallel(app, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := Run(gen.Tables, pl, Options{Iterations: 5, ComputeIterations: NoSamples}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(10, run)
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 11
+	t.Logf("serve shape, no samples: %.0f allocations, %d bytes per run", allocs, bytes)
+	if ceiling := 29_500 * allocSlack; float64(bytes) > ceiling {
+		t.Fatalf("a serve-shape run without samples allocates %d bytes, ceiling %.0f", bytes, ceiling)
 	}
 }

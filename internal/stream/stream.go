@@ -334,12 +334,13 @@ func Run(cfg Config) (*Result, error) {
 			res.LastDone = r.frames[i].Done
 		}
 	}
-	res.NodeStats = make([]NodeStat, 0, len(mach.Nodes()))
-	for _, nd := range mach.Nodes() {
-		res.NodeStats = append(res.NodeStats, NodeStat{
-			Node: nd.ID, ComputeBusy: nd.ComputeBusy, CopyBusy: nd.CopyBusy,
-			CommBusy: nd.CommBusy, Utilization: nd.Utilization(k.Now()),
-		})
+	res.NodeStats = make([]NodeStat, mach.NumNodes())
+	for i := range res.NodeStats {
+		t := mach.Totals(i)
+		res.NodeStats[i] = NodeStat{
+			Node: i, ComputeBusy: t.ComputeBusy, CopyBusy: t.CopyBusy,
+			CommBusy: t.CommBusy, Utilization: t.Utilization(k.Now()),
+		}
 	}
 	return res, nil
 }

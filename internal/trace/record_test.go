@@ -292,3 +292,30 @@ func TestCollectorsRecordConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocCeilingVerboseNames: a Verbose collector names each channel's and
+// resource's instants once — the "chan name" and "res name" tracks and the
+// "op inUse/capacity" labels — so past its first operations on a name a run
+// pays only its share of a log chunk per instant, however many it records
+// (a string or two per instant when each was built on the spot).
+func TestAllocCeilingVerboseNames(t *testing.T) {
+	record := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			c := New("v")
+			c.Verbose = true
+			for i := range n {
+				at := sim.Time(i)
+				c.ChanOp("send", "mpi.rank3.recv(src=1,tag=7)", i%4, at)
+				c.ChanOp("recv", "local b0 0->1", i%2, at)
+				c.ResourceOp("acquire", "CSPI.n0.cpu", 1, 1, i%3, at)
+				c.ResourceOp("release", "CSPI.n0.cpu", 0, 1, i%3, at)
+			}
+		})
+	}
+	const small, large = 1 << 8, 1 << 14
+	perEvent := (record(large) - record(small)) / (4 * (large - small))
+	t.Logf("%.4f allocations per Verbose instant", perEvent)
+	if perEvent > 1.5/logChunk {
+		t.Fatalf("a Verbose instant costs %.4f allocations, want at most its share of a %d-record chunk", perEvent, logChunk)
+	}
+}

@@ -202,6 +202,8 @@ type Collector struct {
 	links       map[LinkKey]*LinkTotals
 	waits       map[waitKey]*WaitTotals
 	waitNames   map[waitKey]string // "wait:kind object" per full object
+	opTracks    map[waitKey]string // Verbose: "chan name" or "res name" per channel or resource
+	resOps      map[resOp]string   // Verbose: "op inUse/capacity" per resource operation seen
 	collectives map[string]int
 	faults      map[string]int
 	streams     map[string]int
@@ -213,6 +215,12 @@ type Collector struct {
 // waitKey is a wait's kind (a single word: recv, acquire, barrier) and its
 // object.
 type waitKey struct{ kind, obj string }
+
+// resOp is a resource operation as its Verbose instant names it.
+type resOp struct {
+	op              string
+	inUse, capacity int
+}
 
 // liveProc is a live process: its track, built once, and its start time.
 type liveProc struct {
@@ -644,7 +652,7 @@ func (c *Collector) ChanOp(op, name string, qlen int, at sim.Time) {
 		return
 	}
 	c.instants.add(Instant{Layer: LayerSim, Node: NodeKernel,
-		Track: "chan " + name, Name: op, At: at, Value: qlen})
+		Track: c.opTrack("chan", name), Name: op, At: at, Value: qlen})
 }
 
 // ResourceOp implements sim.Tracer: per-operation resource instants, Verbose
@@ -653,8 +661,33 @@ func (c *Collector) ResourceOp(op, name string, inUse, capacity, queued int, at 
 	if c == nil || !c.Verbose {
 		return
 	}
+	key := resOp{op, inUse, capacity}
+	label, ok := c.resOps[key]
+	if !ok {
+		label = fmt.Sprintf("%s %d/%d", op, inUse, capacity)
+		if c.resOps == nil {
+			c.resOps = map[resOp]string{}
+		}
+		c.resOps[key] = label
+	}
 	c.instants.add(Instant{Layer: LayerSim, Node: NodeKernel,
-		Track: "res " + name, Name: fmt.Sprintf("%s %d/%d", op, inUse, capacity), At: at, Value: queued})
+		Track: c.opTrack("res", name), Name: label, At: at, Value: queued})
+}
+
+// opTrack is the track of a channel's or resource's Verbose instants,
+// "kind name", built once per collector; the maps are made by the first
+// Verbose operation, so a collector that records none pays nothing.
+func (c *Collector) opTrack(kind, name string) string {
+	key := waitKey{kind, name}
+	if track, ok := c.opTracks[key]; ok {
+		return track
+	}
+	if c.opTracks == nil {
+		c.opTracks = map[waitKey]string{}
+	}
+	track := kind + " " + name
+	c.opTracks[key] = track
+	return track
 }
 
 // --- merged multi-run trace --------------------------------------------------
