@@ -135,13 +135,15 @@ func TestSingleLowering(t *testing.T) {
 	t.Logf("%d table consumers checked: %s", len(paths), strings.Join(paths, ", "))
 }
 
-// TestSendNeverPacks: a send is a view of the producer's block and an owned
+// TestSendNeverPacks: a send hands over the producer's block and an owned
 // input is not copied (DESIGN.md §14). funclib.ExtractRegion allocates no
-// sample storage (no NewBlock, no make); fft_cols transforms its block with
-// isspl.FFTCols, the row sweep; and every copy of one block's Data into
-// another's in a non-test funclib file sits in the body of an if that the
-// two blocks differ — an in-place kind handed its input as its output
-// copies nothing.
+// sample storage (no NewBlock, no make), and no non-test file outside
+// internal/funclib calls it: a send allocates not even a view's header, and
+// the one view a receive builds is funclib.Adopt's. fft_cols transforms its
+// block with isspl.FFTCols, the row sweep; and every copy of one block's
+// Data into another's in a non-test funclib file sits in the body of an if
+// that the two blocks differ — an in-place kind handed its input as its
+// output copies nothing.
 func TestSendNeverPacks(t *testing.T) {
 	l := newLoader()
 	fl := mustLoad(t, l, "repro/internal/funclib")
@@ -163,7 +165,7 @@ func TestSendNeverPacks(t *testing.T) {
 	}
 	ast.Inspect(extract.Body, func(n ast.Node) bool {
 		if c, ok := n.(*ast.CallExpr); ok && (callee(fl.info, c) == newBlock || isBuiltin(fl.info, c, "make")) {
-			t.Errorf("%s: funclib.ExtractRegion allocates sample storage; a send is a view of the block", l.fset.Position(c.Pos()))
+			t.Errorf("%s: funclib.ExtractRegion allocates sample storage; a view shares the block's", l.fset.Position(c.Pos()))
 		}
 		return true
 	})
@@ -244,6 +246,21 @@ func TestSendNeverPacks(t *testing.T) {
 	}
 	if !fftColsCalled {
 		t.Error("fft_cols does not call isspl.FFTCols; columns are transformed as row sweeps, never one at a time")
+	}
+	extractFn := fl.info.Defs[extract.Name]
+	for _, path := range append(packagesBelow(t, "internal", "cmd", "benchmark", "examples"), "repro") {
+		if path == "repro/internal/funclib" {
+			continue
+		}
+		p := mustLoad(t, l, path)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok && callee(p.info, c) == extractFn {
+					t.Errorf("%s: calls funclib.ExtractRegion; a send hands over the block, the lane names the region", l.fset.Position(c.Pos()))
+				}
+				return true
+			})
+		}
 	}
 	t.Logf("%d block-to-block copies checked", guarded)
 	if guarded == 0 {

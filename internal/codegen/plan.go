@@ -41,7 +41,7 @@ func Plan(tables *gluegen.Tables, iterations int) (*rtl.Program, error) {
 	for i := range xp.Edges {
 		e := &xp.Edges[i]
 		p.Conns[i] = rtl.Conn{
-			Buf: e.Buf, SrcFn: xp.Threads[e.Src].Fn.Name, SrcThread: e.X.SrcThread,
+			Buf: int(e.Buf), SrcFn: xp.Threads[e.Src].Fn.Name, SrcThread: e.X.SrcThread,
 			DstFn: xp.Threads[e.Dst].Fn.Name, DstThread: e.X.DstThread,
 		}
 	}

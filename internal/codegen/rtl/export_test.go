@@ -45,6 +45,18 @@ func ExecutePoisoned(p *Program) (*Result, Poisoned, error) {
 	return res, Poisoned{recycled.Load(), poisoned.Load(), transposed.Load()}, err
 }
 
+// ExecuteReceiving runs a validated p and calls recv with every payload a
+// thread receives — the producer's block — and the region its lane carries.
+// Threads call it concurrently.
+func ExecuteReceiving(p *Program, recv func(thread int, payload *funclib.Block, reg model.Region)) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	e := newExec(p)
+	e.hooks.recv = recv
+	return e.run()
+}
+
 // ReceivesOutsideReaders runs a validated p and holds every payload a thread
 // receives to the storage records. A payload that lies in an iteration's
 // result matrix lies in the storage a result-backed thread keeps there: when
@@ -67,12 +79,13 @@ func ReceivesOutsideReaders(p *Program) (checked, bySink, byOthers int, bad []st
 	}
 	var mu sync.Mutex
 	var got []receipt
-	e.hooks.recv = func(ti int, b *funclib.Block) {
-		if len(b.Data) == 0 {
+	e.hooks.recv = func(ti int, b *funclib.Block, reg model.Region) {
+		if reg.Empty() {
 			return
 		}
+		at := funclib.ExtractRegion(b, reg) // where the region's first sample lies
 		mu.Lock()
-		got = append(got, receipt{ti, uintptr(unsafe.Pointer(&b.Data[0])), b.Region})
+		got = append(got, receipt{ti, uintptr(unsafe.Pointer(&at.Data[0])), reg})
 		mu.Unlock()
 	}
 	if _, err := e.run(); err != nil {

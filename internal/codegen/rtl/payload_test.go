@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/codegen"
 	"repro/internal/codegen/rtl"
 	"repro/internal/conformance"
@@ -78,8 +80,8 @@ func viewsAcrossGOMAXPROCS(t *testing.T, name string) {
 // transforms in place) are the layout's, Slots of them for the whole run,
 // reused by iteration number. So a whole run of I iterations holds I + Slots
 // matrices, and 10 % more is the bar; a storage for the source's blocks
-// fails it. Sends (views, contiguous or pitched), whole-partition receives,
-// in-place computes and the sink add none.
+// fails it. Sends (the producer's block itself), whole-partition receives
+// (the block or a view of it), in-place computes and the sink add none.
 func TestAllocCeilingExecute(t *testing.T) {
 	const n = 256
 	gen, err := experiments.GenerateTables(experiments.AppFFT2D, platforms.CSPI(), 8, n)
@@ -376,4 +378,72 @@ func TestReadersCoverEveryReceive(t *testing.T) {
 		t.Fatalf("result payloads: %d received by a sink, %d by a preceding thread: a clause checked nothing", bySink, byOthers)
 	}
 	t.Logf("result payloads: %d received by a sink, %d by a preceding thread", bySink, byOthers)
+}
+
+// TestAdoptionOfAWiderBlock: a send hands over the producer's block and the
+// lane names the region, so a port whose one lane covers its partition
+// adopts a region of a wider block as a view of it. fft2d 64 with a 1-thread
+// source and a 4-thread fft_rows on four CSPI nodes: each fft_rows thread
+// receives the source's whole block and its own 16-row stripe as the region,
+// adopts that stripe as a dense view of the block, transforms it there and
+// sends it on — so fft_cols receives, from fft_rows thread j, a block over
+// j's stripe whose first sample is that of the stripe in the source's block.
+// Every iteration's sink bits equal the oracle's.
+func TestAdoptionOfAWiderBlock(t *testing.T) {
+	app, err := apps.FFT2D(64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := platforms.CSPI()
+	m, err := model.SpreadParallel(app, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: pl, NumNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters = 3
+	prog, err := codegen.Plan(gen.Tables, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := model.Region{Rows: 64, Cols: 64}
+	var mu sync.Mutex
+	stripes := map[*complex128]model.Region{} // each stripe fft_rows received, by its first sample in the source's block
+	var cols []*funclib.Block                 // what fft_cols received from fft_rows
+	res, err := rtl.ExecuteReceiving(prog, func(ti int, b *funclib.Block, reg model.Region) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch th := &prog.Threads[ti]; th.Fn {
+		case "fft_rows":
+			if b.Region != whole || reg != th.Ins[0].Region {
+				t.Errorf("fft_rows[%d] received %v carrying %v, want the source's %v carrying its %v", th.Thread, b.Region, reg, whole, th.Ins[0].Region)
+				return
+			}
+			stripes[&b.Data[reg.R0*64]] = reg // b is the source's block: dense, 64 wide
+		case "fft_cols":
+			cols = append(cols, b)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range cols {
+		if reg, ok := stripes[&b.Data[0]]; !ok || b.Region != reg || len(b.Data) != reg.Elems() {
+			t.Fatalf("fft_cols received %v, no adopted stripe of a source block", b.Region)
+		}
+	}
+	if len(cols) != iters*4*4 {
+		t.Fatalf("fft_cols received %d payloads, want %d", len(cols), iters*4*4)
+	}
+	for it := range iters {
+		want, err := conformance.Oracle(app, it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := conformance.CompareOutputs(want, res.Iters[it]); d != "" {
+			t.Fatalf("iteration %d: %s", it, d)
+		}
+	}
 }

@@ -27,12 +27,14 @@
 // bitwise identical outputs regardless of GOMAXPROCS or scheduling.
 //
 // Samples move through the block lifecycle of internal/funclib (DESIGN.md
-// §14), shared with the simulated runtime: a send is a view of the producer's
-// output block, never a packed copy, and a sink stores an iteration's
-// payloads in its result matrix once all have arrived. The plan decides where
-// each block lies, the Program carries the decision, and rtl allocates it
-// (layout.go): each Storage gets min(Slots, Iterations) blocks for the whole
-// run, reused by iteration number once its readers have finished with them.
+// §14), shared with the simulated runtime: a send hands over the producer's
+// output block itself — never a packed copy, never a fresh header — and the
+// receiver reads its lane's own region (Xfer.Region) out of it; a sink
+// stores an iteration's payloads in its result matrix once all have
+// arrived. The plan decides where each block lies, the Program carries the
+// decision, and rtl allocates it (layout.go): each Storage gets min(Slots,
+// Iterations) blocks for the whole run, reused by iteration number once its
+// readers have finished with them.
 package rtl
 
 import (
@@ -146,9 +148,10 @@ type Result struct {
 
 // Validate checks the program's structural integrity: a positive iteration
 // count, known kinds, every lane referenced by exactly one producer and one
-// consumer xfer, every xfer region inside its port partition, sink threads
-// carrying an assembly shape, and storage decisions Execute can carry out
-// (validateStorage).
+// consumer xfer with one region (the consumer reads its own xfer's region
+// out of the producer's block), every xfer region inside its port
+// partition, sink threads carrying an assembly shape, and storage decisions
+// Execute can carry out (validateStorage).
 func (p *Program) Validate() error {
 	if p.Iterations < 1 {
 		return fmt.Errorf("rtl: program declares %d iterations", p.Iterations)
@@ -159,6 +162,7 @@ func (p *Program) Validate() error {
 	produced := make([]int, len(p.Conns))
 	consumed := make([]int, len(p.Conns))
 	from, to := make([]*Port, len(p.Conns)), make([]int, len(p.Conns)) // each lane's producing port, consuming thread
+	sent, read := make([]model.Region, len(p.Conns)), make([]model.Region, len(p.Conns))
 	for ti := range p.Threads {
 		t := &p.Threads[ti]
 		if _, err := funclib.Lookup(t.Kind); err != nil {
@@ -179,9 +183,9 @@ func (p *Program) Validate() error {
 					}
 					counts[x.Conn]++
 					if side == "input" {
-						to[x.Conn] = ti
+						to[x.Conn], read[x.Conn] = ti, x.Region
 					} else {
-						from[x.Conn] = pp
+						from[x.Conn], sent[x.Conn] = pp, x.Region
 					}
 					if x.Region.Intersect(pp.Region) != x.Region {
 						return fmt.Errorf("rtl: %s[%d] %s port %s: transfer region %v spills outside partition %v",
@@ -202,6 +206,9 @@ func (p *Program) Validate() error {
 		if produced[ci] != 1 || consumed[ci] != 1 {
 			return fmt.Errorf("rtl: conn %d (%s): %d producers, %d consumers (want exactly one of each)",
 				ci, p.Conns[ci], produced[ci], consumed[ci])
+		}
+		if sent[ci] != read[ci] {
+			return fmt.Errorf("rtl: conn %d (%s): sends region %v, receives %v", ci, p.Conns[ci], sent[ci], read[ci])
 		}
 	}
 	return p.validateStorage(from, to)
@@ -233,7 +240,7 @@ func (p *Program) validateStorage(from []*Port, to []int) error {
 			}
 		}
 		// port checks the storage of port pp, whose blocks the lanes of sends
-		// carry views of; bare says whether pp may have none instead.
+		// carry; bare says whether pp may have none instead.
 		port := func(pp *Port, sends []Xfer, bare bool, why string) error {
 			s := pp.Storage
 			if s == nil {
@@ -317,9 +324,9 @@ type exec struct {
 
 // hooks let this package's tests watch a run; Execute sets none.
 type hooks struct {
-	recv    func(thread int, payload *funclib.Block)         // every payload a thread receives
-	park    func(thread int)                                 // a thread about to wait for readers; runs under mu, must not block
-	recycle func(thread int, b *funclib.Block, cleared bool) // a block handed out again, before clearing
+	recv    func(thread int, payload *funclib.Block, reg model.Region) // every payload a thread receives, with its lane's region
+	park    func(thread int)                                           // a thread about to wait for readers; runs under mu, must not block
+	recycle func(thread int, b *funclib.Block, cleared bool)           // a block handed out again, before clearing
 }
 
 // newExec prepares the storages and channels of a validated program.
@@ -490,13 +497,13 @@ func (e *exec) drainEOS(t *Thread) {
 
 // threadMain is the per-goroutine iteration loop of thread ti: receive
 // striped inputs into their blocks (a sink's, once all arrived, into the
-// iteration's result), compute, send striped outputs as views, publish the
-// iteration finished — then close lanes (EOS) and verify the inbound lanes
-// closed too. Every block it writes is one the plan chose: an input or output
-// storage's block for this iteration, a view of the iteration's result
-// matrix on a result-backed thread, the transposed view of the output block
-// on a thread that lands transposed, or, on a thread that computes in place,
-// the input block, which goes on as the output.
+// iteration's result), compute, send each output block down its lanes,
+// publish the iteration finished — then close lanes (EOS) and verify the
+// inbound lanes closed too. Every block it writes is one the plan chose: an
+// input or output storage's block for this iteration, a view of the
+// iteration's result matrix on a result-backed thread, the transposed view
+// of the output block on a thread that lands transposed, or, on a thread
+// that computes in place, the input block, which goes on as the output.
 func (e *exec) threadMain(ti int) {
 	t := &e.p.Threads[ti]
 	impl, _ := funclib.Lookup(t.Kind) // Validate looked every kind up
@@ -507,7 +514,13 @@ func (e *exec) threadMain(ti int) {
 		Thread: t.Thread, Threads: t.Threads,
 	}
 	sink, result := t.Kind == "sink_matrix", e.results[ti]
-	var payloads []*funclib.Block // a sink's, stored once all have arrived
+	// A sink's payloads, stored once all have arrived: each a producer's
+	// block and the region its lane carries.
+	type payload struct {
+		blk *funclib.Block
+		reg model.Region
+	}
+	var payloads []payload
 	for iter := 0; iter < e.p.Iterations; iter++ {
 		// A thread that lands transposed takes its output block first.
 		if t.Transposes {
@@ -520,7 +533,7 @@ func (e *exec) threadMain(ti int) {
 			// A sink port keeps no samples: its payloads go to the result
 			// once all have arrived (funclib.ResultBacked). A port with a
 			// storage lands its payloads in the storage's block; any other
-			// adopts its one dense payload.
+			// adopts its one payload's region, dense in the producer's block.
 			var blk *funclib.Block
 			switch {
 			case sink:
@@ -540,21 +553,21 @@ func (e *exec) threadMain(ti int) {
 					return
 				}
 				if e.hooks.recv != nil {
-					e.hooks.recv(ti, got)
+					e.hooks.recv(ti, got, x.Region)
 				}
 				switch {
 				case sink:
-					payloads = append(payloads, got)
+					payloads = append(payloads, payload{got, x.Region})
 				case blk == nil:
-					blk = got
+					blk = funclib.Adopt(got, x.Region)
 				default:
-					funclib.Land(blk, got)
+					funclib.CopyRegion(blk, got, x.Region)
 				}
 			}
 			in[pp.Name] = blk
 		}
-		for _, b := range payloads {
-			funclib.StoreSink(&e.sinkMu, e.resultMatrix(iter, t), b)
+		for _, pl := range payloads {
+			funclib.StoreSink(&e.sinkMu, e.resultMatrix(iter, t), pl.blk, pl.reg)
 		}
 		payloads = payloads[:0]
 		for pi := range t.Outs {
@@ -577,7 +590,7 @@ func (e *exec) threadMain(ti int) {
 			pp := &t.Outs[pi]
 			blk := out[pp.Name]
 			for _, x := range pp.Xfers {
-				if !e.send(x.Conn, funclib.ExtractRegion(blk, x.Region)) {
+				if !e.send(x.Conn, blk) {
 					return
 				}
 			}

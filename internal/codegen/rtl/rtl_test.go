@@ -213,7 +213,7 @@ func TestAbortReleasesBlockedThreads(t *testing.T) {
 			once.Do(func() { close(parked) })
 		}
 	}
-	e3.hooks.recv = func(ti int, _ *funclib.Block) {
+	e3.hooks.recv = func(ti int, _ *funclib.Block, _ model.Region) {
 		if ti == 1 {
 			select {
 			case <-parked:
@@ -434,6 +434,7 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"conn-range", func(p *Program) { p.Threads[0].Outs[0].Xfers[0].Conn = 9 }, "out of range"},
 		{"unconsumed-conn", func(p *Program) { p.Threads[1].Ins[0].Xfers = nil }, "consumers"},
 		{"spill", func(p *Program) { p.Threads[0].Outs[0].Xfers[0].Region = reg(0, 0, 9, 9) }, "spills"},
+		{"lane-regions", func(p *Program) { p.Threads[1].Ins[0].Xfers[0].Region = reg(0, 0, 2, 4) }, "receives 2x4@(0,0)"},
 		{"sink-shape", func(p *Program) { p.Threads[1].SinkRows = 0 }, "assembly shape"},
 		{"thread-index", func(p *Program) { p.Threads[0].Thread = 3 }, "index outside"},
 		// Execute carries out the storage records without checking them

@@ -13,14 +13,16 @@ import (
 // output block is fresh per iteration in sagert; in rtl it is one of the
 // run's physical blocks, rewritten at a later iteration only once every
 // reader of the last one has finished. It is never written after a send
-// while that iteration's readers may still read it, every region travels as
-// a view of its producer's block (pitched when the region is narrower than
-// the block), a whole-partition receive adopts a dense payload, a sink
-// stores an iteration's payloads in the result once all have arrived, and
-// inputs are read-only unless owned — so storage shared by several
-// consumers is safe, and a thread that is its input block's only reader
-// (OwnsAdopted) lets an InPlace kind transform it where it lies: the block
-// goes on as the thread's output, still never written after a send.
+// while that iteration's readers may still read it. A send hands over the
+// producer's block itself, and the lane names the region it carries: the
+// receiver copies that region out of the block (CopyRegion), through its
+// pitch when the region is narrower than the block; a whole-partition
+// receive adopts a region that lies densely in it (Adopt); a sink stores an
+// iteration's payloads in the result once all have arrived; and inputs are
+// read-only unless owned — so storage shared by several consumers is safe,
+// and a thread that is its input block's only reader (OwnsAdopted) lets an
+// InPlace kind transform it where it lies: the block goes on as the thread's
+// output, still never written after a send.
 //
 // The plan places a block's samples before anything is written, by this
 // file's rules. A thread whose storage's readers all precede a sink keeps it
@@ -95,8 +97,10 @@ func atPlace(dst, src *Block, reg model.Region) bool {
 // ExtractRegion returns region reg of blk as a view of blk's own storage, in
 // blk's layout — dense when reg is contiguous in a dense blk, pitched when it
 // is narrower, transposed when blk is — its capacity clipped to the region's
-// last sample. It allocates no samples. The caller must not write blk
-// afterwards.
+// last sample. It allocates no samples, only the view's header: a send does
+// not call it (the payload is the producer's block), an adopting port does
+// once per compute iteration when its region is a part of a wider block
+// (Adopt). The caller must not write blk afterwards.
 func ExtractRegion(blk *Block, reg model.Region) *Block {
 	if reg.Empty() {
 		return &Block{Region: reg, Data: blk.Data[:0:0]}
@@ -208,35 +212,40 @@ func ResultView(m *isspl.Matrix, reg model.Region) *Block {
 	return ExtractRegion(&Block{Region: model.Region{Rows: m.Rows, Cols: m.Cols}, Data: m.Data}, reg)
 }
 
-// Assemble lands payload src in the input block dst and returns the block. A
-// nil dst — the caller's choice for a port whose one transfer covers its whole
-// partition — adopts a dense src itself and takes a dense copy of a pitched
-// one: kinds compute on dense blocks only.
-func Assemble(dst, src *Block) *Block {
-	blk := Landing(dst, src)
-	Land(blk, src)
+// Assemble lands region reg of payload src — the producer's block — in the
+// input block dst and returns the block. A nil dst — the caller's choice for
+// a port whose one transfer covers its whole partition — adopts a region that
+// lies densely in src and takes a dense copy of a pitched one: kinds compute
+// on dense blocks only.
+func Assemble(dst, src *Block, reg model.Region) *Block {
+	blk := Landing(dst, src, reg)
+	CopyRegion(blk, src, reg)
 	return blk
 }
 
-// Landing is Assemble's decision without its copy: the block payload src
-// lands in — dst, or for a nil dst src itself when dense and a fresh dense
-// block of its region otherwise.
-func Landing(dst, src *Block) *Block {
+// Landing is Assemble's decision without its copy: the block region reg of
+// payload src lands in — dst, or for a nil dst the region itself when it lies
+// densely in src (Adopt) and a fresh dense block of it otherwise. The copy
+// that follows (CopyRegion) finds an adopted region already at its place.
+func Landing(dst, src *Block, reg model.Region) *Block {
+	rs, cs := src.strides()
 	switch {
 	case dst != nil:
 		return dst
-	case src.dense():
-		return src
+	case reg.Empty() || rs == reg.Cols && cs == 1:
+		return Adopt(src, reg)
 	}
-	return NewBlock(src.Region)
+	return NewBlock(reg)
 }
 
-// Land is Assemble's copy: it copies payload src into blk, the block Landing
-// chose for it. An adopted payload is its own block and is already there.
-func Land(blk, src *Block) {
-	if blk != src {
-		CopyRegion(blk, src, src.Region)
+// Adopt returns region reg of src, which lies densely in src, as the block an
+// adopting input port holds: src itself when reg is all of it, else a view
+// of it (ExtractRegion) — the only header a receive allocates.
+func Adopt(src *Block, reg model.Region) *Block {
+	if reg == src.Region {
+		return src
 	}
+	return ExtractRegion(src, reg)
 }
 
 // OwnsAdopted reports whether the block an adopting input port ends up
@@ -259,21 +268,22 @@ func OwnsAdopted(dense bool, reg model.Region, otherSends iter.Seq[model.Region]
 	return true
 }
 
-// StoreSink writes a block — a sink thread's input, or one transfer of it —
-// into the assembled output matrix. A payload that already lies at its place
-// in target — a view of a result-backed producer's storage (ResultBacked) — is
-// there and is skipped; anything else is copied, through its layout.
-// Replicated sink threads cover overlapping regions with identical data and
-// may run concurrently (sample tasks, goroutines), so the copy is serialised on mu;
-// writes are identical or disjoint by striping construction, so the order
-// never changes the assembled bytes. A block without samples (a charge-only
-// iteration) stores nothing.
-func StoreSink(mu *sync.Mutex, target *isspl.Matrix, b *Block) {
+// StoreSink writes region reg of block b — a payload of a sink thread's
+// input, or all of a block — into the assembled output matrix. A region that
+// already lies at its place in target — a payload of a result-backed
+// producer's storage (ResultBacked) — is there and is skipped; anything else
+// is copied, through its layout. Replicated sink threads cover overlapping
+// regions with identical data and may run concurrently (sample tasks,
+// goroutines), so the copy is serialised on mu; writes are identical or
+// disjoint by striping construction, so the order never changes the
+// assembled bytes. A block without samples (a charge-only iteration) stores
+// nothing.
+func StoreSink(mu *sync.Mutex, target *isspl.Matrix, b *Block, reg model.Region) {
 	dst := &Block{Region: model.Region{Rows: target.Rows, Cols: target.Cols}, Data: target.Data}
-	if b.Data == nil || b.Region.Empty() || atPlace(dst, b, b.Region) {
+	if b.Data == nil || reg.Empty() || atPlace(dst, b, reg) {
 		return
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	CopyRegion(dst, b, b.Region)
+	CopyRegion(dst, b, reg)
 }

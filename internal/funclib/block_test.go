@@ -163,9 +163,17 @@ func TestInPlaceComputeEqualsFreshOutput(t *testing.T) {
 	}
 }
 
-// TestExtractRegionViewsContiguousAndStrided: a send is a view of the block in
-// both cases — tight when the region spans the block's width, pitched like
-// the block when it does not — and never a packed copy.
+// dense reports whether the block is laid out dense and row-major, as kinds
+// index it: a view is dense exactly when its region is contiguous
+// (ContiguousIn) in the dense block it was extracted from.
+func (b *Block) dense() bool {
+	rs, cs := b.strides()
+	return rs == b.Region.Cols && cs == 1
+}
+
+// TestExtractRegionViewsContiguousAndStrided: a region's view is a view of
+// the block in both cases — tight when the region spans the block's width,
+// pitched like the block when it does not — and never a packed copy.
 func TestExtractRegionViewsContiguousAndStrided(t *testing.T) {
 	blk := NewBlock(model.Region{R0: 4, C0: 2, Rows: 4, Cols: 6})
 	FillSource(blk, 5, 0)
@@ -247,9 +255,9 @@ func packRegion(blk *Block, reg model.Region) *Block {
 }
 
 // TestPitchedAssembleEqualsPackedAssemble: over random blocks and regions,
-// what a consumer holds after receiving a view — assembled into a larger
-// partition, adopted whole, or stored by a sink — is bit for bit what it held
-// when the producer packed a tile first.
+// what a consumer holds after receiving a region of the producer's block —
+// assembled into a larger partition, adopted whole, or stored by a sink — is
+// bit for bit what it held when the producer packed a tile first.
 func TestPitchedAssembleEqualsPackedAssemble(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	within := func(outer model.Region) model.Region {
@@ -273,17 +281,17 @@ func TestPitchedAssembleEqualsPackedAssemble(t *testing.T) {
 			t.Fatalf("trial %d: %v of %v: dense %v", trial, xfer, src.Region, view.dense())
 		}
 
-		got, want := Assemble(NewBlock(part), view), Assemble(NewBlock(part), packed)
+		got, want := Assemble(NewBlock(part), src, xfer), Assemble(NewBlock(part), packed, xfer)
 		if !sameBits(got.Data, want.Data) {
 			t.Fatalf("trial %d: assembling %v of %v into %v differs from the packed path", trial, xfer, src.Region, part)
 		}
-		adopted := Assemble(nil, view)
+		adopted := Assemble(nil, src, xfer)
 		if !adopted.dense() || adopted.Region != xfer || !sameBits(adopted.Data[:xfer.Elems()], packed.Data) {
 			t.Fatalf("trial %d: adopting %v of %v differs from the packed path", trial, xfer, src.Region)
 		}
 		gm, wm := isspl.NewMatrix(set.Rows, set.Cols), isspl.NewMatrix(set.Rows, set.Cols)
-		StoreSink(&mu, gm, view)
-		StoreSink(&mu, wm, packed)
+		StoreSink(&mu, gm, src, xfer)
+		StoreSink(&mu, wm, packed, xfer)
 		if !sameBits(gm.Data, wm.Data) {
 			t.Fatalf("trial %d: storing %v of %v differs from the packed path", trial, xfer, src.Region)
 		}
@@ -294,26 +302,26 @@ func TestAssembleAdoptsOrCopies(t *testing.T) {
 	whole := model.Region{Rows: 4, Cols: 4}
 	src := NewBlock(whole)
 	FillSource(src, 6, 0)
-	if got := Assemble(nil, src); got != src {
+	if got := Assemble(nil, src, whole); got != src {
 		t.Fatal("nil destination did not adopt the payload")
 	}
 	dst := NewBlock(whole)
-	half := ExtractRegion(src, model.Region{R0: 2, Rows: 2, Cols: 4})
-	if got := Assemble(dst, half); got != dst {
+	halfReg := model.Region{R0: 2, Rows: 2, Cols: 4}
+	if got := Assemble(dst, src, halfReg); got != dst {
 		t.Fatal("assembly returned a different block")
 	}
 	if !sameBits(dst.Data[8:], src.Data[8:]) || dst.Data[0] != 0 {
 		t.Fatal("payload landed in the wrong rows")
 	}
-	if got := Assemble(nil, half); got != half {
-		t.Fatal("nil destination did not adopt a contiguous view")
+	if got := Assemble(nil, src, halfReg); got.Region != halfReg || !got.dense() || &got.Data[0] != &src.Data[8] || len(got.Data) != 8 {
+		t.Fatal("nil destination did not adopt a contiguous region as a view")
 	}
 
-	// A whole-partition port handed a pitched payload (a column stripe of a
+	// A whole-partition port handed a pitched region (a column stripe of a
 	// wider producer) gets a dense copy: kinds index their inputs densely.
-	stripe := ExtractRegion(src, model.Region{C0: 1, Rows: 4, Cols: 2})
-	got := Assemble(nil, stripe)
-	if got == stripe || !got.dense() || got.Region != stripe.Region || len(got.Data) != 8 {
+	stripeReg := model.Region{C0: 1, Rows: 4, Cols: 2}
+	got := Assemble(nil, src, stripeReg)
+	if !got.dense() || got.Region != stripeReg || len(got.Data) != 8 {
 		t.Fatalf("pitched payload adopted as is (pitch %d, %d samples)", got.RowStride, len(got.Data))
 	}
 	for r := 0; r < 4; r++ {
@@ -332,10 +340,10 @@ func TestAssembleAdoptsOrCopies(t *testing.T) {
 func TestStoreSinkSkipsChargeOnlyBlocks(t *testing.T) {
 	var mu sync.Mutex
 	m := isspl.NewMatrix(4, 4)
-	StoreSink(&mu, m, &Block{Region: model.Region{Rows: 4, Cols: 4}})
+	StoreSink(&mu, m, &Block{Region: model.Region{Rows: 4, Cols: 4}}, model.Region{Rows: 4, Cols: 4})
 	b := NewBlock(model.Region{R0: 1, C0: 2, Rows: 2, Cols: 2})
 	FillSource(b, 8, 0)
-	StoreSink(&mu, m, b)
+	StoreSink(&mu, m, b, b.Region)
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			want := complex128(0)
@@ -350,7 +358,7 @@ func TestStoreSinkSkipsChargeOnlyBlocks(t *testing.T) {
 }
 
 // TestStoreSinkPitchedAndReplicated: payloads land in the result as they
-// arrive — pitched views of a wider producer block included — and replicated
+// arrive — pitched regions of a wider producer block included — and replicated
 // sink threads storing overlapping regions concurrently leave the same bytes
 // in any order.
 func TestStoreSinkPitchedAndReplicated(t *testing.T) {
@@ -361,12 +369,8 @@ func TestStoreSinkPitchedAndReplicated(t *testing.T) {
 	var mu sync.Mutex
 
 	m := isspl.NewMatrix(n, n)
-	for c0 := 0; c0 < n; c0 += 2 { // four column stripes, each a pitched view
-		stripe := ExtractRegion(src, model.Region{C0: c0, Rows: n, Cols: 2})
-		if stripe.dense() {
-			t.Fatal("column stripe of a wider block is dense")
-		}
-		StoreSink(&mu, m, stripe)
+	for c0 := 0; c0 < n; c0 += 2 { // four column stripes, each pitched in the block
+		StoreSink(&mu, m, src, model.Region{C0: c0, Rows: n, Cols: 2})
 	}
 	if !sameBits(m.Data, src.Data) {
 		t.Fatal("pitched stripes did not assemble the source")
@@ -386,7 +390,7 @@ func TestStoreSinkPitchedAndReplicated(t *testing.T) {
 		go func(regs []model.Region) {
 			defer wg.Done()
 			for _, reg := range regs {
-				StoreSink(&mu, m, ExtractRegion(src, reg))
+				StoreSink(&mu, m, src, reg)
 			}
 		}(regs)
 	}

@@ -9,11 +9,12 @@
 // striping conventions. The SAGE runtime calls Compute once per thread per
 // iteration; Cost prices the same work for the simulated machine.
 //
-// Between two functions a region travels as a pitched view of the producer's
-// block (block.go): same samples, rows RowStride apart, nothing packed. Kinds
-// never meet one — Assemble hands Compute dense blocks only, and the one
-// other layout, a transposing kind's transposed input view, is its output
-// block's own samples, already in place.
+// Between two functions a region travels in the producer's own block
+// (block.go): the send hands the block over, the lane names the region, and
+// the receiver copies it out through the block's pitch — nothing packed,
+// nothing allocated. Kinds never meet a pitched block — Assemble hands
+// Compute dense blocks only, and the one other layout, a transposing kind's
+// transposed input view, is its output block's own samples, already in place.
 package funclib
 
 import (
@@ -50,14 +51,6 @@ func (b *Block) strides() (rs, cs int) {
 		return b.Region.Cols, 1
 	}
 	return int(b.RowStride), int(b.ColStride)
-}
-
-// dense reports whether the block is laid out dense and row-major, as kinds
-// index it: a view is dense exactly when its region is contiguous
-// (ContiguousIn) in the dense block it was extracted from.
-func (b *Block) dense() bool {
-	rs, cs := b.strides()
-	return rs == b.Region.Cols && cs == 1
 }
 
 // offset returns the index in Data of the sample at absolute coordinates

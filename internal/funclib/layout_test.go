@@ -144,7 +144,7 @@ func TestStoreSinkSkipsWhatIsInPlace(t *testing.T) {
 	mu.Lock()
 	done := make(chan struct{})
 	go func() {
-		StoreSink(&mu, m, ResultView(m, rows))
+		StoreSink(&mu, m, ResultView(m, rows), rows)
 		close(done)
 	}()
 	select {
@@ -156,7 +156,7 @@ func TestStoreSinkSkipsWhatIsInPlace(t *testing.T) {
 
 	before := append([]complex128(nil), m.Data...)
 	// The same backing array, two rows further down: rows 4–5 land in 2–3.
-	StoreSink(&mu, m, &Block{Region: rows, Data: m.Data[20:30]})
+	StoreSink(&mu, m, &Block{Region: rows, Data: m.Data[20:30]}, rows)
 	for i := 10; i < 20; i++ {
 		if m.Data[i] != before[i+10] {
 			t.Fatalf("payload at another offset not copied: sample %d is %v, want %v", i, m.Data[i], before[i+10])
@@ -167,7 +167,7 @@ func TestStoreSinkSkipsWhatIsInPlace(t *testing.T) {
 	// its pitch.
 	copy(m.Data, before)
 	tile := model.Region{Rows: 2, Cols: 2}
-	StoreSink(&mu, m, &Block{Region: tile, Data: m.Data[:4], RowStride: 2, ColStride: 1})
+	StoreSink(&mu, m, &Block{Region: tile, Data: m.Data[:4], RowStride: 2, ColStride: 1}, tile)
 	if want := []complex128{before[0], before[1], before[2], before[3]}; m.Data[0] != want[0] || m.Data[1] != want[1] ||
 		m.Data[5] != want[2] || m.Data[6] != want[3] {
 		t.Fatalf("payload at another pitch not copied: got %v %v / %v %v", m.Data[0], m.Data[1], m.Data[5], m.Data[6])

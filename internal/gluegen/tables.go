@@ -314,7 +314,9 @@ func (g *regionGrid) mayOverlap(xs []Transfer, mine []int) bool {
 	if cells > n*(n-1)/2 {
 		return true
 	}
-	g.cells = append(g.cells[:0], make([]bool, cells)...)
+	// Grown, not appended from a make: a -race build allocates the make.
+	g.cells = slices.Grow(g.cells[:0], cells)[:cells]
+	clear(g.cells)
 	for _, k := range mine {
 		r := xs[k].Region
 		if r.Empty() {

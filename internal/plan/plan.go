@@ -33,12 +33,13 @@ import (
 const TagThreadLimit = 128
 
 // Edge is one lane: a striding entry of a logical buffer, moving one region
-// from a producer thread to a consumer thread each iteration.
+// from a producer thread to a consumer thread each iteration. Its indices are
+// int32, so that an Edge is 24 bytes.
 type Edge struct {
-	Buf int               // logical buffer ID
 	X   *gluegen.Transfer // the table's striding entry, in Tables.Buffers[Buf].Transfers
+	Buf int32             // logical buffer ID
 	// Src and Dst index Plan.Threads.
-	Src, Dst int
+	Src, Dst int32
 	// SrcContig and DstContig report whether X.Region is contiguous in the
 	// producer's and the consumer's logical buffer (funclib.ContiguousIn):
 	// the side where it is not pays a pack or assembly copy.
@@ -48,7 +49,7 @@ type Edge struct {
 // DataTag is the lane's MPI tag. The packing is visible in channel names and
 // therefore in traces.
 func (e *Edge) DataTag() int {
-	return (e.Buf*TagThreadLimit+e.X.SrcThread)*TagThreadLimit + e.X.DstThread
+	return (int(e.Buf)*TagThreadLimit+e.X.SrcThread)*TagThreadLimit + e.X.DstThread
 }
 
 // CreditTag is the tag of the lane's pipelining-credit returns, in a disjoint
@@ -62,7 +63,7 @@ type Port struct {
 	Region model.Region
 	// Edges indexes Plan.Edges in the runtime's receive (input) or send
 	// (output) order: the port's buffers in table order, each buffer's
-	// transfers in table order.
+	// transfers in table order. Every port's list is carved from one array.
 	Edges []int32
 	// Adopt marks an input port whose one edge covers the whole partition:
 	// the payload becomes the block (funclib.Assemble with a nil destination;
@@ -141,6 +142,15 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 		n += fe.Threads
 	}
 	p.Threads = make([]Thread, n)
+	// Every thread's ports come from one array, function by function, each
+	// thread's inputs then its outputs: w.ports[fi] is where function fi's
+	// thread 0 starts.
+	w := wiring{ports: make([]int, len(t.Functions)+1)}
+	for fi := range t.Functions {
+		fe := &t.Functions[fi]
+		w.ports[fi+1] = w.ports[fi] + fe.Threads*(len(fe.Ins)+len(fe.Outs))
+	}
+	ports := make([]Port, w.ports[len(t.Functions)])
 	for fi := range t.Functions {
 		fe := &t.Functions[fi]
 		impl, err := funclib.Lookup(fe.Kind)
@@ -153,40 +163,61 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 				Fn: fe, Index: th, Node: fe.Nodes[th], Impl: impl,
 				Source: len(fe.Ins) == 0, Sink: len(fe.Outs) == 0,
 			}
-			if tp.Ins, err = newPorts(fe, fe.Ins, th); err != nil {
+			k := w.ports[fi] + th*(len(fe.Ins)+len(fe.Outs))
+			if tp.Ins, err = newPorts(fe, fe.Ins, th, ports[k:k+len(fe.Ins):k+len(fe.Ins)]); err != nil {
 				return nil, err
 			}
-			if tp.Outs, err = newPorts(fe, fe.Outs, th); err != nil {
+			k += len(fe.Ins)
+			if tp.Outs, err = newPorts(fe, fe.Outs, th, ports[k:k+len(fe.Outs):k+len(fe.Outs)]); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	// base[b] is the ID of buffer b's first edge.
-	base := make([]int, len(t.Buffers)+1)
+	w.base = make([]int, len(t.Buffers)+1)
 	for bi := range t.Buffers {
-		base[bi+1] = base[bi] + len(t.Buffers[bi].Transfers)
+		w.base[bi+1] = w.base[bi] + len(t.Buffers[bi].Transfers)
 	}
-	p.Edges = make([]Edge, base[len(t.Buffers)])
-	wired := make([]uint8, len(p.Edges))
-	for fi := range t.Functions {
-		fe := &t.Functions[fi]
-		for pi := range fe.Ins {
-			if err := p.wire(fe, pi, true, base, wired); err != nil {
-				return nil, err
+	p.Edges = make([]Edge, w.base[len(t.Buffers)])
+	w.wired = make([]uint8, len(p.Edges))
+	// A first pass counts each port's lanes; every port's Edges list is then
+	// carved from one array, and the second pass fills them in place.
+	w.count = make([]int32, len(ports))
+	for pass := range 2 {
+		for fi := range t.Functions {
+			fe := &t.Functions[fi]
+			for pi := range fe.Ins {
+				if err := p.wire(fe, pi, true, &w); err != nil {
+					return nil, err
+				}
+			}
+			for pi := range fe.Outs {
+				if err := p.wire(fe, pi, false, &w); err != nil {
+					return nil, err
+				}
 			}
 		}
-		for pi := range fe.Outs {
-			if err := p.wire(fe, pi, false, base, wired); err != nil {
-				return nil, err
+		if pass == 0 {
+			total := 0
+			for _, c := range w.count {
+				total += int(c)
 			}
+			lanes, off := make([]int32, 0, total), 0
+			for k, c := range w.count {
+				if c > 0 { // a port without lanes keeps a nil list
+					ports[k].Edges = lanes[off : off : off+int(c)]
+					off += int(c)
+				}
+			}
+			w.count = nil
 		}
 	}
 
 	seen := make([]bool, TagThreadLimit*TagThreadLimit)
 	for bi := range t.Buffers {
 		clear(seen)
-		for ei := base[bi]; ei < base[bi+1]; ei++ {
+		for ei := w.base[bi]; ei < w.base[bi+1]; ei++ {
 			e := &p.Edges[ei]
 			lane := e.X.SrcThread*TagThreadLimit + e.X.DstThread
 			if seen[lane] {
@@ -219,7 +250,7 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 // thread that does not compute in place, unless it lies in a sink's result.
 type Storage struct {
 	// Readers lists, ascending, the threads that read a block in the
-	// iteration that wrote it: the owner, the consumers of its views and,
+	// iteration that wrote it: the owner, the consumers of its sends and,
 	// through one that forwards them (computes in place on the dense view it
 	// adopted), that one's consumers, transitively.
 	Readers []int
@@ -238,7 +269,7 @@ type Layout struct {
 }
 
 // Layouts decides, per thread, where its storage lives. Only a run that
-// carries samples asks; the cost grows with the edges the views travel.
+// carries samples asks; the cost grows with the edges the blocks travel.
 func (p *Plan) Layouts() []Layout {
 	forwards := func(tp *Thread) bool { return tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig }
 	n := 0
@@ -252,7 +283,7 @@ func (p *Plan) Layouts() []Layout {
 	var walk func(pp *Port, mark int)
 	walk = func(pp *Port, mark int) {
 		for _, ei := range pp.Edges {
-			if d := p.Edges[ei].Dst; seen[d] != mark {
+			if d := int(p.Edges[ei].Dst); seen[d] != mark {
 				seen[d], readers = mark, append(readers, d)
 				if forwards(&p.Threads[d]) {
 					walk(&p.Threads[d].Outs[0], mark)
@@ -268,7 +299,7 @@ func (p *Plan) Layouts() []Layout {
 		start := len(out)
 		for pi := range tp.Outs {
 			for _, ei := range tp.Outs[pi].Edges {
-				out = append(out, p.Edges[ei].Dst)
+				out = append(out, int(p.Edges[ei].Dst))
 			}
 			if !forwards(tp) {
 				first := len(readers)
@@ -358,11 +389,11 @@ func (p *Plan) ownsInput(tp *Thread) bool {
 	})
 }
 
-func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int) ([]Port, error) {
+// newPorts fills ports, one per entry, with thread's partition of each.
+func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int, ports []Port) ([]Port, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	ports := make([]Port, len(entries))
 	for pi := range entries {
 		pe := &entries[pi]
 		region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
@@ -376,11 +407,24 @@ func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int) ([
 
 const wiredIn, wiredOut = 1, 2
 
+// wiring is Build's state while it hands out the lanes.
+type wiring struct {
+	// ports[fi] is the index of function fi's first port in the plan's one
+	// port array; base[b] is the ID of buffer b's first edge.
+	ports, base []int
+	// wired marks the sides of each edge wire has filled in.
+	wired []uint8
+	// count, while not nil, asks wire only to count the lanes of each port,
+	// by its index in the port array.
+	count []int32
+}
+
 // wire hands the transfers of one port's buffers to the function's threads:
 // walking the port's buffer list and each buffer's transfer table in order,
 // it appends every edge to the port of the thread that receives (input) or
-// sends (output) it, and fills in that side of the edge.
-func (p *Plan) wire(fe *gluegen.FuncEntry, pi int, input bool, base []int, wired []uint8) error {
+// sends (output) it, and fills in that side of the edge. While w.count is
+// set it counts those edges instead, and checks only what it reads.
+func (p *Plan) wire(fe *gluegen.FuncEntry, pi int, input bool, w *wiring) error {
 	entries := fe.Outs
 	if input {
 		entries = fe.Ins
@@ -400,28 +444,32 @@ func (p *Plan) wire(fe *gluegen.FuncEntry, pi int, input bool, base []int, wired
 		}
 		for xi := range b.Transfers {
 			x := &b.Transfers[xi]
-			ei := base[bufID] + xi
+			ei := w.base[bufID] + xi
 			e := &p.Edges[ei]
-			side, th := uint8(wiredOut), x.SrcThread
+			side, th, k := uint8(wiredOut), x.SrcThread, len(fe.Ins)+pi
 			if input {
-				side, th = wiredIn, x.DstThread
+				side, th, k = wiredIn, x.DstThread, pi
 			}
 			if th < 0 || th >= fe.Threads {
 				return fmt.Errorf("plan: buffer %d: transfer names thread %d of %s's %d", bufID, th, fe.Name, fe.Threads)
 			}
-			if wired[ei]&side != 0 {
+			if w.count != nil {
+				w.count[w.ports[fe.ID]+th*(len(fe.Ins)+len(fe.Outs))+k]++
+				continue
+			}
+			if w.wired[ei]&side != 0 {
 				return fmt.Errorf("plan: buffer %d: transfer %d->%d is listed twice by %s's ports", bufID, x.SrcThread, x.DstThread, fe.Name)
 			}
-			wired[ei] |= side
+			w.wired[ei] |= side
 			ti := p.First[fe.ID] + th
 			var port *Port
 			if input {
 				port = &p.Threads[ti].Ins[pi]
-				e.Dst, e.DstContig = ti, funclib.ContiguousIn(x.Region, port.Region)
+				e.Dst, e.DstContig = int32(ti), funclib.ContiguousIn(x.Region, port.Region)
 			} else {
 				port = &p.Threads[ti].Outs[pi]
-				e.Buf, e.X = bufID, x
-				e.Src, e.SrcContig = ti, funclib.ContiguousIn(x.Region, port.Region)
+				e.Buf, e.X = int32(bufID), x
+				e.Src, e.SrcContig = int32(ti), funclib.ContiguousIn(x.Region, port.Region)
 			}
 			port.Edges = append(port.Edges, int32(ei))
 		}

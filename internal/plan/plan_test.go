@@ -146,7 +146,7 @@ func checkInvariants(t *testing.T, tb *gluegen.Tables, p *plan.Plan) {
 				t.Fatalf("plan has %d edges, tables more", len(p.Edges))
 			}
 			e := &p.Edges[n]
-			if e.Buf != buf.ID || e.X != x {
+			if int(e.Buf) != buf.ID || e.X != x {
 				t.Fatalf("edge %d is b%d %+v, want b%d's entry %+v", n, e.Buf, e.X, buf.ID, *x)
 			}
 			if s := &p.Threads[e.Src]; s.Fn != src || s.Index != x.SrcThread {
@@ -252,7 +252,7 @@ func checkConsumers(t *testing.T, in input, p *plan.Plan) {
 	}
 	for i, c := range prog.Conns {
 		e := &p.Edges[i]
-		if c.Buf != e.Buf || c.SrcFn != p.Threads[e.Src].Fn.Name || c.SrcThread != e.X.SrcThread ||
+		if c.Buf != int(e.Buf) || c.SrcFn != p.Threads[e.Src].Fn.Name || c.SrcThread != e.X.SrcThread ||
 			c.DstFn != p.Threads[e.Dst].Fn.Name || c.DstThread != e.X.DstThread {
 			t.Fatalf("conn %d is %v, edge is b%d %s[%d]->%s[%d]", i, c, e.Buf,
 				p.Threads[e.Src].Fn.Name, e.X.SrcThread, p.Threads[e.Dst].Fn.Name, e.X.DstThread)

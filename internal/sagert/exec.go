@@ -26,11 +26,11 @@ type runner struct {
 	sinks   []sinkOut
 	layouts []plan.Layout
 	// Per-edge run state, indexed like plan.Edges.
-	credits []int
+	credits []int32
 	// overcommit tracks emergency credit borrowing (resilient mode only): a
 	// bounded per-run budget, so the pipeline depth can never exceed
 	// BufferSlots + MaxCreditOvercommit.
-	overcommit  []int
+	overcommit  []int32
 	names       []xferNames                 // trace names, on a traced run only
 	localQueues []*sim.Chan[*funclib.Block] // optimised node-local handoffs; nil elsewhere
 	iterBarrier *sim.Barrier                // non-nil in Sequential mode

@@ -54,7 +54,8 @@ func TestAllocCeilingChargeOnlyIterations(t *testing.T) {
 	}
 	// One compute iteration holds at most four matrices' worth of samples;
 	// TestAllocCeilingFFT512 pins the two it holds today. Corner-turn tiles
-	// travel as pitched views and the sink's payloads land in the output.
+	// travel in their producer's block, read through its pitch, and the
+	// sink's payloads land in the output.
 	matrix := uint64(512 * 512 * 16)
 	t.Logf("1-iteration run allocates %.2f matrices, 5-iteration run %.2f", float64(one)/float64(matrix), float64(five)/float64(matrix))
 	if one > 4*matrix {

@@ -284,13 +284,13 @@ func run(tables *gluegen.Tables, pl machine.Platform, opts Options, hooks runHoo
 		plan: xp, opts: o, mach: mach, world: world,
 		sourceStart: make([]sim.Time, o.Iterations),
 		sinkDone:    make([]sim.Time, o.Iterations),
-		credits:     make([]int, len(xp.Edges)),
+		credits:     make([]int32, len(xp.Edges)),
 	}
 	for i := range r.credits {
-		r.credits[i] = o.BufferSlots
+		r.credits[i] = int32(o.BufferSlots)
 	}
 	if mach.Faults().Enabled() {
-		r.overcommit = make([]int, len(xp.Edges))
+		r.overcommit = make([]int32, len(xp.Edges))
 	}
 	if mach.Trace().Enabled() {
 		r.nameXfers()

@@ -12,7 +12,7 @@ import (
 
 // samples runs a run's sample work beside the kernel (DESIGN.md §14, "sample
 // tasks"). The step machine makes every structural decision — the block a
-// port lands in, whether a thread computes in place, the views it sends — and
+// port lands in, whether a thread computes in place, the blocks it sends — and
 // records what the kernel delivered in one task per (thread, compute
 // iteration), submitted at stCompute. A task lands its payloads in the input
 // blocks, runs the kind's Compute and stores a collected sink's payloads in
@@ -26,7 +26,8 @@ type samples struct {
 	mu    sync.Mutex
 	ready sync.Cond // a task became runnable, or the last one finished
 	// tasks holds every task of the run, by iter*len(plan.Threads) + thread:
-	// one allocation, the payload lists another, however many tasks there are.
+	// one allocation, the block lists another and the edge lists a third,
+	// however many tasks there are.
 	tasks   []sampleTask
 	queue   []*sampleTask // runnable tasks
 	workers sync.WaitGroup
@@ -44,12 +45,15 @@ type samples struct {
 
 // A sampleTask is one thread's sample work for one compute iteration.
 type sampleTask struct {
-	// The step fills in t, iter and blocks before it submits the task.
+	// The step fills in t, iter, blocks and edges before it submits the task.
 	t    *thread
 	iter int
-	// blocks holds the payloads in delivery order, port by port, then the
-	// thread's input blocks and output blocks in port order.
+	// blocks holds the payloads in delivery order, port by port — each the
+	// producer's output block — then the thread's input blocks and output
+	// blocks in port order. edges holds each payload's edge, whose region
+	// (plan.Edge.X) it carries.
 	blocks []*funclib.Block
+	edges  []int32
 
 	seq       int // submission number
 	pending   int // producer tasks not yet finished
@@ -66,21 +70,27 @@ type sampleTask struct {
 func newSamples(r *runner) *samples {
 	threads := r.plan.Threads
 	s := &samples{r: r, tasks: make([]sampleTask, r.opts.ComputeIterations*len(threads))}
-	size := func(tp *plan.Thread) int {
-		n := len(tp.Ins) + len(tp.Outs)
+	// A task records one payload per input lane, then its ports' blocks.
+	lanes := func(tp *plan.Thread) int {
+		n := 0
 		for pi := range tp.Ins {
 			n += len(tp.Ins[pi].Edges)
 		}
 		return n
 	}
-	total := 0
+	payloads, ports := 0, 0
 	for ti := range threads {
-		total += size(&threads[ti])
+		payloads += lanes(&threads[ti])
+		ports += len(threads[ti].Ins) + len(threads[ti].Outs)
 	}
-	blocks := make([]*funclib.Block, r.opts.ComputeIterations*total)
+	blocks := make([]*funclib.Block, r.opts.ComputeIterations*(payloads+ports))
+	edges := make([]int32, r.opts.ComputeIterations*payloads)
 	for i := range s.tasks {
-		n := size(&threads[i%len(threads)])
+		tp := &threads[i%len(threads)]
+		m := lanes(tp)
+		n := m + len(tp.Ins) + len(tp.Outs)
 		s.tasks[i].blocks, blocks = blocks[:0:n], blocks[n:]
+		s.tasks[i].edges, edges = edges[:0:m], edges[m:]
 	}
 	s.ready.L = &s.mu
 	// The kernel's goroutine keeps one P; it joins the workers once it has
@@ -116,7 +126,7 @@ func (s *samples) submit(task *sampleTask) {
 		for _, ei := range tp.Ins[pi].Edges {
 			// The producer sent this iteration's payload after its own
 			// stCompute: its task is submitted.
-			p := &s.tasks[base+s.r.plan.Edges[ei].Src]
+			p := &s.tasks[base+int(s.r.plan.Edges[ei].Src)]
 			if p.mark == s.stamp {
 				continue
 			}
@@ -152,7 +162,7 @@ func (s *samples) finish(task *sampleTask, failed bool) {
 	for pi := range tp.Outs {
 		for _, ei := range tp.Outs[pi].Edges {
 			// A consumer not yet submitted will find this task done.
-			c := &s.tasks[base+s.r.plan.Edges[ei].Dst]
+			c := &s.tasks[base+int(s.r.plan.Edges[ei].Dst)]
 			if !c.submitted || c.mark == s.stamp {
 				continue
 			}
@@ -228,22 +238,25 @@ func (w *taskRunner) run(r *runner, task *sampleTask) (err error) {
 			err = fmt.Errorf("sagert: execution failed: %w", &sim.PanicError{Proc: p.Name(), PID: p.PID(), Value: v})
 		}
 	}()
-	payloads := len(task.blocks) - len(tp.Ins) - len(tp.Outs)
+	payloads := len(task.edges)
 	got, ins, outs := task.blocks[:payloads], task.blocks[payloads:payloads+len(tp.Ins)], task.blocks[payloads+len(tp.Ins):]
+	edges := task.edges
 	for pi := range tp.Ins {
 		n := len(tp.Ins[pi].Edges)
-		for _, b := range got[:n] {
-			// A sink holds no samples of its own: the payloads of the last
-			// compute iteration land in the assembled output, earlier ones
-			// are dropped.
+		for i, b := range got[:n] {
+			// Each payload is its producer's block, and its edge names the
+			// region it carries. A sink holds no samples of its own: the
+			// payloads of the last compute iteration land in the assembled
+			// output, earlier ones are dropped.
+			reg := r.plan.Edges[edges[i]].X.Region
 			switch {
 			case t.sink == nil:
-				funclib.Land(ins[pi], b)
+				funclib.CopyRegion(ins[pi], b, reg)
 			case task.iter == r.opts.ComputeIterations-1:
-				funclib.StoreSink(&r.sinkMu, t.sink.m, b)
+				funclib.StoreSink(&r.sinkMu, t.sink.m, b, reg)
 			}
 		}
-		got = got[n:]
+		got, edges = got[n:], edges[n:]
 	}
 	clear(w.in)
 	clear(w.out)

@@ -306,11 +306,12 @@ func (t *thread) step(p *sim.Proc) bool {
 				}
 				switch {
 				case t.sink == nil:
-					t.blk = funclib.Landing(t.blk, t.got)
+					t.blk = funclib.Landing(t.blk, t.got, e.X.Region)
 				case t.iter == r.opts.ComputeIterations-1:
 					r.sinkMatrix(t.sink) // where the task stores the payload
 				}
 				t.task.blocks = append(t.task.blocks, t.got)
+				t.task.edges = append(t.task.edges, t.ei)
 			}
 			t.got = nil
 			if tr.Enabled() {
@@ -421,7 +422,7 @@ func (t *thread) step(p *sim.Proc) bool {
 				if tr.Enabled() {
 					tr.FaultSpanOn(tp.Node, t.track, r.names[t.ei].creditTimeout, t.tryStart, p.Now())
 				}
-				if r.overcommit[t.ei] >= r.opts.Resilience.MaxCreditOvercommit {
+				if int(r.overcommit[t.ei]) >= r.opts.Resilience.MaxCreditOvercommit {
 					if t.park(t.creditBegin(p, e), waitRank) {
 						return true
 					}
@@ -441,10 +442,12 @@ func (t *thread) step(p *sim.Proc) bool {
 		case stSend:
 			e := &edges[t.ei]
 			t.xferStart = p.Now()
+			// The payload is the port's block itself: the consumer reads the
+			// edge's region out of it.
 			if r.localOptimised(tp.Node, t.peer) {
 				var pass *funclib.Block // nothing to hand over when charge-only
 				if t.compute {
-					pass = funclib.ExtractRegion(t.blk, e.X.Region)
+					pass = t.blk
 				}
 				r.localQueues[t.ei].Send(pass)
 				t.xi, t.pc = t.xi+1, stOutXfer
@@ -452,8 +455,8 @@ func (t *thread) step(p *sim.Proc) bool {
 			}
 			// Pack the region out of the logical buffer, charged with the
 			// send; a region that is contiguous in the buffer is sent in
-			// place, zero-copy. (The charge is the model's; the host sends a
-			// view of the block either way.)
+			// place, zero-copy. (The charge is the model's; the host sends
+			// the block either way.)
 			pack := 0
 			if !e.SrcContig {
 				pack = e.X.Bytes
@@ -463,7 +466,7 @@ func (t *thread) step(p *sim.Proc) bool {
 			// that does not costs, for every element kind.
 			payload := mpi.Payload{Bytes: e.X.Bytes}
 			if t.compute {
-				payload.Data = funclib.ExtractRegion(t.blk, e.X.Region)
+				payload.Data = t.blk
 			}
 			t.pc = stSent
 			if t.park(t.rank.SendBegin(t.peer, e.DataTag(), payload, pack), waitRank) {

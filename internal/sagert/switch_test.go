@@ -4,11 +4,14 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/fault"
+	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/platforms"
 	"repro/internal/sim"
 )
@@ -124,18 +127,13 @@ func TestQueueCensusWide1024Seq(t *testing.T) {
 	}
 }
 
-// TestAllocCeilingWide1024Seq pins what one sagert.Run of the benchmark's
-// wide1024 seq class allocates: Mercury, 1 024 nodes, fft2d 256 on 64
-// threads, three data sets of which the first carries samples. With a
-// coroutine per thread (iter.Pull's objects, a body closure and a context
-// each) it was 10 791 objects; as step machines, ~9 230 — under 0.08 per
-// event of its 119 980. The fft2d runs on 130 of the 1 024 nodes, so with
-// nodes and endpoints built on first use and each endpoint's queue sized
-// from the plan's lanes a run allocates 3.39 MB in ~8 160 objects (3.85 MB
-// in ~8 540 with the whole machine built and the queues grown by
-// doubling).
-func TestAllocCeilingWide1024Seq(t *testing.T) {
-	app, err := apps.FFT2D(256, 64)
+// wide1024Run returns one sagert.Run of the benchmark's wide1024 seq shape
+// at threads threads a function — Mercury, 1 024 nodes, fft2d 256,
+// staggered, three data sets, samples in the first unless o says otherwise —
+// and the number of lanes its plan has.
+func wide1024Run(t *testing.T, threads int, o Options) (run func(), lanes int) {
+	t.Helper()
+	app, err := apps.FFT2D(256, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,20 +146,77 @@ func TestAllocCeilingWide1024Seq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
-		if _, err := Run(gen.Tables, pl, Options{Iterations: 3}); err != nil {
+	xp, err := plan.Build(gen.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Iterations = 3
+	return func() {
+		if _, err := Run(gen.Tables, pl, o); err != nil {
 			t.Fatal(err)
 		}
-	}
+	}, len(xp.Edges)
+}
+
+// allocsOf reports the objects and bytes one call of run allocates,
+// averaged over three after a warm-up.
+func allocsOf(run func()) (allocs float64, bytes uint64) {
 	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(3, run)
+	allocs = testing.AllocsPerRun(3, run)
 	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / 4
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / 4
+}
+
+// TestAllocCeilingWide1024Seq pins what one sagert.Run of the benchmark's
+// wide1024 seq class allocates: Mercury, 1 024 nodes, fft2d 256 on 64
+// threads, three data sets of which the first carries samples. With a
+// coroutine per thread (iter.Pull's objects, a body closure and a context
+// each) it was 10 791 objects; as step machines, ~9 230 — under 0.08 per
+// event of its 119 980. The fft2d runs on 130 of the 1 024 nodes: with
+// nodes and endpoints built on first use and each endpoint's queue sized
+// from the plan's lanes a run allocated 3.39 MB in ~8 160 objects (3.85 MB
+// in ~8 540 with the whole machine built and the queues grown by
+// doubling). Since a send hands over the producer's block instead of a
+// view header per lane, and the plan holds 24-byte edges and carves its
+// ports and lane lists from one array each, it is 3.04 MB in ~2 840.
+func TestAllocCeilingWide1024Seq(t *testing.T) {
+	run, _ := wide1024Run(t, 64, Options{})
+	allocs, bytes := allocsOf(run)
 	t.Logf("wide1024 seq: %.0f allocations, %d bytes per run", allocs, bytes)
-	if ceiling := 3_450_000 * allocSlack; allocs > 9500 || float64(bytes) > ceiling {
-		t.Fatalf("a wide1024 seq run allocates %.0f objects and %d bytes, ceilings 9 500 and %.0f", allocs, bytes, ceiling)
+	if ceiling := 3_100_000 * allocSlack; allocs > 3300 || float64(bytes) > ceiling {
+		t.Fatalf("a wide1024 seq run allocates %.0f objects and %d bytes, ceilings 3 300 and %.0f", allocs, bytes, ceiling)
+	}
+}
+
+// TestAllocCeilingPerLane: a send allocates nothing. Between the wide1024
+// shape at 32 and at 64 threads a function — 1 088 and 4 224 lanes — what a
+// run that carries samples allocates beyond the same run without samples
+// grows, per added lane, by less than one block header
+// (unsafe.Sizeof(funclib.Block{}), 64 bytes) and a quarter of an object.
+// The bookkeeping every run pays per lane (the plan's 24-byte edge and its
+// two list entries, the ranks' reserved queues) cancels in the difference;
+// what is left is the sample task's record of each payload — the block and
+// the edge id — and the plan's storage records: ~35 bytes and 0.03 objects
+// a lane. A view header per send (funclib.ExtractRegion in stSend) is ~99
+// bytes and 1.03 objects.
+func TestAllocCeilingPerLane(t *testing.T) {
+	cost := func(threads int) (lanes int, allocs float64, bytes float64) {
+		sampled, lanes := wide1024Run(t, threads, Options{})
+		bare, _ := wide1024Run(t, threads, Options{ComputeIterations: NoSamples})
+		sa, sb := allocsOf(sampled)
+		ba, bb := allocsOf(bare)
+		return lanes, sa - ba, float64(sb) - float64(bb)
+	}
+	fewLanes, fewAllocs, fewBytes := cost(32)
+	lanes, allocs, bytes := cost(64)
+	added := float64(lanes - fewLanes)
+	perAlloc, perByte := (allocs-fewAllocs)/added, (bytes-fewBytes)/added
+	t.Logf("samples cost %.0f objects, %.0f bytes at %d lanes; %.0f, %.0f at %d: %.3f objects, %.1f bytes per added lane",
+		fewAllocs, fewBytes, fewLanes, allocs, bytes, lanes, perAlloc, perByte)
+	if header := float64(unsafe.Sizeof(funclib.Block{})); perAlloc >= 0.25 || perByte >= header {
+		t.Fatalf("samples cost %.3f objects and %.1f bytes per added lane; want under 0.25 and %.0f", perAlloc, perByte, header)
 	}
 }
 

@@ -105,9 +105,9 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 					}
 				}
 				if compute && sink == nil {
-					blk = funclib.Assemble(blk, got)
+					blk = funclib.Assemble(blk, got, e.X.Region)
 				} else if compute && iter == r.opts.ComputeIterations-1 {
-					funclib.StoreSink(&r.sinkMu, r.sinkMatrix(sink), got)
+					funclib.StoreSink(&r.sinkMu, r.sinkMatrix(sink), got, e.X.Region)
 				}
 				if tr.Enabled() {
 					tr.Xfer(trace.LayerSage, tp.Node, track,
@@ -192,7 +192,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				if r.localOptimised(tp.Node, peer) {
 					var pass *funclib.Block // nothing to hand over when charge-only
 					if compute {
-						pass = funclib.ExtractRegion(blk, e.X.Region)
+						pass = blk
 					}
 					r.localQueues[ei].Send(pass)
 					continue
@@ -203,7 +203,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				}
 				payload := mpi.Payload{Bytes: e.X.Bytes}
 				if compute {
-					payload.Data = funclib.ExtractRegion(blk, e.X.Region)
+					payload.Data = blk
 				}
 				rank.SendPacked(peer, e.DataTag(), payload, pack)
 				if tr.Enabled() {
@@ -260,7 +260,7 @@ func (r *runner) awaitCredit(rank *mpi.Rank, tp *plan.Thread, track string, ei i
 		}
 		tr.FaultSpanOn(tp.Node, track,
 			fmt.Sprintf("credit-timeout b%d", e.Buf), start, rank.Proc().Now())
-		if r.overcommit[ei] < res.MaxCreditOvercommit {
+		if int(r.overcommit[ei]) < res.MaxCreditOvercommit {
 			r.overcommit[ei]++
 			tr.FaultPoint(tp.Node,
 				fmt.Sprintf("overcommit b%d %d->%d", e.Buf, e.X.SrcThread, e.X.DstThread),

@@ -199,7 +199,7 @@ func (r *runner) newThreadState(tp *plan.Thread, p *sim.Proc) *threadState {
 
 // nodeOf resolves a plan thread (an edge's Src or Dst) against the thread's
 // current epoch.
-func (r *runner) nodeOf(st *threadState, thread int) int {
+func (r *runner) nodeOf(st *threadState, thread int32) int {
 	tp := &r.plan.Threads[thread]
 	return st.cur[tp.Fn.ID][tp.Index]
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -156,14 +155,24 @@ func (cw *chromeWriter) end() {
 }
 
 // appendJSONString appends s as encoding/json renders a string. Printable
-// ASCII without <>&"\ — every name but a process name's "·" — is copied as
-// is; anything else is rendered by json.Marshal.
+// ASCII without <>&"\ and valid UTF-8 beyond it but U+2028/U+2029 — every
+// name a trace records, a process name's "·" included — is copied as is;
+// anything else is rendered by json.Marshal. Only such a name reaches
+// encoding/json's pooled encoder, whose allocations the race detector makes
+// random (it drops pooled items at will).
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf && c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if c < utf8.RuneSelf || r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
 			q, _ := json.Marshal(s) // a string always marshals
 			return append(b, q...)
 		}
+		i += size
 	}
 	return append(append(append(b, '"'), s...), '"')
 }
@@ -187,7 +196,7 @@ func processName(label string, node int) string {
 	if node == NodeKernel {
 		return label + " · kernel"
 	}
-	return fmt.Sprintf("%s · node %d", label, node)
+	return label + " · node " + strconv.Itoa(node)
 }
 
 // WriteChrome emits the merged trace as Chrome trace-event JSON (object
@@ -206,7 +215,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	for runIdx, c := range t.Runs() {
 		label := c.Label
 		if label == "" {
-			label = fmt.Sprintf("run %d", runIdx)
+			label = "run " + strconv.Itoa(runIdx)
 		}
 		refs = c.eventRefs(refs[:0])
 		slices.SortFunc(refs, compareRefs)
