@@ -268,6 +268,47 @@ func TestSendNeverPacks(t *testing.T) {
 	}
 }
 
+// TestKindsTakePositions: a kind's ports are positions. funclib.Impl's
+// Compute and Cost take their blocks as two []*Block in the kind's declared
+// port order, and each runtime resolves a port's position once, when it
+// builds its plan (plan.Port.Pos) or program — the paper's runtime
+// "executes functions based on this ID". So no non-test file of the module
+// names a map from a string to a *funclib.Block: the per-thread name map
+// the runtimes once built for every Compute and Cost call.
+func TestKindsTakePositions(t *testing.T) {
+	l := newLoader()
+	fl := mustLoad(t, l, "repro/internal/funclib")
+	block := types.NewPointer(lookup(t, fl, "Block").Type())
+	blocks := types.NewSlice(block)
+	for _, name := range []string{"Compute", "Cost"} {
+		sig, ok := member(t, fl, "Impl", name).Type().(*types.Signature)
+		if !ok || sig.Params().Len() != 3 || !types.Identical(sig.Params().At(1).Type(), blocks) || !types.Identical(sig.Params().At(2).Type(), blocks) {
+			t.Errorf("funclib.Impl.%s is %v; want its blocks as two []*Block in the kind's port order", name, member(t, fl, "Impl", name).Type())
+		}
+	}
+	nameMap := func(typ types.Type) bool {
+		m, ok := typ.Underlying().(*types.Map)
+		if !ok {
+			return false
+		}
+		key, ok := m.Key().Underlying().(*types.Basic)
+		return ok && key.Info()&types.IsString != 0 && types.Identical(m.Elem(), block)
+	}
+	checked := 0
+	for _, path := range append(packagesBelow(t, "internal", "cmd", "benchmark", "examples"), "repro") {
+		p := mustLoad(t, l, path)
+		for e, tv := range p.info.Types {
+			if tv.Type != nil && nameMap(tv.Type) {
+				t.Errorf("%s: a map from a name to a *funclib.Block; index the kind's blocks by port position (plan.Port.Pos)", l.fset.Position(e.Pos()))
+			}
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Fatalf("checked %d packages; the walk lost the tree", checked)
+	}
+}
+
 // innermost returns the body of the innermost function of f around pos.
 func innermost(f *ast.File, pos token.Pos) (body *ast.BlockStmt) {
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -16,6 +16,7 @@ package atot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,10 +113,11 @@ func NewEvaluator(app *model.App, pl machine.Platform, numNodes int) (*Evaluator
 		taskTime: map[int][]sim.Duration{},
 		order:    order,
 	}
+	var sc costScratch
 	for _, f := range app.Functions {
 		times := make([]sim.Duration, f.Threads)
 		for th := 0; th < f.Threads; th++ {
-			d, err := e.threadTime(f, th)
+			d, err := e.threadTime(f, th, &sc)
 			if err != nil {
 				return nil, err
 			}
@@ -217,34 +219,44 @@ func (e *Evaluator) flowTime(fi, srcNode, dstNode int) sim.Duration {
 	}
 }
 
+// costScratch is threadTime's room, reused thread after thread: a thread's
+// charge-only port blocks, the slots Cost takes them in and its context.
+type costScratch struct {
+	blocks []funclib.Block
+	slots  []*funclib.Block
+	ctx    funclib.Context
+}
+
 // threadTime estimates one thread's per-iteration compute time from the
 // function library cost model.
-func (e *Evaluator) threadTime(f *model.Function, th int) (sim.Duration, error) {
+func (e *Evaluator) threadTime(f *model.Function, th int, sc *costScratch) (sim.Duration, error) {
 	impl, err := funclib.Lookup(f.Kind)
 	if err != nil {
 		return 0, err
 	}
-	blocks := func(ports []*model.Port) (map[string]*funclib.Block, error) {
-		out := map[string]*funclib.Block{}
-		for _, p := range ports {
+	// ValidateApp matched every port to one of the kind's: each has a
+	// position on its side.
+	place := func(ports []*model.Port, reqs []funclib.PortReq, slots []*funclib.Block, blocks []funclib.Block) error {
+		for i, p := range ports {
 			reg, err := p.Partition(th)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[p.Name] = &funclib.Block{Region: reg}
+			blocks[i] = funclib.Block{Region: reg}
+			slots[funclib.Position(reqs, p.Name)] = &blocks[i]
 		}
-		return out, nil
+		return nil
 	}
-	ins, err := blocks(f.Inputs)
-	if err != nil {
+	k, n := len(f.Inputs), len(f.Inputs)+len(f.Outputs)
+	sc.blocks, sc.slots = slices.Grow(sc.blocks[:0], n)[:n], slices.Grow(sc.slots[:0], n)[:n]
+	if err := place(f.Inputs, impl.In, sc.slots[:k], sc.blocks[:k]); err != nil {
 		return 0, err
 	}
-	outs, err := blocks(f.Outputs)
-	if err != nil {
+	if err := place(f.Outputs, impl.Out, sc.slots[k:], sc.blocks[k:]); err != nil {
 		return 0, err
 	}
-	ctx := &funclib.Context{FuncName: f.Name, Params: f.Params, Thread: th, Threads: f.Threads}
-	c := impl.Cost(ctx, ins, outs)
+	sc.ctx = funclib.Context{FuncName: f.Name, Params: f.Params, Thread: th, Threads: f.Threads}
+	c := impl.Cost(&sc.ctx, sc.slots[:k:k], sc.slots[k:])
 	return e.Platform.FlopTime(c.Flops) + e.Platform.CopyTime(c.CopyBytes), nil
 }
 

@@ -12,6 +12,7 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/codegen/rtl"
 	"repro/internal/gluegen"
@@ -81,7 +82,10 @@ func copyPorts(xp *plan.Plan, ports []plan.Port, storages []*plan.Storage) []rtl
 			port.Xfers = append(port.Xfers, rtl.Xfer{Conn: int(ei), Region: xp.Edges[ei].X.Region})
 		}
 		if s := storages[pi]; s != nil {
-			port.Storage = &rtl.Storage{Readers: s.Readers, Clear: s.Clear}
+			port.Storage = &rtl.Storage{Readers: make([]int, len(s.Readers)), Clear: s.Clear}
+			for i, r := range s.Readers {
+				port.Storage.Readers[i] = int(r)
+			}
 		}
 		out = append(out, port)
 	}
@@ -93,9 +97,5 @@ func copyParams(in map[string]any) map[string]any {
 	if len(in) == 0 {
 		return nil
 	}
-	out := make(map[string]any, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(in)
 }

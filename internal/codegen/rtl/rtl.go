@@ -165,8 +165,12 @@ func (p *Program) Validate() error {
 	sent, read := make([]model.Region, len(p.Conns)), make([]model.Region, len(p.Conns))
 	for ti := range p.Threads {
 		t := &p.Threads[ti]
-		if _, err := funclib.Lookup(t.Kind); err != nil {
+		im, err := funclib.Lookup(t.Kind)
+		if err != nil {
 			return fmt.Errorf("rtl: thread %s[%d]: %w", t.Fn, t.Thread, err)
+		}
+		if !declares(im.In, t.Ins) || !declares(im.Out, t.Outs) {
+			return fmt.Errorf("rtl: thread %s[%d]: ports are not those kind %s declares", t.Fn, t.Thread, t.Kind)
 		}
 		if t.Thread < 0 || t.Thread >= t.Threads {
 			return fmt.Errorf("rtl: thread %s[%d]: index outside 0..%d", t.Fn, t.Thread, t.Threads-1)
@@ -212,6 +216,14 @@ func (p *Program) Validate() error {
 		}
 	}
 	return p.validateStorage(from, to)
+}
+
+// declares reports whether ports are reqs, a kind's declared ports of one
+// side, in some order: as many, and each declared name among them.
+func declares(reqs []funclib.PortReq, ports []Port) bool {
+	return len(ports) == len(reqs) && !slices.ContainsFunc(reqs, func(r funclib.PortReq) bool {
+		return !slices.ContainsFunc(ports, func(p Port) bool { return p.Name == r.Name })
+	})
 }
 
 // validateStorage checks the structure of the storage decisions the program
@@ -506,9 +518,18 @@ func (e *exec) drainEOS(t *Thread) {
 // that computes in place, the input block, which goes on as the output.
 func (e *exec) threadMain(ti int) {
 	t := &e.p.Threads[ti]
-	impl, _ := funclib.Lookup(t.Kind) // Validate looked every kind up
-	in := make(map[string]*funclib.Block, len(t.Ins))
-	out := make(map[string]*funclib.Block, len(t.Outs))
+	impl, _ := funclib.Lookup(t.Kind) // Validate looked every kind up and matched its ports
+	// The blocks Compute takes, in the kind's port order, and each port's
+	// position there, resolved once.
+	in, out := make([]*funclib.Block, len(t.Ins)), make([]*funclib.Block, len(t.Outs))
+	at := make([]int, len(t.Ins)+len(t.Outs))
+	inAt, outAt := at[:len(t.Ins)], at[len(t.Ins):]
+	for pi := range t.Ins {
+		inAt[pi] = funclib.Position(impl.In, t.Ins[pi].Name)
+	}
+	for pi := range t.Outs {
+		outAt[pi] = funclib.Position(impl.Out, t.Outs[pi].Name)
+	}
 	ctx := &funclib.Context{
 		FuncName: t.Fn, Params: t.Params,
 		Thread: t.Thread, Threads: t.Threads,
@@ -524,7 +545,7 @@ func (e *exec) threadMain(ti int) {
 	for iter := 0; iter < e.p.Iterations; iter++ {
 		// A thread that lands transposed takes its output block first.
 		if t.Transposes {
-			if out[t.Outs[0].Name] = e.outputBlock(ti, 0, iter); out[t.Outs[0].Name] == nil {
+			if out[0] = e.outputBlock(ti, 0, iter); out[0] == nil {
 				return
 			}
 		}
@@ -539,7 +560,7 @@ func (e *exec) threadMain(ti int) {
 			case sink:
 				blk = &funclib.Block{Region: pp.Region}
 			case t.Transposes:
-				blk = funclib.TransposedView(out[t.Outs[0].Name], pp.Region)
+				blk = funclib.TransposedView(out[0], pp.Region)
 			case t.InPlace && result != nil:
 				blk = funclib.ResultView(e.resultMatrix(iter, result), pp.Region)
 			case e.ins[ti][pi] != nil:
@@ -564,7 +585,7 @@ func (e *exec) threadMain(ti int) {
 					funclib.CopyRegion(blk, got, x.Region)
 				}
 			}
-			in[pp.Name] = blk
+			in[inAt[pi]] = blk
 		}
 		for _, pl := range payloads {
 			funclib.StoreSink(&e.sinkMu, e.resultMatrix(iter, t), pl.blk, pl.reg)
@@ -574,9 +595,9 @@ func (e *exec) threadMain(ti int) {
 			switch {
 			case t.Transposes: // taken before its payloads landed
 			case t.InPlace:
-				out[t.Outs[pi].Name] = in[t.Ins[0].Name]
+				out[0] = in[0]
 			default:
-				if out[t.Outs[pi].Name] = e.outputBlock(ti, pi, iter); out[t.Outs[pi].Name] == nil {
+				if out[outAt[pi]] = e.outputBlock(ti, pi, iter); out[outAt[pi]] == nil {
 					return
 				}
 			}
@@ -588,7 +609,7 @@ func (e *exec) threadMain(ti int) {
 		}
 		for pi := range t.Outs {
 			pp := &t.Outs[pi]
-			blk := out[pp.Name]
+			blk := out[outAt[pi]]
 			for _, x := range pp.Xfers {
 				if !e.send(x.Conn, blk) {
 					return

@@ -437,6 +437,7 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"lane-regions", func(p *Program) { p.Threads[1].Ins[0].Xfers[0].Region = reg(0, 0, 2, 4) }, "receives 2x4@(0,0)"},
 		{"sink-shape", func(p *Program) { p.Threads[1].SinkRows = 0 }, "assembly shape"},
 		{"thread-index", func(p *Program) { p.Threads[0].Thread = 3 }, "index outside"},
+		{"foreign-port", func(p *Program) { p.Threads[1].Ins[0].Name = "x" }, "ports are not those kind sink_matrix declares"},
 		// Execute carries out the storage records without checking them
 		// against anything, so each rule refuses what it could not carry
 		// out: on the direct program, whose source lies in the sink's result,

@@ -3,8 +3,12 @@ package conformance
 import (
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/fault"
+	"repro/internal/gluegen"
 	"repro/internal/model"
+	"repro/internal/plan"
+	"repro/internal/platforms"
 )
 
 // Explicit degenerate shapes the random generator only hits occasionally:
@@ -193,6 +197,73 @@ func TestFanOutDiamond(t *testing.T) {
 		}
 	}
 	mustCheck(t, degenCase(t, app, 3))
+}
+
+// TestAdd2PortsListedBeforeTheirKind: a kind's ports are positions, not the
+// order a model lists them in. The join declares its add2 operands b before
+// a, so its tables and the generated program list them so (the receive
+// order), while the plan places b's block at position 1 of the two Compute
+// takes. The operands come from different chains, and the sinks must equal
+// the oracle's bit for bit under sagert, the generated program and every
+// variant of Check. (add2 sums, so a swap of its operands would not show in
+// the sinks; the positions pin the mapping itself.)
+func TestAdd2PortsListedBeforeTheirKind(t *testing.T) {
+	app := model.NewApp("reversed")
+	mt, err := app.AddType(&model.DataType{Name: "m4x6", Rows: 4, Cols: 6, Elem: model.ElemComplex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := app.AddFunction(&model.Function{Name: "src", Kind: "source_matrix", Threads: 2,
+		Params: map[string]any{"seed": 17}})
+	src.AddOutput("out", mt, model.ByRows)
+	sq := app.AddFunction(&model.Function{Name: "sq", Kind: "mag2", Threads: 2})
+	sq.AddInput("in", mt, model.ByCols)
+	sq.AddOutput("out", mt, model.ByCols)
+	join := app.AddFunction(&model.Function{Name: "join", Kind: "add2", Threads: 2})
+	join.AddInput("b", mt, model.ByRows)
+	join.AddInput("a", mt, model.ByRows)
+	join.AddOutput("out", mt, model.ByRows)
+	snk := app.AddFunction(&model.Function{Name: "snk", Kind: "sink_matrix", Threads: 1})
+	snk.AddInput("in", mt, model.Replicated)
+	for _, arc := range [][4]string{
+		{"src", "out", "sq", "in"}, {"src", "out", "join", "a"},
+		{"sq", "out", "join", "b"}, {"join", "out", "snk", "in"},
+	} {
+		if _, err := app.Connect(arc[0], arc[1], arc[2], arc[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := degenCase(t, app, 3)
+	mustCheck(t, c)
+
+	gen, err := gluegen.Generate(gluegen.Input{App: c.App, Mapping: c.Mapping, Platform: platforms.CSPI(), NumNodes: c.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(gen.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := codegen.Plan(gen.Tables, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := 0
+	for ti := range p.Threads {
+		if tp := &p.Threads[ti]; tp.Fn.Name == "join" {
+			joins++
+			in := tp.Ins
+			if in[0].Entry.Name != "b" || in[0].Pos != 1 || in[1].Entry.Name != "a" || in[1].Pos != 0 {
+				t.Errorf("join[%d]: ports %s at %d, %s at %d; want b at 1, a at 0", tp.Index, in[0].Entry.Name, in[0].Pos, in[1].Entry.Name, in[1].Pos)
+			}
+			if got := prog.Threads[ti].Ins; got[0].Name != "b" || got[1].Name != "a" {
+				t.Errorf("join[%d]: the program receives %s then %s; want the tables' order, b then a", tp.Index, got[0].Name, got[1].Name)
+			}
+		}
+	}
+	if joins != 2 {
+		t.Fatalf("%d join threads, want 2", joins)
+	}
 }
 
 // TestDoubleArcFanIn: both operands of an add2 drawn from the SAME output

@@ -344,10 +344,3 @@ func Generate(seed int64, cfg GenConfig) (*Case, error) {
 	c.Faults = plan
 	return c, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -18,7 +18,6 @@ package conformance
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/funclib"
 	"repro/internal/isspl"
@@ -47,7 +46,9 @@ func Oracle(app *model.App, iteration int) (map[string]*isspl.Matrix, error) {
 		if err != nil {
 			return nil, fmt.Errorf("conformance: oracle: %w", err)
 		}
-		ins := map[string]*funclib.Block{}
+		// Blocks go in the kind's port order, whatever order the model lists
+		// the ports in (ValidateFunction matches their names to the kind's).
+		ins := make([]*funclib.Block, len(impl.In))
 		for _, p := range f.Inputs {
 			src, ok := values[producer[p]]
 			if !ok {
@@ -57,11 +58,12 @@ func Oracle(app *model.App, iteration int) (map[string]*isspl.Matrix, error) {
 			// producer value may fan out to several consumers.
 			cp := funclib.NewBlock(src.Region)
 			copy(cp.Data, src.Data)
-			ins[p.Name] = cp
+			ins[funclib.Position(impl.In, p.Name)] = cp
 		}
-		outs := map[string]*funclib.Block{}
+		outs := make([]*funclib.Block, len(impl.Out))
 		for _, p := range f.Outputs {
-			outs[p.Name] = funclib.NewBlock(model.Region{Rows: p.Type.Rows, Cols: p.Type.Cols})
+			values[p] = funclib.NewBlock(model.Region{Rows: p.Type.Rows, Cols: p.Type.Cols})
+			outs[funclib.Position(impl.Out, p.Name)] = values[p]
 		}
 		ctx := &funclib.Context{
 			FuncName: f.Name, Params: f.Params, Thread: 0, Threads: 1, Iteration: iteration,
@@ -77,9 +79,6 @@ func Oracle(app *model.App, iteration int) (map[string]*isspl.Matrix, error) {
 		if err := impl.Compute(ctx, ins, outs); err != nil {
 			return nil, fmt.Errorf("conformance: oracle: %s: %w", f.Name, err)
 		}
-		for _, p := range f.Outputs {
-			values[p] = outs[p.Name]
-		}
 	}
 	return outputs, nil
 }
@@ -92,15 +91,5 @@ func SinkNames(app *model.App) []string {
 			out = append(out, f.Name)
 		}
 	}
-	return out
-}
-
-// sortedNames returns the sorted key set of an output map.
-func sortedNames(m map[string]*isspl.Matrix) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

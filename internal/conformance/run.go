@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/codegen"
 	"repro/internal/codegen/rtl"
@@ -43,7 +45,7 @@ type CheckOptions struct {
 // (flipping an exact zero is invisible: -0.0 == 0.0); an all-zero output
 // gets a spike instead.
 func mutateFirstSample(out map[string]*isspl.Matrix) {
-	if names := sortedNames(out); len(names) > 0 {
+	if names := slices.Sorted(maps.Keys(out)); len(names) > 0 {
 		if m := out[names[0]]; m != nil && len(m.Data) > 0 {
 			for i, v := range m.Data {
 				if v != 0 {
@@ -79,7 +81,7 @@ func (c *Case) runVariant(tables *gluegen.Tables, opts sagert.Options, opt Check
 // whole or striped, so the distributed runtime has no legitimate reason to
 // deviate from the sequential oracle by even one ULP.
 func CompareOutputs(want, got map[string]*isspl.Matrix) string {
-	wn, gn := sortedNames(want), sortedNames(got)
+	wn, gn := slices.Sorted(maps.Keys(want)), slices.Sorted(maps.Keys(got))
 	if len(wn) != len(gn) {
 		return fmt.Sprintf("sink sets differ: want %v, got %v", wn, gn)
 	}

@@ -142,8 +142,8 @@ func LandsTransposed(im *Impl, in, out model.Region) bool {
 type ResultThread struct {
 	Fn, Threads int
 	Part        model.Region
-	Out         []int
-	Readers     []int
+	Out         []int32
+	Readers     []int32
 }
 
 // A ResultSink is a sink as ResultBacked reads it: its threads, its result's
@@ -181,7 +181,7 @@ func ResultBacked(ts []ResultThread, sinks []ResultSink) []int {
 			for changed := true; changed; {
 				changed = false
 				for u, t := range slices.Backward(ts) {
-					if !reach[u] && slices.ContainsFunc(t.Out, func(v int) bool { return reach[v] }) {
+					if !reach[u] && slices.ContainsFunc(t.Out, func(v int32) bool { return reach[v] }) {
 						reach[u], changed, reached[u] = true, true, reached[u]+1
 						if reached[u] == len(s.Threads) {
 							at[u] = max(at[u], 1)
@@ -196,7 +196,7 @@ func ResultBacked(ts []ResultThread, sinks []ResultSink) []int {
 				fits := t.Part.C0 == 0 && t.Part.Cols == s.Cols && t.Part.R0 >= 0 && t.Part.R0+t.Part.Rows <= s.Rows &&
 					t.Threads > 0 && !(t.Threads > 1 && t.Part == whole)
 				if result[u] < 0 && fits && (least == 2 || s.Covered) && (pick < 0 || t.Fn == ts[pick].Fn) &&
-					!slices.ContainsFunc(t.Readers, func(v int) bool { return v != u && at[v] < least }) {
+					!slices.ContainsFunc(t.Readers, func(v int32) bool { return int(v) != u && at[v] < least }) {
 					pick, result[u] = u, si
 				}
 			}

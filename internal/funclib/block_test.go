@@ -68,20 +68,19 @@ func TestComputeLeavesInputsUntouched(t *testing.T) {
 		if im.InPlace && (len(im.In) != 1 || im.In[0].Name != "in" || len(im.Out) != 1 || im.Out[0].Name != "out") {
 			t.Errorf("kind %s declares InPlace without being one \"in\" onto one \"out\"", kind)
 		}
-		in, before := map[string]*Block{}, map[string][]complex128{}
-		for i, req := range im.In {
-			b := NewBlock(model.Region{Rows: n, Cols: n})
-			FillSource(b, int64(40+i), 0)
-			in[req.Name] = b
-			before[req.Name] = append([]complex128(nil), b.Data...)
+		in, before := make([]*Block, len(im.In)), make([][]complex128, len(im.In))
+		for i := range im.In {
+			in[i] = NewBlock(model.Region{Rows: n, Cols: n})
+			FillSource(in[i], int64(40+i), 0)
+			before[i] = append([]complex128(nil), in[i].Data...)
 		}
-		out := map[string]*Block{}
-		for _, req := range im.Out {
+		out := make([]*Block, len(im.Out))
+		for i := range im.Out {
 			cols := n
 			if tc.outCols > 0 {
 				cols = tc.outCols
 			}
-			out[req.Name] = NewBlock(model.Region{Rows: n, Cols: cols})
+			out[i] = NewBlock(model.Region{Rows: n, Cols: cols})
 		}
 		ctx := &Context{FuncName: kind, Params: tc.params, Threads: 1,
 			Sink: func(string, *Block) {}}
@@ -89,9 +88,9 @@ func TestComputeLeavesInputsUntouched(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 			continue
 		}
-		for name, b := range in {
-			if !sameBits(b.Data, before[name]) {
-				t.Errorf("kind %s wrote its input port %q", kind, name)
+		for i, b := range in {
+			if !sameBits(b.Data, before[i]) {
+				t.Errorf("kind %s wrote its input port %q", kind, im.In[i].Name)
 			}
 		}
 	}
@@ -149,11 +148,11 @@ func TestInPlaceComputeEqualsFreshOutput(t *testing.T) {
 				specialSamples(rng, src.Data)
 			}
 			fresh := NewBlock(reg)
-			if err := im.Compute(ctx, map[string]*Block{"in": src}, map[string]*Block{"out": fresh}); err != nil {
+			if err := im.Compute(ctx, []*Block{src}, []*Block{fresh}); err != nil {
 				t.Fatalf("%s %v: %v", kind, reg, err)
 			}
 			aliased := &Block{Region: reg, Data: append([]complex128(nil), src.Data...)}
-			if err := im.Compute(ctx, map[string]*Block{"in": aliased}, map[string]*Block{"out": aliased}); err != nil {
+			if err := im.Compute(ctx, []*Block{aliased}, []*Block{aliased}); err != nil {
 				t.Fatalf("%s %v in place: %v", kind, reg, err)
 			}
 			if !sameBits(aliased.Data, fresh.Data) {

@@ -19,7 +19,8 @@ package funclib
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -147,28 +148,39 @@ type Impl struct {
 	// Check, when non-nil, performs kind-specific cross-port validation
 	// (e.g. shape relationships between input and output types).
 	Check func(f *model.Function) error
-	// Compute runs one thread for one iteration. Inputs are read-only —
+	// Compute runs one thread for one iteration. A kind's ports are
+	// positions: in[k] is the block of the port In[k] names and out[k] that
+	// of Out[k], whatever order a model or its tables list the ports in — a
+	// runtime resolves each port's position once (Position), when it builds
+	// its plan, and never looks a name up per call. Inputs are read-only —
 	// except the one an InPlace kind is handed as its output too. On a
 	// function that passed ValidateFunction, with blocks covering its ports'
 	// partitions, Compute does not fail: what it would refuse (a transform
 	// length, a window name, a decimation factor) Check refuses first, which
 	// is what lets a caller that reads no samples skip the call.
-	Compute func(ctx *Context, in, out map[string]*Block) error
+	Compute func(ctx *Context, in, out []*Block) error
 	// InPlace marks a one-input, one-output kind of matching shapes whose
-	// Compute accepts out["out"] == in["in"] — the same *Block — and then
-	// transforms the samples where they lie instead of copying them across
-	// first. A runtime may pass such a pair only for an input block nobody
-	// else reads (block.go: the thread owns it).
+	// Compute accepts out[0] == in[0] — the same *Block — and then transforms
+	// the samples where they lie instead of copying them across first. A
+	// runtime may pass such a pair only for an input block nobody else reads
+	// (block.go: the thread owns it).
 	InPlace bool
 	// Transposes marks a one-input, one-output kind whose output is the
 	// transpose of its input, thread by thread: input region (r0, c0, h, w)
 	// of X is output region (c0, r0, w, h) of X^T. A runtime may hand its
-	// Compute as in["in"] the transposed view of out["out"]
-	// (TransposedView): the payloads landed there are the output already,
-	// and Compute has nothing left to do.
+	// Compute as in[0] the transposed view of out[0] (TransposedView): the
+	// payloads landed there are the output already, and Compute has nothing
+	// left to do.
 	Transposes bool
-	// Cost prices that Compute call on the abstract machine.
-	Cost func(ctx *Context, in, out map[string]*Block) Cost
+	// Cost prices that Compute call on the abstract machine; it takes the
+	// blocks in Compute's order.
+	Cost func(ctx *Context, in, out []*Block) Cost
+}
+
+// Position returns the position among ports of the one named name — the
+// index of its block in the slices Compute and Cost take — or -1.
+func Position(ports []PortReq, name string) int {
+	return slices.IndexFunc(ports, func(p PortReq) bool { return p.Name == name })
 }
 
 // registry of library entries, keyed by kind.
@@ -193,12 +205,7 @@ func Lookup(kind string) (*Impl, error) {
 
 // Kinds lists the registered kinds in sorted order.
 func Kinds() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // ValidateFunction checks a model function instance against its library

@@ -80,7 +80,7 @@ func TestBlockAtSet(t *testing.T) {
 	}
 }
 
-func computeKind(t *testing.T, kind string, ctx *Context, in, out map[string]*Block) {
+func computeKind(t *testing.T, kind string, ctx *Context, in, out []*Block) {
 	t.Helper()
 	im, err := Lookup(kind)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestFFTRowsKind(t *testing.T) {
 	reg := model.Region{R0: 2, Rows: 3, Cols: 8}
 	in, out := NewBlock(reg), NewBlock(reg)
 	FillSource(in, 1, 0)
-	computeKind(t, "fft_rows", &Context{FuncName: "f"}, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	computeKind(t, "fft_rows", &Context{FuncName: "f"}, []*Block{in}, []*Block{out})
 	for r := 0; r < 3; r++ {
 		want := isspl.DFT(in.Data[r*8 : (r+1)*8])
 		if isspl.MaxDiff(out.Data[r*8:(r+1)*8], want) > 1e-9 {
@@ -115,7 +115,7 @@ func TestFFTColsKind(t *testing.T) {
 	reg := model.Region{C0: 4, Rows: 8, Cols: 3}
 	in, out := NewBlock(reg), NewBlock(reg)
 	FillSource(in, 2, 0)
-	computeKind(t, "fft_cols", &Context{FuncName: "f"}, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	computeKind(t, "fft_cols", &Context{FuncName: "f"}, []*Block{in}, []*Block{out})
 	col := make([]complex128, 8)
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 8; i++ {
@@ -137,7 +137,7 @@ func TestTransposeBlockKind(t *testing.T) {
 	outReg := model.Region{R0: 4, Rows: 4, Cols: 8}
 	in, out := NewBlock(inReg), NewBlock(outReg)
 	FillSource(in, 3, 0)
-	computeKind(t, "transpose_block", &Context{FuncName: "f"}, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	computeKind(t, "transpose_block", &Context{FuncName: "f"}, []*Block{in}, []*Block{out})
 	for i := 0; i < 8; i++ {
 		for j := 4; j < 8; j++ {
 			// X^T[j][i] == X[i][j]
@@ -152,7 +152,7 @@ func TestTransposeBlockMisalignedRegions(t *testing.T) {
 	im, _ := Lookup("transpose_block")
 	in := NewBlock(model.Region{C0: 0, Rows: 8, Cols: 4})
 	out := NewBlock(model.Region{R0: 4, Rows: 4, Cols: 8}) // wrong offset
-	err := im.Compute(&Context{FuncName: "f"}, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	err := im.Compute(&Context{FuncName: "f"}, []*Block{in}, []*Block{out})
 	if err == nil {
 		t.Fatal("misaligned regions accepted")
 	}
@@ -164,14 +164,14 @@ func TestIdentityAndScaleAndMag2(t *testing.T) {
 	FillSource(in, 4, 0)
 
 	out := NewBlock(reg)
-	computeKind(t, "identity", &Context{}, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	computeKind(t, "identity", &Context{}, []*Block{in}, []*Block{out})
 	if isspl.MaxDiff(out.Data, in.Data) != 0 {
 		t.Fatal("identity changed data")
 	}
 
 	out2 := NewBlock(reg)
 	computeKind(t, "scale", &Context{Params: map[string]any{"factor": 2.0}},
-		map[string]*Block{"in": in}, map[string]*Block{"out": out2})
+		[]*Block{in}, []*Block{out2})
 	for i := range in.Data {
 		if out2.Data[i] != 2*in.Data[i] {
 			t.Fatal("scale wrong")
@@ -179,7 +179,7 @@ func TestIdentityAndScaleAndMag2(t *testing.T) {
 	}
 
 	out3 := NewBlock(reg)
-	computeKind(t, "mag2", &Context{}, map[string]*Block{"in": in}, map[string]*Block{"out": out3})
+	computeKind(t, "mag2", &Context{}, []*Block{in}, []*Block{out3})
 	for i := range in.Data {
 		re, im := real(in.Data[i]), imag(in.Data[i])
 		if math.Abs(real(out3.Data[i])-(re*re+im*im)) > 1e-15 || imag(out3.Data[i]) != 0 {
@@ -195,7 +195,7 @@ func TestWindowAndFIRKinds(t *testing.T) {
 
 	out := NewBlock(reg)
 	computeKind(t, "window_rows", &Context{Params: map[string]any{"window": "hamming"}},
-		map[string]*Block{"in": in}, map[string]*Block{"out": out})
+		[]*Block{in}, []*Block{out})
 	w, _ := isspl.Window(isspl.WindowHamming, 16)
 	if out.Data[0] != in.Data[0]*complex(w[0], 0) {
 		t.Fatal("window_rows wrong")
@@ -203,7 +203,7 @@ func TestWindowAndFIRKinds(t *testing.T) {
 
 	out2 := NewBlock(reg)
 	computeKind(t, "fir_rows", &Context{Params: map[string]any{"ntaps": 4}},
-		map[string]*Block{"in": in}, map[string]*Block{"out": out2})
+		[]*Block{in}, []*Block{out2})
 	taps := LowpassTaps(4)
 	want := make([]complex128, 16)
 	isspl.FIR(want, in.Data[:16], taps)
@@ -216,7 +216,7 @@ func TestWindowRowsBadWindowErrors(t *testing.T) {
 	im, _ := Lookup("window_rows")
 	reg := model.Region{Rows: 1, Cols: 4}
 	err := im.Compute(&Context{Params: map[string]any{"window": "bogus"}},
-		map[string]*Block{"in": NewBlock(reg)}, map[string]*Block{"out": NewBlock(reg)})
+		[]*Block{NewBlock(reg)}, []*Block{NewBlock(reg)})
 	if err == nil {
 		t.Fatal("bogus window accepted")
 	}
@@ -228,7 +228,7 @@ func TestFIRDecimateRowsKind(t *testing.T) {
 	in, out := NewBlock(inReg), NewBlock(outReg)
 	FillSource(in, 8, 0)
 	ctx := &Context{FuncName: "d", Params: map[string]any{"ntaps": 3, "factor": 4}}
-	computeKind(t, "fir_decimate_rows", ctx, map[string]*Block{"in": in}, map[string]*Block{"out": out})
+	computeKind(t, "fir_decimate_rows", ctx, []*Block{in}, []*Block{out})
 	taps := LowpassTaps(3)
 	want := make([]complex128, 4)
 	isspl.FIRDecimate(want, in.Data[:16], taps, 4)
@@ -238,7 +238,7 @@ func TestFIRDecimateRowsKind(t *testing.T) {
 	// Misaligned regions rejected.
 	im, _ := Lookup("fir_decimate_rows")
 	bad := NewBlock(model.Region{R0: 2, Rows: 2, Cols: 5})
-	if err := im.Compute(ctx, map[string]*Block{"in": in}, map[string]*Block{"out": bad}); err == nil {
+	if err := im.Compute(ctx, []*Block{in}, []*Block{bad}); err == nil {
 		t.Fatal("misaligned decimation accepted")
 	}
 }
@@ -291,14 +291,14 @@ func TestSinkDeliversToCollector(t *testing.T) {
 			got = b
 		}
 	}}
-	if err := im.Compute(ctx, map[string]*Block{"in": in}, nil); err != nil {
+	if err := im.Compute(ctx, []*Block{in}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got != in {
 		t.Fatal("sink did not deliver block")
 	}
 	// Without a collector it must not crash.
-	if err := im.Compute(&Context{}, map[string]*Block{"in": in}, nil); err != nil {
+	if err := im.Compute(&Context{}, []*Block{in}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

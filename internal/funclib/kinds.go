@@ -124,13 +124,13 @@ func init() {
 		Kind: "source_matrix",
 		Doc:  "Data source: synthesises a deterministic matrix data set each iteration (param seed).",
 		Out:  []PortReq{{Name: "out", Stripes: anyStripe()}},
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			FillSource(out["out"], int64(ctx.IntParam("seed", 1)), ctx.Iteration)
+		Compute: func(ctx *Context, in, out []*Block) error {
+			FillSource(out[0], int64(ctx.IntParam("seed", 1)), ctx.Iteration)
 			return nil
 		},
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
+		Cost: func(ctx *Context, in, out []*Block) Cost {
 			// Generation priced as one pass over the data.
-			return Cost{CopyBytes: blockBytes(out["out"])}
+			return Cost{CopyBytes: blockBytes(out[0])}
 		},
 	})
 
@@ -138,13 +138,13 @@ func init() {
 		Kind: "sink_matrix",
 		Doc:  "Data sink: consumes the final data set; hands blocks to the experiment collector.",
 		In:   []PortReq{{Name: "in", Stripes: anyStripe()}},
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
+		Compute: func(ctx *Context, in, out []*Block) error {
 			if ctx.Sink != nil {
-				ctx.Sink("in", in["in"])
+				ctx.Sink("in", in[0])
 			}
 			return nil
 		},
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
+		Cost: func(ctx *Context, in, out []*Block) Cost {
 			// Latency is measured "to the time the final result is output
 			// to the data sink" (§3.3): arrival is the endpoint, so the
 			// sink itself only posts a completion descriptor.
@@ -158,8 +158,8 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: anyStripe()}},
 		Out:   []PortReq{{Name: "out", Stripes: anyStripe()}},
 		Check: checkMatchedPorts("in", "out"),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: identity regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
@@ -169,8 +169,8 @@ func init() {
 			return nil
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{CopyBytes: blockBytes(in["in"])}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{CopyBytes: blockBytes(in[0])}
 		},
 	})
 
@@ -180,18 +180,18 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: anyStripe()}},
 		Out:   []PortReq{{Name: "out", Stripes: anyStripe()}},
 		Check: checkMatchedPorts("in", "out"),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			if in["in"].Region != out["out"].Region {
+		Compute: func(ctx *Context, in, out []*Block) error {
+			if in[0].Region != out[0].Region {
 				return fmt.Errorf("funclib: %s: scale regions differ: %v vs %v",
-					ctx.FuncName, in["in"].Region, out["out"].Region)
+					ctx.FuncName, in[0].Region, out[0].Region)
 			}
 			f := complex(ctx.FloatParam("factor", 1), 0)
-			isspl.VScale(out["out"].Data, in["in"].Data, f)
+			isspl.VScale(out[0].Data, in[0].Data, f)
 			return nil
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: isspl.VectorOpFlops(in["in"].Region.Elems())}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: isspl.VectorOpFlops(in[0].Region.Elems())}
 		},
 	})
 
@@ -201,12 +201,12 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: anyStripe()}},
 		Out:   []PortReq{{Name: "out", Stripes: anyStripe()}},
 		Check: checkMatchedPorts("in", "out"),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			if in["in"].Region != out["out"].Region {
+		Compute: func(ctx *Context, in, out []*Block) error {
+			if in[0].Region != out[0].Region {
 				return fmt.Errorf("funclib: %s: mag2 regions differ: %v vs %v",
-					ctx.FuncName, in["in"].Region, out["out"].Region)
+					ctx.FuncName, in[0].Region, out[0].Region)
 			}
-			src, dst := in["in"].Data, out["out"].Data
+			src, dst := in[0].Data, out[0].Data
 			for i := range src {
 				re, im := real(src[i]), imag(src[i])
 				dst[i] = complex(re*re+im*im, 0)
@@ -214,8 +214,8 @@ func init() {
 			return nil
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: 3 * float64(in["in"].Region.Elems())}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: 3 * float64(in[0].Region.Elems())}
 		},
 	})
 
@@ -225,8 +225,8 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Check: checkFFT(true),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: fft_rows regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
@@ -236,11 +236,11 @@ func init() {
 			return isspl.FFTRows(ob.Data, ob.Region.Rows, ob.Region.Cols)
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			r := in["in"].Region
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			r := in[0].Region
 			return Cost{
 				Flops:     isspl.FFTRowsFlops(r.Rows, r.Cols),
-				CopyBytes: blockBytes(in["in"]),
+				CopyBytes: blockBytes(in[0]),
 			}
 		},
 	})
@@ -251,8 +251,8 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByCols, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByCols, model.Replicated}}},
 		Check: checkFFT(false),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: fft_cols regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
@@ -262,14 +262,14 @@ func init() {
 			return isspl.FFTCols(ob.Data, ob.Region.Rows, ob.Region.Cols)
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			r := in["in"].Region
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			r := in[0].Region
 			return Cost{
 				Flops: isspl.FFTRowsFlops(r.Cols, r.Rows),
 				// Input-to-output buffer copy plus the cache penalty of the
 				// modelled library's column-strided access, priced as one
 				// extra pass (the host's isspl.FFTCols sweeps rows instead).
-				CopyBytes: 2 * blockBytes(in["in"]),
+				CopyBytes: 2 * blockBytes(in[0]),
 			}
 		},
 	})
@@ -280,8 +280,8 @@ func init() {
 		In:            []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByCols}}},
 		Out:           []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows}}},
 		RequireSquare: true,
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			// in: all rows x c cols of X at column offset k.
 			// out: c rows x all cols of X^T at row offset k.
 			if ob.Region != transposed(ib.Region) {
@@ -294,8 +294,8 @@ func init() {
 			return nil
 		},
 		Transposes: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{CopyBytes: blockBytes(in["in"])}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{CopyBytes: blockBytes(in[0])}
 		},
 	})
 
@@ -305,8 +305,8 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Check: checkWindowRows,
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: window_rows regions differ", ctx.FuncName)
 			}
@@ -321,8 +321,8 @@ func init() {
 			return nil
 		},
 		InPlace: true,
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: isspl.WindowFlops(in["in"].Region.Elems())}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: isspl.WindowFlops(in[0].Region.Elems())}
 		},
 	})
 
@@ -332,8 +332,8 @@ func init() {
 		In:    []PortReq{{Name: "in", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Out:   []PortReq{{Name: "out", Stripes: []model.StripeKind{model.ByRows, model.Replicated}}},
 		Check: checkMatchedPorts("in", "out"),
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			if ib.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: fir_rows regions differ", ctx.FuncName)
 			}
@@ -344,8 +344,8 @@ func init() {
 			}
 			return nil
 		},
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: isspl.FIRFlops(in["in"].Region.Elems(), ctx.IntParam("ntaps", 8))}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: isspl.FIRFlops(in[0].Region.Elems(), ctx.IntParam("ntaps", 8))}
 		},
 	})
 }
@@ -371,8 +371,8 @@ func init() {
 			}
 			return nil
 		},
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			ib, ob := in["in"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			ib, ob := in[0], out[0]
 			factor := ctx.IntParam("factor", 2)
 			if ib.Region.Rows != ob.Region.Rows || ib.Region.R0 != ob.Region.R0 ||
 				ob.Region.Cols*factor != ib.Region.Cols {
@@ -390,8 +390,8 @@ func init() {
 			}
 			return nil
 		},
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: isspl.FIRFlops(out["out"].Region.Elems(), ctx.IntParam("ntaps", 8))}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: isspl.FIRFlops(out[0].Region.Elems(), ctx.IntParam("ntaps", 8))}
 		},
 	})
 }
@@ -416,8 +416,8 @@ func init() {
 			}
 			return nil
 		},
-		Compute: func(ctx *Context, in, out map[string]*Block) error {
-			a, b, ob := in["a"], in["b"], out["out"]
+		Compute: func(ctx *Context, in, out []*Block) error {
+			a, b, ob := in[0], in[1], out[0]
 			if a.Region != ob.Region || b.Region != ob.Region {
 				return fmt.Errorf("funclib: %s: add2 regions differ: a %v b %v out %v",
 					ctx.FuncName, a.Region, b.Region, ob.Region)
@@ -425,8 +425,8 @@ func init() {
 			isspl.VAdd(ob.Data, a.Data, b.Data)
 			return nil
 		},
-		Cost: func(ctx *Context, in, out map[string]*Block) Cost {
-			return Cost{Flops: isspl.VectorOpFlops(out["out"].Region.Elems())}
+		Cost: func(ctx *Context, in, out []*Block) Cost {
+			return Cost{Flops: isspl.VectorOpFlops(out[0].Region.Elems())}
 		},
 	})
 }

@@ -31,7 +31,7 @@ func refInput(rows, cols int) *Block {
 }
 
 // computeWhole runs one kind single-threaded on whole matrices.
-func computeWhole(t *testing.T, kind string, params map[string]any, in map[string]*Block, outRows, outCols int) *Block {
+func computeWhole(t *testing.T, kind string, params map[string]any, in []*Block, outRows, outCols int) *Block {
 	t.Helper()
 	im, err := Lookup(kind)
 	if err != nil {
@@ -39,7 +39,7 @@ func computeWhole(t *testing.T, kind string, params map[string]any, in map[strin
 	}
 	out := NewBlock(model.Region{Rows: outRows, Cols: outCols})
 	ctx := &Context{FuncName: "ref_" + kind, Params: params, Thread: 0, Threads: 1}
-	if err := im.Compute(ctx, in, map[string]*Block{"out": out}); err != nil {
+	if err := im.Compute(ctx, in, []*Block{out}); err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
 	return out
@@ -61,7 +61,7 @@ func wantClose(t *testing.T, kind string, got, want *Block, tol float64) {
 func TestIdentityRef(t *testing.T) {
 	for _, s := range refShapes {
 		in := refInput(s.rows, s.cols)
-		got := computeWhole(t, "identity", nil, map[string]*Block{"in": in}, s.rows, s.cols)
+		got := computeWhole(t, "identity", nil, []*Block{in}, s.rows, s.cols)
 		wantClose(t, "identity", got, in, 0)
 	}
 }
@@ -71,7 +71,7 @@ func TestScaleRef(t *testing.T) {
 		for _, factor := range []float64{0, 1, -2.5} {
 			in := refInput(s.rows, s.cols)
 			got := computeWhole(t, "scale", map[string]any{"factor": factor},
-				map[string]*Block{"in": in}, s.rows, s.cols)
+				[]*Block{in}, s.rows, s.cols)
 			want := NewBlock(in.Region)
 			for i, v := range in.Data {
 				want.Data[i] = complex(factor, 0) * v
@@ -84,7 +84,7 @@ func TestScaleRef(t *testing.T) {
 func TestMag2Ref(t *testing.T) {
 	for _, s := range refShapes {
 		in := refInput(s.rows, s.cols)
-		got := computeWhole(t, "mag2", nil, map[string]*Block{"in": in}, s.rows, s.cols)
+		got := computeWhole(t, "mag2", nil, []*Block{in}, s.rows, s.cols)
 		want := NewBlock(in.Region)
 		for i, v := range in.Data {
 			want.Data[i] = complex(real(v)*real(v)+imag(v)*imag(v), 0)
@@ -100,7 +100,7 @@ func TestAdd2Ref(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = SourceValue(11, 0, i, i+1)
 		}
-		got := computeWhole(t, "add2", nil, map[string]*Block{"a": a, "b": b}, s.rows, s.cols)
+		got := computeWhole(t, "add2", nil, []*Block{a, b}, s.rows, s.cols)
 		want := NewBlock(a.Region)
 		for i := range want.Data {
 			want.Data[i] = a.Data[i] + b.Data[i]
@@ -128,7 +128,7 @@ func TestFFTRowsRef(t *testing.T) {
 	// Rows may be anything; cols must be a power of two (including 1).
 	for _, s := range []struct{ rows, cols int }{{1, 1}, {1, 8}, {4, 1}, {3, 4}, {5, 8}, {7, 2}} {
 		in := refInput(s.rows, s.cols)
-		got := computeWhole(t, "fft_rows", nil, map[string]*Block{"in": in}, s.rows, s.cols)
+		got := computeWhole(t, "fft_rows", nil, []*Block{in}, s.rows, s.cols)
 		want := NewBlock(in.Region)
 		for r := 0; r < s.rows; r++ {
 			copy(want.Data[r*s.cols:(r+1)*s.cols], naiveDFT(in.Data[r*s.cols:(r+1)*s.cols]))
@@ -141,7 +141,7 @@ func TestFFTColsRef(t *testing.T) {
 	// Cols may be anything; rows must be a power of two (including 1).
 	for _, s := range []struct{ rows, cols int }{{1, 1}, {8, 1}, {1, 5}, {4, 3}, {2, 7}, {8, 6}} {
 		in := refInput(s.rows, s.cols)
-		got := computeWhole(t, "fft_cols", nil, map[string]*Block{"in": in}, s.rows, s.cols)
+		got := computeWhole(t, "fft_cols", nil, []*Block{in}, s.rows, s.cols)
 		want := NewBlock(in.Region)
 		for c := 0; c < s.cols; c++ {
 			col := make([]complex128, s.rows)
@@ -159,7 +159,7 @@ func TestFFTColsRef(t *testing.T) {
 func TestTransposeBlockRef(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		in := refInput(n, n)
-		got := computeWhole(t, "transpose_block", nil, map[string]*Block{"in": in}, n, n)
+		got := computeWhole(t, "transpose_block", nil, []*Block{in}, n, n)
 		want := NewBlock(in.Region)
 		for r := 0; r < n; r++ {
 			for c := 0; c < n; c++ {
@@ -192,7 +192,7 @@ func TestWindowRowsRef(t *testing.T) {
 		for _, s := range []struct{ rows, cols int }{{1, 1}, {1, 5}, {3, 1}, {4, 6}} {
 			in := refInput(s.rows, s.cols)
 			got := computeWhole(t, "window_rows", map[string]any{"window": kind},
-				map[string]*Block{"in": in}, s.rows, s.cols)
+				[]*Block{in}, s.rows, s.cols)
 			want := NewBlock(in.Region)
 			for r := 0; r < s.rows; r++ {
 				for c := 0; c < s.cols; c++ {
@@ -226,7 +226,7 @@ func TestFIRRowsRef(t *testing.T) {
 		for _, s := range []struct{ rows, cols int }{{1, 1}, {2, 5}, {3, 9}, {1, 12}} {
 			in := refInput(s.rows, s.cols)
 			got := computeWhole(t, "fir_rows", map[string]any{"ntaps": ntaps},
-				map[string]*Block{"in": in}, s.rows, s.cols)
+				[]*Block{in}, s.rows, s.cols)
 			taps := LowpassTaps(ntaps)
 			want := NewBlock(in.Region)
 			for r := 0; r < s.rows; r++ {
@@ -245,7 +245,7 @@ func TestFIRDecimateRowsRef(t *testing.T) {
 		outCols := tc.cols / tc.factor
 		got := computeWhole(t, "fir_decimate_rows",
 			map[string]any{"ntaps": tc.ntaps, "factor": tc.factor},
-			map[string]*Block{"in": in}, tc.rows, outCols)
+			[]*Block{in}, tc.rows, outCols)
 		taps := LowpassTaps(tc.ntaps)
 		want := NewBlock(model.Region{Rows: tc.rows, Cols: outCols})
 		for r := 0; r < tc.rows; r++ {
@@ -277,7 +277,7 @@ func TestStripedMatchesWhole(t *testing.T) {
 	}
 	for _, k := range kinds {
 		whole := computeWhole(t, k.kind, k.params,
-			map[string]*Block{"in": refInput(rows, cols)}, rows, cols)
+			[]*Block{refInput(rows, cols)}, rows, cols)
 		for _, threads := range []int{2, 3, 7} {
 			im, err := Lookup(k.kind)
 			if err != nil {
@@ -297,7 +297,7 @@ func TestStripedMatchesWhole(t *testing.T) {
 				}
 				out := NewBlock(reg)
 				ctx := &Context{FuncName: "striped", Params: k.params, Thread: th, Threads: threads}
-				if err := im.Compute(ctx, map[string]*Block{"in": in}, map[string]*Block{"out": out}); err != nil {
+				if err := im.Compute(ctx, []*Block{in}, []*Block{out}); err != nil {
 					t.Fatalf("%s threads=%d: %v", k.kind, threads, err)
 				}
 				for r := reg.R0; r < reg.R0+reg.Rows; r++ {

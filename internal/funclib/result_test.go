@@ -40,7 +40,7 @@ func TestResultBackedMatchesDefinition(t *testing.T) {
 				if rng.IntN(6) != 0 && v < u { // mostly forward, as a pipeline
 					u, v = v, u
 				}
-				ts[u].Out = append(ts[u].Out, v)
+				ts[u].Out = append(ts[u].Out, int32(v))
 			}
 			if rng.IntN(3) != 0 {
 				ts[u].Threads = 1 + rng.IntN(2) // the whole result may be one thread's own
@@ -56,23 +56,23 @@ func TestResultBackedMatchesDefinition(t *testing.T) {
 			if rng.IntN(10) == 0 { // more threads than one word of bits
 				for range 70 {
 					ts = append(ts, ResultThread{Fn: len(ts)})
-					ts[rng.IntN(n)].Out = append(ts[rng.IntN(n)].Out, len(ts)-1)
+					ts[rng.IntN(n)].Out = append(ts[rng.IntN(n)].Out, int32(len(ts)-1))
 					s.Threads = append(s.Threads, len(ts)-1)
 				}
 			}
 			sinks = append(sinks, s)
 		}
 		for u := range ts {
-			ts[u].Readers = append([]int{u}, ts[u].Out...)
+			ts[u].Readers = append([]int32{int32(u)}, ts[u].Out...)
 			for range rng.IntN(3) {
-				ts[u].Readers = append(ts[u].Readers, rng.IntN(len(ts)))
+				ts[u].Readers = append(ts[u].Readers, int32(rng.IntN(len(ts))))
 			}
 		}
 		got := ResultBacked(ts, sinks)
 
 		reaches := func(u int) []bool {
 			r := make([]bool, len(ts))
-			for stack := []int{u}; len(stack) > 0; {
+			for stack := []int32{int32(u)}; len(stack) > 0; {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				for _, v := range ts[w].Out {
@@ -95,9 +95,9 @@ func TestResultBackedMatchesDefinition(t *testing.T) {
 				}
 				ok := true
 				for _, v := range ts[u].Readers {
-					inSink := slices.Contains(s.Threads, v)
-					r := reaches(v)
-					ok = ok && (v == u || inSink || !only && !slices.ContainsFunc(s.Threads, func(k int) bool { return !r[k] }))
+					inSink := slices.Contains(s.Threads, int(v))
+					r := reaches(int(v))
+					ok = ok && (int(v) == u || inSink || !only && !slices.ContainsFunc(s.Threads, func(k int) bool { return !r[k] }))
 				}
 				// The partition lies densely in the result's rows and is the
 				// thread's own.

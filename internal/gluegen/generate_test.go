@@ -370,3 +370,21 @@ func TestWithMappingRefusesBadMappings(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocCeilingVerify: Verify walks each buffer's transfers in place when
+// the table lists them thread by thread, as Generate does, and copies them
+// into thread order only when it does not. On the 1024-node shape it
+// allocates the region grid and the function-order set: 5 allocations,
+// 2.1 kB (10 and 4.3 kB under -race; 7 and 35.4 kB while it built an index
+// of every buffer's transfers, nine calls per benchmark op).
+func TestAllocCeilingVerify(t *testing.T) {
+	out, err := Generate(wideInput(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs, bytes := allocs(t, out.Tables.Verify)
+	t.Logf("Verify on the 1024-node shape: %d allocations, %d bytes", mallocs, bytes)
+	if mallocs > 12 || bytes > 6_000 {
+		t.Errorf("Verify on the 1024-node shape makes %d allocations of %d bytes, want <= 12 and 6 kB", mallocs, bytes)
+	}
+}

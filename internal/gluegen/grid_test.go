@@ -10,10 +10,10 @@ import (
 
 // pairwiseOverlap is Verify's pairwise loop as a predicate: do any two of the
 // regions intersect?
-func pairwiseOverlap(xs []Transfer, mine []int) bool {
-	for a, ka := range mine {
-		for _, kc := range mine[a+1:] {
-			if !xs[ka].Region.Intersect(xs[kc].Region).Empty() {
+func pairwiseOverlap(mine []Transfer) bool {
+	for a := range mine {
+		for c := range mine[a+1:] {
+			if !mine[a].Region.Intersect(mine[a+1+c].Region).Empty() {
 				return true
 			}
 		}
@@ -23,11 +23,11 @@ func pairwiseOverlap(xs []Transfer, mine []int) bool {
 
 // gridTooBig reports whether the regions' bounds cut more cells than there
 // are pairs of non-empty regions, where mayOverlap answers true unpainted.
-func gridTooBig(xs []Transfer, mine []int) bool {
+func gridTooBig(mine []Transfer) bool {
 	rows, cols := map[int]bool{}, map[int]bool{}
 	n := 0
-	for _, k := range mine {
-		if r := xs[k].Region; !r.Empty() {
+	for _, x := range mine {
+		if r := x.Region; !r.Empty() {
 			rows[r.R0], rows[r.R0+r.Rows] = true, true
 			cols[r.C0], cols[r.C0+r.Cols] = true, true
 			n++
@@ -79,12 +79,8 @@ func TestRegionGridMatchesPairwise(t *testing.T) {
 			xs = append(xs, Transfer{Region: model.Region{R0: rng.Intn(8), C0: rng.Intn(8), Rows: -rng.Intn(2), Cols: rng.Intn(3)}})
 		}
 		rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		mine := make([]int, len(xs))
-		for i := range mine {
-			mine[i] = i
-		}
-		got, want := g.mayOverlap(xs, mine), pairwiseOverlap(xs, mine)
-		big := gridTooBig(xs, mine)
+		got, want := g.mayOverlap(xs), pairwiseOverlap(xs)
+		big := gridTooBig(xs)
 		switch {
 		case want && !got:
 			t.Fatalf("round %d: overlapping regions %v cleared", round, xs)
@@ -114,12 +110,12 @@ func TestVerifySkipsPairsOnWideTables(t *testing.T) {
 	var g regionGrid
 	threads := 0
 	for _, b := range tb.Buffers {
-		byDst := map[int][]int{}
-		for k, x := range b.Transfers {
-			byDst[x.DstThread] = append(byDst[x.DstThread], k)
+		byDst := map[int][]Transfer{}
+		for _, x := range b.Transfers {
+			byDst[x.DstThread] = append(byDst[x.DstThread], x)
 		}
 		for j, mine := range byDst {
-			if len(mine) > 2 && g.mayOverlap(b.Transfers, mine) {
+			if len(mine) > 2 && g.mayOverlap(mine) {
 				t.Fatalf("buffer %d thread %d: %d disjoint transfers not cleared", b.ID, j, len(mine))
 			}
 			threads++

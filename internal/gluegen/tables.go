@@ -23,10 +23,10 @@
 package gluegen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/funclib"
 	"repro/internal/machine"
@@ -183,7 +183,7 @@ func (t *Tables) Verify() error {
 		seen[id] = true
 	}
 
-	var byDst []int // indices into the current buffer's Transfers
+	var sorted []Transfer // a buffer's transfers put in thread order, when they are not
 	var grid regionGrid
 	for i := range t.Buffers {
 		b := &t.Buffers[i]
@@ -214,45 +214,38 @@ func (t *Tables) Verify() error {
 		if !slices.Contains(srcPort.Buffers, b.ID) || !slices.Contains(dstPort.Buffers, b.ID) {
 			add("gluegen: buffer %d not referenced by both its ports", b.ID)
 		}
-		// Per-destination-thread coverage. byDst lists the transfers bound
-		// for a thread this function has, grouped by thread; plan.Build
-		// refuses the others.
-		byDst = slices.Grow(byDst[:0], len(b.Transfers))
-		ordered := true
-		for k, x := range b.Transfers {
-			if x.DstThread < 0 || x.DstThread >= dst.Threads {
-				continue
+		// Per-destination-thread coverage, over each thread's transfers as
+		// one run: in place when the table lists them thread by thread, as
+		// the generator emits them; otherwise from a copy put in that order,
+		// table order kept within a thread, without the transfers bound for
+		// a thread this function lacks (plan.Build refuses those).
+		xs := b.Transfers
+		if !slices.IsSortedFunc(xs, byDstThread) || (len(xs) > 0 && (xs[0].DstThread < 0 || xs[len(xs)-1].DstThread >= dst.Threads)) {
+			sorted = sorted[:0]
+			for _, x := range xs {
+				if x.DstThread >= 0 && x.DstThread < dst.Threads {
+					sorted = append(sorted, x)
+				}
 			}
-			if n := len(byDst); n > 0 && b.Transfers[byDst[n-1]].DstThread > x.DstThread {
-				ordered = false
-			}
-			byDst = append(byDst, k)
-		}
-		if !ordered {
-			// The generator emits them thread by thread; anything else is
-			// put in that order, keeping table order within a thread.
-			sort.SliceStable(byDst, func(a, c int) bool {
-				return b.Transfers[byDst[a]].DstThread < b.Transfers[byDst[c]].DstThread
-			})
+			slices.SortStableFunc(sorted, byDstThread)
+			xs = sorted
 		}
 		next := 0
 		for j := 0; j < dst.Threads; j++ {
-			mine := byDst[next:]
-			for n, k := range mine {
-				if b.Transfers[k].DstThread != j {
-					mine = mine[:n]
-					break
-				}
+			end := next
+			for end < len(xs) && xs[end].DstThread == j {
+				end++
 			}
-			next += len(mine)
+			mine := xs[next:end]
+			next = end
 			want, err := model.Partition(dstPort.Striping, b.Rows, b.Cols, dst.Threads, j)
 			if err != nil {
 				add("gluegen: buffer %d dst thread %d: %v", b.ID, j, err)
 				continue
 			}
 			covered := 0
-			for _, k := range mine {
-				x := &b.Transfers[k]
+			for k := range mine {
+				x := &mine[k]
 				if x.SrcThread < 0 || x.SrcThread >= src.Threads {
 					add("gluegen: buffer %d: transfer from thread %d of %d", b.ID, x.SrcThread, src.Threads)
 				}
@@ -264,11 +257,11 @@ func (t *Tables) Verify() error {
 				}
 				covered += x.Region.Elems()
 			}
-			if grid.mayOverlap(b.Transfers, mine) {
-				for a, ka := range mine {
-					ra := b.Transfers[ka].Region
-					for _, kc := range mine[a+1:] {
-						if rc := b.Transfers[kc].Region; !ra.Intersect(rc).Empty() {
+			if grid.mayOverlap(mine) {
+				for a := range mine {
+					ra := mine[a].Region
+					for c := range mine[a+1:] {
+						if rc := mine[a+1+c].Region; !ra.Intersect(rc).Empty() {
 							add("gluegen: buffer %d dst thread %d: overlapping transfers %v and %v", b.ID, j, ra, rc)
 						}
 					}
@@ -288,16 +281,16 @@ type regionGrid struct {
 	cells      []bool
 }
 
-// mayOverlap reports whether two of the regions xs[k], k in mine, might
+// mayOverlap reports whether the regions of two of the transfers mine might
 // intersect. It paints each non-empty region on the grid the regions' own
 // row and column bounds cut the plane into — a region is a block of whole
 // cells, so two regions intersect iff they share one — and answers false if
 // no cell is painted twice. It answers true when it finds a shared cell, and
 // without painting when the grid has more cells than there are pairs.
-func (g *regionGrid) mayOverlap(xs []Transfer, mine []int) bool {
+func (g *regionGrid) mayOverlap(mine []Transfer) bool {
 	g.rows, g.cols = slices.Grow(g.rows[:0], 2*len(mine)), slices.Grow(g.cols[:0], 2*len(mine))
-	for _, k := range mine {
-		if r := xs[k].Region; !r.Empty() {
+	for k := range mine {
+		if r := mine[k].Region; !r.Empty() {
 			g.rows = append(g.rows, r.R0, r.R0+r.Rows)
 			g.cols = append(g.cols, r.C0, r.C0+r.Cols)
 		}
@@ -317,8 +310,8 @@ func (g *regionGrid) mayOverlap(xs []Transfer, mine []int) bool {
 	// Grown, not appended from a make: a -race build allocates the make.
 	g.cells = slices.Grow(g.cells[:0], cells)[:cells]
 	clear(g.cells)
-	for _, k := range mine {
-		r := xs[k].Region
+	for k := range mine {
+		r := mine[k].Region
 		if r.Empty() {
 			continue
 		}
@@ -337,6 +330,9 @@ func (g *regionGrid) mayOverlap(xs []Transfer, mine []int) bool {
 	}
 	return false
 }
+
+// byDstThread orders transfers by destination thread.
+func byDstThread(a, c Transfer) int { return cmp.Compare(a.DstThread, c.DstThread) }
 
 func findPort(ports []PortEntry, name string) *PortEntry {
 	for i := range ports {

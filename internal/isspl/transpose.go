@@ -102,10 +102,3 @@ func ScatterTileTransposed(dst, tile []complex128, dstCols, row0, col0, h, w int
 	}
 	TransposeTile(dst[row0*dstCols+col0:], dstCols, tile, w, h, w)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

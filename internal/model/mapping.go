@@ -2,7 +2,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Mapping assigns every thread of every (leaf) function to a processor node.
@@ -75,12 +76,7 @@ func (m *Mapping) NodesUsed() []int {
 			set[n] = true
 		}
 	}
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
 
 // RoundRobin produces the naive baseline mapping: threads are dealt onto

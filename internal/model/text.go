@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -33,12 +34,7 @@ import (
 func (a *App) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "app %s\n", a.Name)
-	names := make([]string, 0, len(a.Types))
-	for n := range a.Types {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(a.Types)) {
 		t := a.Types[n]
 		fmt.Fprintf(bw, "type %s %d %d %s\n", t.Name, t.Rows, t.Cols, t.Elem)
 	}
@@ -47,10 +43,10 @@ func (a *App) WriteText(w io.Writer) error {
 			return fmt.Errorf("model: cannot serialise composite function %q; flatten first", f.Name)
 		}
 		fmt.Fprintf(bw, "function %s %s threads %d\n", f.Name, f.Kind, f.Threads)
-		for _, k := range sortedKeys(f.Params) {
+		for _, k := range slices.Sorted(maps.Keys(f.Params)) {
 			fmt.Fprintf(bw, "  param %s %v\n", k, f.Params[k])
 		}
-		for _, k := range sortedKeys(f.Props) {
+		for _, k := range slices.Sorted(maps.Keys(f.Props)) {
 			fmt.Fprintf(bw, "  prop %s %v\n", k, f.Props[k])
 		}
 		for _, p := range f.Inputs {
@@ -64,15 +60,6 @@ func (a *App) WriteText(w io.Writer) error {
 		fmt.Fprintf(bw, "arc %s -> %s\n", arc.From.QualifiedName(), arc.To.QualifiedName())
 	}
 	return bw.Flush()
-}
-
-func sortedKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // parseScalar interprets a textual param/prop value as int, float or string.
@@ -226,12 +213,7 @@ func splitPortRef(s string) ([2]string, error) {
 func (m *Mapping) WriteText(w io.Writer, appName string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "mapping %s\n", appName)
-	fns := make([]string, 0, len(m.Assign))
-	for fn := range m.Assign {
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	for _, fn := range fns {
+	for _, fn := range slices.Sorted(maps.Keys(m.Assign)) {
 		parts := make([]string, len(m.Assign[fn]))
 		for i, n := range m.Assign[fn] {
 			parts[i] = strconv.Itoa(n)

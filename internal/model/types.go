@@ -166,17 +166,3 @@ func Partition(s StripeKind, rows, cols, t, i int) (Region, error) {
 		return Region{}, fmt.Errorf("model: unknown striping %q", s)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -49,7 +49,7 @@ func TestUncoveredResultHostsNothing(t *testing.T) {
 			t.Errorf("a covered result does not hold the source's block: result %d, storage %v", src.Result, src.Outs[0])
 		case rows == 2 && (src.Result != -1 || src.Outs[0] == nil):
 			t.Errorf("the source's block lies in a result the sink does not cover: result %d", src.Result)
-		case rows == 2 && (!slices.Equal(src.Outs[0].Readers, []int{0, 1, 2}) || !src.Outs[0].Clear):
+		case rows == 2 && (!slices.Equal(src.Outs[0].Readers, []int32{0, 1, 2}) || !src.Outs[0].Clear):
 			t.Errorf("the source's storage: readers %v, clear %v; want [0 1 2], true", src.Outs[0].Readers, src.Outs[0].Clear)
 		}
 	}
@@ -69,9 +69,9 @@ func TestLayoutsOfTheBenchmarkShapes(t *testing.T) {
 		hosted, stored string                    // the function whose storage lies in the result, the one that has storages
 		storage        func(ti int) plan.Storage // thread ti's
 	}{
-		{apps.FFT2D, "source", "fft_cols", func(ti int) plan.Storage { return plan.Storage{Readers: []int{ti, 17}} }},
+		{apps.FFT2D, "source", "fft_cols", func(ti int) plan.Storage { return plan.Storage{Readers: []int32{int32(ti), 17}} }},
 		{apps.CornerTurn, "turn", "source", func(int) plan.Storage {
-			return plan.Storage{Readers: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, Clear: true}
+			return plan.Storage{Readers: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, Clear: true}
 		}},
 	} {
 		app, err := tc.build(512, 8)

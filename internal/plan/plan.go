@@ -69,6 +69,9 @@ type Port struct {
 	// the payload becomes the block (funclib.Assemble with a nil destination;
 	// a pitched payload is copied dense first).
 	Adopt bool
+	// Pos is the port's position among its kind's declared ports, the index
+	// of its block in the slices Compute and Cost take (funclib.Position).
+	Pos int32
 	// Charge is the port's block when only costs are wanted: the region the
 	// cost model prices, no samples.
 	Charge funclib.Block
@@ -88,8 +91,8 @@ type Thread struct {
 	// InPlace marks a thread that computes into its input block: its kind is
 	// funclib InPlace and the thread owns the block its one input port ends
 	// up holding (it assembled it, or funclib.OwnsAdopted against the
-	// producer port's other edges), so out["out"] is in["in"] and no output
-	// block is allocated.
+	// producer port's other edges), so its kind's out[0] is its in[0] and no
+	// output block is allocated.
 	InPlace bool
 	// Transposes marks a thread that lands its payloads in the transposed
 	// view of its output block (funclib.LandsTransposed): its input port has
@@ -164,11 +167,11 @@ func Build(t *gluegen.Tables) (*Plan, error) {
 				Source: len(fe.Ins) == 0, Sink: len(fe.Outs) == 0,
 			}
 			k := w.ports[fi] + th*(len(fe.Ins)+len(fe.Outs))
-			if tp.Ins, err = newPorts(fe, fe.Ins, th, ports[k:k+len(fe.Ins):k+len(fe.Ins)]); err != nil {
+			if tp.Ins, err = newPorts(fe, fe.Ins, impl.In, th, ports[k:k+len(fe.Ins):k+len(fe.Ins)]); err != nil {
 				return nil, err
 			}
 			k += len(fe.Ins)
-			if tp.Outs, err = newPorts(fe, fe.Outs, th, ports[k:k+len(fe.Outs):k+len(fe.Outs)]); err != nil {
+			if tp.Outs, err = newPorts(fe, fe.Outs, impl.Out, th, ports[k:k+len(fe.Outs):k+len(fe.Outs)]); err != nil {
 				return nil, err
 			}
 		}
@@ -253,7 +256,7 @@ type Storage struct {
 	// iteration that wrote it: the owner, the consumers of its sends and,
 	// through one that forwards them (computes in place on the dense view it
 	// adopted), that one's consumers, transitively.
-	Readers []int
+	Readers []int32
 	// Clear marks a storage whose recycled block must be zeroed: all but an
 	// input whose transfers cover its partition, and the output of a thread
 	// that lands transposed from such an input.
@@ -272,25 +275,44 @@ type Layout struct {
 // carries samples asks; the cost grows with the edges the blocks travel.
 func (p *Plan) Layouts() []Layout {
 	forwards := func(tp *Thread) bool { return tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig }
-	n := 0
-	for ti := range p.Threads {
-		n += len(p.Threads[ti].Outs) + len(p.Threads[ti].Ins)
-	}
-	ls, ts := make([]Layout, len(p.Threads)), make([]funclib.ResultThread, len(p.Threads))
-	store, ports, seen := make([]Storage, n), make([]*Storage, n), make([]int, len(p.Threads))
-	var readers []int                   // every reader set, back to back
-	out := make([]int, 0, len(p.Edges)) // every consumer list, back to back
-	var walk func(pp *Port, mark int)
-	walk = func(pp *Port, mark int) {
+	seen, mark, counting := make([]int, len(p.Threads)), 0, true
+	var readers []int32
+	// walk adds to the reader set the walk marked mark the consumers of pp's
+	// lanes and, through a thread that forwards, its consumers, and reports
+	// how many; while counting it only counts them.
+	var walk func(pp *Port) int
+	walk = func(pp *Port) (added int) {
 		for _, ei := range pp.Edges {
-			if d := int(p.Edges[ei].Dst); seen[d] != mark {
-				seen[d], readers = mark, append(readers, d)
+			if d := p.Edges[ei].Dst; seen[d] != mark {
+				seen[d], added = mark, added+1
+				if !counting {
+					readers = append(readers, d)
+				}
 				if forwards(&p.Threads[d]) {
-					walk(&p.Threads[d].Outs[0], mark)
+					added += walk(&p.Threads[d].Outs[0])
 				}
 			}
 		}
+		return added
 	}
+	// Every consumer list and reader set, back to back, comes from one array
+	// that a counting pass sizes: a set holds its owner and what its walk
+	// reaches, an input's its owner.
+	n, sets := 0, 0
+	for ti := range p.Threads {
+		tp := &p.Threads[ti]
+		n, sets = n+len(tp.Outs)+len(tp.Ins), sets+len(tp.Ins)
+		for pi := range tp.Outs {
+			if !forwards(tp) {
+				mark++
+				seen[ti], sets = mark, sets+1+walk(&tp.Outs[pi])
+			}
+		}
+	}
+	ls, ts := make([]Layout, len(p.Threads)), make([]funclib.ResultThread, len(p.Threads))
+	store, ports, ints := make([]Storage, n), make([]*Storage, n), make([]int32, len(p.Edges)+sets)
+	out, readers := ints[:0:len(p.Edges)], ints[len(p.Edges):len(p.Edges)]
+	counting = false
 	// From here on k indexes a thread's first output in store and ports,
 	// j its first input.
 	for ti, k := 0, 0; ti < len(p.Threads); ti++ {
@@ -299,12 +321,13 @@ func (p *Plan) Layouts() []Layout {
 		start := len(out)
 		for pi := range tp.Outs {
 			for _, ei := range tp.Outs[pi].Edges {
-				out = append(out, int(p.Edges[ei].Dst))
+				out = append(out, p.Edges[ei].Dst)
 			}
 			if !forwards(tp) {
 				first := len(readers)
-				seen[ti], readers = first+1, append(readers, ti)
-				walk(&tp.Outs[pi], first+1)
+				mark++
+				seen[ti], readers = mark, append(readers, int32(ti))
+				walk(&tp.Outs[pi])
 				slices.Sort(readers[first:])
 				store[k+pi] = Storage{Readers: readers[first:len(readers):len(readers)], Clear: !tp.Transposes || !p.covered(tp, &tp.Ins[0])}
 				if !tp.InPlace {
@@ -318,7 +341,7 @@ func (p *Plan) Layouts() []Layout {
 		}
 		for pi := range tp.Ins {
 			if in := &tp.Ins[pi]; tp.Fn.Kind != "sink_matrix" && !tp.Transposes && !(in.Adopt && p.Edges[in.Edges[0]].SrcContig) {
-				readers = append(readers, ti)
+				readers = append(readers, int32(ti))
 				l.Ins[pi] = &store[j+pi]
 				*l.Ins[pi] = Storage{Readers: readers[len(readers)-1 : len(readers) : len(readers)], Clear: !p.covered(tp, in)}
 				if tp.InPlace {
@@ -389,20 +412,40 @@ func (p *Plan) ownsInput(tp *Thread) bool {
 	})
 }
 
-// newPorts fills ports, one per entry, with thread's partition of each.
-func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, thread int, ports []Port) ([]Port, error) {
-	if len(entries) == 0 {
-		return nil, nil
+// newPorts fills ports, one per entry, with thread's partition of each and
+// its position among reqs, the kind's declared ports of that side, which the
+// entries must name once each.
+func newPorts(fe *gluegen.FuncEntry, entries []gluegen.PortEntry, reqs []funclib.PortReq, thread int, ports []Port) ([]Port, error) {
+	if len(entries) != len(reqs) {
+		return nil, fmt.Errorf("plan: %s lists %d ports where kind %s declares %d", fe.Name, len(entries), fe.Kind, len(reqs))
 	}
 	for pi := range entries {
 		pe := &entries[pi]
+		pos := int32(funclib.Position(reqs, pe.Name))
+		if pos < 0 || slices.ContainsFunc(ports[:pi], func(q Port) bool { return q.Pos == pos }) {
+			return nil, fmt.Errorf("plan: %s port %s is not a port of kind %s, or is listed twice", fe.Name, pe.Name, fe.Kind)
+		}
 		region, err := model.Partition(pe.Striping, pe.Rows, pe.Cols, fe.Threads, thread)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %s port %s: %w", fe.Name, pe.Name, err)
 		}
-		ports[pi] = Port{Entry: pe, Region: region, Charge: funclib.Block{Region: region}}
+		ports[pi] = Port{Entry: pe, Region: region, Pos: pos, Charge: funclib.Block{Region: region}}
 	}
 	return ports, nil
+}
+
+// Charges returns the thread's charge-only blocks in its kind's port order:
+// the inputs in in and the outputs in out, each resized to its side's port
+// count in the storage it already has where that is large enough.
+func (tp *Thread) Charges(in, out []*funclib.Block) ([]*funclib.Block, []*funclib.Block) {
+	in, out = slices.Grow(in[:0], len(tp.Ins))[:len(tp.Ins)], slices.Grow(out[:0], len(tp.Outs))[:len(tp.Outs)]
+	for pi := range tp.Ins {
+		in[tp.Ins[pi].Pos] = &tp.Ins[pi].Charge
+	}
+	for pi := range tp.Outs {
+		out[tp.Outs[pi].Pos] = &tp.Outs[pi].Charge
+	}
+	return in, out
 }
 
 const wiredIn, wiredOut = 1, 2

@@ -337,6 +337,12 @@ func TestBuildRefuses(t *testing.T) {
 	twice.Functions[1].Ins[0].Buffers = []int{0, 0}
 	foreign := chain(2)
 	foreign.Functions[1].Outs[0].Buffers = []int{1, 9}
+	// Verify does not match a function's ports to its kind's; Build must,
+	// or a kind would find a nil block at a position.
+	renamed := chain(2)
+	renamed.Functions[1].Ins[0].Name, renamed.Buffers[0].DstPort = "x", "x"
+	short := chain(2)
+	short.Functions[1].Kind = "add2"
 	for _, tc := range []struct {
 		name   string
 		tables *gluegen.Tables
@@ -350,6 +356,8 @@ func TestBuildRefuses(t *testing.T) {
 		{"transfer to a thread that does not exist", stray, "buffer 1: transfer names thread 7 of f2's 1"},
 		{"port lists its buffer twice", twice, "buffer 0: transfer 0->0 is listed twice by f1's ports"},
 		{"port lists a buffer that does not exist", foreign, "f1 port out lists buffer 9 of 2"},
+		{"port its kind does not declare", renamed, "f1 port x is not a port of kind identity"},
+		{"fewer ports than the kind declares", short, "f1 lists 1 ports where kind add2 declares 2"},
 	} {
 		if err := tc.tables.Verify(); err != nil {
 			t.Fatalf("%s: the tables must pass Verify for the case to mean anything: %v", tc.name, err)

@@ -15,7 +15,8 @@ package platforms
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/machine"
@@ -140,12 +141,7 @@ func ByName(name string) (machine.Platform, error) {
 
 // Names lists the registered platform names in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // Vendors lists the four vendor platforms of the MITRE cross-vendor study in

@@ -137,7 +137,7 @@ func TestKernelPanicBecomesRunError(t *testing.T) {
 		t.Fatal(err)
 	}
 	compute := im.Compute
-	im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+	im.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 		if ctx.Thread == 0 { // one thread only
 			panic("kernel bug")
 		}

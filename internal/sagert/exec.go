@@ -84,6 +84,7 @@ func (r *runner) localOptimised(srcNode, dstNode int) bool {
 // rank's queue of unexpected messages is sized from the lanes its threads
 // feed and are fed by.
 func (r *runner) spawn(k *sim.Kernel) {
+	blocks := r.portBlocks()
 	for ti := range r.plan.Threads {
 		t := &thread{}
 		tp := &r.plan.Threads[ti]
@@ -95,8 +96,19 @@ func (r *runner) spawn(k *sim.Kernel) {
 		for pi := range tp.Ins {
 			rank.Reserve(0, len(tp.Ins[pi].Edges))
 		}
-		t.init(r, ti, rank)
+		t.init(r, ti, rank, blocks)
+		blocks = blocks[len(tp.Ins)+len(tp.Outs):]
 	}
+}
+
+// portBlocks is the one array every thread's port blocks are carved from,
+// thread by thread in plan order.
+func (r *runner) portBlocks() []*funclib.Block {
+	n := 0
+	for ti := range r.plan.Threads {
+		n += len(r.plan.Threads[ti].Ins) + len(r.plan.Threads[ti].Outs)
+	}
+	return make([]*funclib.Block, n)
 }
 
 // buildLocalQueues creates every optimised node-local handoff channel before

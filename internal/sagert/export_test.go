@@ -41,19 +41,21 @@ func RunInputs(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Resu
 	var ins [][]*funclib.Block
 	res, err := run(tables, pl, opts, runHooks{spawn: func(r *runner, k *sim.Kernel) {
 		ins = make([][]*funclib.Block, len(r.plan.Threads))
+		blocks := r.portBlocks()
 		for ti := range r.plan.Threads {
 			t, tp := &thread{}, &r.plan.Threads[ti]
 			ins[ti] = make([]*funclib.Block, len(tp.Ins))
 			p := k.SpawnStep(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) bool {
 				more := t.step(p)
 				for pi := range tp.Ins {
-					if b := t.inBlocks[tp.Ins[pi].Entry.Name]; t.iter == 0 && t.compute && b != nil {
+					if b := t.ins[tp.Ins[pi].Pos]; t.iter == 0 && t.compute && b != nil {
 						ins[ti][pi] = b
 					}
 				}
 				return more
 			})
-			t.init(r, ti, r.world.Attach(tp.Node, p))
+			t.init(r, ti, r.world.Attach(tp.Node, p), blocks)
+			blocks = blocks[len(tp.Ins)+len(tp.Outs):]
 		}
 	}})
 	return res, ins, err

@@ -37,20 +37,20 @@ func oracleEval(t *testing.T, app *model.App, iterations int) *isspl.Matrix {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ins := map[string]*funclib.Block{}
+			ins := make([]*funclib.Block, len(impl.In))
 			for _, p := range f.Inputs {
 				for _, arc := range app.Arcs {
 					if arc.To == p {
 						src := values[arc.From]
 						cp := funclib.NewBlock(src.Region)
 						copy(cp.Data, src.Data)
-						ins[p.Name] = cp
+						ins[funclib.Position(impl.In, p.Name)] = cp
 					}
 				}
 			}
-			outs := map[string]*funclib.Block{}
+			outs := make([]*funclib.Block, len(impl.Out))
 			for _, p := range f.Outputs {
-				outs[p.Name] = funclib.NewBlock(model.Region{Rows: p.Type.Rows, Cols: p.Type.Cols})
+				outs[funclib.Position(impl.Out, p.Name)] = funclib.NewBlock(model.Region{Rows: p.Type.Rows, Cols: p.Type.Cols})
 			}
 			ctx := &funclib.Context{
 				FuncName: f.Name, Params: f.Params, Thread: 0, Threads: 1, Iteration: iter,
@@ -65,7 +65,7 @@ func oracleEval(t *testing.T, app *model.App, iterations int) *isspl.Matrix {
 				t.Fatalf("oracle %s: %v", f.Name, err)
 			}
 			for _, p := range f.Outputs {
-				values[p] = outs[p.Name]
+				values[p] = outs[funclib.Position(impl.Out, p.Name)]
 			}
 		}
 	}

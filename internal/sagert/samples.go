@@ -50,8 +50,8 @@ type sampleTask struct {
 	iter int
 	// blocks holds the payloads in delivery order, port by port — each the
 	// producer's output block — then the thread's input blocks and output
-	// blocks in port order. edges holds each payload's edge, whose region
-	// (plan.Edge.X) it carries.
+	// blocks in its kind's port order (plan.Port.Pos). edges holds each
+	// payload's edge, whose region (plan.Edge.X) it carries.
 	blocks []*funclib.Block
 	edges  []int32
 
@@ -180,7 +180,7 @@ func (s *samples) finish(task *sampleTask, failed bool) {
 
 // work runs runnable tasks until the run closes and the last task finished.
 func (s *samples) work() {
-	w := taskRunner{in: map[string]*funclib.Block{}, out: map[string]*funclib.Block{}}
+	var w taskRunner
 	s.mu.Lock()
 	for {
 		if n := len(s.queue); n > 0 {
@@ -220,11 +220,10 @@ func (s *samples) join(drop bool) error {
 	return s.err
 }
 
-// taskRunner is one worker's scratch: the context and port maps a Compute
-// call takes, reused task after task.
+// taskRunner is one worker's scratch: the context a Compute call takes,
+// reused task after task.
 type taskRunner struct {
-	ctx     funclib.Context
-	in, out map[string]*funclib.Block
+	ctx funclib.Context
 }
 
 // run is a task's body: land the payloads as the kernel delivered them, then
@@ -239,7 +238,8 @@ func (w *taskRunner) run(r *runner, task *sampleTask) (err error) {
 		}
 	}()
 	payloads := len(task.edges)
-	got, ins, outs := task.blocks[:payloads], task.blocks[payloads:payloads+len(tp.Ins)], task.blocks[payloads+len(tp.Ins):]
+	end := payloads + len(tp.Ins)
+	got, ins, outs := task.blocks[:payloads], task.blocks[payloads:end:end], task.blocks[end:]
 	edges := task.edges
 	for pi := range tp.Ins {
 		n := len(tp.Ins[pi].Edges)
@@ -251,23 +251,15 @@ func (w *taskRunner) run(r *runner, task *sampleTask) (err error) {
 			reg := r.plan.Edges[edges[i]].X.Region
 			switch {
 			case t.sink == nil:
-				funclib.CopyRegion(ins[pi], b, reg)
+				funclib.CopyRegion(ins[tp.Ins[pi].Pos], b, reg)
 			case task.iter == r.opts.ComputeIterations-1:
 				funclib.StoreSink(&r.sinkMu, t.sink.m, b, reg)
 			}
 		}
 		got, edges = got[n:], edges[n:]
 	}
-	clear(w.in)
-	clear(w.out)
-	for pi := range tp.Ins {
-		w.in[tp.Ins[pi].Entry.Name] = ins[pi]
-	}
-	for pi := range tp.Outs {
-		w.out[tp.Outs[pi].Entry.Name] = outs[pi]
-	}
 	w.ctx = contextOf(tp, task.iter)
-	if err := tp.Impl.Compute(&w.ctx, w.in, w.out); err != nil {
+	if err := tp.Impl.Compute(&w.ctx, ins, outs); err != nil {
 		return fmt.Errorf("sagert: %s thread %d iteration %d: %w", tp.Fn.Name, tp.Index, task.iter, err)
 	}
 	return nil

@@ -30,7 +30,7 @@ func TestTwoFailingComputesReportTheFirst(t *testing.T) {
 	const want = "sagert: fft_rows thread 1 iteration 0: thread 1 refuses"
 	for _, procs := range []int{1, 8} {
 		for slow := range 2 {
-			im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+			im.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 				if ctx.Thread == slow {
 					time.Sleep(20 * time.Millisecond)
 				}
@@ -60,7 +60,7 @@ func TestCanceledSampleRunStopsItsTasks(t *testing.T) {
 	compute := im.Compute
 	defer func() { im.Compute = compute }()
 	var running, calls atomic.Int64
-	im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+	im.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 		running.Add(1)
 		defer running.Add(-1)
 		calls.Add(1)
@@ -103,14 +103,14 @@ func TestTasksDownstreamOfAFailureAreSkipped(t *testing.T) {
 	}
 	rowsCompute, colsCompute := rows.Compute, cols.Compute
 	defer func() { rows.Compute, cols.Compute = rowsCompute, colsCompute }()
-	rows.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+	rows.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 		if ctx.Thread == 0 {
 			return errors.New("refused")
 		}
 		return rowsCompute(ctx, in, out)
 	}
 	var ran atomic.Int64
-	cols.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+	cols.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 		ran.Add(1)
 		return colsCompute(ctx, in, out)
 	}

@@ -28,12 +28,13 @@ type thread struct {
 	rank  *mpi.Rank
 	track string // the thread's trace track ("" untraced)
 	// Per-iteration working state, cleared each pass so the steady-state
-	// iteration allocates no maps or contexts.
-	inBlocks, outBlocks map[string]*funclib.Block
-	ctx                 funclib.Context
-	sink                *sinkOut    // non-nil on the threads of a collected sink
-	result              *sinkOut    // non-nil on a result-backed thread of a run that collects
-	task                *sampleTask // the compute iteration's sample work (samples.go)
+	// iteration allocates nothing: the ports' blocks in the kind's port
+	// order (plan.Port.Pos), carved from one array per run, and the context.
+	ins, outs []*funclib.Block
+	ctx       funclib.Context
+	sink      *sinkOut    // non-nil on the threads of a collected sink
+	result    *sinkOut    // non-nil on a result-backed thread of a run that collects
+	task      *sampleTask // the compute iteration's sample work (samples.go)
 
 	pc      pc
 	wait    waitOn
@@ -87,13 +88,14 @@ const (
 	waitSleep          // a source's pacing sleep, which has no Resume half
 )
 
-// init readies t to run the plan's thread ti as rank.
-func (t *thread) init(r *runner, ti int, rank *mpi.Rank) {
+// init readies t to run the plan's thread ti as rank, with blocks holding
+// room for its ports' blocks.
+func (t *thread) init(r *runner, ti int, rank *mpi.Rank, blocks []*funclib.Block) {
 	tp := &r.plan.Threads[ti]
 	t.r, t.ti, t.tp, t.rank = r, ti, tp, rank
 	t.track = r.mach.Trace().Track(rank.Proc())
-	t.inBlocks = make(map[string]*funclib.Block, len(tp.Ins))
-	t.outBlocks = make(map[string]*funclib.Block, len(tp.Outs))
+	n := len(tp.Ins)
+	t.ins, t.outs = blocks[:n:n], blocks[n:n+len(tp.Outs):n+len(tp.Outs)]
 	t.ctx = contextOf(tp, 0)
 	for si := range r.sinks {
 		switch {
@@ -122,7 +124,7 @@ func (t *thread) inputBlock(pp *plan.Port) *funclib.Block {
 	switch {
 	case tp.Transposes:
 		out := t.outputBlock(0)
-		t.outBlocks[tp.Outs[0].Entry.Name] = out
+		t.outs[0] = out
 		return funclib.TransposedView(out, pp.Region)
 	case tp.InPlace && t.inResult():
 		return funclib.ResultView(t.r.sinkMatrix(t.result), pp.Region)
@@ -143,7 +145,7 @@ func (t *thread) outputBlock(pi int) *funclib.Block {
 	case tp.InPlace:
 		// The thread owns its input block: the kind transforms it where it
 		// lies (the cost model still charges the copy).
-		return t.inBlocks[tp.Ins[0].Entry.Name]
+		return t.ins[0]
 	case t.inResult():
 		return funclib.ResultView(t.r.sinkMatrix(t.result), pp.Region)
 	}
@@ -218,8 +220,8 @@ func (t *thread) step(p *sim.Proc) bool {
 				r.noteSourceStart(t.iter, p.Now())
 			}
 			t.phaseStart = p.Now()
-			clear(t.inBlocks)
-			clear(t.outBlocks)
+			clear(t.ins)
+			clear(t.outs)
 			if t.compute {
 				t.task = r.samples.task(t, t.iter)
 			}
@@ -248,7 +250,7 @@ func (t *thread) step(p *sim.Proc) bool {
 				if t.blk == nil { // a port without transfers
 					t.blk = t.inputBlock(&tp.Ins[t.pi])
 				}
-				t.inBlocks[tp.Ins[t.pi].Entry.Name] = t.blk
+				t.ins[tp.Ins[t.pi].Pos] = t.blk
 				t.pi, t.pc = t.pi+1, stInPort
 				continue
 			}
@@ -337,12 +339,12 @@ func (t *thread) step(p *sim.Proc) bool {
 			for pi := range tp.Outs {
 				// A thread that lands transposed chose its output block when
 				// its first payload landed.
-				if name := tp.Outs[pi].Entry.Name; t.outBlocks[name] == nil {
-					t.outBlocks[name] = t.outputBlock(pi)
+				if k := tp.Outs[pi].Pos; t.outs[k] == nil {
+					t.outs[k] = t.outputBlock(pi)
 				}
 			}
 			t.ctx.Iteration = t.iter
-			cost := tp.Impl.Cost(&t.ctx, t.inBlocks, t.outBlocks)
+			cost := tp.Impl.Cost(&t.ctx, t.ins, t.outs)
 			t.copyBytes = cost.CopyBytes
 			if r.opts.OptimizedBuffers && !tp.Source && !tp.Sink {
 				// In-place computation where legal: the input-to-output copy
@@ -365,12 +367,7 @@ func (t *thread) step(p *sim.Proc) bool {
 
 		case stCompute:
 			if t.compute {
-				for pi := range tp.Ins {
-					t.task.blocks = append(t.task.blocks, t.inBlocks[tp.Ins[pi].Entry.Name])
-				}
-				for pi := range tp.Outs {
-					t.task.blocks = append(t.task.blocks, t.outBlocks[tp.Outs[pi].Entry.Name])
-				}
+				t.task.blocks = append(append(t.task.blocks, t.ins...), t.outs...)
 				r.samples.submit(t.task)
 				t.task = nil
 			}
@@ -388,7 +385,7 @@ func (t *thread) step(p *sim.Proc) bool {
 				continue
 			}
 			pp := &tp.Outs[t.pi]
-			t.blk = t.outBlocks[pp.Entry.Name]
+			t.blk = t.outs[pp.Pos]
 			t.order, t.xi, t.pc = r.orderXfers(pp.Edges, false, p.Now()), 0, stOutXfer
 
 		case stOutXfer:

@@ -41,9 +41,9 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 	}
 	inj := r.mach.Faults()
 	// Per-iteration working state, hoisted out of the loop and cleared each
-	// pass so the steady-state iteration allocates no maps or contexts.
-	inBlocks := make(map[string]*funclib.Block, len(tp.Ins))
-	outBlocks := make(map[string]*funclib.Block, len(tp.Outs))
+	// pass so the steady-state iteration allocates no blocks or contexts.
+	inBlocks := make([]*funclib.Block, len(tp.Ins))
+	outBlocks := make([]*funclib.Block, len(tp.Outs))
 	ctx := &funclib.Context{
 		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
 		Thread: tp.Index, Threads: tp.Fn.Threads,
@@ -117,7 +117,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 				// Return a pipelining credit to the producer.
 				rank.Send(peer, e.CreditTag(), mpi.Empty())
 			}
-			inBlocks[pp.Entry.Name] = blk
+			inBlocks[pp.Pos] = blk
 		}
 		if len(tp.Ins) > 0 {
 			tr.Phase(trace.LayerSage, tp.Node, track, "recv", iter, recvStart, rank.Proc().Now())
@@ -133,11 +133,11 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 			blk := &pp.Charge
 			switch {
 			case compute && tp.InPlace:
-				blk = inBlocks[tp.Ins[0].Entry.Name]
+				blk = inBlocks[0]
 			case compute:
 				blk = funclib.NewBlock(pp.Region)
 			}
-			outBlocks[pp.Entry.Name] = blk
+			outBlocks[pp.Pos] = blk
 		}
 		ctx.Iteration = iter
 		cost := tp.Impl.Cost(ctx, inBlocks, outBlocks)
@@ -169,7 +169,7 @@ func (r *runner) threadMain(tp *plan.Thread, rank *mpi.Rank) {
 		sendStart := rank.Proc().Now()
 		for pi := range tp.Outs {
 			pp := &tp.Outs[pi]
-			blk := outBlocks[pp.Entry.Name]
+			blk := outBlocks[pp.Pos]
 			for _, ei := range r.orderXfers(pp.Edges, false, rank.Proc().Now()) {
 				e := &edges[ei]
 				peer := threads[e.Dst].Node

@@ -208,11 +208,11 @@ func TestPanickingKernelAnswers500AndDaemonSurvives(t *testing.T) {
 	restore := func() { im.Compute, im.Cost = compute, cost }
 	defer restore()
 	var computed atomic.Bool
-	im.Compute = func(ctx *funclib.Context, in, out map[string]*funclib.Block) error {
+	im.Compute = func(ctx *funclib.Context, in, out []*funclib.Block) error {
 		computed.Store(true)
 		return compute(ctx, in, out)
 	}
-	im.Cost = func(*funclib.Context, map[string]*funclib.Block, map[string]*funclib.Block) funclib.Cost {
+	im.Cost = func(*funclib.Context, []*funclib.Block, []*funclib.Block) funclib.Cost {
 		panic("kernel bug")
 	}
 	const streamReq = `{"app":"fft2d","n":32,"threads":1,"nodes":2,"protocol":{"stream":{"classes":[{"name":"c","process":"poisson","rate":100,"frames":2}]}}}`

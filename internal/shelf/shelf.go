@@ -9,7 +9,8 @@ package shelf
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -66,12 +67,7 @@ func (s *Shelf) Register(e Entry) error {
 
 // Names lists the catalogued entries in sorted order.
 func (s *Shelf) Names() []string {
-	out := make([]string, 0, len(s.entries))
-	for n := range s.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(s.entries))
 }
 
 // Doc returns an entry's documentation string.

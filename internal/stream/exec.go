@@ -53,6 +53,9 @@ type runner struct {
 	assign0  [][]int // initial epoch: tables' per-function thread->node
 	credits  []int   // per plan edge, touched only by the edge's producer
 	schedule []Frame
+	// ins and outs hand a thread's charge-only blocks to its kind's Cost,
+	// in the kind's port order; the kernel runs one thread at a time.
+	ins, outs []*funclib.Block
 
 	// slots is the global slot log, appended only by the source (the sim
 	// kernel is single-threaded, so no locking).
@@ -164,8 +167,6 @@ type threadState struct {
 	// stateBytes is the thread's working-set size (all port partitions): the
 	// payload a migration moves.
 	stateBytes int
-	ins        map[string]*funclib.Block // the ports' charge-only blocks
-	outs       map[string]*funclib.Block
 	ctx        *funclib.Context
 }
 
@@ -178,17 +179,11 @@ func (r *runner) newThreadState(tp *plan.Thread, p *sim.Proc) *threadState {
 	if r.mach.Trace().Enabled() {
 		st.qdepth = fmt.Sprintf("qdepth %s#%d", tp.Fn.Name, tp.Index)
 	}
-	st.ins = make(map[string]*funclib.Block, len(tp.Ins))
-	st.outs = make(map[string]*funclib.Block, len(tp.Outs))
 	for pi := range tp.Ins {
-		pp := &tp.Ins[pi]
-		st.ins[pp.Entry.Name] = &pp.Charge
-		st.stateBytes += pp.Bytes()
+		st.stateBytes += tp.Ins[pi].Bytes()
 	}
 	for pi := range tp.Outs {
-		pp := &tp.Outs[pi]
-		st.outs[pp.Entry.Name] = &pp.Charge
-		st.stateBytes += pp.Bytes()
+		st.stateBytes += tp.Outs[pi].Bytes()
 	}
 	st.ctx = &funclib.Context{
 		FuncName: tp.Fn.Name, Params: tp.Fn.Params,
@@ -306,7 +301,8 @@ func (r *runner) computeSlot(st *threadState, si int, w float64) {
 	start := st.p.Now()
 	st.node.ComputeTime(st.p, r.cfg.DispatchOverhead)
 	st.ctx.Iteration = si
-	cost := st.tp.Impl.Cost(st.ctx, st.ins, st.outs)
+	r.ins, r.outs = st.tp.Charges(r.ins, r.outs)
+	cost := st.tp.Impl.Cost(st.ctx, r.ins, r.outs)
 	st.node.ComputeFlops(st.p, cost.Flops*w)
 	st.node.Memcpy(st.p, scaleBytes(cost.CopyBytes, w))
 	tr.Phase(trace.LayerSage, st.my, st.track, "compute", si, start, st.p.Now())

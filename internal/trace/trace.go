@@ -29,6 +29,8 @@ package trace
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -335,11 +337,7 @@ func (c *Collector) Faults() []struct {
 	if c == nil {
 		return nil
 	}
-	kinds := make([]string, 0, len(c.faults))
-	for k := range c.faults {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	kinds := slices.Sorted(maps.Keys(c.faults))
 	out := make([]struct {
 		Kind  string
 		Count int
@@ -397,11 +395,7 @@ func (c *Collector) Streams() []struct {
 	if c == nil {
 		return nil
 	}
-	kinds := make([]string, 0, len(c.streams))
-	for k := range c.streams {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	kinds := slices.Sorted(maps.Keys(c.streams))
 	out := make([]struct {
 		Kind  string
 		Count int
@@ -542,11 +536,7 @@ func (c *Collector) Collectives() []struct {
 	if c == nil {
 		return nil
 	}
-	names := make([]string, 0, len(c.collectives))
-	for n := range c.collectives {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(c.collectives))
 	out := make([]struct {
 		Name  string
 		Count int

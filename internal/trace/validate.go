@@ -3,8 +3,9 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -22,12 +23,7 @@ type ChromeStats struct {
 
 // Layers returns the categories present, sorted.
 func (s *ChromeStats) Layers() []string {
-	out := make([]string, 0, len(s.Cats))
-	for c := range s.Cats {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(s.Cats))
 }
 
 // rawChromeEvent mirrors the trace-event fields the validator checks, plus

@@ -176,21 +176,21 @@ func NewEvaluator(t *gluegen.Tables, pl machine.Platform) (*Evaluator, error) {
 		pl: pl, plan: xp,
 		costs: make([]threadCost, len(xp.Threads)),
 		base:  make([]int, len(xp.Threads)),
+		order: make([]int, 0, len(xp.Threads)),
 	}
+	// The blocks and the context each Cost call takes, reused thread after
+	// thread.
+	var ins, outs []*funclib.Block
+	var ctx funclib.Context
 	for ti := range xp.Threads {
 		tp := &xp.Threads[ti]
 		e.base[ti] = tp.Node
-		ins := make(map[string]*funclib.Block, len(tp.Ins))
 		for pi := range tp.Ins {
-			ins[tp.Ins[pi].Entry.Name] = &tp.Ins[pi].Charge
 			e.costs[ti].inBytes += tp.Ins[pi].Bytes()
 		}
-		outs := make(map[string]*funclib.Block, len(tp.Outs))
-		for pi := range tp.Outs {
-			outs[tp.Outs[pi].Entry.Name] = &tp.Outs[pi].Charge
-		}
-		ctx := &funclib.Context{FuncName: tp.Fn.Name, Params: tp.Fn.Params, Thread: tp.Index, Threads: tp.Fn.Threads}
-		c := tp.Impl.Cost(ctx, ins, outs)
+		ins, outs = tp.Charges(ins, outs)
+		ctx = funclib.Context{FuncName: tp.Fn.Name, Params: tp.Fn.Params, Thread: tp.Index, Threads: tp.Fn.Threads}
+		c := tp.Impl.Cost(&ctx, ins, outs)
 		e.costs[ti].flops, e.costs[ti].copyBytes = c.Flops, c.CopyBytes
 	}
 	for _, id := range t.Order {
