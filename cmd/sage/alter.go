@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/alter"
-	"repro/internal/cli"
 )
 
 // cmdAlter is a standalone interpreter for the Alter language — the
@@ -38,7 +37,7 @@ func cmdAlter(args []string, stdout, stderr io.Writer) error {
 
 	for _, path := range args {
 		if strings.HasPrefix(path, "-") && path != "-" {
-			return cli.Usagef("unknown flag %q (usage: sage alter [script.alter ... | -])", path)
+			return usagef("unknown flag %q (usage: sage alter [script.alter ... | -])", path)
 		}
 	}
 	if len(args) == 0 {

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/atot"
-	"repro/internal/cli"
 	"repro/internal/funclib"
 	"repro/internal/model"
 	"repro/internal/twin"
@@ -84,7 +83,7 @@ func cmdAtot(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	default:
-		return cli.Usagef("unknown strategy %q", *strategy)
+		return usagef("unknown strategy %q", *strategy)
 	}
 
 	cost, err := ev.Evaluate(mapping, atot.Weights{})

@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/trace"
@@ -70,7 +69,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	if *exp != "all" {
 		e, ok := experiments.Lookup(*exp)
 		if !ok {
-			return cli.Usagef("unknown experiment %q", *exp)
+			return usagef("unknown experiment %q", *exp)
 		}
 		out, err := e.Run(proto)
 		if err != nil {

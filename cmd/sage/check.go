@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -32,7 +31,7 @@ import (
 // exactly.
 func cmdCheck(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return cli.Usagef("want fault, trace or stream: sage check fault|trace|stream [flags] file")
+		return usagef("want fault, trace or stream: sage check fault|trace|stream [flags] file")
 	}
 	kind := args[0]
 	fs := flags("check "+kind, stderr)
@@ -45,13 +44,13 @@ func cmdCheck(args []string, stdout, stderr io.Writer) error {
 		fs.StringVar(&require, "require", "", "comma-separated trace categories (layers) that must appear, e.g. sim,sagert,mpi")
 	case "stream":
 	default:
-		return cli.Usagef("unknown check %q (want fault, trace or stream)", kind)
+		return usagef("unknown check %q (want fault, trace or stream)", kind)
 	}
 	if err := parse(fs, args[1:]); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return cli.Usagef("want one file: sage check %s [flags] file", kind)
+		return usagef("want one file: sage check %s [flags] file", kind)
 	}
 	path := fs.Arg(0)
 	data, err := os.ReadFile(path)

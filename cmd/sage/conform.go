@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/conformance"
 )
 
@@ -55,9 +54,9 @@ func cmdConform(args []string, stdout, stderr io.Writer) error {
 		opt := conformance.CheckOptions{MutateRuntime: *mutate, MutateExec: *mutateExec}
 		return conformSeed(stdout, *seed, *quick, opt, *maxShrink)
 	case *seedRange == "":
-		return cli.Usagef("one of -seed-range, -seed or -replay is required")
+		return usagef("one of -seed-range, -seed or -replay is required")
 	}
-	from, to, err := cli.ParseRange(*seedRange)
+	from, to, err := parseRange(*seedRange)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -93,7 +92,7 @@ func (d *design) load() (*loaded, error) {
 		return l, nil
 	}
 	if d.model == "" {
-		return nil, cli.Usagef("-model is required")
+		return nil, usagef("-model is required")
 	}
 	f, err := os.Open(d.model)
 	if err != nil {

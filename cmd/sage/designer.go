@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/apps"
-	"repro/internal/cli"
 	"repro/internal/funclib"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -81,7 +80,7 @@ func cmdDesigner(args []string, stdout, stderr io.Writer) error {
 			"fft2d": apps.FFT2D, "cornerturn": apps.CornerTurn, "stap": apps.STAP,
 		}[*newApp]
 		if !ok {
-			return cli.Usagef("unknown benchmark %q (want fft2d, cornerturn or stap)", *newApp)
+			return usagef("unknown benchmark %q (want fft2d, cornerturn or stap)", *newApp)
 		}
 		app, err := build(*n, *threads)
 		if err != nil {
@@ -89,7 +88,7 @@ func cmdDesigner(args []string, stdout, stderr io.Writer) error {
 		}
 		return emit(app.WriteText)
 	case *modelFile == "":
-		return cli.Usagef("nothing to do: pass -new, -model or -kinds")
+		return usagef("nothing to do: pass -new, -model or -kinds")
 	}
 	f, err := os.Open(*modelFile)
 	if err != nil {

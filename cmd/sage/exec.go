@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/codegen"
 	"repro/internal/codegen/rtl"
 	"repro/internal/conformance"
@@ -74,9 +73,9 @@ func cmdExec(args []string, stdout, stderr io.Writer) error {
 	case *seed >= 0:
 		return checkSeeds(*seed, *seed+1, opt, stdout, stderr)
 	case *seedRange == "":
-		return cli.Usagef("one of -seed, -seed-range or -app is required")
+		return usagef("one of -seed, -seed-range or -app is required")
 	}
-	from, to, err := cli.ParseRange(*seedRange)
+	from, to, err := parseRange(*seedRange)
 	if err != nil {
 		return err
 	}
@@ -94,8 +93,7 @@ func checkSeeds(from, to int64, opt execOptions, stdout, stderr io.Writer) error
 			failed++
 		}
 	}
-	// The summary keeps its sage-exec prefix: it is stdout that scripts match.
-	fmt.Fprintf(stdout, "sage-exec: %d/%d seeds pass\n", to-from-int64(failed), to-from)
+	fmt.Fprintf(stdout, "sage exec: %d/%d seeds pass\n", to-from-int64(failed), to-from)
 	if failed > 0 {
 		return fmt.Errorf("%d of %d seeds failed", failed, to-from)
 	}
@@ -203,7 +201,7 @@ func execApp(name string, n, nodes, threads int, platform string, opt execOption
 		"fft2d": experiments.AppFFT2D, "ct": experiments.AppCornerTurn, "cornerturn": experiments.AppCornerTurn,
 	}[name]
 	if !ok {
-		return cli.Usagef("unknown app %q (want fft2d or ct)", name)
+		return usagef("unknown app %q (want fft2d or ct)", name)
 	}
 	if threads <= 0 {
 		threads = nodes
@@ -211,7 +209,7 @@ func execApp(name string, n, nodes, threads int, platform string, opt execOption
 	opt.iterations = max(opt.iterations, 1)
 	pl, err := platforms.ByName(platform)
 	if err != nil {
-		return cli.Usagef("%v", err)
+		return usagef("%v", err)
 	}
 	app, err := experiments.BuildApp(kind, n, threads)
 	if err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -8,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/cli"
 	"repro/internal/model"
 )
 
@@ -66,87 +67,96 @@ func TestExitCodes(t *testing.T) {
 		want      int
 	}
 	tests := []row{
-		{"", "no subcommand", nil, cli.ExitUsage},
-		{"", "unknown subcommand", []string{"warpdrive"}, cli.ExitUsage},
+		{"", "no subcommand", nil, exitUsage},
+		{"", "unknown subcommand", []string{"warpdrive"}, exitUsage},
 
-		{"alter", "unknown flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"alter", "missing script", []string{missing("s.alter")}, cli.ExitFailure},
-		{"alter", "evaluation error", []string{badScript}, cli.ExitFailure},
-		{"alter", "good script", []string{goodScript}, cli.ExitOK},
+		{"alter", "unknown flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"alter", "missing script", []string{missing("s.alter")}, exitFailure},
+		{"alter", "evaluation error", []string{badScript}, exitFailure},
+		{"alter", "good script", []string{goodScript}, exitOK},
 
-		{"atot", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"atot", "missing -model", nil, cli.ExitUsage},
-		{"atot", "unknown strategy", []string{"-model", fft, "-strategy", "anneal"}, cli.ExitUsage},
-		{"atot", "missing model file", []string{"-model", missing("m.sage")}, cli.ExitFailure},
-		{"atot", "roundrobin mapping", []string{"-model", fft, "-strategy", "roundrobin", "-nodes", "4"}, cli.ExitOK},
+		{"atot", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"atot", "missing -model", nil, exitUsage},
+		{"atot", "unknown strategy", []string{"-model", fft, "-strategy", "anneal"}, exitUsage},
+		{"atot", "missing model file", []string{"-model", missing("m.sage")}, exitFailure},
+		{"atot", "roundrobin mapping", []string{"-model", fft, "-strategy", "roundrobin", "-nodes", "4"}, exitOK},
 
-		{"bench", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"bench", "unknown experiment", []string{"-experiment", "warpdrive"}, cli.ExitUsage},
-		{"bench", "missing faults file", []string{"-experiment", "twonode", "-faults", missing("plan.txt")}, cli.ExitFailure},
-		{"bench", "retired benchjson flag", []string{"-benchjson", "x"}, cli.ExitUsage},
-		{"bench", "retired quick flag", []string{"-quick"}, cli.ExitUsage},
-		{"bench", "retired paper flag", []string{"-paper"}, cli.ExitUsage},
+		{"bench", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"bench", "unknown experiment", []string{"-experiment", "warpdrive"}, exitUsage},
+		{"bench", "missing faults file", []string{"-experiment", "twonode", "-faults", missing("plan.txt")}, exitFailure},
+		{"bench", "retired benchjson flag", []string{"-benchjson", "x"}, exitUsage},
+		{"bench", "retired quick flag", []string{"-quick"}, exitUsage},
+		{"bench", "retired paper flag", []string{"-paper"}, exitUsage},
 
-		{"check fault", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"check fault", "no plan argument", nil, cli.ExitUsage},
-		{"check fault", "missing plan file", []string{missing("plan.txt")}, cli.ExitFailure},
-		{"check fault", "empty plan", []string{emptyPlan}, cli.ExitOK},
+		{"check fault", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"check fault", "no plan argument", nil, exitUsage},
+		{"check fault", "missing plan file", []string{missing("plan.txt")}, exitFailure},
+		{"check fault", "empty plan", []string{emptyPlan}, exitOK},
 
-		{"check trace", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"check trace", "no trace argument", nil, cli.ExitUsage},
-		{"check trace", "two trace arguments", []string{"a.json", "b.json"}, cli.ExitUsage},
-		{"check trace", "missing trace file", []string{missing("t.json")}, cli.ExitFailure},
+		{"check trace", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"check trace", "no trace argument", nil, exitUsage},
+		{"check trace", "two trace arguments", []string{"a.json", "b.json"}, exitUsage},
+		{"check trace", "missing trace file", []string{missing("t.json")}, exitFailure},
 
-		{"check", "no kind", nil, cli.ExitUsage},
-		{"check", "unknown kind", []string{"warpdrive", emptyPlan}, cli.ExitUsage},
+		{"check", "no kind", nil, exitUsage},
+		{"check", "unknown kind", []string{"warpdrive", emptyPlan}, exitUsage},
 
-		{"conform", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"conform", "no mode selected", nil, cli.ExitUsage},
-		{"conform", "bad range", []string{"-seed-range", "7"}, cli.ExitUsage},
-		{"conform", "reversed range", []string{"-seed-range", "9:3"}, cli.ExitUsage},
-		{"conform", "empty range passes", []string{"-seed-range", "0:0"}, cli.ExitOK},
+		{"conform", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"conform", "no mode selected", nil, exitUsage},
+		{"conform", "bad range", []string{"-seed-range", "7"}, exitUsage},
+		{"conform", "reversed range", []string{"-seed-range", "9:3"}, exitUsage},
+		{"conform", "empty range passes", []string{"-seed-range", "0:0"}, exitOK},
 
-		{"designer", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"designer", "unknown benchmark", []string{"-new", "sonar"}, cli.ExitUsage},
-		{"designer", "nothing to do", nil, cli.ExitUsage},
-		{"designer", "missing model file", []string{"-model", missing("m.sage")}, cli.ExitFailure},
-		{"designer", "list kinds", []string{"-kinds"}, cli.ExitOK},
+		{"designer", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"designer", "unknown benchmark", []string{"-new", "sonar"}, exitUsage},
+		{"designer", "nothing to do", nil, exitUsage},
+		{"designer", "missing model file", []string{"-model", missing("m.sage")}, exitFailure},
+		{"designer", "list kinds", []string{"-kinds"}, exitOK},
 
-		{"exec", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"exec", "no mode selected", nil, cli.ExitUsage},
-		{"exec", "bad range", []string{"-seed-range", "7"}, cli.ExitUsage},
-		{"exec", "reversed range", []string{"-seed-range", "9:3"}, cli.ExitUsage},
-		{"exec", "unknown app", []string{"-app", "nope"}, cli.ExitUsage},
-		{"exec", "bad platform", []string{"-app", "fft2d", "-platform", "nope"}, cli.ExitUsage},
-		{"exec", "empty range passes", []string{"-seed-range", "0:0"}, cli.ExitOK},
+		{"exec", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"exec", "no mode selected", nil, exitUsage},
+		{"exec", "bad range", []string{"-seed-range", "7"}, exitUsage},
+		{"exec", "reversed range", []string{"-seed-range", "9:3"}, exitUsage},
+		{"exec", "unknown app", []string{"-app", "nope"}, exitUsage},
+		{"exec", "bad platform", []string{"-app", "fft2d", "-platform", "nope"}, exitUsage},
+		{"exec", "empty range passes", []string{"-seed-range", "0:0"}, exitOK},
 
-		{"gluegen", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"gluegen", "missing required", nil, cli.ExitUsage},
-		{"gluegen", "missing model file", []string{"-model", missing("m.sage"), "-mapping", missing("m.sage")}, cli.ExitFailure},
-		{"gluegen", "print script", []string{"-print-script"}, cli.ExitOK},
+		{"gluegen", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"gluegen", "missing required", nil, exitUsage},
+		{"gluegen", "missing model file", []string{"-model", missing("m.sage"), "-mapping", missing("m.sage")}, exitFailure},
+		{"gluegen", "print script", []string{"-print-script"}, exitOK},
 
-		{"run", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"run", "missing -model/-tables", nil, cli.ExitUsage},
-		{"run", "missing model file", []string{"-model", missing("m.sage")}, cli.ExitFailure},
-		{"run", "small run", []string{"-model", ct, "-nodes", "4", "-iterations", "1"}, cli.ExitOK},
+		{"load", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"load", "missing addr", nil, exitUsage},
+		{"load", "bad counts", []string{"-addr", "http://127.0.0.1:1", "-n", "0"}, exitUsage},
+		{"load", "unreachable daemon", []string{"-addr", "http://127.0.0.1:1", "-wait", "50ms"}, exitFailure},
 
-		{"stream", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"stream", "no scenario argument", nil, cli.ExitUsage},
-		{"stream", "conflicting modes", []string{"-compare", "-check", goldenScenario}, cli.ExitUsage},
-		{"stream", "orphan require-improved", []string{"-require-improved", goldenScenario}, cli.ExitUsage},
-		{"stream", "missing scenario file", []string{missing("s.json")}, cli.ExitFailure},
-		{"stream", "good run", []string{goldenScenario}, cli.ExitOK},
+		{"run", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"run", "missing -model/-tables", nil, exitUsage},
+		{"run", "missing model file", []string{"-model", missing("m.sage")}, exitFailure},
+		{"run", "small run", []string{"-model", ct, "-nodes", "4", "-iterations", "1"}, exitOK},
 
-		{"twin", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"twin", "missing model", nil, cli.ExitUsage},
-		{"twin", "bad iterations", []string{"-model", "x.sage", "-iterations", "0"}, cli.ExitUsage},
-		{"twin", "bad seeds", []string{"-validate", "-seeds", "0"}, cli.ExitUsage},
-		{"twin", "missing model file", []string{"-model", "does-not-exist.sage"}, cli.ExitFailure},
-		{"twin", "validate ok", []string{"-validate", "-seeds", "24", "-quick"}, cli.ExitOK},
+		{"serve", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"serve", "empty addr", []string{"-addr", ""}, exitUsage},
+		{"serve", "unlistenable addr", []string{"-addr", "256.256.256.256:1"}, exitFailure},
 
-		{"viz", "bad flag", []string{"-definitely-not-a-flag"}, cli.ExitUsage},
-		{"viz", "missing -trace", nil, cli.ExitUsage},
-		{"viz", "missing trace file", []string{"-trace", missing("t.json")}, cli.ExitFailure},
+		{"stream", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"stream", "no scenario argument", nil, exitUsage},
+		{"stream", "conflicting modes", []string{"-compare", "-check", goldenScenario}, exitUsage},
+		{"stream", "orphan require-improved", []string{"-require-improved", goldenScenario}, exitUsage},
+		{"stream", "missing scenario file", []string{missing("s.json")}, exitFailure},
+		{"stream", "good run", []string{goldenScenario}, exitOK},
+
+		{"twin", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"twin", "missing model", nil, exitUsage},
+		{"twin", "bad iterations", []string{"-model", "x.sage", "-iterations", "0"}, exitUsage},
+		{"twin", "bad seeds", []string{"-validate", "-seeds", "0"}, exitUsage},
+		{"twin", "missing model file", []string{"-model", "does-not-exist.sage"}, exitFailure},
+		{"twin", "validate ok", []string{"-validate", "-seeds", "24", "-quick"}, exitOK},
+
+		{"viz", "bad flag", []string{"-definitely-not-a-flag"}, exitUsage},
+		{"viz", "missing -trace", nil, exitUsage},
+		{"viz", "missing trace file", []string{"-trace", missing("t.json")}, exitFailure},
 	}
 	check := func(tc row) func(*testing.T) {
 		return func(t *testing.T) {
@@ -176,5 +186,66 @@ func TestExitCodes(t *testing.T) {
 				t.Run(tc.name, check(tc))
 			}
 		})
+	}
+}
+
+func TestExitCodeOfError(t *testing.T) {
+	wrapped := fmt.Errorf("context: %w", usagef("missing -model"))
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"nil", nil, exitOK},
+		{"plain", errors.New("boom"), exitFailure},
+		{"usage", usagef("bad -n %d", 3), exitUsage},
+		{"wrapped-usage", wrapped, exitUsage},
+		{"sentinel", errUsage, exitUsage},
+		{"flags", errFlags, exitUsage},
+	}
+	for _, c := range cases {
+		if got := exitCode(c.err); got != c.want {
+			t.Errorf("%s: exitCode(%v) = %d, want %d", c.name, c.err, got, c.want)
+		}
+	}
+}
+
+func TestUsagefMessage(t *testing.T) {
+	err := usagef("bad -seed-range %q", "x")
+	if !errors.Is(err, errUsage) {
+		t.Fatal("usagef error not recognized")
+	}
+	if want := `bad -seed-range "x"`; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("message = %q, want prefix %q", err.Error(), want)
+	}
+}
+
+func TestParseRange(t *testing.T) {
+	cases := []struct {
+		in       string
+		from, to int64
+		ok       bool
+	}{
+		{"0:200", 0, 200, true},
+		{"5:5", 5, 5, true},
+		{" 3 : 9 ", 3, 9, true},
+		{"-4:4", -4, 4, true},
+		{"9:3", 0, 0, false},
+		{"12", 0, 0, false},
+		{"a:b", 0, 0, false},
+		{"", 0, 0, false},
+	}
+	for _, tc := range cases {
+		from, to, err := parseRange(tc.in)
+		if tc.ok && (err != nil || from != tc.from || to != tc.to) {
+			t.Errorf("parseRange(%q) = %d, %d, %v; want %d, %d", tc.in, from, to, err, tc.from, tc.to)
+		}
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("parseRange(%q) accepted, want error", tc.in)
+			} else if !errors.Is(err, errUsage) {
+				t.Errorf("parseRange(%q) error is not a usage error: %v", tc.in, err)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/gluegen"
 )
 
@@ -32,7 +31,7 @@ func cmdGluegen(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	if d.model == "" || d.mapping == "" {
-		return cli.Usagef("-model and -mapping are required")
+		return usagef("-model and -mapping are required")
 	}
 	l, err := d.load()
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/sagert"
 	"repro/internal/trace"
 	"repro/internal/viz"
@@ -38,7 +37,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if d.model == "" && d.tables == "" {
-		return cli.Usagef("pass -model or -tables")
+		return usagef("pass -model or -tables")
 	}
 	l, err := d.load()
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/stream"
 )
@@ -38,13 +37,13 @@ func cmdStream(args []string, stdout, stderr io.Writer) error {
 	}
 	switch {
 	case fs.NArg() != 1:
-		return cli.Usagef("want one scenario file: sage stream [-compare [-require-improved] | -replay] [-json] [-parallel N] file.json")
+		return usagef("want one scenario file: sage stream [-compare [-require-improved] | -replay] [-json] [-parallel N] file.json")
 	case *compare && *replay:
-		return cli.Usagef("-compare and -replay are mutually exclusive")
+		return usagef("-compare and -replay are mutually exclusive")
 	case *requireImproved && !*compare:
-		return cli.Usagef("-require-improved only applies with -compare")
+		return usagef("-require-improved only applies with -compare")
 	case *parallel < 1:
-		return cli.Usagef("-parallel must be >= 1 (got %d)", *parallel)
+		return usagef("-parallel must be >= 1 (got %d)", *parallel)
 	}
 	path := fs.Arg(0)
 	f, err := os.Open(path)

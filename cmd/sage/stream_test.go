@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cli"
 	"repro/internal/stream"
 )
 
@@ -120,7 +119,7 @@ func TestModeConflictsAreUsageErrors(t *testing.T) {
 	}
 	for _, args := range bad {
 		err := cmdStream(append(args, goldenScenario), io.Discard, io.Discard)
-		if cli.ExitCode(err) != cli.ExitUsage {
+		if exitCode(err) != exitUsage {
 			t.Errorf("flags %q: err = %v, want a usage error", args, err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/gluegen"
 	"repro/internal/sagert"
 	"repro/internal/sim"
@@ -53,9 +52,9 @@ func cmdTwin(args []string, stdout, stderr io.Writer) error {
 	case *doValidate:
 		return runValidate(stdout, validate.Config{SeedStart: *seedStart, Seeds: *seeds, Quick: *quick, Parallelism: *parallel})
 	case d.model == "":
-		return cli.Usagef("-model is required (or use -validate)")
+		return usagef("-model is required (or use -validate)")
 	case o.iterations < 1:
-		return cli.Usagef("-iterations must be >= 1")
+		return usagef("-iterations must be >= 1")
 	case *sweep != "":
 		return runSweep(stdout, d, o, *sweep)
 	}
@@ -115,13 +114,13 @@ func (o twinOptions) runDES(l *loaded, tables *gluegen.Tables) (*sagert.Result, 
 // runSweep forecasts each node count of sweep on its spread mapping.
 func runSweep(w io.Writer, d *design, o twinOptions, sweep string) error {
 	if d.mapping != "" {
-		return cli.Usagef("-sweep derives a spread mapping per point; drop -mapping")
+		return usagef("-sweep derives a spread mapping per point; drop -mapping")
 	}
 	var counts []int
 	for _, part := range strings.Split(sweep, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return cli.Usagef("bad -sweep entry %q", part)
+			return usagef("bad -sweep entry %q", part)
 		}
 		counts = append(counts, n)
 	}
@@ -152,7 +151,7 @@ func runSweep(w io.Writer, d *design, o twinOptions, sweep string) error {
 
 func runValidate(w io.Writer, cfg validate.Config) error {
 	if cfg.Seeds < 1 {
-		return cli.Usagef("-seeds must be >= 1")
+		return usagef("-seeds must be >= 1")
 	}
 	rep, err := validate.Validate(cfg)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/trace"
 	"repro/internal/viz"
 )
@@ -25,7 +24,7 @@ func cmdViz(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *traceFile == "" {
-		return cli.Usagef("-trace is required")
+		return usagef("-trace is required")
 	}
 	data, err := os.ReadFile(*traceFile)
 	if err != nil {

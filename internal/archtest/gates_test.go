@@ -345,7 +345,7 @@ func hasKind(lit *ast.CompositeLit, name string) bool {
 	return false
 }
 
-// TestDaemonMovesNoSamples: sage-serve carries no samples (DESIGN.md §9). No
+// TestDaemonMovesNoSamples: sage serve carries no samples (DESIGN.md §9). No
 // non-test file of internal/serve selects an Output or Outputs, it refers to
 // sagert.Run exactly once, and that call's options set ComputeIterations to
 // sagert.NoSamples — wherever the options are built, nothing else sets it.
@@ -839,8 +839,8 @@ var goAllowed = []goAllowance{
 	{"internal/sagert/samples.go", "sample tasks beside the kernel's step"},
 	{"internal/codegen/rtl/", "the generated program's one goroutine per SAGE thread"},
 	{"internal/serve/serve.go", "the daemon's long-lived worker fleet"},
-	{"cmd/sage-serve/", "the daemon's listener"},
-	{"cmd/sage-load/", "the load generator's concurrent clients"},
+	{"cmd/sage/serve.go", "the daemon's listener"},
+	{"cmd/sage/load.go", "the load generator's concurrent clients"},
 	{"benchmark/", "the repo benchmark's closed-loop clients"},
 }
 

@@ -390,13 +390,6 @@ func (e *Evaluator) MappingFromAssign(assign []int) (*model.Mapping, error) {
 	return e.mappingFromGenome(assign), nil
 }
 
-// AssignFromMapping flattens a mapping (which must be valid for the app)
-// into the GA's genome layout.
-func (e *Evaluator) AssignFromMapping(m *model.Mapping) ([]int, error) {
-	g, err := e.genomeFromMapping(m)
-	return g, err
-}
-
 // Evaluate prices a mapping.
 func (e *Evaluator) Evaluate(m *model.Mapping, w Weights) (Cost, error) {
 	g, err := e.genomeFromMapping(m)

@@ -27,7 +27,7 @@ type GAConfig struct {
 	Weights     Weights
 	// Fitness, when non-nil, replaces the memoized DES-calibrated cost model
 	// as the scoring function: each genome (a thread->node assignment in
-	// function-table order, threads ascending — see AssignFromMapping) is
+	// function-table order, threads ascending — see MappingFromAssign) is
 	// priced by Fitness alone. Fitness must be pure and safe for concurrent
 	// calls; the search trajectory stays deterministic at any Parallelism.
 	Fitness func(assign []int) float64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/pool"
@@ -193,16 +192,4 @@ func (rep *Report) OK() bool {
 		return true
 	}
 	return rep.Failed == 0
-}
-
-// FailedSeeds lists the seeds that misbehaved, ascending.
-func (rep *Report) FailedSeeds() []int64 {
-	var out []int64
-	for i := range rep.Seeds {
-		if rep.Seeds[i].Failed() {
-			out = append(out, rep.Seeds[i].Seed)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -59,9 +59,6 @@ type BufferEntry struct {
 	Transfers []Transfer
 }
 
-// TotalBytes is the buffer's full data-set size before striding.
-func (b *BufferEntry) TotalBytes() int { return b.Rows * b.Cols * b.ElemBytes }
-
 // PortEntry is a port of a function-table entry, with the logical buffers it
 // feeds (outputs) or reads (inputs, exactly one).
 type PortEntry struct {

@@ -31,7 +31,7 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // once published. (The cache is an implementation detail; clear with
 // ResetTwiddleCache in memory-sensitive tests.)
 //
-// The cache is bounded: a long-lived process (the sage-serve daemon) sees an
+// The cache is bounded: a long-lived process (the sage serve daemon) sees an
 // unbounded variety of transform sizes over its lifetime, and an uncapped
 // per-size map is a slow memory leak. When the cached tables exceed
 // twiddleCacheMaxElems complex values, the least-recently-used sizes are

@@ -136,7 +136,7 @@ type Options struct {
 	// halts, and Run returns ErrCanceled instead of a result. The deferred
 	// Kernel.Shutdown then releases every parked process goroutine, so a
 	// canceled run leaks nothing and a fresh kernel afterwards produces
-	// byte-identical results — the mid-run-abort contract the sage-serve
+	// byte-identical results — the mid-run-abort contract the sage serve
 	// daemon's per-request deadlines rely on. Polling happens outside
 	// virtual time, so arming cancellation changes no reported measurement,
 	// not even Result.Dispatches.

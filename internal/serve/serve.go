@@ -391,7 +391,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(s.Stats())
 }
 
-// Stats snapshots the daemon's counters (also used by tests and sage-load).
+// Stats snapshots the daemon's counters (also used by tests and sage load).
 func (s *Server) Stats() Stats {
 	entries, hits, misses, evictions := s.cache.counters()
 	depths := make([]int64, len(s.workerDepths))

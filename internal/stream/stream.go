@@ -90,7 +90,7 @@ type RemapConfig struct {
 	SpeedPenalty float64
 	// Population and Generations size the GA re-plan (defaults 32 and 40 —
 	// the controller runs mid-stream, so the budget is the interactive one
-	// sage-serve uses, not the offline AToT default).
+	// sage serve uses, not the offline AToT default).
 	Population, Generations int
 	// GASeed seeds the re-plan search (default 1).
 	GASeed int64
