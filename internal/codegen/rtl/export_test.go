@@ -143,8 +143,10 @@ func ReceivesOutsideReaders(p *Program) (checked, bySink, byOthers int, bad []st
 				sink = fn
 				at := int((r.at - uintptr(unsafe.Pointer(&m.Data[0]))) / unsafe.Sizeof(m.Data[0]))
 				sample := model.Region{R0: at / m.Cols, C0: at % m.Cols, Rows: 1, Cols: 1}
+				// A thread that finds its payload at its place in its own
+				// storage (a second storage) reads the storage that holds it.
 				for o, res := range e.results {
-					if res != nil && res.Fn == fn && p.Threads[o].Outs[0].Region.Intersect(sample) == sample {
+					if res != nil && res.Fn == fn && o != r.thread && p.Threads[o].Outs[0].Region.Intersect(sample) == sample {
 						owner = o
 					}
 				}

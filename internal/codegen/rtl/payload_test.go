@@ -17,6 +17,7 @@ import (
 	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/platforms"
 )
 
@@ -74,14 +75,15 @@ func viewsAcrossGOMAXPROCS(t *testing.T, name string) {
 
 // TestAllocCeilingExecute pins what an fft2d 256 on 8 threads costs the
 // real-execution runtime. One more iteration once its storage is warm costs
-// that iteration's result matrix, so 1.25 is the bar. The source writes its
-// block into the result (funclib.ResultBacked), where fft_rows transforms the
-// row stripes it adopts; the blocks fft_cols assembles its tiles into (and
-// transforms in place) are the layout's, Slots of them for the whole run,
-// reused by iteration number. So a whole run of I iterations holds I + Slots
-// matrices, and 10 % more is the bar; a storage for the source's blocks
-// fails it. Sends (the producer's block itself), whole-partition receives
-// (the block or a view of it), in-place computes and the sink add none.
+// that iteration's result matrix, so 1.25 is the bar. A whole run of I
+// iterations holds what the plan's layouts (plan.Layouts) say it does: I
+// result matrices, and min(Slots, I) blocks of every storage; 5 % more is
+// the bar. Today that is I matrices and no storage at all: the source writes
+// its block into the result (funclib.ResultBacked), where fft_rows
+// transforms the row stripes it adopts and fft_cols its column stripes, on
+// the tiles it finds there. Sends (the producer's block itself),
+// whole-partition receives (the block or a view of it), in-place computes
+// and the sink add nothing.
 func TestAllocCeilingExecute(t *testing.T) {
 	const n = 256
 	gen, err := experiments.GenerateTables(experiments.AppFFT2D, platforms.CSPI(), 8, n)
@@ -101,17 +103,45 @@ func TestAllocCeilingExecute(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	// planned is what the layouts say a run of iters iterations holds.
+	planned := func(iters int) uint64 {
+		xp, err := plan.Build(gen.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const sample = 16 // one complex128
+		var b int
+		for _, s := range xp.Sinks {
+			b += iters * s.Rows * s.Cols * sample
+		}
+		blocks := min(rtl.DefaultSlots, iters)
+		for ti, l := range xp.Layouts() {
+			tp := &xp.Threads[ti]
+			for pi, s := range l.Ins {
+				if s != nil {
+					b += blocks * tp.Ins[pi].Region.Elems() * sample
+				}
+			}
+			for pi, s := range l.Outs {
+				if s != nil {
+					b += blocks * tp.Outs[pi].Region.Elems() * sample
+				}
+			}
+		}
+		return uint64(b)
+	}
 	warm := rtl.DefaultSlots // every storage holds all its blocks from here on
 	bytesFor(warm)           // warm one-time state outside the measurement
 	whole := bytesFor(warm + 4)
 	perIter := (whole - bytesFor(warm)) / 4
 	matrix := uint64(n * n * 16)
-	t.Logf("one more iteration allocates %.2f matrices, a run of %d %.2f", float64(perIter)/float64(matrix), warm+4, float64(whole)/float64(matrix))
+	t.Logf("one more iteration allocates %.2f matrices, a run of %d %.2f (the layouts hold %.2f)",
+		float64(perIter)/float64(matrix), warm+4, float64(whole)/float64(matrix), float64(planned(warm+4))/float64(matrix))
 	if perIter > 5*matrix/4 {
 		t.Fatalf("one more iteration allocates %d bytes, more than 1.25 matrices (%d)", perIter, 5*matrix/4)
 	}
-	if bar := uint64(warm+4+rtl.DefaultSlots) * matrix * 11 / 10; whole > bar {
-		t.Fatalf("a run of %d iterations allocates %d bytes, more than (%d + Slots) matrices and 10%% (%d)", warm+4, whole, warm+4, bar)
+	if bar := planned(warm+4) * 105 / 100; whole > bar {
+		t.Fatalf("a run of %d iterations allocates %d bytes, more than its layouts hold and 5%% (%d)", warm+4, whole, bar)
 	}
 }
 
@@ -156,18 +186,18 @@ func reuseCases(t *testing.T, s int) (cases []*conformance.Case, progs []*rtl.Pr
 	return cases, progs
 }
 
-// TestRecycledBlocksMatchOracle runs every reuse case with each recycled
-// block that the plan does not clear filled with NaN first: a transfer
-// set the plan wrongly believes covers its partition, or a block reused
-// while a reader still needs it, changes a sink bit. Every iteration must
-// equal the sequential oracle bitwise. Every case that still has a storage
-// must have recycled a block — the corpus draws only 1–3 iterations, where
-// reuse need never run — and some case must; a case whose every buffer lies
-// in a result (a source feeding its sink) has none. Some recycled block must
-// have skipped its clearing.
+// TestRecycledBlocksMatchOracle runs every reuse case, at Slots 1, 2 and 3,
+// with each recycled block that the plan does not clear filled with NaN
+// first: a transfer set the plan wrongly believes covers its partition, or a
+// block reused while a reader still needs it, changes a sink bit. Every
+// iteration must equal the sequential oracle bitwise. Every case that still
+// has a storage must have recycled a block — the corpus draws only 1–3
+// iterations, where reuse need never run — and some case must; a case whose
+// every buffer lies in a result (a source feeding its sink) has none. Some
+// recycled block must have skipped its clearing.
 func TestRecycledBlocksMatchOracle(t *testing.T) {
 	var poisoned, withStorage int64
-	for _, s := range []int{1, 2} {
+	for _, s := range []int{1, 2, 3} {
 		cases, progs := reuseCases(t, s)
 		for i, prog := range progs {
 			c := cases[i]

@@ -244,11 +244,15 @@ func (p *Program) validateStorage(from []*Port, to []int) error {
 			return fail("lands transposed, but is no Transposes kind from a region to its transpose")
 		case hosted && p.host(t) < 0:
 			return fail("result host %q is no sink_matrix function", t.Result)
-		case hosted: // the storage lies densely in the result's rows (funclib.ResultView)
+		case hosted: // the storage is a view of the result (funclib.ResultView)
 			h := &p.Threads[p.host(t)]
 			whole := model.Region{Rows: h.SinkRows, Cols: h.SinkCols}
-			if len(t.Outs) != 1 || t.Outs[0].Region.Intersect(whole) != t.Outs[0].Region || !funclib.ContiguousIn(t.Outs[0].Region, whole) {
-				return fail("no one output partition spans the full width of sink %s's %dx%d result", h.Fn, h.SinkRows, h.SinkCols)
+			if len(t.Outs) != 1 || t.Outs[0].Region.Intersect(whole) != t.Outs[0].Region {
+				return fail("no one output partition lies in sink %s's %dx%d result", h.Fn, h.SinkRows, h.SinkCols)
+			}
+			if !funclib.ContiguousIn(t.Outs[0].Region, whole) && !im.Strided {
+				return fail("partition %v is a pitched view of sink %s's %dx%d result, but kind %s computes on dense blocks only",
+					t.Outs[0].Region, h.Fn, h.SinkRows, h.SinkCols, t.Kind)
 			}
 		}
 		// port checks the storage of port pp, whose blocks the lanes of sends

@@ -450,7 +450,8 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"in-place-regions", func(p *Program) { uncovered(p).Threads[1].Outs[0].Region = reg(0, 0, 2, 4) }, "computes in place"},
 		{"transposes", func(p *Program) { p.Threads[0].Transposes = true }, "lands transposed"},
 		{"host-kind", func(p *Program) { p.Threads[0].Result = "src" }, `result host "src" is no sink_matrix function`},
-		{"host-width", func(p *Program) { p.Threads[1].SinkCols = 8 }, "spans the full width of sink snk's 4x8 result"},
+		{"host-width", func(p *Program) { p.Threads[1].SinkCols = 8 }, "is a pitched view of sink snk's 4x8 result, but kind source_matrix computes on dense blocks only"},
+		{"host-rows", func(p *Program) { p.Threads[1].SinkRows = 2 }, "no one output partition lies in sink snk's 2x4 result"},
 		{"bare-input-part", func(p *Program) {
 			uncovered(p).Threads[0].Outs[0].Xfers[0].Region = reg(0, 0, 2, 4)
 			p.Threads[1].Ins[0].Xfers[0].Region = reg(0, 0, 2, 4)
@@ -476,6 +477,72 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// stripesProgram is a source whose block lies in the sink's result, sending
+// each of two threads of kind a 4x2 column stripe of it, which each computes
+// in place as its own storage in the result — a view pitched by the result's
+// width — and sends on to the sink.
+func stripesProgram(kind string) *Program {
+	left, right := reg(0, 0, 4, 2), reg(0, 2, 4, 2)
+	stripe := func(th int, r model.Region) Thread {
+		return Thread{Fn: "cols", Kind: kind, Thread: th, Threads: 2, InPlace: true, Result: "snk",
+			Ins:  []Port{{Name: "in", Region: r, Xfers: []Xfer{{Conn: th, Region: r}}}},
+			Outs: []Port{{Name: "out", Region: r, Xfers: []Xfer{{Conn: 2 + th, Region: r}}}}}
+	}
+	return &Program{
+		App: "stripes", Iterations: 2, Slots: 2,
+		Threads: []Thread{
+			{Fn: "src", Kind: "source_matrix", Thread: 0, Threads: 1,
+				Params: map[string]any{"seed": 3}, Result: "snk",
+				Outs: []Port{{Name: "out", Region: whole(4, 4), Xfers: []Xfer{{Conn: 0, Region: left}, {Conn: 1, Region: right}}}}},
+			stripe(0, left), stripe(1, right),
+			{Fn: "snk", Kind: "sink_matrix", Thread: 0, Threads: 1, SinkRows: 4, SinkCols: 4,
+				Ins: []Port{{Name: "in", Region: whole(4, 4), Xfers: []Xfer{{Conn: 2, Region: left}, {Conn: 3, Region: right}}}}},
+		},
+		Conns: []Conn{
+			{Buf: 0, SrcFn: "src", SrcThread: 0, DstFn: "cols", DstThread: 0},
+			{Buf: 0, SrcFn: "src", SrcThread: 0, DstFn: "cols", DstThread: 1},
+			{Buf: 1, SrcFn: "cols", SrcThread: 0, DstFn: "snk", DstThread: 0},
+			{Buf: 1, SrcFn: "cols", SrcThread: 1, DstFn: "snk", DstThread: 0},
+		},
+	}
+}
+
+// TestPitchedHostNeedsStridedKind: a storage narrower than its result is a
+// pitched view of it, which only a kind that computes through its blocks'
+// strides may be handed. fft_rows on a column stripe is refused; fft_cols is
+// run, and each iteration's result is bit for bit the source's stripes each
+// transformed dense.
+func TestPitchedHostNeedsStridedKind(t *testing.T) {
+	err := stripesProgram("fft_rows").Validate()
+	if want := "cols[0]: partition 4x2@(0,0) is a pitched view of sink snk's 4x4 result, but kind fft_rows computes on dense blocks only"; err == nil || err.Error() != "rtl: "+want {
+		t.Fatalf("fft_rows on a column stripe of the result: err = %v, want %q", err, want)
+	}
+	p := stripesProgram("fft_cols")
+	res, err := Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iter := range p.Iterations {
+		src := sourceMatrix(3, iter, 4, 4)
+		want := isspl.NewMatrix(4, 4)
+		for c0 := 0; c0 < 4; c0 += 2 {
+			stripe := make([]complex128, 8)
+			for r := range 4 {
+				copy(stripe[2*r:2*r+2], src.Data[4*r+c0:4*r+c0+2])
+			}
+			if err := isspl.FFTCols(stripe, 4, 2, 2); err != nil {
+				t.Fatal(err)
+			}
+			for r := range 4 {
+				copy(want.Data[4*r+c0:4*r+c0+2], stripe[2*r:2*r+2])
+			}
+		}
+		if got := res.Iters[iter]["snk"]; !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("iteration %d: result %v, want %v", iter, got.Data, want.Data)
+		}
 	}
 }
 

@@ -172,6 +172,12 @@ type Impl struct {
 	// payloads landed there are the output already, and Compute has nothing
 	// left to do.
 	Transposes bool
+	// Strided marks a kind whose Compute reads and writes each block through
+	// its strides rather than as a dense slice, so that a runtime may hand it
+	// as its storage a pitched view — a region of a wider block, as of a
+	// result matrix (ResultBacked) — where it computes what it would on a
+	// dense copy, bit for bit.
+	Strided bool
 	// Cost prices that Compute call on the abstract machine; it takes the
 	// blocks in Compute's order.
 	Cost func(ctx *Context, in, out []*Block) Cost

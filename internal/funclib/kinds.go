@@ -257,11 +257,13 @@ func init() {
 				return fmt.Errorf("funclib: %s: fft_cols regions differ: %v vs %v", ctx.FuncName, ib.Region, ob.Region)
 			}
 			if ob != ib {
-				copy(ob.Data, ib.Data)
+				CopyRegion(ob, ib, ib.Region)
 			}
-			return isspl.FFTCols(ob.Data, ob.Region.Rows, ob.Region.Cols)
+			rs, _ := ob.strides()
+			return isspl.FFTCols(ob.Data, ob.Region.Rows, ob.Region.Cols, rs)
 		},
 		InPlace: true,
+		Strided: true,
 		Cost: func(ctx *Context, in, out []*Block) Cost {
 			r := in[0].Region
 			return Cost{

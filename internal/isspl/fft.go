@@ -345,18 +345,28 @@ func (p *fftPlan) forward(x []complex128) {
 	}
 }
 
-// FFTCols transforms every column of a rows x cols row-major matrix in place.
-// rows must be a power of two. It runs one column's radix-2 schedule on all
-// columns at once: the bit-reversal swaps whole rows and every butterfly
-// combines a pair of rows under one twiddle, so the inner index is
-// unit-stride while each sample sees the operations a transform of its
-// column alone would apply to it, in the same order — the results are
-// bitwise those of the strided single-column transform the tests keep.
-func FFTCols(data []complex128, rows, cols int) error {
-	if len(data) != rows*cols {
-		return fmt.Errorf("isspl: FFTCols data length %d != %d x %d", len(data), rows, cols)
+// FFTCols transforms every column of a rows x cols row-major matrix in place,
+// whose row i starts at data[i*pitch]: pitch is cols for a dense matrix and
+// the wider matrix's width for a column stripe of one, and data ends at the
+// last sample of the last row. rows must be a power of two. It runs one
+// column's radix-2 schedule on all columns at once: the bit-reversal swaps
+// whole rows and every butterfly combines a pair of rows under one twiddle,
+// so the inner index is unit-stride while each sample sees the operations a
+// transform of its column alone would apply to it, in the same order — the
+// results are bitwise those of the strided single-column transform the tests
+// keep, at any pitch.
+func FFTCols(data []complex128, rows, cols, pitch int) error {
+	if rows < 0 || cols < 0 || pitch < cols {
+		return fmt.Errorf("isspl: FFTCols shape %d x %d, pitch %d", rows, cols, pitch)
 	}
-	if len(data) == 0 {
+	n := 0
+	if rows > 0 && cols > 0 {
+		n = (rows-1)*pitch + cols
+	}
+	if len(data) != n {
+		return fmt.Errorf("isspl: FFTCols data length %d != %d rows of %d at pitch %d", len(data), rows, cols, pitch)
+	}
+	if n == 0 {
 		return nil
 	}
 	if !IsPow2(rows) {
@@ -365,7 +375,7 @@ func FFTCols(data []complex128, rows, cols int) error {
 	if rows == 1 {
 		return nil
 	}
-	row := func(i int) []complex128 { return data[i*cols : (i+1)*cols] }
+	row := func(i int) []complex128 { return data[i*pitch : i*pitch+cols] }
 	shift := 64 - uint(bits.TrailingZeros(uint(rows)))
 	for i := 1; i < rows; i++ {
 		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {

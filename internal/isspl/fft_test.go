@@ -283,26 +283,57 @@ func colsByStrided(data []complex128, rows, cols int) error {
 // TestFFTColsMatchesStrided holds the row-sweep column FFT to FFTStrided bit
 // for bit — not within a tolerance: the sweep re-orders the loop nest, never
 // the arithmetic on a sample, so signed zeros, infinities, NaNs and
-// subnormals must come out the same too.
+// subnormals must come out the same too. It sweeps the matrix dense (pitch
+// cols) and as a column stripe of a wider one: one sample wider, and eight
+// times as wide — a 64-wide stripe of a 512-wide result, whose rows alias in
+// the cache. The samples between the stripe's rows are left as they were.
 func TestFFTColsMatchesStrided(t *testing.T) {
 	for rows := 1; rows <= 1024; rows <<= 1 {
 		for _, cols := range []int{1, 3, 64} {
-			for _, special := range []bool{false, true} {
-				want := bitPatternInput(rows*cols, int64(rows*100+cols), special)
-				got := append([]complex128(nil), want...)
-				if err := colsByStrided(want, rows, cols); err != nil {
-					t.Fatal(err)
-				}
-				if err := FFTCols(got, rows, cols); err != nil {
-					t.Fatal(err)
-				}
-				if i := firstBitDiff(got, want, false); i >= 0 {
-					t.Fatalf("%dx%d (special values %v): sample %d is %x, FFTStrided gives %x",
-						rows, cols, special, i, got[i], want[i])
+			for _, pitch := range []int{cols, cols + 1, 8 * cols} {
+				for _, special := range []bool{false, true} {
+					want := bitPatternInput(rows*cols, int64(rows*100+cols), special)
+					if err := colsByStrided(want, rows, cols); err != nil {
+						t.Fatal(err)
+					}
+					// The stripe's rows start pitch apart; the gaps hold a
+					// NaN payload no transform produces.
+					gap := complex(math.Float64frombits(0x7ff8feed00000000), 0)
+					got := make([]complex128, (rows-1)*pitch+cols)
+					for i := range got {
+						got[i] = gap
+					}
+					in := bitPatternInput(rows*cols, int64(rows*100+cols), special)
+					for r := range rows {
+						copy(got[r*pitch:r*pitch+cols], in[r*cols:(r+1)*cols])
+					}
+					if err := FFTCols(got, rows, cols, pitch); err != nil {
+						t.Fatal(err)
+					}
+					for r := range rows {
+						if i := firstBitDiff(got[r*pitch:r*pitch+cols], want[r*cols:(r+1)*cols], false); i >= 0 {
+							t.Fatalf("%dx%d pitch %d (special values %v): sample (%d, %d) is %x, FFTStrided gives %x",
+								rows, cols, pitch, special, r, i, got[r*pitch+i], want[r*cols+i])
+						}
+						if r+1 < rows {
+							if i := firstBitDiff(got[r*pitch+cols:(r+1)*pitch], gaps(pitch-cols, gap), false); i >= 0 {
+								t.Fatalf("%dx%d pitch %d: the gap after row %d changed at %d", rows, cols, pitch, r, i)
+							}
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// gaps returns n copies of v.
+func gaps(n int, v complex128) []complex128 {
+	g := make([]complex128, n)
+	for i := range g {
+		g[i] = v
+	}
+	return g
 }
 
 // bitPatternInput returns n random samples; with special set, every eleventh
@@ -408,40 +439,60 @@ func TestFFTRowsErrors(t *testing.T) {
 
 func TestFFTColsErrors(t *testing.T) {
 	data := make([]complex128, 24)
-	if err := FFTCols(data, 12, 2); err == nil {
+	if err := FFTCols(data, 12, 2, 2); err == nil {
 		t.Error("non-pow2 column length accepted")
 	}
-	if err := FFTCols(data, 8, 2); err == nil {
+	if err := FFTCols(data, 8, 2, 2); err == nil {
 		t.Error("rows*cols != len(data) accepted")
 	}
-	if err := FFTCols(data[:16], 4, -4); err == nil {
+	if err := FFTCols(data[:16], 4, -4, -4); err == nil {
 		t.Error("negative shape accepted")
 	}
-	if err := FFTCols(nil, 0, 0); err != nil {
+	if err := FFTCols(data[:10], 4, 4, 2); err == nil {
+		t.Error("pitch below the row length accepted")
+	}
+	if err := FFTCols(data[:20], 4, 2, 6); err != nil {
+		t.Errorf("4 rows of 2 at pitch 6: %v", err)
+	}
+	if err := FFTCols(data, 4, 2, 6); err == nil {
+		t.Error("data past the last row's samples accepted")
+	}
+	if err := FFTCols(nil, 0, 0, 0); err != nil {
 		t.Errorf("empty matrix: %v", err)
 	}
-	if err := FFTCols(nil, 3, 0); err != nil { // no columns: nothing to transform, as with FFTStrided
+	if err := FFTCols(nil, 3, 0, 0); err != nil { // no columns: nothing to transform, as with FFTStrided
 		t.Errorf("zero columns: %v", err)
 	}
 	one := []complex128{1, 2, 3}
-	if err := FFTCols(one, 1, 3); err != nil || one[0] != 1 || one[1] != 2 || one[2] != 3 {
+	if err := FFTCols(one, 1, 3, 3); err != nil || one[0] != 1 || one[1] != 2 || one[2] != 3 {
 		t.Errorf("single row: %v %v", err, one)
 	}
 }
 
 func BenchmarkFFTCols(b *testing.B) {
-	// The fft_cols block of an fft2d 512 on 8 threads.
-	const rows, cols = 512, 64
+	// The fft_cols block of an fft2d 512 on 8 threads: dense, and in place as
+	// a column stripe of the 512-wide result.
+	const rows, cols, wide = 512, 64, 512
 	src := randComplex(rows*cols, 1)
-	data := make([]complex128, len(src))
+	dense := make([]complex128, len(src))
+	result := make([]complex128, rows*wide)
+	stripe := result[:(rows-1)*wide+cols]
 	for _, bc := range []struct {
 		name string
-		fn   func([]complex128, int, int) error
-	}{{"strided", colsByStrided}, {"sweep", FFTCols}} {
+		fn   func() error
+	}{
+		{"strided", func() error { copy(dense, src); return colsByStrided(dense, rows, cols) }},
+		{"sweep", func() error { copy(dense, src); return FFTCols(dense, rows, cols, cols) }},
+		{"pitched", func() error {
+			for r := range rows {
+				copy(stripe[r*wide:r*wide+cols], src[r*cols:(r+1)*cols])
+			}
+			return FFTCols(stripe, rows, cols, wide)
+		}},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				copy(data, src)
-				if err := bc.fn(data, rows, cols); err != nil {
+				if err := bc.fn(); err != nil {
 					b.Fatal(err)
 				}
 			}

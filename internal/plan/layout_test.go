@@ -1,10 +1,13 @@
 package plan_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/conformance"
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/plan"
@@ -57,20 +60,22 @@ func TestUncoveredResultHostsNothing(t *testing.T) {
 
 // TestLayoutsOfTheBenchmarkShapes pins the storages of the two shapes the
 // benchmark executes, 512² on eight threads. fft2d: the result holds the
-// source's block, fft_rows transforms its row stripes where they lie, and
-// fft_cols assembles its tiles in a storage per thread, which its tiles
-// cover (no clearing) and which the sink reads. The corner turn: turn lands
-// its tiles transposed in the result, so the source's block is the one
-// storage, read by every ingest thread that forwards a view of it and every
-// turn thread.
+// source's block, fft_rows transforms its row stripes where they lie and
+// sends its tiles from there, so fft_cols finds them at their places in its
+// column stripe of the result and transforms them there, through the
+// result's pitch: no port has a storage. The corner turn: turn lands its
+// tiles transposed in the result, so the source's block is the one storage,
+// read by every ingest thread that forwards a view of it and every turn
+// thread.
 func TestLayoutsOfTheBenchmarkShapes(t *testing.T) {
 	for _, tc := range []struct {
-		build          func(n, threads int) (*model.App, error)
-		hosted, stored string                    // the function whose storage lies in the result, the one that has storages
-		storage        func(ti int) plan.Storage // thread ti's
+		build   func(n, threads int) (*model.App, error)
+		hosted  []string                  // the functions whose storage lies in the result
+		stored  string                    // the one that has storages
+		storage func(ti int) plan.Storage // thread ti's
 	}{
-		{apps.FFT2D, "source", "fft_cols", func(ti int) plan.Storage { return plan.Storage{Readers: []int32{int32(ti), 17}} }},
-		{apps.CornerTurn, "turn", "source", func(int) plan.Storage {
+		{apps.FFT2D, []string{"source", "fft_cols"}, "", nil},
+		{apps.CornerTurn, []string{"turn"}, "source", func(int) plan.Storage {
 			return plan.Storage{Readers: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, Clear: true}
 		}},
 	} {
@@ -89,7 +94,7 @@ func TestLayoutsOfTheBenchmarkShapes(t *testing.T) {
 		storages, want := 0, 0
 		for ti, l := range p.Layouts() {
 			tp := &p.Threads[ti]
-			if hosted := tp.Fn.Name == tc.hosted; hosted != (l.Result == 0) {
+			if hosted := slices.Contains(tc.hosted, tp.Fn.Name); hosted != (l.Result == 0) {
 				t.Errorf("%s: %s[%d] result %d, want hosted %v", app.Name, tp.Fn.Name, tp.Index, l.Result, hosted)
 			}
 			if tp.Fn.Name == tc.stored {
@@ -100,13 +105,141 @@ func TestLayoutsOfTheBenchmarkShapes(t *testing.T) {
 					continue
 				}
 				storages++
-				if w := tc.storage(ti); tp.Fn.Name != tc.stored || !slices.Equal(s.Readers, w.Readers) || s.Clear != w.Clear {
-					t.Errorf("%s: %s[%d] storage %+v, want %s's %+v", app.Name, tp.Fn.Name, tp.Index, *s, tc.stored, w)
+				if tp.Fn.Name != tc.stored {
+					t.Errorf("%s: %s[%d] has storage %+v, want none", app.Name, tp.Fn.Name, tp.Index, *s)
+				} else if w := tc.storage(ti); !slices.Equal(s.Readers, w.Readers) || s.Clear != w.Clear {
+					t.Errorf("%s: %s[%d] storage %+v, want %+v", app.Name, tp.Fn.Name, tp.Index, *s, w)
 				}
 			}
 		}
 		if storages != want {
 			t.Errorf("%s: %d storages, want %d", app.Name, storages, want)
+		}
+	}
+}
+
+// TestSecondStoragesByDefinition holds the second storages Layouts decides
+// (funclib.ResultBacked) to what makes them safe, over the corpus, 64
+// generated graphs, the benchmark's fft2d and a replicated consumer. A
+// second storage is that of an in-place thread u whose every payload comes
+// from a block lying in u's result — a result-backed thread's, or one a
+// thread forwards from such a block. A partition narrower than the result
+// is a pitched view, so u's kind must compute through strides (Strided). And
+// no other thread reads what u overwrites: no lane out of a block lying in
+// the result, to a thread that does not forward it, nor any lane to the
+// sink but u's own, carries a region that overlaps u's partition. A
+// replicated consumer — fft_cols on two threads that each read every column
+// stripe out of fft_rows's blocks — keeps its storages out of the result; the
+// other cases must show second storages, pitched ones among them.
+func TestSecondStoragesByDefinition(t *testing.T) {
+	var ins []input
+	files, err := filepath.Glob("../conformance/testdata/corpus/*.case")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus cases (%v)", err)
+	}
+	for _, f := range files {
+		c, err := conformance.ReadCaseFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, fromCase(t, filepath.Base(f), c))
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		c, err := conformance.Generate(seed, conformance.GenConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, fromCase(t, fmt.Sprintf("seed%d", seed), c))
+	}
+	app, err := apps.FFT2D(512, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.SpreadParallel(app, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins = append(ins, generate(t, "fft512", app, m, platforms.CSPI(), 8))
+	replicated := buildText(t, `app peek
+type m 16 16 complex
+function src source_matrix threads 1
+  out out m rows
+function r fft_rows threads 4
+  in in m rows
+  out out m rows
+function c fft_cols threads 2
+  in in m replicated
+  out out m replicated
+function snk sink_matrix threads 1
+  in in m rows
+arc src.out -> r.in
+arc r.out -> c.in
+arc c.out -> snk.in
+`)
+	seconds, pitched := 0, 0
+	check := func(name string, p *plan.Plan) {
+		ls := p.Layouts()
+		forwards := func(w int32) bool {
+			tp := &p.Threads[w]
+			return tp.InPlace && tp.Ins[0].Adopt && p.Edges[tp.Ins[0].Edges[0]].SrcContig
+		}
+		// lies is the sink whose result holds thread w's block, or -1.
+		lies := func(w int32) int {
+			for range p.Threads {
+				if !forwards(w) {
+					return ls[w].Result
+				}
+				w = p.Edges[p.Threads[w].Ins[0].Edges[0]].Src
+			}
+			return -1
+		}
+		for u := range p.Threads {
+			tp, r := &p.Threads[u], ls[u].Result
+			if r < 0 || !tp.InPlace || forwards(int32(u)) || slices.ContainsFunc(tp.Ins[0].Edges, func(ei int32) bool { return lies(p.Edges[ei].Src) != r }) {
+				continue // not a second storage
+			}
+			seconds++
+			part, sink := tp.Outs[0].Region, &p.Sinks[r]
+			if part.Cols != sink.Cols {
+				pitched++
+				if !tp.Impl.Strided {
+					t.Errorf("%s: %s[%d]: partition %v is a pitched view of a %dx%d result, but kind %s is not Strided",
+						name, tp.Fn.Name, tp.Index, part, sink.Rows, sink.Cols, tp.Fn.Kind)
+				}
+			}
+			for ei := range p.Edges {
+				e := &p.Edges[ei]
+				if int(e.Src) == u || int(e.Dst) == u || e.X.Region.Intersect(part).Empty() {
+					continue
+				}
+				dst := &p.Threads[e.Dst]
+				if lies(e.Src) == r && !forwards(e.Dst) {
+					t.Errorf("%s: %s[%d] overwrites %v of the result, which %s[%d] reads as %v",
+						name, tp.Fn.Name, tp.Index, part, dst.Fn.Name, dst.Index, e.X.Region)
+				}
+				if dst.Fn == sink.Fn {
+					src := &p.Threads[e.Src]
+					t.Errorf("%s: %s[%d] overwrites %v of the result, where %s[%d] sends the sink %v",
+						name, tp.Fn.Name, tp.Index, part, src.Fn.Name, src.Index, e.X.Region)
+				}
+			}
+		}
+	}
+	for _, in := range ins {
+		p, err := plan.Build(in.tables)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		check(in.name, p)
+	}
+	if seconds == 0 || pitched == 0 {
+		t.Fatalf("%d second storages, %d pitched: the cases exercise too little", seconds, pitched)
+	}
+	t.Logf("%d cases: %d second storages, %d of them pitched", len(ins), seconds, pitched)
+	check("replicated consumer", replicated)
+	for ti, l := range replicated.Layouts() {
+		if tp := &replicated.Threads[ti]; tp.Fn.Name != "src" && l.Result >= 0 {
+			t.Errorf("replicated consumer: %s[%d]'s storage lies in the result", tp.Fn.Name, tp.Index)
 		}
 	}
 }

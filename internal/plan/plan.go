@@ -312,6 +312,7 @@ func (p *Plan) Layouts() []Layout {
 	ls, ts := make([]Layout, len(p.Threads)), make([]funclib.ResultThread, len(p.Threads))
 	store, ports, ints := make([]Storage, n), make([]*Storage, n), make([]int32, len(p.Edges)+sets)
 	out, readers := ints[:0:len(p.Edges)], ints[len(p.Edges):len(p.Edges)]
+	sends := make([]model.Region, 0, len(p.Edges))
 	counting = false
 	// From here on k indexes a thread's first output in store and ports,
 	// j its first input.
@@ -321,7 +322,7 @@ func (p *Plan) Layouts() []Layout {
 		start := len(out)
 		for pi := range tp.Outs {
 			for _, ei := range tp.Outs[pi].Edges {
-				out = append(out, p.Edges[ei].Dst)
+				out, sends = append(out, p.Edges[ei].Dst), append(sends, p.Edges[ei].X.Region)
 			}
 			if !forwards(tp) {
 				first := len(readers)
@@ -335,7 +336,9 @@ func (p *Plan) Layouts() []Layout {
 				}
 			}
 		}
-		t.Fn, t.Out = tp.Fn.ID, out[start:]
+		t.Fn, t.Out, t.Sends, t.Forwards = tp.Fn.ID, out[start:], sends[start:], forwards(tp)
+		t.InPlace = tp.InPlace && !t.Forwards && p.covered(tp, &tp.Ins[0])
+		t.Strided = tp.Impl.Strided
 		if len(tp.Outs) == 1 && len(t.Out) > 0 && !forwards(tp) {
 			t.Part, t.Threads, t.Readers = tp.Outs[0].Region, tp.Fn.Threads, store[k].Readers
 		}

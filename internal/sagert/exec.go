@@ -88,7 +88,7 @@ func (r *runner) spawn(k *sim.Kernel) {
 	for ti := range r.plan.Threads {
 		t := &thread{}
 		tp := &r.plan.Threads[ti]
-		p := k.SpawnStep(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), t.step)
+		p := k.SpawnStep(t, t.step)
 		rank := r.world.Attach(tp.Node, p)
 		for pi := range tp.Outs {
 			rank.Reserve(len(tp.Outs[pi].Edges), 0)

@@ -1,8 +1,6 @@
 package sagert
 
 import (
-	"fmt"
-
 	"repro/internal/funclib"
 	"repro/internal/gluegen"
 	"repro/internal/machine"
@@ -45,7 +43,7 @@ func RunInputs(tables *gluegen.Tables, pl machine.Platform, opts Options) (*Resu
 		for ti := range r.plan.Threads {
 			t, tp := &thread{}, &r.plan.Threads[ti]
 			ins[ti] = make([]*funclib.Block, len(tp.Ins))
-			p := k.SpawnStep(fmt.Sprintf("%s.%s[%d]", r.plan.Tables.AppName, tp.Fn.Name, tp.Index), func(p *sim.Proc) bool {
+			p := k.SpawnStep(t, func(p *sim.Proc) bool {
 				more := t.step(p)
 				for pi := range tp.Ins {
 					if b := t.ins[tp.Ins[pi].Pos]; t.iter == 0 && t.compute && b != nil {

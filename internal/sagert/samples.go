@@ -233,8 +233,7 @@ func (w *taskRunner) run(r *runner, task *sampleTask) (err error) {
 	t, tp := task.t, task.t.tp
 	defer func() {
 		if v := recover(); v != nil {
-			p := t.rank.Proc()
-			err = fmt.Errorf("sagert: execution failed: %w", &sim.PanicError{Proc: p.Name(), PID: p.PID(), Value: v})
+			err = fmt.Errorf("sagert: execution failed: %w", &sim.PanicError{Proc: t.Name(), PID: t.rank.Proc().PID(), Value: v})
 		}
 	}()
 	payloads := len(task.edges)

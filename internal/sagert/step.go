@@ -107,6 +107,13 @@ func (t *thread) init(r *runner, ti int, rank *mpi.Rank, blocks []*funclib.Block
 	}
 }
 
+// Name is the thread's process name, "app.function[index]": the tracer, a
+// deadlock report or a panic asks its process for it (sim.Kernel.SpawnStep).
+// It is formatted afresh on every call, so that a sample task may ask too.
+func (t *thread) Name() string {
+	return fmt.Sprintf("%s.%s[%d]", t.r.plan.Tables.AppName, t.tp.Fn.Name, t.tp.Index)
+}
+
 // inResult reports whether this iteration keeps t's storage in its sink's
 // result matrix: t is result-backed (plan.Layout.Result) and the iteration is
 // the last compute iteration, the only one the run collects.

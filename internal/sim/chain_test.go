@@ -362,7 +362,7 @@ func (sc *chainScenario) run(t *testing.T, impl chainImpl) *holdRun {
 			li++
 			name := fmt.Sprintf("d%dp%d", d, i)
 			if impl.stackless {
-				k.SpawnStep(name, func(p *Proc) bool { return cp.step(p, impl) })
+				k.SpawnStep(procName(name), func(p *Proc) bool { return cp.step(p, impl) })
 			} else {
 				k.Spawn(name, func(p *Proc) { cp.body(p, impl) })
 			}

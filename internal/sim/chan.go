@@ -131,7 +131,7 @@ func (c *Chan[T]) wait(p *Proc) {
 // with the hooks a blocked Recv fires when it resumes.
 func (c *Chan[T]) receive(p *Proc, start Time) T {
 	if tr := c.k.tracer; tr != nil && c.k.now > start {
-		tr.Wait(p.pid, p.name, "recv", c.Name(), start, c.k.now, 0)
+		tr.Wait(p.pid, p.Name(), "recv", c.Name(), start, c.k.now, 0)
 	}
 	v := c.ready[0]
 	// Shift rather than reslice forever to keep memory bounded.
@@ -338,7 +338,7 @@ func (r *Resource) AcquireResume(p *Proc) bool {
 		return false
 	}
 	if tr := r.k.tracer; tr != nil && r.k.now > p.since {
-		tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.k.now, p.depth)
+		tr.Wait(p.pid, p.Name(), "acquire", r.Name(), p.since, r.k.now, p.depth)
 	}
 	r.take(p.rw.n)
 	return true
@@ -462,7 +462,7 @@ func (b *Barrier) WaitResume(p *Proc) bool {
 		return false
 	}
 	if tr := k.tracer; tr != nil && k.now > p.since {
-		tr.Wait(p.pid, p.name, "barrier", b.name, p.since, k.now, p.depth)
+		tr.Wait(p.pid, p.Name(), "barrier", b.name, p.since, k.now, p.depth)
 	}
 	return true
 }

@@ -249,11 +249,11 @@ func (p *Proc) holdStep() {
 			return
 		}
 		if tr := r.k.tracer; tr != nil && r.k.now > p.since {
-			tr.Wait(p.pid, p.name, "acquire", r.Name(), p.since, r.k.now, p.depth)
+			tr.Wait(p.pid, p.Name(), "acquire", r.Name(), p.since, r.k.now, p.depth)
 		}
 		p.holdTake(r)
 	default:
-		panic(fmt.Sprintf("sim: sliced-hold step for process %q in state %d", p.name, h.state))
+		panic(fmt.Sprintf("sim: sliced-hold step for process %q in state %d", p.Name(), h.state))
 	}
 }
 

@@ -289,7 +289,10 @@ type Proc struct {
 	k    *Kernel
 	pid  int
 	name string
-	body func(p *Proc)
+	// namer names a stackless process the first time Name is asked
+	// (SpawnStep).
+	namer Namer
+	body  func(p *Proc)
 	// next/stop are the process's coroutine handle, nil until its start
 	// event fires: next resumes it until it parks or ends, stop makes its
 	// park return false. coPark is the coroutine's way back to whoever
@@ -326,16 +329,22 @@ type Proc struct {
 }
 
 // Namer is anything with a name: a blocking primitive (Chan, Resource,
-// Barrier) as the deadlock report sees it, or what names a resource on
-// demand (Resource.Init).
+// Barrier) as the deadlock report sees it, or what names a resource or a
+// stackless process on demand (Resource.Init, Kernel.SpawnStep).
 type Namer interface{ Name() string }
 
 // killSentinel is the panic value that unwinds a process Shutdown stopped
 // from its yield point through the user body; Proc.main recovers it.
 type killSentinel struct{}
 
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn time, or the one its namer
+// gives (asked once).
+func (p *Proc) Name() string {
+	if p.name == "" && p.namer != nil {
+		p.name = p.namer.Name()
+	}
+	return p.name
+}
 
 // PID returns the unique process id.
 func (p *Proc) PID() int { return p.pid }
@@ -380,10 +389,12 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 // does. No event of a stackless process is a switch, and it owns no
 // goroutine. step may call only halves (and non-blocking operations): a
 // blocking form would have to park a stack it does not have, and panics. A
-// panic in step is the process's body panic, not a callback's.
-func (k *Kernel) SpawnStep(name string, step func(p *Proc) bool) *Proc {
-	p := k.Spawn(name, nil)
-	p.run = step
+// panic in step is the process's body panic, not a callback's. namer names
+// the process the first time a tracer, a deadlock report or a panic reads
+// its name (Name): a process nobody names costs no string.
+func (k *Kernel) SpawnStep(namer Namer, step func(p *Proc) bool) *Proc {
+	p := k.Spawn("", nil)
+	p.run, p.namer = step, namer
 	return p
 }
 
@@ -415,7 +426,7 @@ func (p *Proc) end() {
 	k := p.k
 	k.removeProc(p)
 	if k.tracer != nil {
-		k.tracer.ProcEnd(p.pid, p.name, k.now)
+		k.tracer.ProcEnd(p.pid, p.Name(), k.now)
 	}
 }
 
@@ -453,7 +464,7 @@ func (e *PanicError) Error() string {
 func (k *Kernel) panicError(running *Proc, v any) *PanicError {
 	if o := k.stepOf; o != nil {
 		k.stepOf = nil
-		return &PanicError{Proc: o.name, PID: o.pid, Callback: true, Value: v}
+		return &PanicError{Proc: o.Name(), PID: o.pid, Callback: true, Value: v}
 	}
 	if k.inCallback {
 		k.inCallback = false
@@ -464,7 +475,7 @@ func (k *Kernel) panicError(running *Proc, v any) *PanicError {
 		b.end()
 		running = b
 	}
-	return &PanicError{Proc: running.name, PID: running.pid, Value: v}
+	return &PanicError{Proc: running.Name(), PID: running.pid, Value: v}
 }
 
 // fail records the first failure and stops the kernel.
@@ -550,7 +561,7 @@ func (k *Kernel) advance(self *Proc) advResult {
 			if !p.started {
 				p.started = true
 				if k.tracer != nil {
-					k.tracer.ProcStart(p.pid, p.name, k.now)
+					k.tracer.ProcStart(p.pid, p.Name(), k.now)
 				}
 			} else if p.done {
 				continue
@@ -567,7 +578,7 @@ func (k *Kernel) advance(self *Proc) advResult {
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.main)
 			if k.tracer != nil {
-				k.tracer.ProcStart(p.pid, p.name, k.now)
+				k.tracer.ProcStart(p.pid, p.Name(), k.now)
 			}
 		} else if p.done {
 			// A stale wake for a process that has since completed (or that
@@ -629,7 +640,7 @@ func (k *Kernel) drive() {
 // a step panics here.
 func (p *Proc) Suspend() {
 	if p.run != nil {
-		panic(fmt.Sprintf("sim: stackless process %q called a blocking operation; a step may call only Begin/Resume halves", p.name))
+		panic(fmt.Sprintf("sim: stackless process %q called a blocking operation; a step may call only Begin/Resume halves", p.Name()))
 	}
 	if p.k.advance(p) == advSelf {
 		return
@@ -701,7 +712,7 @@ func (e *DeadlockError) Error() string {
 func (k *Kernel) deadlockError(at Time) *DeadlockError {
 	blocked := make([]string, 0, len(k.procs))
 	for _, p := range k.procs {
-		blocked = append(blocked, fmt.Sprintf("%s(%d): %s", p.name, p.pid, p.blockedReason()))
+		blocked = append(blocked, fmt.Sprintf("%s(%d): %s", p.Name(), p.pid, p.blockedReason()))
 	}
 	sort.Strings(blocked)
 	return &DeadlockError{At: at, Blocked: blocked}

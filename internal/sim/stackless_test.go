@@ -195,12 +195,12 @@ func TestStacklessPanicIsTheBodys(t *testing.T) {
 		live  int // processes left for Shutdown
 	}{
 		{"driver", func(k *Kernel) {
-			k.SpawnStep("parked", sleeper(1, time.Hour))
-			k.SpawnStep("fft_rows[3]", boom(3))
+			k.SpawnStep(procName("parked"), sleeper(1, time.Hour))
+			k.SpawnStep(procName("fft_rows[3]"), boom(3))
 		}, 1},
 		{"borrowed coroutine", func(k *Kernel) {
-			k.SpawnStep("parked", sleeper(1, time.Hour))
-			k.SpawnStep("fft_rows[3]", boom(3))
+			k.SpawnStep(procName("parked"), sleeper(1, time.Hour))
+			k.SpawnStep(procName("fft_rows[3]"), boom(3))
 			// "other" wakes every 100 ns, so it is the one running the loop
 			// when the stackless step panics; it is unwound, not blamed.
 			k.Spawn("other", func(p *Proc) {
@@ -242,7 +242,7 @@ func TestStacklessPanicIsTheBodys(t *testing.T) {
 // stack to park; it is the body's panic, named.
 func TestStacklessBlockingFormPanics(t *testing.T) {
 	k := NewKernel()
-	k.SpawnStep("wrong", func(p *Proc) bool { p.Sleep(time.Microsecond); return true })
+	k.SpawnStep(procName("wrong"), func(p *Proc) bool { p.Sleep(time.Microsecond); return true })
 	err := k.Run()
 	pe, ok := err.(*PanicError)
 	if !ok || pe.Callback || pe.Proc != "wrong" || !strings.Contains(err.Error(), "a step may call only Begin/Resume halves") {
@@ -263,14 +263,14 @@ func TestStacklessLifecycle(t *testing.T) {
 		tr := &hookLog{}
 		k.SetTracer(tr)
 		never := NewChan[int](k, "never")
-		k.SpawnStep("stuck", func(p *Proc) bool {
+		k.SpawnStep(procName("stuck"), func(p *Proc) bool {
 			if _, parked := never.RecvBegin(p); !parked {
 				t.Errorf("%s: the never channel had a value", tc)
 			}
 			return true
 		})
 		steps := 0
-		k.SpawnStep("ticker", func(p *Proc) bool {
+		k.SpawnStep(procName("ticker"), func(p *Proc) bool {
 			steps++
 			if end == "deadlock" && steps > 3 {
 				return false
@@ -304,8 +304,8 @@ func TestStacklessLifecycle(t *testing.T) {
 	k := NewKernel()
 	tr := &hookLog{}
 	k.SetTracer(tr)
-	k.SpawnStep("first", func(p *Proc) bool { k.Stop(); p.SleepBegin(time.Hour); return true })
-	k.SpawnStep("unstarted", sleeper(1, time.Microsecond))
+	k.SpawnStep(procName("first"), func(p *Proc) bool { k.Stop(); p.SleepBegin(time.Hour); return true })
+	k.SpawnStep(procName("unstarted"), sleeper(1, time.Microsecond))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestStacklessAllocFree(t *testing.T) {
 		box := NewChan[int](k, "box")
 		c := &Chain{CPU: cpu, Quantum: time.Microsecond, Burst: [2]Duration{1500}}
 		n, v := 0, 0
-		k.SpawnStep("tx", func(p *Proc) bool {
+		k.SpawnStep(procName("tx"), func(p *Proc) bool {
 			if n == ops {
 				return false
 			}
@@ -337,7 +337,7 @@ func TestStacklessAllocFree(t *testing.T) {
 			return true
 		})
 		got := 0
-		k.SpawnStep("rx", func(p *Proc) bool {
+		k.SpawnStep(procName("rx"), func(p *Proc) bool {
 			if got > 0 && !box.RecvHoldResume(p, &v) {
 				return true
 			}
@@ -360,7 +360,7 @@ func TestStacklessAllocFree(t *testing.T) {
 	perProc := marginalAllocs(t, func(procs int) {
 		k := NewKernel()
 		for i := 0; i < procs; i++ {
-			k.SpawnStep("w", step)
+			k.SpawnStep(procName("w"), step)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -370,3 +370,8 @@ func TestStacklessAllocFree(t *testing.T) {
 		t.Fatalf("a spawned and finished stackless process allocates %.1f objects, want 2 (the Proc and its start event)", perProc)
 	}
 }
+
+// procName names a stackless process in the tests.
+type procName string
+
+func (n procName) Name() string { return string(n) }
